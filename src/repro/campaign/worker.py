@@ -18,8 +18,8 @@ cached instance per seed, so a worker that runs several cells of the
 same (workload, seed) generates the trace and baseline once, exactly
 like the in-process grid.  The parent's
 :class:`~repro.resilience.faults.FaultPlan` is re-armed on entry, so
-armed faults (and the batch→fast engine downgrade they imply) behave
-identically in a leased cell and an in-process run.
+armed faults behave identically in a leased cell and an in-process
+run — both replay on the same engine, recorded as ``engine_used``.
 """
 
 from __future__ import annotations

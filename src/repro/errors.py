@@ -86,10 +86,11 @@ class SimulationError(ReproError):
 class EngineFallbackWarning(UserWarning):
     """A replay engine request was downgraded to a compatible engine.
 
-    Emitted by :class:`repro.sim.simulator.Simulator` when the
-    requested engine cannot serve the configuration (event tracing,
-    non-LRU replacement, armed fault injection) and a slower engine
-    runs instead.  A warning, not an error: results are bit-identical
+    Emitted by :class:`repro.sim.simulator.Simulator` when the batch
+    kernel cannot serve the run — event tracing or non-LRU replacement
+    at construction; no compiled kernel, an ineligible plan, or
+    pre-populated state at run time — and the reference loop runs
+    instead.  A warning, not an error: results are bit-identical
     across engines, only wall-clock changes — but silent downgrades
     made benchmark numbers lie, so the downgrade is now visible and
     filterable.  ``Simulator.engine_used`` reports what actually ran.

@@ -12,12 +12,12 @@ full-interval (32-tick) experiments default to shorter traces because
 the multi-tick SNN costs ~3 ms per query in pure Python.
 
 Replay runs on :class:`~repro.harness.runner.Evaluation`'s default
-engine ("batch"), which amortizes each workload's derived trace
-columns across the whole lineup: every prefetcher cell replays the
-same cached :class:`~repro.types.Trace`, so its monotone check,
-first-touch mask and set indices are computed once per workload and
-reused by the baseline and every cell.  Results are bit-identical
-across engines — only wall-clock changes.
+engine ("batch"), which amortizes each workload's trace columns
+across the whole lineup: every prefetcher cell replays the same
+cached :class:`~repro.types.Trace`, so its columns and monotone check
+are computed once per workload and reused by the baseline and every
+cell.  Results are bit-identical across engines — only wall-clock
+changes.
 """
 
 from __future__ import annotations

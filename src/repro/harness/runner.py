@@ -417,13 +417,13 @@ class Evaluation:
     #: Optional observability bundle threaded through trace generation,
     #: baseline replay, and every prefetcher run.
     obs: Optional[Observability] = None
-    #: Replay engine for every simulation in the grid ("batch", "fast"
-    #: or "reference"); results are bit-identical, only wall-clock
-    #: differs.  The batch default also amortizes the trace's derived
-    #: columns across the whole lineup: every cell replays the same
-    #: cached :class:`~repro.types.Trace`, so the monotone flag,
-    #: first-touch masks and set indices are computed once per
-    #: workload, not once per cell.
+    #: Replay engine for every simulation in the grid ("batch" or
+    #: "reference"); results are bit-identical, only wall-clock
+    #: differs.  The batch default also amortizes the trace's columns
+    #: across the whole lineup: every cell replays the same cached
+    #: :class:`~repro.types.Trace`, so the columns and the monotone
+    #: flag the kernel checks are built once per workload, not once
+    #: per cell.
     engine: str = "batch"
     #: Retry/timeout/degradation policy for ``run_cells``.  ``None``
     #: falls back to the ambient default (set by the CLI's ``--retries``

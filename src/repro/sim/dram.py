@@ -10,7 +10,6 @@ prefetchers pay a bandwidth cost, as they do in the paper.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import List
 
@@ -91,10 +90,6 @@ class DramModel:
             self.wait_histogram.observe(start - cycle)
         return completion
 
-    def queue_len(self, cycle: int) -> int:
-        """Outstanding requests still in flight at ``cycle`` (read-only)."""
-        return sum(1 for c in self._inflight if c > cycle)
-
     @property
     def average_wait(self) -> float:
         """Mean cycles requests spent waiting for bank/queue availability."""
@@ -102,68 +97,3 @@ class DramModel:
             return 0.0
         return self.total_wait_cycles / self.requests
 
-
-class FlatDram:
-    """Flattened bank-timing kernel used by the fast replay engine.
-
-    Request-for-request identical to :class:`DramModel`: the read-queue
-    back-pressure rule only ever observes the *count* of outstanding
-    completions and their *minimum*, so the rebuilt-list window can be
-    replaced by a completion-time min-heap (O(log q) per request
-    instead of O(q) list rebuilds) without changing any returned
-    completion cycle.  Bank-free times live in one flat list.
-
-    The replay fast path hoists ``bank_free`` and ``inflight`` into
-    loop locals and inlines :meth:`access`; the method itself serves
-    setup, tests, and parity checks.  All cycles are integers end to
-    end.
-    """
-
-    __slots__ = ("config", "bank_free", "inflight", "requests",
-                 "total_wait_cycles", "wait_histogram")
-
-    def __init__(self, config: DramConfig = DramConfig()):
-        self.config = config
-        #: Cycle at which each bank is next free (flat, bank-indexed).
-        self.bank_free: List[int] = [0] * config.total_banks
-        #: Min-heap of outstanding completion cycles.
-        self.inflight: List[int] = []
-        self.requests = 0
-        self.total_wait_cycles = 0
-        #: Optional :class:`repro.obs.Histogram`, as on :class:`DramModel`.
-        self.wait_histogram = None
-
-    def access(self, block: int, cycle: int) -> int:
-        """Issue a read for ``block`` at ``cycle``; return completion cycle."""
-        cfg = self.config
-        inflight = self.inflight
-        while inflight and inflight[0] <= cycle:
-            heapq.heappop(inflight)
-        start = cycle
-        if len(inflight) >= cfg.read_queue_size:
-            if inflight[0] > start:
-                start = inflight[0]
-            while inflight and inflight[0] <= start:
-                heapq.heappop(inflight)
-        bank = block % cfg.total_banks
-        if self.bank_free[bank] > start:
-            start = self.bank_free[bank]
-        self.bank_free[bank] = start + cfg.bank_occupancy
-        completion = start + cfg.base_latency
-        heapq.heappush(inflight, completion)
-        self.requests += 1
-        self.total_wait_cycles += start - cycle
-        if self.wait_histogram is not None:
-            self.wait_histogram.observe(start - cycle)
-        return completion
-
-    def queue_len(self, cycle: int) -> int:
-        """Outstanding requests still in flight at ``cycle`` (read-only)."""
-        return sum(1 for c in self.inflight if c > cycle)
-
-    @property
-    def average_wait(self) -> float:
-        """Mean cycles requests spent waiting for bank/queue availability."""
-        if self.requests == 0:
-            return 0.0
-        return self.total_wait_cycles / self.requests

@@ -1,30 +1,20 @@
-"""The simulator's optimized replay engines, split by strategy.
+"""The simulator's compiled replay engine (``engine="batch"``).
 
-This package holds everything above the reference loop on the
-speed/readability curve, in three layers:
+The reference loop in :class:`repro.sim.simulator.Simulator` is the
+readable specification; this package runs the same replay faster, in
+three layers:
 
-- :mod:`.scalar` — the fused single-function Python loop behind
-  ``engine="fast"`` (and the in-window fallback for ``"batch"``).
-  All state in locals, arithmetic literally identical to the
-  reference engine.
-- :mod:`.planner` — the columnar replay planner behind
-  ``engine="batch"``: window segmentation at prefetch trigger
-  boundaries, CSR trigger→access alignment, and the eligibility
-  checks that decide whether the compiled kernel may run.
+- :mod:`.planner` — the columnar replay planner: CSR trigger→access
+  alignment and the eligibility checks that decide whether the
+  compiled kernel may run.
 - :mod:`.ckernel` — the on-demand compiled C replay kernel (same
-  build machinery as :mod:`repro.snn.ckernel`), a transcription of
-  the scalar loop with identical IEEE-754 operation order.
-- :mod:`.batch` — the ``replay_batch`` driver tying the three
-  together, falling back to :func:`replay_fast` whenever the plan
-  is ineligible or no compiler is available.
-
-The public surface is unchanged from the pre-package module:
-``from repro.sim.fast_engine import replay_fast`` still works, and
-``replay_batch`` is the only addition.
+  build machinery as :mod:`repro.snn.ckernel`), a transcription of the
+  reference loop with identical IEEE-754 operation order.
+- :mod:`.batch` — the ``replay_batch`` driver tying the two together
+  and falling back to the reference loop whenever the kernel cannot
+  run.
 """
 
-from .scalar import replay_fast
 from .batch import replay_batch
-from .windowed import replay_windowed
 
-__all__ = ["replay_fast", "replay_batch", "replay_windowed"]
+__all__ = ["replay_batch"]

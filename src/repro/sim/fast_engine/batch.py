@@ -2,30 +2,66 @@
 
 Plans the replay from the trace's cached columns
 (:func:`~repro.sim.fast_engine.planner.plan_replay`), then executes it
-on the compiled C kernel (:mod:`~repro.sim.fast_engine.ckernel`) when
-the plan is eligible, or on the fused scalar loop
-(:func:`~repro.sim.fast_engine.scalar.replay_fast`) when it is not —
-non-monotone instruction ids, negative blocks, oversized ids, warm
-caches, pre-existing prefetch state, or simply no C compiler.  Both
-paths produce bit-identical :class:`~repro.sim.metrics.SimResult`\\ s;
-the parity suite runs all three engines against each other.
+on the compiled C kernel (:mod:`~repro.sim.fast_engine.ckernel`) and
+writes the kernel's counters back into the simulator's caches and DRAM
+model.  Whatever the kernel cannot take — no C compiler (or
+``REPRO_NO_SIMKERNEL=1``), an ineligible plan (non-monotone
+instruction ids, negative blocks, oversized ids), or a simulator whose
+state is already populated — runs on the reference loop instead, with
+an :class:`~repro.errors.EngineFallbackWarning` and
+``sim.engine_used = "reference"``.  Both paths produce bit-identical
+:class:`~repro.sim.metrics.SimResult`\\ s; the parity and differential
+suites run them against each other.
 
 The cross-lineup amortization lives one level down: the planner reads
-the monotone flag and derived columns cached on
-:class:`repro.types.TraceArrays`, so a grid/bench lineup (baseline +
-N prefetchers × repeats over one trace) derives them once.
+the monotone flag cached on :class:`repro.types.TraceArrays`, so a
+grid/bench lineup (baseline + N prefetchers × repeats over one trace)
+derives it once.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List
 
-from ..metrics import SimResult
+import numpy as np
+
+from ...errors import EngineFallbackWarning
 from ...types import Trace
+from ..metrics import SimResult
 from .ckernel import load_kernel
 from .planner import plan_replay
-from .scalar import replay_fast
-from .windowed import feed_kernel_series, replay_windowed
+
+#: Recorder series names for the kernel's per-window row columns, in
+#: :data:`~repro.sim.fast_engine.ckernel.SERIES_FIELDS` order (the last
+#: column is the DRAM-queue occupancy gauge).
+REPLAY_SERIES_NAMES = (
+    "replay.l1_hits", "replay.l1_misses",
+    "replay.l2_hits", "replay.l2_misses",
+    "replay.llc_hits", "replay.llc_misses", "replay.llc_useful",
+    "replay.pf_issued", "replay.pf_late", "replay.pf_dropped",
+    "replay.dram_requests", "replay.dram_wait",
+)
+
+REPLAY_QUEUE_GAUGE = "replay.dram_queue_len"
+
+
+def feed_kernel_series(recorder, series_rows: np.ndarray, n: int,
+                       window: int) -> None:
+    """Feed the compiled kernel's cumulative rows through a recorder.
+
+    ``series_rows`` is the kernel's ``out["series"]`` matrix: one row
+    per window, cumulative counters plus the queue gauge, exactly what
+    :meth:`~repro.obs.timeseries.WindowRecorder.sample` expects.
+    """
+    for k, row in enumerate(series_rows.tolist()):
+        end = (k + 1) * window
+        if end > n:
+            end = n
+        recorder.sample(
+            end,
+            cumulative=dict(zip(REPLAY_SERIES_NAMES, row)),
+            gauges={REPLAY_QUEUE_GAUGE: row[len(REPLAY_SERIES_NAMES)]})
 
 
 def _load_replay_kernel():
@@ -33,29 +69,41 @@ def _load_replay_kernel():
     return load_kernel()
 
 
+def _fallback_reason(sim, plan, kernel):
+    """Why the kernel cannot run this replay, or ``None`` if it can."""
+    if not plan.kernel_eligible:
+        return plan.fallback_reason
+    # The kernel starts from empty caches, DRAM and prefetch state.
+    if (sim.l1d.occupancy or sim.l2.occupancy or sim.llc.occupancy
+            or sim.dram.requests or sim._pf_heap or sim._pf_inflight):
+        return "simulator state is pre-populated"
+    if kernel is None:
+        return "replay kernel unavailable"
+    return None
+
+
 def replay_batch(sim, trace: Trace,
                  by_trigger: Dict[int, List[int]],
                  result: SimResult, recorder=None) -> None:
     """Replay ``trace`` on ``sim`` using the batch plan.
 
-    Same contract as :func:`replay_fast`: mutates ``result`` and the
-    simulator's cache/DRAM stats in place; the caller owns the shared
-    epilogue.  With a :class:`~repro.obs.timeseries.WindowRecorder`
-    armed, the kernel emits one cumulative-counter row per window (the
-    fallback path runs the window-tiled scalar loop instead) — pure
-    observation either way, results stay bit-identical.
+    Same contract as :meth:`~repro.sim.simulator.Simulator._run_reference`:
+    mutates ``result`` and the simulator's cache/DRAM stats in place;
+    the caller owns the shared epilogue.  With a
+    :class:`~repro.obs.timeseries.WindowRecorder` armed, the kernel
+    emits one cumulative-counter row per window — pure observation,
+    results stay bit-identical.
     """
     arrays = trace.arrays()
     plan = plan_replay(arrays, by_trigger)
     kernel = _load_replay_kernel()
-    cold = (not any(sim.l1d.sets) and not any(sim.l2.sets)
-            and not any(sim.llc.sets))
-    if (kernel is None or not plan.kernel_eligible or not cold
-            or sim._pf_heap or sim._pf_inflight):
-        if recorder is not None:
-            replay_windowed(sim, trace, by_trigger, result, recorder)
-        else:
-            replay_fast(sim, trace, by_trigger, result)
+    reason = _fallback_reason(sim, plan, kernel)
+    if reason is not None:
+        sim.engine_used = "reference"
+        warnings.warn(EngineFallbackWarning(
+            f"replay engine downgraded to 'reference': {reason}"),
+            stacklevel=3)
+        sim._run_reference(trace, by_trigger, result, recorder)
         return
 
     series_window = recorder.window if recorder is not None else 0
@@ -66,8 +114,8 @@ def replay_batch(sim, trace: Trace,
         feed_kernel_series(recorder, out["series"], len(arrays),
                            series_window)
 
-    # -- write the kernel's counters back (same targets as the scalar
-    # loop's epilogue) ---------------------------------------------------
+    # -- write the kernel's counters back (same targets as the
+    # reference loop's epilogue) -----------------------------------------
     l1, l2, llc, dram = sim.l1d, sim.l2, sim.llc, sim.dram
     l1.hits, l1.misses = out["l1_hits"], out["l1_misses"]
     l2.hits, l2.misses = out["l2_hits"], out["l2_misses"]
@@ -91,9 +139,8 @@ def replay_batch(sim, trace: Trace,
     result.llc_misses = out["llc_misses"]
     result.pf_issued = out["pf_issued"]
     result.pf_late = out["pf_late"]
-    # Late prefetches count as useful here, exactly as in the scalar
-    # and reference loops; the caller's epilogue adds the LLC's
-    # in-cache useful count.
+    # Late prefetches count as useful here, exactly as in the reference
+    # loop; the caller's epilogue adds the LLC's in-cache useful count.
     result.pf_useful = out["pf_late"]
 
     # ---- core.finalize -------------------------------------------------

@@ -3,19 +3,17 @@
 The replay recurrence — dispatch cursor, ROB drain, MSHR/DRAM heaps,
 prefetch fills — is sequential by nature: each access's timing depends
 on the previous one's, so no NumPy expression can vectorize it without
-changing results.  What *can* change is the cost per step: the scalar
-loop pays Python interpreter dispatch on every probe and heap
-operation.  This module compiles a C transcription of
-:func:`repro.sim.fast_engine.scalar.replay_fast`'s prefetching loop
-(which subsumes the prefetch-free loop: with no prefetch state every
-prefetch branch is unreachable) and binds it through :mod:`ctypes`,
-following the :mod:`repro.snn.ckernel` build machinery.
+changing results.  What *can* change is the cost per step: the
+reference loop pays Python interpreter dispatch on every probe and
+heap operation.  This module compiles a C transcription of
+:meth:`repro.sim.simulator.Simulator._run_reference` and binds it
+through :mod:`ctypes`, following the :mod:`repro.snn.ckernel` build
+machinery.
 
 Bit-identity contract
 ---------------------
 The C code performs exactly the same IEEE-754 double operations in the
-same order as the scalar loop, which itself mirrors the reference
-engine:
+same order as the reference engine:
 
 - ``dispatch += gap / width`` uses one correctly-rounded double
   division, like Python's int/int true division;
@@ -34,14 +32,14 @@ engine:
   order as the Python heap (pop order determines LLC fill order,
   which determines LRU state);
 - per-set LRU state is a block array in recency order, front =
-  least recent — exactly the insertion-order dict discipline of
-  :class:`repro.sim.cache.ArrayCache`;
+  least recent — the victim :class:`repro.sim.cache.SetAssociativeCache`
+  picks under ``lru`` replacement;
 - compiled with ``-ffp-contract=off -fno-fast-math`` so no FMA
   contraction or reassociation can change results.
 
 If no compiler is available (or ``REPRO_NO_SIMKERNEL=1`` is set) the
-batch engine transparently falls back to the scalar loop — slower,
-never wrong.  Compiled objects share the snn kernel's cache directory
+batch engine falls back to the reference loop — slower, never
+wrong.  Compiled objects share the snn kernel's cache directory
 (``$REPRO_CKERNEL_CACHE``), keyed by a hash of source and compiler.
 """
 
@@ -228,7 +226,7 @@ static void map_insert(int64_t *keys, int64_t *vals, int64_t mask,
     vals[i] = val;
 }
 
-/* ---- per-set LRU arrays (ArrayCache dict discipline) ------------- */
+/* ---- per-set LRU arrays (recency order, front = LRU) ------------- */
 /* Each set is a block array in recency order, index 0 = least
  * recent; sets are strided ways+1 wide so an insert can land before
  * the over-capacity eviction, like the dict it mirrors. */
@@ -828,7 +826,7 @@ def load_kernel() -> Optional[ReplayKernel]:
     """The process-wide compiled replay kernel, or ``None``.
 
     Compiles on first call (cached on disk afterwards).  Returns
-    ``None`` — and the batch engine falls back to the scalar loop —
+    ``None`` — and the batch engine falls back to the reference loop —
     when ``REPRO_NO_SIMKERNEL=1``, no C compiler is on PATH, or
     compilation/loading fails for any reason.
     """

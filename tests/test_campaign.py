@@ -54,6 +54,7 @@ def test_spec_roundtrip_and_defaults():
     {"loads": 0},
     {"max_attempts": 0},
     {"workers": -1},
+    {"engine": "fast"},  # removed engine
 ])
 def test_spec_validation_rejects(overrides):
     with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.ledger import read_ledger
 
 
 def test_parser_requires_command():
@@ -51,7 +52,6 @@ def test_run_engine_batch_explicit(capsys):
 
 @pytest.mark.parametrize("extra", [
     ["--events-out", "e.jsonl"],
-    ["--inject-faults", "prefetcher.access:p=0"],
 ])
 def test_run_engine_batch_with_incompatible_flag_is_config_error(
         tmp_path, capsys, extra, monkeypatch):
@@ -61,6 +61,23 @@ def test_run_engine_batch_with_incompatible_flag_is_config_error(
     assert main(["run", "cc-5", "nextline", "--loads", "400",
                  "--engine", "batch"] + extra) == 2
     assert "incompatible" in capsys.readouterr().out
+
+
+def test_run_engine_batch_with_inject_faults_stays_on_batch(tmp_path):
+    """Armed faults no longer force a slower engine: an explicit
+    --engine batch runs, and the ledger records the kernel."""
+    assert main(["run", "cc-5", "nextline", "--loads", "400",
+                 "--engine", "batch", "--results-dir", str(tmp_path),
+                 "--inject-faults", "prefetcher.access:p=0"]) == 0
+    (ledger,) = tmp_path.glob("*.jsonl")
+    (cell,) = read_ledger(ledger)["cells"]
+    assert cell["engine_used"] == "batch"
+
+
+def test_run_rejects_removed_engine(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "cc-5", "nextline", "--engine", "fast"])
+    assert exc.value.code == 2
 
 
 def test_run_default_engine_downgrades_with_warning(tmp_path, capsys):

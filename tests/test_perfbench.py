@@ -29,14 +29,12 @@ def test_report_is_valid_and_complete(report):
     assert report["baseline_replay_s"] >= 0.0
     # The headline is the batch engine; the explicit key restates it.
     assert report["baseline_replay_batch_s"] == report["baseline_replay_s"]
-    assert report["baseline_replay_fast_s"] >= 0.0
     assert report["baseline_replay_reference_s"] >= 0.0
     assert set(report["prefetchers"]) == {"nextline", "pathfinder"}
     for cell in report["prefetchers"].values():
         assert cell["prefetch_file_s"] >= 0.0
         assert cell["replay_s"] >= 0.0
         assert cell["replay_batch_s"] == cell["replay_s"]
-        assert cell["replay_fast_s"] >= 0.0
         assert cell["replay_reference_s"] >= 0.0
         assert cell["replay_speedup"] > 0.0
         assert cell["speedup"] > 0.0
@@ -46,14 +44,13 @@ def test_report_is_valid_and_complete(report):
 def test_v3_reports_carry_per_repeat_samples(report):
     assert report["schema_version"] == 3
     for key in ("trace_gen_s", "baseline_replay_s",
-                "baseline_replay_batch_s", "baseline_replay_fast_s",
-                "baseline_replay_reference_s"):
+                "baseline_replay_batch_s", "baseline_replay_reference_s"):
         samples = report["samples"][key]
         assert len(samples) == report["repeats"]
         assert min(samples) == report[key]
     for cell in report["prefetchers"].values():
         for key in ("prefetch_file_s", "replay_s", "replay_batch_s",
-                    "replay_fast_s", "replay_reference_s"):
+                    "replay_reference_s"):
             samples = cell["samples"][key]
             assert len(samples) == report["repeats"]
             assert min(samples) == cell[key]
@@ -79,12 +76,10 @@ def _as_v2(report):
     v2["schema_version"] = 2
     v2["replay_engine"] = "fast"
     v2.pop("samples")
-    for key in ("baseline_replay_batch_s", "baseline_replay_fast_s"):
-        v2.pop(key)
+    v2.pop("baseline_replay_batch_s")
     for cell in v2["prefetchers"].values():
         cell.pop("samples")
-        for key in ("replay_batch_s", "replay_fast_s"):
-            cell.pop(key)
+        cell.pop("replay_batch_s")
     return v2
 
 
@@ -151,7 +146,7 @@ def test_bad_arguments_rejected():
         replay_s=[-0.5]),
     lambda r: r.update(repeats="three"),
     # Batch-era keys are optional, but garbage when present is rejected.
-    lambda r: r.update(baseline_replay_fast_s=-1.0),
+    lambda r: r.update(baseline_replay_batch_s=-1.0),
     lambda r: r["prefetchers"]["nextline"].update(replay_batch_s=-1.0),
     lambda r: r["prefetchers"]["nextline"]["samples"].update(
         replay_batch_s=[-0.5]),
@@ -193,6 +188,16 @@ def test_compare_rejects_mismatched_experiments(report):
     other["n_accesses"] = report["n_accesses"] + 1
     with pytest.raises(ConfigError):
         compare_bench(other, report)
+
+
+def test_committed_report_still_loads():
+    """The committed baseline predates the two-engine bench; CI's
+    regression gate must keep comparing against it."""
+    from pathlib import Path
+
+    committed = load_bench(Path(__file__).resolve().parents[1]
+                           / "BENCH_perf.json")
+    assert committed["replay_engine"] == "batch"
 
 
 def test_load_rejects_unreadable(tmp_path):

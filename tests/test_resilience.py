@@ -321,11 +321,13 @@ def test_journal_rejects_version_mismatch(tmp_path):
 def test_cell_key_is_canonical_and_discriminating():
     hierarchy = HierarchyConfig.scaled()
     key = cell_key("cc-5", "nextline", seed=1, n_accesses=1000, budget=2,
-                   engine="fast", hierarchy=hierarchy)
+                   engine="reference", hierarchy=hierarchy)
     assert key == cell_key("cc-5", "nextline", seed=1, n_accesses=1000,
-                           budget=2, engine="fast", hierarchy=hierarchy)
+                           budget=2, engine="reference",
+                           hierarchy=hierarchy)
     other_seed = cell_key("cc-5", "nextline", seed=2, n_accesses=1000,
-                          budget=2, engine="fast", hierarchy=hierarchy)
+                          budget=2, engine="reference",
+                          hierarchy=hierarchy)
     assert key != other_seed
     payload = json.loads(key)
     assert payload["workload"] == "cc-5" and payload["seed"] == 1

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, EngineFallbackWarning
 from repro.harness.runner import (
     PREFETCHER_FACTORIES,
     Evaluation,
@@ -268,7 +268,7 @@ def _series_obs(window: int = 256) -> Observability:
     return Observability(series=SeriesCollector(window=window))
 
 
-@pytest.mark.parametrize("engine", ("reference", "fast", "batch"))
+@pytest.mark.parametrize("engine", ("reference", "batch"))
 def test_simresult_bit_identical_with_series(engine):
     factory = PREFETCHER_FACTORIES["nextline"]
     requests = generate_prefetches(factory(), _PARITY_TRACE)
@@ -296,9 +296,10 @@ def test_batch_kernel_fallback_collects_identical_series(monkeypatch):
                              "nextline", obs=obs_kernel, engine="batch")
     monkeypatch.setattr(batch_mod, "load_kernel", lambda: None)
     obs_fallback = _series_obs()
-    result_fallback = simulate(_PARITY_TRACE, requests,
-                               default_hierarchy(), "nextline",
-                               obs=obs_fallback, engine="batch")
+    with pytest.warns(EngineFallbackWarning, match="kernel unavailable"):
+        result_fallback = simulate(_PARITY_TRACE, requests,
+                                   default_hierarchy(), "nextline",
+                                   obs=obs_fallback, engine="batch")
     assert result_fallback == result_kernel
     assert obs_fallback.series.snapshot() == obs_kernel.series.snapshot()
 
