@@ -4,7 +4,8 @@ Implements exactly what the paper's LSTM baselines need, from scratch:
 
 - :mod:`repro.ml.layers` — embeddings, dense layers, softmax +
   cross-entropy.
-- :mod:`repro.ml.lstm` — a fused-gate LSTM layer with full BPTT.
+- :mod:`repro.ml.lstm` — a fused-gate LSTM layer with full BPTT,
+  and the cache-free, row-blocked pass frozen models infer with.
 - :mod:`repro.ml.optim` — Adam.
 - :mod:`repro.ml.cluster` — 1-D k-means (Delta-LSTM's address
   clustering).

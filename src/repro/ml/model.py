@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError, ModelError
 from .layers import Dense, Embedding, cross_entropy, softmax
-from .lstm import LSTM
+from .lstm import LSTM, final_hidden
 from .optim import Adam
 
 
@@ -129,3 +129,24 @@ class NextTokenLSTM:
         logits = self.head.forward(hidden[:, -1, :])[0]
         order = np.argsort(-logits)
         return [int(t) for t in order[:k]]
+
+    def logits(self, contexts: np.ndarray) -> np.ndarray:
+        """Next-token logits for full-window ``contexts`` (batch, window).
+
+        The batched, cache-free counterpart of :meth:`predict_topk`'s
+        model pass.  BLAS sums a batch's rows in a batch-size-dependent
+        order, so each row agrees with the batch-1 pass to rounding
+        (the parity suite bounds it at 1e-12), not bitwise.
+        """
+        if not self.trained:
+            raise ModelError("model used before fit()")
+        if contexts.ndim != 2 or contexts.shape[1] != self.window:
+            raise ModelError(
+                f"expected (B, {self.window}) contexts, got {contexts.shape}")
+        hidden = final_hidden(self.lstms, self.embedding.forward(contexts))
+        return self.head.forward(hidden)
+
+    def topk(self, contexts: np.ndarray, k: int) -> np.ndarray:
+        """Row-wise :meth:`predict_topk` over full-window ``contexts``:
+        a (batch, k) array of the most likely next tokens, best first."""
+        return np.argsort(-self.logits(contexts), axis=1)[:, :k]

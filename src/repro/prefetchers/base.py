@@ -85,12 +85,17 @@ class Prefetcher:
         straight out of :meth:`repro.types.Trace.arrays`.  The result
         must be exactly ``[self.process(a) for a in chunk]`` — the
         parity suite drives both paths and asserts bit-identical
-        prefetch files.
+        prefetch files.  The one BLAS-backed tier is the frozen neural
+        models (Voyager, Delta-LSTM), which run a chunk's contexts as
+        row blocks: BLAS sums rows in a batch-size-dependent order, so
+        their logits match :meth:`process`'s batch-1 pass within
+        1e-12 rather than bitwise, while prefetch files and the state
+        :meth:`process` reads next stay identical.
 
         This default adapts any scalar prefetcher by looping; batched
         implementations (NextLine's vectorized page math, PATHFINDER's
-        three-pass SNN pipeline) override it for throughput, never for
-        behaviour.
+        three-pass SNN pipeline, the neural models' row-blocked
+        inference) override it for throughput, never for behaviour.
         """
         process = self.process
         return [process(MemoryAccess(instr_id=i, pc=p, address=a))

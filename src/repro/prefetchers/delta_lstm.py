@@ -14,14 +14,16 @@ window cannot be predicted later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..ml.cluster import assign_1d, kmeans_1d
+from ..ml.lstm import RowBlockQueue, row_blocks
 from ..ml.model import NextTokenLSTM
-from ..types import MemoryAccess, Trace
+from ..types import BLOCK_BITS, MemoryAccess, Trace
 from .base import Prefetcher
 
 
@@ -96,13 +98,13 @@ class DeltaLSTMPrefetcher(Prefetcher):
 
     def train(self, trace: Trace) -> None:
         cfg = self.config
-        blocks = np.asarray([acc.block for acc in trace], dtype=float)
+        blocks = trace.arrays().blocks
         self.centroids, labels = kmeans_1d(blocks, cfg.clusters,
                                            seed=cfg.seed)
         self._clusters = [_ClusterModel()
                           for _ in range(len(self.centroids))]
         for cluster_id, cluster in enumerate(self._clusters):
-            member_blocks = blocks[labels == cluster_id].astype(int)
+            member_blocks = blocks[labels == cluster_id]
             deltas = np.diff(member_blocks)
             deltas = deltas[deltas != 0]
             if deltas.size < cfg.window + 2:
@@ -172,6 +174,79 @@ class DeltaLSTMPrefetcher(Prefetcher):
             if len(addresses) >= cfg.degree:
                 break
         return addresses
+
+    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+        """Columnar form of :meth:`process`: a context pass feeding
+        row-blocked model passes, one queue per cluster.
+
+        1. **Context pass** (sequential, cheap) — clusters the chunk
+           with one :func:`~repro.ml.cluster.assign_1d` call per row
+           block, then advances each cluster's ``context`` and
+           ``last_block`` and ``unseen_delta_predictions`` exactly as
+           :meth:`process` does, queueing the full-window context of
+           every access that predicts on its cluster's
+           :class:`~repro.ml.lstm.RowBlockQueue`.
+        2. **Model pass** (batched) — each time a cluster's block fills
+           (and once for each remainder), its frozen model ranks the
+           block's next tokens (:meth:`NextTokenLSTM.topk`) and the
+           block is decoded before the next one starts.
+
+        Parity is as for :meth:`VoyagerPrefetcher.process_batch`:
+        identical prefetch files and cluster state, logits equal to
+        :meth:`process`'s batch-1 pass to rounding.
+        """
+        n = len(addresses)
+        results: List[List[int]] = [[] for _ in range(n)]
+        if self.centroids is None or n == 0:
+            return results
+        window = self.config.window
+        blocks = np.asarray(addresses) >> BLOCK_BITS
+        labels = np.concatenate([assign_1d(blocks[rows], self.centroids)
+                                 for rows in row_blocks(n)]).tolist()
+        blocks = blocks.tolist()
+        queues: Dict[int, RowBlockQueue] = {}
+        for i in range(n):
+            cluster = self._clusters[labels[i]]
+            if cluster.model is None:
+                continue
+            block = blocks[i]
+            if cluster.last_block is not None and block != cluster.last_block:
+                token = cluster.delta_to_token.get(block - cluster.last_block,
+                                                   _OOV)
+                if token == _OOV:
+                    self.unseen_delta_predictions += 1
+                cluster.context.append(token)
+                if len(cluster.context) > window:
+                    cluster.context = cluster.context[-window:]
+            cluster.last_block = block
+            if len(cluster.context) == window:
+                queue = queues.get(labels[i])
+                if queue is None:
+                    queue = queues[labels[i]] = RowBlockQueue(partial(
+                        self._predict_block, cluster, blocks, results))
+                queue.add(i, tuple(cluster.context))
+        for queue in queues.values():
+            queue.flush()
+        return results
+
+    def _predict_block(self, cluster: _ClusterModel, blocks: List[int],
+                       results: List[List[int]], at: List[int],
+                       contexts: List[Tuple[int, ...]]) -> None:
+        """Decode one row block of ``cluster``'s contexts into
+        ``results``, as :meth:`process` decodes one."""
+        degree = self.config.degree
+        top = cluster.model.topk(np.asarray(contexts), k=degree + 1)
+        for i, tokens in zip(at, top.tolist()):
+            out = results[i]
+            for token in tokens:
+                delta = cluster.token_to_delta.get(token)
+                if delta is None:  # OOV token predicts nothing
+                    continue
+                target = blocks[i] + delta
+                if target > 0:
+                    out.append(target << BLOCK_BITS)
+                if len(out) >= degree:
+                    break
 
     def reset(self) -> None:
         for cluster in self._clusters:

@@ -20,15 +20,17 @@ benchmarks, but unable to adapt online.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..ml.layers import Dense, Embedding, cross_entropy, softmax
-from ..ml.lstm import LSTM
+from ..ml.lstm import LSTM, RowBlockQueue, final_hidden
 from ..ml.optim import Adam
-from ..types import MemoryAccess, Trace, compose_address
+from ..types import (BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS, MemoryAccess,
+                     Trace, compose_address)
 from .base import Prefetcher
 
 #: Page-delta token reserved for out-of-range jumps.
@@ -136,13 +138,13 @@ class VoyagerPrefetcher(Prefetcher):
         return self.token_to_page.get(token)
 
     def _build_abs_vocab(self, trace: Trace) -> None:
-        pages, counts = np.unique([a.page for a in trace],
+        if self.config.abs_page_vocab <= 0:
+            return
+        pages, counts = np.unique(trace.arrays().addresses >> PAGE_BITS,
                                   return_counts=True)
         # Only pages visited repeatedly earn an absolute token.
         recurring = pages[counts >= 2]
         order = np.argsort(-counts[counts >= 2])
-        if self.config.abs_page_vocab <= 0:
-            return
         kept = recurring[order][:self.config.abs_page_vocab]
         base = self.config.n_delta_tokens
         for index, page in enumerate(kept):
@@ -154,17 +156,26 @@ class VoyagerPrefetcher(Prefetcher):
 
     # -- model passes ------------------------------------------------------
 
+    def _embed(self, batch_tokens: np.ndarray) -> np.ndarray:
+        """batch_tokens (B, T, 3) → joined embeddings (B, T, 3 * embed)."""
+        return np.concatenate([
+            self.page_embed.forward(batch_tokens[:, :, 0]),
+            self.offset_embed.forward(batch_tokens[:, :, 1]),
+            self.pc_embed.forward(batch_tokens[:, :, 2])], axis=2)
+
     def _forward(self, batch_tokens: np.ndarray) -> Tuple:
         """batch_tokens (B, T, 3) → (hidden seq, page logits, offset logits)."""
         self._batch_tokens = batch_tokens
-        pages = self.page_embed.forward(batch_tokens[:, :, 0])
-        offsets = self.offset_embed.forward(batch_tokens[:, :, 1])
-        pcs = self.pc_embed.forward(batch_tokens[:, :, 2])
-        joined = np.concatenate([pages, offsets, pcs], axis=2)
-        hidden = self.lstm.forward(joined)
+        hidden = self.lstm.forward(self._embed(batch_tokens))
         final = hidden[:, -1, :]
         return (hidden, self.page_head.forward(final),
                 self.offset_head.forward(final))
+
+    def _infer(self, batch_tokens: np.ndarray) -> Tuple:
+        """batch_tokens (B, T, 3) → (page logits, offset logits) through
+        the cache-free pass; training state is left untouched."""
+        final = final_hidden([self.lstm], self._embed(batch_tokens))
+        return self.page_head.forward(final), self.offset_head.forward(final)
 
     def _backward(self, hidden: np.ndarray, dpage: np.ndarray,
                   doffset: np.ndarray) -> None:
@@ -272,6 +283,76 @@ class VoyagerPrefetcher(Prefetcher):
         offset_order = np.argsort(-offset_logits[0])
         return [compose_address(page, int(o))
                 for o in offset_order[:cfg.degree]]
+
+    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+        """Columnar form of :meth:`process`: a context pass feeding a
+        row-blocked model pass.
+
+        1. **Context pass** (sequential, cheap) — tokenises each access
+           and advances the per-PC ``_history`` and ``_last_page``
+           exactly as :meth:`process` does, queueing the full-window
+           context of every access that predicts.
+        2. **Model pass** (batched) — each time a
+           :class:`~repro.ml.lstm.RowBlockQueue` block fills (and once
+           for the remainder), the frozen model runs over it without a
+           BPTT cache and the block is decoded (page argmax,
+           top-``degree`` offsets) before the next one starts.
+
+        The model is frozen, so a context depends only on the trace and
+        the passes can be split.  BLAS sums a block's rows in a
+        batch-size-dependent order: logits agree with :meth:`process`'s
+        batch-1 pass to rounding, not bitwise (the parity suite bounds
+        them and pins identical prefetch files and history state).
+        """
+        n = len(addresses)
+        results: List[List[int]] = [[] for _ in range(n)]
+        if not self.trained:
+            return results
+        window = self.config.window
+        addresses = np.asarray(addresses)
+        pages = (addresses >> PAGE_BITS).tolist()
+        offsets = ((addresses >> BLOCK_BITS)
+                   & (BLOCKS_PER_PAGE - 1)).tolist()
+        pcs = np.asarray(pcs).tolist()
+        queue = RowBlockQueue(partial(self._predict_block, pages, results))
+        last_page = self._last_page
+        # Chunk-local histories hold token rows as tuples; the arrays
+        # :meth:`process` keeps are written back after the pass.
+        histories: Dict[int, List[Tuple[int, int, int]]] = {}
+        for i in range(n):
+            pc, page = pcs[i], pages[i]
+            prev = last_page.get(pc)
+            delta = 0 if prev is None else page - prev
+            last_page[pc] = page
+            history = histories.get(pc)
+            if history is None:
+                history = histories[pc] = [
+                    tuple(row.tolist()) for row in self._history.get(pc, ())]
+            history.append((self._page_token(delta, page), offsets[i],
+                            self._pc_token(pc)))
+            if len(history) > window:
+                del history[0]
+            if len(history) == window:
+                queue.add(i, tuple(history))
+        queue.flush()
+        for pc, history in histories.items():
+            self._history[pc] = [np.asarray(row, dtype=int)
+                                 for row in history]
+        return results
+
+    def _predict_block(self, pages: List[int], results: List[List[int]],
+                       at: List[int], contexts: List[Tuple]) -> None:
+        """Decode one row block of contexts into ``results``, as
+        :meth:`process` decodes one."""
+        degree = self.config.degree
+        page_logits, offset_logits = self._infer(
+            np.asarray(contexts, dtype=int))
+        page_tokens = page_logits.argmax(axis=1).tolist()
+        top_offsets = np.argsort(-offset_logits, axis=1)[:, :degree]
+        for i, token, top in zip(at, page_tokens, top_offsets.tolist()):
+            page = self._decode_page(token, pages[i])
+            if page is not None and page >= 0:
+                results[i] = [compose_address(page, o) for o in top]
 
     def reset(self) -> None:
         self._history.clear()

@@ -5,14 +5,19 @@ drive, winner-column STDP, sparse Poisson sampling) each retain their
 dense reference twin; these tests assert the two agree — same
 encodings, same winners, same learned state, and, end to end, the same
 prefetch file — across the Figure-9 config toggles and random inputs.
+The batched-driver section extends the contract to every
+``process_batch`` override; the frozen neural models get the one
+BLAS-backed tier (identical files and state, logits within a bound).
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.core import PathfinderConfig, PathfinderPrefetcher
 from repro.core.pixel import PixelMatrixEncoder
-from repro.prefetchers import generate_prefetches
+from repro.prefetchers import VoyagerPrefetcher, generate_prefetches
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.traces import make_trace
 
@@ -168,20 +173,33 @@ def test_full_run_prefetch_file_bit_identical(one_tick):
 # -- batched columnar driver parity -------------------------------------------
 
 from repro.harness.runner import PREFETCHER_FACTORIES, make_prefetcher  # noqa: E402
+from repro.ml import lstm as lstm_module  # noqa: E402
+from repro.ml.model import NextTokenLSTM  # noqa: E402
 from repro.prefetchers.base import Prefetcher  # noqa: E402
 from repro.snn import ckernel  # noqa: E402
 from repro.snn.encoding import flatten_active_windows  # noqa: E402
 from repro.snn.network import HEALTH_CHECK_INTERVAL  # noqa: E402
+from repro.types import MemoryAccess  # noqa: E402
+
+#: Offline-trained prefetchers whose batched path runs the frozen model
+#: through BLAS-backed row blocks (identical files, rounding-level logits).
+NEURAL_PREFETCHERS = ("voyager", "delta-lstm")
 
 #: Every prefetcher that overrides :meth:`Prefetcher.process_batch`.
-BATCHED_PREFETCHERS = ("nextline", "bo", "sisb", "spp", "pathfinder")
+BATCHED_PREFETCHERS = ("nextline", "bo", "sisb", "spp", "pathfinder",
+                       *NEURAL_PREFETCHERS)
 
 #: Behaviourally distinct workloads: graph-irregular, temporal-replay,
 #: and delta-pattern heavy.
 BATCH_WORKLOADS = ("cc-5", "482-sphinx-s0", "623-xalan-s1")
 
+#: Largest batched-vs-batch-1 logit difference the neural parity tier
+#: allows (measured: ~5e-15 for Voyager, ~1e-16 for Delta-LSTM).
+LOGIT_BOUND = 1e-12
+
 _batch_traces = {}
-_scalar_files = {}
+_scalar_runs = {}
+_trained = {}
 
 
 def _batch_trace(workload):
@@ -190,18 +208,34 @@ def _batch_trace(workload):
     return _batch_traces[workload]
 
 
-def _scalar_reference_file(workload, name):
+def _fresh_prefetcher(workload, name):
+    """A prefetcher ready to replay ``workload``: offline models are
+    trained once per workload and handed out as independent copies."""
     key = (workload, name)
-    if key not in _scalar_files:
+    if key not in _trained:
         prefetcher = make_prefetcher(name)
-        # Route every chunk through the scalar per-access loop: this is
-        # the oracle the batched implementations must reproduce.
-        prefetcher.process_batch = (
-            lambda a, p, i, _pf=prefetcher:
-            Prefetcher.process_batch(_pf, a, p, i))
-        _scalar_files[key] = generate_prefetches(
-            prefetcher, _batch_trace(workload), budget=2)
-    return _scalar_files[key]
+        prefetcher.train(_batch_trace(workload))
+        _trained[key] = prefetcher
+    return copy.deepcopy(_trained[key])
+
+
+def _scalar_only(prefetcher):
+    """Route every chunk through the scalar per-access loop: this is
+    the oracle the batched implementations must reproduce."""
+    prefetcher.process_batch = (
+        lambda a, p, i: Prefetcher.process_batch(prefetcher, a, p, i))
+    return prefetcher
+
+
+def _scalar_reference(workload, name):
+    """The scalar loop's prefetch file, and its prefetcher afterwards."""
+    key = (workload, name)
+    if key not in _scalar_runs:
+        prefetcher = _scalar_only(_fresh_prefetcher(workload, name))
+        requests = generate_prefetches(prefetcher, _batch_trace(workload),
+                                       budget=2, train=False)
+        _scalar_runs[key] = (requests, prefetcher)
+    return _scalar_runs[key]
 
 
 @pytest.mark.parametrize("workload", BATCH_WORKLOADS)
@@ -210,20 +244,181 @@ def test_process_batch_matches_scalar(workload, name):
     """Batched prefetch files are bit-identical to the scalar loop's,
     for every chunk size including degenerate single-access chunks."""
     trace = _batch_trace(workload)
-    reference = _scalar_reference_file(workload, name)
+    reference, _ = _scalar_reference(workload, name)
     for chunk in (1, 7, len(trace)):
-        assert generate_prefetches(make_prefetcher(name), trace,
-                                   budget=2, chunk=chunk) == reference, \
+        assert generate_prefetches(
+            _fresh_prefetcher(workload, name), trace, budget=2,
+            chunk=chunk, train=False) == reference, \
             f"{name} diverged on {workload} at chunk={chunk}"
+
+
+def _neural_state(prefetcher):
+    """Everything :meth:`process` reads back on the next access."""
+    if prefetcher.name == "voyager":
+        return ({pc: [row.tolist() for row in rows]
+                 for pc, rows in prefetcher._history.items()},
+                dict(prefetcher._last_page))
+    return ([(list(c.context), c.last_block)
+             for c in prefetcher._clusters],
+            prefetcher.unseen_delta_predictions)
+
+
+def _columns(accesses):
+    return (np.asarray([a.address for a in accesses], dtype=np.int64),
+            np.asarray([a.pc for a in accesses], dtype=np.int64),
+            np.asarray([a.instr_id for a in accesses], dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", NEURAL_PREFETCHERS)
+def test_neural_batch_state_matches_scalar(name):
+    """Batched generation leaves exactly the scalar loop's state, so a
+    switch to :meth:`process` mid-trace — what the guard does once a
+    fault plan is armed or a chunk fails — continues the same stream."""
+    trace = _batch_trace("cc-5")
+    reference, scalar = _scalar_reference("cc-5", name)
+    batched = _fresh_prefetcher("cc-5", name)
+    assert generate_prefetches(batched, trace, budget=2,
+                               train=False) == reference
+    assert _neural_state(batched) == _neural_state(scalar)
+
+    switched = _fresh_prefetcher("cc-5", name)
+    chunks = []
+
+    def batched_then_scalar(addresses, pcs, instr_ids):
+        chunks.append(len(addresses))
+        path = (type(switched).process_batch if len(chunks) == 1
+                else Prefetcher.process_batch)
+        return path(switched, addresses, pcs, instr_ids)
+
+    switched.process_batch = batched_then_scalar
+    assert generate_prefetches(switched, trace, budget=2, chunk=2000,
+                               train=False) == reference
+    assert len(chunks) == 2
+    assert _neural_state(switched) == _neural_state(scalar)
+
+
+def _batch1_logits(model, context):
+    """:meth:`NextTokenLSTM.predict_topk`'s model pass, logits kept."""
+    hidden = model.embedding.forward(np.asarray([context]))
+    for lstm in model.lstms:
+        hidden = lstm.forward(hidden)
+    return model.head.forward(hidden[:, -1, :])[0]
+
+
+def _voyager_logit_pairs(prefetcher, accesses):
+    """(batched, batch-1) logits over every context :meth:`process` sees."""
+    contexts, batch1 = [], []
+    forward = prefetcher._forward
+
+    def recording_forward(tokens):
+        hidden, page_logits, offset_logits = forward(tokens)
+        contexts.append(tokens[0])
+        batch1.append(np.concatenate([page_logits[0], offset_logits[0]]))
+        return hidden, page_logits, offset_logits
+
+    prefetcher._forward = recording_forward
+    for access in accesses:
+        prefetcher.process(access)
+    contexts = np.stack(contexts)
+    batched = [np.concatenate(prefetcher._infer(contexts[rows]), axis=1)
+               for rows in lstm_module.row_blocks(len(contexts))]
+    return np.concatenate(batched), np.stack(batch1)
+
+
+def _recording_topk(seen):
+    def predict_topk(context, k):
+        seen.append(list(context))
+        return []
+    return predict_topk
+
+
+def _delta_lstm_logit_pairs(prefetcher, accesses):
+    contexts = {}
+    for cluster in prefetcher._clusters:
+        if cluster.model is not None:
+            cluster.model.predict_topk = _recording_topk(
+                contexts.setdefault(cluster.model, []))
+    for access in accesses:
+        prefetcher.process(access)
+    batched, batch1 = [], []
+    for model, seen in contexts.items():
+        seen = np.asarray(seen)
+        for rows in lstm_module.row_blocks(len(seen)):
+            batched.append(model.logits(seen[rows]))
+        batch1.extend(_batch1_logits(model, context) for context in seen)
+    return np.concatenate(batched), np.stack(batch1)
+
+
+@pytest.mark.parametrize("name", NEURAL_PREFETCHERS)
+def test_neural_batched_logits_match_batch1_forward(name):
+    """The parity tier's numeric bound: on real contexts, row-blocked
+    cache-free logits sit within LOGIT_BOUND of the batch-1
+    :meth:`LSTM.forward` pass the scalar path runs."""
+    prefetcher = _fresh_prefetcher("cc-5", name)
+    pairs = (_voyager_logit_pairs if name == "voyager"
+             else _delta_lstm_logit_pairs)
+    batched, batch1 = pairs(prefetcher, list(_batch_trace("cc-5"))[:600])
+    assert batched.shape == batch1.shape
+    assert batched.shape[0] > lstm_module._ROW_BLOCK
+    assert np.abs(batched - batch1).max() <= LOGIT_BOUND
+
+
+def _edge_chunk(prefetcher, contexts):
+    """A chunk that, from a fresh prefetcher, holds exactly ``contexts``
+    full-window contexts, all headed for the same model."""
+    if prefetcher.name == "voyager":
+        # One PC: its history is full from the window-th access on.
+        n = prefetcher.config.window - 1 + contexts
+        return [MemoryAccess(instr_id=10 * (j + 1), pc=0x400,
+                             address=((1 << 16) + j % 5) << 12
+                             | (j % 64) << 6)
+                for j in range(n)]
+    # One cluster, alternating +d/-d: every access after the first
+    # appends a delta token, so the context is full from access window on.
+    cluster_id, cluster = next((i, c) for i, c in
+                               enumerate(prefetcher._clusters)
+                               if c.model is not None)
+    delta = next(iter(cluster.delta_to_token))
+    base = int(prefetcher.centroids[cluster_id])
+    n = prefetcher.config.window + contexts
+    return [MemoryAccess(instr_id=10 * (j + 1), pc=0x400,
+                         address=(base + delta * (j % 2)) << 6)
+            for j in range(n)]
+
+
+@pytest.mark.parametrize("name", NEURAL_PREFETCHERS)
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_neural_row_block_edges(name, offset, monkeypatch):
+    """Chunks holding one row block of contexts, one short and one
+    over, split into blocks without losing or duplicating a row."""
+    block = lstm_module._ROW_BLOCK
+    scalar = _fresh_prefetcher("cc-5", name)
+    chunk = _edge_chunk(scalar, block + offset)
+    expected = [scalar.process(a) for a in chunk]
+    assert any(expected)
+
+    # Count the rows of every model pass the batched path makes.
+    blocks = []
+    owner, attr = ((VoyagerPrefetcher, "_infer") if name == "voyager"
+                   else (NextTokenLSTM, "logits"))
+    model_pass = getattr(owner, attr)
+
+    def counted(self, rows):
+        blocks.append(len(rows))
+        return model_pass(self, rows)
+
+    monkeypatch.setattr(owner, attr, counted)
+    batched = _fresh_prefetcher("cc-5", name)
+    assert batched.process_batch(*_columns(chunk)) == expected
+    assert blocks == {-1: [block - 1], 0: [block], 1: [block, 1]}[offset]
+    assert _neural_state(batched) == _neural_state(scalar)
 
 
 def test_pathfinder_batch_state_and_counters_match_scalar():
     """Beyond the prefetch file: learned SNN state and telemetry
     counters from the batched pipeline equal the scalar path's."""
     trace = _batch_trace("cc-5")
-    scalar = make_prefetcher("pathfinder")
-    scalar.process_batch = (
-        lambda a, p, i: Prefetcher.process_batch(scalar, a, p, i))
+    scalar = _scalar_only(make_prefetcher("pathfinder"))
     generate_prefetches(scalar, trace, budget=2)
     batched = make_prefetcher("pathfinder")
     generate_prefetches(batched, trace, budget=2)
