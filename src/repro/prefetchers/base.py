@@ -93,9 +93,11 @@ class Prefetcher:
         :meth:`process` reads next stay identical.
 
         This default adapts any scalar prefetcher by looping; batched
-        implementations (NextLine's vectorized page math, PATHFINDER's
-        three-pass SNN pipeline, the neural models' row-blocked
-        inference) override it for throughput, never for behaviour.
+        implementations (NextLine's vectorized page math, the hoisted
+        state walks of BO, SISB and SPP, Pythia's SARSA loop over
+        per-feature Q rows, PATHFINDER's three-pass SNN pipeline, the
+        neural models' row-blocked inference) override it for
+        throughput, never for behaviour.
         """
         process = self.process
         return [process(MemoryAccess(instr_id=i, pc=p, address=a))

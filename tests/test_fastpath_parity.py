@@ -11,13 +11,17 @@ BLAS-backed tier (identical files and state, logits within a bound).
 """
 
 import copy
+import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.core import PathfinderConfig, PathfinderPrefetcher
 from repro.core.pixel import PixelMatrixEncoder
-from repro.prefetchers import VoyagerPrefetcher, generate_prefetches
+from repro.prefetchers import (PythiaConfig, PythiaPrefetcher,
+                               VoyagerPrefetcher, generate_prefetches)
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.traces import make_trace
 
@@ -186,8 +190,8 @@ from repro.types import MemoryAccess  # noqa: E402
 NEURAL_PREFETCHERS = ("voyager", "delta-lstm")
 
 #: Every prefetcher that overrides :meth:`Prefetcher.process_batch`.
-BATCHED_PREFETCHERS = ("nextline", "bo", "sisb", "spp", "pathfinder",
-                       *NEURAL_PREFETCHERS)
+BATCHED_PREFETCHERS = ("nextline", "bo", "sisb", "spp", "pythia",
+                       "pathfinder", *NEURAL_PREFETCHERS)
 
 #: Behaviourally distinct workloads: graph-irregular, temporal-replay,
 #: and delta-pattern heavy.
@@ -238,6 +242,21 @@ def _scalar_reference(workload, name):
     return _scalar_runs[key]
 
 
+def _batched_then_scalar(prefetcher):
+    """Run the first driver chunk batched and every later one through
+    the scalar loop — the guard's switch after a failing chunk."""
+    chunks = []
+
+    def process_batch(addresses, pcs, instr_ids):
+        chunks.append(len(addresses))
+        path = (type(prefetcher).process_batch if len(chunks) == 1
+                else Prefetcher.process_batch)
+        return path(prefetcher, addresses, pcs, instr_ids)
+
+    prefetcher.process_batch = process_batch
+    return chunks
+
+
 @pytest.mark.parametrize("workload", BATCH_WORKLOADS)
 @pytest.mark.parametrize("name", BATCHED_PREFETCHERS)
 def test_process_batch_matches_scalar(workload, name):
@@ -282,15 +301,7 @@ def test_neural_batch_state_matches_scalar(name):
     assert _neural_state(batched) == _neural_state(scalar)
 
     switched = _fresh_prefetcher("cc-5", name)
-    chunks = []
-
-    def batched_then_scalar(addresses, pcs, instr_ids):
-        chunks.append(len(addresses))
-        path = (type(switched).process_batch if len(chunks) == 1
-                else Prefetcher.process_batch)
-        return path(switched, addresses, pcs, instr_ids)
-
-    switched.process_batch = batched_then_scalar
+    chunks = _batched_then_scalar(switched)
     assert generate_prefetches(switched, trace, budget=2, chunk=2000,
                                train=False) == reference
     assert len(chunks) == 2
@@ -412,6 +423,95 @@ def test_neural_row_block_edges(name, offset, monkeypatch):
     assert batched.process_batch(*_columns(chunk)) == expected
     assert blocks == {-1: [block - 1], 0: [block], 1: [block, 1]}[offset]
     assert _neural_state(batched) == _neural_state(scalar)
+
+
+#: Pythia's prefetch file on each ``_batch_trace`` (budget 2, default
+#: config) as (requests, rewards assigned, sha256 of the [trigger,
+#: address] list as JSON), recorded from the earlier
+#: ``(feature, action)``-keyed Q store.  The batched and scalar paths
+#: share the Q rows, so parity between them cannot catch a change to
+#: the learning rule itself; these pins can.
+PYTHIA_PINNED = {
+    "cc-5": (2858, 4700, "cdbc90f5b5546149258b9fe477662930"
+                         "af07e30315d745d17b68ff0ec3b6b67c"),
+    "482-sphinx-s0": (2689, 4576, "46afc94c48c8e38d35e498ab2c0f6f9e"
+                                  "e31cd91c9a184044f8bf71ebebc330b5"),
+    "623-xalan-s1": (2518, 4492, "a79e419dae62fb6b9334533b53bd4bcc"
+                                 "82741fe5364232a81913456ff9b4b07c"),
+}
+
+#: Non-default Pythia configs: one vault; evictions on every access;
+#: a short custom action list explored often.  Run at budget 4 so the
+#: driver keeps every prefetch the degree-3 and degree-4 configs issue.
+PYTHIA_CONFIGS = [
+    dict(use_delta_sequence_vault=False),
+    dict(degree=3, epsilon=0.5, eq_size=4),
+    dict(actions=(0, 5, -5, 1), degree=4, epsilon=0.3, seed=7),
+]
+
+
+def _digest(requests):
+    payload = json.dumps([[r.trigger_instr_id, r.address] for r in requests])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", BATCH_WORKLOADS)
+def test_pythia_prefetch_file_pinned(workload):
+    """Batched and scalar Pythia both reproduce the pinned files."""
+    trace = _batch_trace(workload)
+    batched = make_prefetcher("pythia")
+    scalar = _scalar_only(make_prefetcher("pythia"))
+    for prefetcher in (batched, scalar):
+        requests = generate_prefetches(prefetcher, trace, budget=2,
+                                       train=False)
+        assert (len(requests), prefetcher.rewards_assigned,
+                _digest(requests)) == PYTHIA_PINNED[workload]
+
+
+def _pythia_state(prefetcher):
+    """Everything Pythia's SARSA walk reads back on the next access;
+    Q-values as ``float.hex`` so a -0.0 would not compare equal."""
+    position = {id(entry): i for i, entry in enumerate(prefetcher._eq)}
+    return ([{feature: [q.hex() for q in row]
+              for feature, row in vault.items()}
+             for vault in prefetcher._vaults],
+            [(e.state, e.action, e.block, e.resolved)
+             for e in prefetcher._eq],
+            {block: [position[id(e)] for e in bucket]
+             for block, bucket in prefetcher._eq_by_block.items()},
+            prefetcher._last_offset, prefetcher._last_delta,
+            prefetcher._prev_delta, prefetcher.rewards_assigned,
+            prefetcher._rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("overrides", [{}, *PYTHIA_CONFIGS])
+@pytest.mark.parametrize("workload", BATCH_WORKLOADS)
+def test_pythia_batch_state_matches_scalar(workload, overrides):
+    """At every chunk size, batched generation emits the scalar loop's
+    file and leaves exactly its Q rows, evaluation queue, delta
+    history, reward count and RNG state, so a mid-trace switch to
+    :meth:`process` continues the same stream."""
+    trace = _batch_trace(workload)
+    config = PythiaConfig(**overrides)
+    scalar = _scalar_only(PythiaPrefetcher(config))
+    reference = generate_prefetches(scalar, trace, budget=4, train=False)
+    assert reference
+    state = _pythia_state(scalar)
+    assert not any(q == 0.0 and math.copysign(1.0, q) < 0
+                   for vault in scalar._vaults for row in vault.values()
+                   for q in row), "a stored Q-value is -0.0"
+    for chunk in (1, 7, len(trace)):
+        batched = PythiaPrefetcher(config)
+        assert generate_prefetches(batched, trace, budget=4, chunk=chunk,
+                                   train=False) == reference, \
+            f"{overrides} diverged on {workload} at chunk={chunk}"
+        assert _pythia_state(batched) == state
+    switched = PythiaPrefetcher(config)
+    chunks = _batched_then_scalar(switched)
+    assert generate_prefetches(switched, trace, budget=4, chunk=2000,
+                               train=False) == reference
+    assert chunks == [2000, len(trace) - 2000]
+    assert _pythia_state(switched) == state
 
 
 def test_pathfinder_batch_state_and_counters_match_scalar():

@@ -42,6 +42,13 @@ def test_pythia_config_validation():
         PythiaConfig(alpha=0.0)
     with pytest.raises(ConfigError):
         PythiaConfig(gamma=1.0)
+    # Exploration samples `degree` distinct actions.
+    with pytest.raises(ConfigError):
+        PythiaConfig(actions=(0, 1), degree=3)
+    # Q rows are indexed by action position: duplicates are ambiguous.
+    with pytest.raises(ConfigError):
+        PythiaConfig(actions=(0, 1, 1, 2))
+    PythiaConfig(actions=(0, 1), degree=2)
 
 
 def test_pythia_learns_constant_delta():
