@@ -14,8 +14,8 @@ Quickstart::
 
     trace = make_trace("cc-5", n_accesses=10_000, seed=1)
     prefetcher = PathfinderPrefetcher()
-    requests = generate_prefetches(prefetcher, trace)
-    result = simulate(trace, requests, prefetcher_name="pathfinder")
+    pfile = generate_prefetches(prefetcher, trace)   # a PrefetchFile
+    result = simulate(trace, pfile, prefetcher_name="pathfinder")
     print(result.ipc, result.accuracy())
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
@@ -27,7 +27,7 @@ from .obs import Observability
 from .sim import SimResult, simulate
 from .sim.simulator import HierarchyConfig
 from .traces import WORKLOAD_NAMES, make_trace
-from .types import MemoryAccess, PrefetchRequest, Trace
+from .types import MemoryAccess, PrefetchFile, PrefetchRequest, Trace
 
 __version__ = "1.0.0"
 
@@ -41,6 +41,7 @@ __all__ = [
     "WORKLOAD_NAMES",
     "make_trace",
     "MemoryAccess",
+    "PrefetchFile",
     "PrefetchRequest",
     "Trace",
     "__version__",

@@ -3,19 +3,21 @@
 All prefetchers — PATHFINDER and every baseline — implement the same
 per-access protocol: observe one demand load, optionally return byte
 addresses to prefetch.  :func:`generate_prefetches` drives a prefetcher
-over a whole trace and produces the ML-DPC-style prefetch file that
+over a whole trace and produces the ML-DPC-style prefetch file (a
+columnar :class:`~repro.types.PrefetchFile`) that
 :func:`repro.sim.simulate` replays, enforcing the paper's budget of at
 most two prefetches per triggering access.
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import chain
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, PrefetchFileError, ReproError
-from ..types import MemoryAccess, PrefetchRequest, Trace
+from ..types import BLOCK_BITS, MemoryAccess, PrefetchFile, Trace
 
 
 class Prefetcher:
@@ -120,19 +122,51 @@ DEFAULT_CHUNK = 4096
 GEN_PREFETCHES = "gen.prefetches"
 
 
+def _budget_rows(lengths: np.ndarray, addresses: np.ndarray,
+                 budget: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Apply the per-access budget to one chunk's flattened lists.
+
+    ``addresses`` holds the chunk's lists back to back, ``lengths[i]``
+    of them for access ``i``.  Each access keeps the first occurrence
+    of each block, in priority order, and only the first ``budget`` of
+    those.  Returns the kept counts per access and the kept addresses.
+    """
+    if not len(addresses) or int(lengths.max()) <= 1:
+        return lengths, addresses
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    column = np.arange(len(addresses)) - (np.cumsum(lengths) - lengths)[rows]
+    blocks = addresses >> BLOCK_BITS
+    # A record repeats a block if any earlier record of its row does;
+    # rows are short, so compare each with its predecessors by distance.
+    repeat = np.zeros(len(addresses), dtype=bool)
+    later = np.flatnonzero(column)
+    for distance in range(1, int(lengths.max())):
+        later = later[column[later] >= distance]
+        repeat[later] |= blocks[later] == blocks[later - distance]
+    first = ~repeat
+    kept_rows = rows[first]
+    counts = np.bincount(kept_rows, minlength=len(lengths))
+    rank = np.arange(len(kept_rows)) - (np.cumsum(counts) - counts)[kept_rows]
+    return (np.minimum(counts, budget),
+            addresses[first][rank < budget])
+
+
 def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
                         budget: int = 2,
                         train: bool = True,
                         chunk: int = DEFAULT_CHUNK,
-                        recorder=None) -> List[PrefetchRequest]:
+                        recorder=None) -> PrefetchFile:
     """Run ``prefetcher`` over ``trace`` and emit its prefetch file.
 
     The driver is columnar: the trace's struct-of-arrays view is
     sliced into ``chunk``-sized column windows and handed to
     :meth:`Prefetcher.process_batch` (scalar prefetchers transparently
-    loop via the base implementation).  Per-access budget enforcement
-    and block-dedup semantics are unchanged from the scalar driver,
-    and any chunk size produces the identical prefetch file.
+    loop via the base implementation).  Each chunk's per-access lists
+    are flattened once into ``int64`` columns, and one vectorised pass
+    applies the budget: each access keeps the first occurrence of each
+    block, in priority order (the first address seen for a block wins),
+    and only the first ``budget`` of those.  Any chunk size produces
+    the identical prefetch file.
 
     Args:
         prefetcher: The prefetcher to drive.
@@ -152,14 +186,18 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
             with or without it.
 
     Returns:
-        Prefetch records ordered by trigger instruction id.
+        The prefetch file, one CSR row per trace access (iterating it
+        yields :class:`~repro.types.PrefetchRequest` records in trace
+        order).
 
     Raises:
-        PrefetchFileError: An unguarded prefetcher raised mid-trace;
-            the original exception is chained, with the offending
-            chunk in the message.  Already-typed :class:`ReproError`
-            exceptions pass through unchanged.  (The harness wraps
-            prefetchers in a quarantining
+        PrefetchFileError: An unguarded prefetcher raised mid-trace, or
+            a chunk's result is malformed (not one list per access, or
+            an address that does not fit in ``int64``); the original
+            exception is chained, with the offending chunk in the
+            message.  Already-typed :class:`ReproError` exceptions pass
+            through unchanged.  (The harness wraps prefetchers in a
+            quarantining
             :class:`~repro.resilience.guard.GuardedPrefetcher`, which
             degrades instead of raising.)
     """
@@ -173,9 +211,11 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
         prefetcher.series_arm()
     window = recorder.window if recorder is not None else 0
     arrays = trace.arrays()
-    instr_ids = arrays.instr_id_list()
-    n = len(instr_ids)
-    requests: List[PrefetchRequest] = []
+    instr_ids = arrays.instr_ids
+    n = len(arrays)
+    counts: List[np.ndarray] = []
+    kept: List[np.ndarray] = []
+    emitted = 0
     start = 0
     while start < n:
         end = min(start + chunk, n)
@@ -187,7 +227,15 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
             per_access = prefetcher.process_batch(
                 arrays.addresses[start:end],
                 arrays.pcs[start:end],
-                arrays.instr_ids[start:end])
+                instr_ids[start:end])
+            if len(per_access) != end - start:
+                raise ValueError(
+                    f"process_batch returned {len(per_access)} address "
+                    f"lists for {end - start} accesses")
+            lengths = np.fromiter(map(len, per_access), dtype=np.int64,
+                                  count=end - start)
+            flat = np.fromiter(chain.from_iterable(per_access),
+                               dtype=np.int64, count=int(lengths.sum()))
         except ReproError:
             raise
         except Exception as exc:
@@ -196,24 +244,19 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
                 f"[{start}, {end}) (instr_ids {instr_ids[start]}.."
                 f"{instr_ids[end - 1]}): "
                 f"{type(exc).__name__}: {exc}") from exc
-        for offset, addresses in enumerate(per_access):
-            if not addresses:
-                continue
-            trigger = instr_ids[start + offset]
-            seen = set()
-            for address in addresses:
-                block = address >> 6
-                if block in seen:
-                    continue
-                seen.add(block)
-                requests.append(PrefetchRequest(
-                    trigger_instr_id=trigger, address=address))
-                if len(seen) >= budget:
-                    break
+        row_counts, addresses = _budget_rows(lengths, flat, budget)
+        counts.append(row_counts)
+        kept.append(addresses)
+        emitted += len(addresses)
         if window and (end % window == 0 or end == n):
-            cumulative = {GEN_PREFETCHES: len(requests)}
+            cumulative = {GEN_PREFETCHES: emitted}
             gauges: dict = {}
             prefetcher.series_sample(cumulative, gauges)
             recorder.sample(end, cumulative=cumulative, gauges=gauges)
         start = end
-    return requests
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    if counts:
+        np.cumsum(np.concatenate(counts), out=offsets[1:])
+    addresses = (np.concatenate(kept) if kept
+                 else np.empty(0, dtype=np.int64))
+    return PrefetchFile(offsets, addresses, instr_ids)

@@ -1,28 +1,29 @@
 """The ``engine="batch"`` replay driver.
 
-Plans the replay from the trace's cached columns
-(:func:`~repro.sim.fast_engine.planner.plan_replay`), then executes it
-on the compiled C kernel (:mod:`~repro.sim.fast_engine.ckernel`) and
-writes the kernel's counters back into the simulator's caches and DRAM
-model.  Whatever the kernel cannot take — no C compiler (or
+Executes a :class:`~repro.sim.fast_engine.planner.ReplayPlan` on the
+compiled C kernel (:mod:`~repro.sim.fast_engine.ckernel`) and writes
+the kernel's counters back into the simulator's caches and DRAM model.
+Whatever the kernel cannot take — no C compiler (or
 ``REPRO_NO_SIMKERNEL=1``), an ineligible plan (non-monotone
 instruction ids, negative blocks, oversized ids), or a simulator whose
-state is already populated — runs on the reference loop instead, with
-an :class:`~repro.errors.EngineFallbackWarning` and
-``sim.engine_used = "reference"``.  Both paths produce bit-identical
-:class:`~repro.sim.metrics.SimResult`\\ s; the parity and differential
-suites run them against each other.
+state is already populated — runs on the reference loop instead, over
+the same plan, with an :class:`~repro.errors.EngineFallbackWarning`
+and ``sim.engine_used = "reference"``.  Both paths produce
+bit-identical :class:`~repro.sim.metrics.SimResult`\\ s; the parity and
+differential suites run them against each other.
 
-The cross-lineup amortization lives one level down: the planner reads
-the monotone flag cached on :class:`repro.types.TraceArrays`, so a
-grid/bench lineup (baseline + N prefetchers × repeats over one trace)
-derives it once.
+:meth:`~repro.sim.simulator.Simulator.run` builds every replay's plan
+through this module's :func:`plan_replay` (re-exported from
+:mod:`.planner`), so the plan and the kernel are reached through one
+module.  The cross-lineup amortization lives one level down: the
+planner reads the monotone flag cached on
+:class:`repro.types.TraceArrays`, so a grid/bench lineup (baseline + N
+prefetchers × repeats over one trace) derives it once.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from ...errors import EngineFallbackWarning
 from ...types import Trace
 from ..metrics import SimResult
 from .ckernel import load_kernel
-from .planner import plan_replay
+from .planner import ReplayPlan, plan_replay  # noqa: F401 (re-exported)
 
 #: Recorder series names for the kernel's per-window row columns, in
 #: :data:`~repro.sim.fast_engine.ckernel.SERIES_FIELDS` order (the last
@@ -82,10 +83,9 @@ def _fallback_reason(sim, plan, kernel):
     return None
 
 
-def replay_batch(sim, trace: Trace,
-                 by_trigger: Dict[int, List[int]],
+def replay_batch(sim, trace: Trace, plan: ReplayPlan,
                  result: SimResult, recorder=None) -> None:
-    """Replay ``trace`` on ``sim`` using the batch plan.
+    """Replay ``trace`` on ``sim`` according to ``plan``.
 
     Same contract as :meth:`~repro.sim.simulator.Simulator._run_reference`:
     mutates ``result`` and the simulator's cache/DRAM stats in place;
@@ -95,7 +95,6 @@ def replay_batch(sim, trace: Trace,
     results stay bit-identical.
     """
     arrays = trace.arrays()
-    plan = plan_replay(arrays, by_trigger)
     kernel = _load_replay_kernel()
     reason = _fallback_reason(sim, plan, kernel)
     if reason is not None:
@@ -103,7 +102,7 @@ def replay_batch(sim, trace: Trace,
         warnings.warn(EngineFallbackWarning(
             f"replay engine downgraded to 'reference': {reason}"),
             stacklevel=3)
-        sim._run_reference(trace, by_trigger, result, recorder)
+        sim._run_reference(trace, plan, result, recorder)
         return
 
     series_window = recorder.window if recorder is not None else 0

@@ -1,9 +1,9 @@
-"""Columnar replay planner for the batch engine.
+"""The replay plan shared by both engines and the multicore simulator.
 
-``engine="batch"`` splits each replay into a *plan* (derived once from
-the trace columns and the prefetch file, no simulator state involved)
-and an *execution* (the compiled kernel, or the reference loop when
-the kernel cannot run).  The plan captures two things:
+Each replay splits into a *plan* (derived once from the trace columns
+and the prefetch file, no simulator state involved) and an *execution*
+(the compiled kernel, or the reference loop when the kernel cannot
+run).  The plan captures three things:
 
 1. **Eligibility** — whether the compiled kernel's preconditions hold.
    The kernel assumes strictly increasing instruction ids (its ROB is
@@ -13,20 +13,29 @@ the kernel cannot run).  The plan captures two things:
    holds integers exactly.  Ineligible plans run on the reference
    loop — slower, never wrong.
 
-2. **Trigger alignment** — the per-access prefetch lists flattened to
-   CSR form (``pf_starts``/``pf_blocks``): one searchsorted pass maps
-   ``by_trigger`` keys onto trace positions, and triggers naming no
-   trace instruction are dropped, exactly like the reference loop's
-   dict probe.  The flat arrays are what the C kernel walks.
+2. **Invalid records** — prefetch records with a negative address
+   (a corrupt file, or a buggy prefetcher slipping past the guard).
+   They are dropped before anything else and counted as
+   ``pf_dropped``; the plan lists them in file order so the simulator
+   can account for them (and trace ``pf.dropped reason=invalid``).
+
+3. **Trigger schedule** — the blocks each trace position issues, in
+   CSR form (``pf_starts``/``pf_blocks``), which both the C kernel
+   and the reference loop walk.  The schedule is keyed by instruction
+   id, as the ML-DPC format is: each trigger id keeps its first
+   ``max_per_access`` valid records in file order (no block dedup),
+   and every access carrying that id issues them — so on a trace with
+   duplicate ids, each duplicate issues the id's merged list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ...types import TraceArrays
+from ...errors import PrefetchFileError
+from ...types import BLOCK_BITS, PrefetchFile, TraceArrays
 
 #: Instruction ids above this bound fall back to the reference loop:
 #: the kernel mixes cycle integers into ``double`` arithmetic, and
@@ -36,74 +45,93 @@ MAX_KERNEL_INSTR_ID = 1 << 44
 
 
 class ReplayPlan(NamedTuple):
-    """Everything the batch driver needs to execute one replay."""
+    """Everything either engine needs to execute one replay."""
 
     #: Whether the compiled kernel may run this plan.
     kernel_eligible: bool
     #: Human-readable reason when ``kernel_eligible`` is false.
     fallback_reason: Optional[str]
-    #: CSR prefetch alignment: ``pf_blocks[pf_starts[i]:pf_starts[i+1]]``
-    #: are the blocks access ``i`` triggers (empty arrays when the
-    #: replay is prefetch-free or the plan is ineligible).
+    #: CSR trigger schedule: ``pf_blocks[pf_starts[i]:pf_starts[i+1]]``
+    #: are the blocks access ``i`` issues, in issue order.
     pf_starts: np.ndarray
     pf_blocks: np.ndarray
+    #: File-order indices of the records dropped for a negative address.
+    invalid: np.ndarray
 
 
-def align_triggers(arrays: TraceArrays,
-                   by_trigger: Dict[int, List[int]],
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten ``by_trigger`` into CSR arrays over trace positions.
+def _kernel_fallback_reason(arrays: TraceArrays) -> Optional[str]:
+    n = len(arrays)
+    if n == 0:
+        return None
+    if not arrays.monotone():
+        return "non-monotone instruction ids"
+    if int(arrays.instr_ids[-1]) > MAX_KERNEL_INSTR_ID:
+        return "instruction ids exceed kernel bound"
+    if int(arrays.blocks.min()) < 0:
+        return "negative block numbers"
+    return None
 
-    Returns ``(pf_starts, pf_blocks)``.  Requires monotone instruction
-    ids (positions are then unique); triggers naming no trace
-    instruction are dropped.
-    """
+
+def _schedule(arrays: TraceArrays, pfile: PrefetchFile,
+              max_per_access: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR trigger schedule of the file's valid records."""
+    valid = pfile.addresses >= 0
+    triggers = pfile.triggers()[valid]
+    addresses = pfile.addresses[valid]
     n = len(arrays)
     pf_starts = np.zeros(n + 1, dtype=np.int64)
-    if not by_trigger or n == 0:
+    if not len(addresses):
         return pf_starts, np.empty(0, dtype=np.int64)
-    ids = arrays.instr_ids
-    keys = np.fromiter(by_trigger.keys(), dtype=np.int64,
-                       count=len(by_trigger))
-    pos = np.minimum(np.searchsorted(ids, keys), np.int64(n - 1))
-    hit_idx = np.nonzero(ids[pos] == keys)[0]
-    # Monotone ids make hit positions unique, so sorting the surviving
-    # keys by position gives the CSR fill order in one pass.
-    order = hit_idx[np.argsort(pos[hit_idx], kind="stable")]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    flat: List[int] = []
-    extend = flat.extend
-    keys_l = keys.tolist()
-    pos_l = pos.tolist()
-    for idx in order.tolist():
-        blocks = by_trigger[keys_l[idx]]
-        counts[pos_l[idx] + 1] = len(blocks)
-        extend(blocks)
-    np.cumsum(counts, out=pf_starts)
-    pf_blocks = np.asarray(flat, dtype=np.int64)
-    return pf_starts, pf_blocks
+    # Group the records by trigger id, file order kept within an id,
+    # and keep each id's first ``max_per_access``.
+    order = np.argsort(triggers, kind="stable")
+    triggers, addresses = triggers[order], addresses[order]
+    ids, first, counts = np.unique(triggers, return_index=True,
+                                   return_counts=True)
+    rank = np.arange(len(triggers)) - np.repeat(first, counts)
+    addresses = addresses[rank < max_per_access]
+    counts = np.minimum(counts, max_per_access)
+    first = np.cumsum(counts) - counts
+    # Every access issues its id's list.
+    k = np.minimum(np.searchsorted(ids, arrays.instr_ids), len(ids) - 1)
+    hit = ids[k] == arrays.instr_ids
+    row_counts = np.where(hit, counts[k], 0)
+    np.cumsum(row_counts, out=pf_starts[1:])
+    src = np.where(hit, first[k], 0)
+    gather = (np.repeat(src - pf_starts[:-1], row_counts)
+              + np.arange(pf_starts[-1]))
+    return pf_starts, addresses[gather] >> BLOCK_BITS
 
 
-def plan_replay(arrays: TraceArrays,
-                by_trigger: Dict[int, List[int]]) -> ReplayPlan:
-    """Build the :class:`ReplayPlan` for one replay.
+def plan_replay(arrays: TraceArrays, pfile: PrefetchFile,
+                max_per_access: int) -> ReplayPlan:
+    """Build the :class:`ReplayPlan` for replaying ``pfile`` on a trace.
 
-    Pure function of the trace columns and the prefetch alignment;
-    the warm-state and kernel-availability checks stay with the
-    driver, which can see the simulator.
+    ``pfile`` must be laid out over this trace's accesses (see
+    :meth:`~repro.types.PrefetchFile.for_trace`).  One vectorised pass
+    drops negative addresses, trims each trigger id to its first
+    ``max_per_access`` records in file order, and lays the survivors
+    out per access.  A file generated on a trace with strictly
+    increasing ids and within the budget is already its own schedule:
+    its offsets pass straight through.  Pure function of the trace
+    columns and the file; the warm-state and kernel-availability
+    checks stay with the batch driver, which can see the simulator.
+
+    Raises:
+        PrefetchFileError: the file's rows do not match the trace's
+            access count.
     """
     n = len(arrays)
-    empty = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return ReplayPlan(True, None, np.zeros(1, dtype=np.int64), empty)
-    if not arrays.monotone():
-        return ReplayPlan(False, "non-monotone instruction ids",
-                          np.zeros(n + 1, dtype=np.int64), empty)
-    if int(arrays.instr_ids[-1]) > MAX_KERNEL_INSTR_ID:
-        return ReplayPlan(False, "instruction ids exceed kernel bound",
-                          np.zeros(n + 1, dtype=np.int64), empty)
-    if int(arrays.blocks.min()) < 0:
-        return ReplayPlan(False, "negative block numbers",
-                          np.zeros(n + 1, dtype=np.int64), empty)
-    pf_starts, pf_blocks = align_triggers(arrays, by_trigger)
-    return ReplayPlan(True, None, pf_starts, pf_blocks)
+    if len(pfile.offsets) != n + 1:
+        raise PrefetchFileError(
+            f"prefetch file covers {len(pfile.offsets) - 1} accesses; "
+            f"the trace has {n}")
+    reason = _kernel_fallback_reason(arrays)
+    invalid = np.flatnonzero(pfile.addresses < 0)
+    if (not len(invalid) and arrays.monotone()
+            and np.diff(pfile.offsets).max(initial=0) <= max_per_access):
+        pf_starts = pfile.offsets
+        pf_blocks = pfile.addresses >> BLOCK_BITS
+    else:
+        pf_starts, pf_blocks = _schedule(arrays, pfile, max_per_access)
+    return ReplayPlan(reason is None, reason, pf_starts, pf_blocks, invalid)

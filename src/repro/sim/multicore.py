@@ -12,21 +12,28 @@ for the shared-stream variant).
 Cores are interleaved in global dispatch-cycle order: at every step the
 core whose next access dispatches earliest proceeds, which keeps the
 shared-resource timeline consistent without a full event queue.
+
+Each core's prefetch file goes through the same replay plan as the
+single-core simulator (:func:`~repro.sim.fast_engine.planner.plan_replay`):
+negative addresses are dropped and counted in that core's
+``extra["pf_dropped"]``, and each trigger id keeps its first
+``max_prefetches_per_access`` records.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, SimulationError
-from ..types import PrefetchRequest, Trace
+from ..types import PrefetchFile, Trace
 from .cache import SetAssociativeCache
 from .cpu import TimingCore
 from .dram import DramModel
+from .fast_engine.planner import plan_replay
 from .metrics import SimResult
-from .simulator import HierarchyConfig
+from .simulator import HierarchyConfig, Prefetches
 
 
 @dataclass
@@ -59,8 +66,7 @@ class MulticoreResult:
 class _Core:
     """Per-core private state."""
 
-    def __init__(self, index: int, trace: Trace,
-                 prefetches: Iterable[PrefetchRequest],
+    def __init__(self, index: int, trace: Trace, prefetches: Prefetches,
                  config: HierarchyConfig):
         self.index = index
         self.trace = trace
@@ -68,16 +74,19 @@ class _Core:
         self.l2 = SetAssociativeCache(config.l2)
         self.core = TimingCore(config.core)
         self.position = 0
-        budget = config.max_prefetches_per_access
-        self.by_trigger: Dict[int, List[int]] = {}
-        for pf in prefetches:
-            blocks = self.by_trigger.setdefault(pf.trigger_instr_id, [])
-            if len(blocks) < budget:
-                blocks.append(pf.block)
+        plan = plan_replay(trace.arrays(),
+                           PrefetchFile.for_trace(trace, prefetches),
+                           config.max_prefetches_per_access)
+        #: CSR trigger schedule: position ``i`` issues
+        #: ``pf_blocks[pf_starts[i]:pf_starts[i + 1]]``.
+        self.pf_starts = plan.pf_starts.tolist()
+        self.pf_blocks = plan.pf_blocks.tolist()
         self.result = SimResult(trace_name=trace.name,
                                 prefetcher_name="multicore",
                                 instructions=trace.instruction_count,
                                 loads=len(trace))
+        if len(plan.invalid):
+            self.result.extra["pf_dropped"] = float(len(plan.invalid))
 
     def done(self) -> bool:
         return self.position >= len(self.trace)
@@ -161,14 +170,15 @@ class MulticoreSimulator:
     # -- main loop ---------------------------------------------------------
 
     def run(self, traces: Sequence[Trace],
-            prefetch_files: Optional[Sequence[Iterable[PrefetchRequest]]] = None
+            prefetch_files: Optional[Sequence[Prefetches]] = None
             ) -> MulticoreResult:
         """Co-run the traces; returns per-core results.
 
         Args:
             traces: One demand-load trace per core (≥ 2).
             prefetch_files: Optional per-core prefetch files (same
-                order); ``None`` runs without prefetching.
+                order): :class:`~repro.types.PrefetchFile`\\ s or
+                request iterables; ``None`` runs without prefetching.
         """
         if self._ran:
             raise SimulationError("MulticoreSimulator instances are single-use")
@@ -188,14 +198,16 @@ class MulticoreSimulator:
         active = [c for c in cores if not c.done()]
         while active:
             core = min(active, key=lambda c: c.next_dispatch_estimate())
-            access = core.trace[core.position]
+            position = core.position
+            access = core.trace[position]
             core.position += 1
             dispatch = core.core.dispatch_load(access.instr_id)
             self._drain_prefetches(dispatch)
             block = self._isolate(core.index, access.block)
             latency = self._demand(core, block, dispatch)
             core.core.complete_load(access.instr_id, dispatch + latency)
-            for pf_block in core.by_trigger.get(access.instr_id, ()):
+            for pf_block in core.pf_blocks[core.pf_starts[position]:
+                                           core.pf_starts[position + 1]]:
                 self._issue_prefetch(core,
                                      self._isolate(core.index, pf_block),
                                      dispatch)

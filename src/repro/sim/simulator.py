@@ -1,10 +1,11 @@
 """Two-phase trace replay: demand loads + a precomputed prefetch file.
 
 This mirrors the ML-DPC ChampSim fork's flow (paper §4.1): prefetchers
-run offline over the load trace to emit ``PrefetchRequest`` records;
-the simulator then replays the trace, injecting each prefetch into the
-LLC when its triggering instruction dispatches.  Prefetching is
-memory→LLC only, exactly as in the competition setting.
+run offline over the load trace to emit a prefetch file (a columnar
+:class:`~repro.types.PrefetchFile`); the simulator then replays the
+trace, injecting each prefetch into the LLC when its triggering
+instruction dispatches.  Prefetching is memory→LLC only, exactly as in
+the competition setting.
 """
 
 from __future__ import annotations
@@ -12,20 +13,25 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigError, EngineFallbackWarning, SimulationError
 from ..obs import Counter, Observability
-from ..types import PrefetchRequest, Trace
+from ..types import PrefetchFile, PrefetchRequest, Trace
 from .cache import CacheConfig, SetAssociativeCache
 from .cpu import CoreConfig, TimingCore
 from .dram import DramConfig, DramModel
-from .fast_engine import replay_batch
+from .fast_engine import batch as batch_engine
 from .fast_engine.batch import REPLAY_QUEUE_GAUGE, REPLAY_SERIES_NAMES
+from .fast_engine.planner import ReplayPlan
 from .metrics import SimResult
 
 #: Replay engines accepted by :class:`Simulator` and :func:`simulate`.
 ENGINES = ("batch", "reference")
+
+#: What :meth:`Simulator.run` replays: a prefetch file, or any
+#: iterable of request records (converted once on entry).
+Prefetches = Union[PrefetchFile, Iterable[PrefetchRequest]]
 
 
 @dataclass(frozen=True)
@@ -90,14 +96,19 @@ class Simulator:
     ``tests/test_replay_parity.py`` and
     ``tests/test_replay_differential.py``):
 
-    - ``"batch"`` (default) — :mod:`repro.sim.fast_engine.batch` plans
-      the replay from the trace's cached columns and runs the whole
-      sequential recurrence in a compiled C kernel, which writes its
-      counters back into this simulator's caches and DRAM model;
+    - ``"batch"`` (default) — :mod:`repro.sim.fast_engine.batch` runs
+      the whole sequential recurrence in a compiled C kernel, which
+      writes its counters back into this simulator's caches and DRAM
+      model;
     - ``"reference"`` — the straightforward per-object loop in
       :meth:`_run_reference`, kept as the readable specification,
       parity oracle, and the fallback for everything the kernel cannot
       take.
+
+    Both read one replay plan
+    (:func:`~repro.sim.fast_engine.planner.plan_replay`): the prefetch
+    file's per-access trigger schedule in CSR form, after the invalid
+    drop and the per-trigger budget trim.
 
     The kernel covers LRU replacement and metrics-level observability
     on a cold simulator.  Per-event tracing or an ``srrip`` level
@@ -237,16 +248,25 @@ class Simulator:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self, trace: Trace,
-            prefetches: Iterable[PrefetchRequest] = (),
+    def run(self, trace: Trace, prefetches: Prefetches = (),
             prefetcher_name: str = "none") -> SimResult:
         """Replay ``trace`` with the given prefetch file.
 
+        One plan serves both engines.  Records with a negative address
+        are dropped first and counted in ``extra["pf_dropped"]``
+        (traced as ``pf.dropped reason=invalid``, in file order).  Each
+        trigger id then keeps its first ``max_prefetches_per_access``
+        records in file order, and every access carrying that id
+        issues them; triggers naming no trace instruction are ignored,
+        as ChampSim does.
+
         Args:
             trace: The demand-load trace.
-            prefetches: Prefetch records; triggers must reference
-                instruction ids present in the trace (others are
-                silently ignored, as ChampSim does).
+            prefetches: A :class:`~repro.types.PrefetchFile` (as
+                :func:`~repro.prefetchers.base.generate_prefetches`
+                returns), or any iterable of
+                :class:`~repro.types.PrefetchRequest` records, converted
+                once by :meth:`~repro.types.PrefetchFile.from_requests`.
             prefetcher_name: Label recorded in the result.
 
         Returns:
@@ -254,30 +274,26 @@ class Simulator:
 
         Raises:
             SimulationError: if the simulator instance is reused.
+            PrefetchFileError: a record does not fit in ``int64``.
         """
         if self._ran:
             raise SimulationError("Simulator instances are single-use")
         self._ran = True
 
-        budget = self.config.max_prefetches_per_access
-        by_trigger: Dict[int, List[int]] = {}
-        for pf in prefetches:
-            if pf.address < 0:
-                # A corrupt prefetch file (or a buggy prefetcher slipping
-                # past the guard) must degrade to a dropped prefetch, not
-                # crash the replay with a nonsense block index.
-                self._pf_dropped.inc()
-                if self._trace_events:
+        pfile = PrefetchFile.for_trace(trace, prefetches)
+        plan = batch_engine.plan_replay(
+            trace.arrays(), pfile, self.config.max_prefetches_per_access)
+        if len(plan.invalid):
+            # A corrupt prefetch file (or a buggy prefetcher slipping
+            # past the guard) must degrade to dropped prefetches, not
+            # crash the replay with nonsense block indexes.
+            self._pf_dropped.inc(len(plan.invalid))
+            if self._trace_events:
+                triggers = pfile.triggers()
+                for k in plan.invalid.tolist():
                     self.obs.tracer.emit(
-                        "pf.dropped", block=pf.address,
-                        trigger=pf.trigger_instr_id, reason="invalid")
-                continue
-            blocks = by_trigger.setdefault(pf.trigger_instr_id, [])
-            if len(blocks) < budget:
-                # pf.address >> BLOCK_BITS inline: this loop runs once
-                # per prefetch record and the ``block`` property call
-                # is measurable at prefetch-file sizes.
-                blocks.append(pf.address >> 6)
+                        "pf.dropped", block=int(pfile.addresses[k]),
+                        trigger=int(triggers[k]), reason="invalid")
 
         result = SimResult(trace_name=trace.name,
                            prefetcher_name=prefetcher_name,
@@ -304,10 +320,10 @@ class Simulator:
                 trace=trace.name)
 
         if self.engine_used == "batch":
-            replay_batch(self, trace, by_trigger, result,
-                         recorder=recorder)
+            batch_engine.replay_batch(self, trace, plan, result,
+                                      recorder=recorder)
         else:
-            self._run_reference(trace, by_trigger, result, recorder)
+            self._run_reference(trace, plan, result, recorder)
 
         # Account prefetched lines that were demanded after install.
         result.pf_useful += self.llc.useful_prefetches
@@ -320,13 +336,13 @@ class Simulator:
         self._publish_metrics(trace, prefetcher_name, result)
         return result
 
-    def _run_reference(self, trace: Trace,
-                       by_trigger: Dict[int, List[int]],
+    def _run_reference(self, trace: Trace, plan: ReplayPlan,
                        result: SimResult, recorder=None) -> None:
         """The reference replay loop — the readable specification.
 
         Runs ``engine="reference"`` and every replay the batch kernel
-        cannot take.  With a
+        cannot take.  Access ``i`` issues the plan's CSR row ``i``,
+        exactly the blocks the kernel issues there.  With a
         :class:`~repro.obs.timeseries.WindowRecorder` armed it also
         samples the cumulative counters at each window boundary
         (:meth:`_sample_series`); sampling only reads state, so the
@@ -336,12 +352,14 @@ class Simulator:
         n = len(trace)
         window = recorder.window if recorder is not None else 0
         next_boundary = min(window, n) if recorder is not None else -1
+        starts = plan.pf_starts.tolist()
+        pf_blocks = plan.pf_blocks.tolist()
         for i, acc in enumerate(trace, 1):
             dispatch = self.core.dispatch_load(acc.instr_id)
             self._drain_completed_prefetches(dispatch)
             latency = self._demand_access(acc.block, dispatch, result)
             self.core.complete_load(acc.instr_id, dispatch + latency)
-            for block in by_trigger.get(acc.instr_id, ()):
+            for block in pf_blocks[starts[i - 1]:starts[i]]:
                 self._issue_prefetch(block, dispatch, result,
                                      trigger=acc.instr_id)
             if i == next_boundary:
@@ -398,7 +416,7 @@ class Simulator:
                 llc_hits=result.llc_hits, llc_misses=result.llc_misses)
 
 
-def simulate(trace: Trace, prefetches: Iterable[PrefetchRequest] = (),
+def simulate(trace: Trace, prefetches: Prefetches = (),
              config: Optional[HierarchyConfig] = None,
              prefetcher_name: str = "none",
              obs: Optional[Observability] = None,

@@ -10,7 +10,7 @@ addresses, pages, and page offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,11 +93,12 @@ class MemoryAccess:
 
 @dataclass(frozen=True)
 class PrefetchRequest:
-    """A prefetch emitted by a prefetcher.
+    """One record of a prefetch file: the readable row view.
 
     Mirrors the ML-DPC "prefetch file" format: each line names the
     instruction id of the triggering load and the byte address to
-    prefetch into the LLC.
+    prefetch into the LLC.  The file itself is a columnar
+    :class:`PrefetchFile`; iterating one yields these records.
     """
 
     trigger_instr_id: int
@@ -107,6 +108,120 @@ class PrefetchRequest:
     def block(self) -> int:
         """Block number of the prefetched address."""
         return block_of(self.address)
+
+
+class PrefetchFile:
+    """A prefetch file in CSR form over trace positions.
+
+    ``addresses[offsets[i]:offsets[i + 1]]`` are the byte addresses
+    access ``i`` of the trace triggers, in priority order.  Generation
+    (:func:`repro.prefetchers.base.generate_prefetches`) writes this
+    layout directly and the replay plan
+    (:func:`repro.sim.fast_engine.planner.plan_replay`) reads it, so the
+    file is never materialised as per-record objects on the hot path.
+
+    Attributes:
+        offsets: ``int64``, one per trace access plus one; starts at 0,
+            non-decreasing, ends at ``len(addresses)``.
+        addresses: ``int64`` byte addresses, row after row.
+        instr_ids: The trace's instruction-id column (shared with its
+            :class:`TraceArrays`, not copied): row ``i``'s records name
+            ``instr_ids[i]`` as their trigger.
+
+    Record order — row by row, in priority order within a row — is the
+    file order.  Iterating yields :class:`PrefetchRequest` rows, and a
+    file compares equal to another file or a sequence of requests with
+    the same records in the same order.
+    """
+
+    __slots__ = ("offsets", "addresses", "instr_ids")
+
+    def __init__(self, offsets: np.ndarray, addresses: np.ndarray,
+                 instr_ids: np.ndarray):
+        self.offsets = offsets
+        self.addresses = addresses
+        self.instr_ids = instr_ids
+
+    @classmethod
+    def from_requests(cls, trace: "Trace",
+                      rows: Iterable[PrefetchRequest]) -> "PrefetchFile":
+        """Place request records onto ``trace``'s access positions.
+
+        Each record goes to the first access whose instruction id is
+        its trigger, after the records already there (a stable sort by
+        position, so each trigger keeps its records in file order).  A
+        list already ordered by trigger position, such as iterating a
+        generated file yields, keeps its record order.  Records whose
+        trigger names no trace instruction are dropped here, whatever
+        their address: replay would ignore them anyway, as ChampSim
+        does.
+
+        Raises:
+            PrefetchFileError: an address or trigger does not fit in
+                ``int64``.
+        """
+        arrays = trace.arrays()
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        try:
+            triggers = np.fromiter((r.trigger_instr_id for r in rows),
+                                   dtype=np.int64, count=len(rows))
+            addresses = np.fromiter((r.address for r in rows),
+                                    dtype=np.int64, count=len(rows))
+        except OverflowError as exc:
+            from .errors import PrefetchFileError
+
+            raise PrefetchFileError(
+                f"prefetch record outside int64 for trace "
+                f"{trace.name!r}: {exc}") from exc
+        pos = arrays.positions_of(triggers)
+        placed = pos >= 0
+        pos = pos[placed]
+        order = np.argsort(pos, kind="stable")
+        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pos, minlength=len(arrays)),
+                  out=offsets[1:])
+        return cls(offsets, addresses[placed][order], arrays.instr_ids)
+
+    @classmethod
+    def for_trace(cls, trace: "Trace",
+                  prefetches: Iterable[PrefetchRequest]) -> "PrefetchFile":
+        """``prefetches`` as a file laid out over ``trace``'s accesses.
+
+        A file generated on this trace passes through untouched; a
+        request iterable, or a file of another trace, goes through
+        :meth:`from_requests` (its records are keyed by trigger id).
+        """
+        if isinstance(prefetches, cls):
+            ids = trace.arrays().instr_ids
+            if prefetches.instr_ids is ids or np.array_equal(
+                    prefetches.instr_ids, ids):
+                return prefetches
+        return cls.from_requests(trace, prefetches)
+
+    def triggers(self) -> np.ndarray:
+        """The trigger instruction id of every record, in file order."""
+        return np.repeat(self.instr_ids, np.diff(self.offsets))
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __iter__(self) -> Iterator[PrefetchRequest]:
+        return map(PrefetchRequest, self.triggers().tolist(),
+                   self.addresses.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PrefetchFile):
+            return (np.array_equal(self.addresses, other.addresses)
+                    and np.array_equal(self.triggers(), other.triggers()))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # mutable columns; equality is by content
+
+    def __repr__(self) -> str:
+        return (f"PrefetchFile({len(self)} records over "
+                f"{len(self.offsets) - 1} accesses)")
 
 
 class TraceArrays:
@@ -179,6 +294,21 @@ class TraceArrays:
             self._monotone = bool(len(ids) == 0
                                   or np.all(np.diff(ids) > 0))
         return self._monotone
+
+    def positions_of(self, ids: np.ndarray) -> np.ndarray:
+        """Position of the first access with each id, or -1 if none."""
+        n = len(self.instr_ids)
+        if n == 0:
+            return np.full(len(ids), -1, dtype=np.int64)
+        if self.monotone():
+            order, sorted_ids = None, self.instr_ids
+        else:
+            # A stable sort puts each id's earliest access first.
+            order = np.argsort(self.instr_ids, kind="stable")
+            sorted_ids = self.instr_ids[order]
+        k = np.minimum(np.searchsorted(sorted_ids, ids), n - 1)
+        pos = k if order is None else order[k]
+        return np.where(sorted_ids[k] == ids, pos, -1)
 
 
 @dataclass

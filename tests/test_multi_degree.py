@@ -12,7 +12,7 @@ from repro.core import PathfinderConfig, PathfinderPrefetcher
 from repro.prefetchers import generate_prefetches
 from repro.snn import DiehlCookNetwork, NetworkConfig, STDPConfig
 from repro.snn.neurons import LIFConfig
-from repro.types import compose_address
+from repro.types import PrefetchFile, compose_address
 
 from tests.helpers import build_trace
 
@@ -112,4 +112,4 @@ def test_multi_winner_full_tick_prefetcher_runs():
                  for offset in range(0, 60, 5)]
     trace = build_trace(addresses)
     requests = generate_prefetches(PathfinderPrefetcher(config), trace)
-    assert isinstance(requests, list)  # exercises the multi-winner path
+    assert isinstance(requests, PrefetchFile)  # exercises the multi-winner path

@@ -7,6 +7,7 @@ from repro.prefetchers import NextLinePrefetcher, generate_prefetches
 from repro.sim import simulate
 from repro.sim.multicore import MulticoreSimulator, simulate_multicore
 from repro.sim.simulator import HierarchyConfig
+from repro.types import PrefetchRequest
 
 from tests.helpers import build_trace, seq_addresses
 
@@ -87,3 +88,19 @@ def test_prefetch_file_count_validation():
     a, b = _two_traces(50)
     with pytest.raises(ConfigError):
         simulate_multicore([a, b], prefetch_files=[[]])
+
+
+def test_negative_prefetch_address_dropped_like_single_core():
+    """A corrupt record is dropped and counted, not issued as a read of
+    a negative block, exactly as the single-core simulator does."""
+    hierarchy = HierarchyConfig.scaled()
+    a, b = _two_traces(50)
+    corrupt = [PrefetchRequest(a[0].instr_id, -320)]
+    solo = simulate(a, corrupt, config=hierarchy)
+    assert solo.pf_issued == 0 and solo.extra["pf_dropped"] == 1.0
+    co = simulate_multicore([a, b], [corrupt, []], config=hierarchy)
+    assert co.per_core[0].pf_issued == 0
+    assert co.per_core[0].extra["pf_dropped"] == 1.0
+    assert "pf_dropped" not in co.per_core[1].extra
+    assert co.per_core[0].dram_requests == simulate_multicore(
+        [a, b], config=hierarchy).per_core[0].dram_requests

@@ -232,11 +232,11 @@ def test_assured_miss_blocks_that_are_prefetch_targets_stay_scalar():
     assert batch.pf_useful >= 1
 
 
-# -- batch-engine planner and fallbacks ---------------------------------------
+# -- replay planner and batch fallbacks ---------------------------------------
 #
-# The batch planner aligns prefetch triggers onto trace positions (CSR)
-# and decides whether the kernel may run.  These tests pin its edge
-# cases and the driver's fallback to the reference loop.
+# The replay planner lays a prefetch file's triggers out over trace
+# positions (CSR) and decides whether the kernel may run.  These tests
+# pin its edge cases and the driver's fallback to the reference loop.
 
 import numpy as np  # noqa: E402
 
@@ -245,6 +245,7 @@ from repro.sim.fast_engine.planner import (  # noqa: E402
     MAX_KERNEL_INSTR_ID,
     plan_replay,
 )
+from repro.types import PrefetchFile  # noqa: E402
 
 
 def _mini_trace(ids_blocks, name="t"):
@@ -252,6 +253,13 @@ def _mini_trace(ids_blocks, name="t"):
                 for i, b in ids_blocks]
     total = max((i for i, _ in ids_blocks), default=0) + 1
     return Trace(name=name, accesses=accesses, total_instructions=total)
+
+
+def _file(trace, *records):
+    """A prefetch file of ``(trigger, block)`` records, in file order."""
+    return PrefetchFile.from_requests(
+        trace, [PrefetchRequest(trigger_instr_id=trigger, address=block << 6)
+                for trigger, block in records])
 
 
 def _falls_back(trace, requests, match):
@@ -265,7 +273,7 @@ def _falls_back(trace, requests, match):
 
 def test_planner_empty_trace():
     trace = Trace(name="t", accesses=[], total_instructions=0)
-    plan = plan_replay(trace.arrays(), {})
+    plan = plan_replay(trace.arrays(), _file(trace), 2)
     assert plan.kernel_eligible
     assert plan.pf_starts.tolist() == [0] and len(plan.pf_blocks) == 0
     batch, reference = _both_engines(trace, ())
@@ -274,10 +282,10 @@ def test_planner_empty_trace():
 
 def test_planner_single_access_trace():
     trace = _mini_trace([(10, 1 << 20)])
-    plan = plan_replay(trace.arrays(), {})
+    plan = plan_replay(trace.arrays(), _file(trace), 2)
     assert plan.pf_starts.tolist() == [0, 0] and len(plan.pf_blocks) == 0
     # Triggered on its only access: one CSR row holding the block.
-    plan = plan_replay(trace.arrays(), {10: [1 << 21]})
+    plan = plan_replay(trace.arrays(), _file(trace, (10, 1 << 21)), 2)
     assert plan.pf_starts.tolist() == [0, 1]
     assert plan.pf_blocks.tolist() == [1 << 21]
     batch, reference = _both_engines(
@@ -289,10 +297,10 @@ def test_planner_single_access_trace():
 def test_planner_csr_alignment_tiles_exactly():
     ids_blocks = [((k + 1) * 10, (1 << 20) + k) for k in range(20)]
     trace = _mini_trace(ids_blocks)
-    by_trigger = {200: [(1 << 21) + 2], 50: [1 << 21],
-                  120: [(1 << 21) + 1, (1 << 21) + 3],
-                  125: [(1 << 21) + 9]}  # names no trace instruction
-    plan = plan_replay(trace.arrays(), by_trigger)
+    pfile = _file(trace, (200, (1 << 21) + 2), (50, 1 << 21),
+                  (120, (1 << 21) + 1), (120, (1 << 21) + 3),
+                  (125, (1 << 21) + 9))  # names no trace instruction
+    plan = plan_replay(trace.arrays(), pfile, 2)
     starts = plan.pf_starts
     # Rows tile pf_blocks exactly, in trace order, without overlap.
     assert starts[0] == 0 and starts[-1] == len(plan.pf_blocks)
@@ -324,7 +332,7 @@ def test_fill_on_window_boundary_is_bit_identical():
 def test_planner_rejects_non_monotone_ids():
     trace = _mini_trace([(10, 1 << 20), (30, (1 << 20) + 1),
                          (20, (1 << 20) + 2)])
-    plan = plan_replay(trace.arrays(), {})
+    plan = plan_replay(trace.arrays(), _file(trace), 2)
     assert not plan.kernel_eligible
     assert "monotone" in plan.fallback_reason
     # The replay still runs (reference fallback) and stays bit-identical.
@@ -335,7 +343,7 @@ def test_planner_rejects_non_monotone_ids():
 def test_planner_rejects_oversized_instruction_ids():
     trace = _mini_trace([(10, 1 << 20),
                          (MAX_KERNEL_INSTR_ID + 7, (1 << 20) + 1)])
-    plan = plan_replay(trace.arrays(), {})
+    plan = plan_replay(trace.arrays(), _file(trace), 2)
     assert not plan.kernel_eligible
     assert "bound" in plan.fallback_reason
     assert _falls_back(trace, (), "bound") == simulate(
@@ -348,7 +356,7 @@ def test_first_touch_prefetch_targets_stay_coupled():
     ids_blocks = [((k + 1) * 10, (1 << 20) + k) for k in range(10)]
     target = (1 << 20) + 5  # first-touched at position 5, prefetched at 0
     trace = _mini_trace(ids_blocks)
-    plan = plan_replay(trace.arrays(), {10: [target]})
+    plan = plan_replay(trace.arrays(), _file(trace, (10, target)), 2)
     assert plan.pf_starts[1] == 1 and plan.pf_blocks.tolist() == [target]
     batch, reference = _both_engines(
         trace, [PrefetchRequest(trigger_instr_id=10, address=target << 6)])
