@@ -1,6 +1,6 @@
 """Command-line interface for the PATHFINDER reproduction.
 
-Four subcommands, installed as the ``repro`` console script::
+Six subcommands, installed as the ``repro`` console script::
 
     repro trace <workload> --out trace.txt [--loads N] [--seed S]
         Generate a calibrated synthetic workload trace (or --profile an
@@ -8,7 +8,7 @@ Four subcommands, installed as the ``repro`` console script::
 
     repro run <workload> <prefetcher> [--loads N] [--seed S]
               [--budget B] [--hierarchy {scaled,full}]
-              [--engine {batch,fast,reference}]
+              [--engine {batch,reference}]
               [--events-out e.jsonl] [--metrics-out m.json]
               [--series [--series-window N]]
         Run one prefetcher on one workload and print IPC / accuracy /
@@ -36,31 +36,23 @@ Four subcommands, installed as the ``repro`` console script::
         ``--inject-faults`` arms deterministic chaos (``help`` lists
         the fault points).
 
-    repro bench [--small] [--out BENCH_perf.json] [--prefetchers a,b]
-              [--loads N] [--seed S] [--repeats R] [--history [FILE]]
-        Time the trace-gen / prefetch-file / replay phases per
-        prefetcher at fixed seeds and write a schema-versioned JSON
-        perf report (the repo tracks ``BENCH_perf.json`` at its root).
-        With ``--history`` each run also appends a perf-trend entry to
-        an append-only JSONL, keyed by config fingerprint.
-
     repro report [events.jsonl] [--ledger RUN.jsonl] [--metrics m.json]
-              [--history FILE] [--html OUT.html]
+              [--series FILE] [--campaign DIR] [--html OUT.html]
         Aggregate a ``--events-out`` file into human-readable tables
         (run summaries, prefetch lifecycle funnel, span timings), and/or
         render a self-contained HTML dashboard from any combination of
-        events, run ledger, metrics snapshot, and perf-trend history
+        events, run ledger, metrics snapshot, series and campaign
         (ranking table with bootstrap-CI whiskers and significance
-        groups; timeline per bench config with >= 2 history entries).
+        groups).
 
     repro compare RUN_A RUN_B [--max-regress 0.25] [--stats [--alpha A]]
-        Diff two run artifacts (perf-bench reports or run ledgers):
-        per-cell metric deltas plus regression flags.  The default gate
-        is the fixed threshold; ``--stats`` switches sampled cells to a
-        significance-tested gate (one-sided Mann-Whitney U with Holm
-        correction, seeded bootstrap CIs) that flags a slowdown only
-        when it is both statistically significant and larger than
-        ``--max-regress``.  Exits 1 on a regression, 2 on usage errors.
+        Diff two run ledgers: per-cell metric deltas plus regression
+        flags.  The default gate is the fixed threshold; ``--stats``
+        switches sampled cells to a significance-tested gate
+        (one-sided Mann-Whitney U with Holm correction, seeded
+        bootstrap CIs) that flags a slowdown only when it is both
+        statistically significant and larger than ``--max-regress``.
+        Exits 1 on a regression, 2 on usage errors.
 
     repro campaign run SPEC [--dir DIR] [--workers N] [--stop-after K]
               [--inject-faults SPEC] [--series]
@@ -77,7 +69,7 @@ Four subcommands, installed as the ``repro`` console script::
         campaign completed or paused cleanly, 1 when any cell is
         quarantined, 2 on configuration errors.
 
-Every ``run``/``experiment``/``bench`` invocation also appends a run
+Every ``run``/``experiment`` invocation also appends a run
 ledger — manifest (git SHA, config fingerprint, seeds, argv) plus
 per-cell provenance — under ``--results-dir`` (default ``results/``,
 overridable via the ``REPRO_RESULTS_DIR`` environment variable);
@@ -96,6 +88,7 @@ from typing import List, Optional
 from .core.config import PathfinderConfig
 from .errors import ConfigError
 from .harness import (
+    DEFAULT_MAX_REGRESS,
     EXPERIMENTS,
     Evaluation,
     PREFETCHER_FACTORIES,
@@ -104,8 +97,6 @@ from .harness import (
     summarize_events,
     write_dashboard,
 )
-from .harness.history import DEFAULT_HISTORY_PATH
-from .harness.perfbench import DEFAULT_MAX_REGRESS
 from .obs import (
     DEFAULT_WINDOW,
     JsonlSink,
@@ -480,89 +471,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .harness.history import append_history
-    from .harness.perfbench import (
-        DEFAULT_PREFETCHERS,
-        SMALL_N_ACCESSES,
-        SMALL_PREFETCHERS,
-        run_bench,
-        save_bench,
-    )
-
-    if args.prefetchers:
-        prefetchers = tuple(args.prefetchers.split(","))
-    else:
-        prefetchers = SMALL_PREFETCHERS if args.small else DEFAULT_PREFETCHERS
-    loads = args.loads
-    if loads is None:
-        loads = SMALL_N_ACCESSES if args.small else 20_000
-    config = {"workload": args.workload, "prefetchers": list(prefetchers),
-              "loads": loads, "seed": args.seed, "budget": args.budget,
-              "repeats": args.repeats}
-    ledger = _start_ledger(args, "bench", config, seeds=[args.seed])
-    start = time.perf_counter()
-    status = "ok"
-    report = None
-    try:
-        report = run_bench(prefetchers=prefetchers, workload=args.workload,
-                           n_accesses=loads, seed=args.seed,
-                           budget=args.budget, repeats=args.repeats)
-    except BaseException:
-        status = "error"
-        raise
-    finally:
-        if ledger is not None:
-            if report is not None:
-                for name, cell in report["prefetchers"].items():
-                    key = f"bench:{args.workload}:{name}:{args.seed}"
-                    ledger.record_cell(
-                        cell=key, key=key, seed=args.seed,
-                        workload=args.workload, prefetcher=name,
-                        metrics={k: cell[k] for k in
-                                 ("speedup", "accuracy", "coverage",
-                                  "issued", "replay_speedup")},
-                        timings={k: cell[k] for k in
-                                 ("prefetch_file_s", "replay_s",
-                                  "replay_reference_s")})
-            finish_run(ledger, time.perf_counter() - start, status=status)
-    engine = report["replay_engine"]
-    rows = [["trace_gen", "-", f"{report['trace_gen_s']:.3f}s"],
-            [f"baseline_replay ({engine})", "-",
-             f"{report['baseline_replay_s']:.3f}s"],
-            ["baseline_replay (reference)", "-",
-             f"{report['baseline_replay_reference_s']:.3f}s"]]
-    for name, cell in report["prefetchers"].items():
-        rows.append(["prefetch_file", name, f"{cell['prefetch_file_s']:.3f}s"])
-        rows.append([f"replay ({engine})", name, f"{cell['replay_s']:.3f}s"])
-        rows.append(["replay (reference)", name,
-                     f"{cell['replay_reference_s']:.3f}s "
-                     f"({cell['replay_speedup']:.1f}x)"])
-    print(format_table(
-        ["phase", "prefetcher", "best-of-%d wall time" % report["repeats"]],
-        rows,
-        title=f"perf bench: {report['workload']}, {report['n_accesses']} "
-              f"loads, seed {report['seed']}"))
-    save_bench(report, args.out)
-    print(f"\n[perf report written to {args.out}]")
-    if args.history:
-        try:
-            append_history(report, args.history,
-                           run_id=ledger.run_id if ledger else None)
-            print(f"[perf history appended to {args.history}]")
-        except ConfigError as exc:
-            # Trend history is best-effort provenance, never a reason
-            # to fail a bench that already produced its report.
-            print(f"warning: {exc}")
-    if ledger is not None:
-        print(f"[run ledger: {ledger.path}]")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .harness.history import DEFAULT_HISTORY_PATH, read_history
-
-    events = ledger = metrics = history = campaign = series = None
+    events = ledger = metrics = campaign = series = None
     try:
         if args.events:
             events = read_events(args.events)
@@ -585,12 +495,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 series = read_series(sibling)
         if args.metrics:
             metrics = json.loads(open(args.metrics, encoding="utf-8").read())
-        if args.history:
-            history = read_history(args.history)
-        elif args.history is None and DEFAULT_HISTORY_PATH.is_file():
-            # Opt-out with --history "" ; otherwise pick up the repo's
-            # trend file automatically when it exists.
-            history = read_history(DEFAULT_HISTORY_PATH)
         if args.campaign:
             from .campaign import LEDGER_FILE, campaign_summary
 
@@ -605,10 +509,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
     if events is None and ledger is None and metrics is None \
-            and history is None and campaign is None and series is None:
+            and campaign is None and series is None:
         print("error: nothing to report "
               "(pass an events file and/or "
-              "--ledger/--metrics/--history/--campaign/--series)")
+              "--ledger/--metrics/--campaign/--series)")
         return 2
     if args.html:
         run_id = (ledger.get("manifest") or {}).get("run_id") if ledger \
@@ -617,8 +521,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                  else f"repro run {run_id}" if run_id
                  else "repro run dashboard")
         write_dashboard(args.html, ledger=ledger, events=events,
-                        metrics=metrics, history=history,
-                        campaign=campaign, series=series, title=title)
+                        metrics=metrics, campaign=campaign,
+                        series=series, title=title)
         print(f"[dashboard written to {args.html}]")
     if events is not None:
         blocks = [format_table(headers, rows, title=title)
@@ -946,32 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_flag(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 
-    p_bench = sub.add_parser(
-        "bench", help="time pipeline phases and write a perf report")
-    p_bench.add_argument("--out", default="BENCH_perf.json",
-                         help="where to write the JSON perf report")
-    p_bench.add_argument("--small", action="store_true",
-                         help="CI-sized preset: short trace, three "
-                              "prefetchers (overridable per flag)")
-    p_bench.add_argument("--prefetchers",
-                         help="comma-separated prefetcher subset")
-    p_bench.add_argument("--workload", choices=WORKLOAD_NAMES,
-                         default="cc-5")
-    p_bench.add_argument("--loads", type=int, default=None,
-                         help="accesses per trace (default 20000, or the "
-                              "small preset's size with --small)")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--budget", type=int, default=2)
-    p_bench.add_argument("--repeats", type=int, default=1,
-                         help="timing repeats; phases report the minimum")
-    p_bench.add_argument(
-        "--history", metavar="FILE", nargs="?",
-        default="", const=str(DEFAULT_HISTORY_PATH),
-        help="append a perf-trend entry to FILE (bare --history uses "
-             f"{DEFAULT_HISTORY_PATH}); off by default")
-    _add_ledger_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_rep = sub.add_parser(
         "report", help="summarize run artifacts (tables and/or HTML)")
     p_rep.add_argument("events", nargs="?", default=None,
@@ -980,11 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run-ledger file to include in the report")
     p_rep.add_argument("--metrics", metavar="FILE",
                        help="--metrics-out snapshot to include")
-    p_rep.add_argument(
-        "--history", metavar="FILE", nargs="?", default=None, const="",
-        help="perf-trend history JSONL for the dashboard timeline "
-             f"(default: {DEFAULT_HISTORY_PATH} when present; bare "
-             "--history disables the automatic pickup)")
     p_rep.add_argument(
         "--series", metavar="FILE", nargs="?", default=None, const="",
         help="series JSONL from a --series run for the dashboard's "
@@ -1049,9 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cstat.set_defaults(func=_cmd_campaign_status)
 
     p_cmp = sub.add_parser(
-        "compare", help="diff two run artifacts (bench reports or ledgers)")
-    p_cmp.add_argument("run_a", help="baseline artifact (A)")
-    p_cmp.add_argument("run_b", help="candidate artifact (B)")
+        "compare", help="diff two run ledgers")
+    p_cmp.add_argument("run_a", help="baseline run ledger (A)")
+    p_cmp.add_argument("run_b", help="candidate run ledger (B)")
     p_cmp.add_argument("--max-regress", type=float,
                        default=DEFAULT_MAX_REGRESS,
                        help="fractional timing-regression threshold "

@@ -6,17 +6,21 @@
 - :mod:`repro.harness.experiments` — one entry per table/figure in the
   paper's evaluation; each regenerates the corresponding rows/series.
 - :mod:`repro.harness.dashboard` — self-contained HTML report (stdlib
-  templating + inline SVG) over the run ledger/events/metrics/history.
-- :mod:`repro.harness.compare` — diff two run artifacts (bench reports
-  or ledgers) with threshold- or significance-gated regression flags.
+  templating + inline SVG) over the run ledger/events/metrics/series.
+- :mod:`repro.harness.compare` — diff two run ledgers with threshold-
+  or significance-gated regression flags.
 - :mod:`repro.harness.stats` — the statistics toolbox behind the
   significance gate and the dashboard ranking (Mann-Whitney U, seeded
   bootstrap CIs, Cliff's delta, Holm correction, rank grouping).
-- :mod:`repro.harness.history` — append-only perf-trend history keyed
-  by bench config fingerprint.
 """
 
-from .compare import CompareResult, StatRow, compare_artifacts, load_artifact
+from .compare import (
+    DEFAULT_MAX_REGRESS,
+    CompareResult,
+    StatRow,
+    compare_artifacts,
+    load_artifact,
+)
 from .dashboard import render_dashboard, write_dashboard
 from .runner import (
     PREFETCHER_FACTORIES,
@@ -35,23 +39,6 @@ from .experiments import (
     ExperimentResult,
     campaign_spec_for,
     run_experiment,
-)
-from .history import (
-    DEFAULT_HISTORY_PATH,
-    append_history,
-    bench_fingerprint,
-    history_series,
-    read_history,
-)
-from .perfbench import (
-    DEFAULT_MAX_REGRESS,
-    DEFAULT_PREFETCHERS,
-    SCHEMA_VERSION,
-    bench_samples,
-    load_bench,
-    run_bench,
-    save_bench,
-    validate_bench,
 )
 from .stats import (
     DEFAULT_ALPHA,
@@ -76,19 +63,7 @@ __all__ = [
     "load_artifact",
     "render_dashboard",
     "write_dashboard",
-    "DEFAULT_HISTORY_PATH",
-    "append_history",
-    "bench_fingerprint",
-    "history_series",
-    "read_history",
     "DEFAULT_MAX_REGRESS",
-    "DEFAULT_PREFETCHERS",
-    "SCHEMA_VERSION",
-    "bench_samples",
-    "load_bench",
-    "run_bench",
-    "save_bench",
-    "validate_bench",
     "DEFAULT_ALPHA",
     "MannWhitneyResult",
     "RankEntry",

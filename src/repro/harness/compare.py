@@ -1,22 +1,19 @@
-"""``repro compare RUN_A RUN_B``: diff two run artifacts.
+"""``repro compare RUN_A RUN_B``: diff two run ledgers.
 
-Accepts either kind of artifact the harness writes — a perf-bench JSON
-report (``repro bench --out``) or a run ledger JSONL (``repro run`` /
-``experiment`` / ``bench`` under ``--results-dir``) — auto-detected by
-content, and produces per-cell metric deltas plus regression flags.
+Reads two run-ledger JSONL files (``repro run`` / ``experiment`` under
+``--results-dir``, or a campaign's ``ledger.jsonl``) and produces
+per-cell metric deltas plus regression flags.  Anything that is not a
+run ledger raises :class:`~repro.errors.ConfigError`.
 
 Two regression gates share this module:
 
-- **Threshold gate** (the default, and the only option when artifacts
+- **Threshold gate** (the default, and the only option when cells
   carry single measurements): a timing regresses when it exceeds the
   baseline's by more than ``max_regress`` (default
-  :data:`~repro.harness.perfbench.DEFAULT_MAX_REGRESS` = +25%), via
-  the exact perfbench rule
-  (:func:`repro.harness.perfbench.timing_regression`).
+  :data:`DEFAULT_MAX_REGRESS` = +25%), via :func:`timing_regression`.
 - **Significance gate** (``--stats``): when both sides carry samples —
-  per-seed cells in a multi-seed ledger, or per-repeat ``samples`` in
-  a schema-v3 bench report — timings are tested with a Holm-corrected
-  one-sided Mann-Whitney family
+  per-seed cells in a multi-seed ledger — timings are tested with a
+  Holm-corrected one-sided Mann-Whitney family
   (:func:`repro.harness.stats.significant_slowdowns`), and a timing
   regresses only when the slowdown is *both* statistically
   significant *and* larger than ``max_regress`` in the means.
@@ -25,8 +22,8 @@ Two regression gates share this module:
   significant-but-ambient drift (thermal throttling or co-tenant
   load shifts every repeat consistently, so it passes a pure
   significance test with flying colors).  Long-term creep detection
-  belongs to the perf-trend history, not a two-point compare.  Cells
-  without enough samples
+  belongs to the end-to-end benchmark (``benchmarks/e2e/``), not a
+  two-point compare.  Cells without enough samples
   (:data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS` per side) fall
   back to the threshold gate, so ``--stats`` is always safe to pass.
 
@@ -39,7 +36,6 @@ bootstrap CIs, and Cliff's-delta effect sizes in the stats table.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,22 +43,35 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from . import stats as st
-from .perfbench import (
-    DEFAULT_MAX_REGRESS,
-    bench_samples,
-    compare_bench,
-    timing_regression,
-    validate_bench,
-)
 from .reporting import format_table
 
+#: The single fractional timing-regression threshold (+25%) shared by
+#: ``repro compare`` and its ``--max-regress`` default.  With enough
+#: per-seed samples, the significance gate in :mod:`repro.harness.stats`
+#: additionally requires the slowdown to be significant.
+DEFAULT_MAX_REGRESS = 0.25
+
 #: Per-cell rate metrics diffed between two ledgers, and the timing
-#: keys checked with the regression gates.  ``replay_batch_s`` is the
-#: batch engine's explicit key (recorded since it became the default);
-#: artifacts that predate it simply never pair on it, so the gate
-#: degrades gracefully against old baselines.
+#: keys checked with the regression gates.
 LEDGER_RATE_METRICS = ("speedup", "accuracy", "coverage")
-LEDGER_TIMING_KEYS = ("prefetch_file_s", "replay_s", "replay_batch_s")
+LEDGER_TIMING_KEYS = ("prefetch_file_s", "replay_s")
+
+
+def timing_regression(label: str, new: float, old: float,
+                      max_regress: float = DEFAULT_MAX_REGRESS
+                      ) -> Optional[str]:
+    """The threshold gate's rule: flag when ``new`` exceeds ``old`` by
+    more than ``max_regress`` (fractional, e.g. ``0.25`` = +25%).
+
+    Returns the human-readable regression message, or ``None`` on pass
+    (a non-positive baseline timing can never regress — there is
+    nothing meaningful to compare against).
+    """
+    if old > 0 and new > old * (1.0 + max_regress):
+        return (f"{label}: {new:.4f}s vs baseline {old:.4f}s "
+                f"(+{(new / old - 1.0) * 100:.0f}%, limit "
+                f"+{max_regress * 100:.0f}%)")
+    return None
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ class StatRow:
 class CompareResult:
     """The outcome of one artifact comparison."""
 
-    kind: str  # "bench" or "ledger"
+    kind: str  # "ledger", named in the delta table's title
     #: (label, metric, value_a, value_b, delta) per compared number.
     deltas: List[Tuple[str, str, float, float, float]] = field(
         default_factory=list)
@@ -147,42 +156,25 @@ class CompareResult:
         return "\n".join(lines)
 
 
-def load_artifact(path) -> Tuple[str, Dict]:
-    """Load a run artifact, auto-detecting its kind by content.
+def load_artifact(path) -> Dict:
+    """Load a run ledger for comparison.
 
-    Returns ``("bench", report)`` for a perf-bench JSON report or
-    ``("ledger", parsed)`` for a run-ledger JSONL (the
-    :func:`repro.obs.read_ledger` dict).  Raises
-    :class:`~repro.errors.ConfigError` for anything else.
+    Returns the :func:`repro.obs.read_ledger` dict.  Raises
+    :class:`~repro.errors.ConfigError` for an unreadable file or one
+    that is not a run ledger.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read artifact {path}: {exc}") from exc
-    # A bench report is one pretty-printed JSON object; a ledger is
-    # JSONL.  Try the whole file as one object first — a one-record
-    # ledger also parses that way, so dispatch on the marker keys.
-    try:
-        report = json.loads(text)
-    except ValueError:
-        report = None
-    if (isinstance(report, dict) and "prefetchers" in report
-            and "schema_version" in report):
-        validate_bench(report)
-        return "bench", report
     from ..obs.ledger import read_ledger
 
+    path = Path(path)
     try:
         parsed = read_ledger(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read artifact {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(
-            f"{path}: neither a perf-bench report nor a run ledger "
-            f"({exc})") from exc
+        raise ConfigError(f"{path}: not a run ledger ({exc})") from exc
     if parsed["manifest"] is None and not parsed["cells"]:
-        raise ConfigError(
-            f"{path}: neither a perf-bench report nor a run ledger")
-    return "ledger", parsed
+        raise ConfigError(f"{path}: not a run ledger")
+    return parsed
 
 
 def _cell_index(parsed: Dict) -> Dict[str, Dict]:
@@ -229,8 +221,6 @@ def _stat_row(label: str, metric: str, a: Sequence[float],
 def _apply_significance_gate(result: CompareResult,
                              groups_a: Dict[str, Dict[str, List[float]]],
                              groups_b: Dict[str, Dict[str, List[float]]],
-                             timing_keys: Sequence[str],
-                             rate_keys: Sequence[str],
                              alpha: float,
                              max_regress: float) -> set:
     """Run the stats layer over matched cell-groups.
@@ -242,24 +232,14 @@ def _apply_significance_gate(result: CompareResult,
     gate_pairs: List[Tuple[str, List[float], List[float]]] = []
     covered: set = set()
     for label in sorted(set(groups_a) & set(groups_b)):
-        for timing in timing_keys:
+        for timing in LEDGER_TIMING_KEYS:
             a = groups_a[label].get(timing) or []
             b = groups_b[label].get(timing) or []
-            if (timing == "replay_batch_s" and a and b
-                    and a == groups_a[label].get("replay_s")
-                    and b == groups_b[label].get("replay_s")):
-                # When batch is the headline engine, replay_batch_s
-                # restates replay_s sample-for-sample; a duplicate
-                # pair adds no information and only dilutes the Holm
-                # family's power, so it is covered by the replay_s
-                # test instead of re-tested.
-                covered.add((label, timing))
-                continue
             if (len(a) >= st.MIN_SAMPLES_FOR_STATS
                     and len(b) >= st.MIN_SAMPLES_FOR_STATS):
                 gate_pairs.append((f"{label}.{timing}", a, b))
                 covered.add((label, timing))
-        for metric in rate_keys:
+        for metric in LEDGER_RATE_METRICS:
             a = groups_a[label].get(metric) or []
             b = groups_b[label].get(metric) or []
             if len(a) >= 2 and len(b) >= 2:
@@ -304,8 +284,8 @@ def compare_ledgers(a: Dict, b: Dict,
     covered: set = set()
     if use_stats:
         covered = _apply_significance_gate(
-            result, _group_samples(a), _group_samples(b),
-            LEDGER_TIMING_KEYS, LEDGER_RATE_METRICS, alpha, max_regress)
+            result, _group_samples(a), _group_samples(b), alpha,
+            max_regress)
         result.gate = "significance" if covered else "threshold"
     cells_a, cells_b = _cell_index(a), _cell_index(b)
     fell_back = False
@@ -333,8 +313,8 @@ def compare_ledgers(a: Dict, b: Dict,
         timings_b = cell_b.get("timings") or {}
         for timing in LEDGER_TIMING_KEYS:
             if timing not in timings_a and timing not in timings_b:
-                # A key neither ledger recorded (pre-batch artifacts
-                # have no replay_batch_s): nothing to diff, and its
+                # A key neither ledger recorded (failed and quarantined
+                # cells record no timings): nothing to diff, and its
                 # absence must not demote the gate to "mixed".
                 continue
             old = float(timings_a.get(timing, 0.0))
@@ -357,128 +337,17 @@ def compare_ledgers(a: Dict, b: Dict,
     return result
 
 
-def _bench_group_samples(report: Dict) -> Dict[str, Dict[str, List[float]]]:
-    """Sample vectors from a schema-v3 bench report, shaped like the
-    ledger groups: label → timing → samples."""
-    groups: Dict[str, Dict[str, List[float]]] = {}
-    baseline: Dict[str, List[float]] = {}
-    for source, timing in (("baseline_replay_s", "replay_s"),
-                           ("baseline_replay_batch_s", "replay_batch_s")):
-        values = bench_samples(report, source)
-        if values:
-            baseline[timing] = list(map(float, values))
-    if baseline:
-        groups["baseline"] = baseline
-    for name in report.get("prefetchers", {}):
-        cell: Dict[str, List[float]] = {}
-        for timing in ("prefetch_file_s", "replay_s", "replay_batch_s"):
-            values = bench_samples(report, timing, prefetcher=name)
-            if values:
-                cell[timing] = list(map(float, values))
-        if cell:
-            groups[name] = cell
-    return groups
-
-
-def compare_bench_reports(a: Dict, b: Dict,
-                          max_regress: float = DEFAULT_MAX_REGRESS,
-                          use_stats: bool = False,
-                          alpha: float = st.DEFAULT_ALPHA) -> CompareResult:
-    """Diff two perf-bench reports.
-
-    The threshold gate reuses the CI rule
-    (:func:`repro.harness.perfbench.compare_bench`).  With
-    ``use_stats`` and two schema-v3 reports carrying enough per-repeat
-    samples, the significance gate replaces it — including
-    ``prefetch_file_s``, which the threshold gate never dared gate
-    because single-shot timings of the dominant phase are too noisy.
-    """
-    result = CompareResult(kind="bench")
-    validate_bench(a)
-    validate_bench(b)
-    covered: set = set()
-    if use_stats:
-        # ``replay_batch_s`` joins the family only when both reports
-        # recorded it (post-batch reports); against an older baseline
-        # the pair simply never forms and the gate stays intact.
-        covered = _apply_significance_gate(
-            result, _bench_group_samples(a), _bench_group_samples(b),
-            ("prefetch_file_s", "replay_s", "replay_batch_s"), (),
-            alpha, max_regress)
-        result.gate = "significance" if covered else "threshold"
-    if not covered:
-        # Threshold gate (also validates comparability).
-        result.regressions = list(
-            compare_bench(b, a, max_regress=max_regress))
-    else:
-        # The significance run still needs the comparability check.
-        for key in ("workload", "n_accesses", "seed", "budget"):
-            if a[key] != b[key]:
-                raise ConfigError(
-                    f"perf reports are not comparable: {key} differs "
-                    f"({b[key]!r} vs baseline {a[key]!r})")
-        # Threshold fallback for replay timings the significance gate
-        # could not cover (insufficient samples on one side — e.g. a
-        # v3 report compared against a low-repeat baseline).  Mirrors
-        # compare_ledgers' per-pair fallback; prefetch_file_s stays
-        # significance-only because its single-shot minima are too
-        # noisy for the raw threshold rule.
-        fell_back = False
-        if ("baseline", "replay_s") not in covered:
-            message = timing_regression(
-                "baseline_replay_s", float(b["baseline_replay_s"]),
-                float(a["baseline_replay_s"]), max_regress)
-            if message is not None:
-                result.regressions.append(message)
-            fell_back = True
-        for name, cell_b in b.get("prefetchers", {}).items():
-            cell_a = a.get("prefetchers", {}).get(name)
-            if cell_a is None or (name, "replay_s") in covered:
-                continue
-            message = timing_regression(
-                f"{name}.replay_s", float(cell_b["replay_s"]),
-                float(cell_a["replay_s"]), max_regress)
-            if message is not None:
-                result.regressions.append(message)
-            fell_back = True
-        if fell_back:
-            result.gate = "mixed"
-    cells_a = a.get("prefetchers", {})
-    for name, cell_b in b.get("prefetchers", {}).items():
-        cell_a = cells_a.get(name)
-        if cell_a is None:
-            result.anomalies.append(f"prefetcher {name} only in run B")
-            continue
-        for metric in ("replay_s", "prefetch_file_s", "speedup",
-                       "accuracy", "coverage"):
-            va = float(cell_a.get(metric, 0.0))
-            vb = float(cell_b.get(metric, 0.0))
-            result.deltas.append((name, metric, va, vb, vb - va))
-    for name in cells_a:
-        if name not in b.get("prefetchers", {}):
-            result.anomalies.append(f"prefetcher {name} only in run A")
-    return result
-
-
 def compare_artifacts(path_a, path_b,
                       max_regress: float = DEFAULT_MAX_REGRESS,
                       max_metric_drop: float = 0.05,
                       use_stats: bool = False,
                       alpha: float = st.DEFAULT_ALPHA) -> CompareResult:
-    """Load and diff two artifacts (``repro compare``'s engine).
+    """Load and diff two run ledgers (``repro compare``'s engine).
 
-    Both must be the same kind; comparing a bench report against a
-    ledger raises :class:`~repro.errors.ConfigError`.
+    Raises :class:`~repro.errors.ConfigError` when either file is not a
+    run ledger.
     """
-    kind_a, a = load_artifact(path_a)
-    kind_b, b = load_artifact(path_b)
-    if kind_a != kind_b:
-        raise ConfigError(
-            f"cannot compare a {kind_a} artifact against a {kind_b} one "
-            f"({path_a} vs {path_b})")
-    if kind_a == "bench":
-        return compare_bench_reports(a, b, max_regress=max_regress,
-                                     use_stats=use_stats, alpha=alpha)
-    return compare_ledgers(a, b, max_regress=max_regress,
+    return compare_ledgers(load_artifact(path_a), load_artifact(path_b),
+                           max_regress=max_regress,
                            max_metric_drop=max_metric_drop,
                            use_stats=use_stats, alpha=alpha)

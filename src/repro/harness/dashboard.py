@@ -250,70 +250,6 @@ def _ranking_section(cells: List[Dict]) -> str:
               "bootstrap 95% CIs of the mean.</p>")
 
 
-def _trend_section(history: List[Dict]) -> str:
-    """Perf-trend timeline from ``history.jsonl`` entries.
-
-    One line chart per config fingerprint with ≥2 entries, one polyline
-    per timing series (baseline replay plus each prefetcher's replay).
-    Fingerprints with a single entry render nothing — a one-point
-    trend is noise dressed as signal.
-    """
-    from .history import history_series
-
-    parts: List[str] = []
-    palette = ("#4361ee", "#e63946", "#2a9d8f", "#f4a261", "#7209b7",
-               "#588157")
-    for fingerprint, entries in sorted(history_series(history).items()):
-        if len(entries) < 2:
-            continue
-        series: Dict[str, List[float]] = defaultdict(list)
-        for entry in entries:
-            series["baseline replay"].append(
-                float(entry.get("baseline_replay_s") or 0.0))
-            for name, cell in (entry.get("prefetchers") or {}).items():
-                series[f"{name} replay"].append(
-                    float(cell.get("replay_s") or 0.0))
-        n = len(entries)
-        peak = max((max(vals) for vals in series.values()
-                    if len(vals) == n), default=0.0) or 1.0
-        width, height, pad = 640, 180, 30
-        svg = [f'<svg width="{width + 180}" height="{height}" role="img">']
-        for color_i, (name, vals) in enumerate(sorted(series.items())):
-            if len(vals) != n:
-                continue  # prefetcher lineup changed mid-series
-            color = palette[color_i % len(palette)]
-            points = " ".join(
-                f"{pad + (width - 2 * pad) * i / max(1, n - 1):.1f},"
-                f"{height - pad - (height - 2 * pad) * v / peak:.1f}"
-                for i, v in enumerate(vals))
-            svg.append(f'<polyline points="{points}" fill="none" '
-                       f'stroke="{color}" stroke-width="2"></polyline>')
-            svg.append(
-                f'<text x="{width + 6}" y="{pad + color_i * 16}" '
-                f'font-size="12" fill="{color}">{_esc(name)}</text>')
-        svg.append(
-            f'<text x="{pad}" y="{height - 8}" font-size="11">'
-            f'{_esc(entries[0].get("timestamp_utc", "?"))} &rarr; '
-            f'{_esc(entries[-1].get("timestamp_utc", "?"))} '
-            f'({n} runs, peak {_fmt(peak)}s)</text>')
-        svg.append("</svg>")
-        shas = [str((e.get("git") or {}).get("sha") or "?")[:10]
-                for e in entries]
-        rows = [[e.get("timestamp_utc", "?"), sha,
-                 e.get("baseline_replay_s", 0.0)]
-                for e, sha in zip(entries, shas)]
-        parts.append(
-            f"<h3>config <code>{_esc(fingerprint[:12])}</code> "
-            f"({_esc(entries[-1].get('workload', '?'))}, "
-            f"n={_esc(entries[-1].get('n_accesses', '?'))})</h3>"
-            + "".join(svg)
-            + _table(["timestamp (UTC)", "git", "baseline replay s"],
-                     rows))
-    if not parts:
-        return ""
-    return "<h2>Perf trend</h2>" + "".join(parts)
-
-
 def _funnel_section(events: List[Dict]) -> str:
     funnel = lifecycle_counts(events)
     if not any(funnel.values()):
@@ -664,7 +600,6 @@ def _finish_section(finish: Optional[Dict]) -> str:
 def render_dashboard(ledger: Optional[Dict] = None,
                      events: Optional[List[Dict]] = None,
                      metrics: Optional[Dict] = None,
-                     history: Optional[List[Dict]] = None,
                      campaign: Optional[Dict] = None,
                      series: Optional[List[Dict]] = None,
                      title: str = "repro run dashboard") -> str:
@@ -672,9 +607,7 @@ def render_dashboard(ledger: Optional[Dict] = None,
 
     Any subset of inputs may be ``None``; the corresponding sections
     are simply omitted.  The output embeds its own CSS and SVG — no
-    scripts, no external fetches.  ``history`` is a list of perf-trend
-    entries (:func:`repro.harness.history.read_history`); fingerprints
-    with two or more entries render a timeline.  ``campaign`` is a
+    scripts, no external fetches.  ``campaign`` is a
     :func:`repro.campaign.supervisor.campaign_summary` snapshot, safe
     to regenerate while the campaign is still running.  ``series`` is
     a list of windowed time-series records from
@@ -708,8 +641,6 @@ def render_dashboard(ledger: Optional[Dict] = None,
     if metrics:
         sections.append(_profile_section(metrics))
         sections.append(_histogram_sections(metrics))
-    if history:
-        sections.append(_trend_section(history))
     if not any(sections):
         sections.append("<p>(no artifacts supplied)</p>")
     body = "\n".join(part for part in sections if part)
@@ -724,7 +655,6 @@ def render_dashboard(ledger: Optional[Dict] = None,
 def write_dashboard(path, ledger: Optional[Dict] = None,
                     events: Optional[List[Dict]] = None,
                     metrics: Optional[Dict] = None,
-                    history: Optional[List[Dict]] = None,
                     campaign: Optional[Dict] = None,
                     series: Optional[List[Dict]] = None,
                     title: str = "repro run dashboard") -> None:
@@ -732,5 +662,5 @@ def write_dashboard(path, ledger: Optional[Dict] = None,
     from ..resilience.atomic import atomic_write_text
 
     atomic_write_text(path, render_dashboard(
-        ledger=ledger, events=events, metrics=metrics, history=history,
+        ledger=ledger, events=events, metrics=metrics,
         campaign=campaign, series=series, title=title))

@@ -274,11 +274,6 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
         sim = Simulator(hierarchy, obs=obs, engine=engine)
         result = sim.run(trace, requests, prefetcher.name)
     timings["replay_s"] = time.perf_counter() - start
-    if engine == "batch":
-        # The engine-explicit alias ``repro compare --stats`` pairs on;
-        # only batch-engine ledgers carry it, so comparisons against
-        # pre-batch artifacts degrade to the shared ``replay_s`` key.
-        timings["replay_batch_s"] = timings["replay_s"]
     extras: Dict[str, object] = {"engine_used": sim.engine_used}
     if obs.series is not None:
         phases = _annotate_phases(obs, trace.name, prefetcher.name)

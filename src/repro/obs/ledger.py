@@ -1,7 +1,7 @@
 """Run ledger: append-only provenance records for every invocation.
 
-Every ``repro run`` / ``repro experiment`` / ``repro bench`` invocation
-opens a :class:`RunLedger` under a results directory and writes:
+Every ``repro run`` / ``repro experiment`` invocation opens a
+:class:`RunLedger` under a results directory and writes:
 
 - one **manifest** record — run id, UTC timestamp, git SHA + dirty
   flag, the resolved configuration and its fingerprint, seeds, CLI

@@ -80,6 +80,17 @@ def test_run_rejects_removed_engine(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench"],
+    ["bench", "--small", "--out", "bench.json"],
+    ["report", "--history", "history.jsonl"],
+])
+def test_removed_bench_commands_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_run_default_engine_downgrades_with_warning(tmp_path, capsys):
     """Leaving --engine off lets the simulator downgrade (visibly)."""
     import warnings
@@ -136,7 +147,7 @@ def test_campaign_run_status_resume_report(tmp_path, capsys):
     assert "finished" in capsys.readouterr().out
     html = tmp_path / "dash.html"
     assert main(["report", "--campaign", str(directory),
-                 "--html", str(html), "--history", ""]) == 0
+                 "--html", str(html)]) == 0
     assert "Campaign" in html.read_text()
 
 

@@ -1,6 +1,5 @@
-"""The significance-tested compare gate, perf-trend history, and the
-statistical dashboard sections — the observability surfaces wired to
-:mod:`repro.harness.stats`.
+"""The significance-tested compare gate and the statistical dashboard
+ranking — the observability surfaces wired to :mod:`repro.harness.stats`.
 
 The two pinned acceptance behaviours live here: identical-distribution
 runs must pass ``--stats`` even when individual cells differ by more
@@ -15,22 +14,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness.compare import (
+    DEFAULT_MAX_REGRESS,
     CompareResult,
     StatRow,
     compare_artifacts,
-    compare_bench_reports,
-    compare_ledgers,
 )
 from repro.harness.dashboard import render_dashboard
-from repro.harness.history import (
-    HISTORY_SCHEMA,
-    append_history,
-    bench_fingerprint,
-    history_entry,
-    history_series,
-    read_history,
-)
-from repro.harness.perfbench import DEFAULT_MAX_REGRESS, run_bench
 from repro.obs import read_ledger
 from repro.obs.ledger import RunLedger
 
@@ -61,12 +50,6 @@ def _multi_seed_ledger(path, *, seeds=8, timing_scale=1.0, noise=0.0,
                          "replay_s": 0.004 * timing_scale * jitter})
     ledger.finish(1.0)
     return path
-
-
-@pytest.fixture(scope="module")
-def bench_report():
-    return run_bench(prefetchers=("nextline",), workload="cc-5",
-                     n_accesses=600, seed=1, repeats=5)
 
 
 # ------------------------------------------- ledger significance gate
@@ -150,6 +133,42 @@ def test_under_sampled_cells_fall_back_to_threshold(tmp_path):
     assert not result.ok
 
 
+def _two_group_ledger(path, *, few_scale=1.0):
+    """Group ``cc-5:pf`` with 8 seeds and group ``cc-5:few`` with 2,
+    whose ``replay_s`` is scaled by ``few_scale``."""
+    ledger = RunLedger(path, path.stem)
+    ledger.write_manifest("run", ["run"], {"w": "cc-5"},
+                          seeds=list(range(8)))
+    for name, seeds, scale in (("pf", 8, 1.0), ("few", 2, few_scale)):
+        for seed in range(seeds):
+            ledger.record_cell(
+                cell=f"cc-5:{name}:{seed}", key=f"cc-5:{name}:{seed}",
+                seed=seed, workload="cc-5", prefetcher=name,
+                metrics={"speedup": 1.05, "accuracy": 0.7,
+                         "coverage": 0.3},
+                timings={"prefetch_file_s": 0.010,
+                         "replay_s": 0.004 * scale})
+    ledger.finish(1.0)
+    return path
+
+
+def test_under_sampled_group_takes_mixed_gate(tmp_path):
+    """Timings the significance gate cannot cover (a group with too few
+    seeds) fall back to the threshold rule instead of going ungated."""
+    a = _two_group_ledger(tmp_path / "a.jsonl")
+    b = _two_group_ledger(tmp_path / "b.jsonl", few_scale=10.0)
+    result = compare_artifacts(a, b, use_stats=True)
+    assert result.gate == "mixed"
+    assert len(result.regressions) == 2
+    assert all(m.startswith("cc-5:few:") and ".replay_s:" in m
+               and "p=" not in m for m in result.regressions)
+    # The well-sampled group kept its significance-gated rows.
+    gated = {(row.label, row.metric) for row in result.stats
+             if row.p_adjusted is not None}
+    assert gated == {("cc-5:pf", "prefetch_file_s"),
+                     ("cc-5:pf", "replay_s")}
+
+
 def test_stats_format_renders_the_table(tmp_path):
     a = _multi_seed_ledger(tmp_path / "a.jsonl")
     b = _multi_seed_ledger(tmp_path / "b.jsonl")
@@ -163,89 +182,24 @@ def test_compare_result_defaults_to_threshold_gate():
     assert CompareResult(kind="ledger").gate == "threshold"
 
 
-# -------------------------------------------- bench significance gate
+def test_compare_rejects_mixed_artifact_kinds(tmp_path, capsys):
+    """A bench-report-shaped JSON object is not an artifact ``repro
+    compare`` reads: a usage error (exit 2), not a traceback."""
+    from repro.cli import main
 
-def test_bench_stats_gate_passes_self_comparison(bench_report):
-    result = compare_bench_reports(bench_report, bench_report,
-                                   use_stats=True)
-    assert result.ok
-    assert result.gate == "significance"
-    assert any(row.metric == "prefetch_file_s" for row in result.stats)
-
-
-def test_bench_stats_gate_flags_mutated_samples(bench_report):
-    import copy
-
-    slow = copy.deepcopy(bench_report)
-    cell = slow["prefetchers"]["nextline"]
-    cell["samples"]["replay_s"] = [v * 10.0 for v in
-                                   cell["samples"]["replay_s"]]
-    cell["replay_s"] *= 10.0
-    result = compare_bench_reports(bench_report, slow, use_stats=True)
-    assert not result.ok
-    assert any("nextline.replay_s" in m for m in result.regressions)
-
-
-def test_bench_stats_gate_flags_prefetch_file_slowdown(bench_report):
-    """prefetch_file_s is significance-gated — the threshold gate never
-    checks it, so this is the --stats gate's added coverage."""
-    import copy
-
-    slow = copy.deepcopy(bench_report)
-    cell = slow["prefetchers"]["nextline"]
-    cell["samples"]["prefetch_file_s"] = [
-        v * 10.0 for v in cell["samples"]["prefetch_file_s"]]
-    cell["prefetch_file_s"] *= 10.0
-    threshold = compare_bench_reports(bench_report, slow)
-    assert threshold.ok  # the threshold gate is blind to this phase
-    stats = compare_bench_reports(bench_report, slow, use_stats=True)
-    assert not stats.ok
-    assert stats.gate == "significance"
-    assert any("nextline.prefetch_file_s" in m for m in stats.regressions)
-
-
-def test_bench_partially_sampled_reports_take_mixed_gate(bench_report,
-                                                         monkeypatch):
-    """Replay timings the significance gate cannot cover fall back to
-    the threshold rule instead of going ungated."""
-    import copy
-
-    from repro.harness import compare as compare_module
-
-    trimmed = copy.deepcopy(bench_report)
-    cell = trimmed["prefetchers"]["nextline"]
-    cell["samples"]["replay_s"] = cell["samples"]["replay_s"][:2]
-    cell["replay_s"] *= 10.0  # headline min regresses 10x
-    # The trimmed report is deliberately schema-invalid (sample count
-    # != repeats), so bypass validation to unit-test gate composition.
-    monkeypatch.setattr(compare_module, "validate_bench", lambda r: None)
-    result = compare_bench_reports(bench_report, trimmed, use_stats=True)
-    assert result.gate == "mixed"
-    assert any("nextline.replay_s" in m for m in result.regressions)
-    # prefetch_file_s kept its samples, so it stayed significance-gated.
-    assert any(row.metric == "prefetch_file_s" and row.p_adjusted is not None
-               for row in result.stats)
-
-
-def test_bench_stats_falls_back_for_v2_reports(bench_report):
-    import copy
-
-    v2 = copy.deepcopy(bench_report)
-    v2["schema_version"] = 2
-    v2.pop("samples")
-    for cell in v2["prefetchers"].values():
-        cell.pop("samples")
-    result = compare_bench_reports(v2, v2, use_stats=True)
-    assert result.ok
-    assert result.gate == "threshold"
-
-
-def test_compare_rejects_mixed_artifact_kinds(tmp_path, bench_report):
     bench_path = tmp_path / "bench.json"
-    bench_path.write_text(json.dumps(bench_report))
+    bench_path.write_text(json.dumps(
+        {"schema_version": 3, "workload": "cc-5", "n_accesses": 1000,
+         "seed": 1, "prefetchers": {"nextline": {"replay_s": 0.01}}},
+        indent=2))
     ledger_path = _multi_seed_ledger(tmp_path / "run.jsonl")
     with pytest.raises(ConfigError):
         compare_artifacts(bench_path, ledger_path)
+    for args in ([str(ledger_path), str(bench_path)],
+                 [str(ledger_path), str(bench_path), "--stats"]):
+        assert main(["compare", *args]) == 2
+        out = capsys.readouterr().out
+        assert "error:" in out and "Traceback" not in out
 
 
 # --------------------------------------------------- CLI exit contract
@@ -263,8 +217,8 @@ def test_cli_compare_stats_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["compare", str(a), str(missing), "--stats"]) == 2
     assert "error:" in capsys.readouterr().out
-    # A readable file that is neither artifact kind is also a usage
-    # error (exit 2), not a traceback.
+    # A readable file that is not a run ledger is also a usage error
+    # (exit 2), not a traceback.
     not_an_artifact = tmp_path / "notes.md"
     not_an_artifact.write_text("# not an artifact\n")
     assert main(["compare", str(a), str(not_an_artifact),
@@ -280,57 +234,6 @@ def test_cli_compare_threshold_still_default(tmp_path, capsys):
     assert main(["compare", str(a), str(b)]) == 1  # noise trips 25%
     out = capsys.readouterr().out
     assert "Statistical comparison" not in out
-
-
-# --------------------------------------------------------- history
-
-def test_history_append_read_roundtrip(tmp_path, bench_report):
-    path = tmp_path / "history.jsonl"
-    first = append_history(bench_report, path)
-    second = append_history(bench_report, path, run_id="r2")
-    entries = read_history(path)
-    assert [e["fingerprint"] for e in entries] == \
-        [first["fingerprint"], second["fingerprint"]]
-    assert entries[0]["schema"] == HISTORY_SCHEMA
-    assert entries[1]["run_id"] == "r2"
-    assert entries[0]["baseline_replay_s"] == \
-        bench_report["baseline_replay_s"]
-    assert set(entries[0]["prefetchers"]) == {"nextline"}
-
-
-def test_history_fingerprint_separates_configs(bench_report):
-    import copy
-
-    other = copy.deepcopy(bench_report)
-    other["n_accesses"] = bench_report["n_accesses"] * 2
-    assert bench_fingerprint(other) != bench_fingerprint(bench_report)
-    series = history_series([history_entry(bench_report),
-                             history_entry(other),
-                             history_entry(bench_report)])
-    assert len(series) == 2
-    assert len(series[bench_fingerprint(bench_report)]) == 2
-
-
-def test_history_tolerates_torn_tail(tmp_path, bench_report):
-    path = tmp_path / "history.jsonl"
-    append_history(bench_report, path)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"torn": tru')  # crash mid-append
-    assert len(read_history(path)) == 1
-    # ...but corruption in the middle is an error, not silence.
-    path.write_text('{"torn": tru\n'
-                    + json.dumps(history_entry(bench_report)) + "\n")
-    with pytest.raises(ConfigError):
-        read_history(path)
-
-
-def test_history_tolerates_tail_torn_mid_utf8(tmp_path, bench_report):
-    path = tmp_path / "history.jsonl"
-    append_history(bench_report, path)
-    with open(path, "ab") as fh:
-        # Crash mid-append inside a UTF-8 multibyte sequence.
-        fh.write(b'{"workload": "caf\xc3')
-    assert len(read_history(path)) == 1
 
 
 # -------------------------------------------------------- dashboard
@@ -369,53 +272,6 @@ def test_dashboard_ranking_needs_enough_samples(tmp_path):
     assert "Prefetcher ranking" not in html
 
 
-def test_dashboard_trend_section(tmp_path, bench_report):
-    path = tmp_path / "history.jsonl"
-    append_history(bench_report, path)
-    html_one = render_dashboard(history=read_history(path))
-    assert "Perf trend" not in html_one  # one entry is not a trend
-    append_history(bench_report, path)
-    html_two = render_dashboard(history=read_history(path))
-    assert "Perf trend" in html_two
-    assert "polyline" in html_two
-    assert bench_fingerprint(bench_report)[:12] in html_two
-
-
-def test_cli_report_html_with_history(tmp_path, bench_report, capsys):
-    from repro.cli import main
-
-    history = tmp_path / "history.jsonl"
-    append_history(bench_report, history)
-    append_history(bench_report, history)
-    out = tmp_path / "dash.html"
-    assert main(["report", "--history", str(history),
-                 "--html", str(out)]) == 0
-    assert "Perf trend" in out.read_text()
-
-
-def test_cli_bench_appends_history(tmp_path, capsys):
-    from repro.cli import main
-
-    history = tmp_path / "hist.jsonl"
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--prefetchers", "nextline", "--loads", "400",
-                 "--repeats", "3", "--out", str(out),
-                 "--history", str(history), "--no-ledger"]) == 0
-    assert "[perf history appended" in capsys.readouterr().out
-    entries = read_history(history)
-    assert len(entries) == 1
-    assert entries[0]["repeats"] == 3
-
-
-def test_cli_bench_history_off_by_default(tmp_path, capsys):
-    from repro.cli import main
-
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--prefetchers", "nextline", "--loads", "400",
-                 "--out", str(out), "--no-ledger"]) == 0
-    assert "history appended" not in capsys.readouterr().out
-
-
 # ------------------------------------------------------ constants
 
 def test_default_max_regress_is_single_sourced():
@@ -425,8 +281,8 @@ def test_default_max_regress_is_single_sourced():
 
     assert DEFAULT_MAX_REGRESS == 0.25
     # No stray hard-coded 0.25 thresholds left in the call signatures.
-    for fn in (compare_module.compare_ledgers,
-               compare_module.compare_bench_reports,
+    for fn in (compare_module.timing_regression,
+               compare_module.compare_ledgers,
                compare_module.compare_artifacts):
         assert inspect.signature(fn).parameters["max_regress"].default \
             == DEFAULT_MAX_REGRESS

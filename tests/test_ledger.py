@@ -245,6 +245,11 @@ def test_cli_parallel_experiment_ledger_and_events(tmp_path, capsys,
     cells = parsed["cells"]
     assert [c["prefetcher"] for c in cells] == ["spp", "pythia",
                                                 "pathfinder"]
+    # --events-out sends every cell to the reference loop, and a
+    # fallback cell records no batch-engine timing.
+    assert all(c["engine_used"] == "reference"
+               and set(c["timings"]) == {"prefetch_file_s", "replay_s"}
+               for c in cells)
     assert parsed["experiments"][0]["experiment_id"] == "table6"
     assert parsed["finish"]["status"] == "ok"
     events = read_events(events_path)
@@ -412,29 +417,36 @@ def test_cli_report_html(tmp_path, capsys):
     assert "[dashboard written to" in capsys.readouterr().out
 
 
-def test_cli_report_requires_some_input(tmp_path, monkeypatch, capsys):
+def test_cli_report_requires_some_input(capsys):
     from repro.cli import main
 
-    # A committed benchmarks/perf/history.jsonl is auto-picked-up from
-    # the repo root, so run from a directory with no trend file.
-    monkeypatch.chdir(tmp_path)
     assert main(["report"]) == 2
     assert "nothing to report" in capsys.readouterr().out
 
 
 # -- compare -----------------------------------------------------------------
 
+def _bench_report_file(path, **dump_kwargs):
+    """Write a JSON object shaped like a perf-bench report, an artifact
+    kind ``repro compare`` does not read."""
+    report = {"schema_version": 3, "workload": "cc-5",
+              "n_accesses": 1000, "seed": 1,
+              "prefetchers": {"nextline": {"replay_s": 0.01}}}
+    path.write_text(json.dumps(report, **dump_kwargs))
+    return path
+
+
 def test_load_artifact_detects_kinds(tmp_path):
+    """Run ledgers are the only artifact kind ``load_artifact`` accepts."""
     ledger_path = _sample_ledger(tmp_path)
-    assert load_artifact(ledger_path)[0] == "ledger"
-    kind, report = load_artifact("BENCH_perf.json")
-    assert kind == "bench" and "prefetchers" in report
+    assert load_artifact(ledger_path)["cells"]
     junk = tmp_path / "junk.json"
     junk.write_text('{"neither": true}')
-    with pytest.raises(ConfigError):
-        load_artifact(junk)
-    with pytest.raises(ConfigError):
-        load_artifact(tmp_path / "missing.json")
+    for path in (_bench_report_file(tmp_path / "report.json", indent=2),
+                 _bench_report_file(tmp_path / "report_one_line.json"),
+                 junk, tmp_path / "missing.json"):
+        with pytest.raises(ConfigError):
+            load_artifact(path)
 
 
 def test_compare_ledgers_flags_injected_regression(tmp_path):
@@ -478,8 +490,15 @@ def test_compare_ledgers_reports_metric_deltas_and_anomalies():
 
 
 def test_compare_rejects_mixed_kinds(tmp_path):
-    with pytest.raises(ConfigError, match="cannot compare"):
-        compare_artifacts(_sample_ledger(tmp_path), "BENCH_perf.json")
+    ledger_path = _sample_ledger(tmp_path)
+    for report in (_bench_report_file(tmp_path / "report.json", indent=2),
+                   _bench_report_file(tmp_path / "report_one_line.json")):
+        with pytest.raises(ConfigError, match="not a run ledger"):
+            compare_artifacts(ledger_path, report)
+        with pytest.raises(ConfigError, match="not a run ledger"):
+            compare_artifacts(report, ledger_path)
+    with pytest.raises(ConfigError, match="cannot read"):
+        compare_artifacts(ledger_path, tmp_path / "missing.json")
 
 
 def test_cli_compare_exit_codes(tmp_path, capsys):

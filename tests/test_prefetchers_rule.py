@@ -242,7 +242,7 @@ def test_sisb_config_validation():
 
 
 def test_sisb_quiet_on_cc5_strong_on_temporal_workload():
-    """Regression for the BENCH_perf cc-5 cell: SISB issuing ~nothing
+    """Regression for the 20k-load cc-5 cell: SISB issuing ~nothing
     there is by design, not a bug.
 
     cc-5 has no temporal-replay component — its delta and interleaved
