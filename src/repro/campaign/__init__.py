@@ -1,14 +1,16 @@
 """Campaign orchestration: durable spec + queue + workers + supervisor.
 
-``repro experiment`` runs a grid inside one process; a campaign lifts
-the same (workload × prefetcher × seed) grid to a *durable* unit of
-work that survives worker crashes, hung leases, and supervisor death —
-the fuzzbench-style split of the experiment service that the ROADMAP's
-north star calls for:
+A campaign lifts a (workload × prefetcher × seed) grid to a *durable*
+unit of work that survives worker crashes, hung leases, and supervisor
+death — the fuzzbench-style split of the experiment service that the
+ROADMAP's north star calls for.  It is the repository's one parallel
+executor: ``repro campaign run`` drives a spec's grid, and
+``Evaluation.run_cells`` runs every parallel or supervised grid as an
+ephemeral campaign.
 
 - :mod:`~repro.campaign.spec` — a YAML/JSON campaign spec that expands
   deterministically into cells keyed by the canonical
-  :func:`~repro.resilience.checkpoint.cell_key`;
+  :func:`~repro.harness.runner.cell_key`;
 - :mod:`~repro.campaign.queue` — ``campaign.json`` + an append-only,
   fsynced, torn-tail-tolerant JSONL event log holding every cell's
   lease/retry/quarantine state;

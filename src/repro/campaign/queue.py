@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +42,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..errors import ConfigError
 from ..resilience import faults
-from ..resilience.atomic import tolerant_read_text
+from ..resilience.atomic import append_line, tolerant_read_text
 
 #: Bump when the queue event layout changes incompatibly.
 QUEUE_SCHEMA = 1
@@ -146,12 +145,7 @@ class WorkQueue:
             # record — cut inside the line (and likely inside a UTF-8
             # sequence when one is present) — and no newline.
             data = data[:max(1, (len(data) - 1) * 2 // 3)]
-        with open(self.path, "ab") as fh:
-            if not self._clean_tail:
-                fh.write(b"\n")
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_line(self.path, data, reframe=not self._clean_tail)
         self._clean_tail = data.endswith(b"\n")
 
     def _replay(self) -> None:
@@ -187,10 +181,10 @@ class WorkQueue:
                     and cell.worker == str(record.get("worker")):
                 cell.lease_expires = float(record.get("expires", 0.0))
         elif kind == "done":
+            # ``error`` keeps the last failure: why a cell was retried.
             cell.state = DONE
             cell.worker = str(record.get("worker", "")) or cell.worker
             cell.lease_expires = None
-            cell.error = None
         elif kind == "fail":
             cell.state = PENDING
             cell.worker = None

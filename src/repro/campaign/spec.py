@@ -13,8 +13,8 @@ A campaign spec is a small YAML or JSON document::
 
 Expansion is deterministic: cells enumerate ``seeds`` (outer), then
 ``workloads``, then ``prefetchers``, and every cell is keyed by the
-canonical :func:`~repro.resilience.checkpoint.cell_key` — the same key
-the checkpoint journal and ``repro compare`` use — so a campaign's
+canonical :func:`~repro.harness.runner.cell_key` — the same key grid
+ledgers, ``--resume`` and ``repro compare`` use — so a campaign's
 ledger diffs cleanly against any other run of the same grid.
 
 YAML parsing uses PyYAML when importable and otherwise falls back to a
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import ConfigError
-from ..resilience.checkpoint import cell_key
 
 #: Bump when the campaign.json layout changes incompatibly.
 CAMPAIGN_SCHEMA = 1
@@ -144,7 +143,7 @@ class CampaignSpec:
         up cells in any order still produce a ledger whose per-cell
         records are keyed identically.
         """
-        from ..harness.runner import default_hierarchy
+        from ..harness.runner import cell_key, default_hierarchy
 
         hierarchy = default_hierarchy()
         cells: List[CampaignCell] = []

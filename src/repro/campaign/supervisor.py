@@ -10,23 +10,25 @@ One :class:`Campaign` owns a directory::
 
 The supervisor is the **single writer** of both JSONL files: workers
 never touch disk, they stream rows back over a queue.  That keeps the
-ledger's atomic-rewrite flush single-writer-safe and makes the whole
-campaign resumable from any crash point — on resume, the ledger
-reconciles the queue (a cell recorded complete is *never* re-executed)
-and stale leases from the dead supervisor are released without
-charging an attempt.
+ledger single-writer and makes the whole campaign resumable from any
+crash point — on resume, the ledger reconciles the queue (a cell
+recorded complete is *never* re-executed) and stale leases from the
+dead supervisor are released without charging an attempt.
 
-Failure handling at campaign scope mirrors the per-grid
-:class:`~repro.resilience.supervisor.ResiliencePolicy`: failed cells
-retry with exponential backoff + deterministic jitter
+Failed cells retry with exponential backoff + deterministic jitter
 (:func:`~repro.campaign.queue.retry_delay`), cells failing
 ``max_attempts`` times are quarantined (poison-cell records in queue
-*and* ledger — the campaign keeps going), expired leases are reclaimed
-by killing and respawning the worker, and when worker processes cannot
-be spawned at all the campaign degrades to serial in-process
-execution.  SIGINT/SIGTERM flush and release cleanly, so interruption
-at any point resumes bit-identically — every cell is an independent
-seeded run.
+*and* ledger — the campaign keeps going), expired leases — and, with a
+cell timeout, cells that have run too long — are reclaimed by killing
+and respawning the worker, and when worker processes cannot be spawned
+at all the campaign degrades to serial in-process execution.
+SIGINT/SIGTERM flush and release cleanly, so interruption at any point
+resumes bit-identically — every cell is an independent seeded run.
+
+``Evaluation.run_cells`` runs every parallel or supervised grid as an
+ephemeral campaign (:meth:`Campaign.for_grid`) in a temporary
+directory: the finished rows come back through :attr:`Campaign.results`
+and the caller's run ledger records them.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import multiprocessing
 import queue as queue_mod
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import count
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import ConfigError
 from ..obs.ledger import RunLedger, git_state, new_run_id
@@ -55,7 +57,7 @@ from .queue import (
     read_queue_events,
     retry_delay,
 )
-from .spec import CAMPAIGN_SCHEMA, CampaignSpec
+from .spec import CAMPAIGN_SCHEMA, CampaignCell, CampaignSpec
 from .worker import execute_cell, worker_main
 
 CAMPAIGN_FILE = "campaign.json"
@@ -75,7 +77,13 @@ _ZERO_METRICS = {key: 0 for key in ("ipc", "speedup", "accuracy",
 
 @dataclass
 class CampaignStats:
-    """Campaign-scope resilience accounting for one supervisor run."""
+    """Resilience accounting for one supervisor run, or several added up.
+
+    The one stats schema: campaign and experiment ledgers record
+    :meth:`to_dict` as ``finish.resilience``, the dashboard renders it,
+    and ``repro experiment`` prints :meth:`summary` as its
+    ``[resilience]`` line.
+    """
 
     leases: int = 0
     completed: int = 0
@@ -97,6 +105,13 @@ class CampaignStats:
             "quarantined": self.quarantined,
             "serial_fallback": self.serial_fallback,
         }
+
+    def add(self, other: "CampaignStats") -> None:
+        """Accumulate another run's counts (one experiment, many grids)."""
+        for fld in fields(self):
+            mine, theirs = getattr(self, fld.name), getattr(other, fld.name)
+            setattr(self, fld.name, (mine or theirs)
+                    if isinstance(mine, bool) else mine + theirs)
 
     def summary(self) -> str:
         parts = [f"cells: {self.completed} completed"]
@@ -197,13 +212,21 @@ class Campaign:
 
     def __init__(self, directory: Union[str, Path], spec: CampaignSpec,
                  queue: WorkQueue, ledger: RunLedger,
-                 fault_spec: Optional[str] = None):
+                 fault_spec: Optional[str] = None,
+                 specs: Optional[Dict[str, object]] = None):
         self.directory = Path(directory)
         self.spec = spec
         self.queue = queue
         self.ledger = ledger
         self.fault_spec = fault_spec
         self.stats = CampaignStats()
+        #: What a worker runs per cell key when it is not the cell's
+        #: registry name: a grid's ``PathfinderConfig`` cells.
+        self.specs = dict(specs or {})
+        #: ``(row, registry, events, series)`` per finished cell key.
+        self.results: Dict[str, tuple] = {}
+        self._deadlines: Dict[str, float] = {}
+        self._cell_timeout_s: Optional[float] = None
         self._series: Optional[CampaignSeriesSampler] = None
 
     # -- construction --------------------------------------------------------
@@ -237,6 +260,26 @@ class Campaign:
         queue = WorkQueue.create(directory / QUEUE_FILE,
                                  [cell.to_dict() for cell in cells])
         return cls(directory, spec, queue, ledger, fault_spec=fault_spec)
+
+    @classmethod
+    def for_grid(cls, directory: Union[str, Path], spec: CampaignSpec,
+                 cells: Sequence[CampaignCell],
+                 specs: Dict[str, object]) -> "Campaign":
+        """A throwaway campaign over a grid's own cells.
+
+        ``Evaluation.run_cells`` builds one per parallel or supervised
+        grid in a temporary directory.  ``cells`` replace
+        ``spec.expand()``, and ``specs`` maps each cell key to what its
+        worker runs: a registry name or a ``PathfinderConfig``.
+        Nothing reopens the directory, so it holds only the queue and
+        the ledger: no ``campaign.json`` and no manifest.
+        """
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        queue = WorkQueue.create(directory / QUEUE_FILE,
+                                 [cell.to_dict() for cell in cells])
+        ledger = RunLedger(directory / LEDGER_FILE, new_run_id())
+        return cls(directory, spec, queue, ledger, specs=specs)
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "Campaign":
@@ -284,8 +327,7 @@ class Campaign:
             if cell is None:
                 continue
             outcome = str(record.get("outcome", "ok"))
-            if outcome in ("ok", "retried", "restored") \
-                    and cell.state != DONE:
+            if outcome in ("ok", "retried") and cell.state != DONE:
                 self.queue.complete(key, worker="reconcile")
                 self.stats.reconciled += 1
             elif outcome == "quarantined" and cell.state != QUARANTINED:
@@ -299,7 +341,10 @@ class Campaign:
     def run(self, workers: Optional[int] = None,
             stop_after: Optional[int] = None,
             echo: Callable[[str], None] = print,
-            series: bool = False) -> Dict[str, object]:
+            series: bool = False,
+            cell_timeout_s: Optional[float] = None,
+            context: Optional[Dict[str, object]] = None
+            ) -> Dict[str, object]:
         """Drive the campaign until finished, stopped, or interrupted.
 
         Returns a summary dict (``finished``, ``interrupted``,
@@ -309,11 +354,22 @@ class Campaign:
         campaign resume`` continues bit-identically.  With ``series``
         the supervisor appends queue-depth / throughput / retry samples
         to ``<dir>/campaign_series.jsonl`` as it goes (pure telemetry:
-        results are unaffected).
+        results are unaffected).  With ``cell_timeout_s``, a cell that
+        has run that long is reclaimed like an expired lease and
+        charged an attempt.  ``context`` adds to what every worker
+        receives: a grid's ``evaluation`` and what its parent observes.
+
+        The armed faults are the stored ``fault_spec``, or else the
+        plan armed in this process; each cell gets a fresh copy.
         """
         n_workers = self.spec.workers if workers is None else workers
         plan = (faults.FaultPlan.parse(self.fault_spec)
-                if self.fault_spec else None)
+                if self.fault_spec else faults.active())
+        self._cell_timeout_s = cell_timeout_s
+        context = dict(context or {}, loads=self.spec.loads,
+                       budget=self.spec.budget, engine=self.spec.engine,
+                       lease_ttl_s=self.spec.lease_ttl_s,
+                       heartbeat_s=self.spec.heartbeat_s)
         start = time.perf_counter()
         stop_flag = {"stop": False}
         if series:
@@ -335,11 +391,12 @@ class Campaign:
         try:
             with faults.injected(plan):
                 if n_workers <= 0:
-                    interrupted = self._run_serial(stop_flag, stop_after,
-                                                   echo)
+                    interrupted = self._run_serial(context, stop_flag,
+                                                   stop_after, echo)
                 else:
-                    interrupted = self._run_pool(n_workers, plan, stop_flag,
-                                                 stop_after, echo)
+                    interrupted = self._run_pool(n_workers, plan, context,
+                                                 stop_flag, stop_after,
+                                                 echo)
         finally:
             for sig, handler in previous.items():
                 signal.signal(sig, handler)
@@ -352,7 +409,7 @@ class Campaign:
         wall_s = time.perf_counter() - start
         self.ledger.finish(wall_s, status="ok" if finished
                            else "interrupted",
-                           resilience={"campaign": self.stats.to_dict()})
+                           resilience=self.stats.to_dict())
         return {
             "finished": finished,
             "interrupted": interrupted and not finished,
@@ -362,27 +419,27 @@ class Campaign:
             "wall_s": wall_s,
         }
 
-    def _run_pool(self, n_workers: int, plan, stop_flag: Dict[str, bool],
-                  stop_after: Optional[int],
+    def _lease_ttl(self, key: str, now: float) -> float:
+        """Lease time from ``now``: the TTL, cut at the cell's deadline."""
+        deadline = self._deadlines.get(key)
+        if deadline is None:
+            return self.spec.lease_ttl_s
+        return min(self.spec.lease_ttl_s, deadline - now)
+
+    def _run_pool(self, n_workers: int, plan, context: Dict[str, object],
+                  stop_flag: Dict[str, bool], stop_after: Optional[int],
                   echo: Callable[[str], None]) -> bool:
         ctx = multiprocessing.get_context()
         result_q = ctx.Queue()
         handles: Dict[str, _WorkerHandle] = {}
         worker_ids = count(1)
-        context = {
-            "loads": self.spec.loads,
-            "budget": self.spec.budget,
-            "engine": self.spec.engine,
-            "lease_ttl_s": self.spec.lease_ttl_s,
-            "heartbeat_s": self.spec.heartbeat_s,
-        }
 
         def spawn() -> _WorkerHandle:
             worker_id = f"w{next(worker_ids)}"
             task_q = ctx.Queue()
             process = ctx.Process(
                 target=worker_main,
-                args=(worker_id, task_q, result_q, plan, context),
+                args=(worker_id, task_q, result_q, context),
                 daemon=True)
             process.start()
             handle = _WorkerHandle(worker_id, process, task_q)
@@ -397,7 +454,7 @@ class Campaign:
                  "degrading to serial in-process execution")
             self.stats.serial_fallback = True
             self._shutdown(handles, result_q, echo)
-            return self._run_serial(stop_flag, stop_after, echo)
+            return self._run_serial(context, stop_flag, stop_after, echo)
 
         completed_this_run = 0
         interrupted = False
@@ -416,13 +473,17 @@ class Campaign:
             now = time.time()
             for cell in self.queue.expired(now):
                 self.stats.expirations += 1
-                echo(f"[campaign] lease expired: cell {cell.index} "
+                deadline = self._deadlines.get(cell.key)
+                error = ("lease expired" if deadline is None or deadline > now
+                         else f"cell timed out after "
+                              f"{self._cell_timeout_s:g}s")
+                echo(f"[campaign] {error}: cell {cell.index} "
                      f"({cell.workload}/{cell.prefetcher}) "
                      f"on {cell.worker}")
                 handle = handles.pop(cell.worker or "", None)
                 if handle is not None:
                     self._kill(handle)
-                self._fail_cell(cell, "lease expired", now, echo)
+                self._fail_cell(cell, error, now, echo)
             for handle in list(handles.values()):
                 if handle.process.is_alive():
                     continue
@@ -446,20 +507,23 @@ class Campaign:
                          "degrading to serial in-process execution")
                     self.stats.serial_fallback = True
                     self._shutdown(handles, result_q, echo)
-                    return self._run_serial(stop_flag, stop_after, echo)
+                    return self._run_serial(context, stop_flag,
+                                            stop_after, echo)
             for handle in handles.values():
                 if handle.busy is not None:
                     continue
                 cell = self.queue.claim(now)
                 if cell is None:
                     break
+                if self._cell_timeout_s is not None:
+                    self._deadlines[cell.key] = now + self._cell_timeout_s
                 self.queue.lease(cell.key, handle.worker_id,
-                                 self.spec.lease_ttl_s, now)
+                                 self._lease_ttl(cell.key, now), now)
                 self.stats.leases += 1
                 handle.busy = cell.key
                 handle.task_q.put((cell.key, cell.index, cell.workload,
-                                   cell.prefetcher, cell.seed,
-                                   cell.attempts))
+                                   self.specs.get(cell.key, cell.prefetcher),
+                                   cell.seed, cell.attempts, plan))
             drained_one = False
             while True:
                 try:
@@ -485,7 +549,9 @@ class Campaign:
         stale = cell.state != LEASED or cell.worker != worker_id
         if kind == "heartbeat":
             if not stale:
-                self.queue.heartbeat(key, worker_id, self.spec.lease_ttl_s)
+                now = time.time()
+                self.queue.heartbeat(key, worker_id,
+                                     self._lease_ttl(key, now), now)
             return False
         handle = handles.get(worker_id)
         if handle is not None and handle.busy == key:
@@ -531,16 +597,21 @@ class Campaign:
                  f"retry {attempts}/{self.spec.max_attempts - 1} "
                  f"in {delay:.2f}s")
 
-    def _record_row(self, cell: CellState, row, worker_id: str) -> None:
+    def _record_row(self, cell: CellState, payload: tuple,
+                    worker_id: str) -> None:
+        from ..harness.runner import eval_row_metrics, row_to_dict
+
+        self.results[cell.key] = payload
+        row = payload[0]
         self.ledger.record_cell(
             cell=f"{cell.index:03d}:{cell.workload}:{cell.prefetcher}",
             key=cell.key, seed=cell.seed, workload=cell.workload,
             prefetcher=cell.prefetcher,
-            metrics=_row_metrics(row), timings=row.timings,
+            metrics=eval_row_metrics(row), timings=row.timings,
             outcome="ok" if cell.attempts == 0 else "retried",
-            attempts=cell.attempts + 1,
+            attempts=cell.attempts + 1, error=cell.error,
             engine_used=row.extras.get("engine_used"),
-            worker=worker_id)
+            worker=worker_id, row=row_to_dict(row))
 
     def _kill(self, handle: _WorkerHandle) -> None:
         process = handle.process
@@ -563,10 +634,11 @@ class Campaign:
             handle.process.join(timeout=max(0.0, deadline - time.time()))
             self._kill(handle)
         # Rows completed before the stop still count: drain what the
-        # workers managed to send, then release whatever is left.
+        # workers managed to send, then release whatever is left.  The
+        # workers have exited, so everything they sent is in the pipe.
         while True:
             try:
-                message = result_q.get(timeout=0.1)
+                message = result_q.get(timeout=0)
             except queue_mod.Empty:
                 break
             self._handle_message(message, handles, echo)
@@ -574,20 +646,21 @@ class Campaign:
         for cell in self.queue.leased():
             self.queue.release(cell.key)
 
-    def _run_serial(self, stop_flag: Dict[str, bool],
+    def _run_serial(self, context: Dict[str, object],
+                    stop_flag: Dict[str, bool],
                     stop_after: Optional[int],
                     echo: Callable[[str], None]) -> bool:
         """In-process execution through the same queue transitions.
 
         Used for ``workers: 0`` specs and as the degradation path when
-        worker processes cannot be spawned.  Campaign worker faults
-        (crash/lease-expiry) are inert here — they only fire in child
-        processes — but cell-level faults still apply, exactly like the
-        grid supervisor's serial fallback.
+        worker processes cannot be spawned.  Worker faults (crash, hang,
+        lease expiry) are inert here — they only fire in child
+        processes — but cell-level faults still apply.
         """
         evaluations: Dict[int, object] = {}
-        context = {"loads": self.spec.loads, "budget": self.spec.budget,
-                   "engine": self.spec.engine}
+        grid = context.get("evaluation")
+        if grid is not None:
+            evaluations[grid.seed] = grid
         completed_this_run = 0
         while True:
             if stop_flag["stop"]:
@@ -609,15 +682,16 @@ class Campaign:
                              max(self.spec.lease_ttl_s, 3600.0), now)
             self.stats.leases += 1
             try:
-                row = execute_cell(evaluations, context, cell.workload,
-                                   cell.prefetcher, cell.seed)
+                payload = execute_cell(
+                    evaluations, context, cell.index, cell.workload,
+                    self.specs.get(cell.key, cell.prefetcher), cell.seed)
             except Exception as exc:  # noqa: BLE001 - quarantine path
                 self._fail_cell(cell, f"{type(exc).__name__}: {exc}",
                                 time.time(), echo)
                 if self._series is not None:
                     self._series.sample(self.queue, self.stats)
                 continue
-            self._record_row(cell, row, "serial")
+            self._record_row(cell, payload, "serial")
             self.queue.complete(cell.key, "serial")
             self.stats.completed += 1
             completed_this_run += 1
@@ -627,12 +701,6 @@ class Campaign:
             echo(f"[campaign] cell {cell.index} done "
                  f"({cell.workload}/{cell.prefetcher} seed {cell.seed}) "
                  f"serially")
-
-
-def _row_metrics(row) -> Dict[str, object]:
-    from ..harness.runner import eval_row_metrics
-
-    return eval_row_metrics(row)
 
 
 def campaign_summary(directory: Union[str, Path]) -> Dict[str, object]:

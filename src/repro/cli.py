@@ -26,15 +26,18 @@ Six subcommands, installed as the ``repro`` console script::
               [--events-out e.jsonl] [--metrics-out m.json]
         Regenerate one of the paper's tables/figures (see
         ``repro.harness.EXPERIMENTS`` for ids).  Grid-shaped
-        experiments fan their cells out over ``--jobs`` worker
-        processes; the resulting tables are identical either way.
-        ``--retries``/``--cell-timeout`` arm supervised execution
-        (failed cells retry with backoff, hung cells are reclaimed,
-        worker crashes respawn the pool and fall back to serial);
-        ``--resume PATH`` journals completed cells to an atomic
-        checkpoint and restores them bit-identically; and
-        ``--inject-faults`` arms deterministic chaos (``help`` lists
-        the fault points).
+        experiments run their cells as an ephemeral campaign on
+        ``--jobs`` worker processes; the resulting tables are identical
+        either way.  ``--retries R`` gives each cell R + 1 attempts
+        (with backoff; a cell that kills its worker on every attempt
+        becomes a zeroed ``failed`` row), ``--cell-timeout`` reclaims a
+        cell that runs too long; without ``--retries`` a failed cell
+        ends the run with one ``error:`` line naming it (exit 1).
+        ``--resume PATH`` makes PATH this run's ledger: created when
+        absent, reopened when it is a run ledger (its finished cells are
+        restored bit-identically, not re-run), refused with exit 2
+        otherwise.  ``--inject-faults`` arms deterministic chaos
+        (``help`` lists the fault points).
 
     repro report [events.jsonl] [--ledger RUN.jsonl] [--metrics m.json]
               [--series FILE] [--campaign DIR] [--html OUT.html]
@@ -72,8 +75,8 @@ Six subcommands, installed as the ``repro`` console script::
 Every ``run``/``experiment`` invocation also appends a run
 ledger — manifest (git SHA, config fingerprint, seeds, argv) plus
 per-cell provenance — under ``--results-dir`` (default ``results/``,
-overridable via the ``REPRO_RESULTS_DIR`` environment variable);
-``--no-ledger`` disables it.
+overridable via the ``REPRO_RESULTS_DIR`` environment variable), or at
+``--resume PATH``; ``--no-ledger`` disables the results-dir one.
 """
 
 from __future__ import annotations
@@ -86,12 +89,14 @@ import time
 from typing import List, Optional
 
 from .core.config import PathfinderConfig
-from .errors import ConfigError
+from .errors import ConfigError, WorkerCrashError
 from .harness import (
     DEFAULT_MAX_REGRESS,
     EXPERIMENTS,
     Evaluation,
     PREFETCHER_FACTORIES,
+    ResiliencePolicy,
+    ambient_policy,
     format_table,
     run_experiment,
     summarize_events,
@@ -109,20 +114,11 @@ from .obs import (
     read_events,
     read_ledger,
     read_series,
+    resume_run,
     set_default_observability,
     start_run,
 )
-from .resilience import (
-    FAULT_POINTS,
-    FaultPlan,
-    ResiliencePolicy,
-    atomic_write_json,
-    drain_stats,
-    injected,
-    resolve_journal,
-    set_default_checkpoint,
-    set_default_policy,
-)
+from .resilience import FAULT_POINTS, FaultPlan, atomic_write_json, injected
 from .sim.simulator import ENGINES, HierarchyConfig
 from .traces import WORKLOAD_NAMES, make_trace
 from .traces.trace import save_trace
@@ -227,10 +223,18 @@ def _write_metrics(obs: Observability, path: str,
 def _start_ledger(args: argparse.Namespace, command: str, config: dict,
                   seeds: Optional[List[int]] = None
                   ) -> Optional[RunLedger]:
-    """Open this invocation's run ledger (best-effort; never fatal)."""
+    """Open this invocation's run ledger.
+
+    ``--resume PATH`` makes PATH the ledger (a
+    :class:`~repro.errors.ConfigError` when it is not one); otherwise
+    it goes under ``--results-dir`` best-effort, never fatal.
+    """
+    argv = getattr(args, "_argv", None) or []
+    resume = getattr(args, "resume", None)
+    if resume:
+        return resume_run(resume, command, argv, config, seeds=seeds)
     if getattr(args, "no_ledger", False):
         return None
-    argv = getattr(args, "_argv", None) or []
     try:
         ledger = start_run(args.results_dir, command, argv, config,
                            seeds=seeds)
@@ -397,36 +401,38 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"[note: {args.experiment} is not grid-shaped; "
                   f"--jobs ignored]")
 
-    # Resilience context: the policy/journal are installed as ambient
-    # defaults (picked up by every Evaluation.run_cells the experiment
-    # makes) so experiment signatures stay unchanged.
+    # The policy is installed as an ambient default (picked up by every
+    # Evaluation.run_cells the experiment makes), so experiment
+    # signatures stay unchanged.
     policy = None
     if args.retries or args.cell_timeout is not None:
         policy = ResiliencePolicy(retries=args.retries,
                                   cell_timeout_s=args.cell_timeout)
-    journal = resolve_journal(args.resume) if args.resume else None
-    if journal is not None and len(journal):
-        print(f"[resilience] resuming from {args.resume}: "
-              f"{len(journal)} cell(s) journaled")
 
     obs = _make_obs(args)
     config = {"experiment": args.experiment}
     config.update({k: v for k, v in kwargs.items() if k != "jobs"})
     config["jobs"] = args.jobs
-    ledger = _start_ledger(args, "experiment", config)
+    try:
+        ledger = _start_ledger(args, "experiment", config)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}")
+        return 2
+    restorable = ledger.restorable_rows() if ledger is not None else {}
+    if restorable:
+        print(f"[resilience] resuming from {args.resume}: "
+              f"{len(restorable)} cell(s) recorded")
     if obs is not None and ledger is not None:
         obs.tracer.bind(run_id=ledger.run_id)
     start = time.perf_counter()
     status = "ok"
     stats = None
     try:
-        set_default_policy(policy)
-        set_default_checkpoint(journal)
         # Ambient bundle: experiments build their own Evaluation
         # objects, which fall back to this installed one, so their grid
         # cells record into this invocation's registry/tracer/ledger.
         set_default_observability(obs)
-        with injected(plan):
+        with ambient_policy(policy) as stats, injected(plan):
             if obs is not None:
                 try:
                     with obs.profiler.phase("experiment"), \
@@ -443,14 +449,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     obs.close()
             else:
                 result = run_experiment(args.experiment, **kwargs)
+    except WorkerCrashError as exc:
+        status = "error"
+        print(f"error: {exc}")
+        return 1
     except BaseException:
         status = "error"
         raise
     finally:
-        set_default_policy(None)
-        set_default_checkpoint(None)
         set_default_observability(None)
-        stats = drain_stats()
+        if policy is None or stats is None or not stats.leases:
+            stats = None  # no grid ran a cell under a policy
         if ledger is not None:
             finish_run(ledger, time.perf_counter() - start, status=status,
                        resilience=stats.to_dict() if stats else None)
@@ -598,11 +607,7 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
               "ledger-recorded cell(s); they will not be re-executed")
     if campaign.fault_spec:
         print(f"[campaign] re-arming stored faults: {campaign.fault_spec}")
-    campaign.ledger.append({
-        "kind": "resume",
-        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "argv": list(getattr(args, "_argv", None) or []),
-    })
+    campaign.ledger.record_resume(list(getattr(args, "_argv", None) or []))
     result = campaign.run(workers=args.workers, stop_after=args.stop_after,
                           series=args.series)
     if not result["finished"]:
@@ -842,8 +847,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget per grid cell; hung cells "
                             "are reclaimed and charged a retry")
     p_exp.add_argument("--resume", metavar="PATH",
-                       help="checkpoint journal: completed cells are "
-                            "restored bit-identically, new ones appended")
+                       help="run ledger to resume: created when absent; "
+                            "cells it records as finished are restored "
+                            "bit-identically, new ones appended")
     _add_obs_flags(p_exp)
     _add_series_flags(p_exp)
     _add_ledger_flags(p_exp)

@@ -67,10 +67,6 @@ class WorkerCrashError(ReproError):
         self.failures = dict(failures or {})
 
 
-class CheckpointError(ReproError):
-    """A checkpoint journal is unreadable or inconsistent with the run."""
-
-
 class FaultInjectionError(ReproError):
     """An armed fault point fired (deterministic chaos testing).
 

@@ -26,7 +26,9 @@ from .runner import (
     PREFETCHER_FACTORIES,
     EvalRow,
     Evaluation,
+    ResiliencePolicy,
     SeedAggregate,
+    ambient_policy,
     default_hierarchy,
     make_prefetcher,
     multi_seed_grid,
@@ -80,7 +82,9 @@ __all__ = [
     "PREFETCHER_FACTORIES",
     "EvalRow",
     "Evaluation",
+    "ResiliencePolicy",
     "SeedAggregate",
+    "ambient_policy",
     "default_hierarchy",
     "make_prefetcher",
     "multi_seed_grid",

@@ -179,7 +179,8 @@ def load_artifact(path) -> Dict:
 
 def _cell_index(parsed: Dict) -> Dict[str, Dict]:
     """Ledger cells keyed by their canonical cell key (last write wins,
-    so a retried/restored cell compares by its final record)."""
+    so a cell recorded again — failed, then re-run on resume — compares
+    by its final record)."""
     return {str(cell.get("key", cell.get("cell", "?"))): cell
             for cell in parsed.get("cells", [])}
 

@@ -132,7 +132,7 @@ def _manifest_section(manifest: Dict) -> str:
 def _cells_section(cells: List[Dict]) -> str:
     headers = ["cell", "workload", "prefetcher", "speedup", "accuracy",
                "coverage", "issued", "useful", "late", "outcome",
-               "attempts", "restored"]
+               "attempts"]
     rows, classes = [], []
     for cell in cells:
         metrics = cell.get("metrics") or {}
@@ -142,8 +142,7 @@ def _cells_section(cells: List[Dict]) -> str:
             cell.get("prefetcher", "?"), metrics.get("speedup", 0.0),
             metrics.get("accuracy", 0.0), metrics.get("coverage", 0.0),
             metrics.get("issued", 0), metrics.get("useful", 0),
-            metrics.get("late", 0), outcome, cell.get("attempts", 1),
-            "yes" if cell.get("restored") else ""])
+            metrics.get("late", 0), outcome, cell.get("attempts", 1)])
         classes.append("bad" if outcome in ("failed", "quarantined")
                        else "")
     return ("<h2>Grid cells</h2>"
@@ -586,12 +585,9 @@ def _finish_section(finish: Optional[Dict]) -> str:
              f"wall={_fmt(finish.get('wall_s', 0.0))}s</p>"]
     resilience = finish.get("resilience")
     if resilience:
-        cells = resilience.get("cells") or {}
-        rows = [[label, count] for label, count in sorted(cells.items())]
-        rows.append(["pool respawns", resilience.get("pool_respawns", 0)])
-        rows.append(["timeouts", resilience.get("timeouts", 0)])
-        rows.append(["serial fallback",
-                     str(bool(resilience.get("serial_fallback")))])
+        # CampaignStats.to_dict(): grids and campaigns share the schema.
+        rows = [[key.replace("_", " "), value]
+                for key, value in resilience.items()]
         parts.append("<h3>Resilience</h3>"
                      + _table(["event", "count"], rows))
     return "".join(parts)

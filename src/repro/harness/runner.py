@@ -8,23 +8,21 @@ coverage against a no-prefetch baseline run of the same trace.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import dataclasses
+import json
 import statistics
+import tempfile
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core import PathfinderConfig, PathfinderPrefetcher
 from ..errors import ConfigError, WorkerCrashError
 from ..obs import (
-    MemorySink,
     Observability,
-    SeriesCollector,
-    Tracer,
     adaptation_lag,
     default_observability,
     detect_phases,
@@ -32,10 +30,7 @@ from ..obs import (
 )
 from ..obs.ledger import active_ledger, current_run_id
 from ..resilience import faults
-from ..resilience import supervisor as resilience_supervisor
-from ..resilience.checkpoint import cell_key, resolve_journal
 from ..resilience.guard import GuardedPrefetcher
-from ..resilience.supervisor import ResiliencePolicy
 from ..prefetchers import (
     AdaptiveEnsemblePrefetcher,
     BestOffsetPrefetcher,
@@ -106,38 +101,111 @@ PREFETCHER_FACTORIES: Dict[str, Callable[[], Prefetcher]] = {
 }
 
 
-def make_prefetcher(name: str) -> Prefetcher:
-    """Instantiate a fresh prefetcher by registry name."""
-    try:
-        return PREFETCHER_FACTORIES[name]()
-    except KeyError:
-        known = ", ".join(sorted(PREFETCHER_FACTORIES))
-        raise ConfigError(f"unknown prefetcher {name!r}; known: {known}") from None
-
-
 #: A grid cell's prefetcher: a registry name or an explicit PATHFINDER
 #: configuration (the sensitivity experiments sweep configs directly).
 CellSpec = Union[str, PathfinderConfig]
 
 
-def _spec_prefetcher(spec: CellSpec) -> Prefetcher:
-    if isinstance(spec, str):
-        return make_prefetcher(spec)
-    return PathfinderPrefetcher(spec)
+def make_prefetcher(spec: CellSpec) -> Prefetcher:
+    """Instantiate a fresh prefetcher by registry name or from a config."""
+    if not isinstance(spec, str):
+        return PathfinderPrefetcher(spec)
+    try:
+        return PREFETCHER_FACTORIES[spec]()
+    except KeyError:
+        known = ", ".join(sorted(PREFETCHER_FACTORIES))
+        raise ConfigError(f"unknown prefetcher {spec!r}; known: {known}") from None
 
 
 def _spec_name(spec: CellSpec) -> str:
     return spec if isinstance(spec, str) else "pathfinder"
 
 
-def _cell_label(index: int, workload: str, spec: CellSpec) -> str:
+def cell_label(index: int, workload: str, spec: CellSpec) -> str:
     """Short human-readable cell tag for event records and the ledger.
 
     The index disambiguates config-sweep cells that share a prefetcher
-    name; the canonical (long) key from ``checkpoint.cell_key`` is what
-    the ledger stores alongside it for exact identity.
+    name; the canonical (long) key from :func:`cell_key` is what the
+    ledger stores alongside it for exact identity.
     """
     return f"{index:03d}:{workload}:{_spec_name(spec)}"
+
+
+def cell_key(workload: str, spec: CellSpec, *, seed: int, n_accesses: int,
+             budget: int, engine: str, hierarchy) -> str:
+    """Canonical, self-describing key for one grid cell.
+
+    ``spec`` is a registry prefetcher name or a ``PathfinderConfig``;
+    the hierarchy is fingerprinted field-by-field so a ledger written
+    against different cache geometry can never be resumed silently.
+    """
+    if isinstance(spec, str):
+        spec_desc: object = spec
+    elif dataclasses.is_dataclass(spec):
+        spec_desc = {"pathfinder_config": dataclasses.asdict(spec)}
+    else:
+        raise ConfigError(f"unsupported cell spec {spec!r}")
+    payload = {
+        "workload": workload,
+        "spec": spec_desc,
+        "seed": seed,
+        "n_accesses": n_accesses,
+        "budget": budget,
+        "engine": engine,
+        "hierarchy": dataclasses.asdict(hierarchy),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@dataclass(frozen=True)
+class ResiliencePolicy:
+    """How hard a grid fights for each cell (``--retries``/``--cell-timeout``).
+
+    Attributes:
+        retries: Extra attempts per failed cell.  With retries, a cell
+            that exhausts them degrades to a zeroed ``outcome: failed``
+            row; without, a failed cell raises
+            :class:`~repro.errors.WorkerCrashError`.
+        cell_timeout_s: Wall-clock budget per attempt; a cell that runs
+            longer is reclaimed and charged an attempt.  ``None``
+            disables hang detection.
+    """
+
+    retries: int = 0
+    cell_timeout_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ConfigError("retries must be >= 0")
+        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
+            raise ConfigError("cell_timeout_s must be positive")
+
+
+#: The ambient policy and the campaign stats of every grid run under
+#: it (see :func:`ambient_policy`); ``None`` outside such a block.
+_AMBIENT: Optional[Tuple[Optional[ResiliencePolicy], object]] = None
+
+
+@contextmanager
+def ambient_policy(policy: Optional[ResiliencePolicy]) -> Iterator[object]:
+    """Make ``policy`` the default of every grid run in the block.
+
+    The CLI's ``--retries``/``--cell-timeout`` reach the experiments
+    this way, so their signatures stay unchanged; an explicit argument
+    or ``Evaluation.policy`` still wins.  Yields a
+    :class:`~repro.campaign.CampaignStats` that adds up every grid
+    campaign the block runs (the ``[resilience]`` line and the ledger's
+    ``finish.resilience``).
+    """
+    from ..campaign import CampaignStats
+
+    global _AMBIENT
+    previous, stats = _AMBIENT, CampaignStats()
+    _AMBIENT = (policy, stats)
+    try:
+        yield stats
+    finally:
+        _AMBIENT = previous
 
 
 @dataclass
@@ -317,77 +385,24 @@ def eval_row_metrics(row: EvalRow) -> Dict[str, object]:
     }
 
 
-def _worker_faults(attempt: int, index: Optional[int]) -> None:
-    """Fire the ``worker.crash`` / ``worker.hang`` fault points.
+def row_to_dict(row: EvalRow) -> Dict[str, object]:
+    """Serialise an ``EvalRow`` (with its ``SimResult``) to plain data.
 
-    Only ever fires inside a child process: during the supervisor's
-    serial fallback the same task body runs in the parent, where
-    killing or hanging would defeat the degradation being tested.
+    JSON round-trips ints exactly and floats via ``repr``, so
+    :func:`row_from_dict` restores a dataclass-equal row: what makes a
+    ``--resume`` restore indistinguishable from re-running the cell.
     """
-    if multiprocessing.parent_process() is None:
-        return
-    if faults.fires("worker.crash", attempt=attempt, index=index):
-        os._exit(13)
-    site = faults.fires("worker.hang", attempt=attempt, index=index)
-    if site is not None:
-        time.sleep(site.seconds)
+    return dataclasses.asdict(row)
 
 
-def _run_cell_task(task: Tuple
-                   ) -> Tuple[EvalRow, Optional[object], Optional[List],
-                              Optional[List]]:
-    """Worker-process body for one parallel grid cell.
-
-    Receives everything it needs as picklable values (trace, baseline,
-    cell spec, hierarchy, budget) plus the resilience context: the
-    parent's :class:`~repro.resilience.faults.FaultPlan` (re-armed here
-    so injection crosses the process boundary), the attempt number
-    (lets first-attempt-only faults stand down on retries), and the
-    cell index (lets ``cells=``-scoped faults pick their victim) —
-    and the run-context (run id + cell label) injected at the
-    ``run_cells`` boundary.
-
-    When the parent session is observed, the worker records into a
-    private :class:`~repro.obs.Observability` bundle and ships its
-    registry back for the parent to
-    :meth:`~repro.obs.MetricsRegistry.merge`.  When the parent's tracer
-    has a live sink, the worker additionally records events into a
-    local :class:`~repro.obs.MemorySink` — every event tagged with the
-    run id and cell label — and ships them back in the cell result for
-    the parent to :meth:`~repro.obs.Tracer.ingest` in cell order
-    (file-handle sinks can't cross process boundaries, and without
-    this hand-off worker events would be silently dropped).
-    """
-    (trace, baseline, spec, hierarchy, budget, observe, capture_events,
-     engine, plan, attempt, index, run_id, cell, series_window) = task
-    with faults.injected(plan):
-        _worker_faults(attempt, index)
-        obs = None
-        if observe or series_window:
-            tracer = Tracer(MemorySink()) if capture_events else None
-            series = (SeriesCollector(window=series_window)
-                      if series_window else None)
-            if series is not None:
-                # Same ambient label the serial path binds, so a
-                # parallel merge is bit-identical to a serial run.
-                series.bind(cell=cell)
-            obs = Observability(tracer=tracer, series=series,
-                                enabled=observe)
-            if capture_events:
-                context = {"cell": cell}
-                if run_id is not None:
-                    context["run_id"] = run_id
-                obs.tracer.bind(**context)
-        row = run_prefetcher(trace, _spec_prefetcher(spec), baseline,
-                             hierarchy=hierarchy, budget=budget, obs=obs,
-                             engine=engine)
-    events = (obs.tracer.sink.events
-              if obs is not None and capture_events else None)
-    series_records = (obs.series.snapshot()
-                      if obs is not None and obs.series is not None
-                      else None)
-    return (row, (obs.registry if obs is not None and observe else None),
-            events, series_records)
+def row_from_dict(payload: Dict[str, object]) -> EvalRow:
+    """Rebuild an ``EvalRow`` from :func:`row_to_dict` output."""
+    try:
+        data = dict(payload)
+        data["result"] = SimResult(**data["result"])
+        return EvalRow(**data)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"unreadable ledger row: {exc}") from exc
 
 
 @dataclass
@@ -398,11 +413,12 @@ class Evaluation:
     reused across prefetchers, so every prefetcher sees the identical
     access stream — the paper's fairness requirement (§4.5).
 
-    Grid entry points accept ``jobs``: with ``jobs > 1`` cells fan out
-    over a :class:`~concurrent.futures.ProcessPoolExecutor`, one task
-    per cell, and rows come back in the same deterministic order the
-    serial path produces (each cell is an independent, seeded run, so
-    the values are identical too — only wall-clock timings differ).
+    Grid entry points accept ``jobs``: with ``jobs > 1`` the cells run
+    as an ephemeral campaign (:mod:`repro.campaign`) on that many
+    worker processes, and rows come back in the same deterministic
+    order the serial path produces (each cell is an independent, seeded
+    run, so the values are identical too — only wall-clock timings
+    differ).
     """
 
     n_accesses: int = 20_000
@@ -420,15 +436,11 @@ class Evaluation:
     #: flag the kernel checks are built once per workload, not once
     #: per cell.
     engine: str = "batch"
-    #: Retry/timeout/degradation policy for ``run_cells``.  ``None``
-    #: falls back to the ambient default (set by the CLI's ``--retries``
-    #: / ``--cell-timeout``); with neither, grids run unsupervised on
-    #: the exact pre-resilience code path.
+    #: Retry/timeout policy for ``run_cells``.  ``None`` falls back to
+    #: the ambient default (the CLI's ``--retries`` / ``--cell-timeout``,
+    #: see :func:`ambient_policy`); with neither, a serial grid runs on
+    #: the in-process parity path.
     policy: Optional[ResiliencePolicy] = None
-    #: Checkpoint journal (or path) for ``run_cells``; completed cells
-    #: are journaled and skipped bit-identically on resume.  ``None``
-    #: falls back to the ambient default (the CLI's ``--resume``).
-    checkpoint: Optional[object] = None
     _traces: Dict[str, Trace] = field(default_factory=dict)
     _baselines: Dict[str, SimResult] = field(default_factory=dict)
 
@@ -460,18 +472,9 @@ class Evaluation:
                     prefetcher_name="none", obs=obs, engine=self.engine)
         return self._baselines[workload]
 
-    def run(self, workload: str, prefetcher_name: str) -> EvalRow:
-        """Evaluate one registry prefetcher on one workload."""
-        prefetcher = make_prefetcher(prefetcher_name)
-        return run_prefetcher(self.trace(workload), prefetcher,
-                              self.baseline(workload),
-                              hierarchy=self.hierarchy, budget=self.budget,
-                              obs=self._obs(), engine=self.engine)
-
-    def run_config(self, workload: str, config: PathfinderConfig) -> EvalRow:
-        """Evaluate an explicit PATHFINDER config on one workload."""
-        return run_prefetcher(self.trace(workload),
-                              PathfinderPrefetcher(config),
+    def run(self, workload: str, spec: CellSpec) -> EvalRow:
+        """Evaluate one cell: a registry prefetcher or a PATHFINDER config."""
+        return run_prefetcher(self.trace(workload), make_prefetcher(spec),
                               self.baseline(workload),
                               hierarchy=self.hierarchy, budget=self.budget,
                               obs=self._obs(), engine=self.engine)
@@ -481,129 +484,99 @@ class Evaluation:
                         n_accesses=self.n_accesses, budget=self.budget,
                         engine=self.engine, hierarchy=self.hierarchy)
 
-    def _failed_row(self, workload: str, spec: CellSpec,
-                    outcome) -> EvalRow:
+    def _failed_row(self, workload: str, spec: CellSpec, attempts: int,
+                    error: str) -> EvalRow:
         """A zeroed placeholder for a cell that exhausted its retries."""
-        name = spec if isinstance(spec, str) else "pathfinder"
+        name = _spec_name(spec)
         result = SimResult(trace_name=workload, prefetcher_name=name)
         return EvalRow(workload=workload, prefetcher=name, ipc=0.0,
                        speedup=0.0, accuracy=0.0, coverage=0.0, issued=0,
                        useful=0, baseline_misses=0, result=result,
-                       extras={"outcome": "failed",
-                               "attempts": outcome.attempts,
-                               "error": outcome.error})
+                       extras={"outcome": "failed", "attempts": attempts,
+                               "error": error})
 
     def _ledger_cell(self, index: int, cell: Tuple[str, CellSpec],
-                     row: EvalRow, key: Optional[str] = None,
-                     restored: bool = False) -> None:
-        """Record one cell's provenance in the ambient run ledger."""
+                     row: EvalRow, key: str) -> None:
+        """Record one cell's provenance, and its row, in the run ledger."""
         ledger = active_ledger()
         if ledger is None:
             return
         workload, spec = cell
-        metrics = eval_row_metrics(row)
         error = row.extras.get("error")
+        outcome = str(row.extras.get("outcome", "ok"))
         ledger.record_cell(
-            cell=_cell_label(index, workload, spec),
-            key=key or self._cell_key(workload, spec),
+            cell=cell_label(index, workload, spec),
+            key=key,
             seed=self.seed,
             workload=workload,
             prefetcher=row.prefetcher,
-            metrics=metrics,
+            metrics=eval_row_metrics(row),
             timings=row.timings,
-            outcome=str(row.extras.get("outcome", "ok")),
+            outcome=outcome,
             attempts=int(row.extras.get("attempts", 1)),
-            restored=restored,
             error=str(error) if error is not None else None,
-            engine_used=row.extras.get("engine_used"))
-
-    def _publish_resilience(self, stats) -> None:
-        resilience_supervisor.note_stats(stats)
-        if self.obs is None or not self.obs.enabled:
-            return
-        scope = self.obs.registry.scope(component="resilience")
-        for label, count in stats.cells.items():
-            scope.counter(f"cells.{label}").inc(count)
-        if stats.pool_respawns:
-            scope.counter("pool.respawns").inc(stats.pool_respawns)
-        if stats.timeouts:
-            scope.counter("cell.timeouts").inc(stats.timeouts)
-        if stats.serial_fallback:
-            scope.counter("pool.serial_fallback").inc()
+            engine_used=row.extras.get("engine_used"),
+            row=row_to_dict(row) if outcome != "failed" else None)
 
     def run_cells(self, cells: Sequence[Tuple[str, CellSpec]],
                   jobs: int = 1,
-                  policy: Optional[ResiliencePolicy] = None,
-                  checkpoint=None) -> List[EvalRow]:
+                  policy: Optional[ResiliencePolicy] = None
+                  ) -> List[EvalRow]:
         """Evaluate arbitrary (workload, spec) cells, optionally in parallel.
+
+        Cells the active run ledger records as finished — the cells a
+        ``--resume`` ledger holds — are restored from it,
+        dataclass-equal, instead of re-run.  With
+        no policy in force and ``jobs <= 1`` (or one cell left), the
+        rest run serially in-process: the parity anchor.  Otherwise
+        they run as an ephemeral campaign on ``max(jobs, 1)`` worker
+        processes, in a temporary directory removed on return.
 
         Args:
             cells: ``(workload, spec)`` pairs where ``spec`` is a
                 registry prefetcher name or a ``PathfinderConfig``.
-            jobs: Worker processes; ``<= 1`` runs serially in-process.
+            jobs: Worker processes; ``<= 1`` runs serially in-process
+                unless a policy is in force.
             policy: Retry/timeout policy; overrides the ``Evaluation``
-                field and the ambient CLI default.  With a policy, every
-                row's ``extras`` records its outcome and failed cells
-                degrade to zeroed placeholder rows (``policy.degrade``)
-                instead of aborting the grid.
-            checkpoint: Journal (or path) to record completed cells in;
-                cells already journaled under an identical key are
-                restored bit-identically instead of re-run.
+                field and the ambient CLI default.  With a policy,
+                every row's ``extras`` records its outcome.
 
         Returns:
             One ``EvalRow`` per cell, in the order given.
 
         Raises:
-            WorkerCrashError: A cell failed and no degrading policy was
-                in force.  The exception carries ``partial_rows`` and
-                per-cell ``failures`` — finished work is never discarded.
+            WorkerCrashError: A cell failed and the policy allows no
+                retries.  The exception carries ``partial_rows`` and
+                per-cell ``failures`` — finished work is never
+                discarded.
         """
         cells = list(cells)
         if policy is None:
-            policy = (self.policy if self.policy is not None
-                      else resilience_supervisor.default_policy())
-        if checkpoint is None:
-            checkpoint = (self.checkpoint if self.checkpoint is not None
-                          else resilience_supervisor.default_checkpoint())
-        journal = resolve_journal(checkpoint)
-
-        rows: List[Optional[EvalRow]] = [None] * len(cells)
-        keys: List[Optional[str]] = [None] * len(cells)
-        pending: List[int] = []
-        for i, (workload, spec) in enumerate(cells):
-            if journal is not None:
-                keys[i] = self._cell_key(workload, spec)
-                rows[i] = journal.get(keys[i])
-                if rows[i] is not None:
-                    self._ledger_cell(i, cells[i], rows[i], key=keys[i],
-                                      restored=True)
-            if rows[i] is None:
-                pending.append(i)
-        if not pending:
-            return rows  # fully restored from the journal
-
-        run_id = current_run_id()
-
-        def finish(i: int, row: EvalRow) -> None:
-            rows[i] = row
-            if journal is not None:
-                journal.record(keys[i], row)
-            self._ledger_cell(i, cells[i], row, key=keys[i])
-
+            policy = self.policy
+        if policy is None and _AMBIENT is not None:
+            policy = _AMBIENT[0]
+        keys = [self._cell_key(workload, spec) for workload, spec in cells]
+        ledger = active_ledger()
+        finished = ledger.restorable_rows() if ledger is not None else {}
+        rows: List[Optional[EvalRow]] = [
+            row_from_dict(finished[key]) if key in finished else None
+            for key in keys]
+        pending = [i for i, row in enumerate(rows) if row is None]
         if policy is None and (jobs <= 1 or len(pending) <= 1):
-            # The exact pre-resilience serial path (parity anchor).
-            # Each cell runs under tracer context carrying the same
-            # run-id + cell tags the parallel workers stamp, so serial
-            # and parallel event logs line up record-for-record.
+            # The serial parity anchor.  Each cell runs under tracer
+            # context carrying the same run-id + cell tags the campaign
+            # workers stamp, so serial and parallel event logs line up
+            # record-for-record.
             obs = self._obs()
+            run_id = current_run_id()
             for i in pending:
                 workload, spec = cells[i]
-                label = _cell_label(i, workload, spec)
+                label = cell_label(i, workload, spec)
                 if obs.series is not None:
                     # Fill the trace/baseline caches outside the cell's
-                    # series context, exactly where the parallel path
-                    # generates them, so baseline series carry the same
-                    # (cell-free) labels in both modes.
+                    # series context, as the campaign path does, so
+                    # baseline series carry the same (cell-free) labels
+                    # in both modes.
                     self.baseline(workload)
                 context = {"cell": label}
                 if run_id is not None:
@@ -612,111 +585,118 @@ class Evaluation:
                                   if obs.series is not None
                                   else nullcontext())
                 with obs.tracer.context(**context), series_context:
-                    finish(i, self.run(workload, spec)
-                           if isinstance(spec, str)
-                           else self.run_config(workload, spec))
+                    rows[i] = self.run(workload, spec)
+                self._ledger_cell(i, cells[i], rows[i], keys[i])
             return rows
+        if pending:
+            self._run_campaign(cells, keys, rows, pending, max(jobs, 1),
+                               policy)
+        return rows
 
-        # Traces/baselines are generated in the parent (filling the
-        # caches) so every worker replays the identical access stream.
-        obs = self._obs()  # resolves the ambient bundle, if any
-        observe = obs.enabled
-        capture = observe and obs.tracer.enabled
-        series_window = (obs.series.window if obs.series is not None else 0)
-        plan = faults.active()
+    def _run_campaign(self, cells: List[Tuple[str, CellSpec]],
+                      keys: List[str], rows: List[Optional[EvalRow]],
+                      pending: List[int], workers: int,
+                      policy: Optional[ResiliencePolicy]) -> None:
+        """Run the pending cells as an ephemeral campaign; fill ``rows``.
 
-        def make_task(pos: int, attempt: int) -> Tuple:
-            i = pending[pos]
+        Traces and baselines are generated here, in the parent, so every
+        worker replays the identical access stream and baseline series
+        are recorded once, without a cell label, as in the serial loop.
+        Each cell's registry, events and series come back with its row
+        and are folded in cell order, so merged observability matches
+        the serial loop.
+        """
+        from ..campaign import Campaign, CampaignCell, CampaignSpec
+        from ..campaign.queue import QUARANTINED
+
+        obs = self._obs()
+        for i in pending:
+            self.baseline(cells[i][0])
+        # A cell listed twice runs once; both positions get its row.
+        unique = {keys[i]: i for i in reversed(pending)}
+        grid_cells = [CampaignCell(index=i, workload=cells[i][0],
+                                   prefetcher=_spec_name(cells[i][1]),
+                                   seed=self.seed, key=keys[i])
+                      for i in sorted(unique.values())]
+        # The spec is the envelope; the cells are the grid's own.  An
+        # unregistered name is left out of it, so that cell fails in its
+        # worker like any other cell error, not the whole grid up front.
+        envelope = CampaignSpec(
+            name="grid", seeds=(self.seed,), loads=self.n_accesses,
+            budget=self.budget, engine=self.engine,
+            workers=min(workers, len(grid_cells)),
+            workloads=tuple(dict.fromkeys(c.workload for c in grid_cells)),
+            prefetchers=tuple(dict.fromkeys(
+                c.prefetcher for c in grid_cells
+                if c.prefetcher in PREFETCHER_FACTORIES)) or ("nextline",),
+            max_attempts=(policy.retries if policy is not None else 0) + 1)
+        context = {
+            "evaluation": dataclasses.replace(
+                self, obs=Observability.disabled(), policy=None),
+            "observe": obs.enabled,
+            "capture": obs.enabled and obs.tracer.enabled,
+            "series_window": (obs.series.window if obs.series is not None
+                              else 0),
+            "run_id": current_run_id(),
+        }
+        with tempfile.TemporaryDirectory(prefix="repro-grid-") as tmp:
+            campaign = Campaign.for_grid(
+                tmp, envelope, grid_cells,
+                specs={key: cells[i][1] for key, i in unique.items()})
+            result = campaign.run(
+                echo=lambda _line: None, context=context,
+                cell_timeout_s=policy.cell_timeout_s if policy else None)
+        if _AMBIENT is not None:
+            _AMBIENT[1].add(campaign.stats)
+
+        failures: Dict[int, str] = {}
+        for i in pending:
             workload, spec = cells[i]
-            return (self.trace(workload), self.baseline(workload), spec,
-                    self.hierarchy, self.budget, observe, capture,
-                    self.engine, plan, attempt, i, run_id,
-                    _cell_label(i, workload, spec), series_window)
-
-        if policy is None:
-            # Unsupervised fan-out: one submit per cell so a raising
-            # cell reports alongside its siblings' finished work
-            # instead of discarding it.
-            failures: Dict[int, str] = {}
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending))) as pool:
-                futures = [pool.submit(_run_cell_task, make_task(pos, 0))
-                           for pos in range(len(pending))]
-                for pos, future in enumerate(futures):
-                    i = pending[pos]
-                    try:
-                        row, registry, events, series_records = \
-                            future.result()
-                    except Exception as exc:  # noqa: BLE001
-                        failures[i] = f"{type(exc).__name__}: {exc}"
-                    else:
-                        finish(i, row)
-                        if registry is not None:
-                            self._obs().registry.merge(registry)
-                        if events:
-                            # Futures are consumed in submission order,
-                            # so worker events land in deterministic
-                            # cell order regardless of completion order.
-                            self._obs().tracer.ingest(events)
-                        if series_records and obs.series is not None:
-                            obs.series.ingest(series_records)
-            if failures:
-                raise WorkerCrashError(
-                    f"{len(failures)} of {len(cells)} grid cell(s) "
-                    f"failed (no retry policy in force)",
-                    partial_rows=list(rows), failures=failures)
-            return rows
-
-        # Supervised path: retries/backoff/timeouts, pool respawn on
-        # BrokenProcessPool, serial fallback, per-cell accounting.
-        if jobs <= 1:
-            outcomes, stats = resilience_supervisor.run_serial(
-                _run_cell_task, make_task, len(pending), policy)
-        else:
-            outcomes, stats = resilience_supervisor.run_supervised(
-                _run_cell_task, make_task, len(pending), jobs, policy)
-        failures = {}
-        for pos, outcome in enumerate(outcomes):
-            i = pending[pos]
-            workload, spec = cells[i]
-            if outcome.ok:
-                row, registry, events, series_records = outcome.value
+            state = campaign.queue.cells[keys[i]]
+            payload = campaign.results.get(keys[i])
+            if payload is not None:
+                row, registry, events, series_records = payload
                 if registry is not None:
-                    self._obs().registry.merge(registry)
+                    obs.registry.merge(registry)
                 if events:
-                    self._obs().tracer.ingest(events)
+                    obs.tracer.ingest(events)
                 if series_records and obs.series is not None:
                     obs.series.ingest(series_records)
-                row.extras["outcome"] = outcome.outcome
-                row.extras["attempts"] = outcome.attempts
-                if outcome.error is not None:
-                    row.extras["error"] = outcome.error
-                finish(i, row)
-            elif policy.degrade:
-                # Degraded cell: placeholder row, NOT journaled, so a
-                # later --resume gets another shot at it (the ledger
-                # still records the failure for provenance).
-                rows[i] = self._failed_row(workload, spec, outcome)
-                self._ledger_cell(i, cells[i], rows[i], key=keys[i])
+                if policy is not None:
+                    row.extras["outcome"] = ("ok" if state.attempts == 0
+                                             else "retried")
+                    row.extras["attempts"] = state.attempts + 1
+                    if state.error is not None:
+                        row.extras["error"] = state.error
+                rows[i] = row
+            elif state.state != QUARANTINED:
+                continue  # interrupted before this cell finished
+            elif policy is not None and policy.retries:
+                rows[i] = self._failed_row(workload, spec, state.attempts,
+                                           state.error or "cell failed")
             else:
-                failures[i] = outcome.error or "cell failed"
-        self._publish_resilience(stats)
+                failures[i] = state.error or "cell failed"
+                continue
+            self._ledger_cell(i, cells[i], rows[i], keys[i])
+        if result["interrupted"]:
+            # SIGINT/SIGTERM stopped the campaign; the cells it finished
+            # are in the ledger above, for a --resume.
+            raise KeyboardInterrupt
         if failures:
+            detail = "; ".join(f"{cell_label(i, *cells[i])} ({error})"
+                               for i, error in failures.items())
             raise WorkerCrashError(
-                f"{len(failures)} of {len(cells)} grid cell(s) failed "
-                f"after {policy.retries + 1} attempt(s)",
-                partial_rows=list(rows), failures=failures)
-        return rows
+                f"{len(failures)} of {len(cells)} grid cell(s) failed: "
+                f"{detail}", partial_rows=list(rows), failures=failures)
 
     def run_grid(self, workloads: Sequence[str],
                  prefetchers: Sequence[str],
                  jobs: int = 1,
-                 policy: Optional[ResiliencePolicy] = None,
-                 checkpoint=None) -> List[EvalRow]:
+                 policy: Optional[ResiliencePolicy] = None) -> List[EvalRow]:
         """Evaluate the full grid, row-major by workload."""
         return self.run_cells([(workload, name) for workload in workloads
                                for name in prefetchers], jobs=jobs,
-                              policy=policy, checkpoint=checkpoint)
+                              policy=policy)
 
 
 @dataclass(frozen=True)
@@ -747,8 +727,8 @@ def multi_seed_grid(workloads: Sequence[str],
                     budget: int = 2,
                     obs: Optional[Observability] = None,
                     jobs: int = 1,
-                    policy: Optional[ResiliencePolicy] = None,
-                    checkpoint=None) -> List[SeedAggregate]:
+                    policy: Optional[ResiliencePolicy] = None
+                    ) -> List[SeedAggregate]:
     """Run a grid across several trace seeds and aggregate.
 
     Synthetic traces make seed sensitivity a real validity question;
@@ -762,15 +742,15 @@ def multi_seed_grid(workloads: Sequence[str],
             evaluation (phases and metrics all land in one registry).
         jobs: Worker processes per seed grid; ``<= 1`` stays serial.
         policy: Optional retry/timeout policy for every per-seed grid.
-        checkpoint: Optional shared journal — cell keys embed the seed,
-            so one journal resumes the whole multi-seed sweep.
+
+    Cell keys embed the seed, so one ``--resume`` ledger resumes the
+    whole multi-seed sweep.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
     evaluations = [Evaluation(n_accesses=n_accesses, seed=seed,
                               hierarchy=hierarchy or default_hierarchy(),
-                              budget=budget, obs=obs, policy=policy,
-                              checkpoint=checkpoint)
+                              budget=budget, obs=obs, policy=policy)
                    for seed in seeds]
     cells = [(workload, name) for workload in workloads
              for name in prefetchers]

@@ -26,6 +26,7 @@ from .ledger import (
     current_run_id,
     finish_run,
     read_ledger,
+    resume_run,
     set_active_ledger,
     start_run,
 )
@@ -150,6 +151,7 @@ __all__ = [
     "read_events",
     "read_ledger",
     "read_series",
+    "resume_run",
     "set_active_ledger",
     "set_default_observability",
     "start_run",

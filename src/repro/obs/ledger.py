@@ -1,30 +1,34 @@
 """Run ledger: append-only provenance records for every invocation.
 
 Every ``repro run`` / ``repro experiment`` invocation opens a
-:class:`RunLedger` under a results directory and writes:
+:class:`RunLedger` under a results directory (or at ``--resume PATH``)
+and writes:
 
 - one **manifest** record — run id, UTC timestamp, git SHA + dirty
   flag, the resolved configuration and its fingerprint, seeds, CLI
   argv, python/platform — so any number in a report can be traced back
   to the exact code state and inputs that produced it;
 - one **cell** record per completed grid cell — canonical cell key,
-  seed, resilience outcome/attempts, key metrics, phase timings;
+  seed, resilience outcome/attempts, key metrics, phase timings, and
+  the full serialised row, which is what ``--resume`` restores;
 - optional **experiment** records (experiment id + summary metrics);
+- a **resume** record each time a run is reopened (``--resume``,
+  ``repro campaign resume``);
 - one **finish** record with total wall time and resilience stats.
   A ledger *without* a finish record is a crashed/interrupted run —
   readers should treat it as incomplete rather than silently trust it.
 
-Records are one JSON object per line (``schema`` versioned).  The file
-is flushed through :func:`repro.resilience.atomic.atomic_write_text`
-on every append, so on-disk state is always a complete, parseable
-prefix of the run; :func:`read_ledger` additionally tolerates one torn
-trailing line, mirroring the checkpoint journal.
+Records are one JSON object per line (``schema`` versioned).  Each
+append is one fsynced line (:func:`repro.resilience.atomic.append_line`,
+the writer the campaign queue uses too), so a crash tears at most the
+final line: :func:`read_ledger` drops such a torn tail, and
+:meth:`RunLedger.load` truncates it before appending again, so it never
+becomes an interior line.
 
-The *active* ledger is ambient (like the resilience policy/checkpoint
-defaults) so grid internals can record per-cell provenance without any
-signature changes: the CLI installs it via :func:`set_active_ledger`
-and ``Evaluation.run_cells`` picks it up through
-:func:`active_ledger` / :func:`current_run_id`.
+The *active* ledger is ambient so grid internals can record per-cell
+provenance without any signature changes: the CLI installs it via
+:func:`start_run` / :func:`resume_run` and ``Evaluation.run_cells``
+picks it up through :func:`active_ledger` / :func:`current_run_id`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import time
 import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from ..errors import ConfigError
 
 #: Bump when the record layout changes incompatibly.
 LEDGER_SCHEMA = 1
@@ -123,18 +129,14 @@ class RunLedger:
         return len(self._records)
 
     def append(self, record: Dict[str, object]) -> None:
-        """Append one record (run id injected) and persist atomically."""
+        """Append one record (run id injected) as one fsynced line."""
+        from ..resilience.atomic import append_line
+
         record = dict(record)
         record.setdefault("run_id", self.run_id)
         self._records.append(record)
-        self._flush()
-
-    def _flush(self) -> None:
-        from ..resilience.atomic import atomic_write_text
-
-        lines = [json.dumps(record, separators=(",", ":"), default=_coerce)
-                 for record in self._records]
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
+        line = json.dumps(record, separators=(",", ":"), default=_coerce)
+        append_line(self.path, (line + "\n").encode("utf-8"))
 
     def write_manifest(self, command: str, argv: List[str],
                        config: Dict[str, object],
@@ -161,11 +163,16 @@ class RunLedger:
                     metrics: Dict[str, object],
                     timings: Optional[Dict[str, float]] = None,
                     outcome: str = "ok", attempts: int = 1,
-                    restored: bool = False,
                     error: Optional[str] = None,
                     engine_used: Optional[str] = None,
-                    worker: Optional[str] = None) -> None:
-        """Record provenance for one completed (or restored) grid cell."""
+                    worker: Optional[str] = None,
+                    row: Optional[Dict[str, object]] = None) -> None:
+        """Record provenance for one finished grid cell.
+
+        ``row`` is the cell's serialised ``EvalRow``
+        (:func:`repro.harness.runner.row_to_dict`), which ``--resume``
+        restores instead of re-running the cell.
+        """
         record: Dict[str, object] = {
             "kind": "cell",
             "cell": cell,
@@ -175,7 +182,6 @@ class RunLedger:
             "prefetcher": prefetcher,
             "outcome": outcome,
             "attempts": attempts,
-            "restored": restored,
             "metrics": dict(metrics),
             "timings": dict(timings or {}),
         }
@@ -185,24 +191,54 @@ class RunLedger:
             record["worker"] = worker
         if error is not None:
             record["error"] = error
+        if row is not None:
+            record["row"] = row
         self.append(record)
+
+    def record_resume(self, argv: List[str]) -> None:
+        """Mark where a reopened run picks up again."""
+        self.append({
+            "kind": "resume",
+            "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                           time.gmtime()),
+            "argv": list(argv),
+        })
+
+    def restorable_rows(self) -> Dict[str, Dict[str, object]]:
+        """The serialised row of every ok/retried cell, by cell key.
+
+        What a grid restores instead of re-running a cell; failed cells
+        record no row, so they run again.
+        """
+        return {str(record["key"]): record["row"]
+                for record in self._records
+                if record.get("kind") == "cell" and "row" in record
+                and record.get("outcome") in ("ok", "retried")}
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunLedger":
-        """Reopen an existing ledger so new records append after old ones.
+        """Reopen an existing run ledger so new records append after old ones.
 
-        Campaign resume reopens the interrupted run's ledger: previously
-        recorded cells stay in place (and are never re-executed), new
-        cells append behind them under the original ``run_id``.  All
-        records — including kinds this reader does not interpret — are
-        preserved verbatim on the next flush.
+        Campaign resume and ``--resume`` reopen the interrupted run's
+        ledger: previously recorded cells stay in place (and are never
+        re-executed), new records append behind them under the original
+        ``run_id``.  A torn final line is truncated first.  Raises
+        :class:`~repro.errors.ConfigError`, leaving the file untouched,
+        when ``path`` is not a run ledger: unreadable, corrupt before
+        its last line, or without a manifest of this schema.
         """
         path = Path(path)
-        records = _read_records(path)
-        run_id = next(
-            (str(record["run_id"]) for record in records
-             if record.get("run_id")), None)
-        ledger = cls(path, run_id if run_id is not None else new_run_id())
+        try:
+            records = _read_records(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}: not a run ledger ({exc})") from None
+        manifest = next((record for record in records
+                         if record.get("kind") == "manifest"), None)
+        if manifest is None or manifest.get("schema") != LEDGER_SCHEMA:
+            raise ConfigError(f"{path}: not a run ledger (no schema "
+                              f"{LEDGER_SCHEMA} manifest)")
+        _drop_torn_tail(path)
+        ledger = cls(path, str(manifest.get("run_id") or new_run_id()))
         ledger._records = records
         return ledger
 
@@ -232,12 +268,54 @@ def start_run(results_dir: Union[str, Path], command: str,
     return ledger
 
 
+def resume_run(path: Union[str, Path], command: str, argv: List[str],
+               config: Dict[str, object],
+               seeds: Optional[List[int]] = None) -> RunLedger:
+    """Open ``path`` as a ``--resume`` run's ledger and make it ambient.
+
+    An absent path starts a new ledger there (manifest first, as
+    :func:`start_run`); a run ledger is reopened with a ``resume``
+    record, and grids restore the cells it records as finished
+    (:meth:`RunLedger.restorable_rows`).  Anything else raises
+    :class:`~repro.errors.ConfigError` and is left byte-identical.
+    """
+    path = Path(path)
+    if path.exists():
+        ledger = RunLedger.load(path)
+        ledger.record_resume(argv)
+    else:
+        ledger = RunLedger(path, new_run_id())
+        ledger.write_manifest(command, argv, config, seeds=seeds)
+    set_active_ledger(ledger)
+    return ledger
+
+
 def finish_run(ledger: RunLedger, wall_s: float, status: str = "ok",
                resilience: Optional[Dict[str, object]] = None) -> None:
     """Close out a ledger opened by :func:`start_run`."""
     ledger.finish(wall_s, status=status, resilience=resilience)
     if active_ledger() is ledger:
         set_active_ledger(None)
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Make ``path`` end on a complete line before appending to it.
+
+    A final line without its newline is either a torn record, which is
+    truncated away, or a whole one, which gets its newline.
+    """
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        with open(path, "r+b") as fh:
+            fh.truncate(start)
+    else:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
 
 
 def _read_records(path: Path) -> List[Dict[str, object]]:

@@ -183,8 +183,8 @@ def read_events(path, tolerate_torn_tail: bool = True
     """Parse a JSONL event file back into a list of dicts.
 
     Blank lines are skipped.  A malformed *final* line is dropped (a
-    torn tail from a crash mid-write — the same tolerance the
-    checkpoint journal applies); malformed lines anywhere else raise
+    torn tail from a crash mid-write — the same tolerance the run
+    ledger applies); malformed lines anywhere else raise
     ``ValueError`` with the offending line number.  Pass
     ``tolerate_torn_tail=False`` to make a torn tail raise too.
     """

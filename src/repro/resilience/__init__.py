@@ -1,62 +1,43 @@
-"""repro.resilience: fault injection, supervision, checkpoints, guards.
+"""repro.resilience: fault injection, prefetcher guards, crash-safe writes.
 
 The resilience layer makes the evaluation pipeline survive the failures
-a long parallel grid actually hits — crashing workers, hanging cells,
-throwing prefetchers, NaN'd models, torn files — and makes every one of
-them *reproducible on demand* via seeded fault injection:
+a long run actually hits — throwing prefetchers, NaN'd models, torn
+files, and (through the campaign layer) crashing or hanging workers —
+and makes every one of them *reproducible on demand* via seeded fault
+injection:
 
 - :mod:`~repro.resilience.faults` — deterministic :class:`FaultPlan`
   with named fault points, armed ambiently (``--inject-faults`` / tests);
-- :mod:`~repro.resilience.supervisor` — :func:`run_supervised` parallel
-  execution with retries, backoff, per-cell timeouts, pool respawn and
-  serial fallback, governed by a :class:`ResiliencePolicy`;
-- :mod:`~repro.resilience.checkpoint` — atomic JSONL
-  :class:`CheckpointJournal` for bit-identical ``--resume``;
 - :mod:`~repro.resilience.guard` — :class:`GuardedPrefetcher`
   quarantining a misbehaving learner instead of aborting the replay;
-- :mod:`~repro.resilience.atomic` — crash-safe artifact writes.
+- :mod:`~repro.resilience.atomic` — crash-safe artifact writes and
+  durable appends.
+
+Retries, backoff, cell timeouts and worker-crash recovery belong to
+:mod:`repro.campaign`, which runs every parallel or supervised grid
+(``Evaluation.run_cells``); the run ledger (:mod:`repro.obs.ledger`) is
+what ``--resume`` restores finished cells from.
 """
 
-from .atomic import atomic_write_json, atomic_write_text
-from .checkpoint import (CheckpointJournal, cell_key, resolve_journal,
-                         row_from_dict, row_to_dict)
+from .atomic import append_line, atomic_write_json, atomic_write_text
 from .faults import (ACTIVE, FAULT_POINTS, FaultPlan, FaultPoint, active,
                      arm, corrupt_trace, disarm, fires, injected)
 from .guard import DEFAULT_QUARANTINE_AFTER, GuardedPrefetcher
-from .supervisor import (CellOutcome, ResiliencePolicy, SupervisorStats,
-                         default_checkpoint, default_policy, drain_stats,
-                         note_stats, run_serial, run_supervised,
-                         set_default_checkpoint, set_default_policy)
 
 __all__ = [
     "ACTIVE",
     "FAULT_POINTS",
-    "CellOutcome",
-    "CheckpointJournal",
     "DEFAULT_QUARANTINE_AFTER",
     "FaultPlan",
     "FaultPoint",
     "GuardedPrefetcher",
-    "ResiliencePolicy",
-    "SupervisorStats",
     "active",
+    "append_line",
     "arm",
     "atomic_write_json",
     "atomic_write_text",
-    "cell_key",
     "corrupt_trace",
-    "default_checkpoint",
-    "default_policy",
     "disarm",
-    "drain_stats",
     "fires",
     "injected",
-    "note_stats",
-    "resolve_journal",
-    "row_from_dict",
-    "row_to_dict",
-    "run_serial",
-    "run_supervised",
-    "set_default_checkpoint",
-    "set_default_policy",
 ]

@@ -1,10 +1,14 @@
-"""Crash-safe file writes: temp file in the target directory + ``os.replace``.
+"""Crash-safe file writes: whole-file replaces and durable appends.
 
-Every artifact the pipeline persists — perf reports, metrics snapshots,
-event streams, experiment JSON, checkpoint journals — goes through one
-of these helpers so a crash (or an injected one) can never leave a
+Every artifact the pipeline rewrites whole — metrics snapshots, event
+streams, experiment JSON, dashboards, ``campaign.json`` — goes through
+:func:`atomic_write_text` (temp file in the target directory +
+``os.replace``), so a crash (or an injected one) can never leave a
 truncated file at the final path: readers either see the complete old
-content or the complete new content.
+content or the complete new content.  The two append-only JSONL logs —
+run ledgers and campaign queues — go through :func:`append_line`
+instead: one fsynced write per record, so a crash tears at most the
+final line, which their readers drop.
 """
 
 from __future__ import annotations
@@ -76,6 +80,21 @@ def atomic_write_json(path: PathLike, payload, indent: int = 2,
     text = json.dumps(payload, indent=indent, sort_keys=sort_keys,
                       default=default) + "\n"
     atomic_write_text(path, text, fsync=fsync)
+
+
+def append_line(path: PathLike, data: bytes, reframe: bool = False) -> None:
+    """Append ``data`` (one record, newline included) to ``path`` durably.
+
+    One O(1) write plus an fsync, whatever the file's size.  ``reframe``
+    first starts a fresh line: the writer passes it when its previous
+    append was torn, so the torn bytes stay a line of their own.
+    """
+    with open(path, "ab") as fh:
+        if reframe:
+            fh.write(b"\n")
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def tolerant_read_text(path: PathLike) -> str:

@@ -11,13 +11,13 @@ places in the codebase that can be made to misbehave on demand:
                         (param ``rate``, default 1.0)
 ``snn.weight_nan``      poison one SNN weight column with NaN (params
                         ``after`` queries, default 50; ``count``, default 1)
-``worker.crash``        ``os._exit`` inside a grid worker process (params
-                        ``cells``, ``attempts`` — default first attempt only)
-``worker.hang``         sleep inside a grid worker (params ``seconds``,
-                        default 30; ``cells``; ``attempts``)
-``campaign.worker_crash``  ``os._exit`` inside a campaign worker mid-cell
-                        (params ``cells``, ``attempts`` — default first
-                        attempt only)
+``worker.crash``        ``os._exit`` inside a worker process as a cell
+                        starts (params ``cells``, ``attempts`` — default
+                        first attempt only)
+``worker.hang``         sleep inside a worker's cell while it keeps
+                        heartbeating, so only a cell timeout reclaims it
+                        (params ``seconds``, default 30; ``cells``;
+                        ``attempts``)
 ``campaign.lease_expire``  a campaign worker stops heartbeating and sleeps
                         past its lease TTL (params ``seconds`` — default
                         1.5x the TTL; ``cells``; ``attempts``)
@@ -30,13 +30,13 @@ Plans are deterministic: every point draws from its own
 ``random.Random`` seeded by ``(plan seed, point name)``, so the same
 spec produces the same failures on every run — a fuzzing-style
 requirement (cf. FuzzBench's measurer retries) that makes chaos tests
-reproducible.  Plans pickle cleanly so grid workers can re-arm the
-parent's plan, and the ``attempt`` threaded through :func:`fires` lets
-a point misfire on the first attempt of a cell and stand down on the
-retry.
+reproducible.  Plans pickle cleanly so workers can re-arm the parent's
+plan for every cell, and the ``attempt`` threaded through :func:`fires`
+lets a point misfire on the first attempt of a cell and stand down on
+the retry.
 
 Arming is ambient (module-level) so deep call sites — the SNN, the
-prefetcher guard, grid workers — need no plumbing: wrap the run in
+prefetcher guard, campaign workers — need no plumbing: wrap the run in
 :func:`injected` or call :func:`arm`/:func:`disarm`.  With no plan
 armed every hook is a single ``is None`` check.
 """
@@ -55,10 +55,8 @@ FAULT_POINTS: Dict[str, str] = {
     "trace.corrupt": "rewrite a sample of trace addresses (frac=0.02)",
     "prefetcher.access": "raise inside the guarded prefetcher (rate=1.0)",
     "snn.weight_nan": "poison an SNN weight column with NaN (after=50)",
-    "worker.crash": "kill a grid worker process (cells=all, attempts=1)",
-    "worker.hang": "hang a grid worker (seconds=30, attempts=1)",
-    "campaign.worker_crash":
-        "kill a campaign worker mid-cell (cells=all, attempts=1)",
+    "worker.crash": "kill a worker process (cells=all, attempts=1)",
+    "worker.hang": "hang a worker's cell (seconds=30, attempts=1)",
     "campaign.lease_expire":
         "suppress a campaign worker's heartbeats and outlive its lease "
         "(attempts=1)",
@@ -69,7 +67,7 @@ FAULT_POINTS: Dict[str, str] = {
 #: Points whose default is to fire on the first attempt of a cell only,
 #: so a bounded retry policy recovers deterministically.
 _FIRST_ATTEMPT_ONLY = ("worker.crash", "worker.hang",
-                       "campaign.worker_crash", "campaign.lease_expire")
+                       "campaign.lease_expire")
 
 #: Points whose default is to fire a bounded number of times.
 _COUNT_ONE_DEFAULT = ("snn.weight_nan", "campaign.queue_torn_write")

@@ -232,7 +232,7 @@ class TraceArrays:
     pulling them out of ``MemoryAccess`` objects costs an attribute
     lookup plus a property call per field per access.  This view
     materialises the columns once — after that, iteration, slicing,
-    and pickling to pool workers touch only flat arrays.
+    and handing the trace to worker processes touch only flat arrays.
 
     Attributes:
         instr_ids / pcs / addresses / blocks: One ``int64`` array per
@@ -328,7 +328,7 @@ class Trace:
     total_instructions: Optional[int] = None
     # Lazily built struct-of-arrays view; excluded from equality so two
     # traces compare by content regardless of whether either was
-    # replayed.  Pickling keeps it, so pool workers reuse the columns.
+    # replayed.  Pickling keeps it, so worker processes reuse the columns.
     _arrays: Optional[TraceArrays] = field(
         default=None, repr=False, compare=False)
 

@@ -210,7 +210,7 @@ def test_serial_campaign_end_to_end(tmp_path):
     parsed = read_ledger(directory / LEDGER_FILE)
     assert parsed["manifest"]["command"] == "campaign"
     assert parsed["finish"]["status"] == "ok"
-    assert parsed["finish"]["resilience"]["campaign"]["completed"] == 2
+    assert parsed["finish"]["resilience"]["completed"] == 2
     assert len(parsed["cells"]) == 2
     for record in parsed["cells"]:
         assert record["outcome"] == "ok"

@@ -54,7 +54,7 @@ def test_worker_crash_is_retried_bit_identically(tmp_path):
     spec = chaos_spec()
     directory = tmp_path / "crash"
     campaign = Campaign.create(directory, spec,
-                               fault_spec="campaign.worker_crash:cells=0")
+                               fault_spec="worker.crash:cells=0")
     result = campaign.run(echo=lambda _line: None)
     assert result["finished"]
     assert result["stats"]["worker_crashes"] >= 1
@@ -73,6 +73,17 @@ def test_worker_crash_is_retried_bit_identically(tmp_path):
         assert record["engine_used"] == "batch"
         assert clean[key]["engine_used"] == "batch"
         assert record["metrics"] == clean[key]["metrics"]
+
+    # The dashboard's run-status table reads the campaign's own stats.
+    from repro.harness.dashboard import render_dashboard
+
+    html_text = render_dashboard(ledger=read_ledger(directory / LEDGER_FILE))
+    resilience = html_text[html_text.index("<h3>Resilience</h3>"):]
+    crashes = result["stats"]["worker_crashes"]
+    assert f"<td>worker crashes</td><td>{crashes}</td>" in resilience
+    assert (f"<td>retries</td><td>{result['stats']['retries']}</td>"
+            in resilience)
+    assert "pool respawns" not in resilience
 
 
 def test_armed_faults_keep_batch_engine_in_serial(tmp_path):
@@ -116,7 +127,7 @@ def test_poison_cell_is_quarantined_not_fatal(tmp_path):
     directory = tmp_path / "poison"
     campaign = Campaign.create(
         directory, spec,
-        fault_spec="campaign.worker_crash:cells=0,attempts=99")
+        fault_spec="worker.crash:cells=0,attempts=99")
     result = campaign.run(echo=lambda _line: None)
     # The campaign finishes despite the poison cell: the healthy cell
     # completes, the poisoned one lands on the quarantine list.
@@ -187,14 +198,14 @@ def test_stored_fault_spec_rearms_on_resume(tmp_path):
     spec = chaos_spec(workers=1)
     directory = tmp_path / "rearmed"
     Campaign.create(directory, spec,
-                    fault_spec="campaign.worker_crash:cells=1")
+                    fault_spec="worker.crash:cells=1")
     resumed = Campaign.open(directory)
-    assert resumed.fault_spec == "campaign.worker_crash:cells=1"
+    assert resumed.fault_spec == "worker.crash:cells=1"
     result = resumed.run(echo=lambda _line: None)
     assert result["finished"]
     assert result["stats"]["worker_crashes"] >= 1  # fault fired on resume
     meta = json.loads((directory / "campaign.json").read_text())
-    assert meta["fault_spec"] == "campaign.worker_crash:cells=1"
+    assert meta["fault_spec"] == "worker.crash:cells=1"
 
 
 def test_campaign_series_survives_interrupt_and_resume(tmp_path):

@@ -1,15 +1,22 @@
 """Chaos suite: every injected fault must degrade gracefully — a run
 completes with the damage recorded in extras/stats, never an unhandled
 traceback — and with faults disabled or recovered-from, results stay
-bit-identical to a clean run."""
+bit-identical to a clean run.  Grids run their cells as campaigns, so
+this also covers ``--resume`` from a run ledger."""
+
+import json
+import time
 
 import numpy as np
 import pytest
 
-from repro.harness.runner import Evaluation
-from repro.obs import Observability
-from repro.resilience import (CheckpointJournal, FaultPlan, ResiliencePolicy,
-                              drain_stats, injected)
+from repro.errors import WorkerCrashError
+from repro.harness import runner
+from repro.harness.runner import (Evaluation, ResiliencePolicy,
+                                  ambient_policy, multi_seed_grid)
+from repro.obs import Observability, read_ledger
+from repro.obs.ledger import finish_run, resume_run, set_active_ledger
+from repro.resilience import FaultPlan, injected
 from repro.resilience import faults
 
 CELLS = [("cc-5", "nextline"), ("cc-5", "spp")]
@@ -18,10 +25,9 @@ N = 800
 
 @pytest.fixture(autouse=True)
 def _clean_resilience_state():
-    drain_stats()
     yield
-    drain_stats()
     faults.disarm()
+    set_active_ledger(None)
 
 
 def _row_values(row):
@@ -30,50 +36,95 @@ def _row_values(row):
             row.baseline_misses)
 
 
-def _clean_rows():
-    return Evaluation(n_accesses=N).run_cells(CELLS, jobs=1)
+def _clean_rows(cells=CELLS):
+    return Evaluation(n_accesses=N).run_cells(cells, jobs=1)
+
+
+def _resumed(path, run):
+    """``run()`` with ``path`` open as its ``--resume`` run ledger."""
+    ledger = resume_run(path, "test", [], {})
+    try:
+        return run()
+    finally:
+        finish_run(ledger, 0.0)
+
+
+def _count_runs(monkeypatch, tmp_path):
+    """Count ``run_prefetcher`` calls, worker processes included."""
+    log = tmp_path / "runs.log"
+    real = runner.run_prefetcher
+
+    def counted(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("run\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_prefetcher", counted)
+    return lambda: (len(log.read_text().splitlines())
+                    if log.exists() else 0)
 
 
 def test_worker_crash_recovers_with_retry():
-    policy = ResiliencePolicy(retries=1, backoff_s=0.01)
-    with injected(FaultPlan.parse("worker.crash:cells=0")):
+    policy = ResiliencePolicy(retries=1)
+    with ambient_policy(None) as stats, \
+            injected(FaultPlan.parse("worker.crash:cells=0")):
         rows = Evaluation(n_accesses=N).run_cells(CELLS, jobs=2,
                                                   policy=policy)
-    stats = drain_stats()
-    assert stats.pool_respawns >= 1
+    assert stats.worker_crashes >= 1 and stats.retries >= 1
     assert all(r.extras["outcome"] in ("ok", "retried") for r in rows)
-    assert any(r.extras["outcome"] == "retried" for r in rows)
+    assert rows[0].extras["outcome"] == "retried"
+    assert "worker crashed" in rows[0].extras["error"]
     # The recovered grid is bit-identical to an unfaulted serial run.
     assert [_row_values(r) for r in rows] == \
            [_row_values(r) for r in _clean_rows()]
 
 
 def test_worker_hang_times_out_then_retry_succeeds():
-    policy = ResiliencePolicy(retries=1, backoff_s=0.01, cell_timeout_s=5.0)
-    with injected(FaultPlan.parse("worker.hang:cells=0,seconds=60")):
+    policy = ResiliencePolicy(retries=1, cell_timeout_s=5.0)
+    start = time.monotonic()
+    with ambient_policy(None) as stats, \
+            injected(FaultPlan.parse("worker.hang:cells=0,seconds=60")):
         rows = Evaluation(n_accesses=N).run_cells(CELLS, jobs=2,
                                                   policy=policy)
-    stats = drain_stats()
-    assert stats.timeouts >= 1
+    # Reclaimed at the timeout, well before the 60 s hang would end.
+    assert time.monotonic() - start < 30
+    assert stats.expirations >= 1
     assert rows[0].extras["outcome"] == "retried"
+    assert "timed out" in rows[0].extras["error"]
     assert all(r.extras["outcome"] != "failed" for r in rows)
     assert [_row_values(r) for r in rows] == \
            [_row_values(r) for r in _clean_rows()]
 
 
-def test_repeated_crashes_degrade_to_serial_fallback():
-    policy = ResiliencePolicy(retries=3, backoff_s=0.01, max_pool_respawns=1)
-    # attempts=99: the crash never stands down, so only the in-process
-    # serial fallback (where worker faults are inert) can finish.
-    with injected(FaultPlan.parse("worker.crash:attempts=99")):
+def test_repeated_crashes_quarantine_the_cell():
+    policy = ResiliencePolicy(retries=2)
+    # attempts=99: the crash never stands down, so the cell exhausts its
+    # three attempts and degrades to a failed row; run in-process, it
+    # would have killed the parent.
+    with ambient_policy(None) as stats, \
+            injected(FaultPlan.parse("worker.crash:cells=0,attempts=99")):
         rows = Evaluation(n_accesses=N).run_cells(CELLS, jobs=2,
                                                   policy=policy)
-    stats = drain_stats()
-    assert stats.serial_fallback
-    assert stats.pool_respawns > policy.max_pool_respawns
-    assert all(r.extras["outcome"] != "failed" for r in rows)
-    assert [_row_values(r) for r in rows] == \
-           [_row_values(r) for r in _clean_rows()]
+    assert stats.quarantined == 1 and stats.worker_crashes == 3
+    assert rows[0].extras["outcome"] == "failed"
+    assert rows[0].extras["attempts"] == 3
+    assert rows[0].ipc == 0.0
+    assert rows[1].extras["outcome"] == "ok"
+    assert _row_values(rows[1]) == _row_values(_clean_rows()[1])
+
+
+def test_one_dead_worker_fails_only_its_cell():
+    cells = [("cc-5", name) for name in ("nextline", "bo", "spp", "sisb")]
+    with injected(FaultPlan.parse("worker.crash:cells=0")):
+        with pytest.raises(WorkerCrashError) as excinfo:
+            Evaluation(n_accesses=600).run_cells(cells, jobs=2)
+    err = excinfo.value
+    assert set(err.failures) == {0}
+    assert "000:cc-5:nextline" in str(err)
+    assert err.partial_rows[0] is None
+    clean = Evaluation(n_accesses=600).run_cells(cells, jobs=1)
+    assert [_row_values(r) for r in err.partial_rows[1:]] == \
+           [_row_values(r) for r in clean[1:]]
 
 
 def test_always_raising_prefetcher_quarantines_not_crashes():
@@ -107,7 +158,7 @@ def test_trace_corruption_is_survived():
 
 
 def test_supervised_serial_matches_unsupervised():
-    policy = ResiliencePolicy(retries=1, backoff_s=0.01)
+    policy = ResiliencePolicy(retries=1)
     supervised = Evaluation(n_accesses=N).run_cells(CELLS, jobs=1,
                                                     policy=policy)
     assert all(r.extras["outcome"] == "ok" for r in supervised)
@@ -115,34 +166,79 @@ def test_supervised_serial_matches_unsupervised():
            [_row_values(r) for r in _clean_rows()]
 
 
-def test_checkpoint_resume_is_bit_identical(tmp_path):
-    path = tmp_path / "grid.ckpt"
-    # "Interrupted" run: only the first cell completes before the kill.
-    first = Evaluation(n_accesses=N).run_cells(CELLS[:1], checkpoint=path)
-    assert len(CheckpointJournal(path)) == 1
-    # Resume finishes the grid; the journaled cell is restored, not
-    # re-run, and the whole grid matches an uninterrupted run.
-    resumed = Evaluation(n_accesses=N).run_cells(CELLS, checkpoint=path)
-    fresh = Evaluation(n_accesses=N).run_cells(CELLS)
-    assert resumed[0] == first[0]  # full-dataclass bit-identity
-    assert [_row_values(r) for r in resumed] == \
-           [_row_values(r) for r in fresh]
-    assert len(CheckpointJournal(path)) == len(CELLS)
-    # A second resume restores everything without recomputing.
-    restored = Evaluation(n_accesses=N).run_cells(CELLS, checkpoint=path)
-    assert restored == resumed
+def test_checkpoint_resume_is_bit_identical(tmp_path, monkeypatch):
+    cells = CELLS + [("cc-5", "bo")]
+    fresh = _clean_rows(cells)
+    runs = _count_runs(monkeypatch, tmp_path)
+    for jobs in (1, 2):
+        path = tmp_path / f"grid-j{jobs}.jsonl"
+        # "Interrupted" run: only the first cell completes.
+        first = _resumed(path, lambda: Evaluation(n_accesses=N).run_cells(
+            cells[:1], jobs=jobs))
+        # Resume finishes the grid: the recorded cell is restored, not
+        # re-run, and the whole grid matches an uninterrupted run.
+        before = runs()
+        resumed = _resumed(path, lambda: Evaluation(n_accesses=N).run_cells(
+            cells, jobs=jobs))
+        assert runs() - before == len(cells) - 1
+        assert resumed[0] == first[0]  # full-dataclass bit-identity
+        assert [_row_values(r) for r in resumed] == \
+               [_row_values(r) for r in fresh]
+        # A second resume restores everything without recomputing, and
+        # each key keeps exactly one finished record.
+        before = runs()
+        restored = _resumed(path, lambda: Evaluation(
+            n_accesses=N).run_cells(cells, jobs=jobs))
+        assert runs() == before
+        assert restored == resumed
+        parsed = read_ledger(path)
+        keys = [c["key"] for c in parsed["cells"]]
+        assert len(keys) == len(set(keys)) == len(cells)
 
 
 def test_checkpoint_skips_failed_cells_for_retry_on_resume(tmp_path):
-    path = tmp_path / "grid.ckpt"
-    policy = ResiliencePolicy(retries=0, backoff_s=0.0)
+    path = tmp_path / "grid.jsonl"
+    policy = ResiliencePolicy(retries=1)
     cells = [("cc-5", "nextline"), ("cc-5", "no-such-prefetcher")]
-    rows = Evaluation(n_accesses=600).run_cells(cells, jobs=2,
-                                                policy=policy,
-                                                checkpoint=path)
+    rows = _resumed(path, lambda: Evaluation(n_accesses=600).run_cells(
+        cells, jobs=2, policy=policy))
     assert rows[1].extras["outcome"] == "failed"
-    # Only the successful cell is journaled: resume retries the failure.
-    assert len(CheckpointJournal(path)) == 1
+    # Only the successful cell is restorable: resume retries the failure.
+    ledger = resume_run(path, "test", [], {})
+    try:
+        restorable = ledger.restorable_rows()
+    finally:
+        finish_run(ledger, 0.0)
+    assert [json.loads(key)["spec"] for key in restorable] == ["nextline"]
+
+
+def test_multi_seed_sweep_resumes_from_one_ledger(tmp_path, monkeypatch):
+    kwargs = dict(workloads=["cc-5"], prefetchers=["nextline", "sisb"],
+                  seeds=(1, 2), n_accesses=N, jobs=2)
+    path = tmp_path / "sweep.jsonl"
+    first = _resumed(path, lambda: multi_seed_grid(**kwargs))
+    runs = _count_runs(monkeypatch, tmp_path)
+    again = _resumed(path, lambda: multi_seed_grid(**kwargs))
+    assert runs() == 0  # cell keys embed the seed: every seed restored
+    assert again == first
+
+
+def test_fig6_table8_resumes_both_grids_from_one_ledger(tmp_path,
+                                                        monkeypatch):
+    from repro.harness.experiments import experiment_fig6_table8
+
+    def run():
+        return experiment_fig6_table8(n_accesses=600, workloads=["cc-5"],
+                                      neuron_counts=(10, 20), jobs=2)
+
+    path = tmp_path / "fig6.jsonl"
+    first = _resumed(path, run)
+    assert len(read_ledger(path)["cells"]) == 4  # two grids of two
+    runs = _count_runs(monkeypatch, tmp_path)
+    again = _resumed(path, run)
+    assert runs() == 0
+    assert again.metrics == first.metrics
+    assert again.format() == first.format()
 
 
 def test_cli_chaos_smoke(capsys):
@@ -150,30 +246,67 @@ def test_cli_chaos_smoke(capsys):
 
     assert main(["experiment", "table6", "--loads", "600",
                  "--workloads", "cc-5", "--jobs", "2", "--retries", "1",
-                 "--inject-faults", "worker.crash:cells=0"]) == 0
+                 "--no-ledger", "--inject-faults",
+                 "worker.crash:cells=0"]) == 0
     out = capsys.readouterr().out
     assert "[resilience] cells:" in out
+    assert "1 worker crash(es)" in out
+    assert "[campaign]" not in out
     assert "Traceback" not in out
 
 
-def test_cli_resume_roundtrip(tmp_path, capsys):
+def test_cli_failed_cells_end_in_one_error_line(capsys):
     from repro.cli import main
 
-    ckpt = tmp_path / "exp.ckpt"
+    assert main(["experiment", "table6", "--loads", "800",
+                 "--workloads", "cc-5", "--jobs", "2", "--no-ledger",
+                 "--inject-faults", "worker.crash:cells=0"]) == 1
+    out = capsys.readouterr().out
+    errors = [line for line in out.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "000:cc-5:spp" in errors[0] and "worker crashed" in errors[0]
+    assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("content", [b"garbage", b"garbage\n",
+                                     b"# README\n\nNot a ledger.\n"])
+def test_cli_resume_refuses_a_file_that_is_not_a_run_ledger(
+        tmp_path, capsys, content):
+    from repro.cli import main
+
+    path = tmp_path / "not-a-ledger"
+    path.write_bytes(content)
+    assert main(["experiment", "table6", "--loads", "600", "--workloads",
+                 "cc-5", "--jobs", "2", "--resume", str(path)]) == 2
+    out = capsys.readouterr().out
+    errors = [line for line in out.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "not a run ledger" in errors[0]
+    assert path.read_bytes() == content
+
+
+def test_cli_resume_roundtrip(tmp_path, capsys, monkeypatch):
+    from repro.cli import main
+
+    ledger = tmp_path / "exp.jsonl"
     argv = ["experiment", "table6", "--loads", "600", "--workloads",
-            "cc-5", "--resume", str(ckpt)]
+            "cc-5", "--resume", str(ledger)]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert ckpt.exists()
+    assert ledger.exists()
+    runs = _count_runs(monkeypatch, tmp_path)
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert "resuming from" in second
+    assert runs() == 0  # every cell restored, none re-executed
     # The restored run reproduces the experiment output exactly
-    # (modulo the per-invocation run-ledger path and resilience note).
+    # (modulo the resilience note).
     strip = lambda text: [line for line in text.splitlines()
-                          if not line.startswith(("[resilience]",
-                                                  "[run ledger:"))]
+                          if not line.startswith("[resilience]")]
     assert strip(first) == strip(second)
+    parsed = read_ledger(ledger)
+    assert len(parsed["cells"]) == 3
 
 
 def test_cli_fault_point_listing(capsys):
@@ -183,3 +316,4 @@ def test_cli_fault_point_listing(capsys):
     out = capsys.readouterr().out
     for point in ("trace.corrupt", "worker.crash", "snn.weight_nan"):
         assert point in out
+    assert "campaign.worker_crash" not in out

@@ -169,26 +169,67 @@ def test_run_cells_records_cells_in_active_ledger(tmp_path):
     for cell in cells:
         assert cell["workload"] == "cc-5"
         assert cell["seed"] == 1
-        assert cell["outcome"] == "ok" and not cell["restored"]
+        assert cell["outcome"] == "ok" and cell["row"]["ipc"] > 0
         assert set(cell["metrics"]) >= {"ipc", "speedup", "accuracy",
                                         "coverage", "issued", "useful"}
         assert cell["timings"]["replay_s"] >= 0.0
         assert json.loads(cell["key"])["workload"] == "cc-5"
 
 
-def test_restored_cells_are_marked_in_ledger(tmp_path):
+def test_restored_cells_are_not_rerecorded_in_ledger(tmp_path):
     from repro.harness.runner import Evaluation
+    from repro.obs.ledger import resume_run
 
-    cells = [("cc-5", "nextline")]
-    journal = tmp_path / "grid.ckpt"
-    Evaluation(n_accesses=800).run_cells(cells, checkpoint=journal)
-    ledger = start_run(tmp_path / "results", "test", [], {})
-    try:
-        Evaluation(n_accesses=800).run_cells(cells, checkpoint=journal)
-    finally:
-        finish_run(ledger, 0.0)
-    (cell,) = read_ledger(ledger.path)["cells"]
-    assert cell["restored"] is True
+    cells = [("cc-5", "nextline"), ("cc-5", "spp")]
+    path = tmp_path / "grid.jsonl"
+    for jobs in (1, 1, 2):
+        ledger = resume_run(path, "test", [], {})
+        try:
+            rows = Evaluation(n_accesses=800).run_cells(cells[:jobs],
+                                                        jobs=jobs)
+        finally:
+            finish_run(ledger, 0.0)
+        assert len(rows) == jobs
+    parsed = read_ledger(path)
+    # One record per key however often the run resumes: the restored
+    # cell is never recorded again, only the new one is appended.
+    assert [c["prefetcher"] for c in parsed["cells"]] == ["nextline", "spp"]
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["kind"] for r in lines].count("resume") == 2
+
+
+def test_ledger_appends_are_one_line_each(tmp_path):
+    path = tmp_path / "run.jsonl"
+    ledger = RunLedger(path, "r1")
+    for k in range(5):
+        ledger.append({"kind": "note", "k": k})
+        assert len(path.read_text().splitlines()) == k + 1
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["k"] for r in records] == list(range(5))
+    # An append adds its own line and leaves the file's bytes alone: a
+    # line the ledger never wrote survives the next append.
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "note", "k": "external"}\n')
+    ledger.append({"kind": "note", "k": 5})
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["k"] for r in records] == [0, 1, 2, 3, 4, "external", 5]
+
+
+def test_ledger_torn_mid_record_reopens_and_appends(tmp_path):
+    path = tmp_path / "run.jsonl"
+    ledger = RunLedger(path, "r1")
+    ledger.write_manifest("experiment", [], {})
+    ledger.append({"kind": "cell", "key": "a", "metrics": {}})
+    whole = path.read_bytes()
+    ledger.append({"kind": "cell", "key": "b", "metrics": {"ipc": 2.0}})
+    # A crash mid-append: half the second cell record, no newline.
+    path.write_bytes(path.read_bytes()[:len(whole) + 20])
+    reopened = RunLedger.load(path)
+    reopened.append({"kind": "cell", "key": "c", "metrics": {}})
+    reopened.finish(1.0)
+    parsed = read_ledger(path)  # no interior corruption
+    assert [c["key"] for c in parsed["cells"]] == ["a", "c"]
+    assert parsed["finish"]["run_id"] == "r1"
 
 
 # -- CLI integration ---------------------------------------------------------
@@ -276,8 +317,8 @@ def _sample_ledger(tmp_path, outcome="ok"):
                                 "useful": 40, "late": 8},
                        timings={"prefetch_file_s": 0.1, "replay_s": 0.4},
                        outcome=outcome)
-    ledger.finish(1.2, resilience={"cells": {"ok": 1}, "timeouts": 0,
-                                   "pool_respawns": 0,
+    ledger.finish(1.2, resilience={"leases": 1, "completed": 1,
+                                   "retries": 0, "worker_crashes": 0,
                                    "serial_fallback": False})
     return path
 

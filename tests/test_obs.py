@@ -252,7 +252,7 @@ def test_jsonl_sink_coerces_numpy_scalars(tmp_path):
 
 def test_read_events_tolerates_torn_tail(tmp_path):
     # A malformed FINAL line is a torn tail (crash mid-write): dropped,
-    # parsed prefix kept — mirroring the checkpoint journal.
+    # parsed prefix kept — mirroring the run ledger.
     path = tmp_path / "torn.jsonl"
     path.write_text('{"event": "ok"}\n{"event": "tr')
     assert read_events(path) == [{"event": "ok"}]

@@ -1,22 +1,22 @@
-"""Unit tests for repro.resilience: faults, guard, atomic IO, checkpoint,
-supervisor, and the typed error hierarchy."""
+"""Unit tests for repro.resilience — faults, guard, atomic IO — plus the
+grid's resilience contract (retries, failed rows, ledger resume, stats)
+and the typed error hierarchy."""
 
 import json
 import pickle
 
 import pytest
 
-from repro.errors import (CheckpointError, ConfigError, PrefetchFileError,
-                          ReproError, TraceError, TraceFormatError,
-                          WorkerCrashError)
-from repro.harness.runner import EvalRow, Evaluation, make_prefetcher
+from repro.errors import (ConfigError, PrefetchFileError, ReproError,
+                          TraceError, TraceFormatError, WorkerCrashError)
+from repro.harness.runner import (EvalRow, Evaluation, ResiliencePolicy,
+                                  ambient_policy, cell_key, make_prefetcher,
+                                  row_from_dict, row_to_dict)
+from repro.obs.ledger import resume_run, set_active_ledger
 from repro.prefetchers.base import Prefetcher, generate_prefetches
-from repro.resilience import (CellOutcome, CheckpointJournal, FaultPlan,
-                              GuardedPrefetcher, ResiliencePolicy,
-                              SupervisorStats, atomic_write_json,
-                              atomic_write_text, cell_key, corrupt_trace,
-                              drain_stats, injected, note_stats, run_serial,
-                              run_supervised)
+from repro.resilience import (FaultPlan, GuardedPrefetcher,
+                              atomic_write_json, atomic_write_text,
+                              corrupt_trace, injected)
 from repro.resilience import faults
 from repro.sim.metrics import SimResult
 from repro.sim.simulator import HierarchyConfig
@@ -28,11 +28,10 @@ from .helpers import build_trace, seq_addresses
 
 @pytest.fixture(autouse=True)
 def _clean_resilience_state():
-    """Ambient stats/fault state must never leak between tests."""
-    drain_stats()
+    """Ambient fault and ledger state must never leak between tests."""
     yield
-    drain_stats()
     faults.disarm()
+    set_active_ledger(None)
 
 
 # -- fault plans --------------------------------------------------------------
@@ -266,7 +265,7 @@ def test_atomic_write_tolerates_directory_fsync_failure(tmp_path,
     assert target.read_text() == "written\n"
 
 
-# -- checkpoint journal -------------------------------------------------------
+# -- ledger as the resume journal ----------------------------------------------
 
 def _sample_row(workload="cc-5", ipc=1.25):
     result = SimResult(trace_name=workload, prefetcher_name="nextline",
@@ -279,43 +278,64 @@ def _sample_row(workload="cc-5", ipc=1.25):
                    extras={"outcome": "ok", "attempts": 1})
 
 
+def _record(ledger, key, row):
+    ledger.record_cell(cell="000:cc-5:nextline", key=key, seed=1,
+                       workload="cc-5", prefetcher="nextline", metrics={},
+                       row=row_to_dict(row))
+
+
+def _journal(path):
+    """Restorable rows, as a ``--resume`` run would see them."""
+    ledger = resume_run(path, "test", [], {})
+    set_active_ledger(None)
+    return {key: row_from_dict(payload)
+            for key, payload in ledger.restorable_rows().items()}
+
+
 def test_journal_records_and_restores_rows(tmp_path):
-    path = tmp_path / "grid.ckpt"
-    journal = CheckpointJournal(path)
+    path = tmp_path / "grid.jsonl"
+    ledger = resume_run(path, "test", [], {})
     row = _sample_row()
-    journal.record("cell-a", row)
-    assert "cell-a" in journal and len(journal) == 1
-    reloaded = CheckpointJournal(path)
-    assert reloaded.get("cell-a") == row  # bit-identical dataclass equality
-    assert reloaded.get("cell-b") is None
+    _record(ledger, "cell-a", row)
+    assert list(ledger.restorable_rows()) == ["cell-a"]
+    reloaded = _journal(path)
+    assert reloaded["cell-a"] == row  # bit-identical dataclass equality
+    assert "cell-b" not in reloaded
 
 
 def test_journal_tolerates_torn_trailing_line(tmp_path):
-    path = tmp_path / "grid.ckpt"
-    journal = CheckpointJournal(path)
-    journal.record("cell-a", _sample_row())
+    path = tmp_path / "grid.jsonl"
+    _record(resume_run(path, "test", [], {}), "cell-a", _sample_row())
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"kind":"cell","key":"cell-b","row":{"trunc')
-    reloaded = CheckpointJournal(path)
-    assert len(reloaded) == 1 and "cell-b" not in reloaded
+    reloaded = _journal(path)
+    assert list(reloaded) == ["cell-a"]
+    # Reopening truncated the torn tail: the resume record appended
+    # behind it is a whole line of its own.
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[-1])["kind"] == "resume"
+    assert not any("trunc" in line for line in lines)
 
 
 def test_journal_rejects_mid_file_corruption(tmp_path):
-    path = tmp_path / "grid.ckpt"
-    journal = CheckpointJournal(path)
-    journal.record("cell-a", _sample_row())
+    path = tmp_path / "grid.jsonl"
+    _record(resume_run(path, "test", [], {}), "cell-a", _sample_row())
     lines = path.read_text().splitlines()
     lines.insert(1, "not json at all")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointError, match="corrupt journal line"):
-        CheckpointJournal(path)
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="corrupt ledger line"):
+        _journal(path)
+    assert path.read_bytes() == before  # refused, not repaired
 
 
 def test_journal_rejects_version_mismatch(tmp_path):
-    path = tmp_path / "grid.ckpt"
-    path.write_text('{"kind":"header","version":99}\n')
-    with pytest.raises(CheckpointError, match="version"):
-        CheckpointJournal(path)
+    path = tmp_path / "grid.jsonl"
+    path.write_text('{"kind":"manifest","schema":99,"run_id":"r"}\n')
+    with pytest.raises(ConfigError, match="not a run ledger"):
+        _journal(path)
+    assert path.read_text() == \
+        '{"kind":"manifest","schema":99,"run_id":"r"}\n'
 
 
 def test_cell_key_is_canonical_and_discriminating():
@@ -363,14 +383,13 @@ def test_generate_prefetches_wraps_failures_with_context():
     assert "boom on call 3" in message
 
 
-# -- supervisor ---------------------------------------------------------------
+# -- grid retries (run as campaigns) --------------------------------------------
 
-def _flaky_cell(task):
-    """Module-level (picklable) worker: fails until the configured attempt."""
-    index, attempt, fail_below = task
-    if attempt < fail_below.get(index, 0):
-        raise RuntimeError(f"cell {index} attempt {attempt}")
-    return index * 10 + attempt
+CELLS3 = [("cc-5", "nextline"), ("cc-5", "bo"), ("cc-5", "sisb")]
+
+
+def _outcomes(rows):
+    return [(r.extras["outcome"], r.extras["attempts"]) for r in rows]
 
 
 def test_policy_validation():
@@ -378,78 +397,68 @@ def test_policy_validation():
         ResiliencePolicy(retries=-1)
     with pytest.raises(ConfigError):
         ResiliencePolicy(cell_timeout_s=0)
-    with pytest.raises(ConfigError):
-        ResiliencePolicy(backoff_factor=0.5)
-    with pytest.raises(ConfigError):
-        ResiliencePolicy(max_pool_respawns=-1)
 
 
 def test_cell_outcome_labels():
-    assert CellOutcome(0, ok=True, attempts=1).outcome == "ok"
-    assert CellOutcome(0, ok=True, attempts=2).outcome == "retried"
-    assert CellOutcome(0, ok=False, attempts=3).outcome == "failed"
+    cells = CELLS3[:2] + [("cc-5", "no-such-prefetcher")]
+    with injected(FaultPlan.parse("worker.crash:cells=1")):
+        rows = Evaluation(n_accesses=600).run_cells(
+            cells, jobs=2, policy=ResiliencePolicy(retries=1))
+    assert _outcomes(rows) == [("ok", 1), ("retried", 2), ("failed", 2)]
 
 
 def test_run_serial_retries_until_success():
-    fail_below = {1: 2}  # cell 1 fails on attempts 0 and 1
-    policy = ResiliencePolicy(retries=2, backoff_s=0.0)
-    outcomes, stats = run_serial(
-        _flaky_cell, lambda i, a: (i, a, fail_below), 3, policy)
-    assert [o.ok for o in outcomes] == [True, True, True]
-    assert outcomes[1].attempts == 3 and outcomes[1].outcome == "retried"
-    assert "cell 1 attempt 1" in outcomes[1].error
-    assert stats.cells == {"ok": 2, "retried": 1}
+    # jobs=1 under a policy: one worker process, crashed twice.
+    with ambient_policy(ResiliencePolicy(retries=2)) as stats, \
+            injected(FaultPlan.parse("worker.crash:cells=1,attempts=2")):
+        rows = Evaluation(n_accesses=600).run_cells(CELLS3, jobs=1)
+    assert _outcomes(rows) == [("ok", 1), ("retried", 3), ("ok", 1)]
+    assert "worker crashed" in rows[1].extras["error"]
+    assert (stats.completed, stats.retries, stats.worker_crashes) == (3, 2, 2)
 
 
 def test_run_serial_exhausts_retries():
-    fail_below = {0: 99}
-    policy = ResiliencePolicy(retries=1, backoff_s=0.0)
-    outcomes, stats = run_serial(
-        _flaky_cell, lambda i, a: (i, a, fail_below), 2, policy)
-    assert not outcomes[0].ok and outcomes[0].outcome == "failed"
-    assert outcomes[0].attempts == 2
-    assert outcomes[1].ok
-    assert stats.cells == {"ok": 1, "failed": 1}
+    with injected(FaultPlan.parse("worker.crash:cells=0,attempts=99")):
+        rows = Evaluation(n_accesses=600).run_cells(
+            CELLS3[:2], jobs=1, policy=ResiliencePolicy(retries=1))
+    assert _outcomes(rows) == [("failed", 2), ("ok", 1)]
 
 
 def test_run_supervised_retries_in_parallel():
-    fail_below = {2: 1}
-    policy = ResiliencePolicy(retries=1, backoff_s=0.01)
-    outcomes, stats = run_supervised(
-        _flaky_cell, lambda i, a: (i, a, fail_below), 4, jobs=2,
-        policy=policy)
-    assert [o.ok for o in outcomes] == [True] * 4
-    assert [o.value for o in outcomes] == [0, 10, 21, 30]
-    assert outcomes[2].outcome == "retried"
-    assert stats.cells == {"ok": 3, "retried": 1}
-    assert stats.pool_respawns == 0 and not stats.serial_fallback
+    cells = CELLS3 + [("cc-5", "spp")]
+    with ambient_policy(ResiliencePolicy(retries=1)) as stats, \
+            injected(FaultPlan.parse("worker.crash:cells=2")):
+        rows = Evaluation(n_accesses=600).run_cells(cells, jobs=2)
+    assert _outcomes(rows) == [("ok", 1), ("ok", 1), ("retried", 2),
+                               ("ok", 1)]
+    assert (stats.completed, stats.retries, stats.quarantined) == (4, 1, 0)
+    assert not stats.serial_fallback
 
 
 def test_run_supervised_marks_exhausted_cells_failed():
-    fail_below = {0: 99}
-    policy = ResiliencePolicy(retries=1, backoff_s=0.01)
-    outcomes, stats = run_supervised(
-        _flaky_cell, lambda i, a: (i, a, fail_below), 3, jobs=2,
-        policy=policy)
-    assert not outcomes[0].ok and outcomes[0].attempts == 2
-    assert outcomes[1].ok and outcomes[2].ok
-    assert stats.cells == {"ok": 2, "failed": 1}
+    with ambient_policy(ResiliencePolicy(retries=1)) as stats, \
+            injected(FaultPlan.parse("worker.crash:cells=0,attempts=99")):
+        rows = Evaluation(n_accesses=600).run_cells(CELLS3, jobs=2)
+    assert _outcomes(rows) == [("failed", 2), ("ok", 1), ("ok", 1)]
+    assert (stats.completed, stats.quarantined) == (2, 1)
 
 
 def test_stats_summary_and_drain():
-    stats = SupervisorStats(pool_respawns=1, timeouts=2,
-                            serial_fallback=True,
-                            cells={"ok": 3, "retried": 1})
+    # Stats add up over every grid an ambient policy covers (the CLI's
+    # one "[resilience] cells:" line per experiment).
+    policy = ResiliencePolicy(retries=1)
+    with ambient_policy(policy) as stats, \
+            injected(FaultPlan.parse("worker.crash:cells=0")):
+        Evaluation(n_accesses=600).run_cells(CELLS3[:2], jobs=2)
+        Evaluation(n_accesses=600, seed=2).run_cells(CELLS3[:2], jobs=2)
+    assert (stats.completed, stats.retries, stats.worker_crashes) == (4, 2, 2)
     text = stats.summary()
-    assert "3 ok, 1 retried, 0 failed" in text
-    assert "1 pool respawn(s)" in text and "serial fallback" in text
-    assert drain_stats() is None  # the autouse fixture drained already
-    note_stats(stats)
-    note_stats(SupervisorStats(cells={"ok": 2, "failed": 1}))
-    merged = drain_stats()
-    assert merged.cells == {"ok": 5, "retried": 1, "failed": 1}
-    assert merged.pool_respawns == 1 and merged.serial_fallback
-    assert drain_stats() is None  # drained
+    assert text.startswith("cells: 4 completed")
+    assert "2 retried" in text and "2 worker crash(es)" in text
+    assert stats.to_dict()["worker_crashes"] == 2
+    # Outside the block nothing collects, and no policy is in force.
+    rows = Evaluation(n_accesses=600).run_cells(CELLS3[:2], jobs=1)
+    assert "outcome" not in rows[0].extras
 
 
 # -- unsupervised parallel failure reporting ----------------------------------
@@ -469,20 +478,19 @@ def test_unsupervised_parallel_keeps_sibling_work():
 
 def test_supervised_degrade_emits_placeholder_row():
     cells = [("cc-5", "nextline"), ("cc-5", "no-such-prefetcher")]
-    policy = ResiliencePolicy(retries=0, backoff_s=0.0)
+    policy = ResiliencePolicy(retries=1)
     rows = Evaluation(n_accesses=600).run_cells(cells, jobs=2, policy=policy)
-    drain_stats()
     assert rows[0].extras["outcome"] == "ok"
     assert rows[1].extras["outcome"] == "failed"
     assert rows[1].ipc == 0.0 and "unknown prefetcher" in rows[1].extras["error"]
 
 
 def test_supervised_no_degrade_raises_with_partials():
+    # No retries, no degrading: a policy with only a timeout raises.
     cells = [("cc-5", "nextline"), ("cc-5", "no-such-prefetcher")]
-    policy = ResiliencePolicy(retries=0, backoff_s=0.0, degrade=False)
+    policy = ResiliencePolicy(cell_timeout_s=60.0)
     with pytest.raises(WorkerCrashError) as excinfo:
         Evaluation(n_accesses=600).run_cells(cells, jobs=2, policy=policy)
-    drain_stats()
     err = excinfo.value
     assert set(err.failures) == {1}
     assert err.partial_rows[0] is not None
