@@ -38,7 +38,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
 from ..resilience import faults
@@ -85,6 +85,11 @@ class CellState:
     #: Earliest wall-clock time the next attempt may start (backoff).
     not_before: float = 0.0
     error: Optional[str] = None
+
+    @property
+    def pair(self) -> Tuple[str, int]:
+        """The ``(workload, seed)`` whose trace and baseline it runs on."""
+        return self.workload, self.seed
 
 
 class WorkQueue:
@@ -211,14 +216,35 @@ class WorkQueue:
 
     # -- transitions ---------------------------------------------------------
 
-    def claim(self, now: Optional[float] = None) -> Optional[CellState]:
-        """The lowest-index pending cell whose backoff has elapsed."""
+    def claim(self, now: Optional[float] = None,
+              held: AbstractSet[Tuple[str, int]] = frozenset(),
+              others: AbstractSet[Tuple[str, int]] = frozenset()
+              ) -> Optional[CellState]:
+        """The next pending cell whose backoff has elapsed, or ``None``.
+
+        A worker builds a ``(workload, seed)`` pair's trace and
+        no-prefetch baseline once and reuses them for every cell of the
+        pair it runs, so claims are trace-affine.  ``held`` is the
+        pairs the claiming worker has already built and ``others`` the
+        pairs any other live worker holds.  The claim is the
+        lowest-index ready cell of a held pair; failing that, of a pair
+        no other worker holds; failing that, the lowest-index ready
+        cell, so no worker idles while work is left.  With neither set
+        given (the serial path) it is simply the lowest-index ready
+        cell.
+        """
         now = time.time() if now is None else now
         ready = [cell for cell in self.cells.values()
                  if cell.state == PENDING and cell.not_before <= now]
         if not ready:
             return None
-        return min(ready, key=lambda cell: cell.index)
+
+        def rank(cell: CellState) -> Tuple[int, int]:
+            pair = cell.pair
+            tier = 0 if pair in held else 2 if pair in others else 1
+            return tier, cell.index
+
+        return min(ready, key=rank)
 
     def next_not_before(self) -> Optional[float]:
         """Earliest backoff deadline among pending cells, if any wait."""

@@ -101,6 +101,14 @@ class CampaignSpec:
             raise ConfigError("campaign spec: prefetchers must be non-empty")
         if not self.seeds:
             raise ConfigError("campaign spec: seeds must be non-empty")
+        # A repeated value would expand into two cells with one key.
+        for name in ("workloads", "prefetchers", "seeds"):
+            seen = set()
+            for value in getattr(self, name):
+                if value in seen:
+                    raise ConfigError(
+                        f"campaign spec: {name} repeats {value!r}")
+                seen.add(value)
         for workload in self.workloads:
             if workload not in WORKLOAD_NAMES:
                 known = ", ".join(sorted(WORKLOAD_NAMES))

@@ -41,7 +41,8 @@ import time
 from dataclasses import dataclass, fields
 from itertools import count
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..errors import ConfigError
 from ..obs.ledger import RunLedger, git_state, new_run_id
@@ -205,6 +206,9 @@ class _WorkerHandle:
         self.task_q = task_q
         #: Key of the cell this worker is currently leasing, if any.
         self.busy: Optional[str] = None
+        #: ``(workload, seed)`` pairs this process has leased a cell of:
+        #: it has built, or is building, their traces and baselines.
+        self.pairs: Set[Tuple[str, int]] = set()
 
 
 class Campaign:
@@ -512,9 +516,14 @@ class Campaign:
             for handle in handles.values():
                 if handle.busy is not None:
                     continue
-                cell = self.queue.claim(now)
+                others = set().union(*(other.pairs
+                                       for other in handles.values()
+                                       if other is not handle))
+                cell = self.queue.claim(now, held=handle.pairs,
+                                        others=others)
                 if cell is None:
                     break
+                handle.pairs.add(cell.pair)
                 if self._cell_timeout_s is not None:
                     self._deadlines[cell.key] = now + self._cell_timeout_s
                 self.queue.lease(cell.key, handle.worker_id,

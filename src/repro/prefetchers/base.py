@@ -98,8 +98,9 @@ class Prefetcher:
         implementations (NextLine's vectorized page math, the hoisted
         state walks of BO, SISB and SPP, Pythia's SARSA loop over
         per-feature Q rows, PATHFINDER's three-pass SNN pipeline, the
-        neural models' row-blocked inference) override it for
-        throughput, never for behaviour.
+        neural models' row-blocked inference, the fixed-priority
+        ensemble's per-member batches) override it for throughput,
+        never for behaviour.
         """
         process = self.process
         return [process(MemoryAccess(instr_id=i, pc=p, address=a))

@@ -51,13 +51,32 @@ class EnsemblePrefetcher(Prefetcher):
             member.train(trace)
 
     def process(self, access: MemoryAccess) -> List[int]:
+        # Every member observes every access (their tables must stay
+        # warm) even when it wins no slots.
+        return self._merge([member.process(access)
+                            for member in self.members])
+
+    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+        """Columnar form of :meth:`process` over a trace chunk.
+
+        A member sees every access and never the ensemble's choice, so
+        each member runs its own :meth:`Prefetcher.process_batch` over
+        the whole chunk, then each access's lists go through the merge
+        :meth:`process` uses.  Members share no state, so the prefetch
+        file and ``slots_used`` are bit-identical.  With a fault plan
+        armed, the PATHFINDER member takes its own scalar path.
+        """
+        per_member = [member.process_batch(addresses, pcs, instr_ids)
+                      for member in self.members]
+        return [self._merge(candidates) for candidates in zip(*per_member)]
+
+    def _merge(self, candidates: Sequence[List[int]]) -> List[int]:
+        """One access's prefetches from each member's list, in priority
+        order: the first address per block, at most ``budget``."""
         chosen: List[int] = []
         seen_blocks = set()
-        for index, member in enumerate(self.members):
-            # Every member observes every access (their tables must
-            # stay warm) even when it wins no slots.
-            candidates = member.process(access)
-            for address in candidates:
+        for index, addresses in enumerate(candidates):
+            for address in addresses:
                 block = address >> 6
                 if block in seen_blocks:
                     continue

@@ -55,6 +55,10 @@ def test_spec_roundtrip_and_defaults():
     {"max_attempts": 0},
     {"workers": -1},
     {"engine": "fast"},  # removed engine
+    # A repeated value would expand into two cells sharing one key.
+    {"workloads": ("cc-5", "cc-5")},
+    {"prefetchers": ("nextline", "nextline")},
+    {"seeds": (1, 1)},
 ])
 def test_spec_validation_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -167,6 +171,38 @@ def test_queue_fail_backoff_release_quarantine(tmp_path):
     assert reopened.cells["k0"].state == QUARANTINED
     assert reopened.cells["k0"].error == "poisoned"
     assert [c.key for c in reopened.quarantined()] == ["k0"]
+
+
+def test_queue_claim_is_trace_affine(tmp_path):
+    pairs = [("cc-5", 1), ("cc-5", 1), ("bfs-10", 1), ("bfs-10", 1),
+             ("cc-5", 2), ("cc-5", 2)]
+    cells = [{"index": i, "key": f"k{i}", "workload": workload,
+              "prefetcher": "nextline", "seed": seed}
+             for i, (workload, seed) in enumerate(pairs)]
+    queue = WorkQueue.create(tmp_path / "queue.jsonl", cells)
+    a, b, c = ("cc-5", 1), ("bfs-10", 1), ("cc-5", 2)
+    assert queue.cells["k4"].pair == c
+    # No pairs given (the serial path): the lowest index.
+    assert queue.claim(now=100.0).key == "k0"
+    # A held pair comes first, even at a higher index.
+    assert queue.claim(now=100.0, held={c}, others={a}).key == "k4"
+    # Then a pair no other worker holds, ahead of the lowest index.
+    assert queue.claim(now=100.0, held=set(), others={a}).key == "k2"
+    # Every ready pair is held elsewhere: the lowest index, no idling.
+    assert queue.claim(now=100.0, held=set(), others={a, b, c}).key == "k0"
+
+    # Leased, backed-off and quarantined cells are still skipped.
+    queue.lease("k4", "w1", ttl_s=30.0, now=100.0)
+    queue.lease("k5", "w1", ttl_s=30.0, now=100.0)
+    queue.fail("k5", "boom", not_before=200.0)
+    assert queue.claim(now=150.0, held={c}, others={a}).key == "k2"
+    queue.lease("k2", "w1", ttl_s=30.0, now=100.0)
+    queue.quarantine("k2", "poisoned")
+    assert queue.claim(now=150.0, held={c}, others={a}).key == "k3"
+    queue.lease("k3", "w1", ttl_s=30.0, now=150.0)
+    assert queue.claim(now=150.0, held={c}, others={a}).key == "k0"
+    # Once its backoff elapses, the held pair's cell wins again.
+    assert queue.claim(now=250.0, held={c}, others={a}).key == "k5"
 
 
 def test_queue_expiry_and_stale_heartbeat(tmp_path):

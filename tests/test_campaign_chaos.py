@@ -86,6 +86,53 @@ def test_worker_crash_is_retried_bit_identically(tmp_path):
     assert "pool respawns" not in resilience
 
 
+#: Workloads for the claim-order tests.  With one seed and three
+#: prefetchers they make four (workload, seed) pairs of three cells,
+#: and lowest-index claims interleave two workers on every pair.
+AFFINITY_WORKLOADS = ("cc-5", "bfs-10", "605-mcf-s1", "623-xalan-s1")
+
+
+def pair_builds(directory):
+    """Per-worker (workload, seed) pairs, summed over the workers: how
+    many times a worker built a trace and baseline."""
+    pairs = {}
+    for record in ledger_cells_by_key(directory).values():
+        pairs.setdefault(record["worker"], set()).add(
+            (record["workload"], record["seed"]))
+    return sum(len(held) for held in pairs.values())
+
+
+def test_claims_build_each_pair_once_per_worker(tmp_path):
+    spec = chaos_spec(workloads=AFFINITY_WORKLOADS,
+                      prefetchers=("nextline", "bo", "sisb"))
+    directory = tmp_path / "affine"
+    result = Campaign.create(directory, spec).run(echo=lambda _line: None)
+    assert result["finished"] and result["stats"]["worker_crashes"] == 0
+    # Each pair is built once, plus at most one tail steal per worker.
+    assert pair_builds(directory) <= len(AFFINITY_WORKLOADS) + spec.workers
+
+
+def test_worker_crash_mid_pair_is_retried_bit_identically(tmp_path):
+    # Cell 1 is the second of its pair's three cells: the crash drops a
+    # worker that holds a pair, and its respawn starts with none.
+    spec = chaos_spec(workloads=AFFINITY_WORKLOADS[:2],
+                      prefetchers=("nextline", "bo", "sisb"))
+    directory = tmp_path / "crash-mid-pair"
+    campaign = Campaign.create(directory, spec,
+                               fault_spec="worker.crash:cells=1")
+    result = campaign.run(echo=lambda _line: None)
+    assert result["finished"] and result["quarantined"] == []
+    assert result["stats"]["worker_crashes"] >= 1
+
+    chaos = ledger_cells_by_key(directory)
+    clean = run_clean_reference(tmp_path, spec)
+    assert set(chaos) == set(clean) and len(chaos) == 6
+    assert [record["outcome"] for record in chaos.values()
+            if record["outcome"] != "ok"] == ["retried"]
+    for key, record in chaos.items():
+        assert record["metrics"] == clean[key]["metrics"], key
+
+
 def test_armed_faults_keep_batch_engine_in_serial(tmp_path):
     # The serial in-process path replays on the same kernel as the
     # leased workers, silently, with engine_used in the ledger saying

@@ -170,4 +170,12 @@ def test_campaign_run_rejects_existing_dir_and_bad_spec(tmp_path, capsys):
                                "prefetchers": ["no-such"]}))
     assert main(["campaign", "run", str(bad),
                  "--dir", str(tmp_path / "other")]) == 2
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps({"name": "r", "workloads": ["cc-5"],
+                                    "prefetchers": ["nextline", "nextline"]}))
+    capsys.readouterr()
+    assert main(["campaign", "run", str(repeated),
+                 "--dir", str(tmp_path / "repeated")]) == 2
+    assert "prefetchers repeats 'nextline'" in capsys.readouterr().out
+    assert not (tmp_path / "repeated").exists()
     assert main(["campaign", "status", str(tmp_path / "nowhere")]) == 2

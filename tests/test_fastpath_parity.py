@@ -189,9 +189,16 @@ from repro.types import MemoryAccess  # noqa: E402
 #: through BLAS-backed row blocks (identical files, rounding-level logits).
 NEURAL_PREFETCHERS = ("voyager", "delta-lstm")
 
+#: The fixed-priority ensembles: their batch path merges the members'
+#: batched lists per access, and must count ``slots_used`` like
+#: :meth:`EnsemblePrefetcher.process` does.
+ENSEMBLE_PREFETCHERS = ("pathfinder+nl", "pathfinder+nl+sisb",
+                        "pathfinder+coldpage")
+
 #: Every prefetcher that overrides :meth:`Prefetcher.process_batch`.
 BATCHED_PREFETCHERS = ("nextline", "bo", "sisb", "spp", "pythia",
-                       "pathfinder", *NEURAL_PREFETCHERS)
+                       "pathfinder", *NEURAL_PREFETCHERS,
+                       *ENSEMBLE_PREFETCHERS)
 
 #: Behaviourally distinct workloads: graph-irregular, temporal-replay,
 #: and delta-pattern heavy.
@@ -263,12 +270,16 @@ def test_process_batch_matches_scalar(workload, name):
     """Batched prefetch files are bit-identical to the scalar loop's,
     for every chunk size including degenerate single-access chunks."""
     trace = _batch_trace(workload)
-    reference, _ = _scalar_reference(workload, name)
+    reference, scalar = _scalar_reference(workload, name)
     for chunk in (1, 7, len(trace)):
+        batched = _fresh_prefetcher(workload, name)
         assert generate_prefetches(
-            _fresh_prefetcher(workload, name), trace, budget=2,
-            chunk=chunk, train=False) == reference, \
+            batched, trace, budget=2, chunk=chunk,
+            train=False) == reference, \
             f"{name} diverged on {workload} at chunk={chunk}"
+        if name in ENSEMBLE_PREFETCHERS:
+            assert batched.slots_used == scalar.slots_used, \
+                f"{name} slots_used diverged on {workload} at chunk={chunk}"
 
 
 def _neural_state(prefetcher):
