@@ -88,7 +88,6 @@ import sys
 import time
 from typing import List, Optional
 
-from .core.config import PathfinderConfig
 from .errors import ConfigError, WorkerCrashError
 from .harness import (
     DEFAULT_MAX_REGRESS,
@@ -298,19 +297,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     args.engine = engine
     plan = _fault_plan(args, seed=args.seed)
     obs = _make_obs(args)
-    spec = args.prefetcher
-    if args.encoder_cache is not None:
-        if args.prefetcher != "pathfinder":
-            raise ConfigError(
-                "--encoder-cache only applies to the pathfinder "
-                "prefetcher (it sizes the pixel-encoding memo)")
-        spec = PathfinderConfig(encoder_cache_size=args.encoder_cache)
     config = {"workload": args.workload, "prefetcher": args.prefetcher,
               "loads": args.loads, "seed": args.seed,
               "budget": args.budget, "hierarchy": args.hierarchy,
               "engine": args.engine}
-    if args.encoder_cache is not None:
-        config["encoder_cache"] = args.encoder_cache
     ledger = _start_ledger(args, "run", config, seeds=[args.seed])
     if obs is not None and ledger is not None:
         obs.tracer.bind(run_id=ledger.run_id)
@@ -321,7 +311,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Routed through run_cells so the cell lands in the run ledger and
     # events carry the run-id/cell tags; the single-cell serial path is
     # bit-identical to Evaluation.run.
-    cell = [(args.workload, spec)]
+    cell = [(args.workload, args.prefetcher)]
     start = time.perf_counter()
     status = "ok"
     try:
@@ -814,13 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "reference engine); leave --engine off to "
                             "let the simulator downgrade with a "
                             "warning.")
-    p_run.add_argument("--encoder-cache", type=int, default=None,
-                       metavar="N",
-                       help="LRU capacity of PATHFINDER's pixel-encoding "
-                            "memo (0 disables it; default "
-                            f"{PathfinderConfig().encoder_cache_size}). "
-                            "Cache hit/miss telemetry is exported as "
-                            "snn.encoder_cache_hits/misses.")
     p_run.add_argument("--peak-memory", action="store_true",
                        help="capture tracemalloc peak memory for the run")
     _add_obs_flags(p_run)

@@ -73,13 +73,10 @@ class PathfinderConfig:
             multiple neurons fire; used by the multi-winner degree
             variant).
         fast_snn: Use the sparse-aware SNN hot paths (active-pixel
-            drive, winner-column STDP, memoised encodings).  Produces
-            the same winners and prefetch files as the dense reference
-            implementations; ``False`` forces the reference code paths
-            (used by the parity tests).
-        encoder_cache_size: LRU capacity of the pixel-encoding memo
-            (entries, keyed by padded delta history); 0 disables
-            caching.
+            drive, winner-column STDP) and the compiled PATHFINDER
+            loop.  Produces the same winners and prefetch files as the
+            dense reference implementations; ``False`` forces the
+            reference code paths (used by the parity tests).
         seed: RNG seed for the SNN.
     """
 
@@ -112,7 +109,6 @@ class PathfinderConfig:
     init_density: float = 0.25
     inhibition_scale: float = 1.0
     fast_snn: bool = True
-    encoder_cache_size: int = 4096
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -134,8 +130,6 @@ class PathfinderConfig:
             raise ConfigError("stdp_epoch must be >= 1 (or None)")
         if self.stdp_on_accesses < 0:
             raise ConfigError("stdp_on_accesses must be >= 0")
-        if self.encoder_cache_size < 0:
-            raise ConfigError("encoder_cache_size must be >= 0")
 
     @property
     def max_delta(self) -> int:

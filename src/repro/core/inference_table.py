@@ -6,20 +6,23 @@ predicts; its confidence is a 3-bit saturating counter incremented on
 correct predictions and decremented on wrong ones.  When confidence
 reaches zero the label is erased, re-opening the slot so the prefetcher
 adapts as the program changes phase.
+
+The slots live in flat arrays shared with the compiled PATHFINDER loop
+(:mod:`repro.snn.ckernel`): neuron ``n`` holds ``slot_count[n]`` live
+slots, in assignment order, in row ``n`` of ``slot_label`` and
+``slot_confidence``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
 
-
-@dataclass
-class _Slot:
-    label: int
-    confidence: int
+#: ``pending`` value of a neuron with no delta awaiting confirmation.
+NO_PENDING = int(np.iinfo(np.int64).min)
 
 
 class InferenceTable:
@@ -52,8 +55,11 @@ class InferenceTable:
         self.confidence_max = confidence_max
         self.confidence_init = confidence_init
         self.require_confirmation = require_confirmation
-        self._slots: List[List[_Slot]] = [[] for _ in range(n_neurons)]
-        self._pending: List[Optional[int]] = [None] * n_neurons
+        shape = (n_neurons, labels_per_neuron)
+        self.slot_label = np.zeros(shape, dtype=np.int64)
+        self.slot_confidence = np.zeros(shape, dtype=np.int64)
+        self.slot_count = np.zeros(n_neurons, dtype=np.int64)
+        self.pending = np.full(n_neurons, NO_PENDING, dtype=np.int64)
         # Statistics for diagnostics.
         self.labels_assigned = 0
         self.labels_erased = 0
@@ -64,21 +70,19 @@ class InferenceTable:
         if not 0 <= neuron < self.n_neurons:
             raise ConfigError(f"neuron index {neuron} out of range")
 
+    def slots(self, neuron: int) -> List[Tuple[int, int]]:
+        """``neuron``'s (label, confidence) slots in assignment order."""
+        count = int(self.slot_count[neuron])
+        return list(zip(self.slot_label[neuron, :count].tolist(),
+                        self.slot_confidence[neuron, :count].tolist()))
+
     def labels(self, neuron: int, min_confidence: int = 1) -> List[int]:
         """Labels of ``neuron`` at or above ``min_confidence``,
-        highest-confidence first."""
+        highest-confidence first (ties keep slot order)."""
         self._check_neuron(neuron)
-        ranked = self._slots[neuron]
-        if not ranked:
-            return []
-        if len(ranked) == 2:
-            # The common labels_per_neuron=2 case: a single comparison
-            # (stable, like the sort below — ties keep slot order).
-            if ranked[1].confidence > ranked[0].confidence:
-                ranked = [ranked[1], ranked[0]]
-        elif len(ranked) > 2:
-            ranked = sorted(ranked, key=lambda s: -s.confidence)
-        return [s.label for s in ranked if s.confidence >= min_confidence]
+        ranked = sorted(self.slots(neuron), key=lambda slot: -slot[1])
+        return [label for label, confidence in ranked
+                if confidence >= min_confidence]
 
     def observe(self, neuron: int, actual_delta: int) -> None:
         """Reconcile a neuron's labels with the observed next delta.
@@ -90,61 +94,47 @@ class InferenceTable:
           the "learning labels on the fly" step of §3.3.
         """
         self._check_neuron(neuron)
-        slots = self._slots[neuron]
+        labels = self.slot_label[neuron]
+        confidences = self.slot_confidence[neuron]
+        count = int(self.slot_count[neuron])
         matched = False
-        drained = False
-        for slot in slots:
-            if slot.label == actual_delta:
-                slot.confidence = min(self.confidence_max,
-                                      slot.confidence + 1)
+        kept = 0
+        for k in range(count):
+            label = int(labels[k])
+            confidence = int(confidences[k])
+            if label == actual_delta:
+                confidence = min(self.confidence_max, confidence + 1)
                 matched = True
                 self.correct_observations += 1
             else:
-                slot.confidence -= 1
+                confidence -= 1
                 self.wrong_observations += 1
-                if slot.confidence <= 0:
-                    drained = True
-        if drained:
-            self._slots[neuron] = [s for s in slots if s.confidence > 0]
-            self.labels_erased += len(slots) - len(self._slots[neuron])
-        if not matched and len(self._slots[neuron]) < self.labels_per_neuron:
+            if confidence > 0:
+                labels[kept] = label
+                confidences[kept] = confidence
+                kept += 1
+        self.labels_erased += count - kept
+        self.slot_count[neuron] = kept
+        if not matched and kept < self.labels_per_neuron:
             if (not self.require_confirmation
-                    or self._pending[neuron] == actual_delta):
-                self._slots[neuron].append(
-                    _Slot(label=actual_delta,
-                          confidence=self.confidence_init))
+                    or self.pending[neuron] == actual_delta):
+                labels[kept] = actual_delta
+                confidences[kept] = self.confidence_init
+                self.slot_count[neuron] = kept + 1
                 self.labels_assigned += 1
-                self._pending[neuron] = None
+                self.pending[neuron] = NO_PENDING
             else:
-                self._pending[neuron] = actual_delta
+                self.pending[neuron] = actual_delta
 
     def predict(self, neuron: int, min_confidence: int = 1,
                 max_labels: Optional[int] = None) -> List[int]:
-        """Deltas this neuron predicts, best first, up to ``max_labels``.
-
-        Same ranking as :meth:`labels`, restated inline: this is called
-        once per firing neuron per query, and most neurons have empty
-        slot lists for the first several hundred accesses.
-        """
-        if not 0 <= neuron < self.n_neurons:
-            raise ConfigError(f"neuron index {neuron} out of range")
-        ranked = self._slots[neuron]
-        if not ranked:
-            return []
-        if len(ranked) == 2:
-            if ranked[1].confidence > ranked[0].confidence:
-                ranked = [ranked[1], ranked[0]]
-        elif len(ranked) > 2:
-            ranked = sorted(ranked, key=lambda s: -s.confidence)
-        labels = [s.label for s in ranked
-                  if s.confidence >= min_confidence]
-        if max_labels is not None:
-            labels = labels[:max_labels]
-        return labels
+        """Deltas this neuron predicts, best first, up to ``max_labels``."""
+        labels = self.labels(neuron, min_confidence)
+        return labels if max_labels is None else labels[:max_labels]
 
     def occupancy(self) -> int:
         """Total labels currently assigned across all neurons."""
-        return sum(len(slots) for slots in self._slots)
+        return int(self.slot_count.sum())
 
     def reset_neuron(self, neuron: int) -> None:
         """Erase one neuron's labels and pending confirmation.
@@ -154,11 +144,11 @@ class InferenceTable:
         so keeping them would poison future predictions.
         """
         self._check_neuron(neuron)
-        self.labels_erased += len(self._slots[neuron])
-        self._slots[neuron] = []
-        self._pending[neuron] = None
+        self.labels_erased += int(self.slot_count[neuron])
+        self.slot_count[neuron] = 0
+        self.pending[neuron] = NO_PENDING
 
     def reset(self) -> None:
         """Erase every label (keeps configuration and statistics)."""
-        self._slots = [[] for _ in range(self.n_neurons)]
-        self._pending = [None] * self.n_neurons
+        self.slot_count[:] = 0
+        self.pending[:] = NO_PENDING

@@ -19,12 +19,12 @@ Per demand load, PATHFINDER:
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..prefetchers.base import Prefetcher
+from ..snn.ckernel import PathfinderArgs, load_kernel, pointer
 from ..snn.monitors import SpikeMonitor
 from ..snn.network import DiehlCookNetwork, NetworkConfig, RunRecord
 from ..snn.neurons import LIFConfig
@@ -34,12 +34,30 @@ from ..types import (
     BLOCKS_PER_PAGE,
     PAGE_BITS,
     MemoryAccess,
-    compose_address,
 )
 from .config import PathfinderConfig
 from .inference_table import InferenceTable
 from .pixel import PixelMatrixEncoder
-from .training_table import TrainingEntry, TrainingTable
+from .training_table import NO_NEURON, TrainingTable
+
+#: Scalar state the compiled loop reads and advances, as (``PathfinderArgs``
+#: field, owner, attribute); owner ``None`` is the prefetcher itself.
+_LOOP_COUNTERS = (
+    ("tt_rows", "training_table", "rows"),
+    ("tt_clock", "training_table", "clock"),
+    ("tt_evictions", "training_table", "evictions"),
+    ("labels_assigned", "inference_table", "labels_assigned"),
+    ("labels_erased", "inference_table", "labels_erased"),
+    ("correct_observations", "inference_table", "correct_observations"),
+    ("wrong_observations", "inference_table", "wrong_observations"),
+    ("accesses_seen", None, "accesses_seen"),
+    ("snn_queries", None, "snn_queries"),
+    ("stdp_updates", None, "stdp_updates"),
+    ("prefetches_emitted", None, "prefetches_emitted"),
+    ("pred_checked", None, "_series_pred_checked"),
+    ("pred_correct", None, "_series_pred_correct"),
+    ("intervals", "network", "intervals_presented"),
+)
 
 
 class PathfinderPrefetcher(Prefetcher):
@@ -51,9 +69,7 @@ class PathfinderPrefetcher(Prefetcher):
         self.config = config or PathfinderConfig()
         self.encoder = PixelMatrixEncoder(self.config)
         self.network = self._build_network()
-        self.training_table = TrainingTable(
-            capacity=self.config.training_table_size,
-            history=self.config.history)
+        self.training_table = self._build_training_table()
         self.inference_table = InferenceTable(
             n_neurons=self.config.n_neurons,
             labels_per_neuron=self.config.labels_per_neuron,
@@ -108,6 +124,11 @@ class PathfinderPrefetcher(Prefetcher):
         return DiehlCookNetwork(net_cfg, stdp=stdp, exc_lif=lif,
                                 fast=cfg.fast_snn)
 
+    def _build_training_table(self) -> TrainingTable:
+        cfg = self.config
+        return TrainingTable(capacity=cfg.training_table_size,
+                             history=cfg.history, degree=cfg.degree)
+
     # -- observability -------------------------------------------------------
 
     def attach_observability(self, obs) -> None:
@@ -152,9 +173,6 @@ class PathfinderPrefetcher(Prefetcher):
         scope.counter("snn.spikes").inc(total_spikes)
         scope.gauge("snn.weight_saturation").set(self.weight_saturation)
         scope.gauge("snn.intervals").set(self.monitor.intervals)
-        scope.counter("snn.encoder_cache_hits").inc(self.encoder.cache_hits)
-        scope.counter("snn.encoder_cache_misses").inc(
-            self.encoder.cache_misses)
         if self.neuron_repairs:
             scope.counter("snn.neuron_repairs").inc(self.neuron_repairs)
             self._obs.tracer.emit(
@@ -164,9 +182,7 @@ class PathfinderPrefetcher(Prefetcher):
             "snn.summary", prefetcher=self.name, queries=self.snn_queries,
             stdp_updates=self.stdp_updates, spikes=total_spikes,
             intervals=self.monitor.intervals,
-            weight_saturation=self.weight_saturation,
-            encoder_cache_hits=self.encoder.cache_hits,
-            encoder_cache_misses=self.encoder.cache_misses)
+            weight_saturation=self.weight_saturation)
 
     def series_arm(self) -> None:
         """Start windowed learning-dynamics bookkeeping (``--series``).
@@ -219,7 +235,7 @@ class PathfinderPrefetcher(Prefetcher):
             counts.clear()
         gauges["snn.winner_entropy"] = entropy
         gauges["table.training_occupancy"] = float(
-            len(self.training_table._rows))
+            len(self.training_table))
         gauges["table.inference_occupancy"] = float(it.occupancy())
 
     # -- periodic STDP gating (paper Figure 8) ------------------------------
@@ -234,61 +250,71 @@ class PathfinderPrefetcher(Prefetcher):
 
     def process(self, access: MemoryAccess) -> List[int]:
         self.accesses_seen += 1
-        # Inlined MemoryAccess.page/.offset and encoder.in_range: this
-        # per-access path runs for every demand load, so the property
-        # and method dispatch overhead is measurable.
         address = access.address
         page = address >> PAGE_BITS
         offset = (address >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1)
 
-        entry = self.training_table.lookup(access.pc, page)
-        if entry is None:
-            entry = self.training_table.insert(access.pc, page, offset)
-            return self._query_and_predict(entry, page, offset,
+        tt = self.training_table
+        row = tt.lookup(access.pc, page)
+        if row < 0:
+            row = tt.insert(access.pc, page, offset)
+            return self._query_and_predict(row, page, offset,
                                            first_offset=offset)
 
-        delta = offset - entry.last_offset
-        entry.last_offset = offset
+        delta = offset - int(tt.last_offset[row])
+        tt.last_offset[row] = offset
         if delta == 0:
             # Repeat access to the same block: nothing to learn or do.
             return []
 
         bound = self.config.max_delta
         in_range = -bound <= delta <= bound
-        if entry.fired_neuron is not None and in_range:
-            if self._series_armed and entry.predicted:
+        fired = int(tt.fired[row])
+        if fired != NO_NEURON and in_range:
+            if self._series_armed and tt.n_predicted[row]:
                 self._series_pred_checked += 1
-                if delta in entry.predicted:
+                if delta in tt.row_predicted(row):
                     self._series_pred_correct += 1
-            self.inference_table.observe(entry.fired_neuron, delta)
-        self.training_table.record_delta(entry, delta, in_range)
+            self.inference_table.observe(fired, delta)
+        tt.record_delta(row, delta, in_range)
         if not in_range:
             return []
-        return self._query_and_predict(entry, page, offset)
+        return self._query_and_predict(row, page, offset)
 
-    def _query_and_predict(self, entry, page: int, offset: int,
+    def _query_and_predict(self, row: int, page: int, offset: int,
                            first_offset: Optional[int] = None) -> List[int]:
-        cfg = self.config
+        tt = self.training_table
         encoding = self.encoder.encode_history_sparse(
-            entry.deltas, first_offset=first_offset)
+            tt.row_deltas(row), first_offset=first_offset)
         if encoding is None:
-            entry.fired_neuron = None
+            tt.fired[row] = NO_NEURON
             return []
         learn = self._learning_enabled()
         record = self._run_network(encoding.rates, learn,
                                    active=encoding.active)
         self.snn_queries += 1
-        entry.fired_neuron = record.winner
         if record.winner is None:
+            tt.fired[row] = NO_NEURON
             return []
+        return self._predict(row, record.winners(self.config.degree),
+                             page, offset)
+
+    def _predict(self, row: int, neurons: Sequence[int], page: int,
+                 offset: int) -> List[int]:
+        """Record the winner ``neurons[0]`` as the row's fired neuron,
+        issue up to ``degree`` labels of the firing ``neurons`` whose
+        confidence clears the threshold, and compose their in-page
+        prefetch addresses."""
+        cfg = self.config
+        self.training_table.fired[row] = neurons[0]
         if self._series_armed:
             counts = self._series_winner_counts
-            counts[record.winner] = counts.get(record.winner, 0) + 1
+            counts[neurons[0]] = counts.get(neurons[0], 0) + 1
 
         degree = cfg.degree
         predict = self.inference_table.predict
         predictions: List[int] = []
-        for neuron in record.winners(degree):
+        for neuron in neurons:
             for label in predict(
                     neuron, min_confidence=cfg.confidence_threshold):
                 if label not in predictions:
@@ -297,7 +323,7 @@ class PathfinderPrefetcher(Prefetcher):
                     break
             if len(predictions) >= degree:
                 break
-        entry.predicted = tuple(predictions)
+        self.training_table.set_predicted(row, predictions)
 
         addresses: List[int] = []
         page_base = page << PAGE_BITS
@@ -312,217 +338,128 @@ class PathfinderPrefetcher(Prefetcher):
     def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
         """Columnar form of :meth:`process` over a trace chunk.
 
-        Three passes (docs/architecture.md, "Batched columnar
-        pipeline"):
+        One call into the compiled PATHFINDER loop
+        (:mod:`repro.snn.ckernel`) runs :meth:`process`'s step access
+        by access — Training-Table lookup, insert and LRU eviction,
+        observe, encode, the one-tick SNN step with STDP, predict, and
+        address composition — on the same array-backed tables, encoder
+        table and SNN arrays that :meth:`process` uses, so results are
+        bit-identical and either path can take over from the other
+        mid-trace (docs/architecture.md, "Batched columnar pipeline").
 
-        1. **Table pass** — vectorized page/offset math, then a tight
-           sequential walk over the chunk doing the Training-Table
-           bookkeeping and pixel-encoder lookups, queueing one *op*
-           per Inference-Table interaction.  SNN winners for queries
-           inside the chunk are not known yet, so an observe against a
-           not-yet-run query records a placeholder token resolved in
-           pass 3.
-        2. **SNN pass** — all queued queries run through
-           :meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick_window`
-           (the compiled window kernel) in one call.
-        3. **Predict pass** — replays the queued ops in program order
-           against the Inference Table: observes, winner recording,
-           prediction lookup, and prefetch-address composition.
-
-        The sequential-dependency boundaries are exact: every state
-        update (STDP/theta inside the SNN window, table mutations
-        here) happens in the same order as the scalar path, so results
-        are bit-identical — the parity suite drives both paths across
-        chunk sizes including 1.
-
-        Falls back to the scalar loop whenever the one-tick fast path
-        does not apply, a :class:`SpikeMonitor` is armed (it needs
-        per-query :class:`RunRecord`\\ s), or a fault plan is active
-        (the per-query fault hooks must fire).
+        :meth:`process` runs instead whenever the loop cannot: no
+        compiled kernel (no C compiler, or ``REPRO_NO_CKERNEL=1``), the
+        multi-tick or dense reference SNN, an armed
+        :class:`SpikeMonitor` (it needs per-query
+        :class:`RunRecord`\\ s), or an armed fault plan (the per-query
+        fault hooks must fire).  A due health scan that finds
+        non-finite state stops the loop after that access's SNN step;
+        the repair and the access's prediction run here, then the loop
+        resumes.
         """
         from ..resilience import faults
 
-        cfg = self.config
-        net = self.network
-        if (not cfg.one_tick or not net.fast or self.monitor is not None
-                or faults.ACTIVE is not None):
+        kernel = None
+        if (self.config.one_tick and self.network.fast
+                and self.monitor is None and faults.ACTIVE is None):
+            kernel = load_kernel()
+        if kernel is None:
             return Prefetcher.process_batch(self, addresses, pcs, instr_ids)
 
-        addresses = np.asarray(addresses)
+        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
         n = len(addresses)
-        pages_l = (addresses >> PAGE_BITS).tolist()
-        offsets_l = ((addresses >> BLOCK_BITS)
-                     & (BLOCKS_PER_PAGE - 1)).tolist()
-        pcs_l = np.asarray(pcs).tolist()
+        if len(pcs) != n:
+            raise ValueError(f"{len(pcs)} pcs for {n} addresses")
+        degree = self.config.degree
+        counts = np.zeros(n, dtype=np.int64)
+        targets = np.empty(n * degree, dtype=np.int64)
+        winners = np.full(n, NO_NEURON, dtype=np.int64)
+        start = 0
+        while start < n:
+            stop, stop_row = self._run_loop(kernel, addresses, pcs, start,
+                                            counts, targets, winners)
+            if self._series_armed:
+                self._count_winners(winners[start:stop])
+            if stop == n:
+                break
+            # The health scan after access ``stop``'s query found
+            # non-finite state: repair, then make its prediction.
+            self.network.check_weight_health()
+            self._drain_repairs()
+            address = int(addresses[stop])
+            predicted = self._predict(
+                stop_row, [int(winners[stop])],
+                address >> PAGE_BITS,
+                (address >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1))
+            counts[stop] = len(predicted)
+            targets[stop * degree:stop * degree + len(predicted)] = predicted
+            start = stop + 1
+        flat = targets.tolist()
+        return [flat[k:k + count] if count else [] for k, count in
+                zip(range(0, n * degree, degree), counts.tolist())]
 
+    def _run_loop(self, kernel, addresses, pcs, start, counts, targets,
+                  winners) -> Tuple[int, int]:
+        """One compiled-loop call from access ``start``, with the
+        scalar counters synced in and out around it.  Returns where the
+        loop stopped and, if that is short of the chunk's end, the
+        Training-Table row of the access it stopped at."""
+        cfg = self.config
         tt = self.training_table
-        rows = tt._rows
-        rows_get = rows.get
-        move_end = rows.move_to_end
-        capacity = tt.capacity
-        history = tt.history
-        bound = cfg.max_delta
-        cold_pages = cfg.cold_page_encoding
-        epoch = cfg.stdp_epoch
-        on_accesses = cfg.stdp_on_accesses
-        encode_key = self.encoder.encode_padded_key
-        enc_cache_get = self.encoder._cache.get
-        enc_cache_move = self.encoder._cache.move_to_end
-        enc_hits = 0
-        clip = self.encoder._clip
-        zero_pads = tuple((0,) * k for k in range(history))
-        seen = self.accesses_seen
-        armed = self._series_armed
-
-        # Pass 1: tables + encoding.  ``ops`` preserves program order:
-        # (access_idx, entry, query_idx, offset, page) queries and
-        # (fired_or_token, delta) observes.  A negative ``fired`` is a
-        # placeholder for an in-chunk query's winner.
-        results: List[Optional[List[int]]] = [None] * n
-        ops: List[tuple] = []
-        query_actives: List[np.ndarray] = []
-        query_learns: List[bool] = []
-        for i in range(n):
-            seen += 1
-            page = pages_l[i]
-            offset = offsets_l[i]
-            key = (pcs_l[i], page)
-            entry = rows_get(key)
-            if entry is None:
-                if len(rows) >= capacity:
-                    rows.popitem(last=False)
-                    tt.evictions += 1
-                entry = TrainingEntry(last_offset=offset,
-                                      deltas=deque(maxlen=history))
-                rows[key] = entry
-                if not cold_pages:
-                    entry.fired_neuron = None
-                    continue
-                padded = (clip(offset),) + zero_pads[history - 1]
-            else:
-                move_end(key)
-                delta = offset - entry.last_offset
-                entry.last_offset = offset
-                if delta == 0:
-                    continue
-                if not -bound <= delta <= bound:
-                    entry.deltas.clear()
-                    entry.fired_neuron = None
-                    continue
-                fired = entry.fired_neuron
-                if fired is not None:
-                    # Armed series runs carry the entry so pass 3 can
-                    # check ``delta in entry.predicted`` in program
-                    # order — exactly the scalar path's accuracy site.
-                    ops.append((fired, delta, entry) if armed
-                               else (fired, delta))
-                d = entry.deltas
-                d.append(delta)
-                pad = len(d)
-                if pad >= history:
-                    padded = tuple(d)
-                elif not cold_pages:
-                    entry.fired_neuron = None
-                    continue
-                else:
-                    padded = zero_pads[history - pad] + tuple(d)
-            encoding = enc_cache_get(padded)
-            if encoding is None:
-                encoding = encode_key(padded)
-            else:
-                enc_cache_move(padded)
-                enc_hits += 1
-            learn = (True if epoch is None
-                     else (seen % epoch) < on_accesses)
-            qidx = len(query_actives)
-            query_actives.append(encoding.active)
-            query_learns.append(learn)
-            entry.fired_neuron = -qidx - 1
-            ops.append((i, entry, qidx, offset, page))
-        self.accesses_seen = seen
-        self.encoder.cache_hits += enc_hits
-
-        # Pass 2: one batched SNN window for every queued query.
-        if query_actives:
-            winners = net.present_one_tick_window(query_actives,
-                                                  query_learns)
-            self.snn_queries += len(query_actives)
-            self.stdp_updates += sum(query_learns)
-            # Weight repairs are unreachable here (no fault plan is
-            # armed and the arithmetic preserves finiteness), but keep
-            # the drain so the counters can never silently diverge.
-            for neuron in net.drain_repaired_neurons():
-                self.inference_table.reset_neuron(neuron)
-                self.neuron_repairs += 1
-        else:
-            winners = []
-
-        # Pass 3: replay table interactions in program order.  Observe
-        # ops are 2-tuples, query ops 5-tuples; the prediction ranking
-        # of :meth:`InferenceTable.predict` is inlined (same stable
-        # two-slot comparison, then threshold filter + dedup + degree
-        # cut in the scalar caller's exact order).
         it = self.inference_table
-        observe = it.observe
-        slots_all = it._slots
-        threshold = cfg.confidence_threshold
-        degree = cfg.degree
-        emitted = 0
-        pred_checked = pred_correct = 0
-        winner_counts = self._series_winner_counts
-        for op in ops:
-            if len(op) < 5:
-                fired = op[0]
-                delta = op[1]
-                if fired < 0:
-                    fired = winners[-fired - 1]
-                if len(op) == 3:
-                    predicted = op[2].predicted
-                    if predicted:
-                        pred_checked += 1
-                        if delta in predicted:
-                            pred_correct += 1
-                observe(fired, delta)
-                continue
-            i, entry, qidx, offset, page = op
-            winner = winners[qidx]
-            if armed:
-                winner_counts[winner] = winner_counts.get(winner, 0) + 1
-            # Only resolve the placeholder if a later access didn't
-            # already clear or re-query this stream.
-            if entry.fired_neuron == -qidx - 1:
-                entry.fired_neuron = winner
-            predictions: List[int] = []
-            ranked = slots_all[winner]
-            if ranked:
-                if len(ranked) == 2:
-                    if ranked[1].confidence > ranked[0].confidence:
-                        ranked = (ranked[1], ranked[0])
-                elif len(ranked) > 2:
-                    ranked = sorted(ranked, key=lambda s: -s.confidence)
-                for slot in ranked:
-                    if slot.confidence >= threshold:
-                        label = slot.label
-                        if label not in predictions:
-                            predictions.append(label)
-                        if len(predictions) >= degree:
-                            break
-            entry.predicted = tuple(predictions)
-            if predictions:
-                addrs: List[int] = []
-                page_base = page << PAGE_BITS
-                for label in predictions:
-                    target = offset + label
-                    if 0 <= target < BLOCKS_PER_PAGE:
-                        addrs.append(page_base
-                                     | (target << BLOCK_BITS))
-                emitted += len(addrs)
-                results[i] = addrs
-        self.prefetches_emitted += emitted
-        if armed:
-            self._series_pred_checked += pred_checked
-            self._series_pred_correct += pred_correct
-        return [r if r is not None else [] for r in results]
+        encoder = self.encoder
+        # The loop's (pc, page) -> row hash index: a power of two over
+        # twice the capacity, so probe runs stay short.
+        index_size = 1 << (2 * tt.capacity).bit_length()
+        scratch = np.empty(index_size + cfg.n_input + cfg.labels_per_neuron,
+                           dtype=np.int64)
+        args = PathfinderArgs(
+            tt_pc=pointer(tt.pc), tt_page=pointer(tt.page),
+            tt_last_offset=pointer(tt.last_offset),
+            tt_deltas=pointer(tt.deltas), tt_n_deltas=pointer(tt.n_deltas),
+            tt_fired=pointer(tt.fired), tt_predicted=pointer(tt.predicted),
+            tt_n_predicted=pointer(tt.n_predicted),
+            tt_stamp=pointer(tt.stamp),
+            it_label=pointer(it.slot_label),
+            it_confidence=pointer(it.slot_confidence),
+            it_count=pointer(it.slot_count), it_pending=pointer(it.pending),
+            lit_starts=pointer(encoder.lit_starts),
+            lit_flat=pointer(encoder.lit_flat),
+            index=pointer(scratch[:index_size]),
+            active=pointer(scratch[index_size:index_size + cfg.n_input]),
+            rank=pointer(scratch[index_size + cfg.n_input:]),
+            index_size=index_size, capacity=tt.capacity,
+            history=tt.history, degree=cfg.degree,
+            width=cfg.delta_range, max_delta=cfg.max_delta,
+            labels_per_neuron=it.labels_per_neuron,
+            confidence_max=it.confidence_max,
+            confidence_init=it.confidence_init,
+            confidence_threshold=cfg.confidence_threshold,
+            require_confirmation=int(it.require_confirmation),
+            cold_pages=int(cfg.cold_page_encoding),
+            stdp_epoch=cfg.stdp_epoch or 0,
+            stdp_on_accesses=cfg.stdp_on_accesses,
+            series=int(self._series_armed))
+        owners = {None: self, "training_table": tt, "inference_table": it,
+                  "network": self.network}
+        for field, owner, attr in _LOOP_COUNTERS:
+            setattr(args, field, getattr(owners[owner], attr))
+        updates = self.stdp_updates
+        stop = kernel.pathfinder_chunk(self.network.kernel_args(), args,
+                                       addresses, pcs, start, counts,
+                                       targets, winners)
+        for field, owner, attr in _LOOP_COUNTERS:
+            setattr(owners[owner], attr, getattr(args, field))
+        if self.stdp_updates != updates:
+            self.network.exc.adaptation_enabled = True
+        return stop, args.stop_row
+
+    def _count_winners(self, winners: np.ndarray) -> None:
+        counts = self._series_winner_counts
+        for winner in winners.tolist():
+            if winner != NO_NEURON:
+                counts[winner] = counts.get(winner, 0) + 1
 
     def _drain_repairs(self) -> None:
         """Propagate SNN weight repairs into the inference table.
@@ -572,18 +509,9 @@ class PathfinderPrefetcher(Prefetcher):
         return record
 
     def reset(self) -> None:
-        """Clear all run-time state, re-seeding the SNN identically.
-
-        The encoder's memo table survives (encodings are a pure
-        function of the config) but its hit/miss counters restart so
-        per-run telemetry stays comparable.
-        """
-        self.encoder.cache_hits = 0
-        self.encoder.cache_misses = 0
+        """Clear all run-time state, re-seeding the SNN identically."""
         self.network = self._build_network()
-        self.training_table = TrainingTable(
-            capacity=self.config.training_table_size,
-            history=self.config.history)
+        self.training_table = self._build_training_table()
         self.inference_table.reset()
         self.accesses_seen = 0
         self.snn_queries = 0

@@ -19,9 +19,8 @@ switchable for the Figure 9 ablation ladder:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +31,6 @@ from .config import PathfinderConfig
 @dataclass(frozen=True)
 class SparseEncoding:
     """A pixel-rate vector plus its precomputed support.
-
-    Both arrays are marked read-only because instances are shared
-    through the encoder's LRU cache; consumers that need to scale the
-    rates (e.g. intensity boosting) copy first.
 
     Attributes:
         rates: Dense float intensities, shape ``(n_input,)``.
@@ -74,48 +69,43 @@ class PixelMatrixEncoder:
         self._center = config.max_delta
         self._permutation: Optional[np.ndarray] = (
             _spread_permutation(self._width) if config.reorder_pixels else None)
-        # Per-(row, delta-column) lit-index tables: every shift /
-        # permutation / enlargement decision is resolved once here, so
-        # encoding a history is H table lookups and one scatter.
-        self._row_tables = self._build_row_tables()
-        self._cache: "OrderedDict[Tuple[int, ...], SparseEncoding]" = \
-            OrderedDict()
-        self._cache_size = getattr(config, "encoder_cache_size", 4096)
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # The lit-pixel table in CSR form, one entry per (row, delta):
+        # every shift / permutation / enlargement decision is resolved
+        # once here, so encoding a history is H slices and one scatter.
+        # The compiled PATHFINDER loop reads the same two arrays.
+        self.lit_starts, self.lit_flat = self._build_lit_table()
 
-    def _build_row_tables(self) -> List[List[np.ndarray]]:
-        """Precompute the lit flat indices for every (row, column).
+    def _build_lit_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Precompute the lit flat indices for every (row, delta).
 
-        ``tables[row][delta + max_delta]`` is the sorted array of flat
-        pixel indices that :meth:`encode` would light for that delta in
-        that row (middle-shift, permutation, and enlargement already
-        applied).
+        Entry ``k = row * D + delta + max_delta`` lights the sorted
+        pixels ``lit_flat[lit_starts[k]:lit_starts[k + 1]]`` — those
+        :meth:`encode_reference` would light for that delta in that row
+        (middle-shift, permutation, and enlargement already applied).
         """
         cfg = self.config
-        middle = self._height // 2
-        tables: List[List[np.ndarray]] = []
-        for row in range(self._height):
-            base = row * self._width
-            entries: List[np.ndarray] = []
-            for raw in range(self._width):
-                column = raw
-                if row == middle and self._height >= 3:
-                    column = min(self._width - 1,
-                                 max(0, column + cfg.middle_shift))
-                if self._permutation is not None:
-                    column = int(self._permutation[column])
-                lit = {column}
-                if cfg.enlarge_pixels:
-                    for offset in range(1, cfg.enlarge_radius + 1):
-                        for neighbour in (column - offset, column + offset):
-                            if 0 <= neighbour < self._width:
-                                lit.add(neighbour)
-                indices = base + np.array(sorted(lit), dtype=np.intp)
-                indices.setflags(write=False)
-                entries.append(indices)
-            tables.append(entries)
-        return tables
+        width, height = self._width, self._height
+        columns = np.tile(np.arange(width), (height, 1))
+        if height >= 3:
+            middle = height // 2
+            columns[middle] = np.clip(columns[middle] + cfg.middle_shift,
+                                      0, width - 1)
+        if self._permutation is not None:
+            columns = self._permutation[columns]
+        # A pixel and its in-row neighbours form one contiguous run of
+        # columns, so offsets in ascending order list it sorted.
+        radius = cfg.enlarge_radius if cfg.enlarge_pixels else 0
+        lit = columns[..., None] + np.arange(-radius, radius + 1)
+        inside = (lit >= 0) & (lit < width)
+        lit += (np.arange(height) * width)[:, None, None]
+        starts = np.zeros(height * width + 1, dtype=np.int64)
+        np.cumsum(inside.sum(axis=2).ravel(), out=starts[1:])
+        return starts, lit[inside].astype(np.int64)
+
+    def lit(self, row: int, delta: int) -> np.ndarray:
+        """The sorted flat pixels ``delta`` lights in ``row``."""
+        k = row * self._width + delta + self._center
+        return self.lit_flat[self.lit_starts[k]:self.lit_starts[k + 1]]
 
     @property
     def n_input(self) -> int:
@@ -129,7 +119,7 @@ class PixelMatrixEncoder:
     def encode(self, deltas: Sequence[int]) -> np.ndarray:
         """Encode a delta history (most recent last) into pixel rates.
 
-        Uses the precomputed lit-index tables; returns a fresh writable
+        Uses the precomputed lit-pixel table; returns a fresh writable
         vector, bit-identical to :meth:`encode_reference`.
 
         Args:
@@ -146,7 +136,7 @@ class PixelMatrixEncoder:
         for row, delta in enumerate(deltas):
             if not self.in_range(delta):
                 raise ConfigError(f"delta {delta} outside pixel matrix range")
-            rates[self._row_tables[row][delta + self._center]] = 1.0
+            rates[self.lit(row, delta)] = 1.0
         return rates
 
     def encode_reference(self, deltas: Sequence[int]) -> np.ndarray:
@@ -214,15 +204,12 @@ class PixelMatrixEncoder:
     def encode_history_sparse(self, deltas: Sequence[int],
                               first_offset: Optional[int] = None
                               ) -> Optional[SparseEncoding]:
-        """Memoised sparse form of :meth:`encode_history`.
+        """Sparse form of :meth:`encode_history`.
 
         Same padding/clipping semantics, but the result carries its
-        active-pixel support and is cached (LRU, keyed by the padded
-        ``history_key``) — delta histories repeat heavily in real
-        traces, so most accesses hit the cache and skip encoding
-        entirely.  The returned arrays are read-only and shared; the
-        ``rates`` values are bit-identical to :meth:`encode_history`
-        and ``active`` equals ``np.flatnonzero(rates)``.
+        active-pixel support: the ``rates`` values are bit-identical to
+        :meth:`encode_history` and ``active`` equals
+        ``np.flatnonzero(rates)``.
         """
         cfg = self.config
         bound = self._center
@@ -238,45 +225,14 @@ class PixelMatrixEncoder:
             padded = [self._clip(first_offset)] + [0] * (self._height - 1)
         else:
             padded = [0] * (self._height - len(clipped)) + clipped
-        return self.encode_padded_key(tuple(padded))
-
-    def encode_padded_key(self, key: Tuple[int, ...]) -> SparseEncoding:
-        """Cache-first encoding of an already-padded, in-range key.
-
-        The batched PATHFINDER pass builds the padded history key
-        itself (its deltas are in range by construction, so the
-        clipping pass of :meth:`encode_history_sparse` is a no-op) and
-        calls this directly; both entry points share the one cache, so
-        scalar and batched runs hit the same memo table.
-        """
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        # Rows occupy disjoint, increasing index ranges and each table
+        # Rows occupy disjoint, increasing index ranges and each entry
         # is sorted, so concatenating in row order is already the
         # sorted unique support.
-        active = np.concatenate(
-            [self._row_tables[row][delta + self._center]
-             for row, delta in enumerate(key)])
+        active = np.concatenate([self.lit(row, delta)
+                                 for row, delta in enumerate(padded)])
         rates = np.zeros(self.n_input, dtype=float)
         rates[active] = 1.0
-        rates.setflags(write=False)
-        active.setflags(write=False)
-        encoding = SparseEncoding(rates=rates, active=active)
-        if self._cache_size > 0:
-            self._cache[key] = encoding
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return encoding
-
-    def cache_clear(self) -> None:
-        """Drop all memoised encodings and reset the hit/miss counters."""
-        self._cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        return SparseEncoding(rates=rates, active=active)
 
     def _clip(self, value: int) -> int:
         bound = self.config.max_delta

@@ -7,84 +7,159 @@ to the SNN, and which output neuron fired for that input — the neuron
 that will be labelled (or confidence-updated) once the *actual* next
 delta is observed.
 
-Implemented as an LRU-bounded ordered map, modelling the paper's
-1K-row CAM.
+Modelled as the paper's 1K-row CAM with LRU replacement, held in flat
+arrays: row ``r`` of every array belongs to one stream, and rows
+``[0, rows)`` are in use.  :meth:`PathfinderPrefetcher.process
+<repro.core.pathfinder.PathfinderPrefetcher.process>` and the compiled
+PATHFINDER loop (:mod:`repro.snn.ckernel`) read and write the same
+arrays, so either can pick up where the other stopped.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Deque, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
 
+#: ``fired`` value of a row with no neuron awaiting its next delta.
+NO_NEURON = -1
 
-@dataclass
+
+@dataclass(frozen=True)
 class TrainingEntry:
-    """One (pc, page) stream's state.
+    """A snapshot of one stream's row (see :meth:`TrainingTable.entries`).
 
     Attributes:
+        pc, page: The stream's CAM key.
         last_offset: Page offset of the stream's most recent access.
-        deltas: Recent in-range deltas, oldest first (bounded by H).
+        deltas: Recent in-range deltas, oldest first (at most H).
         fired_neuron: SNN neuron that fired for the last query, awaiting
             the next delta so it can be labelled / confidence-checked.
-        predicted: Deltas that were actually prefetched off the last
-            query (used for bookkeeping/diagnostics).
+        predicted: Deltas that were prefetched off the last query.
     """
 
+    pc: int
+    page: int
     last_offset: int
-    deltas: Deque[int] = field(default_factory=deque)
-    fired_neuron: Optional[int] = None
-    predicted: Tuple[int, ...] = ()
+    deltas: Tuple[int, ...]
+    fired_neuron: Optional[int]
+    predicted: Tuple[int, ...]
 
 
 class TrainingTable:
-    """LRU-bounded map from (pc, page) to :class:`TrainingEntry`."""
+    """LRU-bounded CAM from (pc, page) to a stream's row.
 
-    def __init__(self, capacity: int = 1024, history: int = 3):
+    Args:
+        capacity: Rows (paper: 1K).
+        history: Delta-history length H.
+        degree: Most deltas one query can predict (the prefetch degree).
+    """
+
+    def __init__(self, capacity: int = 1024, history: int = 3,
+                 degree: int = 2):
         if capacity < 1:
             raise ConfigError("TrainingTable capacity must be >= 1")
         if history < 1:
             raise ConfigError("history must be >= 1")
+        if degree < 1:
+            raise ConfigError("degree must be >= 1")
         self.capacity = capacity
         self.history = history
-        self._rows: "OrderedDict[Tuple[int, int], TrainingEntry]" = OrderedDict()
+        self.pc = np.zeros(capacity, dtype=np.int64)
+        self.page = np.zeros(capacity, dtype=np.int64)
+        self.last_offset = np.zeros(capacity, dtype=np.int64)
+        # Right-aligned delta histories: a row's last n_deltas columns
+        # hold its deltas, oldest first, and the columns before them
+        # are zero, which is already the cold-page padding {0, D1, D2}.
+        self.deltas = np.zeros((capacity, history), dtype=np.int64)
+        self.n_deltas = np.zeros(capacity, dtype=np.int64)
+        self.fired = np.full(capacity, NO_NEURON, dtype=np.int64)
+        self.predicted = np.zeros((capacity, degree), dtype=np.int64)
+        self.n_predicted = np.zeros(capacity, dtype=np.int64)
+        # LRU stamps: a row's stamp is the clock value of its last use.
+        self.stamp = np.zeros(capacity, dtype=np.int64)
+        self.rows = 0
+        self.clock = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.rows
 
-    def lookup(self, pc: int, page: int) -> Optional[TrainingEntry]:
-        """Return the stream's entry (refreshing LRU), or ``None``."""
-        key = (pc, page)
-        entry = self._rows.get(key)
-        if entry is not None:
-            self._rows.move_to_end(key)
-        return entry
+    def _touch(self, row: int) -> None:
+        self.clock += 1
+        self.stamp[row] = self.clock
 
-    def insert(self, pc: int, page: int, offset: int) -> TrainingEntry:
-        """Allocate a fresh row for a stream's first access to a page."""
-        key = (pc, page)
-        if len(self._rows) >= self.capacity and key not in self._rows:
-            self._rows.popitem(last=False)
+    def lookup(self, pc: int, page: int) -> int:
+        """Return the stream's row (refreshing its LRU stamp), or -1."""
+        used = self.rows
+        hits = np.flatnonzero((self.pc[:used] == pc)
+                              & (self.page[:used] == page))
+        if not hits.size:
+            return -1
+        row = int(hits[0])
+        self._touch(row)
+        return row
+
+    def insert(self, pc: int, page: int, offset: int) -> int:
+        """Allocate a row for a stream's first access to a page (after a
+        :meth:`lookup` miss), evicting the least recently used row when
+        the table is full."""
+        if self.rows < self.capacity:
+            row = self.rows
+            self.rows += 1
+        else:
+            row = int(np.argmin(self.stamp))
             self.evictions += 1
-        entry = TrainingEntry(last_offset=offset,
-                              deltas=deque(maxlen=self.history))
-        self._rows[key] = entry
-        self._rows.move_to_end(key)
-        return entry
+        self.pc[row] = pc
+        self.page[row] = page
+        self.last_offset[row] = offset
+        self.deltas[row] = 0
+        self.n_deltas[row] = 0
+        self.fired[row] = NO_NEURON
+        self.n_predicted[row] = 0
+        self._touch(row)
+        return row
 
-    def record_delta(self, entry: TrainingEntry, delta: int,
-                     in_range: bool) -> None:
+    def record_delta(self, row: int, delta: int, in_range: bool) -> None:
         """Advance a stream by one observed delta.
 
         Out-of-range deltas break the pattern: the history is cleared
         (the stream effectively restarts), mirroring how a reduced
         delta range loses coverage in the paper's Figure 5.
         """
+        history = self.deltas[row]
         if in_range:
-            entry.deltas.append(delta)
+            history[:-1] = history[1:]
+            history[-1] = delta
+            self.n_deltas[row] = min(self.n_deltas[row] + 1, self.history)
         else:
-            entry.deltas.clear()
-            entry.fired_neuron = None
+            history[:] = 0
+            self.n_deltas[row] = 0
+            self.fired[row] = NO_NEURON
+
+    def row_deltas(self, row: int) -> List[int]:
+        """The stream's recent deltas, oldest first."""
+        n = int(self.n_deltas[row])
+        return self.deltas[row, self.history - n:].tolist()
+
+    def row_predicted(self, row: int) -> Tuple[int, ...]:
+        """The deltas prefetched off the stream's last query."""
+        return tuple(self.predicted[row, :self.n_predicted[row]].tolist())
+
+    def set_predicted(self, row: int, deltas: Sequence[int]) -> None:
+        self.predicted[row, :len(deltas)] = deltas
+        self.n_predicted[row] = len(deltas)
+
+    def entries(self) -> List[TrainingEntry]:
+        """Snapshots of every row, least recently used first."""
+        order = np.argsort(self.stamp[:self.rows], kind="stable")
+        return [TrainingEntry(
+            pc=int(self.pc[row]), page=int(self.page[row]),
+            last_offset=int(self.last_offset[row]),
+            deltas=tuple(self.row_deltas(row)),
+            fired_neuron=(None if self.fired[row] == NO_NEURON
+                          else int(self.fired[row])),
+            predicted=self.row_predicted(row)) for row in order.tolist()]

@@ -46,15 +46,12 @@ wrong.  Compiled objects share the snn kernel's cache directory
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import sys
 from typing import Optional
 
 import numpy as np
 
-from ...snn.ckernel import CFLAGS, _cache_dir, _find_compiler
+from ...snn.ckernel import compile_library
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -797,31 +794,6 @@ class ReplayKernel:
         return out
 
 
-def _compile(cc: str) -> Optional[str]:
-    tag = hashlib.sha256(
-        (C_SOURCE + "\0" + cc + "\0" + " ".join(CFLAGS)
-         + "\0" + sys.version).encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"replay_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache, exist_ok=True)
-        src_path = os.path.join(cache, f"replay_{tag}.c")
-        tmp_so = os.path.join(cache, f"replay_{tag}.{os.getpid()}.tmp.so")
-        with open(src_path, "w") as fh:
-            fh.write(C_SOURCE)
-        proc = subprocess.run(
-            [cc, *CFLAGS, src_path, "-o", tmp_so],
-            capture_output=True, timeout=120)
-        if proc.returncode != 0:
-            return None
-        os.replace(tmp_so, so_path)  # atomic: concurrent compiles race safely
-        return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
 def load_kernel() -> Optional[ReplayKernel]:
     """The process-wide compiled replay kernel, or ``None``.
 
@@ -836,10 +808,7 @@ def load_kernel() -> Optional[ReplayKernel]:
     _kernel_tried = True
     if os.environ.get("REPRO_NO_SIMKERNEL") == "1":
         return None
-    cc = _find_compiler()
-    if cc is None:
-        return None
-    so_path = _compile(cc)
+    so_path = compile_library("replay", C_SOURCE)
     if so_path is None:
         return None
     try:

@@ -1,13 +1,22 @@
-"""On-demand compiled C kernel for the one-tick SNN hot loop.
+"""On-demand compiled C kernels for PATHFINDER's one-tick hot loop.
 
-The batched prefetch-file pipeline (docs/architecture.md, "Batched
-columnar pipeline") needs the per-query rank/STDP/theta sequence to
-cost well under a microsecond; a NumPy expression of the same ops
-bottoms out at ~10 us/query on typical hosts because the arithmetic is
-tiny (~4 KFLOP) and every ufunc call costs ~1 us of dispatch.  This
-module compiles a ~150-line C translation of
+Two entry points share one library and one per-query step
+(``tick_one``, a C translation of
 :meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick`'s fast
-path with the system C compiler and binds it through :mod:`ctypes`.
+path):
+
+- ``pf_pathfinder_chunk`` runs
+  :meth:`~repro.core.pathfinder.PathfinderPrefetcher.process` access by
+  access over a trace chunk — Training-Table lookup, insert and LRU
+  eviction, observe, encode, the one-tick SNN step, predict and address
+  composition — on the prefetcher's own array-backed tables;
+- ``pf_tick_window`` presents a window of pre-encoded queries
+  (:meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick_window`).
+
+A NumPy expression of the same step bottoms out at ~10 us/query
+because the arithmetic is tiny (~4 KFLOP) and every ufunc call costs
+~1 us of dispatch.  The library is compiled with the system C compiler
+and bound through :mod:`ctypes`.
 
 Bit-identity contract
 ---------------------
@@ -24,17 +33,17 @@ the same order as the NumPy fast path:
 - it is compiled with ``-ffp-contract=off -fno-fast-math`` so no FMA
   contraction or reassociation can change results.
 
-The winner is the first index attaining the maximal score, which
-matches ``np.negative(scores).argsort()[0]`` whenever the top score is
-unique (always, in practice: scores are quotients of evolving weight
-sums — the parity suites assert end-to-end identical prefetch files).
+The winner is the first index attaining the maximal score (NaN scores
+never win), which is what the stable
+``np.negative(scores).argsort(kind="stable")[0]`` of the Python paths
+picks.  The table operations are integer-exact transcriptions of the
+Python ones.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set) the
-batch path transparently falls back to the scalar NumPy hot path —
-slower, never wrong.  Compiled objects are cached under
-``$REPRO_CKERNEL_CACHE`` (default: a ``repro-ckernel`` directory in
-the system temp dir) keyed by a hash of the source and compiler, so
-each environment compiles once.
+callers fall back to the scalar Python path — slower, never wrong.
+Compiled objects are cached under ``$REPRO_CKERNEL_CACHE`` (default: a
+``repro-ckernel`` directory in the system temp dir) keyed by a hash of
+the source and compiler, so each environment compiles once.
 """
 
 from __future__ import annotations
@@ -46,13 +55,19 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-#: C translation of the one-tick fast path.  Kept as a string (not a
-#: data file) so the module is self-contained under any packaging.
-C_SOURCE = r"""
+from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS
+
+#: C translation of the one-tick step and the PATHFINDER loop, with
+#: the address-layout constants of :mod:`repro.types` prepended.  Kept
+#: as a string (not a data file) so the module is self-contained under
+#: any packaging.
+C_SOURCE = "".join(f"#define {name} {value}\n" for name, value in (
+    ("PAGE_BITS", PAGE_BITS), ("BLOCK_BITS", BLOCK_BITS),
+    ("BLOCKS_PER_PAGE", BLOCKS_PER_PAGE))) + r"""
 #include <math.h>
 #include <stdint.h>
 
@@ -99,193 +114,582 @@ double pf_pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n);
 }
 
+/* The network's state and one-tick constants (DiehlCookNetwork.
+ * kernel_args; NetArgs below mirrors this layout). */
+typedef struct {
+    double *w;              /* (n_input, n_neurons) C-contiguous, updated */
+    double *theta;          /* (n_neurons,) adaptive thresholds, updated */
+    const double *v;        /* (n_neurons,) membranes (health scan only) */
+    double *drive_buf;      /* (n_neurons,) scratch */
+    double *column_buf;     /* (n_input,) scratch */
+    int64_t n_input, n_neurons, health_interval;
+    double threshold_gap, max_probability, stdp_d0, stdp_d1;
+    double w_min, w_max, norm, theta_plus, theta_max, theta_decay;
+    int32_t clamp_gap, do_stdp, has_norm, has_theta_max;
+} pf_net;
+
 /* The scan of DiehlCookNetwork.check_weight_health: any non-finite
  * weight, theta, or membrane value.  Runs on the same cadence as the
- * scalar path; a hit makes the window kernel return early so Python
- * can run the (seeded, stateful) repair. */
-static int any_nonfinite(const double *w, const double *theta,
-                         const double *v,
-                         int64_t n_input, int64_t n_neurons)
+ * scalar path; a hit makes the kernels return early so Python can run
+ * the (seeded, stateful) repair. */
+static int any_nonfinite(const pf_net *s)
 {
     int64_t i;
-    for (i = 0; i < n_input * n_neurons; i++) {
-        if (!isfinite(w[i])) return 1;
+    for (i = 0; i < s->n_input * s->n_neurons; i++) {
+        if (!isfinite(s->w[i])) return 1;
     }
-    for (i = 0; i < n_neurons; i++) {
-        if (!isfinite(theta[i]) || !isfinite(v[i])) return 1;
+    for (i = 0; i < s->n_neurons; i++) {
+        if (!isfinite(s->theta[i]) || !isfinite(s->v[i])) return 1;
     }
     return 0;
 }
 
-/* One window of one-tick presentations.  Mirrors
- * DiehlCookNetwork.present_one_tick's fast path (binary rates, sparse
- * active support) op for op; see that method for the derivation.
- *
- *   w           (n_input, n_neurons) C-contiguous weights, updated
- *   theta       (n_neurons,) adaptive thresholds, updated
- *   v           (n_neurons,) membrane potentials (health scan only)
- *   active_flat concatenated active-pixel indices for all queries
- *   starts      (n_queries + 1,) offsets into active_flat
- *   learn       (n_queries,) per-query STDP/adaptation flags
- *   intervals   intervals_presented before this window (for the
- *               health-check cadence)
- *   drive_buf   (n_neurons,) scratch
- *   column_buf  (n_input,) scratch
- *   winners     (n_queries,) output
- *
- * Returns the number of queries fully presented: n_queries normally,
- * fewer iff a due health scan saw a non-finite value — the caller
- * then runs the scalar repair path from that point.
- */
-int64_t pf_tick_window(
-    double *w, double *theta, const double *v,
-    const int64_t *active_flat, const int64_t *starts,
-    const unsigned char *learn,
-    int64_t n_queries, int64_t n_input, int64_t n_neurons,
-    int64_t intervals, int64_t health_interval,
-    double threshold_gap, int clamp_gap, double max_probability,
-    int do_stdp, double stdp_d0, double stdp_d1,
-    double w_min, double w_max, int has_norm, double norm,
-    double theta_plus, int has_theta_max, double theta_max,
-    double theta_decay,
-    double *drive_buf, double *column_buf,
-    int64_t *winners)
+/* One one-tick presentation of the sorted active pixels act[0..n_active).
+ * Mirrors DiehlCookNetwork.present_one_tick's fast path (binary rates,
+ * sparse active support) op for op; see that method for the
+ * derivation.  Returns the winner. */
+static int64_t tick_one(const pf_net *s, const int64_t *act,
+                        int64_t n_active, int learn)
 {
-    int64_t b, c, i, k;
-    for (b = 0; b < n_queries; b++) {
-        const int64_t *act = active_flat + starts[b];
-        int64_t n_active = starts[b + 1] - starts[b];
+    /* Locals, so stores through the buffers cannot force reloads. */
+    double *w = s->w, *theta = s->theta;
+    double *drive_buf = s->drive_buf, *column_buf = s->column_buf;
+    const int64_t n_input = s->n_input, n_neurons = s->n_neurons;
+    const double max_probability = s->max_probability;
+    const double threshold_gap = s->threshold_gap;
+    const int clamp_gap = s->clamp_gap;
+    int64_t c, i, k;
 
-        /* drive = add.reduce(w.take(active, axis=0), axis=0) * P */
-        if (n_active > 0) {
-            const double *row = w + act[0] * n_neurons;
-            for (c = 0; c < n_neurons; c++) {
-                drive_buf[c] = row[c];
-            }
-            for (k = 1; k < n_active; k++) {
-                row = w + act[k] * n_neurons;
-                for (c = 0; c < n_neurons; c++) {
-                    drive_buf[c] += row[c];
-                }
-            }
-            for (c = 0; c < n_neurons; c++) {
-                drive_buf[c] *= max_probability;
-            }
-        }
-        else {
-            for (c = 0; c < n_neurons; c++) {
-                drive_buf[c] = 0.0;
-            }
-        }
-
-        /* scores = drive / (theta + threshold_gap); first-max argmax */
-        int64_t winner = 0;
-        double best = -INFINITY;
+    /* drive = add.reduce(w.take(active, axis=0), axis=0) * P */
+    if (n_active > 0) {
+        const double *row = w + act[0] * n_neurons;
         for (c = 0; c < n_neurons; c++) {
-            double gap = theta[c] + threshold_gap;
-            if (clamp_gap && gap < 1e-9) {
-                gap = 1e-9;
-            }
-            double score = drive_buf[c] / gap;
-            if (score > best) {
-                best = score;
-                winner = c;
-            }
+            drive_buf[c] = row[c];
         }
-        winners[b] = winner;
-
-        if (learn[b]) {
-            if (do_stdp) {
-                double *wcol = w + winner;
-                for (i = 0; i < n_input; i++) {
-                    column_buf[i] = wcol[i * n_neurons] + stdp_d0;
-                }
-                for (k = 0; k < n_active; k++) {
-                    int64_t a = act[k];
-                    column_buf[a] = wcol[a * n_neurons] + stdp_d1;
-                }
-                /* np.maximum / np.minimum: NaN-propagating, and ties
-                 * (incl. -0.0 vs 0.0) resolve to the second operand. */
-                for (i = 0; i < n_input; i++) {
-                    double v = column_buf[i];
-                    v = (v > w_min || isnan(v)) ? v : w_min;
-                    v = (v < w_max || isnan(v)) ? v : w_max;
-                    column_buf[i] = v;
-                }
-                if (has_norm) {
-                    double total = pairwise_sum(column_buf, n_input);
-                    if (total == 0.0) {
-                        total = 1.0;
-                    }
-                    double scale = norm / total;
-                    for (i = 0; i < n_input; i++) {
-                        column_buf[i] *= scale;
-                    }
-                }
-                for (i = 0; i < n_input; i++) {
-                    wcol[i * n_neurons] = column_buf[i];
-                }
-            }
-            if (theta_plus != 0.0) {
-                double tw = theta[winner];
-                if (has_theta_max) {
-                    double room = 1.0 - tw / theta_max;
-                    if (!(room > 0.0)) {
-                        room = 0.0;
-                    }
-                    theta[winner] = tw + theta_plus * room;
-                }
-                else {
-                    theta[winner] = tw + theta_plus;
-                }
-            }
+        for (k = 1; k < n_active; k++) {
+            row = w + act[k] * n_neurons;
             for (c = 0; c < n_neurons; c++) {
-                theta[c] *= theta_decay;
+                drive_buf[c] += row[c];
             }
         }
+        for (c = 0; c < n_neurons; c++) {
+            drive_buf[c] *= max_probability;
+        }
+    }
+    else {
+        for (c = 0; c < n_neurons; c++) {
+            drive_buf[c] = 0.0;
+        }
+    }
 
+    /* scores = drive / (theta + threshold_gap); first-max argmax */
+    int64_t winner = 0;
+    double best = -INFINITY;
+    for (c = 0; c < n_neurons; c++) {
+        double gap = theta[c] + threshold_gap;
+        if (clamp_gap && gap < 1e-9) {
+            gap = 1e-9;
+        }
+        double score = drive_buf[c] / gap;
+        if (score > best) {
+            best = score;
+            winner = c;
+        }
+    }
+
+    if (learn) {
+        if (s->do_stdp) {
+            double *wcol = w + winner;
+            const double d0 = s->stdp_d0, d1 = s->stdp_d1;
+            const double w_min = s->w_min, w_max = s->w_max;
+            for (i = 0; i < n_input; i++) {
+                column_buf[i] = wcol[i * n_neurons] + d0;
+            }
+            for (k = 0; k < n_active; k++) {
+                int64_t a = act[k];
+                column_buf[a] = wcol[a * n_neurons] + d1;
+            }
+            /* np.maximum / np.minimum: NaN-propagating, and ties
+             * (incl. -0.0 vs 0.0) resolve to the second operand. */
+            for (i = 0; i < n_input; i++) {
+                double v = column_buf[i];
+                v = (v > w_min || isnan(v)) ? v : w_min;
+                v = (v < w_max || isnan(v)) ? v : w_max;
+                column_buf[i] = v;
+            }
+            if (s->has_norm) {
+                double total = pairwise_sum(column_buf, n_input);
+                if (total == 0.0) {
+                    total = 1.0;
+                }
+                double scale = s->norm / total;
+                for (i = 0; i < n_input; i++) {
+                    column_buf[i] *= scale;
+                }
+            }
+            for (i = 0; i < n_input; i++) {
+                wcol[i * n_neurons] = column_buf[i];
+            }
+        }
+        if (s->theta_plus != 0.0) {
+            double tw = theta[winner];
+            if (s->has_theta_max) {
+                double room = 1.0 - tw / s->theta_max;
+                if (!(room > 0.0)) {
+                    room = 0.0;
+                }
+                theta[winner] = tw + s->theta_plus * room;
+            }
+            else {
+                theta[winner] = tw + s->theta_plus;
+            }
+        }
+        const double theta_decay = s->theta_decay;
+        for (c = 0; c < n_neurons; c++) {
+            theta[c] *= theta_decay;
+        }
+    }
+    return winner;
+}
+
+/* One window of one-tick presentations: query b owns
+ * active_flat[starts[b]:starts[b + 1]] and learn[b]; intervals is the
+ * network's interval count before the window (for the health-check
+ * cadence).  Returns the number of queries fully presented: n_queries
+ * normally, fewer iff a due health scan saw a non-finite value — the
+ * caller then runs the scalar repair path from that point. */
+int64_t pf_tick_window(const pf_net *s, const int64_t *active_flat,
+                       const int64_t *starts, const unsigned char *learn,
+                       int64_t n_queries, int64_t intervals,
+                       int64_t *winners)
+{
+    int64_t b;
+    for (b = 0; b < n_queries; b++) {
+        winners[b] = tick_one(s, active_flat + starts[b],
+                              starts[b + 1] - starts[b], learn[b]);
         intervals++;
-        if (intervals % health_interval == 0
-                && any_nonfinite(w, theta, v, n_input, n_neurons)) {
+        if (intervals % s->health_interval == 0 && any_nonfinite(s)) {
             return b + 1;
         }
     }
     return n_queries;
+}
+
+/* ---- The PATHFINDER loop ------------------------------------------ */
+
+/* PAGE_BITS, BLOCK_BITS and BLOCKS_PER_PAGE are defined from
+ * repro.types at the top of the source. */
+#define NO_NEURON (-1)
+#define NO_PENDING INT64_MIN
+
+/* PATHFINDER's array-backed state (core/training_table.py,
+ * core/inference_table.py, the encoder's lit-pixel CSR in
+ * core/pixel.py) and its counters; PathfinderArgs below mirrors this
+ * layout. */
+typedef struct {
+    /* Training Table: capacity rows, rows [0, tt_rows) in use. */
+    int64_t *tt_pc, *tt_page, *tt_last_offset, *tt_deltas, *tt_n_deltas;
+    int64_t *tt_fired, *tt_predicted, *tt_n_predicted, *tt_stamp;
+    /* Inference Table: labels_per_neuron slots per neuron. */
+    int64_t *it_label, *it_confidence, *it_count, *it_pending;
+    /* Encoder: entry row * width + delta + max_delta lights
+     * lit_flat[lit_starts[entry]:lit_starts[entry + 1]]. */
+    const int64_t *lit_starts, *lit_flat;
+    /* Scratch: the (pc, page) -> row hash index (index_size slots, a
+     * power of two >= 2 * capacity), the active-pixel buffer
+     * (n_input) and the slot ranking buffer (labels_per_neuron). */
+    int64_t *index, *active, *rank;
+    int64_t index_size;
+    /* Configuration. */
+    int64_t capacity, history, degree, width, max_delta;
+    int64_t labels_per_neuron, confidence_max, confidence_init;
+    int64_t confidence_threshold, require_confirmation, cold_pages;
+    int64_t stdp_epoch, stdp_on_accesses, series;
+    /* Counters, read and advanced. */
+    int64_t tt_rows, tt_clock, tt_evictions;
+    int64_t labels_assigned, labels_erased;
+    int64_t correct_observations, wrong_observations;
+    int64_t accesses_seen, snn_queries, stdp_updates, prefetches_emitted;
+    int64_t pred_checked, pred_correct, intervals;
+    /* Output: the row of the access a health scan stopped at. */
+    int64_t stop_row;
+} pf_tables;
+
+static uint64_t key_hash(int64_t pc, int64_t page)
+{
+    uint64_t h = (uint64_t)pc * 0x9E3779B97F4A7C15ULL
+                 ^ (uint64_t)page * 0xC2B2AE3D27D4EB4FULL;
+    return h ^ (h >> 31);
+}
+
+/* Linear probing: the index slot holding (pc, page), or the empty slot
+ * where it would go. */
+static uint64_t index_slot(const pf_tables *t, int64_t pc, int64_t page)
+{
+    uint64_t mask = (uint64_t)t->index_size - 1;
+    uint64_t i = key_hash(pc, page) & mask;
+    for (;;) {
+        int64_t row = t->index[i];
+        if (row < 0 || (t->tt_pc[row] == pc && t->tt_page[row] == page)) {
+            return i;
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/* Empty slot i and shift later entries of its probe run back, so every
+ * key stays reachable from its home slot without tombstones. */
+static void index_remove(pf_tables *t, uint64_t i)
+{
+    uint64_t mask = (uint64_t)t->index_size - 1, j = i;
+    for (;;) {
+        j = (j + 1) & mask;
+        int64_t row = t->index[j];
+        if (row < 0) {
+            break;
+        }
+        uint64_t home = key_hash(t->tt_pc[row], t->tt_page[row]) & mask;
+        /* The entry stays put iff home lies cyclically in (i, j]. */
+        if (i <= j ? (i < home && home <= j) : (i < home || home <= j)) {
+            continue;
+        }
+        t->index[i] = row;
+        i = j;
+    }
+    t->index[i] = -1;
+}
+
+static void touch(pf_tables *t, int64_t row)
+{
+    t->tt_stamp[row] = ++t->tt_clock;
+}
+
+/* TrainingTable.insert after a lookup miss at index slot `slot`. */
+static int64_t tt_insert(pf_tables *t, int64_t pc, int64_t page,
+                         int64_t offset, uint64_t slot)
+{
+    int64_t row, k;
+    if (t->tt_rows < t->capacity) {
+        row = t->tt_rows++;
+    }
+    else {
+        /* np.argmin(stamp): the first least recently used row. */
+        row = 0;
+        for (k = 1; k < t->capacity; k++) {
+            if (t->tt_stamp[k] < t->tt_stamp[row]) {
+                row = k;
+            }
+        }
+        t->tt_evictions++;
+        index_remove(t, index_slot(t, t->tt_pc[row], t->tt_page[row]));
+        slot = index_slot(t, pc, page);
+    }
+    t->index[slot] = row;
+    t->tt_pc[row] = pc;
+    t->tt_page[row] = page;
+    t->tt_last_offset[row] = offset;
+    for (k = 0; k < t->history; k++) {
+        t->tt_deltas[row * t->history + k] = 0;
+    }
+    t->tt_n_deltas[row] = 0;
+    t->tt_fired[row] = NO_NEURON;
+    t->tt_n_predicted[row] = 0;
+    touch(t, row);
+    return row;
+}
+
+/* TrainingTable.record_delta. */
+static void tt_record_delta(pf_tables *t, int64_t row, int64_t delta,
+                            int in_range)
+{
+    int64_t *history = t->tt_deltas + row * t->history, k;
+    if (in_range) {
+        for (k = 0; k + 1 < t->history; k++) {
+            history[k] = history[k + 1];
+        }
+        history[t->history - 1] = delta;
+        if (t->tt_n_deltas[row] < t->history) {
+            t->tt_n_deltas[row]++;
+        }
+    }
+    else {
+        for (k = 0; k < t->history; k++) {
+            history[k] = 0;
+        }
+        t->tt_n_deltas[row] = 0;
+        t->tt_fired[row] = NO_NEURON;
+    }
+}
+
+/* InferenceTable.observe. */
+static void it_observe(pf_tables *t, int64_t neuron, int64_t delta)
+{
+    int64_t *label = t->it_label + neuron * t->labels_per_neuron;
+    int64_t *confidence = t->it_confidence + neuron * t->labels_per_neuron;
+    int64_t count = t->it_count[neuron], kept = 0, k;
+    int matched = 0;
+    for (k = 0; k < count; k++) {
+        int64_t c = confidence[k];
+        if (label[k] == delta) {
+            c = c + 1 < t->confidence_max ? c + 1 : t->confidence_max;
+            matched = 1;
+            t->correct_observations++;
+        }
+        else {
+            c -= 1;
+            t->wrong_observations++;
+        }
+        if (c > 0) {
+            label[kept] = label[k];
+            confidence[kept] = c;
+            kept++;
+        }
+    }
+    t->labels_erased += count - kept;
+    t->it_count[neuron] = kept;
+    if (!matched && kept < t->labels_per_neuron) {
+        if (!t->require_confirmation || t->it_pending[neuron] == delta) {
+            label[kept] = delta;
+            confidence[kept] = t->confidence_init;
+            t->it_count[neuron] = kept + 1;
+            t->labels_assigned++;
+            t->it_pending[neuron] = NO_PENDING;
+        }
+        else {
+            t->it_pending[neuron] = delta;
+        }
+    }
+}
+
+/* PathfinderPrefetcher._predict for a one-tick winner: record it, rank
+ * its labels (a stable sort by descending confidence), keep up to
+ * `degree` distinct labels at or above the threshold, and compose the
+ * in-page prefetch addresses.  Returns how many it wrote to out. */
+static int64_t predict(pf_tables *t, int64_t row, int64_t winner,
+                       int64_t page, int64_t offset, int64_t *out)
+{
+    const int64_t *label = t->it_label + winner * t->labels_per_neuron;
+    const int64_t *confidence =
+        t->it_confidence + winner * t->labels_per_neuron;
+    int64_t *predicted = t->tt_predicted + row * t->degree;
+    int64_t count = t->it_count[winner], n_pred = 0, n_out = 0, j, k;
+
+    t->tt_fired[row] = winner;
+    for (k = 0; k < count; k++) {
+        j = k;
+        while (j > 0 && confidence[t->rank[j - 1]] < confidence[k]) {
+            t->rank[j] = t->rank[j - 1];
+            j--;
+        }
+        t->rank[j] = k;
+    }
+    for (k = 0; k < count && n_pred < t->degree; k++) {
+        int64_t slot = t->rank[k];
+        if (confidence[slot] < t->confidence_threshold) {
+            continue;
+        }
+        for (j = 0; j < n_pred && predicted[j] != label[slot]; j++) {
+        }
+        if (j == n_pred) {
+            predicted[n_pred++] = label[slot];
+        }
+    }
+    t->tt_n_predicted[row] = n_pred;
+    for (k = 0; k < n_pred; k++) {
+        int64_t target = offset + predicted[k];
+        if (0 <= target && target < BLOCKS_PER_PAGE) {
+            out[n_out++] = (page << PAGE_BITS) | (target << BLOCK_BITS);
+        }
+    }
+    t->prefetches_emitted += n_out;
+    return n_out;
+}
+
+/* PathfinderPrefetcher.process over accesses [start, n) of a chunk.
+ * Access i's prefetch addresses land in out_addr[i * degree ...] with
+ * their count in out_count[i], and its SNN winner in out_winner[i]
+ * (left untouched when it makes no query).  Returns n, or the index of
+ * an access whose due health scan found non-finite state: that access
+ * has run its SNN step (winner in out_winner, row in stop_row) but not
+ * its prediction, which the caller makes after the repair. */
+int64_t pf_pathfinder_chunk(const pf_net *s, pf_tables *t,
+                            const int64_t *addresses, const int64_t *pcs,
+                            int64_t start, int64_t n, int64_t *out_count,
+                            int64_t *out_addr, int64_t *out_winner)
+{
+    const int64_t history = t->history, max_delta = t->max_delta;
+    int64_t i, k, r;
+
+    for (k = 0; k < t->index_size; k++) {
+        t->index[k] = -1;
+    }
+    for (r = 0; r < t->tt_rows; r++) {
+        t->index[index_slot(t, t->tt_pc[r], t->tt_page[r])] = r;
+    }
+
+    for (i = start; i < n; i++) {
+        int64_t seen = ++t->accesses_seen;
+        int64_t pc = pcs[i];
+        int64_t page = addresses[i] >> PAGE_BITS;
+        int64_t offset = (addresses[i] >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1);
+        uint64_t slot = index_slot(t, pc, page);
+        int64_t row = t->index[slot];
+        int first = row < 0;
+
+        if (first) {
+            row = tt_insert(t, pc, page, offset, slot);
+            if (!t->cold_pages) {
+                continue;
+            }
+        }
+        else {
+            touch(t, row);
+            int64_t delta = offset - t->tt_last_offset[row];
+            t->tt_last_offset[row] = offset;
+            if (delta == 0) {
+                continue;
+            }
+            int in_range = -max_delta <= delta && delta <= max_delta;
+            int64_t fired = t->tt_fired[row];
+            if (fired != NO_NEURON && in_range) {
+                if (t->series && t->tt_n_predicted[row]) {
+                    t->pred_checked++;
+                    for (k = 0; k < t->tt_n_predicted[row]; k++) {
+                        if (t->tt_predicted[row * t->degree + k] == delta) {
+                            t->pred_correct++;
+                            break;
+                        }
+                    }
+                }
+                it_observe(t, fired, delta);
+            }
+            tt_record_delta(t, row, delta, in_range);
+            if (!in_range) {
+                continue;
+            }
+            if (t->tt_n_deltas[row] < history && !t->cold_pages) {
+                t->tt_fired[row] = NO_NEURON;
+                continue;
+            }
+        }
+
+        /* Encode: a first access is {OF1, 0, ...} (the offset clipped
+         * into range); otherwise the right-aligned history row is
+         * already zero-padded. */
+        int64_t n_active = 0;
+        for (r = 0; r < history; r++) {
+            int64_t d;
+            if (first) {
+                d = r ? 0 : (offset > max_delta ? max_delta : offset);
+            }
+            else {
+                d = t->tt_deltas[row * history + r];
+            }
+            int64_t entry = r * t->width + d + max_delta;
+            for (k = t->lit_starts[entry]; k < t->lit_starts[entry + 1]; k++) {
+                t->active[n_active++] = t->lit_flat[k];
+            }
+        }
+
+        int learn = t->stdp_epoch == 0
+                    || seen % t->stdp_epoch < t->stdp_on_accesses;
+        int64_t winner = tick_one(s, t->active, n_active, learn);
+        t->snn_queries++;
+        t->stdp_updates += learn;
+        out_winner[i] = winner;
+        t->intervals++;
+        if (t->intervals % s->health_interval == 0 && any_nonfinite(s)) {
+            t->stop_row = row;
+            return i;
+        }
+        out_count[i] = predict(t, row, winner, page, offset,
+                               out_addr + i * t->degree);
+    }
+    return n;
 }
 """
 
 #: Compiler flags: IEEE-strict.  ``-ffp-contract=off`` forbids FMA
 #: contraction, ``-fno-fast-math`` forbids reassociation — both would
 #: break bit-identity with the NumPy scalar path.
-CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
+CFLAGS = ["-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
-_UINT8_P = ctypes.POINTER(ctypes.c_uint8)
 
 _kernel: Optional["TickKernel"] = None
 _kernel_tried = False
 
 
+class NetArgs(ctypes.Structure):
+    """The C ``pf_net``: a network's state and one-tick constants."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in (
+            "w", "theta", "v", "drive_buf", "column_buf")),
+        *((name, ctypes.c_int64) for name in (
+            "n_input", "n_neurons", "health_interval")),
+        *((name, ctypes.c_double) for name in (
+            "threshold_gap", "max_probability", "stdp_d0", "stdp_d1",
+            "w_min", "w_max", "norm", "theta_plus", "theta_max",
+            "theta_decay")),
+        *((name, ctypes.c_int32) for name in (
+            "clamp_gap", "do_stdp", "has_norm", "has_theta_max")),
+    ]
+
+
+class PathfinderArgs(ctypes.Structure):
+    """The C ``pf_tables``: PATHFINDER's arrays, config and counters."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in (
+            "tt_pc", "tt_page", "tt_last_offset", "tt_deltas",
+            "tt_n_deltas", "tt_fired", "tt_predicted", "tt_n_predicted",
+            "tt_stamp", "it_label", "it_confidence", "it_count",
+            "it_pending", "lit_starts", "lit_flat", "index", "active",
+            "rank")),
+        *((name, ctypes.c_int64) for name in (
+            "index_size", "capacity", "history", "degree", "width",
+            "max_delta", "labels_per_neuron", "confidence_max",
+            "confidence_init", "confidence_threshold",
+            "require_confirmation", "cold_pages", "stdp_epoch",
+            "stdp_on_accesses", "series",
+            "tt_rows", "tt_clock", "tt_evictions", "labels_assigned",
+            "labels_erased", "correct_observations", "wrong_observations",
+            "accesses_seen", "snn_queries", "stdp_updates",
+            "prefetches_emitted", "pred_checked", "pred_correct",
+            "intervals", "stop_row")),
+    ]
+
+
+def pointer(array: np.ndarray) -> int:
+    """Address of a C-contiguous array, for a ``c_void_p`` field."""
+    if not array.flags.c_contiguous:
+        raise ValueError("kernel arrays must be C-contiguous")
+    return array.ctypes.data
+
+
 class TickKernel:
-    """ctypes binding of the compiled one-tick window kernel."""
+    """ctypes binding of the compiled one-tick library."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        fn = lib.pf_tick_window
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [
-            _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT64_P, _INT64_P, _UINT8_P,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_double, ctypes.c_int, ctypes.c_double,
-            ctypes.c_int, ctypes.c_double, ctypes.c_double,
-            ctypes.c_double, ctypes.c_double, ctypes.c_int,
-            ctypes.c_double, ctypes.c_double, ctypes.c_int,
-            ctypes.c_double, ctypes.c_double,
-            _DOUBLE_P, _DOUBLE_P, _INT64_P,
+        window = lib.pf_tick_window
+        window.restype = ctypes.c_int64
+        window.argtypes = [
+            ctypes.POINTER(NetArgs), _INT64_P, _INT64_P,
+            ctypes.POINTER(ctypes.c_uint8), ctypes.c_int64, ctypes.c_int64,
+            _INT64_P,
         ]
-        self._tick = fn
+        self._window = window
+        chunk = lib.pf_pathfinder_chunk
+        chunk.restype = ctypes.c_int64
+        chunk.argtypes = [
+            ctypes.POINTER(NetArgs), ctypes.POINTER(PathfinderArgs),
+            _INT64_P, _INT64_P, ctypes.c_int64, ctypes.c_int64,
+            _INT64_P, _INT64_P, _INT64_P,
+        ]
+        self._chunk = chunk
         ps = lib.pf_pairwise_sum
         ps.restype = ctypes.c_double
         ps.argtypes = [_DOUBLE_P, ctypes.c_int64]
@@ -297,33 +701,29 @@ class TickKernel:
         return self._pairwise(values.ctypes.data_as(_DOUBLE_P),
                               values.size)
 
-    def tick_window(self, w, theta, v, active_flat, starts, learn,
-                    winners, *, intervals, health_interval,
-                    threshold_gap, clamp_gap, max_probability,
-                    do_stdp, stdp_d0, stdp_d1, w_min, w_max, norm,
-                    theta_plus, theta_max, theta_decay,
-                    drive_buf, column_buf) -> int:
+    def tick_window(self, net: NetArgs, active_flat: np.ndarray,
+                    starts: np.ndarray, learn: np.ndarray,
+                    intervals: int, winners: np.ndarray) -> int:
         """Present the whole window; return queries fully processed."""
-        return self._tick(
-            w.ctypes.data_as(_DOUBLE_P),
-            theta.ctypes.data_as(_DOUBLE_P),
-            v.ctypes.data_as(_DOUBLE_P),
-            active_flat.ctypes.data_as(_INT64_P),
+        return self._window(
+            ctypes.byref(net), active_flat.ctypes.data_as(_INT64_P),
             starts.ctypes.data_as(_INT64_P),
-            learn.ctypes.data_as(_UINT8_P),
-            len(learn), w.shape[0], w.shape[1],
-            intervals, health_interval,
-            threshold_gap, int(clamp_gap), max_probability,
-            int(do_stdp), stdp_d0, stdp_d1,
-            w_min, w_max, int(norm is not None),
-            0.0 if norm is None else norm,
-            theta_plus, int(theta_max is not None),
-            0.0 if theta_max is None else theta_max,
-            theta_decay,
-            drive_buf.ctypes.data_as(_DOUBLE_P),
-            column_buf.ctypes.data_as(_DOUBLE_P),
-            winners.ctypes.data_as(_INT64_P),
-        )
+            learn.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
+            len(learn), intervals, winners.ctypes.data_as(_INT64_P))
+
+    def pathfinder_chunk(self, net: NetArgs, tables: PathfinderArgs,
+                         addresses: np.ndarray, pcs: np.ndarray,
+                         start: int, counts: np.ndarray,
+                         targets: np.ndarray, winners: np.ndarray) -> int:
+        """Run PATHFINDER over accesses ``[start, len(addresses))``;
+        return where it stopped (see ``pf_pathfinder_chunk``)."""
+        return self._chunk(
+            ctypes.byref(net), ctypes.byref(tables),
+            addresses.ctypes.data_as(_INT64_P),
+            pcs.ctypes.data_as(_INT64_P), start, len(addresses),
+            counts.ctypes.data_as(_INT64_P),
+            targets.ctypes.data_as(_INT64_P),
+            winners.ctypes.data_as(_INT64_P))
 
 
 def _find_compiler() -> Optional[str]:
@@ -345,26 +745,45 @@ def _cache_dir() -> str:
                         f"repro-ckernel-{os.getuid() if hasattr(os, 'getuid') else 'u'}")
 
 
-def _compile(cc: str) -> Optional[str]:
+def compile_library(prefix: str, source: str,
+                    libs: Sequence[str] = ()) -> Optional[str]:
+    """Build ``source`` into the kernel cache; return the ``.so`` path.
+
+    The object is named ``<prefix>_<tag>.so``, with ``tag`` a hash of
+    the source, compiler, flags and Python version, so an existing one
+    is reused.  Each process compiles its own temporary copy of the
+    source and installs the result with an atomic rename, so concurrent
+    cold compiles never read a half-written file.  Returns ``None`` when
+    there is no compiler or the build fails.
+    """
+    cc = _find_compiler()
+    if cc is None:
+        return None
     tag = hashlib.sha256(
-        (C_SOURCE + "\0" + cc + "\0" + " ".join(CFLAGS)
+        (source + "\0" + cc + "\0" + " ".join(CFLAGS)
          + "\0" + sys.version).encode()).hexdigest()[:16]
     cache = _cache_dir()
-    so_path = os.path.join(cache, f"tick_{tag}.so")
+    so_path = os.path.join(cache, f"{prefix}_{tag}.so")
     if os.path.exists(so_path):
         return so_path
     try:
         os.makedirs(cache, exist_ok=True)
-        src_path = os.path.join(cache, f"tick_{tag}.c")
-        tmp_so = os.path.join(cache, f"tick_{tag}.{os.getpid()}.tmp.so")
-        with open(src_path, "w") as fh:
-            fh.write(C_SOURCE)
-        proc = subprocess.run(
-            [cc, *CFLAGS, src_path, "-o", tmp_so, "-lm"],
-            capture_output=True, timeout=120)
-        if proc.returncode != 0:
-            return None
-        os.replace(tmp_so, so_path)  # atomic: concurrent compiles race safely
+        fd, src_path = tempfile.mkstemp(prefix=f"{prefix}_{tag}.",
+                                        suffix=".c", dir=cache)
+        tmp_so = src_path[:-2] + ".tmp.so"
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(source)
+            proc = subprocess.run(
+                [cc, *CFLAGS, src_path, "-o", tmp_so, *libs],
+                capture_output=True, timeout=120)
+            if proc.returncode != 0:
+                return None
+            os.replace(tmp_so, so_path)
+        finally:
+            for path in (src_path, tmp_so):
+                if os.path.exists(path):
+                    os.unlink(path)
         return so_path
     except (OSError, subprocess.SubprocessError):
         return None
@@ -374,8 +793,8 @@ def load_kernel() -> Optional[TickKernel]:
     """The process-wide compiled kernel, or ``None`` if unavailable.
 
     Compiles on first call (cached on disk afterwards).  Returns
-    ``None`` — and the SNN batch path falls back to the scalar hot
-    loop — when ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or
+    ``None`` — and PATHFINDER falls back to its scalar Python path —
+    when ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or
     compilation/loading fails for any reason.
     """
     global _kernel, _kernel_tried
@@ -384,10 +803,7 @@ def load_kernel() -> Optional[TickKernel]:
     _kernel_tried = True
     if os.environ.get("REPRO_NO_CKERNEL") == "1":
         return None
-    cc = _find_compiler()
-    if cc is None:
-        return None
-    so_path = _compile(cc)
+    so_path = compile_library("tick", C_SOURCE, libs=("-lm",))
     if so_path is None:
         return None
     try:

@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
+from .ckernel import NetArgs, load_kernel, pointer
 from .encoding import flatten_active_windows, poisson_spike_train
 from .neurons import INHIBITORY_LIF, AdaptiveLIFGroup, LIFConfig, LIFGroup
 from .stdp import STDPConfig
@@ -48,9 +49,8 @@ def _resilience_faults():
 
 
 def _load_tick_kernel():
-    """Late-bound compiled window kernel (may be ``None``); imported
-    lazily so building a network never pays the compile probe."""
-    from .ckernel import load_kernel
+    """The compiled one-tick library (may be ``None``); loaded on first
+    use so building a network never pays the compile probe."""
     return load_kernel()
 
 
@@ -413,7 +413,11 @@ class DiehlCookNetwork:
             drive = self._drive_buf
             drive.fill(0.0)
         scores = np.divide(drive, gap, out=self._score_buf)
-        order = np.negative(scores, out=self._neg_score_buf).argsort()
+        # Stable, so the winner is the first maximal score (the rule of
+        # rank_one_tick's argmax and the compiled kernels) and the
+        # runner-up the next one in index order on an exact tie.
+        order = np.negative(scores, out=self._neg_score_buf).argsort(
+            kind="stable")
         winner = int(order[0])
         runner_up = int(order[1]) if scores.size > 1 else winner
 
@@ -476,14 +480,16 @@ class DiehlCookNetwork:
                                 learns: List[bool]) -> List[int]:
         """Run a window of one-tick presentations; return the winners.
 
-        Batched form of :meth:`present_one_tick` for the columnar
-        prefetch pipeline: each entry of ``actives`` is a query's
-        sorted active-pixel support (binary rates implied, exactly the
+        Batched form of :meth:`present_one_tick` for pre-encoded
+        queries: each entry of ``actives`` is a query's sorted
+        active-pixel support (binary rates implied, exactly the
         pixel-matrix encoder's output) with its per-query ``learn``
         flag.  State evolution — weights, theta, interval counter, the
         :data:`HEALTH_CHECK_INTERVAL` cadence — is bit-identical to
-        calling :meth:`present_one_tick` once per query; the parity
-        suite asserts identical prefetch files end to end.
+        calling :meth:`present_one_tick` once per query.  PATHFINDER's
+        batched path encodes and presents its queries inside the
+        compiled loop instead; the parity tests and the e2e benchmark's
+        ``snn.window`` span call this.
 
         The heavy lifting happens in the compiled
         :mod:`repro.snn.ckernel` window kernel, which runs the
@@ -507,24 +513,9 @@ class DiehlCookNetwork:
         winners_arr = np.empty(n, dtype=np.int64)
         flat, starts = flatten_active_windows(actives)
         learn_arr = np.asarray(learns, dtype=np.uint8)
-        stdp = self.input_to_exc.stdp
-        lif = self.exc.config
         processed = kernel.tick_window(
-            self.input_to_exc.w, self.exc.theta, self.exc.v,
-            flat, starts, learn_arr, winners_arr,
-            intervals=self.intervals_presented,
-            health_interval=HEALTH_CHECK_INTERVAL,
-            threshold_gap=self._threshold_gap,
-            clamp_gap=self._gap_needs_clamp,
-            max_probability=self.config.max_probability,
-            do_stdp=stdp is not None,
-            stdp_d0=self._stdp_d0, stdp_d1=self._stdp_d1,
-            w_min=0.0 if stdp is None else stdp.w_min,
-            w_max=1.0 if stdp is None else stdp.w_max,
-            norm=None if stdp is None else stdp.norm,
-            theta_plus=lif.theta_plus, theta_max=lif.theta_max,
-            theta_decay=self._theta_interval_decay,
-            drive_buf=self._drive_buf, column_buf=self._column_buf)
+            self.kernel_args(), flat, starts, learn_arr,
+            self.intervals_presented, winners_arr)
         self.intervals_presented += processed
         if learn_arr[:processed].any():
             self.exc.adaptation_enabled = True
@@ -542,6 +533,32 @@ class DiehlCookNetwork:
                                          learns[processed:]))
         return winners
 
+    def kernel_args(self) -> NetArgs:
+        """This network's weights, theta, membranes and one-tick
+        constants, as the compiled kernels take them (read per call,
+        so the kernels always see the live arrays)."""
+        stdp = self.input_to_exc.stdp
+        lif = self.exc.config
+        norm = None if stdp is None else stdp.norm
+        return NetArgs(
+            w=pointer(self.input_to_exc.w), theta=pointer(self.exc.theta),
+            v=pointer(self.exc.v), drive_buf=pointer(self._drive_buf),
+            column_buf=pointer(self._column_buf),
+            n_input=self.config.n_input, n_neurons=self.config.n_neurons,
+            health_interval=HEALTH_CHECK_INTERVAL,
+            threshold_gap=self._threshold_gap,
+            max_probability=self.config.max_probability,
+            stdp_d0=self._stdp_d0, stdp_d1=self._stdp_d1,
+            w_min=0.0 if stdp is None else stdp.w_min,
+            w_max=1.0 if stdp is None else stdp.w_max,
+            norm=0.0 if norm is None else norm,
+            theta_plus=lif.theta_plus,
+            theta_max=0.0 if lif.theta_max is None else lif.theta_max,
+            theta_decay=self._theta_interval_decay,
+            clamp_gap=int(self._gap_needs_clamp),
+            do_stdp=int(stdp is not None), has_norm=int(norm is not None),
+            has_theta_max=int(lif.theta_max is not None))
+
     def present_one_tick_reference(self, rates: np.ndarray,
                                    learn: Optional[bool] = None) -> RunRecord:
         """Dense reference implementation of :meth:`present_one_tick`.
@@ -558,7 +575,7 @@ class DiehlCookNetwork:
         do_learn = self.learning_enabled if learn is None else learn
 
         scores = self.rank_one_tick_reference(rates)
-        order = np.argsort(-scores)
+        order = np.argsort(-scores, kind="stable")
         winner = int(order[0])
         runner_up = int(order[1]) if scores.size > 1 else winner
 

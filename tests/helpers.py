@@ -1,4 +1,4 @@
-"""Shared helpers for building small traces in tests."""
+"""Shared helpers for building small traces and reading state in tests."""
 
 from repro.types import MemoryAccess, Trace
 
@@ -14,3 +14,24 @@ def build_trace(addresses, pc=0x400, gap=10, name="t"):
 def seq_addresses(n, start_block=1 << 20):
     """Byte addresses of n consecutive blocks."""
     return [(start_block + i) << 6 for i in range(n)]
+
+
+def pathfinder_state(prefetcher):
+    """Everything :meth:`PathfinderPrefetcher.process` reads back on
+    the next access, plus the counters it publishes."""
+    tt = prefetcher.training_table
+    it = prefetcher.inference_table
+    net = prefetcher.network
+    return dict(
+        training_rows=tt.entries(), evictions=tt.evictions,
+        slots=[it.slots(n) for n in range(it.n_neurons)],
+        pending=it.pending.tolist(),
+        label_counters=(it.labels_assigned, it.labels_erased,
+                        it.correct_observations, it.wrong_observations),
+        weights=net.input_to_exc.w.tobytes(),
+        theta=net.exc.theta.tobytes(),
+        intervals=net.intervals_presented,
+        adaptation=net.exc.adaptation_enabled,
+        counters=(prefetcher.accesses_seen, prefetcher.snn_queries,
+                  prefetcher.stdp_updates, prefetcher.prefetches_emitted,
+                  prefetcher.neuron_repairs))

@@ -1,0 +1,47 @@
+"""Cold builds of the two C kernels, racing in separate processes."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.snn.ckernel import _find_compiler
+
+#: Loads both kernels and calls into each; prints "ok".
+PROBE = """\
+import numpy as np
+from repro.sim.fast_engine.ckernel import load_kernel as replay_kernel
+from repro.snn.ckernel import load_kernel as tick_kernel
+tick, replay = tick_kernel(), replay_kernel()
+assert tick is not None and replay is not None
+assert tick.pairwise_sum(np.arange(10.0)) == 45.0
+print("ok")
+"""
+
+
+@pytest.mark.skipif(_find_compiler() is None, reason="no C compiler")
+def test_concurrent_cold_compiles_all_get_working_kernels(tmp_path):
+    """Processes compiling into one empty cache at once each build from
+    a private copy of the source, so none installs a truncated object."""
+    cache = tmp_path / "cache"
+    env = dict(os.environ, REPRO_CKERNEL_CACHE=str(cache))
+    env.pop("REPRO_NO_CKERNEL", None)
+    env.pop("REPRO_NO_SIMKERNEL", None)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    workers = [subprocess.Popen([sys.executable, "-c", PROBE], env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+               for _ in range(4)]
+    for worker in workers:
+        out, err = worker.communicate(timeout=300)
+        assert worker.returncode == 0, err
+        assert out.strip() == "ok"
+    built = sorted(path.suffix for path in cache.iterdir())
+    assert built == [".so", ".so"], sorted(os.listdir(cache))

@@ -86,7 +86,7 @@ def test_pathfinder_predicted_bookkeeping():
     trace = build_trace(pattern_addresses((2,), range(100, 140)))
     generate_prefetches(prefetcher, trace)
     predicted = [entry.predicted
-                 for entry in prefetcher.training_table._rows.values()]
+                 for entry in prefetcher.training_table.entries()]
     assert any(p for p in predicted)  # predictions recorded per stream
 
 

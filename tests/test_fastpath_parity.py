@@ -24,6 +24,7 @@ from repro.prefetchers import (PythiaConfig, PythiaPrefetcher,
                                VoyagerPrefetcher, generate_prefetches)
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.traces import make_trace
+from tests.helpers import pathfinder_state
 
 #: The §3.4 refinement toggles the ablation ladder sweeps.
 ENCODER_VARIANTS = [
@@ -76,15 +77,6 @@ def test_encode_history_sparse_matches_dense(overrides):
         assert np.array_equal(sparse.active, np.flatnonzero(dense))
 
 
-def test_encode_history_sparse_cache_hits_are_shared():
-    encoder = PixelMatrixEncoder(PathfinderConfig())
-    first = encoder.encode_history_sparse([1, 2, 4])
-    again = encoder.encode_history_sparse([1, 2, 4])
-    assert again is first
-    assert encoder.cache_hits == 1 and encoder.cache_misses == 1
-    assert not first.rates.flags.writeable
-
-
 def _twin_networks(n_input, seed=3, **net_overrides):
     cfg_kwargs = dict(n_input=n_input, n_neurons=20, seed=seed,
                       **net_overrides)
@@ -135,6 +127,49 @@ def test_present_one_tick_matches_reference(overrides):
     np.testing.assert_allclose(fast.weights, reference.weights, rtol=1e-9)
     np.testing.assert_allclose(fast.exc.theta, reference.exc.theta,
                                rtol=1e-9)
+
+
+def _tied_network(config, columns, fast=True):
+    """A network whose ``columns`` hold identical weights above every
+    other column's, so their one-tick scores tie exactly at the top."""
+    network = DiehlCookNetwork(NetworkConfig(
+        n_input=config.n_input, n_neurons=50, seed=3), fast=fast)
+    top = network.weights.max(axis=1) + 0.5
+    for column in columns:
+        network.weights[:, column] = top
+    return network
+
+
+@pytest.mark.parametrize("learn", [False, True])
+def test_one_tick_exact_tie_picks_first_maximum(learn):
+    """Three identical top weight columns: the sparse oracle, the dense
+    reference and the window kernel all pick the first maximal score,
+    as ``rank_one_tick``'s argmax does, and keep the same state."""
+    config = PathfinderConfig()
+    encoder = PixelMatrixEncoder(config)
+    histories = _random_histories(config, np.random.default_rng(37), 30)
+    encodings = [encoder.encode_history_sparse(d) for d in histories]
+    columns = (41, 17, 29)
+
+    oracle = _tied_network(config, columns)
+    expected = [oracle.present_one_tick(e.rates, learn=learn,
+                                        active=e.active).winner
+                for e in encodings]
+    assert expected[0] == min(columns)
+    if not learn:
+        assert expected == [min(columns)] * len(encodings)
+
+    window = _tied_network(config, columns)
+    assert window.present_one_tick_window(
+        [e.active for e in encodings], [learn] * len(encodings)) == expected
+    assert window.weights.tobytes() == oracle.weights.tobytes()
+    assert window.exc.theta.tobytes() == oracle.exc.theta.tobytes()
+
+    reference = _tied_network(config, columns, fast=False)
+    for e in encodings:
+        scores = reference.rank_one_tick_reference(e.rates)
+        record = reference.present_one_tick(e.rates, learn=learn)
+        assert record.winner == int(np.argmax(scores))
 
 
 def test_full_interval_present_matches_reference():
@@ -525,27 +560,45 @@ def test_pythia_batch_state_matches_scalar(workload, overrides):
     assert _pythia_state(switched) == state
 
 
-def test_pathfinder_batch_state_and_counters_match_scalar():
-    """Beyond the prefetch file: learned SNN state and telemetry
-    counters from the batched pipeline equal the scalar path's."""
-    trace = _batch_trace("cc-5")
-    scalar = _scalar_only(make_prefetcher("pathfinder"))
-    generate_prefetches(scalar, trace, budget=2)
-    batched = make_prefetcher("pathfinder")
-    generate_prefetches(batched, trace, budget=2)
-    assert batched.accesses_seen == scalar.accesses_seen
-    assert batched.snn_queries == scalar.snn_queries
-    assert batched.stdp_updates == scalar.stdp_updates
-    assert batched.prefetches_emitted == scalar.prefetches_emitted
-    assert batched.encoder.cache_hits == scalar.encoder.cache_hits
-    assert batched.encoder.cache_misses == scalar.encoder.cache_misses
-    assert batched.training_table.evictions == scalar.training_table.evictions
-    assert np.array_equal(batched.network.input_to_exc.w,
-                          scalar.network.input_to_exc.w)
-    assert np.array_equal(batched.network.exc.theta,
-                          scalar.network.exc.theta)
-    assert (batched.network.intervals_presented
-            == scalar.network.intervals_presented)
+#: PATHFINDER configs for the state test: the default, one that evicts
+#: on most first touches, periodic STDP, one label per neuron, labels
+#: without the confirmation step, and no cold-page encodings.
+PATHFINDER_CONFIGS = {
+    "default": {},
+    "evicting": dict(training_table_size=16),
+    "stdp-epoch": dict(stdp_epoch=300, stdp_on_accesses=60),
+    "one-label": dict(labels_per_neuron=1),
+    "unconfirmed": dict(require_confirmation=False),
+    "warm-pages": dict(cold_page_encoding=False),
+}
+
+
+@pytest.mark.parametrize("config", PATHFINDER_CONFIGS)
+@pytest.mark.parametrize("workload", BATCH_WORKLOADS)
+def test_pathfinder_batch_state_matches_scalar(workload, config):
+    """At every chunk size, batched PATHFINDER emits the scalar loop's
+    file and leaves exactly its Training-Table rows (in LRU order),
+    Inference-Table slots, pending deltas and counters, SNN weights,
+    theta and interval count, so a mid-trace switch to :meth:`process`
+    continues the same stream."""
+    trace = _batch_trace(workload)
+    config = PathfinderConfig(**PATHFINDER_CONFIGS[config])
+    scalar = _scalar_only(PathfinderPrefetcher(config))
+    reference = generate_prefetches(scalar, trace, budget=2)
+    assert reference
+    state = pathfinder_state(scalar)
+    for chunk in (1, 7, len(trace)):
+        batched = PathfinderPrefetcher(config)
+        assert generate_prefetches(batched, trace, budget=2,
+                                   chunk=chunk) == reference, \
+            f"{config} diverged on {workload} at chunk={chunk}"
+        assert pathfinder_state(batched) == state
+    switched = PathfinderPrefetcher(config)
+    chunks = _batched_then_scalar(switched)
+    assert generate_prefetches(switched, trace, budget=2,
+                               chunk=2000) == reference
+    assert chunks == [2000, len(trace) - 2000]
+    assert pathfinder_state(switched) == state
 
 
 def test_generate_prefetches_rejects_bad_chunk():

@@ -109,8 +109,8 @@ def test_inference_table_invariants(observations, labels_per_neuron, confirm):
         # Slot count bounded, labels unique, confidences within range.
         assert len(labels) <= labels_per_neuron
         assert len(set(labels)) == len(labels)
-        for slot in table._slots[0]:
-            assert 1 <= slot.confidence <= table.confidence_max
+        for _, confidence in table.slots(0):
+            assert 1 <= confidence <= table.confidence_max
 
 
 @settings(max_examples=40, deadline=None)

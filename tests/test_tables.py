@@ -10,10 +10,10 @@ from repro.errors import ConfigError
 
 def test_training_table_insert_and_lookup():
     table = TrainingTable(capacity=4, history=3)
-    assert table.lookup(0x4, 10) is None
-    entry = table.insert(0x4, 10, offset=5)
-    assert table.lookup(0x4, 10) is entry
-    assert entry.last_offset == 5
+    assert table.lookup(0x4, 10) == -1
+    row = table.insert(0x4, 10, offset=5)
+    assert table.lookup(0x4, 10) == row
+    assert table.last_offset[row] == 5
 
 
 def test_training_table_lru_eviction():
@@ -22,35 +22,39 @@ def test_training_table_lru_eviction():
     table.insert(0x4, 2, 0)
     table.lookup(0x4, 1)        # refresh page 1
     table.insert(0x4, 3, 0)     # evicts page 2
-    assert table.lookup(0x4, 2) is None
-    assert table.lookup(0x4, 1) is not None
+    assert table.lookup(0x4, 2) == -1
+    assert table.lookup(0x4, 1) >= 0
     assert table.evictions == 1
+    assert [e.page for e in table.entries()] == [3, 1]   # LRU first
 
 
 def test_training_table_distinct_pcs_do_not_alias():
     table = TrainingTable(capacity=8, history=3)
     a = table.insert(0xA, 1, 0)
     b = table.insert(0xB, 1, 0)
-    assert a is not b
-    assert table.lookup(0xA, 1) is a
+    assert a != b
+    assert table.lookup(0xA, 1) == a
 
 
 def test_record_delta_bounded_history():
     table = TrainingTable(capacity=2, history=3)
-    entry = table.insert(0x4, 1, 0)
-    for delta in (1, 2, 3, 4):
-        table.record_delta(entry, delta, in_range=True)
-    assert list(entry.deltas) == [2, 3, 4]
+    row = table.insert(0x4, 1, 0)
+    table.record_delta(row, 1, in_range=True)
+    assert table.row_deltas(row) == [1]
+    assert table.deltas[row].tolist() == [0, 0, 1]   # cold-page padding
+    for delta in (2, 3, 4):
+        table.record_delta(row, delta, in_range=True)
+    assert table.row_deltas(row) == [2, 3, 4]
 
 
 def test_record_delta_out_of_range_clears_stream():
     table = TrainingTable(capacity=2, history=3)
-    entry = table.insert(0x4, 1, 0)
-    table.record_delta(entry, 1, in_range=True)
-    entry.fired_neuron = 7
-    table.record_delta(entry, 99, in_range=False)
-    assert not entry.deltas
-    assert entry.fired_neuron is None
+    row = table.insert(0x4, 1, 0)
+    table.record_delta(row, 1, in_range=True)
+    table.fired[row] = 7
+    table.record_delta(row, 99, in_range=False)
+    assert table.row_deltas(row) == []
+    assert table.entries()[0].fired_neuron is None
 
 
 def test_training_table_validation():
