@@ -96,8 +96,8 @@ class Prefetcher:
 
         This default adapts any scalar prefetcher by looping; batched
         implementations (NextLine's vectorized page math, the hoisted
-        state walks of BO, SISB and SPP, Pythia's SARSA loop over
-        per-feature Q rows, PATHFINDER's three-pass SNN pipeline, the
+        state walks of BO, SISB and SPP, the compiled loops PATHFINDER
+        and Pythia run over the arrays :meth:`process` also uses, the
         neural models' row-blocked inference, the fixed-priority
         ensemble's per-member batches) override it for throughput,
         never for behaviour.

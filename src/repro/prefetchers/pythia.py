@@ -11,7 +11,12 @@ delta) and the recent delta-sequence signature.
 
 Each vault maps a hashed feature to its *Q row*: one float per action,
 indexed by the action's position in :attr:`PythiaConfig.actions`.  A
-state's action values are its rows summed element-wise.
+state's action values are its rows summed element-wise.  The vaults
+and the per-page history are :class:`KeyedRows` stores, and the
+evaluation queue is a ring of flat arrays.
+:meth:`PythiaPrefetcher.process` and the compiled Pythia loop
+(:mod:`repro.snn.ckernel`) share them, so either can take over from
+the other mid-trace.
 
 The implementation reproduces the behavioural signature the paper
 reports for Pythia at the LLC: it is *aggressive* (issues on nearly
@@ -22,17 +27,21 @@ can settle into a local minimum such as always-delta-1 on xalan.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import add
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..types import (BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS, MemoryAccess,
-                     compose_address)
+from ..snn.ckernel import KeyedArgs, PythiaArgs, load_kernel, pointer
+from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, MemoryAccess, compose_address
 from .base import Prefetcher
+
+#: Largest evaluation queue (256 times the default): the ring is
+#: allocated up front.
+MAX_EQ_SIZE = 65536
 
 
 def _default_actions() -> Tuple[int, ...]:
@@ -57,7 +66,8 @@ class PythiaConfig:
         reward_inaccurate: Reward for a prefetch evicted unused.
         reward_no_prefetch: Reward for choosing not to prefetch (small
             positive: saves bandwidth when nothing is predictable).
-        eq_size: Evaluation-queue capacity.
+            Rewards must be finite: a NaN spreads to every Q row.
+        eq_size: Evaluation-queue capacity (at most :data:`MAX_EQ_SIZE`).
         degree: Prefetches issued per access (paper budget: 2); at
             most ``len(actions)``, since exploration samples that many
             distinct actions.
@@ -91,28 +101,109 @@ class PythiaConfig:
             raise ConfigError("gamma must be in [0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0, 1]")
-        if self.degree < 1 or self.eq_size < 1:
-            raise ConfigError("degree and eq_size must be >= 1")
+        if not all(map(math.isfinite, (self.reward_accurate,
+                                       self.reward_inaccurate,
+                                       self.reward_no_prefetch))):
+            raise ConfigError("rewards must be finite")
+        if self.degree < 1 or not 1 <= self.eq_size <= MAX_EQ_SIZE:
+            raise ConfigError(
+                f"degree must be >= 1 and eq_size in [1, {MAX_EQ_SIZE}]")
         if self.degree > len(self.actions):
             raise ConfigError(
                 f"degree {self.degree} exceeds the {len(self.actions)} "
                 f"actions exploration samples from")
 
 
-class _EQEntry:
-    """A pending prefetch awaiting its reward.
+#: Fibonacci hashing: a key's home slot among ``2**bits`` is the top
+#: ``bits`` bits of ``key * _HASH`` modulo 2**64.
+_HASH = 0x9E3779B97F4A7C15
+#: Rows a :class:`KeyedRows` store starts with; it doubles when full.
+_INITIAL_ROWS = 256
 
-    ``action`` is the position in :attr:`PythiaConfig.actions`, i.e.
-    the Q-row index the reward updates.
+
+class KeyedRows(Mapping):
+    """Append-only rows keyed by integers, behind a hash index.
+
+    Row ``r`` of :attr:`rows` belongs to ``keys[r]`` for ``r < n``.
+    :attr:`index` has ``2**bits`` slots, twice the capacity, each a row
+    or -1; a key probes linearly from its home slot.  The compiled
+    Pythia loop probes and extends the same arrays.  As a mapping, a
+    key reads as a view of its row.
     """
 
-    __slots__ = ("state", "action", "block", "resolved")
+    def __init__(self, width: int, dtype):
+        self.n = 0
+        self.keys = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self.rows = np.zeros((_INITIAL_ROWS, width), dtype=dtype)
+        self._reindex()
 
-    def __init__(self, state: Tuple[int, ...], action: int, block: int):
-        self.state = state
-        self.action = action
-        self.block = block
-        self.resolved = False
+    def find(self, key: int, add: bool = False) -> int:
+        """``key``'s row; if absent, -1, or with ``add`` a new zero row."""
+        if add and self.n == len(self.keys):
+            self.reserve(1)
+        index, mask = self.index, len(self.index) - 1
+        slot = ((int(key) * _HASH) % 2 ** 64) >> (64 - self.bits)
+        row = int(index[slot])
+        while row >= 0 and self.keys[row] != key:
+            slot = (slot + 1) & mask
+            row = int(index[slot])
+        if row < 0 and add:
+            row = index[slot] = self.n
+            self.keys[row] = key
+            self.n += 1
+        return row
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more rows, doubling as often as needed."""
+        capacity = len(self.keys)
+        while self.n + rows > capacity:
+            capacity *= 2
+        if capacity > len(self.keys):
+            grow = capacity - len(self.keys)
+            self.keys = np.pad(self.keys, (0, grow))
+            self.rows = np.pad(self.rows, ((0, grow), (0, 0)))
+            self._reindex()
+
+    def _reindex(self) -> None:
+        """Index rows ``[0, n)`` as inserting them in home-slot order
+        would: each key takes its home slot or the one after the
+        previous key's, whichever is later.  Slots count from just past
+        the one where the running total of (keys homed there - 1) is
+        lowest; no probe run crosses that boundary, so none wraps."""
+        self.bits = (2 * len(self.keys) - 1).bit_length()
+        size = 1 << self.bits
+        homes = ((self.keys[:self.n].view(np.uint64) * np.uint64(_HASH))
+                 >> np.uint64(64 - self.bits)).astype(np.int64)
+        start = 1 + int(np.argmin(np.cumsum(
+            np.bincount(homes, minlength=size) - 1)))
+        homes = (homes - start) % size
+        rows = np.argsort(homes)
+        rank = np.arange(self.n)
+        slots = np.maximum.accumulate(homes[rows] - rank) + rank
+        self.index = np.full(size, -1, dtype=np.int64)
+        self.index[(slots + start) % size] = rows
+
+    def kernel_args(self) -> KeyedArgs:
+        """This store as the compiled loop's ``pf_keyed``."""
+        return KeyedArgs(keys=pointer(self.keys), rows=pointer(self.rows),
+                         index=pointer(self.index), n=self.n,
+                         capacity=len(self.keys), bits=self.bits)
+
+    def __getitem__(self, key: int) -> np.ndarray:
+        row = self.find(key)
+        if row < 0:
+            raise KeyError(key)
+        return self.rows[row]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.keys[:self.n].tolist())
+
+    def __len__(self) -> int:
+        return self.n
+
+
+#: Columns of the per-page history rows.
+LAST_OFFSET, LAST_DELTA, PREV_DELTA = range(3)
 
 
 class PythiaPrefetcher(Prefetcher):
@@ -122,21 +213,31 @@ class PythiaPrefetcher(Prefetcher):
 
     def __init__(self, config: Optional[PythiaConfig] = None):
         self.config = config or PythiaConfig()
-        self._rng = np.random.default_rng(self.config.seed)
+        self._actions = np.asarray(self.config.actions, dtype=np.int64)
+        self.reset()
+
+    def reset(self) -> None:
+        cfg = self.config
+        self._rng = np.random.default_rng(cfg.seed)
         # One Q-table ("vault") per program feature, mapping a hashed
         # feature to its Q row; action values are the rows summed
         # across vaults, exactly as Pythia's QVStore does.  Rows are
         # created on first update; an unseen feature reads as zeros.
-        self._vaults: List[Dict[int, List[float]]] = [{}]
-        if self.config.use_delta_sequence_vault:
-            self._vaults.append({})
-        self._zero_row = (0.0,) * len(self.config.actions)
-        self._eq: Deque[_EQEntry] = deque()
-        self._eq_by_block: Dict[int, List[_EQEntry]] = {}
-        # page -> last offset (for delta features)
-        self._last_offset: Dict[int, int] = {}
-        self._last_delta: Dict[int, int] = {}
-        self._prev_delta: Dict[int, int] = {}
+        n_vaults = 2 if cfg.use_delta_sequence_vault else 1
+        self._vaults = [KeyedRows(len(cfg.actions), np.float64)
+                        for _ in range(n_vaults)]
+        # page -> (last offset, last and previous nonzero delta)
+        self._pages = KeyedRows(3, np.int64)
+        # The evaluation queue: a ring of issued prefetches, each with
+        # its state's features, action position, block and a pending
+        # flag (1 until a demand or its eviction rewards it).  Slot
+        # _eq_tail takes the next entry, evicting a full ring's oldest;
+        # empty slots have action -1.
+        self._eq_features = np.zeros((cfg.eq_size, n_vaults), dtype=np.int64)
+        self._eq_action = np.full(cfg.eq_size, -1, dtype=np.int64)
+        self._eq_block = np.zeros(cfg.eq_size, dtype=np.int64)
+        self._eq_pending = np.zeros(cfg.eq_size, dtype=np.int64)
+        self._eq_tail = 0
         self.rewards_assigned = 0
 
     # -- feature / Q helpers ---------------------------------------------------
@@ -151,10 +252,14 @@ class PythiaPrefetcher(Prefetcher):
         return (pc_delta, sequence)
 
     def _q_values(self, state: Tuple[int, ...]) -> List[float]:
-        """Every action's Q-value in ``state``: its rows summed."""
-        rows = [vault.get(feature, self._zero_row)
-                for vault, feature in zip(self._vaults, state)]
-        return [sum(values) for values in zip(*rows)]
+        """Every action's Q-value in ``state``: its rows added onto
+        zeros, vault by vault."""
+        q = np.zeros(len(self.config.actions))
+        for vault, feature in zip(self._vaults, state):
+            row = vault.find(feature)
+            if row >= 0:
+                q += vault.rows[row]
+        return q.tolist()
 
     def _update(self, state: Tuple[int, ...], action: int, reward: float,
                 next_state: Optional[Tuple[int, ...]]) -> None:
@@ -164,50 +269,58 @@ class PythiaPrefetcher(Prefetcher):
                      if next_state is not None else 0.0)
         step = cfg.alpha * (reward + bootstrap - old) / len(self._vaults)
         for vault, feature in zip(self._vaults, state):
-            row = vault.setdefault(feature, [0.0] * len(cfg.actions))
-            row[action] += step
+            row = vault.find(feature, add=True)
+            vault.rows[row, action] += step
         self.rewards_assigned += 1
 
     # -- evaluation queue ---------------------------------------------------
 
-    def _enqueue(self, entry: _EQEntry) -> None:
-        self._eq.append(entry)
-        self._eq_by_block.setdefault(entry.block, []).append(entry)
-        while len(self._eq) > self.config.eq_size:
-            evicted = self._eq.popleft()
-            if evicted.resolved:
-                continue
-            # An entry leaves its block's bucket only when a hit
-            # resolves it, so an unresolved one is still there.
-            bucket = self._eq_by_block[evicted.block]
-            bucket.remove(evicted)
-            if not bucket:
-                del self._eq_by_block[evicted.block]
-            self._update(evicted.state, evicted.action,
-                         self.config.reward_inaccurate, None)
+    def _reward_entry(self, slot: int, reward: float,
+                      next_state: Optional[Tuple[int, ...]]) -> None:
+        self._eq_pending[slot] = 0
+        self._update(tuple(self._eq_features[slot].tolist()),
+                     int(self._eq_action[slot]), reward, next_state)
+
+    def _enqueue(self, state: Tuple[int, ...], action: int,
+                 block: int) -> None:
+        slot = self._eq_tail
+        if self._eq_pending[slot]:
+            # The ring is full and its oldest prefetch went undemanded.
+            self._reward_entry(slot, self.config.reward_inaccurate, None)
+        self._eq_features[slot] = state
+        self._eq_action[slot] = action
+        self._eq_block[slot] = block
+        self._eq_pending[slot] = 1
+        self._eq_tail = (slot + 1) % self.config.eq_size
 
     def _resolve_hits(self, block: int,
                       next_state: Tuple[int, ...]) -> None:
-        for entry in self._eq_by_block.pop(block, []):
-            entry.resolved = True
-            self._update(entry.state, entry.action,
-                         self.config.reward_accurate, next_state)
+        hits = np.flatnonzero((self._eq_block == block)
+                              & (self._eq_pending != 0))
+        # Oldest first: the ring runs from the tail slot round to it.
+        size = self.config.eq_size
+        for slot in sorted(hits.tolist(),
+                           key=lambda slot: (slot - self._eq_tail) % size):
+            self._reward_entry(slot, self.config.reward_accurate, next_state)
 
     # -- per-access -----------------------------------------------------------
 
     def process(self, access: MemoryAccess) -> List[int]:
         cfg = self.config
         page, offset = access.page, access.offset
-        previous_offset = self._last_offset.get(page)
-        delta = 0
-        if previous_offset is not None:
-            delta = offset - previous_offset
-        self._last_offset[page] = offset
-        last_delta = self._last_delta.get(page, 0)
-        prev_delta = self._prev_delta.get(page, 0)
+        pages = self._pages
+        row = pages.find(page)
+        if row < 0:
+            row, delta = pages.find(page, add=True), 0
+        else:
+            delta = offset - int(pages.rows[row, LAST_OFFSET])
+        history = pages.rows[row]
+        last_delta = int(history[LAST_DELTA])
+        prev_delta = int(history[PREV_DELTA])
+        history[LAST_OFFSET] = offset
         if delta != 0:
-            self._prev_delta[page] = last_delta
-            self._last_delta[page] = delta
+            history[PREV_DELTA] = last_delta
+            history[LAST_DELTA] = delta
 
         state = self._features_of(access.pc,
                                   delta if delta != 0 else last_delta,
@@ -234,166 +347,83 @@ class PythiaPrefetcher(Prefetcher):
             if not 0 <= target < BLOCKS_PER_PAGE:
                 continue
             address = compose_address(page, target)
-            self._enqueue(_EQEntry(state, action, address >> BLOCK_BITS))
+            self._enqueue(state, action, address >> BLOCK_BITS)
             addresses.append(address)
         return addresses
 
     def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
-        """Chunked form: columnar feature inputs, hoisted SARSA walk.
+        """Columnar form of :meth:`process` over a trace chunk.
 
-        Every access reads Q rows that earlier accesses' rewards wrote,
-        so the walk stays sequential; the batch win is one columnar
-        page/offset/block/PC extraction plus a loop over local handles
-        that scores all actions with one element-wise row sum and ranks
-        them with one stable sort.  The RNG is drawn in program order
-        (one ``random()`` per access, ``choice`` only when exploring),
-        and rewards land in :meth:`process`'s order, so the prefetch
-        file, Q rows, evaluation queue and RNG state match it exactly.
-        ``row0[a] + row1[a]`` equals :meth:`_q_values`'s ``sum()``
-        bitwise because no stored Q-value is ever -0.0: rows start at
-        +0.0, and a float sum is -0.0 only when both operands are.
+        The chunk's exploration is drawn first, in program order: one
+        ``random()`` per access and ``choice`` only when it falls under
+        epsilon.  No draw depends on the trace, so this is the stream
+        :meth:`process` draws.  Then the compiled Pythia loop
+        (:mod:`repro.snn.ckernel`) runs :meth:`process`'s step access by
+        access on the same arrays, with the same floating-point
+        operations in the same order, so results are bit-identical and
+        either path can take over from the other mid-trace.  Before an
+        access that could outgrow a store the loop stops; the store
+        grows here and the loop resumes.  :meth:`process` runs instead
+        when there is no compiled kernel (no C compiler, or
+        ``REPRO_NO_CKERNEL=1``).
         """
+        kernel = load_kernel()
+        if kernel is None:
+            return Prefetcher.process_batch(self, addresses, pcs, instr_ids)
         cfg = self.config
-        actions = cfg.actions
-        n_actions = len(actions)
-        positions = range(n_actions)
-        degree = cfg.degree
-        epsilon = cfg.epsilon
-        alpha = cfg.alpha
-        gamma = cfg.gamma
-        eq_size = cfg.eq_size
-        reward_accurate = cfg.reward_accurate
-        reward_inaccurate = cfg.reward_inaccurate
-        reward_no_prefetch = cfg.reward_no_prefetch
-        random = self._rng.random
-        choice = self._rng.choice
-        vaults = self._vaults
-        n_vaults = len(vaults)
-        two = n_vaults == 2
-        vault0 = vaults[0]
-        vault1 = vaults[1] if two else {}
-        get0 = vault0.get
-        get1 = vault1.get
-        zero = self._zero_row
-        eq = self._eq
-        eq_append = eq.append
-        eq_popleft = eq.popleft
-        by_block = self._eq_by_block
-        by_block_pop = by_block.pop
-        by_block_new = by_block.setdefault
-        last_offset = self._last_offset
-        last_delta = self._last_delta
-        prev_delta = self._prev_delta
-        offset_get = last_offset.get
-        last_get = last_delta.get
-        prev_get = prev_delta.get
-
-        rewarded = 0
-
-        def learn(state, action, reward, bootstrap):
-            """:meth:`_update`, the next state's term already computed."""
-            nonlocal rewarded
-            rewarded += 1
-            f0 = state[0]
-            row0 = get0(f0)
-            if row0 is None:
-                row0 = vault0[f0] = [0.0] * n_actions
-            if two:
-                f1 = state[1]
-                row1 = get1(f1)
-                if row1 is None:
-                    row1 = vault1[f1] = [0.0] * n_actions
-                old = row0[action] + row1[action]
-            else:
-                old = row0[action]
-            step = alpha * (reward + bootstrap - old) / n_vaults
-            row0[action] += step
-            if two:
-                row1[action] += step
-
-        arr = np.asarray(addresses)
-        blocks = arr >> BLOCK_BITS
-        pages_l = (arr >> PAGE_BITS).tolist()
-        offsets_l = (blocks & (BLOCKS_PER_PAGE - 1)).tolist()
-        blocks_l = blocks.tolist()
-        pc_keys = ((np.asarray(pcs) & 0xFFF) << 7).tolist()
-        results: List[List[int]] = []
-        append = results.append
-        for page, offset, block, pc_key in zip(pages_l, offsets_l,
-                                               blocks_l, pc_keys):
-            previous = offset_get(page)
-            last_offset[page] = offset
-            last = last_get(page, 0)
-            prev = prev_get(page, 0)
-            if previous is None or offset == previous:
-                delta = last
-            else:
-                delta = offset - previous
-                prev_delta[page] = last
-                last_delta[page] = delta
-            f0 = pc_key ^ (delta & 0x7F)
-            if two:
-                f1 = ((delta & 0x7F) << 7) ^ (prev & 0x7F)
-                state = (f0, f1)
-            else:
-                state = (f0,)
-
-            hits = by_block_pop(block, None)
-            if hits is not None:
-                for entry in hits:
-                    entry.resolved = True
-                    if two:
-                        best = max(map(add, get0(f0, zero), get1(f1, zero)))
-                    else:
-                        best = max(get0(f0, zero))
-                    learn(entry.state, entry.action, reward_accurate,
-                          gamma * best)
-
+        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
+        n, degree = len(addresses), cfg.degree
+        if len(pcs) != n:
+            raise ValueError(f"{len(pcs)} pcs for {n} addresses")
+        random, choice = self._rng.random, self._rng.choice
+        n_actions, epsilon = len(cfg.actions), cfg.epsilon
+        # Row i: access i's explored actions, or -1s for a greedy pick.
+        explored = np.full((n, degree), -1, dtype=np.int64)
+        for i in range(n):
             if random() < epsilon:
-                chosen = choice(n_actions, size=degree,
-                                replace=False).tolist()
-            else:
-                q = get0(f0, zero)
-                if two:
-                    q = list(map(add, q, get1(f1, zero)))
-                chosen = sorted(positions, key=q.__getitem__,
-                                reverse=True)[:degree]
+                explored[i] = choice(n_actions, size=degree, replace=False)
+        counts = np.zeros(n, dtype=np.int64)
+        targets = np.empty(n * degree, dtype=np.int64)
+        start = 0
+        while start < n:
+            # An access adds at most one page and, per vault, a row for
+            # each hit, each eviction and the no-prefetch action.
+            self._pages.reserve(1)
+            for vault in self._vaults:
+                vault.reserve(cfg.eq_size + 2 * degree)
+            start = self._run_loop(kernel, addresses, pcs, explored, start,
+                                   counts, targets)
+        flat = targets.tolist()
+        return [flat[k:k + count] if count else [] for k, count in
+                zip(range(0, n * degree, degree), counts.tolist())]
 
-            addrs: List[int] = []
-            for action in chosen:
-                target = actions[action]
-                if target == 0:
-                    learn(state, action, reward_no_prefetch, 0.0)
-                    continue
-                target += offset
-                if not 0 <= target < BLOCKS_PER_PAGE:
-                    continue
-                address = (page << PAGE_BITS) | (target << BLOCK_BITS)
-                entry = _EQEntry(state, action, address >> BLOCK_BITS)
-                eq_append(entry)
-                by_block_new(entry.block, []).append(entry)
-                while len(eq) > eq_size:
-                    evicted = eq_popleft()
-                    if evicted.resolved:
-                        continue
-                    bucket = by_block[evicted.block]
-                    bucket.remove(evicted)
-                    if not bucket:
-                        del by_block[evicted.block]
-                    learn(evicted.state, evicted.action,
-                          reward_inaccurate, 0.0)
-                addrs.append(address)
-            append(addrs)
-        self.rewards_assigned += rewarded
-        return results
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self.config.seed)
-        for vault in self._vaults:
-            vault.clear()
-        self._eq.clear()
-        self._eq_by_block.clear()
-        self._last_offset.clear()
-        self._last_delta.clear()
-        self._prev_delta.clear()
-        self.rewards_assigned = 0
+    def _run_loop(self, kernel, addresses, pcs, explored, start, counts,
+                  targets) -> int:
+        """One compiled-loop call from access ``start``, with the row
+        counts, the ring's tail and the reward count synced in and out
+        around it.  Returns where the loop stopped."""
+        cfg = self.config
+        q = np.empty(len(cfg.actions))
+        chosen = np.empty(cfg.degree, dtype=np.int64)
+        args = PythiaArgs(
+            pages=self._pages.kernel_args(),
+            vaults=(KeyedArgs * 2)(*(v.kernel_args() for v in self._vaults)),
+            eq_features=pointer(self._eq_features),
+            eq_action=pointer(self._eq_action),
+            eq_block=pointer(self._eq_block),
+            eq_pending=pointer(self._eq_pending),
+            actions=pointer(self._actions), q=pointer(q),
+            chosen=pointer(chosen), n_actions=len(cfg.actions),
+            n_vaults=len(self._vaults), eq_tail=self._eq_tail,
+            rewards=self.rewards_assigned,
+            **{name: getattr(cfg, name) for name in (
+                "degree", "eq_size", "alpha", "gamma", "reward_accurate",
+                "reward_inaccurate", "reward_no_prefetch")})
+        stop = kernel.pythia_chunk(args, addresses, pcs, explored, start,
+                                   counts, targets)
+        self._pages.n = args.pages.n
+        for vault, synced in zip(self._vaults, args.vaults):
+            vault.n = synced.n
+        self._eq_tail, self.rewards_assigned = args.eq_tail, args.rewards
+        return stop

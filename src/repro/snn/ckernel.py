@@ -1,7 +1,7 @@
-"""On-demand compiled C kernels for PATHFINDER's one-tick hot loop.
+"""On-demand compiled C kernels: the one-tick library.
 
-Two entry points share one library and one per-query step
-(``tick_one``, a C translation of
+Three entry points share one library.  Two share one per-query SNN
+step (``tick_one``, a C translation of
 :meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick`'s fast
 path):
 
@@ -12,6 +12,12 @@ path):
   composition — on the prefetcher's own array-backed tables;
 - ``pf_tick_window`` presents a window of pre-encoded queries
   (:meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick_window`).
+
+The third, ``pf_pythia_chunk``, runs
+:meth:`~repro.prefetchers.pythia.PythiaPrefetcher.process` access by
+access over a trace chunk on the prefetcher's keyed row stores and
+evaluation-queue ring, with the Python code's floating-point operations
+in its order and its stable greedy pick (ties in action-list order).
 
 A NumPy expression of the same step bottoms out at ~10 us/query
 because the arithmetic is tiny (~4 KFLOP) and every ufunc call costs
@@ -61,10 +67,10 @@ import numpy as np
 
 from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS
 
-#: C translation of the one-tick step and the PATHFINDER loop, with
-#: the address-layout constants of :mod:`repro.types` prepended.  Kept
-#: as a string (not a data file) so the module is self-contained under
-#: any packaging.
+#: C translation of the one-tick step and the PATHFINDER and Pythia
+#: loops, with the address-layout constants of :mod:`repro.types`
+#: prepended.  Kept as a string (not a data file) so the module is
+#: self-contained under any packaging.
 C_SOURCE = "".join(f"#define {name} {value}\n" for name, value in (
     ("PAGE_BITS", PAGE_BITS), ("BLOCK_BITS", BLOCK_BITS),
     ("BLOCKS_PER_PAGE", BLOCKS_PER_PAGE))) + r"""
@@ -607,6 +613,283 @@ int64_t pf_pathfinder_chunk(const pf_net *s, pf_tables *t,
     }
     return n;
 }
+
+/* ---- The Pythia loop ---------------------------------------------- */
+
+/* An append-only keyed row store (prefetchers/pythia.py, KeyedRows):
+ * rows [0, n) of `rows` belong to keys[0, n).  `index` has 2^bits
+ * slots, each a row or -1; a key probes linearly from the top `bits`
+ * bits of its Fibonacci hash.  KeyedArgs below mirrors this layout. */
+typedef struct {
+    int64_t *keys;
+    void *rows;
+    int64_t *index;
+    int64_t n, capacity, bits;
+} pf_keyed;
+
+/* Pythia's array-backed state (prefetchers/pythia.py) and its
+ * configuration; PythiaArgs below mirrors this layout. */
+typedef struct {
+    /* Page -> (last offset, last delta, previous delta). */
+    pf_keyed pages;
+    /* Per vault: feature -> Q row of n_actions doubles. */
+    pf_keyed vaults[2];
+    /* Evaluation queue: a ring of eq_size slots; eq_tail takes the
+     * next entry. */
+    int64_t *eq_features, *eq_action, *eq_block, *eq_pending;
+    const int64_t *actions;
+    /* Scratch: one Q-value per action, and the greedy pick. */
+    double *q;
+    int64_t *chosen;
+    /* Configuration. */
+    int64_t n_actions, degree, n_vaults, eq_size;
+    double alpha, gamma, reward_accurate, reward_inaccurate;
+    double reward_no_prefetch;
+    /* Counters, read and advanced. */
+    int64_t eq_tail, rewards;
+} pf_pythia;
+
+#define FIB_HASH 0x9E3779B97F4A7C15ULL
+#define PAGE_HISTORY 3
+
+/* KeyedRows._slot: the index slot holding key, or the empty slot
+ * where it would go. */
+static uint64_t keyed_slot(const pf_keyed *t, int64_t key)
+{
+    uint64_t mask = ((uint64_t)1 << t->bits) - 1;
+    uint64_t i = ((uint64_t)key * FIB_HASH) >> (64 - t->bits);
+    for (;;) {
+        int64_t row = t->index[i];
+        if (row < 0 || t->keys[row] == key) {
+            return i;
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/* KeyedRows.add at the empty index slot a keyed_slot probe found. */
+static int64_t keyed_add(pf_keyed *t, uint64_t slot, int64_t key)
+{
+    int64_t row = t->n++;
+    t->keys[row] = key;
+    t->index[slot] = row;
+    return row;
+}
+
+static double *q_row(const pf_pythia *p, int64_t vault, int64_t row)
+{
+    return (double *)p->vaults[vault].rows + row * p->n_actions;
+}
+
+/* PythiaPrefetcher._q_values into p->q: the state's rows added onto
+ * zeros, vault by vault. */
+static void q_values(const pf_pythia *p, const int64_t *state)
+{
+    int64_t a, v;
+    for (a = 0; a < p->n_actions; a++) {
+        p->q[a] = 0.0;
+    }
+    for (v = 0; v < p->n_vaults; v++) {
+        const pf_keyed *t = &p->vaults[v];
+        int64_t row = t->index[keyed_slot(t, state[v])];
+        if (row >= 0) {
+            const double *values = q_row(p, v, row);
+            for (a = 0; a < p->n_actions; a++) {
+                p->q[a] += values[a];
+            }
+        }
+    }
+}
+
+/* max(_q_values(state)): Python's max keeps the first of equal values. */
+static double best_q(const pf_pythia *p, const int64_t *state)
+{
+    int64_t a;
+    q_values(p, state);
+    double best = p->q[0];
+    for (a = 1; a < p->n_actions; a++) {
+        if (p->q[a] > best) {
+            best = p->q[a];
+        }
+    }
+    return best;
+}
+
+/* PythiaPrefetcher._update, with the next state's term (gamma times
+ * its best Q-value, or 0.0) already computed. */
+static void sarsa_update(pf_pythia *p, const int64_t *state,
+                         int64_t action, double reward, double bootstrap)
+{
+    uint64_t slots[2];
+    int64_t rows[2], a, v;
+    double old = 0.0;
+    for (v = 0; v < p->n_vaults; v++) {
+        slots[v] = keyed_slot(&p->vaults[v], state[v]);
+        rows[v] = p->vaults[v].index[slots[v]];
+        if (rows[v] >= 0) {
+            old += q_row(p, v, rows[v])[action];
+        }
+    }
+    double step = p->alpha * (reward + bootstrap - old) / (double)p->n_vaults;
+    for (v = 0; v < p->n_vaults; v++) {
+        if (rows[v] < 0) {
+            rows[v] = keyed_add(&p->vaults[v], slots[v], state[v]);
+            double *values = q_row(p, v, rows[v]);
+            for (a = 0; a < p->n_actions; a++) {
+                values[a] = 0.0;
+            }
+        }
+        q_row(p, v, rows[v])[action] += step;
+    }
+    p->rewards++;
+}
+
+/* PythiaPrefetcher._enqueue: an unresolved entry in the tail slot is
+ * the full ring's oldest, evicted with the inaccurate reward. */
+static void enqueue(pf_pythia *p, const int64_t *state, int64_t action,
+                    int64_t block)
+{
+    int64_t k = p->eq_tail, v;
+    int64_t *features = p->eq_features + k * p->n_vaults;
+    if (p->eq_pending[k]) {
+        sarsa_update(p, features, p->eq_action[k], p->reward_inaccurate,
+                     0.0);
+    }
+    for (v = 0; v < p->n_vaults; v++) {
+        features[v] = state[v];
+    }
+    p->eq_action[k] = action;
+    p->eq_block[k] = block;
+    p->eq_pending[k] = 1;
+    p->eq_tail = k + 1 < p->eq_size ? k + 1 : 0;
+}
+
+/* The greedy pick over p->q: sorted(range(n_actions),
+ * key=q.__getitem__, reverse=True)[:degree] -- best first, equal
+ * values in action-list order -- as an insertion into the kept few. */
+static void top_actions(const pf_pythia *p)
+{
+    const double *q = p->q;
+    int64_t *chosen = p->chosen;
+    int64_t a, j, count = 0;
+    for (a = 0; a < p->n_actions; a++) {
+        if (count < p->degree) {
+            j = count++;
+        }
+        else if (q[a] > q[chosen[p->degree - 1]]) {
+            j = p->degree - 1;
+        }
+        else {
+            continue;
+        }
+        while (j > 0 && q[a] > q[chosen[j - 1]]) {
+            chosen[j] = chosen[j - 1];
+            j--;
+        }
+        chosen[j] = a;
+    }
+}
+
+/* PythiaPrefetcher.process over accesses [start, n) of a chunk, with
+ * the exploration draws made beforehand: explored[i * degree ...]
+ * holds access i's drawn actions, or -1 when it picks greedily.
+ * Access i's prefetch addresses land in out_addr[i * degree ...] with
+ * their count in out_count[i].  Returns n, or the index of an access
+ * that could outgrow the page table or a vault's row store: it has not
+ * started, and the caller grows the stores and resumes there. */
+int64_t pf_pythia_chunk(pf_pythia *p, const int64_t *addresses,
+                        const int64_t *pcs, const int64_t *explored,
+                        int64_t start, int64_t n, int64_t *out_count,
+                        int64_t *out_addr)
+{
+    const int64_t degree = p->degree, eq_size = p->eq_size;
+    /* Rows one access can add to a vault: one per hit, the no-prefetch
+     * update and one per eviction. */
+    const int64_t headroom = eq_size + 2 * degree;
+    int64_t state[2], i, j, k, v;
+
+    for (i = start; i < n; i++) {
+        if (p->pages.n == p->pages.capacity) {
+            return i;
+        }
+        for (v = 0; v < p->n_vaults; v++) {
+            if (p->vaults[v].n + headroom > p->vaults[v].capacity) {
+                return i;
+            }
+        }
+        int64_t page = addresses[i] >> PAGE_BITS;
+        int64_t block = addresses[i] >> BLOCK_BITS;
+        int64_t offset = block & (BLOCKS_PER_PAGE - 1);
+
+        /* Page history: last offset, last and previous nonzero delta. */
+        uint64_t slot = keyed_slot(&p->pages, page);
+        int64_t row = p->pages.index[slot], delta = 0;
+        int64_t *history;
+        if (row < 0) {
+            row = keyed_add(&p->pages, slot, page);
+            history = (int64_t *)p->pages.rows + row * PAGE_HISTORY;
+            history[1] = 0;
+            history[2] = 0;
+        }
+        else {
+            history = (int64_t *)p->pages.rows + row * PAGE_HISTORY;
+            delta = offset - history[0];
+        }
+        int64_t last = history[1], prev = history[2];
+        history[0] = offset;
+        if (delta != 0) {
+            history[2] = last;
+            history[1] = delta;
+        }
+        int64_t feature_delta = delta != 0 ? delta : last;
+        state[0] = ((pcs[i] & 0xFFF) << 7) ^ (feature_delta & 0x7F);
+        state[1] = ((feature_delta & 0x7F) << 7) ^ (prev & 0x7F);
+
+        /* Demand hits, oldest first: the ring from the tail slot to its
+         * end, then from its start up to the tail. */
+        for (j = 0; j < 2; j++) {
+            int64_t lo = j ? 0 : p->eq_tail, hi = j ? p->eq_tail : eq_size;
+            for (k = lo; k < hi; k++) {
+                if (p->eq_block[k] == block && p->eq_pending[k]) {
+                    p->eq_pending[k] = 0;
+                    sarsa_update(p, p->eq_features + k * p->n_vaults,
+                                 p->eq_action[k], p->reward_accurate,
+                                 p->gamma * best_q(p, state));
+                }
+            }
+        }
+
+        const int64_t *chosen = explored + i * degree;
+        if (chosen[0] < 0) {
+            q_values(p, state);
+            top_actions(p);
+            chosen = p->chosen;
+        }
+
+        int64_t n_out = 0;
+        for (j = 0; j < degree; j++) {
+            int64_t action = chosen[j], target = p->actions[action];
+            if (target == 0) {
+                sarsa_update(p, state, action, p->reward_no_prefetch, 0.0);
+                continue;
+            }
+            /* A delta of a page or more never lands in it (and adding
+             * a huge one could overflow). */
+            if (target <= -BLOCKS_PER_PAGE || target >= BLOCKS_PER_PAGE) {
+                continue;
+            }
+            target += offset;
+            if (target < 0 || target >= BLOCKS_PER_PAGE) {
+                continue;
+            }
+            int64_t address = (page << PAGE_BITS) | (target << BLOCK_BITS);
+            enqueue(p, state, action, address >> BLOCK_BITS);
+            out_addr[i * degree + n_out++] = address;
+        }
+        out_count[i] = n_out;
+    }
+    return n;
+}
 """
 
 #: Compiler flags: IEEE-strict.  ``-ffp-contract=off`` forbids FMA
@@ -662,6 +945,33 @@ class PathfinderArgs(ctypes.Structure):
     ]
 
 
+class KeyedArgs(ctypes.Structure):
+    """The C ``pf_keyed``: one keyed row store and its hash index."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in ("keys", "rows", "index")),
+        *((name, ctypes.c_int64) for name in ("n", "capacity", "bits")),
+    ]
+
+
+class PythiaArgs(ctypes.Structure):
+    """The C ``pf_pythia``: Pythia's arrays, config and counters."""
+
+    _fields_ = [
+        ("pages", KeyedArgs),
+        ("vaults", KeyedArgs * 2),
+        *((name, ctypes.c_void_p) for name in (
+            "eq_features", "eq_action", "eq_block", "eq_pending", "actions",
+            "q", "chosen")),
+        *((name, ctypes.c_int64) for name in (
+            "n_actions", "degree", "n_vaults", "eq_size")),
+        *((name, ctypes.c_double) for name in (
+            "alpha", "gamma", "reward_accurate", "reward_inaccurate",
+            "reward_no_prefetch")),
+        *((name, ctypes.c_int64) for name in ("eq_tail", "rewards")),
+    ]
+
+
 def pointer(array: np.ndarray) -> int:
     """Address of a C-contiguous array, for a ``c_void_p`` field."""
     if not array.flags.c_contiguous:
@@ -690,6 +1000,13 @@ class TickKernel:
             _INT64_P, _INT64_P, _INT64_P,
         ]
         self._chunk = chunk
+        pythia = lib.pf_pythia_chunk
+        pythia.restype = ctypes.c_int64
+        pythia.argtypes = [
+            ctypes.POINTER(PythiaArgs), _INT64_P, _INT64_P, _INT64_P,
+            ctypes.c_int64, ctypes.c_int64, _INT64_P, _INT64_P,
+        ]
+        self._pythia = pythia
         ps = lib.pf_pairwise_sum
         ps.restype = ctypes.c_double
         ps.argtypes = [_DOUBLE_P, ctypes.c_int64]
@@ -724,6 +1041,19 @@ class TickKernel:
             counts.ctypes.data_as(_INT64_P),
             targets.ctypes.data_as(_INT64_P),
             winners.ctypes.data_as(_INT64_P))
+
+
+    def pythia_chunk(self, pythia: PythiaArgs, addresses: np.ndarray,
+                     pcs: np.ndarray, explored: np.ndarray, start: int,
+                     counts: np.ndarray, targets: np.ndarray) -> int:
+        """Run Pythia over accesses ``[start, len(addresses))``; return
+        where it stopped (see ``pf_pythia_chunk``)."""
+        return self._pythia(
+            ctypes.byref(pythia), addresses.ctypes.data_as(_INT64_P),
+            pcs.ctypes.data_as(_INT64_P),
+            explored.ctypes.data_as(_INT64_P), start, len(addresses),
+            counts.ctypes.data_as(_INT64_P),
+            targets.ctypes.data_as(_INT64_P))
 
 
 def _find_compiler() -> Optional[str]:
@@ -793,9 +1123,9 @@ def load_kernel() -> Optional[TickKernel]:
     """The process-wide compiled kernel, or ``None`` if unavailable.
 
     Compiles on first call (cached on disk afterwards).  Returns
-    ``None`` — and PATHFINDER falls back to its scalar Python path —
-    when ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or
-    compilation/loading fails for any reason.
+    ``None`` — and PATHFINDER and Pythia fall back to their scalar
+    Python paths — when ``REPRO_NO_CKERNEL=1``, no C compiler is on
+    PATH, or compilation/loading fails for any reason.
     """
     global _kernel, _kernel_tried
     if _kernel_tried:

@@ -11,6 +11,15 @@ def build_trace(addresses, pc=0x400, gap=10, name="t"):
                  total_instructions=len(addresses) * gap + 1)
 
 
+def build_accesses(addresses, pcs, gap=10, name="t"):
+    """Build a trace from aligned byte-address and PC columns."""
+    accesses = [MemoryAccess(instr_id=(i + 1) * gap, pc=int(pc),
+                             address=int(a))
+                for i, (a, pc) in enumerate(zip(addresses, pcs))]
+    return Trace(name=name, accesses=accesses,
+                 total_instructions=len(accesses) * gap + 1)
+
+
 def seq_addresses(n, start_block=1 << 20):
     """Byte addresses of n consecutive blocks."""
     return [(start_block + i) << 6 for i in range(n)]
@@ -35,3 +44,28 @@ def pathfinder_state(prefetcher):
         counters=(prefetcher.accesses_seen, prefetcher.snn_queries,
                   prefetcher.stdp_updates, prefetcher.prefetches_emitted,
                   prefetcher.neuron_repairs))
+
+
+def pythia_state(prefetcher):
+    """Everything :meth:`PythiaPrefetcher.process` reads back on the
+    next access: each vault's Q rows by feature (values as
+    ``float.hex``, so a -0.0 would not compare equal), the evaluation
+    queue oldest first with each entry's pending flag, the per-page
+    history, the reward count and the RNG state."""
+    p = prefetcher
+    size = len(p._eq_action)
+    # The ring from the tail slot round: oldest first; empty slots
+    # have action -1.
+    ring = [(p._eq_tail + k) % size for k in range(size)]
+    return dict(
+        vaults=[{feature: [q.hex() for q in row]
+                 for feature, row in vault.items()}
+                for vault in p._vaults],
+        queue=[(tuple(p._eq_features[slot].tolist()),
+                int(p._eq_action[slot]), int(p._eq_block[slot]),
+                int(p._eq_pending[slot]))
+               for slot in ring if p._eq_action[slot] >= 0],
+        pages={page: tuple(history.tolist())
+               for page, history in p._pages.items()},
+        rewards=p.rewards_assigned,
+        rng=p._rng.bit_generator.state)

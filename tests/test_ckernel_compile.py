@@ -12,14 +12,21 @@ import pytest
 import repro
 from repro.snn.ckernel import _find_compiler
 
-#: Loads both kernels and calls into each; prints "ok".
+#: Loads both kernels and calls into each, the one-tick library's
+#: Pythia loop included; prints "ok".
 PROBE = """\
 import numpy as np
+from repro.prefetchers import PythiaPrefetcher
 from repro.sim.fast_engine.ckernel import load_kernel as replay_kernel
 from repro.snn.ckernel import load_kernel as tick_kernel
 tick, replay = tick_kernel(), replay_kernel()
 assert tick is not None and replay is not None
 assert tick.pairwise_sum(np.arange(10.0)) == 45.0
+pythia = PythiaPrefetcher()
+pythia.process = None  # the compiled loop must run, not process()
+blocks = np.arange(64, dtype=np.int64)
+lists = pythia.process_batch(blocks << 6, np.full(64, 0x400), blocks)
+assert len(lists) == 64 and pythia.rewards_assigned > 0
 print("ok")
 """
 

@@ -24,7 +24,7 @@ from repro.prefetchers import (PythiaConfig, PythiaPrefetcher,
                                VoyagerPrefetcher, generate_prefetches)
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.traces import make_trace
-from tests.helpers import pathfinder_state
+from tests.helpers import build_accesses, pathfinder_state, pythia_state
 
 #: The §3.4 refinement toggles the ablation ladder sweeps.
 ENCODER_VARIANTS = [
@@ -514,22 +514,6 @@ def test_pythia_prefetch_file_pinned(workload):
                 _digest(requests)) == PYTHIA_PINNED[workload]
 
 
-def _pythia_state(prefetcher):
-    """Everything Pythia's SARSA walk reads back on the next access;
-    Q-values as ``float.hex`` so a -0.0 would not compare equal."""
-    position = {id(entry): i for i, entry in enumerate(prefetcher._eq)}
-    return ([{feature: [q.hex() for q in row]
-              for feature, row in vault.items()}
-             for vault in prefetcher._vaults],
-            [(e.state, e.action, e.block, e.resolved)
-             for e in prefetcher._eq],
-            {block: [position[id(e)] for e in bucket]
-             for block, bucket in prefetcher._eq_by_block.items()},
-            prefetcher._last_offset, prefetcher._last_delta,
-            prefetcher._prev_delta, prefetcher.rewards_assigned,
-            prefetcher._rng.bit_generator.state)
-
-
 @pytest.mark.parametrize("overrides", [{}, *PYTHIA_CONFIGS])
 @pytest.mark.parametrize("workload", BATCH_WORKLOADS)
 def test_pythia_batch_state_matches_scalar(workload, overrides):
@@ -542,7 +526,7 @@ def test_pythia_batch_state_matches_scalar(workload, overrides):
     scalar = _scalar_only(PythiaPrefetcher(config))
     reference = generate_prefetches(scalar, trace, budget=4, train=False)
     assert reference
-    state = _pythia_state(scalar)
+    state = pythia_state(scalar)
     assert not any(q == 0.0 and math.copysign(1.0, q) < 0
                    for vault in scalar._vaults for row in vault.values()
                    for q in row), "a stored Q-value is -0.0"
@@ -551,13 +535,36 @@ def test_pythia_batch_state_matches_scalar(workload, overrides):
         assert generate_prefetches(batched, trace, budget=4, chunk=chunk,
                                    train=False) == reference, \
             f"{overrides} diverged on {workload} at chunk={chunk}"
-        assert _pythia_state(batched) == state
+        assert pythia_state(batched) == state
     switched = PythiaPrefetcher(config)
     chunks = _batched_then_scalar(switched)
     assert generate_prefetches(switched, trace, budget=4, chunk=2000,
                                train=False) == reference
     assert chunks == [2000, len(trace) - 2000]
-    assert _pythia_state(switched) == state
+    assert pythia_state(switched) == state
+
+
+def test_pythia_chunk_grows_page_table_and_row_stores():
+    """One chunk over more pages and features than the stores start
+    with: the compiled loop stops before each access that could
+    overflow one, the store grows, and the loop resumes there."""
+    rng = np.random.default_rng(3)
+    n = 3000
+    pages = 0x1000 + 7919 * rng.integers(0, 1500, size=n)
+    offsets = rng.integers(0, 64, size=n)
+    trace = build_accesses((pages << 12) | (offsets << 6),
+                           pcs=rng.integers(0, 1 << 12, size=n))
+    scalar = _scalar_only(PythiaPrefetcher())
+    reference = generate_prefetches(scalar, trace, budget=2, train=False)
+    batched = PythiaPrefetcher()
+    initial = (len(batched._pages.keys),
+               [len(vault.keys) for vault in batched._vaults])
+    assert generate_prefetches(batched, trace, budget=2, chunk=n,
+                               train=False) == reference
+    assert pythia_state(batched) == pythia_state(scalar)
+    assert len(batched._pages) > initial[0]
+    assert any(len(vault) > capacity for vault, capacity
+               in zip(batched._vaults, initial[1]))
 
 
 #: PATHFINDER configs for the state test: the default, one that evicts

@@ -16,6 +16,7 @@ from repro.prefetchers import (
     VoyagerPrefetcher,
     generate_prefetches,
 )
+from repro.prefetchers.pythia import MAX_EQ_SIZE
 from repro.types import MemoryAccess, compose_address
 
 from tests.helpers import build_trace, seq_addresses
@@ -49,6 +50,18 @@ def test_pythia_config_validation():
     with pytest.raises(ConfigError):
         PythiaConfig(actions=(0, 1, 1, 2))
     PythiaConfig(actions=(0, 1), degree=2)
+    # A non-finite reward would spread through every Q row it touches.
+    for name in ("reward_accurate", "reward_inaccurate",
+                 "reward_no_prefetch"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError):
+                PythiaConfig(**{name: value})
+    # The evaluation queue is a ring allocated up front.
+    with pytest.raises(ConfigError):
+        PythiaConfig(eq_size=MAX_EQ_SIZE + 1)
+    with pytest.raises(ConfigError):
+        PythiaConfig(eq_size=10 ** 12)
+    PythiaConfig(eq_size=MAX_EQ_SIZE)
 
 
 def test_pythia_learns_constant_delta():
