@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..types import MAX_DELTA, Trace
+from ..types import PAGE_BITS, Trace
 
 
 @dataclass(frozen=True)
@@ -71,43 +71,28 @@ class TraceProfile:
 
 def delta_histogram(trace: Trace) -> Dict[int, int]:
     """Histogram of within-page deltas (per pc/page stream)."""
-    return dict(Counter(trace.deltas_within_page()))
+    return dict(Counter(trace.deltas_within_page().tolist()))
 
 
 def reuse_fraction(trace: Trace) -> float:
     """Fraction of accesses whose block was accessed before."""
     if not len(trace):
         raise ConfigError("cannot profile an empty trace")
-    seen = set()
-    repeats = 0
-    for access in trace:
-        if access.block in seen:
-            repeats += 1
-        seen.add(access.block)
-    return repeats / len(trace)
+    distinct = len(np.unique(trace.arrays().blocks))
+    return (len(trace) - distinct) / len(trace)
 
 
 def delta_statistics(trace: Trace, window: int = 1000) -> DeltaStatistics:
     """Windowed delta statistics exactly as the paper's Table 8 counts
     them: within-page per-(pc, page) deltas, grouped into fixed-size
-    access windows."""
+    access windows (a trailing partial window counts as one)."""
     if window < 1:
         raise ConfigError("window must be >= 1")
-    last_offset: Dict[Tuple[int, int], int] = {}
-    windows: List[List[int]] = [[]]
-    for index, access in enumerate(trace):
-        if index and index % window == 0:
-            windows.append([])
-        key = (access.pc, access.page)
-        previous = last_offset.get(key)
-        if previous is not None:
-            delta = access.offset - previous
-            if delta != 0 and abs(delta) <= MAX_DELTA:
-                windows[-1].append(delta)
-        last_offset[key] = access.offset
-
+    stream_deltas = trace.stream_deltas()
     counts, distincts, top5s = [], [], []
-    for deltas in windows:
+    for start in range(0, max(len(stream_deltas), 1), window):
+        deltas = stream_deltas[start:start + window]
+        deltas = deltas[deltas != 0]
         counts.append(len(deltas))
         values, occurrences = np.unique(deltas, return_counts=True)
         distincts.append(values.size)
@@ -124,9 +109,10 @@ def profile_trace(trace: Trace, window: int = 1000) -> TraceProfile:
     """Compute the full characterisation of one trace."""
     if not len(trace):
         raise ConfigError("cannot profile an empty trace")
-    deltas = np.asarray(trace.deltas_within_page())
-    blocks = {a.block for a in trace}
-    pages = {a.page for a in trace}
+    deltas = trace.deltas_within_page()
+    arrays = trace.arrays()
+    blocks = np.unique(arrays.blocks)
+    pages = np.unique(arrays.addresses >> PAGE_BITS)
     return TraceProfile(
         name=trace.name,
         loads=len(trace),

@@ -32,7 +32,6 @@ from ..hw import PAPER_TABLE9, pathfinder_cost, snn_cost
 from ..prefetchers import generate_prefetches
 from ..sim import simulate
 from ..traces import WORKLOAD_NAMES, make_trace
-from ..types import MAX_DELTA, Trace
 from .reporting import arithmetic_mean, geometric_mean
 from .runner import Evaluation
 
@@ -288,7 +287,7 @@ def experiment_fig5_table7(n_accesses: int = 20_000, seed: int = 1,
     # Table 7: deltas inside (-31,31) and (-15,15).
     rows7: TableRows = []
     for workload in workloads:
-        deltas = np.asarray(evaluation.trace(workload).deltas_within_page())
+        deltas = evaluation.trace(workload).deltas_within_page()
         in31 = int(np.sum(np.abs(deltas) < 31))
         in15 = int(np.sum(np.abs(deltas) < 15))
         rows7.append([workload, in31, in15, deltas.size])
@@ -337,12 +336,15 @@ def experiment_fig6_table8(n_accesses: int = 20_000, seed: int = 1,
             f"IPC speedup vs neurons ({labels}-label)",
             ["Trace"] + [f"n={n}" for n in neuron_counts], rows))
 
-    # Table 8: per-1K delta statistics.
+    # Table 8: per-1K delta statistics, truncated to whole counts.  The
+    # analysis package stays out of the CLI's import path.
+    from ..analysis.trace_stats import delta_statistics
+
     rows8: TableRows = []
     for workload in workloads:
-        trace = evaluation.trace(workload)
-        stats = _table8_stats(trace)
-        rows8.append([workload] + list(stats))
+        stats = delta_statistics(evaluation.trace(workload), window=1000)
+        rows8.append([workload, int(stats.avg_deltas),
+                      int(stats.avg_distinct), int(stats.avg_top5)])
     result.tables.append((
         "Per-1K-access delta statistics (paper Table 8)",
         ["Trace", "avg #deltas", "avg #distinct", "top5 occurrences"],
@@ -352,31 +354,6 @@ def experiment_fig6_table8(n_accesses: int = 20_000, seed: int = 1,
         "neuron count; the 1-label variant degrades more noticeably as "
         "neurons shrink.")
     return result
-
-
-def _table8_stats(trace: Trace, window: int = 1000) -> Tuple[int, int, int]:
-    """(avg deltas, avg distinct deltas, avg top-5 occurrence sum) per
-    1K-access window, matching the paper's Table 8 definition."""
-    last_offset: Dict[Tuple[int, int], int] = {}
-    windows: List[List[int]] = [[]]
-    for index, acc in enumerate(trace):
-        if index and index % window == 0:
-            windows.append([])
-        key = (acc.pc, acc.page)
-        prev = last_offset.get(key)
-        if prev is not None:
-            delta = acc.offset - prev
-            if delta != 0 and abs(delta) <= MAX_DELTA:
-                windows[-1].append(delta)
-        last_offset[key] = acc.offset
-    counts, distincts, top5s = [], [], []
-    for deltas in windows:
-        counts.append(len(deltas))
-        values, occurrences = np.unique(deltas, return_counts=True)
-        distincts.append(values.size)
-        top5s.append(int(np.sort(occurrences)[::-1][:5].sum()) if values.size else 0)
-    return (int(arithmetic_mean(counts)), int(arithmetic_mean(distincts)),
-            int(arithmetic_mean(top5s)))
 
 
 # ---------------------------------------------------------------------------

@@ -201,13 +201,15 @@ class VoyagerPrefetcher(Prefetcher):
         """Per-PC token sequences: rows of (page_tok, offset, pc_tok)."""
         streams: Dict[int, List[List[int]]] = {}
         last_page: Dict[int, int] = {}
-        for access in trace:
-            rows = streams.setdefault(access.pc, [])
-            prev = last_page.get(access.pc)
-            delta = 0 if prev is None else access.page - prev
-            last_page[access.pc] = access.page
-            rows.append([self._page_token(delta, access.page),
-                         access.offset, self._pc_token(access.pc)])
+        arrays = trace.arrays()
+        for pc, block in zip(arrays.pcs.tolist(), arrays.blocks.tolist()):
+            page = block >> (PAGE_BITS - BLOCK_BITS)
+            rows = streams.setdefault(pc, [])
+            prev = last_page.get(pc)
+            delta = 0 if prev is None else page - prev
+            last_page[pc] = page
+            rows.append([self._page_token(delta, page),
+                         block & (BLOCKS_PER_PAGE - 1), self._pc_token(pc)])
         return {pc: np.asarray(rows, dtype=int)
                 for pc, rows in streams.items() if len(rows) > 1}
 

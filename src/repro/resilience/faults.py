@@ -251,16 +251,15 @@ def corrupt_trace(trace):
     site = fires("trace.corrupt")
     if site is None:
         return trace
-    from ..types import MemoryAccess, Trace
+    from ..types import Trace
 
     rng = random.Random(f"{site._rng.random()}:trace.corrupt")
-    accesses = list(trace.accesses)
-    n_corrupt = max(1, int(len(accesses) * site.frac))
-    for index in rng.sample(range(len(accesses)), min(n_corrupt,
-                                                      len(accesses))):
-        acc = accesses[index]
-        scrambled = (acc.address ^ (0x5DEADBEEF << 12)) & ((1 << 48) - 1)
-        accesses[index] = MemoryAccess(instr_id=acc.instr_id, pc=acc.pc,
-                                       address=scrambled)
-    return Trace(name=trace.name, accesses=accesses,
+    arrays = trace.arrays()
+    n = len(arrays)
+    n_corrupt = max(1, int(n * site.frac))
+    indices = rng.sample(range(n), min(n_corrupt, n))
+    addresses = arrays.addresses.copy()
+    addresses[indices] = ((addresses[indices] ^ (0x5DEADBEEF << 12))
+                          & ((1 << 48) - 1))
+    return Trace(trace.name, arrays.instr_ids, arrays.pcs, addresses,
                  total_instructions=trace.instruction_count)

@@ -74,7 +74,11 @@ class _Core:
         self.l2 = SetAssociativeCache(config.l2)
         self.core = TimingCore(config.core)
         self.position = 0
-        plan = plan_replay(trace.arrays(),
+        arrays = trace.arrays()
+        #: The trace's id and block columns, as lists for the loop.
+        self.instr_ids = arrays.instr_ids.tolist()
+        self.blocks = arrays.blocks.tolist()
+        plan = plan_replay(arrays,
                            PrefetchFile.for_trace(trace, prefetches),
                            config.max_prefetches_per_access)
         #: CSR trigger schedule: position ``i`` issues
@@ -93,8 +97,7 @@ class _Core:
 
     def next_dispatch_estimate(self) -> float:
         """Dispatch cycle of the next access if it ran now."""
-        access = self.trace[self.position]
-        gap = max(0, access.instr_id
+        gap = max(0, self.instr_ids[self.position]
                   - self.core._last_instr_id)  # estimate only
         return self.core.cycle + gap / self.core.config.width
 
@@ -199,13 +202,13 @@ class MulticoreSimulator:
         while active:
             core = min(active, key=lambda c: c.next_dispatch_estimate())
             position = core.position
-            access = core.trace[position]
+            instr_id = core.instr_ids[position]
             core.position += 1
-            dispatch = core.core.dispatch_load(access.instr_id)
+            dispatch = core.core.dispatch_load(instr_id)
             self._drain_prefetches(dispatch)
-            block = self._isolate(core.index, access.block)
+            block = self._isolate(core.index, core.blocks[position])
             latency = self._demand(core, block, dispatch)
-            core.core.complete_load(access.instr_id, dispatch + latency)
+            core.core.complete_load(instr_id, dispatch + latency)
             for pf_block in core.pf_blocks[core.pf_starts[position]:
                                            core.pf_starts[position + 1]]:
                 self._issue_prefetch(core,

@@ -352,16 +352,18 @@ class Simulator:
         n = len(trace)
         window = recorder.window if recorder is not None else 0
         next_boundary = min(window, n) if recorder is not None else -1
+        arrays = trace.arrays()
         starts = plan.pf_starts.tolist()
         pf_blocks = plan.pf_blocks.tolist()
-        for i, acc in enumerate(trace, 1):
-            dispatch = self.core.dispatch_load(acc.instr_id)
+        for i, (instr_id, demand_block) in enumerate(
+                zip(arrays.instr_ids.tolist(), arrays.blocks.tolist()), 1):
+            dispatch = self.core.dispatch_load(instr_id)
             self._drain_completed_prefetches(dispatch)
-            latency = self._demand_access(acc.block, dispatch, result)
-            self.core.complete_load(acc.instr_id, dispatch + latency)
+            latency = self._demand_access(demand_block, dispatch, result)
+            self.core.complete_load(instr_id, dispatch + latency)
             for block in pf_blocks[starts[i - 1]:starts[i]]:
                 self._issue_prefetch(block, dispatch, result,
-                                     trigger=acc.instr_id)
+                                     trigger=instr_id)
             if i == next_boundary:
                 self._sample_series(recorder, i, result)
                 next_boundary = min(next_boundary + window, n)

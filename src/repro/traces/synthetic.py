@@ -41,9 +41,7 @@ from ..types import (
     BLOCK_BITS,
     BLOCKS_PER_PAGE,
     PAGE_BITS,
-    MemoryAccess,
     Trace,
-    TraceArrays,
 )
 
 PcAddr = Tuple[int, int]
@@ -336,7 +334,6 @@ class TemporalReplayStream(AccessStream):
         recording = np.concatenate(parts)[:length].astype(np.int64,
                                                           copy=False)
         self._recording = recording
-        self.sequence: List[int] = recording.tolist()
         self._pc_col = np.full(length, pc, dtype=np.int64)
 
     def _batches(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -470,14 +467,7 @@ class StreamMixer:
 
 def trace_from_columns(name: str, instr_ids: np.ndarray, pcs: np.ndarray,
                        addresses: np.ndarray) -> Trace:
-    """Build a :class:`Trace` from flat columns, pre-seeding its
-    struct-of-arrays view so replay never re-extracts it."""
-    accesses = [
-        MemoryAccess(instr_id=i, pc=p, address=a)
-        for i, p, a in zip(instr_ids.tolist(), pcs.tolist(),
-                           addresses.tolist())
-    ]
+    """Build a :class:`Trace` of flat columns; its instruction count is
+    the last id + 1."""
     total = int(instr_ids[-1]) + 1 if len(instr_ids) else 0
-    trace = Trace(name=name, accesses=accesses, total_instructions=total)
-    trace._arrays = TraceArrays.from_columns(instr_ids, pcs, addresses)
-    return trace
+    return Trace(name, instr_ids, pcs, addresses, total_instructions=total)

@@ -7,16 +7,25 @@ Each line of a trace file is::
 with hexadecimal pc/address.  Blank lines and ``#`` comments are
 ignored.  This mirrors the load-trace format consumed by the ChampSim
 fork used in the paper (minus fields the reproduction does not need).
+Every field is unsigned and must fit in the trace's ``int64`` columns,
+so a value outside ``[0, 2**63)`` is a format error.
 """
 
 from __future__ import annotations
 
 import gzip
+from array import array
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from ..errors import TraceFormatError
-from ..types import MemoryAccess, Trace, validate_trace
+from ..types import Trace, validate_trace
+
+_FIELDS = ("instr_id", "pc", "address")
+#: Exclusive upper bound of a field: the columns are ``int64``.
+_FIELD_LIMIT = 1 << 63
 
 
 def _open_text(path: Path, mode: str):
@@ -31,8 +40,12 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     with _open_text(path, "w") as fh:
         fh.write(f"# trace: {trace.name}\n")
         fh.write(f"# total_instructions: {trace.instruction_count}\n")
-        for acc in trace.accesses:
-            fh.write(f"{acc.instr_id}, {acc.pc:#x}, {acc.address:#x}\n")
+        arrays = trace.arrays()
+        fh.writelines(
+            f"{instr_id}, {pc:#x}, {address:#x}\n"
+            for instr_id, pc, address in zip(arrays.instr_ids.tolist(),
+                                             arrays.pcs.tolist(),
+                                             arrays.addresses.tolist()))
 
 
 def load_trace(path: Union[str, Path], name: str = "") -> Trace:
@@ -44,11 +57,12 @@ def load_trace(path: Union[str, Path], name: str = "") -> Trace:
             the file stem.
 
     Raises:
-        TraceFormatError: if any line is malformed (carries the file
-            and line number) or ids are not increasing.
+        TraceFormatError: if any line is malformed or a field falls
+            outside ``[0, 2**63)`` (carries the file and line number),
+            or ids are not increasing.
     """
     path = Path(path)
-    accesses = []
+    columns = tuple(array("q") for _ in _FIELDS)
     total_instructions = None
     file_name = None
     with _open_text(path, "r") as fh:
@@ -75,14 +89,20 @@ def load_trace(path: Union[str, Path], name: str = "") -> Trace:
                     f"expected 3 fields, got {len(parts)}",
                     path=str(path), lineno=lineno)
             try:
-                instr_id = int(parts[0], 0)
-                pc = int(parts[1], 0)
-                address = int(parts[2], 0)
+                row = [int(part, 0) for part in parts]
             except ValueError as exc:
                 raise TraceFormatError(str(exc), path=str(path),
                                        lineno=lineno) from exc
-            accesses.append(MemoryAccess(instr_id=instr_id, pc=pc, address=address))
-    trace = Trace(name=name or file_name or path.stem, accesses=accesses,
-                  total_instructions=total_instructions)
+            for field, text, value in zip(_FIELDS, parts, row):
+                if not 0 <= value < _FIELD_LIMIT:
+                    raise TraceFormatError(
+                        f"{field} {text} outside [0, 2**63)",
+                        path=str(path), lineno=lineno)
+            for column, value in zip(columns, row):
+                column.append(value)
+    instr_ids, pcs, addresses = (np.frombuffer(column, dtype=np.int64)
+                                 for column in columns)
+    trace = Trace(name or file_name or path.stem, instr_ids, pcs,
+                  addresses, total_instructions)
     validate_trace(trace)
     return trace

@@ -15,12 +15,12 @@ transforms inject exactly those effects into any trace:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..types import MemoryAccess, Trace
+from ..types import Trace
 
 
 def reorder_accesses(trace: Trace, window: int, seed: int = 0,
@@ -41,19 +41,17 @@ def reorder_accesses(trace: Trace, window: int, seed: int = 0,
     if window < 1:
         raise ConfigError("reorder window must be >= 1")
     rng = np.random.default_rng(seed)
-    accesses: List[MemoryAccess] = []
-    source = trace.accesses
-    for start in range(0, len(source), window):
-        group = list(source[start:start + window])
-        ids = sorted(a.instr_id for a in group)
-        order = rng.permutation(len(group))
-        for instr_id, index in zip(ids, order):
-            original = group[int(index)]
-            accesses.append(MemoryAccess(instr_id=instr_id,
-                                         pc=original.pc,
-                                         address=original.address))
-    return Trace(name=name or f"{trace.name}+reorder{window}",
-                 accesses=accesses,
+    arrays = trace.arrays()
+    n = len(arrays)
+    instr_ids = np.empty(n, dtype=np.int64)
+    source = np.empty(n, dtype=np.int64)
+    for start in range(0, n, window):
+        stop = min(start + window, n)
+        # The window's sorted ids, handed to its loads in drawn order.
+        instr_ids[start:stop] = np.sort(arrays.instr_ids[start:stop])
+        source[start:stop] = start + rng.permutation(stop - start)
+    return Trace(name or f"{trace.name}+reorder{window}", instr_ids,
+                 arrays.pcs[source], arrays.addresses[source],
                  total_instructions=trace.instruction_count)
 
 
@@ -74,28 +72,20 @@ def interleave_traces(traces: Sequence[Trace], seed: int = 0,
     if len(traces) < 2:
         raise ConfigError("interleaving needs at least two traces")
     rng = np.random.default_rng(seed)
-    tagged: List[MemoryAccess] = []
-    for core, trace in enumerate(traces):
-        address_base = core << 44
-        pc_base = core << 32
-        for access in trace:
-            tagged.append(MemoryAccess(
-                instr_id=access.instr_id,
-                pc=access.pc | pc_base,
-                address=access.address | address_base))
+    columns = [trace.arrays() for trace in traces]
+    instr_ids = np.concatenate([arrays.instr_ids for arrays in columns])
+    pcs = np.concatenate([arrays.pcs | (core << 32)
+                          for core, arrays in enumerate(columns)])
+    addresses = np.concatenate([arrays.addresses | (core << 44)
+                                for core, arrays in enumerate(columns)])
     # Stable merge by instruction id with random tie-breaks, then
     # re-stamp strictly increasing ids.
-    tie = rng.random(len(tagged))
-    order = sorted(range(len(tagged)),
-                   key=lambda i: (tagged[i].instr_id, tie[i]))
-    accesses = []
-    for new_id, index in enumerate(order, start=1):
-        source = tagged[index]
-        accesses.append(MemoryAccess(instr_id=new_id * 4, pc=source.pc,
-                                     address=source.address))
-    return Trace(name=name or "+".join(t.name for t in traces),
-                 accesses=accesses,
-                 total_instructions=len(accesses) * 4 + 1)
+    tie = rng.random(len(instr_ids))
+    order = np.lexsort((tie, instr_ids))
+    n = len(order)
+    return Trace(name or "+".join(t.name for t in traces),
+                 4 * np.arange(1, n + 1, dtype=np.int64), pcs[order],
+                 addresses[order], total_instructions=n * 4 + 1)
 
 
 def drop_accesses(trace: Trace, fraction: float, seed: int = 0,
@@ -105,9 +95,10 @@ def drop_accesses(trace: Trace, fraction: float, seed: int = 0,
         raise ConfigError("drop fraction must be in [0, 1)")
     rng = np.random.default_rng(seed)
     keep = rng.random(len(trace)) >= fraction
-    accesses = [a for a, k in zip(trace.accesses, keep) if k]
-    if not accesses:
+    if not keep.any():
         raise ConfigError("drop fraction removed every access")
-    return Trace(name=name or f"{trace.name}-thin{fraction:.2f}",
-                 accesses=accesses,
+    arrays = trace.arrays()
+    return Trace(name or f"{trace.name}-thin{fraction:.2f}",
+                 arrays.instr_ids[keep], arrays.pcs[keep],
+                 arrays.addresses[keep],
                  total_instructions=trace.instruction_count)

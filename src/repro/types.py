@@ -2,15 +2,16 @@
 
 The paper models a 4 KB page with 64-byte cache blocks, so each page
 holds 64 blocks and valid within-page deltas span -63 ... +63 (``D = 127``
-input columns).  All addresses in this package are *byte* addresses held
-in Python ints; helpers here convert between byte addresses, block
-addresses, pages, and page offsets.
+input columns).  All addresses in this package are *byte* addresses,
+held in Python ints or ``int64`` columns; helpers here convert between
+byte addresses, block addresses, pages, and page offsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+import operator
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +62,10 @@ def compose_address(page: int, offset: int) -> int:
 
 @dataclass(frozen=True)
 class MemoryAccess:
-    """A single demand load in a memory trace.
+    """One demand load of a memory trace: the readable row view.
+
+    A :class:`Trace` holds its loads as ``int64`` columns; iterating or
+    indexing one builds these records on demand.
 
     Attributes:
         instr_id: Retired-instruction id of the load.  Gaps between
@@ -225,61 +229,37 @@ class PrefetchFile:
 
 
 class TraceArrays:
-    """Struct-of-arrays view of a trace (``int64`` numpy columns).
+    """The columns of a trace: one ``int64`` numpy array per field.
 
-    Prefetch-file generation and the replay kernel read instruction
-    ids and block numbers tens of thousands of times per grid cell;
-    pulling them out of ``MemoryAccess`` objects costs an attribute
-    lookup plus a property call per field per access.  This view
-    materialises the columns once — after that, iteration, slicing,
-    and handing the trace to worker processes touch only flat arrays.
+    A :class:`Trace` is these columns.  Synthesis, the trace file
+    reader and the transforms build them directly; prefetch-file
+    generation, the replay plan and kernel, and the trace statistics
+    read them.  No default path builds a per-load object, and handing a
+    trace to a worker process pickles flat arrays.
 
     Attributes:
-        instr_ids / pcs / addresses / blocks: One ``int64`` array per
-            column, all the same length, in program order.
+        instr_ids / pcs / addresses: The loads' fields, one column each,
+            all the same length, in program order.
+        blocks: ``addresses >> BLOCK_BITS``, derived once.
 
-    Beyond the raw columns, the view caches the monotonicity flag the
-    batch engine's planner checks, so a lineup run (baseline + N
-    prefetchers, repeated per seed) derives it once per trace rather
-    than once per replay.
+    The view also caches the monotonicity flag the batch engine's
+    planner checks, so a lineup run (baseline + N prefetchers, repeated
+    per seed) derives it once per trace rather than once per replay.
     """
 
-    __slots__ = ("instr_ids", "pcs", "addresses", "blocks",
-                 "_instr_id_list", "_monotone")
+    __slots__ = ("instr_ids", "pcs", "addresses", "blocks", "_monotone")
 
-    def __init__(self, accesses: Sequence[MemoryAccess]):
-        n = len(accesses)
-        self.instr_ids = np.fromiter(
-            (a.instr_id for a in accesses), dtype=np.int64, count=n)
-        self.pcs = np.fromiter(
-            (a.pc for a in accesses), dtype=np.int64, count=n)
-        self.addresses = np.fromiter(
-            (a.address for a in accesses), dtype=np.int64, count=n)
+    def __init__(self, instr_ids, pcs, addresses):
+        self.instr_ids = np.ascontiguousarray(instr_ids, dtype=np.int64)
+        self.pcs = np.ascontiguousarray(pcs, dtype=np.int64)
+        self.addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        if not len(self.instr_ids) == len(self.pcs) == len(self.addresses):
+            raise ValueError("trace columns differ in length")
         self.blocks = self.addresses >> BLOCK_BITS
-        self._instr_id_list: Optional[List[int]] = None
         self._monotone: Optional[bool] = None
-
-    @classmethod
-    def from_columns(cls, instr_ids: np.ndarray, pcs: np.ndarray,
-                     addresses: np.ndarray) -> "TraceArrays":
-        """Build a view from ready-made columns without re-extraction."""
-        view = cls.__new__(cls)
-        view.instr_ids = np.ascontiguousarray(instr_ids, dtype=np.int64)
-        view.pcs = np.ascontiguousarray(pcs, dtype=np.int64)
-        view.addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        view.blocks = view.addresses >> BLOCK_BITS
-        view._instr_id_list = None
-        view._monotone = None
-        return view
 
     def __len__(self) -> int:
         return len(self.instr_ids)
-
-    def instr_id_list(self) -> List[int]:
-        """Instruction ids as a cached plain-int list (loop-friendly)."""
-        if self._instr_id_list is None:
-            self._instr_id_list = self.instr_ids.tolist()
-        return self._instr_id_list
 
     # -- derived replay flag (computed once, reused lineup-wide) ---------
 
@@ -311,44 +291,73 @@ class TraceArrays:
         return np.where(sorted_ids[k] == ids, pos, -1)
 
 
-@dataclass
 class Trace:
-    """An ordered sequence of demand loads.
+    """An ordered sequence of demand loads, held as ``int64`` columns.
+
+    The columns (:meth:`arrays`) are the trace; they are built once, at
+    construction.  Iterating or indexing yields :class:`MemoryAccess`
+    rows built on demand, as iterating a :class:`PrefetchFile` yields
+    :class:`PrefetchRequest` records, and :meth:`from_accesses` builds
+    a trace from such rows.  Two traces compare equal when their names,
+    ``total_instructions`` and column values are equal.
 
     Attributes:
         name: Human-readable trace name (e.g. ``"605-mcf-s1"``).
-        accesses: The loads, in program order.
         total_instructions: Total retired instructions represented by the
-            trace (used by the timing model for IPC); defaults to the last
-            instruction id + 1.
+            trace (used by the timing model for IPC); ``None`` means the
+            last instruction id + 1.
     """
 
-    name: str
-    accesses: List[MemoryAccess] = field(default_factory=list)
-    total_instructions: Optional[int] = None
-    # Lazily built struct-of-arrays view; excluded from equality so two
-    # traces compare by content regardless of whether either was
-    # replayed.  Pickling keeps it, so worker processes reuse the columns.
-    _arrays: Optional[TraceArrays] = field(
-        default=None, repr=False, compare=False)
+    __slots__ = ("name", "total_instructions", "_arrays")
+
+    def __init__(self, name: str, instr_ids=(), pcs=(), addresses=(),
+                 total_instructions: Optional[int] = None):
+        self.name = name
+        self.total_instructions = total_instructions
+        self._arrays = TraceArrays(instr_ids, pcs, addresses)
+
+    @classmethod
+    def from_accesses(cls, name: str, rows: Iterable[MemoryAccess],
+                      total_instructions: Optional[int] = None) -> "Trace":
+        """A trace of ``rows``, given in program order."""
+        table = np.array([(a.instr_id, a.pc, a.address) for a in rows],
+                         dtype=np.int64).reshape(-1, 3)
+        return cls(name, table[:, 0], table[:, 1], table[:, 2],
+                   total_instructions)
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self._arrays)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self.accesses)
+        arrays = self._arrays
+        return map(MemoryAccess, arrays.instr_ids.tolist(),
+                   arrays.pcs.tolist(), arrays.addresses.tolist())
 
-    def __getitem__(self, index):
-        return self.accesses[index]
+    def __getitem__(self, index: int) -> MemoryAccess:
+        arrays = self._arrays
+        index = operator.index(index)
+        return MemoryAccess(int(arrays.instr_ids[index]),
+                            int(arrays.pcs[index]),
+                            int(arrays.addresses[index]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        mine, theirs = self._arrays, other._arrays
+        return (self.name == other.name
+                and self.total_instructions == other.total_instructions
+                and np.array_equal(mine.instr_ids, theirs.instr_ids)
+                and np.array_equal(mine.pcs, theirs.pcs)
+                and np.array_equal(mine.addresses, theirs.addresses))
+
+    __hash__ = None  # mutable name; equality is by content
+
+    def __repr__(self) -> str:
+        return (f"Trace({self.name!r}, {len(self)} loads, "
+                f"total_instructions={self.total_instructions})")
 
     def arrays(self) -> TraceArrays:
-        """The cached struct-of-arrays view of this trace.
-
-        Build-once: call only after the access list is final (traces
-        are append-once everywhere in this package).
-        """
-        if self._arrays is None or len(self._arrays) != len(self.accesses):
-            self._arrays = TraceArrays(self.accesses)
+        """The trace's columns."""
         return self._arrays
 
     @property
@@ -356,36 +365,46 @@ class Trace:
         """Total instructions covered by the trace."""
         if self.total_instructions is not None:
             return self.total_instructions
-        if not self.accesses:
-            return 0
-        return self.accesses[-1].instr_id + 1
+        ids = self._arrays.instr_ids
+        return int(ids[-1]) + 1 if len(ids) else 0
 
     def head(self, n: int, name: Optional[str] = None) -> "Trace":
         """Return a new trace containing only the first ``n`` accesses."""
-        sub = self.accesses[:n]
-        total = sub[-1].instr_id + 1 if sub else 0
-        return Trace(name=name or f"{self.name}[:{n}]", accesses=list(sub),
-                     total_instructions=total)
+        arrays = self._arrays
+        ids = arrays.instr_ids[:n]
+        total = int(ids[-1]) + 1 if len(ids) else 0
+        return Trace(name or f"{self.name}[:{n}]", ids, arrays.pcs[:n],
+                     arrays.addresses[:n], total)
 
-    def deltas_within_page(self) -> List[int]:
+    def stream_deltas(self) -> np.ndarray:
+        """Each access's block delta within its (pc, page) stream.
+
+        Entry ``i`` is access ``i``'s page offset minus that of the
+        previous access with the same pc and page, or 0 when there is
+        none.  Both offsets lie in one page, so every delta is within
+        the representable range; a nonzero entry is one delta of the
+        paper's Tables 7 and 8.
+        """
+        arrays = self._arrays
+        pages = arrays.addresses >> PAGE_BITS
+        offsets = arrays.blocks & (BLOCKS_PER_PAGE - 1)
+        # A stable sort by (pc, page) keeps each stream in program order.
+        order = np.lexsort((pages, arrays.pcs))
+        pcs, pages, offsets = arrays.pcs[order], pages[order], offsets[order]
+        same = (pcs[1:] == pcs[:-1]) & (pages[1:] == pages[:-1])
+        deltas = np.zeros(len(order), dtype=np.int64)
+        deltas[order[1:]] = np.where(same, offsets[1:] - offsets[:-1], 0)
+        return deltas
+
+    def deltas_within_page(self) -> np.ndarray:
         """All consecutive same-page block deltas, per (pc, page) stream.
 
         This is the statistic the paper's Tables 7 and 8 count: for each
-        new access, the delta to the previous access in the same
-        (pc, page) stream, when one exists and the delta is within the
-        representable range.
+        new access, the nonzero delta to the previous access in the same
+        (pc, page) stream, when one exists; in program order.
         """
-        last_offset: dict = {}
-        deltas: List[int] = []
-        for acc in self.accesses:
-            key = (acc.pc, acc.page)
-            prev = last_offset.get(key)
-            if prev is not None:
-                delta = acc.offset - prev
-                if -MAX_DELTA <= delta <= MAX_DELTA and delta != 0:
-                    deltas.append(delta)
-            last_offset[key] = acc.offset
-        return deltas
+        deltas = self.stream_deltas()
+        return deltas[deltas != 0]
 
 
 def validate_trace(trace: Trace) -> None:
@@ -396,15 +415,15 @@ def validate_trace(trace: Trace) -> None:
     """
     from .errors import TraceError
 
-    if not trace.accesses:
+    if not len(trace):
         raise TraceError(f"trace {trace.name!r} is empty")
-    prev = -1
-    for i, acc in enumerate(trace.accesses):
-        if acc.instr_id <= prev:
-            raise TraceError(
-                f"trace {trace.name!r}: instr_id not strictly increasing "
-                f"at index {i} ({acc.instr_id} after {prev})")
-        prev = acc.instr_id
+    arrays = trace.arrays()
+    if not arrays.monotone():
+        ids = arrays.instr_ids
+        i = int(np.argmax(ids[1:] <= ids[:-1])) + 1
+        raise TraceError(
+            f"trace {trace.name!r}: instr_id not strictly increasing "
+            f"at index {i} ({ids[i]} after {ids[i - 1]})")
 
 
 def deltas_of(offsets: Sequence[int]) -> Tuple[int, ...]:

@@ -1,23 +1,21 @@
 """Shared helpers for building small traces and reading state in tests."""
 
-from repro.types import MemoryAccess, Trace
+import numpy as np
+
+from repro.types import Trace
 
 
 def build_trace(addresses, pc=0x400, gap=10, name="t"):
     """Build a trace from raw byte addresses with uniform instr gaps."""
-    accesses = [MemoryAccess(instr_id=(i + 1) * gap, pc=pc, address=a)
-                for i, a in enumerate(addresses)]
-    return Trace(name=name, accesses=accesses,
-                 total_instructions=len(addresses) * gap + 1)
+    return build_accesses(addresses, [pc] * len(addresses), gap=gap,
+                          name=name)
 
 
 def build_accesses(addresses, pcs, gap=10, name="t"):
     """Build a trace from aligned byte-address and PC columns."""
-    accesses = [MemoryAccess(instr_id=(i + 1) * gap, pc=int(pc),
-                             address=int(a))
-                for i, (a, pc) in enumerate(zip(addresses, pcs))]
-    return Trace(name=name, accesses=accesses,
-                 total_instructions=len(accesses) * gap + 1)
+    n = len(addresses)
+    return Trace(name, gap * np.arange(1, n + 1), pcs, addresses,
+                 total_instructions=n * gap + 1)
 
 
 def seq_addresses(n, start_block=1 << 20):

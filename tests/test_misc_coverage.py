@@ -74,7 +74,7 @@ def test_phase_mutation_changes_delta_vocabulary():
 
     trace = make_trace("473-astar-s1", 4000, seed=1, phases=2)
     first = set(trace.head(2000).deltas_within_page())
-    second_half = type(trace)(name="h2", accesses=trace.accesses[2000:])
+    second_half = type(trace).from_accesses("h2", list(trace)[2000:])
     second = set(second_half.deltas_within_page())
     # The phase shift introduces delta values absent from phase 1.
     assert second - first

@@ -81,7 +81,7 @@ def test_two_label_degree_two_covers_conflicting_patterns():
         if offset >= 64:
             page, offset, position = page + 1, 0, 0
         walkers[pc] = [page, offset, position]
-    trace = Trace(name="conflict", accesses=accesses,
+    trace = Trace.from_accesses("conflict", accesses,
                   total_instructions=instr + 1)
 
     def coverage(config):

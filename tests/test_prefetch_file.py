@@ -46,7 +46,7 @@ def _oracle_generate(prefetcher, trace, budget, chunk,
         prefetcher.series_arm()
     window = recorder.window if recorder is not None else 0
     arrays = trace.arrays()
-    instr_ids = arrays.instr_id_list()
+    instr_ids = arrays.instr_ids.tolist()
     n = len(instr_ids)
     requests: List[PrefetchRequest] = []
     start = 0
@@ -96,7 +96,7 @@ class _Scripted(Prefetcher):
 
 
 def _trace(ids, blocks, name="t"):
-    return Trace(name=name, accesses=[
+    return Trace.from_accesses(name, [
         MemoryAccess(instr_id=i, pc=0x40, address=b << 6)
         for i, b in zip(ids, blocks)], total_instructions=max(ids) + 1)
 

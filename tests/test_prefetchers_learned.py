@@ -143,14 +143,14 @@ def test_delta_lstm_unseen_deltas_counted():
     # Train on a stride-2 prefix, then the same region switches to
     # stride-5: the model meets unseen deltas (the paper's protocol
     # weakness).  A single cluster keeps both phases together.
-    first = stride_trace(n=1000, stride=2, pages_from=1000).accesses
-    second = stride_trace(n=1000, stride=5, pages_from=1040).accesses
+    first = list(stride_trace(n=1000, stride=2, pages_from=1000))
+    second = list(stride_trace(n=1000, stride=5, pages_from=1040))
     accesses = first + [
         type(a)(instr_id=first[-1].instr_id + 10 * (i + 1), pc=a.pc,
                 address=a.address) for i, a in enumerate(second)]
     from repro.types import Trace
 
-    trace = Trace(name="switch", accesses=accesses)
+    trace = Trace.from_accesses("switch", accesses)
     pf = DeltaLSTMPrefetcher(_small_dlstm_config(train_fraction=0.1,
                                                  clusters=1))
     generate_prefetches(pf, trace)

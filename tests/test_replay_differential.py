@@ -69,7 +69,7 @@ def replays(draw):
         cursor += gap
         ids.append(cursor)
     blocks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    trace = Trace(name="t", accesses=[
+    trace = Trace.from_accesses("t", [
         MemoryAccess(instr_id=i, pc=0x40, address=b << 6)
         for i, b in zip(ids, blocks)], total_instructions=cursor + 1)
 
@@ -113,7 +113,7 @@ def _tied_fills():
                         bank_occupancy=4, read_queue_size=8))
     # Distinct banks (block % 4) for the trigger's demand and both fills.
     trigger, first, second = 1003, 2000, 2001
-    trace = Trace(name="t", accesses=[
+    trace = Trace.from_accesses("t", [
         MemoryAccess(instr_id=10, pc=0x40, address=trigger << 6),
         MemoryAccess(instr_id=4000, pc=0x40, address=first << 6)],
         total_instructions=4001)

@@ -184,7 +184,7 @@ def test_triggers_missing_from_trace_are_ignored():
     accesses = [MemoryAccess(instr_id=(i + 1) * 10, pc=0x4,
                              address=(1 << 20 | i) << 6)
                 for i in range(64)]
-    trace = Trace(name="t", accesses=accesses, total_instructions=641)
+    trace = Trace.from_accesses("t", accesses, total_instructions=641)
     requests = [PrefetchRequest(trigger_instr_id=10,
                                 address=(1 << 21) << 6),
                 PrefetchRequest(trigger_instr_id=15,       # no such id
@@ -203,7 +203,7 @@ def test_non_monotone_instr_ids_take_dict_fallback():
     accesses = [MemoryAccess(instr_id=i, pc=0x4,
                              address=(1 << 20 | k) << 6)
                 for k, i in enumerate(ids)]
-    trace = Trace(name="t", accesses=accesses, total_instructions=51)
+    trace = Trace.from_accesses("t", accesses, total_instructions=51)
     requests = [PrefetchRequest(trigger_instr_id=20,
                                 address=(1 << 21) << 6),
                 PrefetchRequest(trigger_instr_id=40,
@@ -224,7 +224,7 @@ def test_assured_miss_blocks_that_are_prefetch_targets_stay_scalar():
     addresses = [b << 6 for b in blocks] + [target << 6]
     accesses = [MemoryAccess(instr_id=(i + 1) * 10, pc=0x4, address=a)
                 for i, a in enumerate(addresses)]
-    trace = Trace(name="t", accesses=accesses,
+    trace = Trace.from_accesses("t", accesses,
                   total_instructions=len(accesses) * 10 + 1)
     requests = [PrefetchRequest(trigger_instr_id=10, address=target << 6)]
     batch, reference = _both_engines(trace, requests)
@@ -252,7 +252,7 @@ def _mini_trace(ids_blocks, name="t"):
     accesses = [MemoryAccess(instr_id=i, pc=0x4, address=b << 6)
                 for i, b in ids_blocks]
     total = max((i for i, _ in ids_blocks), default=0) + 1
-    return Trace(name=name, accesses=accesses, total_instructions=total)
+    return Trace.from_accesses(name, accesses, total_instructions=total)
 
 
 def _file(trace, *records):
@@ -272,7 +272,7 @@ def _falls_back(trace, requests, match):
 
 
 def test_planner_empty_trace():
-    trace = Trace(name="t", accesses=[], total_instructions=0)
+    trace = Trace.from_accesses("t", [], total_instructions=0)
     plan = plan_replay(trace.arrays(), _file(trace), 2)
     assert plan.kernel_eligible
     assert plan.pf_starts.tolist() == [0] and len(plan.pf_blocks) == 0

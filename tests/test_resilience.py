@@ -120,12 +120,11 @@ def test_corrupt_trace_scrambles_a_sample():
     with injected(FaultPlan.parse("trace.corrupt:frac=0.1", seed=1)):
         damaged = corrupt_trace(trace)
     assert damaged is not trace
-    changed = sum(1 for a, b in zip(trace.accesses, damaged.accesses)
+    changed = sum(1 for a, b in zip(trace, damaged)
                   if a.address != b.address)
     assert changed == 20
-    assert all(b.address >= 0 for b in damaged.accesses)
-    assert [a.instr_id for a in trace.accesses] == \
-           [b.instr_id for b in damaged.accesses]
+    assert all(b.address >= 0 for b in damaged)
+    assert [a.instr_id for a in trace] == [b.instr_id for b in damaged]
 
 
 # -- guarded prefetcher -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TraceError
+from repro.errors import TraceError, TraceFormatError
 from repro.traces import load_trace, save_trace
 from repro.types import MemoryAccess, Trace
 
@@ -10,7 +10,7 @@ from repro.types import MemoryAccess, Trace
 def _sample_trace():
     accesses = [MemoryAccess(10 * (i + 1), 0x400 + i, i * 64)
                 for i in range(20)]
-    return Trace(name="sample", accesses=accesses, total_instructions=500)
+    return Trace.from_accesses("sample", accesses, total_instructions=500)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -20,7 +20,7 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_trace(path)
     assert loaded.name == "sample"
     assert loaded.instruction_count == 500
-    assert loaded.accesses == trace.accesses
+    assert loaded == trace
 
 
 def test_save_load_gzip_roundtrip(tmp_path):
@@ -28,7 +28,7 @@ def test_save_load_gzip_roundtrip(tmp_path):
     path = tmp_path / "trace.txt.gz"
     save_trace(trace, path)
     loaded = load_trace(path)
-    assert loaded.accesses == trace.accesses
+    assert loaded == trace
 
 
 def test_load_name_override(tmp_path):
@@ -65,3 +65,33 @@ def test_load_rejects_nonmonotonic_ids(tmp_path):
     path.write_text("5, 0x400, 0x1000\n5, 0x400, 0x1040\n")
     with pytest.raises(TraceError):
         load_trace(path)
+
+
+@pytest.mark.parametrize("line,field", [
+    ("2, 0x400, 0x10000000000000000", "address"),
+    ("2, 0x400, 0x8000000000000000", "address"),
+    ("2, 0x8000000000000000, 0x1000", "pc"),
+    ("9223372036854775808, 0x400, 0x1000", "instr_id"),
+    ("-2, 0x400, 0x1000", "instr_id"),
+    ("2, -0x400, 0x1000", "pc"),
+    ("2, 0x400, -0x40", "address"),
+])
+def test_load_rejects_fields_outside_int64(tmp_path, line, field):
+    # ML-DPC fields are unsigned and the columns are int64: a value
+    # outside [0, 2**63) fails here, with its line, not later in replay.
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1, 0x400, 0x1000\n{line}\n3, 0x400, 0x1040\n")
+    with pytest.raises(TraceFormatError, match=field) as info:
+        load_trace(path)
+    assert info.value.path == str(path)
+    assert info.value.lineno == 2
+
+
+def test_load_accepts_largest_int64_fields(tmp_path):
+    path = tmp_path / "edge.txt"
+    path.write_text("0, 0x0, 0x0\n"
+                    "9223372036854775807, 0x7fffffffffffffff, "
+                    "0x7fffffffffffffff\n")
+    trace = load_trace(path)
+    assert trace[1].address == trace[1].pc == (1 << 63) - 1
+    assert trace.arrays().blocks[1] == ((1 << 63) - 1) >> 6

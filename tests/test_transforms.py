@@ -32,7 +32,7 @@ def test_reorder_preserves_access_multiset_and_ids():
 def test_reorder_is_local():
     trace = build_trace(seq_addresses(100))
     out = reorder_accesses(trace, window=5, seed=3)
-    for index, access in enumerate(out.accesses):
+    for index, access in enumerate(out):
         source_index = (access.address >> 6) - (1 << 20)
         assert abs(source_index - index) < 5
 

@@ -1,5 +1,8 @@
 """Unit tests for address arithmetic and trace containers."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
@@ -57,21 +60,59 @@ def test_prefetch_request_block():
 
 def test_trace_len_iter_getitem():
     accesses = [MemoryAccess(i + 1, 0x4, i * 64) for i in range(5)]
-    trace = Trace(name="t", accesses=accesses)
+    trace = Trace.from_accesses("t", accesses)
     assert len(trace) == 5
-    assert list(trace)[2] is trace[2]
+    # Rows are built on demand: equal, not the same object.
+    assert list(trace)[2] == trace[2] == accesses[2]
+    assert list(trace) == accesses
+    assert trace[-1] == accesses[-1]
     assert trace.instruction_count == accesses[-1].instr_id + 1
 
 
+def test_trace_is_its_columns():
+    trace = Trace("t", [1, 5, 9], [0x4, 0x8, 0x4], [64, 128, 4096])
+    arrays = trace.arrays()
+    assert arrays.instr_ids.dtype == np.int64
+    assert arrays.blocks.tolist() == [1, 2, 64]
+    assert trace[1] == MemoryAccess(5, 0x8, 128)
+    assert trace == Trace.from_accesses("t", list(trace))
+    with pytest.raises(IndexError):
+        trace[3]
+    with pytest.raises(TypeError):
+        trace[0:2]
+    with pytest.raises(ValueError):
+        Trace("t", [1, 2], [0x4], [64, 128])
+
+
+def test_trace_equality_compares_content():
+    def make(name="t", total=None, address=128):
+        return Trace(name, [1, 2], [0x4, 0x4], [64, address],
+                     total_instructions=total)
+    assert make() == make()
+    assert make() != make(name="u")
+    assert make() != make(total=3)
+    assert make() != make(address=192)
+    assert make() != Trace("t", [1], [0x4], [64])
+    assert Trace("e") == Trace.from_accesses("e", [])
+
+
+def test_trace_pickle_round_trip():
+    trace = Trace("t", np.arange(1, 1001), np.full(1000, 0x4),
+                  np.arange(1000) * 64, total_instructions=2000)
+    copy = pickle.loads(pickle.dumps(trace))
+    assert copy == trace
+    assert copy.arrays().blocks.tolist() == trace.arrays().blocks.tolist()
+
+
 def test_trace_explicit_instruction_count():
-    trace = Trace(name="t", accesses=[MemoryAccess(1, 0, 0)],
-                  total_instructions=99)
+    trace = Trace.from_accesses("t", [MemoryAccess(1, 0, 0)],
+                                total_instructions=99)
     assert trace.instruction_count == 99
 
 
 def test_trace_head():
     accesses = [MemoryAccess(i + 1, 0x4, i * 64) for i in range(5)]
-    trace = Trace(name="t", accesses=accesses)
+    trace = Trace.from_accesses("t", accesses)
     head = trace.head(2)
     assert len(head) == 2
     assert head.instruction_count == accesses[1].instr_id + 1
@@ -86,8 +127,8 @@ def test_deltas_within_page_per_stream():
         MemoryAccess(3, 0xA, compose_address(1, 2)),
         MemoryAccess(4, 0xB, compose_address(1, 13)),
     ]
-    trace = Trace(name="t", accesses=accesses)
-    assert sorted(trace.deltas_within_page()) == [2, 3]
+    trace = Trace.from_accesses("t", accesses)
+    assert sorted(trace.deltas_within_page().tolist()) == [2, 3]
 
 
 def test_deltas_within_page_skips_zero_and_out_of_range():
@@ -97,16 +138,16 @@ def test_deltas_within_page_skips_zero_and_out_of_range():
         MemoryAccess(3, 0xA, compose_address(2, 0)),   # page change
         MemoryAccess(4, 0xA, compose_address(2, 4)),
     ]
-    trace = Trace(name="t", accesses=accesses)
-    assert trace.deltas_within_page() == [4]
+    trace = Trace.from_accesses("t", accesses)
+    assert trace.deltas_within_page().tolist() == [4]
+    assert trace.stream_deltas().tolist() == [0, 0, 0, 4]
 
 
 def test_validate_trace_rejects_empty_and_nonmonotonic():
     with pytest.raises(TraceError):
         validate_trace(Trace(name="empty"))
-    bad = Trace(name="bad", accesses=[MemoryAccess(5, 0, 0),
-                                      MemoryAccess(5, 0, 64)])
-    with pytest.raises(TraceError):
+    bad = Trace("bad", [1, 5, 5, 4], [0] * 4, [0, 64, 128, 192])
+    with pytest.raises(TraceError, match=r"at index 2 \(5 after 5\)"):
         validate_trace(bad)
 
 

@@ -32,13 +32,13 @@ def test_workload_generates_valid_trace(name):
 def test_make_trace_deterministic():
     a = make_trace("cc-5", 800, seed=3)
     b = make_trace("cc-5", 800, seed=3)
-    assert a.accesses == b.accesses
+    assert a == b
 
 
 def test_make_trace_seed_changes_trace():
     a = make_trace("cc-5", 800, seed=3)
     b = make_trace("cc-5", 800, seed=4)
-    assert a.accesses != b.accesses
+    assert a != b
 
 
 def test_instruction_density_matches_table5():
@@ -76,10 +76,12 @@ def test_delta_statistics_shape():
     """Qualitative Table 8 shape (windowed, as the paper counts it):
     sphinx has few distinct deltas per 1K accesses, cc has many, and
     mcf has by far the fewest deltas overall."""
-    from repro.harness.experiments import _table8_stats
+    from repro.analysis import delta_statistics
 
-    sphinx = _table8_stats(make_trace("482-sphinx-s0", 8000, seed=1))
-    cc = _table8_stats(make_trace("cc-5", 8000, seed=1))
-    mcf = _table8_stats(make_trace("605-mcf-s1", 8000, seed=1))
-    assert sphinx[1] < cc[1]          # distinct: sphinx << cc
-    assert mcf[0] < sphinx[0] / 3     # density: mcf lowest
+    sphinx = delta_statistics(make_trace("482-sphinx-s0", 8000, seed=1))
+    cc = delta_statistics(make_trace("cc-5", 8000, seed=1))
+    mcf = delta_statistics(make_trace("605-mcf-s1", 8000, seed=1))
+    # distinct: sphinx << cc
+    assert int(sphinx.avg_distinct) < int(cc.avg_distinct)
+    # density: mcf lowest
+    assert int(mcf.avg_deltas) < int(sphinx.avg_deltas) / 3
