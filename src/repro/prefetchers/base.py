@@ -96,9 +96,9 @@ class Prefetcher:
 
         This default adapts any scalar prefetcher by looping; batched
         implementations (NextLine's vectorized page math, the hoisted
-        state walks of BO, SISB and SPP, the compiled loops PATHFINDER
-        and Pythia run over the arrays :meth:`process` also uses, the
-        neural models' row-blocked inference, the fixed-priority
+        state walks of BO and SISB, the compiled loops PATHFINDER,
+        Pythia and SPP run over the arrays :meth:`process` also uses,
+        the neural models' row-blocked inference, the fixed-priority
         ensemble's per-member batches) override it for throughput,
         never for behaviour.
         """

@@ -1,6 +1,6 @@
 """On-demand compiled C kernels: the one-tick library.
 
-Three entry points share one library.  Two share one per-query SNN
+Four entry points share one library.  Two share one per-query SNN
 step (``tick_one``, a C translation of
 :meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick`'s fast
 path):
@@ -18,6 +18,11 @@ The third, ``pf_pythia_chunk``, runs
 access over a trace chunk on the prefetcher's keyed row stores and
 evaluation-queue ring, with the Python code's floating-point operations
 in its order and its stable greedy pick (ties in action-list order).
+The fourth, ``pf_spp_chunk``, runs
+:meth:`~repro.prefetchers.spp.SPPPrefetcher.process` the same way on
+SPP's Signature and Pattern Tables: LRU by lowest stamp, the first
+maximal count in slot order as the best delta, and the path confidence
+as one division and one multiply per step.
 
 A NumPy expression of the same step bottoms out at ~10 us/query
 because the arithmetic is tiny (~4 KFLOP) and every ufunc call costs
@@ -67,8 +72,8 @@ import numpy as np
 
 from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS
 
-#: C translation of the one-tick step and the PATHFINDER and Pythia
-#: loops, with the address-layout constants of :mod:`repro.types`
+#: C translation of the one-tick step and the PATHFINDER, Pythia and
+#: SPP loops, with the address-layout constants of :mod:`repro.types`
 #: prepended.  Kept as a string (not a data file) so the module is
 #: self-contained under any packaging.
 C_SOURCE = "".join(f"#define {name} {value}\n" for name, value in (
@@ -365,6 +370,18 @@ static void index_remove(pf_tables *t, uint64_t i)
     t->index[i] = -1;
 }
 
+/* np.argmin(stamp): the first least recently used of `size` rows. */
+static int64_t lru_row(const int64_t *stamp, int64_t size)
+{
+    int64_t row = 0, k;
+    for (k = 1; k < size; k++) {
+        if (stamp[k] < stamp[row]) {
+            row = k;
+        }
+    }
+    return row;
+}
+
 static void touch(pf_tables *t, int64_t row)
 {
     t->tt_stamp[row] = ++t->tt_clock;
@@ -379,13 +396,7 @@ static int64_t tt_insert(pf_tables *t, int64_t pc, int64_t page,
         row = t->tt_rows++;
     }
     else {
-        /* np.argmin(stamp): the first least recently used row. */
-        row = 0;
-        for (k = 1; k < t->capacity; k++) {
-            if (t->tt_stamp[k] < t->tt_stamp[row]) {
-                row = k;
-            }
-        }
+        row = lru_row(t->tt_stamp, t->capacity);
         t->tt_evictions++;
         index_remove(t, index_slot(t, t->tt_pc[row], t->tt_page[row]));
         slot = index_slot(t, pc, page);
@@ -890,6 +901,164 @@ int64_t pf_pythia_chunk(pf_pythia *p, const int64_t *addresses,
     }
     return n;
 }
+
+/* ---- The SPP loop ------------------------------------------------- */
+
+/* Pattern Table slots per row: the distinct nonzero in-page deltas
+ * (prefetchers/spp.py, DELTA_SLOTS). */
+#define DELTA_SLOTS (2 * (BLOCKS_PER_PAGE - 1))
+
+/* SPP's array-backed tables (prefetchers/spp.py) and its
+ * configuration; SPPArgs below mirrors this layout. */
+typedef struct {
+    /* Signature Table: st_size rows, rows [0, st_rows) in use. */
+    int64_t *st_page, *st_signature, *st_offset, *st_stamp;
+    /* Pattern Table: signature -> row or -1; per row its signature,
+     * slots in use, their total and a stamp; DELTA_SLOTS (delta,
+     * count) slots per row, in first-insertion order. */
+    int64_t *pt_row, *pt_signature, *pt_slots, *pt_total, *pt_stamp;
+    int8_t *pt_delta;
+    int64_t *pt_count;
+    /* Configuration: steps is min(lookahead_depth, max_degree). */
+    int64_t st_size, pt_size, max_counter, steps;
+    double threshold;
+    /* Counters, read and advanced. */
+    int64_t st_rows, st_clock, pt_rows, pt_clock;
+} pf_spp;
+
+static int64_t advance_signature(int64_t signature, int64_t delta)
+{
+    return ((signature << 3) ^ (delta & 0x3F)) & 0xFFF;
+}
+
+/* SPPPrefetcher._pattern_row: the signature's row, refreshed; if
+ * absent, -1, or with `create` a new empty row. */
+static int64_t pattern_row(pf_spp *p, int64_t signature, int create)
+{
+    int64_t row = p->pt_row[signature];
+    if (row < 0) {
+        if (!create) {
+            return -1;
+        }
+        if (p->pt_rows < p->pt_size) {
+            row = p->pt_rows++;
+        }
+        else {
+            row = lru_row(p->pt_stamp, p->pt_size);
+            p->pt_row[p->pt_signature[row]] = -1;
+        }
+        p->pt_row[signature] = row;
+        p->pt_signature[row] = signature;
+        p->pt_slots[row] = 0;
+        p->pt_total[row] = 0;
+    }
+    p->pt_stamp[row] = ++p->pt_clock;
+    return row;
+}
+
+/* SPPPrefetcher._record. */
+static void spp_record(pf_spp *p, int64_t signature, int64_t delta)
+{
+    int64_t row = pattern_row(p, signature, 1);
+    int8_t *deltas = p->pt_delta + row * DELTA_SLOTS;
+    int64_t *counts = p->pt_count + row * DELTA_SLOTS;
+    int64_t n = p->pt_slots[row], slot, k;
+    for (slot = 0; slot < n && deltas[slot] != delta; slot++) {
+    }
+    if (slot == n) {
+        deltas[slot] = (int8_t)delta;
+        counts[slot] = 0;
+        p->pt_slots[row] = ++n;
+    }
+    if (counts[slot] < p->max_counter) {
+        counts[slot]++;
+        p->pt_total[row]++;
+    }
+    else {
+        /* Counts are positive, so C's division floors like Python's. */
+        int64_t total = 1;
+        for (k = 0; k < n; k++) {
+            counts[k] = counts[k] / 2 > 1 ? counts[k] / 2 : 1;
+            total += counts[k];
+        }
+        counts[slot]++;
+        p->pt_total[row] = total;
+    }
+}
+
+/* SPPPrefetcher.process over a chunk of n accesses.  Access i's
+ * prefetch addresses land in out_addr[i * steps ...] with their count
+ * in out_count[i]: a path-walk step that does not end the walk emits
+ * one address, so a walk takes at most `steps` steps. */
+void pf_spp_chunk(pf_spp *p, const int64_t *addresses, int64_t n,
+                  int64_t *out_count, int64_t *out_addr)
+{
+    int64_t i, k, s;
+
+    for (i = 0; i < n; i++) {
+        int64_t page = addresses[i] >> PAGE_BITS;
+        int64_t offset = (addresses[i] >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1);
+        int64_t row;
+        out_count[i] = 0;
+        for (row = 0; row < p->st_rows && p->st_page[row] != page; row++) {
+        }
+        if (row == p->st_rows) {
+            /* The page's first access: a free row or the least
+             * recently used one, and no delta yet. */
+            if (p->st_rows < p->st_size) {
+                p->st_rows++;
+            }
+            else {
+                row = lru_row(p->st_stamp, p->st_size);
+            }
+            p->st_page[row] = page;
+            p->st_signature[row] = 0;
+            p->st_offset[row] = offset;
+            p->st_stamp[row] = ++p->st_clock;
+            continue;
+        }
+        p->st_stamp[row] = ++p->st_clock;
+        int64_t delta = offset - p->st_offset[row];
+        if (delta == 0) {
+            continue;
+        }
+        spp_record(p, p->st_signature[row], delta);
+        int64_t signature = advance_signature(p->st_signature[row], delta);
+        p->st_signature[row] = signature;
+        p->st_offset[row] = offset;
+
+        /* The path walk; the best delta is the first maximal count in
+         * slot order.  Both operands of the ratio convert to double
+         * exactly, so it is Python's int / int. */
+        double confidence = 1.0;
+        for (k = 0; k < p->steps; k++) {
+            int64_t pattern = pattern_row(p, signature, 0);
+            if (pattern < 0) {
+                break;
+            }
+            const int64_t *counts = p->pt_count + pattern * DELTA_SLOTS;
+            int64_t best = 0;
+            for (s = 1; s < p->pt_slots[pattern]; s++) {
+                if (counts[s] > counts[best]) {
+                    best = s;
+                }
+            }
+            confidence *= (double)counts[best] / (double)p->pt_total[pattern];
+            if (confidence < p->threshold) {
+                break;
+            }
+            int64_t best_delta = p->pt_delta[pattern * DELTA_SLOTS + best];
+            offset += best_delta;
+            if (offset < 0 || offset >= BLOCKS_PER_PAGE) {
+                break;
+            }
+            out_addr[i * p->steps + k] =
+                (page << PAGE_BITS) | (offset << BLOCK_BITS);
+            out_count[i] = k + 1;
+            signature = advance_signature(signature, best_delta);
+        }
+    }
+}
 """
 
 #: Compiler flags: IEEE-strict.  ``-ffp-contract=off`` forbids FMA
@@ -972,6 +1141,26 @@ class PythiaArgs(ctypes.Structure):
     ]
 
 
+#: The array fields of ``SPPArgs``, each an ``SPPPrefetcher`` attribute
+#: of the same name with a leading underscore.
+SPP_ARRAYS = ("st_page", "st_signature", "st_offset", "st_stamp", "pt_row",
+              "pt_signature", "pt_slots", "pt_total", "pt_stamp",
+              "pt_delta", "pt_count")
+
+
+class SPPArgs(ctypes.Structure):
+    """The C ``pf_spp``: SPP's arrays, config and counters."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in SPP_ARRAYS),
+        *((name, ctypes.c_int64) for name in (
+            "st_size", "pt_size", "max_counter", "steps")),
+        ("threshold", ctypes.c_double),
+        *((name, ctypes.c_int64) for name in (
+            "st_rows", "st_clock", "pt_rows", "pt_clock")),
+    ]
+
+
 def pointer(array: np.ndarray) -> int:
     """Address of a C-contiguous array, for a ``c_void_p`` field."""
     if not array.flags.c_contiguous:
@@ -1007,6 +1196,11 @@ class TickKernel:
             ctypes.c_int64, ctypes.c_int64, _INT64_P, _INT64_P,
         ]
         self._pythia = pythia
+        spp = lib.pf_spp_chunk
+        spp.restype = None
+        spp.argtypes = [ctypes.POINTER(SPPArgs), _INT64_P, ctypes.c_int64,
+                        _INT64_P, _INT64_P]
+        self._spp = spp
         ps = lib.pf_pairwise_sum
         ps.restype = ctypes.c_double
         ps.argtypes = [_DOUBLE_P, ctypes.c_int64]
@@ -1054,6 +1248,13 @@ class TickKernel:
             explored.ctypes.data_as(_INT64_P), start, len(addresses),
             counts.ctypes.data_as(_INT64_P),
             targets.ctypes.data_as(_INT64_P))
+
+    def spp_chunk(self, spp: SPPArgs, addresses: np.ndarray,
+                  counts: np.ndarray, targets: np.ndarray) -> None:
+        """Run SPP over ``addresses`` (see ``pf_spp_chunk``)."""
+        self._spp(ctypes.byref(spp), addresses.ctypes.data_as(_INT64_P),
+                  len(addresses), counts.ctypes.data_as(_INT64_P),
+                  targets.ctypes.data_as(_INT64_P))
 
 
 def _find_compiler() -> Optional[str]:
@@ -1123,7 +1324,7 @@ def load_kernel() -> Optional[TickKernel]:
     """The process-wide compiled kernel, or ``None`` if unavailable.
 
     Compiles on first call (cached on disk afterwards).  Returns
-    ``None`` — and PATHFINDER and Pythia fall back to their scalar
+    ``None`` — and PATHFINDER, Pythia and SPP fall back to their scalar
     Python paths — when ``REPRO_NO_CKERNEL=1``, no C compiler is on
     PATH, or compilation/loading fails for any reason.
     """

@@ -57,9 +57,10 @@ def load_trace(path: Union[str, Path], name: str = "") -> Trace:
             the file stem.
 
     Raises:
-        TraceFormatError: if any line is malformed or a field falls
-            outside ``[0, 2**63)`` (carries the file and line number),
-            or ids are not increasing.
+        TraceFormatError: if any line is malformed, a field falls
+            outside ``[0, 2**63)``, or the ``total_instructions`` header
+            is below the last instruction id + 1 (carries the file and
+            line number), or ids are not increasing.
     """
     path = Path(path)
     columns = tuple(array("q") for _ in _FIELDS)
@@ -75,6 +76,7 @@ def load_trace(path: Union[str, Path], name: str = "") -> Trace:
                 if body.startswith("trace:"):
                     file_name = body.split(":", 1)[1].strip()
                 elif body.startswith("total_instructions:"):
+                    header_lineno = lineno
                     try:
                         total_instructions = int(
                             body.split(":", 1)[1].strip())
@@ -105,4 +107,12 @@ def load_trace(path: Union[str, Path], name: str = "") -> Trace:
     trace = Trace(name or file_name or path.stem, instr_ids, pcs,
                   addresses, total_instructions)
     validate_trace(trace)
+    # The header may come anywhere, so it is checked against the ids
+    # once they are all read.
+    if total_instructions is not None and \
+            total_instructions <= int(instr_ids[-1]):
+        raise TraceFormatError(
+            f"total_instructions {total_instructions} is below the last "
+            f"instruction id + 1 ({int(instr_ids[-1]) + 1})",
+            path=str(path), lineno=header_lineno)
     return trace

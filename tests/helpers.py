@@ -67,3 +67,23 @@ def pythia_state(prefetcher):
                for page, history in p._pages.items()},
         rewards=p.rewards_assigned,
         rng=p._rng.bit_generator.state)
+
+
+def spp_state(prefetcher):
+    """Everything :meth:`SPPPrefetcher.process` reads back on the next
+    access: both tables' rows in use with their stamps, each pattern
+    row's (delta, count) slots in order, the signature → row map and
+    both clocks."""
+    p = prefetcher
+    st, pt = p._st_rows, p._pt_rows
+    return dict(
+        signature_table=np.stack([p._st_page, p._st_signature, p._st_offset,
+                                  p._st_stamp])[:, :st].T.tolist(),
+        pattern_table=[
+            (int(p._pt_signature[row]), int(p._pt_stamp[row]),
+             int(p._pt_total[row]),
+             list(zip(p._pt_delta[row, :slots].tolist(),
+                      p._pt_count[row, :slots].tolist())))
+            for row, slots in enumerate(p._pt_slots[:pt].tolist())],
+        pattern_rows=p._pt_row.tolist(),
+        clocks=(st, p._st_clock, pt, p._pt_clock))

@@ -13,10 +13,10 @@ import repro
 from repro.snn.ckernel import _find_compiler
 
 #: Loads both kernels and calls into each, the one-tick library's
-#: Pythia loop included; prints "ok".
+#: Pythia and SPP loops included; prints "ok".
 PROBE = """\
 import numpy as np
-from repro.prefetchers import PythiaPrefetcher
+from repro.prefetchers import PythiaPrefetcher, SPPPrefetcher
 from repro.sim.fast_engine.ckernel import load_kernel as replay_kernel
 from repro.snn.ckernel import load_kernel as tick_kernel
 tick, replay = tick_kernel(), replay_kernel()
@@ -27,6 +27,10 @@ pythia.process = None  # the compiled loop must run, not process()
 blocks = np.arange(64, dtype=np.int64)
 lists = pythia.process_batch(blocks << 6, np.full(64, 0x400), blocks)
 assert len(lists) == 64 and pythia.rewards_assigned > 0
+spp = SPPPrefetcher()
+spp.process = None
+lists = spp.process_batch(blocks << 6, np.full(64, 0x400), blocks)
+assert len(lists) == 64 and any(lists)
 print("ok")
 """
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import PathfinderConfig, PathfinderPrefetcher
 from repro.prefetchers import SPPConfig, SPPPrefetcher, generate_prefetches
-from repro.prefetchers.spp import _PatternEntry
 from repro.types import MemoryAccess, compose_address
 
 from tests.helpers import build_trace
@@ -15,19 +14,23 @@ from tests.helpers import build_trace
 
 def test_spp_counter_ageing_on_saturation():
     pf = SPPPrefetcher(SPPConfig(max_counter=4))
-    entry = pf._pattern_entry(signature=7, create=True)
     for _ in range(10):
         pf._record(7, delta=2)
+    row = pf._pt_row[7]
+    slots = pf._pt_slots[row]
+    assert pf._pt_delta[row, :slots].tolist() == [2]
     # Counter must have aged rather than grown unboundedly.
-    assert entry.counters[2] <= 5
-    assert entry.total == sum(entry.counters.values())
+    assert pf._pt_count[row, 0] <= 5
+    assert pf._pt_total[row] == pf._pt_count[row, :slots].sum()
 
 
 def test_spp_pattern_table_lru_bound():
     pf = SPPPrefetcher(SPPConfig(pattern_table_size=4))
     for signature in range(10):
         pf._record(signature, delta=1)
-    assert len(pf._pattern_table) <= 4
+    # The four most recent signatures hold the table's four rows.
+    assert sorted(np.flatnonzero(pf._pt_row >= 0)) == [6, 7, 8, 9]
+    assert sorted(pf._pt_signature[:pf._pt_rows]) == [6, 7, 8, 9]
 
 
 def test_spp_signature_table_lru_bound():
@@ -36,7 +39,8 @@ def test_spp_signature_table_lru_bound():
     for page in range(20):
         instr += 10
         pf.process(MemoryAccess(instr, 0x4, compose_address(page, 0)))
-    assert len(pf._signature_table) <= 4
+    assert pf._st_rows <= 4
+    assert sorted(pf._st_page[:pf._st_rows]) == [16, 17, 18, 19]
 
 
 # -- PATHFINDER edge configurations -------------------------------------------

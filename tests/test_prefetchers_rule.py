@@ -13,7 +13,7 @@ from repro.prefetchers import (
     SPPPrefetcher,
     generate_prefetches,
 )
-from repro.prefetchers.spp import advance_signature
+from repro.prefetchers.spp import MAX_SIGNATURE_TABLE_SIZE, advance_signature
 from repro.types import MemoryAccess, compose_address
 
 from tests.helpers import build_trace, seq_addresses
@@ -166,10 +166,26 @@ def test_spp_prefetches_stay_in_page():
 
 
 def test_spp_config_validation():
-    with pytest.raises(ConfigError):
-        SPPConfig(prefetch_threshold=0.0)
-    with pytest.raises(ConfigError):
-        SPPConfig(max_degree=0)
+    # Table sizes and counter limits below 1 would fail on the first
+    # access (or saturate on every record); reject them up front.
+    for overrides in (dict(prefetch_threshold=0.0), dict(max_degree=0),
+                      dict(signature_table_size=0),
+                      dict(signature_table_size=-1),
+                      dict(signature_table_size=MAX_SIGNATURE_TABLE_SIZE + 1),
+                      dict(pattern_table_size=0), dict(max_counter=0),
+                      dict(max_counter=-3)):
+        with pytest.raises(ConfigError):
+            SPPConfig(**overrides)
+
+
+def test_spp_pattern_table_rows_capped_at_signature_count():
+    # Only 4,096 signatures exist, so a larger table allocates no more
+    # rows than that, and the largest Signature Table is accepted.
+    pf = SPPPrefetcher(SPPConfig(
+        pattern_table_size=10 ** 9,
+        signature_table_size=MAX_SIGNATURE_TABLE_SIZE))
+    assert len(pf._pt_stamp) == 4096
+    assert pf.process(MemoryAccess(1, 0x4, compose_address(5, 0))) == []
 
 
 # -- SISB -------------------------------------------------------------------------

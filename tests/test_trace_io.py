@@ -95,3 +95,28 @@ def test_load_accepts_largest_int64_fields(tmp_path):
     trace = load_trace(path)
     assert trace[1].address == trace[1].pc == (1 << 63) - 1
     assert trace.arrays().blocks[1] == ((1 << 63) - 1) >> 6
+
+
+@pytest.mark.parametrize("total", [-50, 0, 2])
+@pytest.mark.parametrize("header_first", [True, False])
+def test_load_rejects_total_instructions_below_last_id(tmp_path, total,
+                                                       header_first):
+    # Two loads with ids 1 and 2 cover at least 3 instructions; a header
+    # claiming fewer would give a negative or inflated IPC.  The header
+    # may follow the loads, so it is checked after the last line.
+    header = f"# total_instructions: {total}\n"
+    loads = "1, 0x400, 0x1000\n2, 0x404, 0x1040\n"
+    path = tmp_path / "bad.txt"
+    path.write_text(header + loads if header_first else loads + header)
+    with pytest.raises(TraceFormatError, match="total_instructions") as info:
+        load_trace(path)
+    assert info.value.path == str(path)
+    assert info.value.lineno == (1 if header_first else 3)
+
+
+@pytest.mark.parametrize("total", [3, 1000])
+def test_load_accepts_total_instructions_from_last_id(tmp_path, total):
+    path = tmp_path / "ok.txt"
+    path.write_text("1, 0x400, 0x1000\n2, 0x404, 0x1040\n"
+                    f"# total_instructions: {total}\n")
+    assert load_trace(path).instruction_count == total
