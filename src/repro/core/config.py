@@ -13,6 +13,7 @@ noted on the field and in ``DESIGN.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +40,8 @@ class PathfinderConfig:
             (neuron, next-delta) pair is seen twice (§3.3 protocol;
             the source of PATHFINDER's selectivity on noise).
         enlarge_pixels: Expand each pixel into its neighbours (§3.4).
-        enlarge_radius: How far the enlargement spreads along the row.
+        enlarge_radius: How far the enlargement spreads along the row
+            (>= 0; a negative radius would light no pixel at all).
         middle_shift: Constant added to the middle delta's column to
             reduce aliasing between enlarged pixels (§3.4).
         reorder_pixels: Apply the fixed column permutation *before*
@@ -72,12 +74,11 @@ class PathfinderConfig:
         inhibition_scale: Lateral-inhibition multiplier (< 1 lets
             multiple neurons fire; used by the multi-winner degree
             variant).
-        fast_snn: Use the sparse-aware SNN hot paths (active-pixel
-            drive, winner-column STDP) and the compiled PATHFINDER
-            loop.  Produces the same winners and prefetch files as the
-            dense reference implementations; ``False`` forces the
-            reference code paths (used by the parity tests).
         seed: RNG seed for the SNN.
+
+    Every float field must be finite (``theta_max`` may be ``None``): a
+    NaN learning constant poisons the winner's weight column on every
+    update.
     """
 
     delta_range: int = 127
@@ -108,7 +109,6 @@ class PathfinderConfig:
     tc_theta_decay: float = 1e5
     init_density: float = 0.25
     inhibition_scale: float = 1.0
-    fast_snn: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -130,6 +130,14 @@ class PathfinderConfig:
             raise ConfigError("stdp_epoch must be >= 1 (or None)")
         if self.stdp_on_accesses < 0:
             raise ConfigError("stdp_on_accesses must be >= 0")
+        if self.enlarge_radius < 0:
+            raise ConfigError("enlarge_radius must be >= 0")
+        for name in ("nu_post", "x_target", "w_max", "norm", "theta_plus",
+                     "theta_max", "tc_theta_decay", "init_density",
+                     "inhibition_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite (got {value})")
 
     @property
     def max_delta(self) -> int:

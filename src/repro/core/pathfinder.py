@@ -37,7 +37,7 @@ from ..types import (
 )
 from .config import PathfinderConfig
 from .inference_table import InferenceTable
-from .pixel import PixelMatrixEncoder
+from .pixel import PixelMatrixEncoder, SparseEncoding
 from .training_table import NO_NEURON, TrainingTable
 
 #: Scalar state the compiled loop reads and advances, as (``PathfinderArgs``
@@ -121,8 +121,7 @@ class PathfinderPrefetcher(Prefetcher):
             theta_plus=cfg.theta_plus,
             theta_max=cfg.theta_max,
             tc_theta_decay=cfg.tc_theta_decay)
-        return DiehlCookNetwork(net_cfg, stdp=stdp, exc_lif=lif,
-                                fast=cfg.fast_snn)
+        return DiehlCookNetwork(net_cfg, stdp=stdp, exc_lif=lif)
 
     def _build_training_table(self) -> TrainingTable:
         cfg = self.config
@@ -284,14 +283,12 @@ class PathfinderPrefetcher(Prefetcher):
     def _query_and_predict(self, row: int, page: int, offset: int,
                            first_offset: Optional[int] = None) -> List[int]:
         tt = self.training_table
-        encoding = self.encoder.encode_history_sparse(
+        encoding = self.encoder.encode_history(
             tt.row_deltas(row), first_offset=first_offset)
         if encoding is None:
             tt.fired[row] = NO_NEURON
             return []
-        learn = self._learning_enabled()
-        record = self._run_network(encoding.rates, learn,
-                                   active=encoding.active)
+        record = self._run_network(encoding, self._learning_enabled())
         self.snn_queries += 1
         if record.winner is None:
             tt.fired[row] = NO_NEURON
@@ -349,7 +346,7 @@ class PathfinderPrefetcher(Prefetcher):
 
         :meth:`process` runs instead whenever the loop cannot: no
         compiled kernel (no C compiler, or ``REPRO_NO_CKERNEL=1``), the
-        multi-tick or dense reference SNN, an armed
+        multi-tick SNN, an armed
         :class:`SpikeMonitor` (it needs per-query
         :class:`RunRecord`\\ s), or an armed fault plan (the per-query
         fault hooks must fire).  A due health scan that finds
@@ -360,8 +357,8 @@ class PathfinderPrefetcher(Prefetcher):
         from ..resilience import faults
 
         kernel = None
-        if (self.config.one_tick and self.network.fast
-                and self.monitor is None and faults.ACTIVE is None):
+        if (self.config.one_tick and self.monitor is None
+                and faults.ACTIVE is None):
             kernel = load_kernel()
         if kernel is None:
             return Prefetcher.process_batch(self, addresses, pcs, instr_ids)
@@ -472,22 +469,18 @@ class PathfinderPrefetcher(Prefetcher):
             self.inference_table.reset_neuron(neuron)
             self.neuron_repairs += 1
 
-    def _run_network(self, rates: np.ndarray, learn: bool,
-                     active: Optional[np.ndarray] = None) -> RunRecord:
+    def _run_network(self, encoding: SparseEncoding,
+                     learn: bool) -> RunRecord:
         if learn:
             self.stdp_updates += 1
         if self.config.one_tick:
-            # The encoder only emits full-intensity pixels, so the
-            # binary-rates fast path applies whenever it supplied the
-            # support set.
-            record = self.network.present_one_tick(
-                rates, learn=learn, active=active,
-                binary=True if active is not None else None)
+            record = self.network.present_one_tick(encoding.active,
+                                                   learn=learn)
             if self.monitor is not None:
                 self.monitor.record(record)
             self._drain_repairs()
             return record
-        record = self.network.present(rates, learn=learn)
+        record = self.network.present(encoding.rates, learn=learn)
         self._drain_repairs()
         if self.monitor is not None:
             self.monitor.record(record)

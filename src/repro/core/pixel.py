@@ -30,13 +30,17 @@ from .config import PathfinderConfig
 
 @dataclass(frozen=True)
 class SparseEncoding:
-    """A pixel-rate vector plus its precomputed support.
+    """A binary pixel-rate vector plus its precomputed support.
 
     Attributes:
-        rates: Dense float intensities, shape ``(n_input,)``.
-        active: Sorted flat indices of the nonzero pixels — exactly
-            ``np.flatnonzero(rates)``, precomputed so the SNN hot path
-            never has to scan the (overwhelmingly zero) vector.
+        rates: Dense float intensities, shape ``(n_input,)``; the
+            multi-tick :meth:`~repro.snn.network.DiehlCookNetwork.present`
+            reads these.
+        active: Sorted flat indices of the lit pixels — exactly
+            ``np.flatnonzero(rates)``; the one-tick
+            :meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick`
+            reads these, so it never scans the (overwhelmingly zero)
+            vector.
     """
 
     rates: np.ndarray
@@ -79,9 +83,10 @@ class PixelMatrixEncoder:
         """Precompute the lit flat indices for every (row, delta).
 
         Entry ``k = row * D + delta + max_delta`` lights the sorted
-        pixels ``lit_flat[lit_starts[k]:lit_starts[k + 1]]`` — those
-        :meth:`encode_reference` would light for that delta in that row
-        (middle-shift, permutation, and enlargement already applied).
+        pixels ``lit_flat[lit_starts[k]:lit_starts[k + 1]]``: the
+        delta's column in that row (middle-shifted in the middle row,
+        then permuted) and, with enlargement, its in-row neighbours
+        within ``enlarge_radius``.
         """
         cfg = self.config
         width, height = self._width, self._height
@@ -120,7 +125,7 @@ class PixelMatrixEncoder:
         """Encode a delta history (most recent last) into pixel rates.
 
         Uses the precomputed lit-pixel table; returns a fresh writable
-        vector, bit-identical to :meth:`encode_reference`.
+        vector.
 
         Args:
             deltas: Exactly H values; each must be in range (a zero is
@@ -139,40 +144,11 @@ class PixelMatrixEncoder:
             rates[self.lit(row, delta)] = 1.0
         return rates
 
-    def encode_reference(self, deltas: Sequence[int]) -> np.ndarray:
-        """Original per-pixel encoding loop, kept for parity tests."""
-        cfg = self.config
-        if len(deltas) != self._height:
-            raise ConfigError(
-                f"expected {self._height} deltas, got {len(deltas)}")
-        rates = np.zeros(self.n_input, dtype=float)
-        middle = self._height // 2
-        for row, delta in enumerate(deltas):
-            if not self.in_range(delta):
-                raise ConfigError(f"delta {delta} outside pixel matrix range")
-            column = delta + self._center
-            if row == middle and self._height >= 3:
-                column = min(self._width - 1,
-                             max(0, column + cfg.middle_shift))
-            if self._permutation is not None:
-                column = int(self._permutation[column])
-            self._light(rates, row, column)
-        return rates
-
-    def _light(self, rates: np.ndarray, row: int, column: int) -> None:
-        base = row * self._width
-        rates[base + column] = 1.0
-        if not self.config.enlarge_pixels:
-            return
-        for offset in range(1, self.config.enlarge_radius + 1):
-            for neighbour in (column - offset, column + offset):
-                if 0 <= neighbour < self._width:
-                    rates[base + neighbour] = 1.0
-
     # -- cold-page special encodings (paper §3.4) ---------------------------
 
     def encode_history(self, deltas: Sequence[int],
-                       first_offset: Optional[int] = None) -> Optional[np.ndarray]:
+                       first_offset: Optional[int] = None
+                       ) -> Optional[SparseEncoding]:
         """Encode a possibly-short history using the cold-page scheme.
 
         With ``cold_page_encoding`` enabled, short histories map to the
@@ -183,33 +159,10 @@ class PixelMatrixEncoder:
           pattern and a delta pattern stay distinguishable)
         - two deltas → ``{0, D1, D2}``
 
-        Out-of-range values (an offset can exceed a reduced delta
-        range) are clipped into range.  Returns ``None`` when nothing
-        can be encoded (short history with the feature disabled).
-        """
-        cfg = self.config
-        deltas = [self._clip(d) for d in deltas]
-        if len(deltas) >= self._height:
-            return self.encode(list(deltas[-self._height:]))
-        if not cfg.cold_page_encoding:
-            return None
-        if not deltas:
-            if first_offset is None:
-                return None
-            padded = [self._clip(first_offset)] + [0] * (self._height - 1)
-            return self.encode(padded)
-        padded = [0] * (self._height - len(deltas)) + list(deltas)
-        return self.encode(padded)
-
-    def encode_history_sparse(self, deltas: Sequence[int],
-                              first_offset: Optional[int] = None
-                              ) -> Optional[SparseEncoding]:
-        """Sparse form of :meth:`encode_history`.
-
-        Same padding/clipping semantics, but the result carries its
-        active-pixel support: the ``rates`` values are bit-identical to
-        :meth:`encode_history` and ``active`` equals
-        ``np.flatnonzero(rates)``.
+        A longer history encodes its last H deltas.  Out-of-range
+        values (an offset can exceed a reduced delta range) are clipped
+        into range.  Returns ``None`` when nothing can be encoded
+        (short history with the feature disabled).
         """
         cfg = self.config
         bound = self._center
@@ -237,8 +190,3 @@ class PixelMatrixEncoder:
     def _clip(self, value: int) -> int:
         bound = self.config.max_delta
         return max(-bound, min(bound, value))
-
-
-def history_key(deltas: Sequence[int]) -> tuple:
-    """Canonical hashable form of a delta history."""
-    return tuple(int(d) for d in deltas)

@@ -1,28 +1,25 @@
 """On-demand compiled C kernels: the one-tick library.
 
-Four entry points share one library.  Two share one per-query SNN
-step (``tick_one``, a C translation of
-:meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick`'s fast
-path):
+Three entry points share one library:
 
 - ``pf_pathfinder_chunk`` runs
   :meth:`~repro.core.pathfinder.PathfinderPrefetcher.process` access by
   access over a trace chunk — Training-Table lookup, insert and LRU
   eviction, observe, encode, the one-tick SNN step, predict and address
-  composition — on the prefetcher's own array-backed tables;
-- ``pf_tick_window`` presents a window of pre-encoded queries
-  (:meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick_window`).
-
-The third, ``pf_pythia_chunk``, runs
-:meth:`~repro.prefetchers.pythia.PythiaPrefetcher.process` access by
-access over a trace chunk on the prefetcher's keyed row stores and
-evaluation-queue ring, with the Python code's floating-point operations
-in its order and its stable greedy pick (ties in action-list order).
-The fourth, ``pf_spp_chunk``, runs
-:meth:`~repro.prefetchers.spp.SPPPrefetcher.process` the same way on
-SPP's Signature and Pattern Tables: LRU by lowest stamp, the first
-maximal count in slot order as the best delta, and the path confidence
-as one division and one multiply per step.
+  composition — on the prefetcher's own array-backed tables.  Its SNN
+  step, ``tick_one``, is a C translation of
+  :meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick`.
+- ``pf_pythia_chunk`` runs
+  :meth:`~repro.prefetchers.pythia.PythiaPrefetcher.process` access by
+  access over a trace chunk on the prefetcher's keyed row stores and
+  evaluation-queue ring, with the Python code's floating-point
+  operations in its order and its stable greedy pick (ties in
+  action-list order).
+- ``pf_spp_chunk`` runs
+  :meth:`~repro.prefetchers.spp.SPPPrefetcher.process` the same way on
+  SPP's Signature and Pattern Tables: LRU by lowest stamp, the first
+  maximal count in slot order as the best delta, and the path
+  confidence as one division and one multiply per step.
 
 A NumPy expression of the same step bottoms out at ~10 us/query
 because the arithmetic is tiny (~4 KFLOP) and every ufunc call costs
@@ -32,7 +29,7 @@ and bound through :mod:`ctypes`.
 Bit-identity contract
 ---------------------
 The C code performs *exactly* the same IEEE-754 double operations in
-the same order as the NumPy fast path:
+the same order as ``present_one_tick``:
 
 - the drive accumulation matches ``np.add.reduce(rows, axis=0)``
   (strictly sequential over rows, seeded with the first row);
@@ -46,9 +43,10 @@ the same order as the NumPy fast path:
 
 The winner is the first index attaining the maximal score (NaN scores
 never win), which is what the stable
-``np.negative(scores).argsort(kind="stable")[0]`` of the Python paths
-picks.  The table operations are integer-exact transcriptions of the
-Python ones.
+``np.negative(scores).argsort(kind="stable")[0]`` of
+``present_one_tick`` picks.  The table operations are integer-exact transcriptions of the
+Python ones.  ``pf_pairwise_sum`` exposes the summation to the parity
+tests.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set) the
 callers fall back to the scalar Python path — slower, never wrong.
@@ -141,8 +139,8 @@ typedef struct {
 
 /* The scan of DiehlCookNetwork.check_weight_health: any non-finite
  * weight, theta, or membrane value.  Runs on the same cadence as the
- * scalar path; a hit makes the kernels return early so Python can run
- * the (seeded, stateful) repair. */
+ * scalar path; a hit makes the PATHFINDER loop return early so Python
+ * can run the (seeded, stateful) repair. */
 static int any_nonfinite(const pf_net *s)
 {
     int64_t i;
@@ -156,9 +154,8 @@ static int any_nonfinite(const pf_net *s)
 }
 
 /* One one-tick presentation of the sorted active pixels act[0..n_active).
- * Mirrors DiehlCookNetwork.present_one_tick's fast path (binary rates,
- * sparse active support) op for op; see that method for the
- * derivation.  Returns the winner. */
+ * Mirrors DiehlCookNetwork.present_one_tick op for op; see that method
+ * for the derivation.  Returns the winner. */
 static int64_t tick_one(const pf_net *s, const int64_t *act,
                         int64_t n_active, int learn)
 {
@@ -261,29 +258,6 @@ static int64_t tick_one(const pf_net *s, const int64_t *act,
         }
     }
     return winner;
-}
-
-/* One window of one-tick presentations: query b owns
- * active_flat[starts[b]:starts[b + 1]] and learn[b]; intervals is the
- * network's interval count before the window (for the health-check
- * cadence).  Returns the number of queries fully presented: n_queries
- * normally, fewer iff a due health scan saw a non-finite value — the
- * caller then runs the scalar repair path from that point. */
-int64_t pf_tick_window(const pf_net *s, const int64_t *active_flat,
-                       const int64_t *starts, const unsigned char *learn,
-                       int64_t n_queries, int64_t intervals,
-                       int64_t *winners)
-{
-    int64_t b;
-    for (b = 0; b < n_queries; b++) {
-        winners[b] = tick_one(s, active_flat + starts[b],
-                              starts[b + 1] - starts[b], learn[b]);
-        intervals++;
-        if (intervals % s->health_interval == 0 && any_nonfinite(s)) {
-            return b + 1;
-        }
-    }
-    return n_queries;
 }
 
 /* ---- The PATHFINDER loop ------------------------------------------ */
@@ -1173,14 +1147,6 @@ class TickKernel:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        window = lib.pf_tick_window
-        window.restype = ctypes.c_int64
-        window.argtypes = [
-            ctypes.POINTER(NetArgs), _INT64_P, _INT64_P,
-            ctypes.POINTER(ctypes.c_uint8), ctypes.c_int64, ctypes.c_int64,
-            _INT64_P,
-        ]
-        self._window = window
         chunk = lib.pf_pathfinder_chunk
         chunk.restype = ctypes.c_int64
         chunk.argtypes = [
@@ -1211,16 +1177,6 @@ class TickKernel:
         values = np.ascontiguousarray(values, dtype=np.float64)
         return self._pairwise(values.ctypes.data_as(_DOUBLE_P),
                               values.size)
-
-    def tick_window(self, net: NetArgs, active_flat: np.ndarray,
-                    starts: np.ndarray, learn: np.ndarray,
-                    intervals: int, winners: np.ndarray) -> int:
-        """Present the whole window; return queries fully processed."""
-        return self._window(
-            ctypes.byref(net), active_flat.ctypes.data_as(_INT64_P),
-            starts.ctypes.data_as(_INT64_P),
-            learn.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-            len(learn), intervals, winners.ctypes.data_as(_INT64_P))
 
     def pathfinder_chunk(self, net: NetArgs, tables: PathfinderArgs,
                          addresses: np.ndarray, pcs: np.ndarray,

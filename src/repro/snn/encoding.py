@@ -8,44 +8,14 @@ probability proportional to pixel intensity.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import ConfigError
 
 
-def flatten_active_windows(actives) -> "tuple[np.ndarray, np.ndarray]":
-    """Pack per-query active-pixel supports into one flat window.
-
-    The batched one-tick pipeline hands the SNN a *window* of queries,
-    each with its own sorted support array (the pixel-matrix encoder's
-    ``SparseEncoding.active``).  The compiled window kernel wants the
-    CSR-style columnar form instead of a Python list: one concatenated
-    ``int64`` index array plus a ``starts`` offset array such that
-    query ``q`` owns ``flat[starts[q]:starts[q + 1]]``.
-
-    Args:
-        actives: Sequence of 1-D index arrays (possibly empty).
-
-    Returns:
-        ``(flat, starts)`` — ``flat`` of total support length and
-        ``starts`` of length ``len(actives) + 1``.
-    """
-    n = len(actives)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), starts
-    np.cumsum(np.fromiter((a.size for a in actives), dtype=np.int64,
-                          count=n), out=starts[1:])
-    flat = np.concatenate(actives).astype(np.int64, copy=False)
-    return flat, starts
-
-
 def poisson_spike_train(rates: np.ndarray, timesteps: int,
                         rng: np.random.Generator,
-                        max_probability: float = 0.5,
-                        active: Optional[np.ndarray] = None) -> np.ndarray:
+                        max_probability: float = 0.5) -> np.ndarray:
     """Sample a Bernoulli (discretised Poisson) spike train.
 
     Args:
@@ -54,12 +24,6 @@ def poisson_spike_train(rates: np.ndarray, timesteps: int,
         rng: Random generator (callers own seeding for determinism).
         max_probability: Per-tick spike probability of a full-intensity
             pixel; intensities scale linearly below it.
-        active: Optional indices of the nonzero-rate pixels.  When
-            given, Bernoulli trials are evaluated only for those pixels
-            (zero-rate pixels can never spike); the underlying random
-            draw still covers the full ``(timesteps, n_inputs)`` block
-            so the generator state — and therefore every later sample —
-            stays bit-identical to the dense path.
 
     Returns:
         Boolean array of shape ``(timesteps, n_inputs)``.
@@ -76,11 +40,4 @@ def poisson_spike_train(rates: np.ndarray, timesteps: int,
         raise ConfigError("max_probability must be in (0, 1]")
     if rates.size and (rates.min() < 0.0 or rates.max() > 1.0):
         raise ConfigError("pixel intensities must lie in [0, 1]")
-    probabilities = rates * max_probability
-    uniforms = rng.random((timesteps, rates.size))
-    if active is None:
-        return uniforms < probabilities
-    spikes = np.zeros((timesteps, rates.size), dtype=bool)
-    if active.size:
-        spikes[:, active] = uniforms[:, active] < probabilities[active]
-    return spikes
+    return rng.random((timesteps, rates.size)) < rates * max_probability

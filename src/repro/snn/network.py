@@ -12,8 +12,10 @@ Topology (paper §3.1, Figure 1):
 
 The ``inhibition_scale`` knob weakens lateral inhibition so 2–5 neurons
 can fire per interval, which the paper uses for multi-degree
-prefetching (§3.4).  :meth:`DiehlCookNetwork.rank_one_tick` implements
-the 1-tick approximation of §3.4 ("Lowering Time Interval").
+prefetching (§3.4).  :meth:`DiehlCookNetwork.present_one_tick`
+implements the 1-tick approximation of §3.4 ("Lowering Time
+Interval"); the compiled PATHFINDER loop (:mod:`repro.snn.ckernel`)
+runs the same step op for op.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from .ckernel import NetArgs, load_kernel, pointer
-from .encoding import flatten_active_windows, poisson_spike_train
+from .ckernel import NetArgs, pointer
+from .encoding import poisson_spike_train
 from .neurons import INHIBITORY_LIF, AdaptiveLIFGroup, LIFConfig, LIFGroup
 from .stdp import STDPConfig
 from .synapses import Connection
@@ -46,12 +48,6 @@ def _resilience_faults():
         from ..resilience import faults
         _FAULTS = faults
     return _FAULTS
-
-
-def _load_tick_kernel():
-    """The compiled one-tick library (may be ``None``); loaded on first
-    use so building a network never pays the compile probe."""
-    return load_kernel()
 
 
 @dataclass(frozen=True)
@@ -113,9 +109,10 @@ class RunRecord:
             neuron (the paper's Table 2 column).
         voltage_trace: Optional per-tick potentials, ``(ticks, n)``.
         ranked_winners: Precomputed :meth:`winners` ranking, most
-            spikes first, when the producer already knows it (the
-            1-tick fast path has exactly one firing neuron); ``None``
-            falls back to ranking ``spike_counts``.
+            spikes first, when the producer already knows it
+            (:meth:`DiehlCookNetwork.present_one_tick` has exactly one
+            firing neuron); ``None`` falls back to ranking
+            ``spike_counts``.
     """
 
     spike_counts: np.ndarray
@@ -144,18 +141,11 @@ class DiehlCookNetwork:
         stdp: Learning-rule configuration (defaults to
             :class:`~repro.snn.stdp.STDPConfig`).
         exc_lif: Excitatory-layer membrane parameters.
-        fast: Use the sparse-aware 1-tick hot paths (active-pixel
-            drive, winner-column STDP/normalisation).  The fast paths
-            produce the same winners as the dense reference
-            implementations (``*_reference`` methods), which are
-            retained for parity testing; set ``False`` to force the
-            reference code everywhere.
     """
 
     def __init__(self, config: NetworkConfig,
                  stdp: Optional[STDPConfig] = None,
-                 exc_lif: Optional[LIFConfig] = None,
-                 fast: bool = True):
+                 exc_lif: Optional[LIFConfig] = None):
         self.config = config
         self.stdp = stdp if stdp is not None else STDPConfig()
         self.rng = np.random.default_rng(config.seed)
@@ -167,7 +157,6 @@ class DiehlCookNetwork:
                                        init_density=config.init_density)
         self.learning_enabled = True
         self.intervals_presented = 0
-        self.fast = fast
         # Weight-health bookkeeping: repaired neuron indices accumulate
         # until the owner drains them (and resets dependent state, e.g.
         # the prefetcher's inference-table labels for those neurons).
@@ -239,10 +228,8 @@ class DiehlCookNetwork:
             self.inh.reset_state()
             self.input_to_exc.reset_traces()
             scaled = np.clip(rates * scale, 0.0, 1.0)
-            active = np.flatnonzero(scaled) if self.fast else None
             spikes_in = poisson_spike_train(scaled, cfg.timesteps, self.rng,
-                                            cfg.max_probability,
-                                            active=active)
+                                            cfg.max_probability)
             inh_current.fill(0.0)
             for tick in range(cfg.timesteps):
                 pre = spikes_in[tick]
@@ -294,128 +281,50 @@ class DiehlCookNetwork:
 
     # -- 1-tick approximation (paper §3.4) ----------------------------------
 
-    def rank_one_tick(self, rates: np.ndarray,
-                      active: Optional[np.ndarray] = None) -> np.ndarray:
-        """Score neurons by expected potential after a single tick.
+    def present_one_tick(self, active: np.ndarray,
+                         learn: Optional[bool] = None) -> RunRecord:
+        """Process one input entirely in 1-tick mode (paper Fig 9 variant).
+
+        ``active`` is the sorted support of a binary pixel vector: the
+        pixel-matrix encoder's only output
+        (:class:`~repro.core.pixel.SparseEncoding`'s ``active``).
 
         The paper's low-cost variant assumes the neuron with the highest
         potential after one tick would have been the first to fire over
-        the full interval.  We compute the *expected* one-tick drive
-        (rates × per-tick probability, through the learned weights) and
-        divide by each neuron's effective threshold distance
-        (``threshold_gap + theta``) — i.e. rank by inverse
-        time-to-fire — making the approximation deterministic while
-        honouring threshold adaptation.
+        the full interval.  Each neuron's score is its *expected*
+        one-tick drive (``max_probability`` times the sum of its weights
+        from the active pixels) divided by its effective threshold
+        distance (``threshold_gap + theta``) — i.e. rank by inverse
+        time-to-fire, which makes the approximation deterministic while
+        honouring threshold adaptation.  The winner is the first
+        maximal score.
 
-        On the fast path the drive is accumulated from the active-pixel
-        rows of the weight matrix only (the pixel matrix lights at most
-        ``H * (1 + 2 * enlarge_radius)`` of its D×H pixels), which is
-        an order of magnitude less arithmetic than the dense matvec of
-        :meth:`rank_one_tick_reference`.
-
-        Args:
-            rates: Pixel intensities, shape ``(n_input,)``.
-            active: Optional precomputed ``np.flatnonzero(rates)``
-                (e.g. from the encoder's cache), saving the scan.
-
-        Returns:
-            Score vector; ``argmax`` is the predicted winner.
+        STDP and threshold adaptation are applied as if the winner had
+        fired once with the input pixels as its pre-synaptic trace: its
+        weight column gains ``nu_post * (1 - x_target)`` on the active
+        pixels and ``nu_post * (0 - x_target)`` on the quiet ones, is
+        clipped, and is renormalised.  Only that column changes; every
+        other column keeps the sum it was last normalised to, so its
+        re-scale would be a no-op.  This is the low-latency, low-energy
+        operating mode the paper's best design point uses — orders of
+        magnitude cheaper than the full multi-tick simulation while
+        tracking its behaviour (paper Table 1 / Figure 7).
         """
-        if not self.fast:
-            return self.rank_one_tick_reference(rates)
-        rates = np.asarray(rates, dtype=float)
-        if active is None:
-            active = np.flatnonzero(rates)
-        w = self.input_to_exc.w
-        if active.size == 0:
-            drive = np.zeros(w.shape[1])
-        else:
-            r = rates[active]
-            if r.min() == 1.0 == r.max():
-                # Binary pixels (the encoder's only output): sum the
-                # active rows, then scale once.
-                drive = self.config.max_probability * w[active].sum(axis=0)
-            else:
-                drive = (r * self.config.max_probability) @ w[active]
-        gap = self.exc.config.threshold_gap + self.exc.theta
-        return drive / np.maximum(gap, 1e-9)
-
-    def rank_one_tick_reference(self, rates: np.ndarray) -> np.ndarray:
-        """Dense reference implementation of :meth:`rank_one_tick`."""
-        rates = np.asarray(rates, dtype=float)
-        expected = rates * self.config.max_probability
-        drive = expected @ self.input_to_exc.w
-        gap = self.exc.config.threshold_gap + self.exc.theta
-        return drive / np.maximum(gap, 1e-9)
-
-    def predict_one_tick(self, rates: np.ndarray) -> int:
-        """Winner index under the 1-tick approximation."""
-        return int(np.argmax(self.rank_one_tick(rates)))
-
-    def present_one_tick(self, rates: np.ndarray,
-                         learn: Optional[bool] = None,
-                         active: Optional[np.ndarray] = None,
-                         binary: Optional[bool] = None) -> RunRecord:
-        """Process one input entirely in 1-tick mode (paper Fig 9 variant).
-
-        The winner is the deterministic :meth:`rank_one_tick` argmax;
-        STDP and threshold adaptation are applied as if that neuron had
-        fired once with the input pixels as its pre-synaptic trace.
-        This is the low-latency, low-energy operating mode the paper's
-        best design point uses — orders of magnitude cheaper than the
-        full multi-tick simulation while tracking its behaviour
-        (paper Table 1 / Figure 7).
-
-        The fast path (``self.fast``) restricts the rank-1 STDP update
-        and the per-presentation renormalisation to the single touched
-        winner column; untouched columns keep the sum they were last
-        normalised to, so their re-scale would be a no-op anyway.  The
-        dense reference is kept as :meth:`present_one_tick_reference`
-        and the parity tests assert both produce the same winners and
-        prefetch files.
-
-        ``binary=True`` asserts every active pixel is at full intensity
-        (the pixel-matrix encoder's only output), skipping the per-query
-        check; pass ``None`` to detect it from the rates.
-        """
-        if not self.fast:
-            return self.present_one_tick_reference(rates, learn=learn)
-        if active is None:
-            rates = np.asarray(rates, dtype=float)
-            if rates.shape != (self.config.n_input,):
-                raise ConfigError(
-                    f"rates shape {rates.shape} != ({self.config.n_input},)")
-            active = np.flatnonzero(rates)
         self._inject_weight_fault()
         do_learn = self.learning_enabled if learn is None else learn
         exc = self.exc
         w = self.input_to_exc.w
-        n_active = active.size
 
-        # Inlined rank_one_tick on scratch buffers (same arithmetic).
         gap = np.add(exc.theta, self._threshold_gap, out=self._gap_buf)
         if self._gap_needs_clamp:
             np.maximum(gap, 1e-9, out=gap)
-        if n_active:
-            if binary is None:
-                r = rates[active]
-                binary = bool(r.min() == 1.0 == r.max())
-            if binary:
-                rows = w.take(active, axis=0, out=self._rows_buf[:n_active])
-                drive = np.add.reduce(rows, axis=0, out=self._drive_buf)
-                np.multiply(drive, self.config.max_probability, out=drive)
-            else:
-                r = rates[active]
-                drive = np.matmul(r * self.config.max_probability, w[active],
-                                  out=self._drive_buf)
-        else:
-            binary = True
-            drive = self._drive_buf
-            drive.fill(0.0)
+        rows = w.take(active, axis=0, out=self._rows_buf[:active.size])
+        drive = np.add.reduce(rows, axis=0, out=self._drive_buf)
+        np.multiply(drive, self.config.max_probability, out=drive)
         scores = np.divide(drive, gap, out=self._score_buf)
         # Stable, so the winner is the first maximal score (the rule of
-        # rank_one_tick's argmax and the compiled kernels) and the
-        # runner-up the next one in index order on an exact tie.
+        # the compiled loop) and the runner-up the next one in index
+        # order on an exact tie.
         order = np.negative(scores, out=self._neg_score_buf).argsort(
             kind="stable")
         winner = int(order[0])
@@ -425,19 +334,12 @@ class DiehlCookNetwork:
             stdp = self.input_to_exc.stdp
             if stdp is not None:
                 # Winner-column STDP: quiet pixels all receive the same
-                # depression ``nu_post * (0 - x_target)``; only the
-                # active pixels need the potentiation term.
+                # depression, active ones the potentiation; rows holds
+                # the w[active] gather, whose winner column is
+                # w[active, winner].
                 column = np.add(w[:, winner], self._stdp_d0,
                                 out=self._column_buf)
-                if n_active:
-                    if binary:
-                        # rows still holds the w[active] gather from the
-                        # drive computation; its winner column is the
-                        # same values as w[active, winner].
-                        column[active] = rows[:, winner] + self._stdp_d1
-                    else:
-                        column[active] = (w[active, winner]
-                                          + stdp.nu_post * (r - stdp.x_target))
+                column[active] = rows[:, winner] + self._stdp_d1
                 np.maximum(column, stdp.w_min, out=column)
                 np.minimum(column, stdp.w_max, out=column)
                 if stdp.norm is not None:
@@ -478,65 +380,20 @@ class DiehlCookNetwork:
 
     def present_one_tick_window(self, actives: List[np.ndarray],
                                 learns: List[bool]) -> List[int]:
-        """Run a window of one-tick presentations; return the winners.
+        """:meth:`present_one_tick` per query; return the winners.
 
-        Batched form of :meth:`present_one_tick` for pre-encoded
-        queries: each entry of ``actives`` is a query's sorted
-        active-pixel support (binary rates implied, exactly the
-        pixel-matrix encoder's output) with its per-query ``learn``
-        flag.  State evolution — weights, theta, interval counter, the
-        :data:`HEALTH_CHECK_INTERVAL` cadence — is bit-identical to
-        calling :meth:`present_one_tick` once per query.  PATHFINDER's
-        batched path encodes and presents its queries inside the
-        compiled loop instead; the parity tests and the e2e benchmark's
-        ``snn.window`` span call this.
-
-        The heavy lifting happens in the compiled
-        :mod:`repro.snn.ckernel` window kernel, which runs the
-        periodic weight scan at exactly the scalar cadence and hands
-        back early if a scan turns up non-finite state.  Without a C
-        compiler the loop falls back to :meth:`present_one_tick` per
-        query (same results, scalar speed).
-
-        Callers must ensure the fast path applies (``fast=True``) and
-        no fault plan is armed — the per-query fault hook does not
-        fire inside the kernel.
+        Nothing in the program calls this: PATHFINDER's batched path
+        runs its queries inside the compiled loop.  It stays only
+        because the end-to-end bench's traced runs wrap it by name (the
+        ``snn.window`` span); it goes when that wrapper does.
         """
-        n = len(actives)
-        kernel = _load_tick_kernel() if self.fast else None
-        if kernel is None:
-            return [self.present_one_tick(None, learn=bool(learn),
-                                          active=active, binary=True).winner
-                    for active, learn in zip(actives, learns)]
-        if n == 0:
-            return []
-        winners_arr = np.empty(n, dtype=np.int64)
-        flat, starts = flatten_active_windows(actives)
-        learn_arr = np.asarray(learns, dtype=np.uint8)
-        processed = kernel.tick_window(
-            self.kernel_args(), flat, starts, learn_arr,
-            self.intervals_presented, winners_arr)
-        self.intervals_presented += processed
-        if learn_arr[:processed].any():
-            self.exc.adaptation_enabled = True
-        winners = winners_arr[:processed].tolist()
-        if processed < n:
-            # A due health scan saw a non-finite value (unreachable
-            # without an armed fault plan): run the stateful repair
-            # exactly where the scalar path would, then finish the
-            # window one query at a time.
-            self._health_check()
-            winners.extend(
-                self.present_one_tick(None, learn=bool(learn),
-                                      active=active, binary=True).winner
-                for active, learn in zip(actives[processed:],
-                                         learns[processed:]))
-        return winners
+        return [self.present_one_tick(active, learn=bool(learn)).winner
+                for active, learn in zip(actives, learns)]
 
     def kernel_args(self) -> NetArgs:
         """This network's weights, theta, membranes and one-tick
-        constants, as the compiled kernels take them (read per call,
-        so the kernels always see the live arrays)."""
+        constants, as the compiled PATHFINDER loop takes them (read per
+        call, so the loop always sees the live arrays)."""
         stdp = self.input_to_exc.stdp
         lif = self.exc.config
         norm = None if stdp is None else stdp.norm
@@ -558,58 +415,6 @@ class DiehlCookNetwork:
             clamp_gap=int(self._gap_needs_clamp),
             do_stdp=int(stdp is not None), has_norm=int(norm is not None),
             has_theta_max=int(lif.theta_max is not None))
-
-    def present_one_tick_reference(self, rates: np.ndarray,
-                                   learn: Optional[bool] = None) -> RunRecord:
-        """Dense reference implementation of :meth:`present_one_tick`.
-
-        Applies the rank-1 STDP update to the full weight matrix and
-        renormalises every column, exactly as the pre-optimisation code
-        did; retained for the fast-path parity tests.
-        """
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != (self.config.n_input,):
-            raise ConfigError(
-                f"rates shape {rates.shape} != ({self.config.n_input},)")
-        self._inject_weight_fault()
-        do_learn = self.learning_enabled if learn is None else learn
-
-        scores = self.rank_one_tick_reference(rates)
-        order = np.argsort(-scores, kind="stable")
-        winner = int(order[0])
-        runner_up = int(order[1]) if scores.size > 1 else winner
-
-        if do_learn:
-            stdp = self.input_to_exc.stdp
-            if stdp is not None:
-                # Rank-1 emulation of the interval's plasticity: the
-                # winner potentiates active inputs and depresses quiet
-                # ones (target-trace rule), then renormalises.
-                delta = stdp.nu_post * (rates - stdp.x_target)
-                column = self.input_to_exc.w[:, winner] + delta
-                np.clip(column, stdp.w_min, stdp.w_max, out=column)
-                self.input_to_exc.w[:, winner] = column
-                self.input_to_exc.normalize()
-            # One emulated spike of threshold adaptation.
-            fired = np.zeros(self.config.n_neurons, dtype=bool)
-            fired[winner] = True
-            self.exc.adaptation_enabled = True
-            self.exc._on_spike(fired)
-            self.exc.theta *= self.exc._theta_decay ** self.config.timesteps
-
-        self.intervals_presented += 1
-        self._health_check()
-        counts = np.zeros(self.config.n_neurons, dtype=int)
-        counts[winner] = 1
-        potentials = self.exc.config.rest + scores
-        return RunRecord(
-            spike_counts=counts,
-            winner=winner,
-            first_spike_tick=0,
-            boosts_used=0,
-            potentials_first_tick=potentials,
-            next_best_potential=float(self.exc.config.rest + scores[runner_up]),
-        )
 
     # -- maintenance ---------------------------------------------------------
 

@@ -123,7 +123,8 @@ def test_one_tick_agreement_on_trained_patterns():
     for _ in range(5):
         for pattern in patterns:
             rates = encoder.encode(list(pattern))
-            predicted = network.predict_one_tick(rates)
+            predicted = network.present_one_tick(np.flatnonzero(rates),
+                                                 learn=False).winner
             record = network.present(rates, learn=False)
             if record.winner is None:
                 continue

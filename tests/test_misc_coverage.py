@@ -3,20 +3,11 @@
 import pytest
 
 from repro import __version__
-from repro.core.pixel import history_key
 from repro.sim.metrics import SimResult, speedup
 
 
 def test_version_string():
     assert __version__.count(".") == 2
-
-
-def test_history_key_canonical():
-    import numpy as np
-
-    assert history_key([1, 2, 3]) == (1, 2, 3)
-    assert history_key(np.array([1, 2, 3])) == (1, 2, 3)
-    assert hash(history_key([np.int64(5)])) == hash((5,))
 
 
 def test_speedup_helper():

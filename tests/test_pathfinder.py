@@ -1,5 +1,7 @@
 """Tests for the PATHFINDER prefetcher end to end."""
 
+import math
+
 import pytest
 
 from repro.core import PathfinderConfig, PathfinderPrefetcher
@@ -35,6 +37,17 @@ def test_config_validation():
         PathfinderConfig(confidence_init=0)
     with pytest.raises(ConfigError):
         PathfinderConfig(stdp_epoch=0)
+    # A negative radius lights no pixel, so neuron 0 would always win.
+    with pytest.raises(ConfigError):
+        PathfinderConfig(enlarge_radius=-1)
+    # A non-finite constant poisons the winner's column on every update.
+    for name in ("nu_post", "x_target", "w_max", "norm", "theta_plus",
+                 "theta_max", "tc_theta_decay", "init_density",
+                 "inhibition_scale"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=name):
+                PathfinderConfig(**{name: value})
+    assert PathfinderConfig(theta_max=None).theta_max is None
 
 
 def test_config_derived_properties():

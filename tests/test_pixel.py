@@ -99,10 +99,16 @@ def test_adjacent_deltas_alias_without_reorder():
     assert np.logical_and(a > 0, b > 0).any()
 
 
+def _rates(encoding):
+    """An encoding's rates, after checking its support is exactly
+    their nonzero pixels."""
+    assert np.array_equal(encoding.active, np.flatnonzero(encoding.rates))
+    return encoding.rates
+
+
 def test_cold_page_encoding_first_touch():
     enc = make_encoder(cold_page_encoding=True)
-    rates = enc.encode_history([], first_offset=16)
-    assert rates is not None
+    rates = _rates(enc.encode_history([], first_offset=16))
     # {OF1, 0, 0}: offset leads, zeroes trail.
     assert rates[0 * 127 + 63 + 16] == 1.0
     assert rates[1 * 127 + 63] == 1.0
@@ -111,7 +117,7 @@ def test_cold_page_encoding_first_touch():
 
 def test_cold_page_encoding_one_delta_leading_zeroes():
     enc = make_encoder(cold_page_encoding=True)
-    rates = enc.encode_history([5])
+    rates = _rates(enc.encode_history([5]))
     # {0, 0, D1}: zeroes lead so offset and delta patterns differ.
     assert rates[0 * 127 + 63] == 1.0
     assert rates[1 * 127 + 63] == 1.0
@@ -120,7 +126,7 @@ def test_cold_page_encoding_one_delta_leading_zeroes():
 
 def test_cold_page_encoding_two_deltas():
     enc = make_encoder(cold_page_encoding=True)
-    rates = enc.encode_history([3, 4])
+    rates = _rates(enc.encode_history([3, 4]))
     assert rates[0 * 127 + 63] == 1.0
     assert rates[1 * 127 + 63 + 3] == 1.0
     assert rates[2 * 127 + 63 + 4] == 1.0
@@ -136,15 +142,15 @@ def test_encode_history_full_history_uses_last_h():
     enc = make_encoder()
     full = enc.encode_history([9, 1, 2, 3])
     direct = enc.encode([1, 2, 3])
-    assert np.array_equal(full, direct)
+    assert np.array_equal(full.rates, direct)
+    assert np.array_equal(full.active, np.flatnonzero(direct))
 
 
 def test_encode_history_clips_large_offset_for_reduced_range():
     enc = PixelMatrixEncoder(PathfinderConfig(
         delta_range=31, enlarge_pixels=False, reorder_pixels=False,
         middle_shift=0))
-    rates = enc.encode_history([], first_offset=60)  # > max_delta 15
-    assert rates is not None
+    rates = _rates(enc.encode_history([], first_offset=60))  # > max_delta 15
     assert rates[15 + 15] == 1.0  # clipped to +15 at center 15
 
 
@@ -152,4 +158,4 @@ def test_offset_and_delta_patterns_distinguishable():
     enc = make_encoder(cold_page_encoding=True)
     offset_pattern = enc.encode_history([], first_offset=5)
     delta_pattern = enc.encode_history([5])
-    assert not np.array_equal(offset_pattern, delta_pattern)
+    assert not np.array_equal(offset_pattern.active, delta_pattern.active)

@@ -173,7 +173,7 @@ def test_run_record_winners_ranked():
 
 def test_one_tick_mode_prediction_and_learning():
     net = _small_network()
-    pattern = _pattern([5, 6, 7, 8])
+    pattern = np.array([5, 6, 7, 8])
     first = net.present_one_tick(pattern)
     assert first.winner is not None
     before = net.weights[:, first.winner].copy()
@@ -185,7 +185,7 @@ def test_one_tick_mode_prediction_and_learning():
 def test_one_tick_mode_is_deterministic():
     net_a = _small_network(seed=5)
     net_b = _small_network(seed=5)
-    pattern = _pattern([5, 6, 7])
+    pattern = np.array([5, 6, 7])
     for _ in range(4):
         wa = net_a.present_one_tick(pattern).winner
         wb = net_b.present_one_tick(pattern).winner
@@ -193,10 +193,17 @@ def test_one_tick_mode_is_deterministic():
 
 
 def test_one_tick_agrees_with_rank():
+    """The one-tick winner is the argmax of expected drive over each
+    neuron's threshold distance, with theta already adapted."""
     net = _small_network()
+    for indices in ([1, 2, 3], [10, 11], [20, 21, 22, 23]):
+        net.present_one_tick(np.array(indices))
     pattern = _pattern([3, 4, 5])
-    assert net.present_one_tick(pattern, learn=False).winner == \
-        int(np.argmax(net.rank_one_tick(pattern)))
+    exc = net.exc
+    drive = (pattern * net.config.max_probability) @ net.weights
+    scores = drive / (exc.config.threshold_gap + exc.theta)
+    assert net.present_one_tick(np.flatnonzero(pattern), learn=False).winner \
+        == int(np.argmax(scores))
 
 
 def test_voltage_recording():
