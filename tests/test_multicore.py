@@ -1,12 +1,18 @@
 """Tests for the shared-LLC multicore simulation mode."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ConfigError, SimulationError
+from repro.harness.runner import make_prefetcher
 from repro.prefetchers import NextLinePrefetcher, generate_prefetches
 from repro.sim import simulate
 from repro.sim.multicore import MulticoreSimulator, simulate_multicore
 from repro.sim.simulator import HierarchyConfig
+from repro.traces import make_trace
 from repro.types import PrefetchRequest
 
 from tests.helpers import build_trace, seq_addresses
@@ -104,3 +110,40 @@ def test_negative_prefetch_address_dropped_like_single_core():
     assert "pf_dropped" not in co.per_core[1].extra
     assert co.per_core[0].dram_requests == simulate_multicore(
         [a, b], config=hierarchy).per_core[0].dram_requests
+
+
+#: Co-runs of 3,000-load seed-2 traces on the scaled hierarchy as
+#: (workloads, per-core prefetchers or None, address isolation) ->
+#: (per-core (llc_hits, llc_misses, pf_issued, pf_useful), sha256 of
+#: the per-core SimResult dicts as sorted-key JSON).  Recorded while
+#: multicore kept its own copy of the demand, issue and fill path.
+CORUN_PINNED = {
+    (("cc-5", "623-xalan-s1"), None, True): (
+        [(0, 2871, 0, 0), (25, 2962, 0, 0)],
+        "afca4a80342e771da7ff1ec8ca05ac1f350a7cc074984dc2bd8a9dcd1ba3fb9b"),
+    (("cc-5", "623-xalan-s1", "605-mcf-s1"), ("spp", "bo", "nextline"),
+     True): (
+        [(940, 1931, 1513, 322), (315, 2672, 2971, 507),
+         (98, 2902, 5946, 782)],
+        "e1c3cf6eb395c4ba3563bff43fc392ffb1cf22c9f2f827e64bcf2d30eaa296b6"),
+    (("cc-5", "cc-5"), None, False): (
+        [(1433, 1438, 0, 0), (1438, 1433, 0, 0)],
+        "ba032a6b635b2c310eaf814340eaaed626c373bddb3f7652251759c0c7e800fa"),
+}
+
+
+@pytest.mark.parametrize("key", CORUN_PINNED)
+def test_corun_results_pinned(key):
+    workloads, prefetchers, isolation = key
+    traces = [make_trace(w, 3000, seed=2) for w in workloads]
+    files = None
+    if prefetchers is not None:
+        files = [generate_prefetches(make_prefetcher(p), t, budget=2)
+                 for p, t in zip(prefetchers, traces)]
+    result = MulticoreSimulator(HierarchyConfig.scaled(),
+                                address_isolation=isolation).run(traces, files)
+    payload = json.dumps([dataclasses.asdict(r) for r in result.per_core],
+                         sort_keys=True)
+    assert ([(r.llc_hits, r.llc_misses, r.pf_issued, r.pf_useful)
+             for r in result.per_core],
+            hashlib.sha256(payload.encode()).hexdigest()) == CORUN_PINNED[key]
