@@ -34,11 +34,11 @@ from typing import Dict, List, Sequence, Tuple, Union
 from ..errors import ConfigError
 
 #: Bump when the campaign.json layout changes incompatibly.
-CAMPAIGN_SCHEMA = 1
+CAMPAIGN_SCHEMA = 2
 
 _SPEC_FIELDS = ("name", "workloads", "prefetchers", "seeds", "loads",
-                "budget", "engine", "workers", "max_attempts",
-                "lease_ttl_s", "backoff_s", "backoff_factor")
+                "budget", "workers", "max_attempts", "lease_ttl_s",
+                "backoff_s", "backoff_factor")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class CampaignSpec:
         seeds: Trace seeds; the full grid runs once per seed.
         loads: Accesses per trace.
         budget: Prefetches kept per triggering access.
-        engine: Replay engine for every cell.
         workers: Worker processes (0 = serial in-process execution).
         max_attempts: Attempts per cell before quarantine.
         lease_ttl_s: Lease TTL; a cell whose worker misses heartbeats
@@ -81,7 +80,6 @@ class CampaignSpec:
     seeds: Tuple[int, ...] = (1,)
     loads: int = 20_000
     budget: int = 2
-    engine: str = "batch"
     workers: int = 2
     max_attempts: int = 3
     lease_ttl_s: float = 30.0
@@ -90,7 +88,6 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         from ..harness.runner import PREFETCHER_FACTORIES
-        from ..sim.simulator import ENGINES
         from ..traces import WORKLOAD_NAMES
 
         if not self.name or not str(self.name).strip():
@@ -121,10 +118,6 @@ class CampaignSpec:
                 raise ConfigError(
                     f"campaign spec: unknown prefetcher {prefetcher!r}; "
                     f"known: {known}")
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"campaign spec: unknown engine {self.engine!r}; "
-                f"known: {', '.join(ENGINES)}")
         if self.loads <= 0:
             raise ConfigError("campaign spec: loads must be positive")
         if self.budget <= 0:
@@ -161,7 +154,7 @@ class CampaignSpec:
                     key = cell_key(
                         workload, prefetcher, seed=seed,
                         n_accesses=self.loads, budget=self.budget,
-                        engine=self.engine, hierarchy=hierarchy)
+                        hierarchy=hierarchy)
                     cells.append(CampaignCell(
                         index=len(cells), workload=workload,
                         prefetcher=prefetcher, seed=seed, key=key))
@@ -175,7 +168,6 @@ class CampaignSpec:
             "seeds": list(self.seeds),
             "loads": self.loads,
             "budget": self.budget,
-            "engine": self.engine,
             "workers": self.workers,
             "max_attempts": self.max_attempts,
             "lease_ttl_s": self.lease_ttl_s,

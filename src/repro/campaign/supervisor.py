@@ -371,7 +371,7 @@ class Campaign:
                 if self.fault_spec else faults.active())
         self._cell_timeout_s = cell_timeout_s
         context = dict(context or {}, loads=self.spec.loads,
-                       budget=self.spec.budget, engine=self.spec.engine,
+                       budget=self.spec.budget,
                        lease_ttl_s=self.spec.lease_ttl_s,
                        heartbeat_s=self.spec.heartbeat_s)
         start = time.perf_counter()

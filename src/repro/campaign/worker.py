@@ -98,14 +98,14 @@ def execute_cell(evaluations: Dict[int, object], context: Dict[str, object],
     if evaluation is None:
         evaluation = runner.Evaluation(
             n_accesses=int(context["loads"]), seed=seed,
-            budget=int(context["budget"]), engine=str(context["engine"]))
+            budget=int(context["budget"]))
         evaluations[seed] = evaluation
     obs = _cell_observability(context,
                               runner.cell_label(index, workload, spec))
     row = runner.run_prefetcher(
         evaluation.trace(workload), runner.make_prefetcher(spec),
         evaluation.baseline(workload), hierarchy=evaluation.hierarchy,
-        budget=evaluation.budget, obs=obs, engine=evaluation.engine)
+        budget=evaluation.budget, obs=obs)
     if obs is None:
         return row, None, None, None
     return (row, obs.registry if obs.enabled else None,

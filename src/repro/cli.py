@@ -8,7 +8,6 @@ Six subcommands, installed as the ``repro`` console script::
 
     repro run <workload> <prefetcher> [--loads N] [--seed S]
               [--budget B] [--hierarchy {scaled,full}]
-              [--engine {batch,reference}]
               [--events-out e.jsonl] [--metrics-out m.json]
               [--series [--series-window N]]
         Run one prefetcher on one workload and print IPC / accuracy /
@@ -118,7 +117,7 @@ from .obs import (
     start_run,
 )
 from .resilience import FAULT_POINTS, FaultPlan, atomic_write_json, injected
-from .sim.simulator import ENGINES, HierarchyConfig
+from .sim.simulator import HierarchyConfig
 from .traces import WORKLOAD_NAMES, make_trace
 from .traces.trace import save_trace
 
@@ -264,50 +263,21 @@ def _select_hierarchy(name: str) -> HierarchyConfig:
     return HierarchyConfig() if name == "full" else HierarchyConfig.scaled()
 
 
-def _check_engine_flags(args: argparse.Namespace) -> str:
-    """Resolve ``--engine`` and reject impossible explicit requests.
-
-    ``--engine`` defaults to ``None`` so an *explicit* ``batch`` is
-    distinguishable from the implicit default: the default quietly
-    resolves to "batch" and lets the simulator downgrade (with an
-    :class:`~repro.errors.EngineFallbackWarning`) when event tracing
-    needs the reference engine, but a user who typed ``--engine
-    batch`` alongside ``--events-out`` asked for two incompatible
-    things at once — that is a :class:`~repro.errors.ConfigError`, not
-    a silent downgrade.
-    """
-    if args.engine == "batch" and args.events_out:
-        raise ConfigError(
-            "--engine batch is incompatible with --events-out: the "
-            "batch kernel cannot emit per-access events; drop --engine "
-            "to let the simulator pick a compatible engine, or request "
-            "--engine reference explicitly")
-    return args.engine or "batch"
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.inject_faults in ("help", "list"):
         _print_fault_points()
         return 0
-    try:
-        engine = _check_engine_flags(args)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
-    args.engine = engine
     plan = _fault_plan(args, seed=args.seed)
     obs = _make_obs(args)
     config = {"workload": args.workload, "prefetcher": args.prefetcher,
               "loads": args.loads, "seed": args.seed,
-              "budget": args.budget, "hierarchy": args.hierarchy,
-              "engine": args.engine}
+              "budget": args.budget, "hierarchy": args.hierarchy}
     ledger = _start_ledger(args, "run", config, seeds=[args.seed])
     if obs is not None and ledger is not None:
         obs.tracer.bind(run_id=ledger.run_id)
     evaluation = Evaluation(n_accesses=args.loads, seed=args.seed,
                             hierarchy=_select_hierarchy(args.hierarchy),
-                            budget=args.budget, obs=obs,
-                            engine=args.engine)
+                            budget=args.budget, obs=obs)
     # Routed through run_cells so the cell lands in the run ledger and
     # events carry the run-id/cell tags; the single-cell serial path is
     # bit-identical to Evaluation.run.
@@ -792,18 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--hierarchy", choices=("scaled", "full"),
                        default="scaled",
                        help="scaled (default) or full paper Table-3 caches")
-    p_run.add_argument("--engine", choices=ENGINES, default=None,
-                       help="replay engine; results are bit-identical. "
-                            "'batch' (the default) runs a compiled "
-                            "kernel over the trace columns and falls "
-                            "back to the reference loop (with a "
-                            "warning) when it cannot; 'reference' is "
-                            "the readable slow loop. An explicit "
-                            "'batch' combined with --events-out is a "
-                            "config error (event tracing needs the "
-                            "reference engine); leave --engine off to "
-                            "let the simulator downgrade with a "
-                            "warning.")
     p_run.add_argument("--peak-memory", action="store_true",
                        help="capture tracemalloc peak memory for the run")
     _add_obs_flags(p_run)

@@ -272,7 +272,7 @@ def compare_ledgers(a: Dict, b: Dict,
     """Diff two parsed ledgers cell-by-cell.
 
     Cells are matched on their canonical key (workload, spec, seed,
-    engine, hierarchy), so only like-for-like cells compare; cells
+    loads, budget, hierarchy), so only like-for-like cells compare; cells
     present in only one run are reported as anomalies.
 
     With ``use_stats``, cells sharing a (workload, prefetcher) are

@@ -11,13 +11,11 @@ defaults balance fidelity and runtime (see DESIGN.md's scale note);
 full-interval (32-tick) experiments default to shorter traces because
 the multi-tick SNN costs ~3 ms per query in pure Python.
 
-Replay runs on :class:`~repro.harness.runner.Evaluation`'s default
-engine ("batch"), which amortizes each workload's trace columns
-across the whole lineup: every prefetcher cell replays the same
-cached :class:`~repro.types.Trace`, so its columns and monotone check
-are computed once per workload and reused by the baseline and every
-cell.  Results are bit-identical across engines — only wall-clock
-changes.
+:class:`~repro.harness.runner.Evaluation` amortizes each workload's
+trace columns across the whole lineup: every prefetcher cell replays
+the same cached :class:`~repro.types.Trace`, so its columns and the
+monotone check the compiled replay kernel needs are computed once per
+workload and reused by the baseline and every cell.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ def cell_label(index: int, workload: str, spec: CellSpec) -> str:
 
 
 def cell_key(workload: str, spec: CellSpec, *, seed: int, n_accesses: int,
-             budget: int, engine: str, hierarchy) -> str:
+             budget: int, hierarchy) -> str:
     """Canonical, self-describing key for one grid cell.
 
     ``spec`` is a registry prefetcher name or a ``PathfinderConfig``;
@@ -151,7 +151,6 @@ def cell_key(workload: str, spec: CellSpec, *, seed: int, n_accesses: int,
         "seed": seed,
         "n_accesses": n_accesses,
         "budget": budget,
-        "engine": engine,
         "hierarchy": dataclasses.asdict(hierarchy),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -303,16 +302,13 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
                    baseline: SimResult,
                    hierarchy: Optional[HierarchyConfig] = None,
                    budget: int = 2,
-                   obs: Optional[Observability] = None,
-                   engine: str = "batch") -> EvalRow:
+                   obs: Optional[Observability] = None) -> EvalRow:
     """Generate this prefetcher's prefetch file and replay it.
 
     With an enabled ``obs`` bundle, the two phases are profiled
     (``prefetch_file`` / ``replay``), the prefetcher's internal
     telemetry is published, and the simulator emits lifecycle events;
     the per-phase wall times land in :attr:`EvalRow.timings` either way.
-    ``engine`` selects the replay engine (results are bit-identical;
-    see :class:`~repro.sim.simulator.Simulator`).
 
     The prefetcher runs behind a
     :class:`~repro.resilience.guard.GuardedPrefetcher`: a healthy model
@@ -339,7 +335,7 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
     prefetcher.publish_telemetry()
     start = time.perf_counter()
     with obs.profiler.phase("replay"):
-        sim = Simulator(hierarchy, obs=obs, engine=engine)
+        sim = Simulator(hierarchy, obs=obs)
         result = sim.run(trace, requests, prefetcher.name)
     timings["replay_s"] = time.perf_counter() - start
     extras: Dict[str, object] = {"engine_used": sim.engine_used}
@@ -428,14 +424,6 @@ class Evaluation:
     #: Optional observability bundle threaded through trace generation,
     #: baseline replay, and every prefetcher run.
     obs: Optional[Observability] = None
-    #: Replay engine for every simulation in the grid ("batch" or
-    #: "reference"); results are bit-identical, only wall-clock
-    #: differs.  The batch default also amortizes the trace's columns
-    #: across the whole lineup: every cell replays the same cached
-    #: :class:`~repro.types.Trace`, so the columns and the monotone
-    #: flag the kernel checks are built once per workload, not once
-    #: per cell.
-    engine: str = "batch"
     #: Retry/timeout policy for ``run_cells``.  ``None`` falls back to
     #: the ambient default (the CLI's ``--retries`` / ``--cell-timeout``,
     #: see :func:`ambient_policy`); with neither, a serial grid runs on
@@ -469,7 +457,7 @@ class Evaluation:
             with obs.profiler.phase("baseline_replay"):
                 self._baselines[workload] = simulate(
                     self.trace(workload), config=self.hierarchy,
-                    prefetcher_name="none", obs=obs, engine=self.engine)
+                    prefetcher_name="none", obs=obs)
         return self._baselines[workload]
 
     def run(self, workload: str, spec: CellSpec) -> EvalRow:
@@ -477,12 +465,12 @@ class Evaluation:
         return run_prefetcher(self.trace(workload), make_prefetcher(spec),
                               self.baseline(workload),
                               hierarchy=self.hierarchy, budget=self.budget,
-                              obs=self._obs(), engine=self.engine)
+                              obs=self._obs())
 
     def _cell_key(self, workload: str, spec: CellSpec) -> str:
         return cell_key(workload, spec, seed=self.seed,
                         n_accesses=self.n_accesses, budget=self.budget,
-                        engine=self.engine, hierarchy=self.hierarchy)
+                        hierarchy=self.hierarchy)
 
     def _failed_row(self, workload: str, spec: CellSpec, attempts: int,
                     error: str) -> EvalRow:
@@ -623,8 +611,7 @@ class Evaluation:
         # worker like any other cell error, not the whole grid up front.
         envelope = CampaignSpec(
             name="grid", seeds=(self.seed,), loads=self.n_accesses,
-            budget=self.budget, engine=self.engine,
-            workers=min(workers, len(grid_cells)),
+            budget=self.budget, workers=min(workers, len(grid_cells)),
             workloads=tuple(dict.fromkeys(c.workload for c in grid_cells)),
             prefetchers=tuple(dict.fromkeys(
                 c.prefetcher for c in grid_cells

@@ -12,9 +12,9 @@ Design rules
 ------------
 
 - **Fixed windows.**  Every point is keyed by its window *start*
-  (always a multiple of the series' window size); the engines sample at
-  window boundaries, so point starts are ``0, W, 2W, ...`` with the
-  final partial window keyed like any other.
+  (always a multiple of the series' window size); both replay loops
+  sample at window boundaries, so point starts are ``0, W, 2W, ...``
+  with the final partial window keyed like any other.
 - **Two aggregations.**  ``"sum"`` series hold per-window deltas of
   cumulative counters (hit counts, issued prefetches); ``"last"``
   series hold point-in-time gauges (queue occupancy, weight norms).

@@ -1,10 +1,10 @@
-"""The simulator's compiled replay engine (``engine="batch"``).
+"""The simulator's compiled replay loop.
 
 The reference loop in :class:`repro.sim.simulator.Simulator` is the
 readable specification; this package runs the same replay faster, in
 three layers:
 
-- :mod:`.planner` — the columnar replay plan both engines (and the
+- :mod:`.planner` — the columnar replay plan both loops (and the
   multicore simulator) read: the invalid-record drop, the per-trigger
   budget trim, the CSR trigger schedule, and the eligibility checks
   that decide whether the compiled kernel may run.

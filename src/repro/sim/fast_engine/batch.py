@@ -1,16 +1,16 @@
-"""The ``engine="batch"`` replay driver.
+"""The compiled replay driver.
 
 Executes a :class:`~repro.sim.fast_engine.planner.ReplayPlan` on the
 compiled C kernel (:mod:`~repro.sim.fast_engine.ckernel`) and writes
 the kernel's counters back into the simulator's caches and DRAM model.
 Whatever the kernel cannot take — no C compiler (or
-``REPRO_NO_SIMKERNEL=1``), an ineligible plan (non-monotone
-instruction ids, negative blocks, oversized ids), or a simulator whose
-state is already populated — runs on the reference loop instead, over
-the same plan, with an :class:`~repro.errors.EngineFallbackWarning`
-and ``sim.engine_used = "reference"``.  Both paths produce
-bit-identical :class:`~repro.sim.metrics.SimResult`\\ s; the parity and
-differential suites run them against each other.
+``REPRO_NO_CKERNEL=1``), an ineligible plan (non-monotone instruction
+ids, negative blocks, oversized ids), or a simulator whose state is
+already populated — runs on the reference loop instead, over the same
+plan, with an :class:`~repro.errors.EngineFallbackWarning` and
+``sim.engine_used = "reference"``.  Both paths produce bit-identical
+:class:`~repro.sim.metrics.SimResult`\\ s; the parity and differential
+suites run them against each other.
 
 :meth:`~repro.sim.simulator.Simulator.run` builds every replay's plan
 through this module's :func:`plan_replay` (re-exported from
@@ -65,11 +65,6 @@ def feed_kernel_series(recorder, series_rows: np.ndarray, n: int,
             gauges={REPLAY_QUEUE_GAUGE: row[len(REPLAY_SERIES_NAMES)]})
 
 
-def _load_replay_kernel():
-    """Seam for tests: the compiled kernel, or ``None``."""
-    return load_kernel()
-
-
 def _fallback_reason(sim, plan, kernel):
     """Why the kernel cannot run this replay, or ``None`` if it can."""
     if not plan.kernel_eligible:
@@ -95,7 +90,7 @@ def replay_batch(sim, trace: Trace, plan: ReplayPlan,
     results stay bit-identical.
     """
     arrays = trace.arrays()
-    kernel = _load_replay_kernel()
+    kernel = load_kernel()
     reason = _fallback_reason(sim, plan, kernel)
     if reason is not None:
         sim.engine_used = "reference"

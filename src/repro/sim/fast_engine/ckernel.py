@@ -1,4 +1,4 @@
-"""On-demand compiled C kernel for the batch replay engine.
+"""On-demand compiled C kernel for the simulator's replay loop.
 
 The replay recurrence — dispatch cursor, ROB drain, MSHR/DRAM heaps,
 prefetch fills — is sequential by nature: each access's timing depends
@@ -13,7 +13,7 @@ machinery.
 Bit-identity contract
 ---------------------
 The C code performs exactly the same IEEE-754 double operations in the
-same order as the reference engine:
+same order as the reference loop:
 
 - ``dispatch += gap / width`` uses one correctly-rounded double
   division, like Python's int/int true division;
@@ -37,10 +37,11 @@ same order as the reference engine:
 - compiled with ``-ffp-contract=off -fno-fast-math`` so no FMA
   contraction or reassociation can change results.
 
-If no compiler is available (or ``REPRO_NO_SIMKERNEL=1`` is set) the
-batch engine falls back to the reference loop — slower, never
-wrong.  Compiled objects share the snn kernel's cache directory
-(``$REPRO_CKERNEL_CACHE``), keyed by a hash of source and compiler.
+If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set, which
+also disables :mod:`repro.snn.ckernel`) the simulator runs the
+reference loop — slower, never wrong.  Compiled objects share the snn
+kernel's cache directory (``$REPRO_CKERNEL_CACHE``), keyed by a hash
+of source and compiler.
 """
 
 from __future__ import annotations
@@ -798,15 +799,15 @@ def load_kernel() -> Optional[ReplayKernel]:
     """The process-wide compiled replay kernel, or ``None``.
 
     Compiles on first call (cached on disk afterwards).  Returns
-    ``None`` — and the batch engine falls back to the reference loop —
-    when ``REPRO_NO_SIMKERNEL=1``, no C compiler is on PATH, or
+    ``None`` — and the simulator runs the reference loop — when
+    ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or
     compilation/loading fails for any reason.
     """
     global _kernel, _kernel_tried
     if _kernel_tried:
         return _kernel
     _kernel_tried = True
-    if os.environ.get("REPRO_NO_SIMKERNEL") == "1":
+    if os.environ.get("REPRO_NO_CKERNEL") == "1":
         return None
     so_path = compile_library("replay", C_SOURCE)
     if so_path is None:

@@ -1,4 +1,4 @@
-"""The replay plan shared by both engines and the multicore simulator.
+"""The replay plan shared by both replay loops and the multicore simulator.
 
 Each replay splits into a *plan* (derived once from the trace columns
 and the prefetch file, no simulator state involved) and an *execution*

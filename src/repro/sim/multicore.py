@@ -13,6 +13,12 @@ Cores are interleaved in global dispatch-cycle order: at every step the
 core whose next access dispatches earliest proceeds, which keeps the
 shared-resource timeline consistent without a full event queue.
 
+Each core is a :class:`~repro.sim.simulator.Simulator` whose L1D, L2
+and timing core are its own and whose LLC, DRAM model and in-flight
+prefetch queue are the co-run's shared ones; every step runs that
+simulator's own prefetch drain, demand path and prefetch issue, so a
+co-run serves loads exactly as the single-core reference loop does.
+
 Each core's prefetch file goes through the same replay plan as the
 single-core simulator (:func:`~repro.sim.fast_engine.planner.plan_replay`):
 negative addresses are dropped and counted in that core's
@@ -22,18 +28,17 @@ negative addresses are dropped and counted in that core's
 
 from __future__ import annotations
 
-import heapq
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, EngineFallbackWarning, SimulationError
 from ..types import PrefetchFile, Trace
 from .cache import SetAssociativeCache
-from .cpu import TimingCore
 from .dram import DramModel
 from .fast_engine.planner import plan_replay
 from .metrics import SimResult
-from .simulator import HierarchyConfig, Prefetches
+from .simulator import HierarchyConfig, Prefetches, Simulator
 
 
 @dataclass
@@ -64,15 +69,22 @@ class MulticoreResult:
 
 
 class _Core:
-    """Per-core private state."""
+    """One core: a :class:`Simulator` over the co-run's shared uncore."""
 
     def __init__(self, index: int, trace: Trace, prefetches: Prefetches,
-                 config: HierarchyConfig):
+                 uncore: "MulticoreSimulator"):
+        config = uncore.config
         self.index = index
         self.trace = trace
-        self.l1d = SetAssociativeCache(config.l1d)
-        self.l2 = SetAssociativeCache(config.l2)
-        self.core = TimingCore(config.core)
+        with warnings.catch_warnings():
+            # The replay-loop choice belongs to Simulator.run, which a
+            # co-run never calls.
+            warnings.simplefilter("ignore", EngineFallbackWarning)
+            self.sim = Simulator(config)
+        self.sim.llc = uncore.llc
+        self.sim.dram = uncore.dram
+        self.sim._pf_heap = uncore._pf_heap
+        self.sim._pf_inflight = uncore._pf_inflight
         self.position = 0
         arrays = trace.arrays()
         #: The trace's id and block columns, as lists for the loop.
@@ -97,9 +109,10 @@ class _Core:
 
     def next_dispatch_estimate(self) -> float:
         """Dispatch cycle of the next access if it ran now."""
+        core = self.sim.core
         gap = max(0, self.instr_ids[self.position]
-                  - self.core._last_instr_id)  # estimate only
-        return self.core.cycle + gap / self.core.config.width
+                  - core._last_instr_id)  # estimate only
+        return core.cycle + gap / core.config.width
 
 
 class MulticoreSimulator:
@@ -117,58 +130,15 @@ class MulticoreSimulator:
         self._pf_inflight: Dict[int, int] = {}
         self._ran = False
 
-    # -- shared-LLC helpers --------------------------------------------------
-
     def _isolate(self, core_index: int, block: int) -> int:
-        """Tag a block with the core's address space (separate programs)."""
+        """Tag a block with the core's address space (separate programs).
+
+        Trace addresses are below 2^63, so blocks are below 2^57 and
+        the tag sits above every block bit.
+        """
         if not self.address_isolation:
             return block
-        return block | (core_index << 44)
-
-    def _drain_prefetches(self, cycle: float) -> None:
-        while self._pf_heap and self._pf_heap[0][0] <= cycle:
-            _, block = heapq.heappop(self._pf_heap)
-            if self._pf_inflight.pop(block, None) is not None:
-                self.llc.insert(block, prefetched=True)
-
-    def _issue_prefetch(self, core: _Core, block: int, cycle: float) -> None:
-        if self.llc.contains(block) or block in self._pf_inflight:
-            return
-        completion = self.dram.access(block, int(cycle))
-        self._pf_inflight[block] = completion
-        heapq.heappush(self._pf_heap, (completion, block))
-        core.result.pf_issued += 1
-
-    def _demand(self, core: _Core, block: int, dispatch: float) -> float:
-        cfg = self.config
-        result = core.result
-        if core.l1d.lookup(block):
-            result.l1d_hits += 1
-            return cfg.l1d.latency
-        if core.l2.lookup(block):
-            result.l2_hits += 1
-            core.l1d.insert(block)
-            return cfg.l1d.latency + cfg.l2.latency
-        lookup_latency = cfg.l1d.latency + cfg.l2.latency + cfg.llc.latency
-        if self.llc.lookup(block):
-            result.llc_hits += 1
-            core.l2.insert(block)
-            core.l1d.insert(block)
-            return lookup_latency
-        result.llc_misses += 1
-        inflight = self._pf_inflight.pop(block, None)
-        if inflight is not None:
-            result.pf_late += 1
-            result.pf_useful += 1
-            completion = max(inflight, dispatch + lookup_latency)
-        else:
-            issue = core.core.mshr_admit(dispatch + lookup_latency)
-            completion = self.dram.access(block, int(issue))
-            core.core.mshr_fill(completion)
-        self.llc.insert(block)
-        core.l2.insert(block)
-        core.l1d.insert(block)
-        return completion - dispatch
+        return block | (core_index << 57)
 
     # -- main loop ---------------------------------------------------------
 
@@ -194,33 +164,33 @@ class MulticoreSimulator:
         cores = [
             _Core(i, trace,
                   prefetch_files[i] if prefetch_files is not None else (),
-                  self.config)
+                  self)
             for i, trace in enumerate(traces)
         ]
 
         active = [c for c in cores if not c.done()]
         while active:
             core = min(active, key=lambda c: c.next_dispatch_estimate())
+            sim = core.sim
             position = core.position
             instr_id = core.instr_ids[position]
             core.position += 1
-            dispatch = core.core.dispatch_load(instr_id)
-            self._drain_prefetches(dispatch)
+            dispatch = sim.core.dispatch_load(instr_id)
+            sim._drain_completed_prefetches(dispatch)
             block = self._isolate(core.index, core.blocks[position])
-            latency = self._demand(core, block, dispatch)
-            core.core.complete_load(instr_id, dispatch + latency)
+            latency = sim._demand_access(block, dispatch, core.result)
+            sim.core.complete_load(instr_id, dispatch + latency)
             for pf_block in core.pf_blocks[core.pf_starts[position]:
                                            core.pf_starts[position + 1]]:
-                self._issue_prefetch(core,
-                                     self._isolate(core.index, pf_block),
-                                     dispatch)
+                sim._issue_prefetch(self._isolate(core.index, pf_block),
+                                    dispatch, core.result)
             if core.done():
                 active.remove(core)
 
         result = MulticoreResult()
         llc_useful = self.llc.useful_prefetches
         for core in cores:
-            core.result.cycles = core.core.finalize(
+            core.result.cycles = core.sim.core.finalize(
                 core.trace.instruction_count)
             core.result.dram_requests = self.dram.requests
             result.per_core.append(core.result)

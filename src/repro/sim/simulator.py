@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..errors import ConfigError, EngineFallbackWarning, SimulationError
+from ..errors import EngineFallbackWarning, SimulationError
 from ..obs import Counter, Observability
 from ..types import PrefetchFile, PrefetchRequest, Trace
 from .cache import CacheConfig, SetAssociativeCache
@@ -25,9 +25,6 @@ from .fast_engine import batch as batch_engine
 from .fast_engine.batch import REPLAY_QUEUE_GAUGE, REPLAY_SERIES_NAMES
 from .fast_engine.planner import ReplayPlan
 from .metrics import SimResult
-
-#: Replay engines accepted by :class:`Simulator` and :func:`simulate`.
-ENGINES = ("batch", "reference")
 
 #: What :meth:`Simulator.run` replays: a prefetch file, or any
 #: iterable of request records (converted once on entry).
@@ -92,17 +89,17 @@ class Simulator:
     ``run.begin``/``run.end`` events.  With the default disabled
     bundle the replay loop pays only a handful of boolean checks.
 
-    Two replay engines produce bit-identical results (enforced by
+    The simulator picks its replay loop from what it can observe; both
+    produce bit-identical results (enforced by
     ``tests/test_replay_parity.py`` and
     ``tests/test_replay_differential.py``):
 
-    - ``"batch"`` (default) — :mod:`repro.sim.fast_engine.batch` runs
-      the whole sequential recurrence in a compiled C kernel, which
-      writes its counters back into this simulator's caches and DRAM
-      model;
+    - ``"batch"`` — :mod:`repro.sim.fast_engine.batch` runs the whole
+      sequential recurrence in a compiled C kernel, which writes its
+      counters back into this simulator's caches and DRAM model;
     - ``"reference"`` — the straightforward per-object loop in
       :meth:`_run_reference`, kept as the readable specification,
-      parity oracle, and the fallback for everything the kernel cannot
+      parity oracle, and the loop for everything the kernel cannot
       take.
 
     Both read one replay plan
@@ -112,38 +109,33 @@ class Simulator:
 
     The kernel covers LRU replacement and metrics-level observability
     on a cold simulator.  Per-event tracing or an ``srrip`` level
-    selects the reference engine at construction; no C compiler (or
-    ``REPRO_NO_SIMKERNEL=1``), an ineligible plan, or pre-populated
-    state fall back to it at run time.  Every downgrade emits a typed
+    selects the reference loop at construction; no C compiler (or
+    ``REPRO_NO_CKERNEL=1``), an ineligible plan, or pre-populated
+    state select it at run time.  Each of these emits a typed
     :class:`~repro.errors.EngineFallbackWarning` and sets
-    :attr:`engine_used`, so callers can always ask for the fastest
-    engine and still see when they did not get it.
+    :attr:`engine_used`, so a caller always sees which loop ran.
     """
 
     def __init__(self, config: Optional[HierarchyConfig] = None,
-                 obs: Optional[Observability] = None,
-                 engine: str = "batch"):
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown replay engine {engine!r}; expected one of {ENGINES}")
+                 obs: Optional[Observability] = None):
         self.config = config or HierarchyConfig()
         self.obs = obs if obs is not None else Observability.disabled()
         self._trace_events = self.obs.tracer.enabled
+        #: The loop that ran (or will run): ``"batch"`` until a
+        #: condition the kernel cannot take selects ``"reference"``.
+        self.engine_used = "batch"
         # The kernel has no event-tracing hooks and only implements
-        # LRU, so those configurations run on the reference engine.
+        # LRU, so those configurations run on the reference loop.
         non_lru = (self.config.l1d.replacement != "lru"
                    or self.config.l2.replacement != "lru"
                    or self.config.llc.replacement != "lru")
-        if engine == "batch" and (self._trace_events or non_lru):
+        if self._trace_events or non_lru:
             reason = ("event tracing is enabled" if self._trace_events
                       else "a non-LRU replacement policy is configured")
-            engine = "reference"
+            self.engine_used = "reference"
             warnings.warn(EngineFallbackWarning(
                 f"replay engine downgraded to 'reference': {reason}"),
                 stacklevel=2)
-        #: The engine that ran (or will run): ``"batch"`` until the
-        #: batch driver falls back at run time.
-        self.engine_used = engine
         self.l1d = SetAssociativeCache(self.config.l1d)
         self.l2 = SetAssociativeCache(self.config.l2)
         self.llc = SetAssociativeCache(self.config.llc)
@@ -252,7 +244,7 @@ class Simulator:
             prefetcher_name: str = "none") -> SimResult:
         """Replay ``trace`` with the given prefetch file.
 
-        One plan serves both engines.  Records with a negative address
+        One plan serves both loops.  Records with a negative address
         are dropped first and counted in ``extra["pf_dropped"]``
         (traced as ``pf.dropped reason=invalid``, in file order).  Each
         trigger id then keeps its first ``max_prefetches_per_access``
@@ -311,7 +303,7 @@ class Simulator:
 
         # Windowed series collection (``--series``): one recorder per
         # replay, fed cumulative counters at window boundaries.  With
-        # no collector armed — the default — both engines run their
+        # no collector armed — the default — both loops run their
         # series-free path untouched.
         recorder = None
         if self.obs.series is not None:
@@ -340,9 +332,9 @@ class Simulator:
                        result: SimResult, recorder=None) -> None:
         """The reference replay loop — the readable specification.
 
-        Runs ``engine="reference"`` and every replay the batch kernel
-        cannot take.  Access ``i`` issues the plan's CSR row ``i``,
-        exactly the blocks the kernel issues there.  With a
+        Runs every replay the batch kernel cannot take.  Access ``i``
+        issues the plan's CSR row ``i``, exactly the blocks the kernel
+        issues there.  With a
         :class:`~repro.obs.timeseries.WindowRecorder` armed it also
         samples the cumulative counters at each window boundary
         (:meth:`_sample_series`); sampling only reads state, so the
@@ -421,8 +413,6 @@ class Simulator:
 def simulate(trace: Trace, prefetches: Prefetches = (),
              config: Optional[HierarchyConfig] = None,
              prefetcher_name: str = "none",
-             obs: Optional[Observability] = None,
-             engine: str = "batch") -> SimResult:
+             obs: Optional[Observability] = None) -> SimResult:
     """Convenience wrapper: build a fresh :class:`Simulator` and run it."""
-    return Simulator(config, obs=obs, engine=engine).run(
-        trace, prefetches, prefetcher_name)
+    return Simulator(config, obs=obs).run(trace, prefetches, prefetcher_name)

@@ -242,7 +242,7 @@ class TraceArrays:
             all the same length, in program order.
         blocks: ``addresses >> BLOCK_BITS``, derived once.
 
-    The view also caches the monotonicity flag the batch engine's
+    The view also caches the monotonicity flag the replay kernel's
     planner checks, so a lineup run (baseline + N prefetchers, repeated
     per seed) derives it once per trace rather than once per replay.
     """

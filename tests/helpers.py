@@ -1,8 +1,29 @@
 """Shared helpers for building small traces and reading state in tests."""
 
+import contextlib
+import warnings
+from unittest import mock
+
 import numpy as np
 
+from repro.errors import EngineFallbackWarning
+from repro.sim.fast_engine import batch
 from repro.types import Trace
+
+
+@contextlib.contextmanager
+def reference_loop():
+    """Replay on the simulator's reference loop inside the block.
+
+    The compiled replay kernel reads as unavailable, so every
+    :meth:`~repro.sim.simulator.Simulator.run` takes the reference
+    loop, and the :class:`EngineFallbackWarning` that says so is
+    absorbed.
+    """
+    with mock.patch.object(batch, "load_kernel", lambda: None), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineFallbackWarning)
+        yield
 
 
 def build_trace(addresses, pc=0x400, gap=10, name="t"):

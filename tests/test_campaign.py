@@ -54,15 +54,19 @@ def test_spec_roundtrip_and_defaults():
     {"loads": 0},
     {"max_attempts": 0},
     {"workers": -1},
-    {"engine": "fast"},  # removed engine
+    {"engine": "fast"},
     # A repeated value would expand into two cells sharing one key.
     {"workloads": ("cc-5", "cc-5")},
     {"prefetchers": ("nextline", "nextline")},
     {"seeds": (1, 1)},
+    {"engine": "batch"},
 ])
 def test_spec_validation_rejects(overrides):
-    with pytest.raises(ConfigError):
-        small_spec(**overrides)
+    """Bad values fail validation; a spec has no replay ``engine`` (the
+    simulator picks its loop), so any engine key is an unknown field."""
+    match = "unknown field" if "engine" in overrides else None
+    with pytest.raises(ConfigError, match=match):
+        CampaignSpec.from_dict(dict(small_spec().to_dict(), **overrides))
 
 
 def test_spec_from_dict_rejects_unknown_and_missing():

@@ -42,7 +42,6 @@ def test_concurrent_cold_compiles_all_get_working_kernels(tmp_path):
     cache = tmp_path / "cache"
     env = dict(os.environ, REPRO_CKERNEL_CACHE=str(cache))
     env.pop("REPRO_NO_CKERNEL", None)
-    env.pop("REPRO_NO_SIMKERNEL", None)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))

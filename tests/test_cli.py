@@ -44,30 +44,11 @@ def test_run_rejects_unknown_prefetcher():
         main(["run", "cc-5", "nope"])
 
 
-def test_run_engine_batch_explicit(capsys):
-    assert main(["run", "cc-5", "nextline", "--loads", "1000",
-                 "--engine", "batch"]) == 0
-    assert "speedup" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("extra", [
-    ["--events-out", "e.jsonl"],
-])
-def test_run_engine_batch_with_incompatible_flag_is_config_error(
-        tmp_path, capsys, extra, monkeypatch):
-    """An *explicit* --engine batch combined with flags that force a
-    slower engine must exit 2 with a config error, not downgrade."""
-    monkeypatch.chdir(tmp_path)  # --events-out writes relative to cwd
-    assert main(["run", "cc-5", "nextline", "--loads", "400",
-                 "--engine", "batch"] + extra) == 2
-    assert "incompatible" in capsys.readouterr().out
-
-
 def test_run_engine_batch_with_inject_faults_stays_on_batch(tmp_path):
-    """Armed faults no longer force a slower engine: an explicit
-    --engine batch runs, and the ledger records the kernel."""
+    """Armed faults do not force the reference loop: the ledger
+    records the kernel."""
     assert main(["run", "cc-5", "nextline", "--loads", "400",
-                 "--engine", "batch", "--results-dir", str(tmp_path),
+                 "--results-dir", str(tmp_path),
                  "--inject-faults", "prefetcher.access:p=0"]) == 0
     (ledger,) = tmp_path.glob("*.jsonl")
     (cell,) = read_ledger(ledger)["cells"]
@@ -75,9 +56,11 @@ def test_run_engine_batch_with_inject_faults_stays_on_batch(tmp_path):
 
 
 def test_run_rejects_removed_engine(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "cc-5", "nextline", "--engine", "fast"])
-    assert exc.value.code == 2
+    """The simulator picks its replay loop: any --engine exits 2."""
+    for engine in ("batch", "reference", "fast"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "cc-5", "nextline", "--engine", engine])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,7 +75,7 @@ def test_removed_bench_commands_rejected(argv, capsys):
 
 
 def test_run_default_engine_downgrades_with_warning(tmp_path, capsys):
-    """Leaving --engine off lets the simulator downgrade (visibly)."""
+    """Event tracing runs the reference loop, with a warning."""
     import warnings
 
     from repro.errors import EngineFallbackWarning
@@ -149,6 +132,26 @@ def test_campaign_run_status_resume_report(tmp_path, capsys):
     assert main(["report", "--campaign", str(directory),
                  "--html", str(html)]) == 0
     assert "Campaign" in html.read_text()
+
+
+def test_campaign_resume_rejects_schema_1_directory(tmp_path, capsys):
+    """A directory written while specs and cell keys carried a replay
+    engine exits 2 on its schema, not on the engine field."""
+    import json
+
+    from repro.campaign import CAMPAIGN_FILE, Campaign, CampaignSpec
+
+    directory = tmp_path / "camp"
+    Campaign.create(directory, CampaignSpec(
+        name="old", workloads=("cc-5",), prefetchers=("nextline",),
+        loads=400, workers=0))
+    meta = json.loads((directory / CAMPAIGN_FILE).read_text())
+    meta["schema"] = 1
+    meta["spec"]["engine"] = "batch"
+    (directory / CAMPAIGN_FILE).write_text(json.dumps(meta))
+    assert main(["campaign", "resume", str(directory)]) == 2
+    out = capsys.readouterr().out
+    assert "campaign schema 1" in out and "engine" not in out
 
 
 def test_campaign_run_rejects_existing_dir_and_bad_spec(tmp_path, capsys):

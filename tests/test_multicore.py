@@ -3,13 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, EngineFallbackWarning, SimulationError
 from repro.harness.runner import make_prefetcher
 from repro.prefetchers import NextLinePrefetcher, generate_prefetches
 from repro.sim import simulate
+from repro.sim.cache import CacheConfig
 from repro.sim.multicore import MulticoreSimulator, simulate_multicore
 from repro.sim.simulator import HierarchyConfig
 from repro.traces import make_trace
@@ -54,6 +56,17 @@ def test_address_isolation_no_false_sharing():
     assert all(r.llc_misses == 300 for r in result.per_core)
 
 
+def test_address_isolation_holds_for_high_blocks():
+    """A block with bit 44 or above set must not alias another core's
+    tag: core 0 at 2^50 + 64 i, core 1 at 64 i share nothing."""
+    a = build_trace([(1 << 50) + 64 * i for i in range(200)], pc=0x10,
+                    name="a")
+    b = build_trace([64 * i for i in range(200)], pc=0x20, name="b")
+    result = simulate_multicore([a, b], config=HierarchyConfig.scaled())
+    assert [(r.llc_misses, r.llc_hits) for r in result.per_core] \
+        == [(200, 0), (200, 0)]
+
+
 def test_corun_degrades_ipc_vs_solo():
     """Shared LLC + DRAM contention must cost each program IPC."""
     hierarchy = HierarchyConfig.scaled()
@@ -65,6 +78,16 @@ def test_corun_degrades_ipc_vs_solo():
     assert co.per_core[1].ipc <= solo_b.ipc + 1e-9
     ws = co.weighted_speedup([solo_a.ipc, solo_b.ipc])
     assert 0.5 < ws <= 2.0 + 1e-9
+
+
+def test_non_lru_corun_warns_nothing():
+    """A co-run has one loop, so a non-LRU LLC is no fallback."""
+    config = HierarchyConfig(llc=CacheConfig(
+        name="LLC", sets=128, ways=16, latency=20, replacement="srrip"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
+        result = simulate_multicore(list(_two_traces(100)), config=config)
+    assert all(r.llc_misses == 100 for r in result.per_core)
 
 
 def test_weighted_speedup_validation():

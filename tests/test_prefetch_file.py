@@ -11,12 +11,13 @@ loops they replaced:
   different byte offsets), negative addresses and over-budget rows,
   across budgets, chunk sizes and series windows;
 - replay of a file against its request-list round trip, on both
-  engines, and against numbers pinned from the old ``by_trigger``
+  loops, and against numbers pinned from the old ``by_trigger``
   replay on a trace with duplicate and regressing instruction ids.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from typing import List
 
@@ -35,7 +36,19 @@ from repro.sim.fast_engine.planner import plan_replay
 from repro.sim.simulator import HierarchyConfig, simulate
 from repro.types import MemoryAccess, PrefetchFile, PrefetchRequest, Trace
 
-ENGINES = ("reference", "batch")
+from tests.helpers import reference_loop
+
+#: The simulator's two replay loops; see :func:`_on`.
+LOOPS = ("reference", "batch")
+
+
+def _on(loop):
+    """The context a replay on ``loop`` runs in."""
+    if loop == "reference":
+        return reference_loop()
+    return contextlib.nullcontext()
+
+
 _BASE = 1 << 20
 
 
@@ -168,11 +181,12 @@ def hierarchies(draw):
         max_prefetches_per_access=draw(st.integers(1, 4)))
 
 
-def _simulate_quietly(trace, prefetches, config, engine):
-    """Replay; a non-monotone trace's kernel fallback is expected."""
-    with warnings.catch_warnings():
+def _simulate_quietly(trace, prefetches, config, loop):
+    """Replay on ``loop``; a non-monotone trace's kernel fallback is
+    expected."""
+    with _on(loop), warnings.catch_warnings():
         warnings.simplefilter("ignore", EngineFallbackWarning)
-        return simulate(trace, prefetches, config, "t", engine=engine)
+        return simulate(trace, prefetches, config, "t")
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -184,12 +198,12 @@ def test_replay_from_requests_round_trip(run, config, budget):
     rebuilt = PrefetchFile.from_requests(trace, list(pfile))
     if trace.arrays().monotone():
         assert rebuilt == pfile
-    results = {engine: _simulate_quietly(trace, pfile, config, engine)
-               for engine in ENGINES}
+    results = {loop: _simulate_quietly(trace, pfile, config, loop)
+               for loop in LOOPS}
     assert results["batch"] == results["reference"]
-    for engine in ENGINES:
+    for loop in LOOPS:
         assert _simulate_quietly(trace, rebuilt, config,
-                                 engine) == results[engine]
+                                 loop) == results[loop]
 
 
 def _by_trigger_schedule(trace, requests, max_per_access):
@@ -282,11 +296,11 @@ def test_replay_duplicate_ids_pinned(key):
     prefetcher = (_Scripted(_DUP_ROWS) if name == "scripted"
                   else NextLinePrefetcher(degree=3))
     pfile = generate_prefetches(prefetcher, trace, budget=budget)
-    for engine in ENGINES:
-        r = _simulate_quietly(trace, pfile, _tiny_hierarchy(max_pf), engine)
+    for loop in LOOPS:
+        r = _simulate_quietly(trace, pfile, _tiny_hierarchy(max_pf), loop)
         assert (len(pfile), r.cycles, r.pf_issued, r.pf_useful, r.pf_late,
                 r.llc_misses, r.extra.get("pf_dropped", 0.0)) \
-            == DUP_PINNED[key], engine
+            == DUP_PINNED[key], loop
 
 
 # -- invalid records ----------------------------------------------------------
@@ -297,16 +311,17 @@ def _seq_trace(n=32):
                   [_BASE + k for k in range(n)])
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_replay_negative_addresses_are_dropped_and_counted(engine):
+@pytest.mark.parametrize("loop", LOOPS)
+def test_replay_negative_addresses_are_dropped_and_counted(loop):
     trace = _seq_trace()
     requests = [PrefetchRequest(trace[0].instr_id, -320),
                 PrefetchRequest(trace[0].instr_id, (_BASE + 40) << 6)]
-    result = simulate(trace, requests, engine=engine)
+    with _on(loop):
+        result = simulate(trace, requests)
+        # The invalid record does not use up its trigger's budget.
+        alone = simulate(trace, requests[1:])
     assert result.pf_issued == 1
     assert result.extra["pf_dropped"] == 1.0
-    # The invalid record does not use up its trigger's budget.
-    alone = simulate(trace, requests[1:], engine=engine)
     assert result.cycles == alone.cycles
 
 

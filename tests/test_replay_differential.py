@@ -7,9 +7,10 @@ issue budgets of 1-4, traces whose blocks collide in one set, prefetch
 files with duplicate triggers, triggers missing from the trace or past
 its end, prefetches to blocks the trace has not touched yet, and
 instruction ids up to ``MAX_KERNEL_INSTR_ID``.  Every example replays
-under both engines with series collection off and on; the
-:class:`~repro.sim.metrics.SimResult` (and the series) must match, and
-the kernel must actually have run.
+on both loops (the reference side under
+:func:`tests.helpers.reference_loop`) with series collection off and
+on; the :class:`~repro.sim.metrics.SimResult` (and the series) must
+match, and the kernel must actually have run.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.sim.fast_engine.ckernel import load_kernel
 from repro.sim.fast_engine.planner import MAX_KERNEL_INSTR_ID
 from repro.sim.simulator import HierarchyConfig, Simulator
 from repro.types import MemoryAccess, PrefetchRequest, Trace
+
+from tests.helpers import reference_loop
 
 pytestmark = pytest.mark.skipif(
     load_kernel() is None, reason="the replay kernel is unavailable")
@@ -92,11 +95,11 @@ def replays(draw):
     return trace, requests
 
 
-def _replay(engine, config, trace, requests, series_window):
+def _replay(config, trace, requests, series_window):
     obs = None
     if series_window:
         obs = Observability(series=SeriesCollector(window=series_window))
-    sim = Simulator(config, obs=obs, engine=engine)
+    sim = Simulator(config, obs=obs)
     result = sim.run(trace, requests, "t")
     series = obs.series.snapshot() if obs is not None else None
     return sim.engine_used, result, series
@@ -129,10 +132,11 @@ def _tied_fills():
 @example(**_tied_fills())
 def test_batch_matches_reference(config, replay, series_window):
     trace, requests = replay
-    engine, batch, batch_series = _replay("batch", config, trace, requests,
+    engine, batch, batch_series = _replay(config, trace, requests,
                                           series_window)
-    _, reference, reference_series = _replay("reference", config, trace,
-                                             requests, series_window)
+    with reference_loop():
+        _, reference, reference_series = _replay(config, trace, requests,
+                                                 series_window)
     assert engine == "batch"
     assert batch == reference
     assert batch_series == reference_series

@@ -1,13 +1,15 @@
-"""Cross-engine parity: the batch kernel must match the reference loop.
+"""Replay-loop parity: the batch kernel must match the reference loop.
 
-The batch engine (``repro.sim.fast_engine.batch``) re-implements the
+The batch driver (``repro.sim.fast_engine.batch``) re-implements the
 reference replay loop as a columnar plan executed by a compiled
 kernel; the only permitted difference is wall-clock time.  These tests
-replay the same (trace, prefetch file) under both engines for every
+replay the same (trace, prefetch file) on both loops for every
 registered prefetcher across three behaviourally distinct workloads
 and require the *entire* :class:`~repro.sim.metrics.SimResult` —
 cycles included, to the last float bit — to match, along with the
-metrics registry and the windowed series.
+metrics registry and the windowed series.  The reference side runs
+under :func:`tests.helpers.reference_loop`; a parametrized ``engine``
+names the loop the candidate side must have run on.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ import warnings
 
 import pytest
 
-from repro.errors import ConfigError, EngineFallbackWarning
+from repro.errors import EngineFallbackWarning
 from repro.obs import MemorySink, Observability, SeriesCollector, Tracer
 from repro.prefetchers.base import generate_prefetches
 from repro.sim.cache import CacheConfig
 from repro.sim.simulator import HierarchyConfig, Simulator, simulate
 from repro.traces.workloads import make_trace
 from repro.harness.runner import PREFETCHER_FACTORIES, default_hierarchy
+
+from tests.helpers import reference_loop
 
 #: Three workloads with distinct pattern mixes: delta/interleaved-heavy,
 #: temporal-replay-heavy, and irregular chase-heavy.
@@ -54,21 +58,22 @@ def _requests(workload: str, prefetcher: str):
 def test_engines_bit_identical(workload, prefetcher, engine):
     trace = _trace(workload)
     requests = _requests(workload, prefetcher)
-    reference = simulate(trace, requests, default_hierarchy(),
-                         prefetcher, engine="reference")
-    candidate = simulate(trace, requests, default_hierarchy(),
-                         prefetcher, engine=engine)
-    assert candidate == reference
+    with reference_loop():
+        reference = simulate(trace, requests, default_hierarchy(),
+                             prefetcher)
+    sim = Simulator(default_hierarchy())
+    assert sim.run(trace, requests, prefetcher) == reference
+    assert sim.engine_used == engine
 
 
 @pytest.mark.parametrize("engine", ("batch",))
 def test_engines_bit_identical_without_prefetches(engine):
     trace = _trace("cc-5")
-    reference = simulate(trace, (), default_hierarchy(), "none",
-                         engine="reference")
-    candidate = simulate(trace, (), default_hierarchy(), "none",
-                         engine=engine)
-    assert candidate == reference
+    with reference_loop():
+        reference = simulate(trace, (), default_hierarchy(), "none")
+    sim = Simulator(default_hierarchy())
+    assert sim.run(trace, (), "none") == reference
+    assert sim.engine_used == engine
 
 
 def test_batch_engine_is_the_default():
@@ -76,30 +81,22 @@ def test_batch_engine_is_the_default():
     assert sim.engine_used == "batch"
 
 
-def test_unknown_engine_rejected():
-    for engine in ("turbo", "fast"):
-        with pytest.raises(ConfigError):
-            Simulator(default_hierarchy(), engine=engine)
-
-
-@pytest.mark.parametrize("engine", ("batch",))
-def test_srrip_config_falls_back_to_reference(engine):
+def test_srrip_config_falls_back_to_reference():
     config = HierarchyConfig(
         llc=CacheConfig(name="LLC", sets=128, ways=16, latency=20,
                         replacement="srrip"))
     with pytest.warns(EngineFallbackWarning, match="non-LRU"):
-        sim = Simulator(config, engine=engine)
+        sim = Simulator(config)
     assert sim.engine_used == "reference"
     # And the run still works end to end.
     result = sim.run(_trace("cc-5"), (), "none")
     assert result.llc_misses > 0
 
 
-@pytest.mark.parametrize("engine", ("batch",))
-def test_event_tracing_falls_back_to_reference(engine):
+def test_event_tracing_falls_back_to_reference():
     obs = Observability(tracer=Tracer(MemorySink()))
     with pytest.warns(EngineFallbackWarning, match="event tracing"):
-        sim = Simulator(default_hierarchy(), obs=obs, engine=engine)
+        sim = Simulator(default_hierarchy(), obs=obs)
     assert sim.engine_used == "reference"
 
 
@@ -110,22 +107,25 @@ def test_armed_faults_keep_the_batch_engine():
 
     trace = _trace("cc-5")
     requests = _requests("cc-5", "nextline")
-    reference = simulate(trace, requests, default_hierarchy(), "nextline",
-                         engine="reference")
+    with reference_loop():
+        reference = simulate(trace, requests, default_hierarchy(),
+                             "nextline")
     plan = FaultPlan.parse("prefetcher.access:p=0", seed=3)
     with injected(plan), warnings.catch_warnings():
         warnings.simplefilter("error", EngineFallbackWarning)
-        sim = Simulator(default_hierarchy(), engine="batch")
+        sim = Simulator(default_hierarchy())
         assert sim.run(trace, requests, "nextline") == reference
     assert sim.engine_used == "batch"
 
 
 def test_compatible_requests_warn_nothing():
+    """A cold LRU simulator with no event tracing runs the kernel
+    without a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", EngineFallbackWarning)
-        for engine in ("batch", "reference"):
-            assert Simulator(default_hierarchy(),
-                             engine=engine).engine_used == engine
+        sim = Simulator(default_hierarchy())
+        sim.run(_trace("cc-5"), _requests("cc-5", "nextline"), "nextline")
+    assert sim.engine_used == "batch"
 
 
 def test_metrics_observability_parity():
@@ -134,14 +134,15 @@ def test_metrics_observability_parity():
     trace = _trace("471-omnetpp-s1")
     requests = _requests("471-omnetpp-s1", "nextline")
 
-    def run(engine):
+    def run():
         obs = Observability()
-        sim = Simulator(default_hierarchy(), obs=obs, engine=engine)
+        sim = Simulator(default_hierarchy(), obs=obs)
         result = sim.run(trace, requests, "nextline")
         return sim, result, obs.registry.snapshot()
 
-    batch_sim, batch_result, batch_metrics = run("batch")
-    ref_sim, ref_result, ref_metrics = run("reference")
+    batch_sim, batch_result, batch_metrics = run()
+    with reference_loop():
+        ref_sim, ref_result, ref_metrics = run()
     assert batch_sim.engine_used == "batch"
     assert ref_sim.engine_used == "reference"
     assert batch_result == ref_result
@@ -152,17 +153,19 @@ def test_metrics_observability_parity():
 @pytest.mark.parametrize("prefetcher", ("nextline", "spp", "pathfinder"))
 def test_series_snapshots_match_reference(workload, prefetcher):
     """Every windowed series — the DRAM queue gauge included — is the
-    same whichever engine collected it."""
+    same whichever loop collected it."""
     trace = _trace(workload)
     requests = _requests(workload, prefetcher)
 
-    def snapshot(engine):
+    def snapshot():
         obs = Observability(series=SeriesCollector(window=256))
         result = simulate(trace, requests, default_hierarchy(), prefetcher,
-                          obs=obs, engine=engine)
+                          obs=obs)
         return result, obs.series.snapshot()
 
-    assert snapshot("batch") == snapshot("reference")
+    batch = snapshot()
+    with reference_loop():
+        assert batch == snapshot()
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -171,16 +174,15 @@ from repro.types import MemoryAccess, PrefetchRequest, Trace  # noqa: E402
 
 
 def _both_engines(trace, requests):
-    reference = simulate(trace, requests, default_hierarchy(), "t",
-                         engine="reference")
-    batch = simulate(trace, requests, default_hierarchy(), "t",
-                     engine="batch")
+    with reference_loop():
+        reference = simulate(trace, requests, default_hierarchy(), "t")
+    batch = simulate(trace, requests, default_hierarchy(), "t")
     return batch, reference
 
 
 def test_triggers_missing_from_trace_are_ignored():
     """Prefetch triggers that name no trace instruction are silently
-    dropped by both engines (ChampSim semantics)."""
+    dropped by both loops (ChampSim semantics)."""
     accesses = [MemoryAccess(instr_id=(i + 1) * 10, pc=0x4,
                              address=(1 << 20 | i) << 6)
                 for i in range(64)]
@@ -263,8 +265,8 @@ def _file(trace, *records):
 
 
 def _falls_back(trace, requests, match):
-    """Run the batch engine expecting a visible run-time fallback."""
-    sim = Simulator(default_hierarchy(), engine="batch")
+    """Replay expecting a visible run-time fallback."""
+    sim = Simulator(default_hierarchy())
     with pytest.warns(EngineFallbackWarning, match=match):
         result = sim.run(trace, requests, "t")
     assert sim.engine_used == "reference"
@@ -314,8 +316,8 @@ def test_planner_csr_alignment_tiles_exactly():
 
 def test_fill_on_window_boundary_is_bit_identical():
     """A prefetch whose fill completes exactly when a later trigger
-    access dispatches must be visible to that access in both
-    engines."""
+    access dispatches must be visible to that access on both
+    loops."""
     gap = 40  # wide instruction gap: fill completes before re-demand
     ids_blocks = [((k + 1) * gap, (1 << 20) + k) for k in range(30)]
     target = 1 << 21
@@ -336,8 +338,9 @@ def test_planner_rejects_non_monotone_ids():
     assert not plan.kernel_eligible
     assert "monotone" in plan.fallback_reason
     # The replay still runs (reference fallback) and stays bit-identical.
-    assert _falls_back(trace, (), "non-monotone") == simulate(
-        trace, (), default_hierarchy(), "t", engine="reference")
+    with reference_loop():
+        expected = simulate(trace, (), default_hierarchy(), "t")
+    assert _falls_back(trace, (), "non-monotone") == expected
 
 
 def test_planner_rejects_oversized_instruction_ids():
@@ -346,8 +349,9 @@ def test_planner_rejects_oversized_instruction_ids():
     plan = plan_replay(trace.arrays(), _file(trace), 2)
     assert not plan.kernel_eligible
     assert "bound" in plan.fallback_reason
-    assert _falls_back(trace, (), "bound") == simulate(
-        trace, (), default_hierarchy(), "t", engine="reference")
+    with reference_loop():
+        expected = simulate(trace, (), default_hierarchy(), "t")
+    assert _falls_back(trace, (), "bound") == expected
 
 
 def test_first_touch_prefetch_targets_stay_coupled():
@@ -364,48 +368,56 @@ def test_first_touch_prefetch_targets_stay_coupled():
 
 
 def test_batch_without_kernel_falls_back_bit_identically(monkeypatch):
-    """No C compiler (or REPRO_NO_SIMKERNEL=1) must only cost speed —
+    """No C compiler (or REPRO_NO_CKERNEL=1) must only cost speed —
     and the downgrade must be visible."""
     trace = _trace("cc-5")
     requests = _requests("cc-5", "nextline")
-    reference = simulate(trace, requests, default_hierarchy(), "nextline",
-                         engine="reference")
-    monkeypatch.setattr(batch_module, "_load_replay_kernel", lambda: None)
-    sim = Simulator(default_hierarchy(), engine="batch")
+    expected = simulate(trace, requests, default_hierarchy(), "nextline")
+    monkeypatch.setattr(batch_module, "load_kernel", lambda: None)
+    sim = Simulator(default_hierarchy())
     with pytest.warns(EngineFallbackWarning, match="kernel unavailable"):
         batch = sim.run(trace, requests, "nextline")
     assert sim.engine_used == "reference"
-    assert batch == reference
+    assert batch == expected
 
 
 def test_no_simkernel_env_falls_back_visibly():
-    """REPRO_NO_SIMKERNEL=1 disables the kernel for the whole process."""
+    """REPRO_NO_CKERNEL=1 disables the replay kernel for the whole
+    process, as it does the one-tick library."""
+    import json
     import os
     import subprocess
     import sys
 
+    from repro.sim.metrics import SimResult
+
     code = (
-        "import warnings\n"
+        "import dataclasses, json, warnings\n"
         "from repro.errors import EngineFallbackWarning\n"
         "from repro.harness.runner import default_hierarchy\n"
         "from repro.sim.fast_engine.ckernel import load_kernel\n"
         "from repro.sim.simulator import Simulator\n"
+        "from repro.snn.ckernel import load_kernel as load_tick_kernel\n"
         "from repro.traces.workloads import make_trace\n"
-        "assert load_kernel() is None\n"
+        "assert load_kernel() is None and load_tick_kernel() is None\n"
         "trace = make_trace('cc-5', 300, seed=1)\n"
-        "ref = Simulator(default_hierarchy(), engine='reference')\n"
-        "expected = ref.run(trace, (), 'none')\n"
         "sim = Simulator(default_hierarchy())\n"
         "with warnings.catch_warnings(record=True) as caught:\n"
         "    warnings.simplefilter('always')\n"
-        "    assert sim.run(trace, (), 'none') == expected\n"
+        "    result = sim.run(trace, (), 'none')\n"
         "assert sim.engine_used == 'reference'\n"
         "assert any(isinstance(w.message, EngineFallbackWarning)\n"
-        "           for w in caught)\n")
-    env = dict(os.environ, REPRO_NO_SIMKERNEL="1")
+        "           for w in caught)\n"
+        "print(json.dumps(dataclasses.asdict(result)))\n")
+    env = dict(os.environ, REPRO_NO_CKERNEL="1")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # The kernel in this process and the reference loop in that one
+    # agree to the last bit.
+    expected = simulate(make_trace("cc-5", 300, seed=1), (),
+                        default_hierarchy(), "none")
+    assert SimResult(**json.loads(proc.stdout)) == expected
 
 
 def test_prepopulated_state_falls_back_bit_identically():
@@ -415,11 +427,12 @@ def test_prepopulated_state_falls_back_bit_identically():
     requests = _requests("cc-5", "nextline")
     warm_block = trace.arrays().blocks[7].item()
 
-    reference = Simulator(default_hierarchy(), engine="reference")
+    reference = Simulator(default_hierarchy())
     reference.llc.insert(warm_block, prefetched=True)
-    expected = reference.run(trace, requests, "nextline")
+    with reference_loop():
+        expected = reference.run(trace, requests, "nextline")
 
-    sim = Simulator(default_hierarchy(), engine="batch")
+    sim = Simulator(default_hierarchy())
     sim.llc.insert(warm_block, prefetched=True)
     with pytest.warns(EngineFallbackWarning, match="pre-populated"):
         assert sim.run(trace, requests, "nextline") == expected

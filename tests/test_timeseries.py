@@ -5,12 +5,13 @@ are bit-identical to serial collection, 2x decimation preserves window
 alignment, the JSONL reader tolerates a torn tail but nothing else,
 and — the load-bearing guarantee — collecting series changes no
 result: ``SimResult`` and prefetch files are bit-identical with and
-without a recorder on every replay engine.
+without a recorder on both replay loops.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -34,6 +35,8 @@ from repro.obs.timeseries import Series, WindowRecorder
 from repro.prefetchers.base import generate_prefetches
 from repro.sim.simulator import simulate
 from repro.traces.workloads import make_trace
+
+from tests.helpers import reference_loop
 
 # -- recorder and series mechanics -------------------------------------------
 
@@ -268,15 +271,16 @@ def _series_obs(window: int = 256) -> Observability:
     return Observability(series=SeriesCollector(window=window))
 
 
-@pytest.mark.parametrize("engine", ("reference", "batch"))
-def test_simresult_bit_identical_with_series(engine):
+@pytest.mark.parametrize("loop", ("reference", "batch"))
+def test_simresult_bit_identical_with_series(loop):
     factory = PREFETCHER_FACTORIES["nextline"]
     requests = generate_prefetches(factory(), _PARITY_TRACE)
-    plain = simulate(_PARITY_TRACE, requests, default_hierarchy(),
-                     "nextline", engine=engine)
     obs = _series_obs()
-    with_series = simulate(_PARITY_TRACE, requests, default_hierarchy(),
-                           "nextline", obs=obs, engine=engine)
+    with reference_loop() if loop == "reference" else nullcontext():
+        plain = simulate(_PARITY_TRACE, requests, default_hierarchy(),
+                         "nextline")
+        with_series = simulate(_PARITY_TRACE, requests, default_hierarchy(),
+                               "nextline", obs=obs)
     assert with_series == plain
     recorded = obs.series.snapshot()
     assert recorded, "series must actually be collected"
@@ -293,13 +297,13 @@ def test_batch_kernel_fallback_collects_identical_series(monkeypatch):
 
     obs_kernel = _series_obs()
     result_kernel = simulate(_PARITY_TRACE, requests, default_hierarchy(),
-                             "nextline", obs=obs_kernel, engine="batch")
+                             "nextline", obs=obs_kernel)
     monkeypatch.setattr(batch_mod, "load_kernel", lambda: None)
     obs_fallback = _series_obs()
     with pytest.warns(EngineFallbackWarning, match="kernel unavailable"):
         result_fallback = simulate(_PARITY_TRACE, requests,
                                    default_hierarchy(), "nextline",
-                                   obs=obs_fallback, engine="batch")
+                                   obs=obs_fallback)
     assert result_fallback == result_kernel
     assert obs_fallback.series.snapshot() == obs_kernel.series.snapshot()
 
