@@ -114,6 +114,11 @@ class Simulator:
     state select it at run time.  Each of these emits a typed
     :class:`~repro.errors.EngineFallbackWarning` and sets
     :attr:`engine_used`, so a caller always sees which loop ran.
+
+    The multicore co-run (:mod:`repro.sim.multicore`) steps each core
+    through :meth:`_drain_completed_prefetches`, :meth:`_demand_access`
+    and :meth:`_issue_prefetch` directly, over an LLC, DRAM model and
+    prefetch queue that its cores share.
     """
 
     def __init__(self, config: Optional[HierarchyConfig] = None,
