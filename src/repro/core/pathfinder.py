@@ -25,7 +25,6 @@ import numpy as np
 
 from ..prefetchers.base import Prefetcher
 from ..snn.ckernel import PathfinderArgs, load_kernel, pointer
-from ..snn.monitors import SpikeMonitor
 from ..snn.network import DiehlCookNetwork, NetworkConfig, RunRecord
 from ..snn.neurons import LIFConfig
 from ..snn.stdp import STDPConfig
@@ -54,8 +53,8 @@ _LOOP_COUNTERS = (
     ("snn_queries", None, "snn_queries"),
     ("stdp_updates", None, "stdp_updates"),
     ("prefetches_emitted", None, "prefetches_emitted"),
-    ("pred_checked", None, "_series_pred_checked"),
-    ("pred_correct", None, "_series_pred_correct"),
+    ("pred_checked", None, "pred_checked"),
+    ("pred_correct", None, "pred_correct"),
     ("intervals", "network", "intervals_presented"),
 )
 
@@ -80,6 +79,10 @@ class PathfinderPrefetcher(Prefetcher):
         self.snn_queries = 0
         self.stdp_updates = 0
         self.prefetches_emitted = 0
+        # Accesses whose stream had a prediction outstanding, and those
+        # whose delta it named (the series' prediction accuracy).
+        self.pred_checked = 0
+        self.pred_correct = 0
         # Neurons reinitialised by the SNN's weight-health check; their
         # inference-table labels are erased alongside (resilience).
         self.neuron_repairs = 0
@@ -88,17 +91,13 @@ class PathfinderPrefetcher(Prefetcher):
         # interval's most-firing neuron.
         self.first_tick_matches = 0
         self.first_tick_total = 0
-        # Armed by attach_observability(): the SpikeMonitor bridge that
-        # feeds SNN telemetry into the metrics registry.
-        self.monitor: Optional[SpikeMonitor] = None
+        # Multi-tick only: spikes in an interval -> intervals with that
+        # many (a one-tick query fires exactly its winner).
+        self._spike_totals: Dict[int, int] = {}
         self._obs = None
-        # Armed by series_arm() (``--series``): windowed
-        # learning-dynamics bookkeeping.  Unlike the SpikeMonitor this
-        # does NOT force the batched pipeline onto the scalar path —
-        # it only counts at existing decision points.
+        # Armed by series_arm() (``--series``): the winner tally and the
+        # weight/theta snapshots behind the series gauges.
         self._series_armed = False
-        self._series_pred_checked = 0
-        self._series_pred_correct = 0
         self._series_winner_counts: Dict[int, int] = {}
         self._series_prev_weights: Optional[np.ndarray] = None
         self._series_prev_theta: Optional[np.ndarray] = None
@@ -131,21 +130,13 @@ class PathfinderPrefetcher(Prefetcher):
     # -- observability -------------------------------------------------------
 
     def attach_observability(self, obs) -> None:
-        """Arm SNN telemetry collection for this run.
+        """Publish SNN telemetry into ``obs`` when it is enabled.
 
-        When the bundle is enabled, every SNN query's
-        :class:`~repro.snn.network.RunRecord` is recorded into a
-        :class:`~repro.snn.monitors.SpikeMonitor` (the paper's own
-        observation mechanism, Table 2 / Figure 3) rather than a
-        parallel bookkeeping structure; :meth:`publish_telemetry`
-        summarises it into the registry afterwards.
+        Nothing is recorded per query: :meth:`publish_telemetry` reads
+        the counters that :meth:`process` and the compiled loop keep
+        anyway, so observing a run never changes which loop runs it.
         """
-        if obs is None or not obs.enabled:
-            self._obs = None
-            return
-        self._obs = obs
-        if self.monitor is None:
-            self.monitor = SpikeMonitor()
+        self._obs = obs if obs is not None and obs.enabled else None
 
     @property
     def weight_saturation(self) -> float:
@@ -156,8 +147,12 @@ class PathfinderPrefetcher(Prefetcher):
         return float(np.mean(w >= 0.99 * self.config.w_max))
 
     def publish_telemetry(self) -> None:
-        """Summarise the attached monitor into the metrics registry."""
-        if self._obs is None or self.monitor is None:
+        """Summarise the run's SNN counters into the metrics registry.
+
+        Each query is one interval.  A one-tick query fires exactly its
+        winner; multi-tick intervals are tallied by spike total.
+        """
+        if self._obs is None:
             return
         scope = self._obs.registry.scope(component="snn",
                                          prefetcher=self.name)
@@ -166,12 +161,17 @@ class PathfinderPrefetcher(Prefetcher):
         spikes_per_interval = scope.histogram(
             "snn.spikes_per_interval",
             bounds=(0, 1, 2, 4, 8, 16, 32, 64, 128))
-        for counts in self.monitor.spike_counts:
-            spikes_per_interval.observe(int(counts.sum()))
-        total_spikes = int(self.monitor.total_spikes().sum())
+        spike_totals = self._spike_totals
+        if self.config.one_tick:
+            spike_totals = {1: self.snn_queries}
+        total_spikes = 0
+        for spikes, intervals in spike_totals.items():
+            for _ in range(intervals):
+                spikes_per_interval.observe(spikes)
+            total_spikes += spikes * intervals
         scope.counter("snn.spikes").inc(total_spikes)
         scope.gauge("snn.weight_saturation").set(self.weight_saturation)
-        scope.gauge("snn.intervals").set(self.monitor.intervals)
+        scope.gauge("snn.intervals").set(self.snn_queries)
         if self.neuron_repairs:
             scope.counter("snn.neuron_repairs").inc(self.neuron_repairs)
             self._obs.tracer.emit(
@@ -180,7 +180,7 @@ class PathfinderPrefetcher(Prefetcher):
         self._obs.tracer.emit(
             "snn.summary", prefetcher=self.name, queries=self.snn_queries,
             stdp_updates=self.stdp_updates, spikes=total_spikes,
-            intervals=self.monitor.intervals,
+            intervals=self.snn_queries,
             weight_saturation=self.weight_saturation)
 
     def series_arm(self) -> None:
@@ -188,11 +188,9 @@ class PathfinderPrefetcher(Prefetcher):
 
         Captures baseline weight/theta snapshots so the first window's
         drift norms measure change from the initial model, and resets
-        the per-window prediction/winner tallies.
+        the per-window winner tally.
         """
         self._series_armed = True
-        self._series_pred_checked = 0
-        self._series_pred_correct = 0
         self._series_winner_counts = {}
         self._series_prev_weights = self.network.weights.copy()
         self._series_prev_theta = self.network.exc.theta.copy()
@@ -208,8 +206,8 @@ class PathfinderPrefetcher(Prefetcher):
         """
         if not self._series_armed:
             return
-        cumulative["gen.pred_checked"] = self._series_pred_checked
-        cumulative["gen.pred_correct"] = self._series_pred_correct
+        cumulative["gen.pred_checked"] = self.pred_checked
+        cumulative["gen.pred_correct"] = self.pred_correct
         cumulative["snn.queries"] = self.snn_queries
         cumulative["snn.stdp_updates"] = self.stdp_updates
         cumulative["table.training_evictions"] = self.training_table.evictions
@@ -270,10 +268,10 @@ class PathfinderPrefetcher(Prefetcher):
         in_range = -bound <= delta <= bound
         fired = int(tt.fired[row])
         if fired != NO_NEURON and in_range:
-            if self._series_armed and tt.n_predicted[row]:
-                self._series_pred_checked += 1
+            if tt.n_predicted[row]:
+                self.pred_checked += 1
                 if delta in tt.row_predicted(row):
-                    self._series_pred_correct += 1
+                    self.pred_correct += 1
             self.inference_table.observe(fired, delta)
         tt.record_delta(row, delta, in_range)
         if not in_range:
@@ -346,10 +344,9 @@ class PathfinderPrefetcher(Prefetcher):
 
         :meth:`process` runs instead whenever the loop cannot: no
         compiled kernel (no C compiler, or ``REPRO_NO_CKERNEL=1``), the
-        multi-tick SNN, an armed
-        :class:`SpikeMonitor` (it needs per-query
-        :class:`RunRecord`\\ s), or an armed fault plan (the per-query
-        fault hooks must fire).  A due health scan that finds
+        multi-tick SNN, or an armed fault plan (the per-query fault
+        hooks must fire).  Observability never chooses the loop: the
+        telemetry reads counters both loops keep.  A due health scan that finds
         non-finite state stops the loop after that access's SNN step;
         the repair and the access's prediction run here, then the loop
         resumes.
@@ -357,8 +354,7 @@ class PathfinderPrefetcher(Prefetcher):
         from ..resilience import faults
 
         kernel = None
-        if (self.config.one_tick and self.monitor is None
-                and faults.ACTIVE is None):
+        if self.config.one_tick and faults.ACTIVE is None:
             kernel = load_kernel()
         if kernel is None:
             return Prefetcher.process_batch(self, addresses, pcs, instr_ids)
@@ -436,8 +432,7 @@ class PathfinderPrefetcher(Prefetcher):
             require_confirmation=int(it.require_confirmation),
             cold_pages=int(cfg.cold_page_encoding),
             stdp_epoch=cfg.stdp_epoch or 0,
-            stdp_on_accesses=cfg.stdp_on_accesses,
-            series=int(self._series_armed))
+            stdp_on_accesses=cfg.stdp_on_accesses)
         owners = {None: self, "training_table": tt, "inference_table": it,
                   "network": self.network}
         for field, owner, attr in _LOOP_COUNTERS:
@@ -476,14 +471,12 @@ class PathfinderPrefetcher(Prefetcher):
         if self.config.one_tick:
             record = self.network.present_one_tick(encoding.active,
                                                    learn=learn)
-            if self.monitor is not None:
-                self.monitor.record(record)
             self._drain_repairs()
             return record
         record = self.network.present(encoding.rates, learn=learn)
         self._drain_repairs()
-        if self.monitor is not None:
-            self.monitor.record(record)
+        spikes = int(record.spike_counts.sum())
+        self._spike_totals[spikes] = self._spike_totals.get(spikes, 0) + 1
         if record.winner is not None:
             # Table 1 statistic: would the 1-tick rule (highest potential
             # after the first tick, normalised by each neuron's effective
@@ -510,14 +503,13 @@ class PathfinderPrefetcher(Prefetcher):
         self.snn_queries = 0
         self.stdp_updates = 0
         self.prefetches_emitted = 0
+        self.pred_checked = 0
+        self.pred_correct = 0
         self.neuron_repairs = 0
         self.first_tick_matches = 0
         self.first_tick_total = 0
+        self._spike_totals = {}
         self._series_armed = False
-        self._series_pred_checked = 0
-        self._series_pred_correct = 0
         self._series_winner_counts = {}
         self._series_prev_weights = None
         self._series_prev_theta = None
-        if self.monitor is not None:
-            self.monitor = SpikeMonitor()

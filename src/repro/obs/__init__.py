@@ -66,9 +66,9 @@ class Observability:
             ``None`` — the default — keeps every per-window sampling
             hook inert.
         enabled: Master switch — :meth:`disabled` instances skip all
-            optional instrumentation (histogram hooks, monitor
-            bridging, registry mirroring) so the un-observed path costs
-            nothing beyond a few boolean checks.
+            optional instrumentation (histogram hooks, prefetcher
+            telemetry, registry mirroring) so the un-observed path
+            costs nothing beyond a few boolean checks.
     """
 
     __slots__ = ("registry", "tracer", "profiler", "series", "enabled")

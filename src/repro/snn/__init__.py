@@ -12,7 +12,6 @@ unsupervised-STDP architecture the paper builds PATHFINDER on:
 - :mod:`repro.snn.network` — the excitatory/inhibitory two-layer
   network with lateral inhibition, multi-tick simulation, and the
   paper's 1-tick approximation (§3.4 "Lowering Time Interval").
-- :mod:`repro.snn.monitors` — spike/voltage recording.
 
 Network parameters default to the paper's Table 4 (``exc=20.5``,
 ``inh=17.5``, ``norm=38.4``, ``theta_plus=0.05``, 32 ticks).
@@ -23,7 +22,6 @@ from .neurons import AdaptiveLIFGroup, LIFConfig, LIFGroup
 from .stdp import STDPConfig
 from .synapses import Connection
 from .network import DiehlCookNetwork, NetworkConfig, RunRecord
-from .monitors import SpikeMonitor, VoltageMonitor
 
 __all__ = [
     "poisson_spike_train",
@@ -35,6 +33,4 @@ __all__ = [
     "DiehlCookNetwork",
     "NetworkConfig",
     "RunRecord",
-    "SpikeMonitor",
-    "VoltageMonitor",
 ]

@@ -289,7 +289,7 @@ typedef struct {
     int64_t capacity, history, degree, width, max_delta;
     int64_t labels_per_neuron, confidence_max, confidence_init;
     int64_t confidence_threshold, require_confirmation, cold_pages;
-    int64_t stdp_epoch, stdp_on_accesses, series;
+    int64_t stdp_epoch, stdp_on_accesses;
     /* Counters, read and advanced. */
     int64_t tt_rows, tt_clock, tt_evictions;
     int64_t labels_assigned, labels_erased;
@@ -543,7 +543,7 @@ int64_t pf_pathfinder_chunk(const pf_net *s, pf_tables *t,
             int in_range = -max_delta <= delta && delta <= max_delta;
             int64_t fired = t->tt_fired[row];
             if (fired != NO_NEURON && in_range) {
-                if (t->series && t->tt_n_predicted[row]) {
+                if (t->tt_n_predicted[row]) {
                     t->pred_checked++;
                     for (k = 0; k < t->tt_n_predicted[row]; k++) {
                         if (t->tt_predicted[row * t->degree + k] == delta) {
@@ -1079,7 +1079,7 @@ class PathfinderArgs(ctypes.Structure):
             "max_delta", "labels_per_neuron", "confidence_max",
             "confidence_init", "confidence_threshold",
             "require_confirmation", "cold_pages", "stdp_epoch",
-            "stdp_on_accesses", "series",
+            "stdp_on_accesses",
             "tt_rows", "tt_clock", "tt_evictions", "labels_assigned",
             "labels_erased", "correct_observations", "wrong_observations",
             "accesses_seen", "snn_queries", "stdp_updates",

@@ -62,6 +62,7 @@ def pathfinder_state(prefetcher):
         adaptation=net.exc.adaptation_enabled,
         counters=(prefetcher.accesses_seen, prefetcher.snn_queries,
                   prefetcher.stdp_updates, prefetcher.prefetches_emitted,
+                  prefetcher.pred_checked, prefetcher.pred_correct,
                   prefetcher.neuron_repairs))
 
 

@@ -1,16 +1,32 @@
 """Integration tests: observability threaded through sim/harness/CLI."""
 
+import dataclasses
 import json
 from collections import Counter as TallyCounter
+from unittest import mock
 
 import pytest
 
 from repro import make_trace, simulate
 from repro.cli import main
+from repro.core import PathfinderConfig, PathfinderPrefetcher
+from repro.core import pathfinder as pathfinder_module
 from repro.harness.reporting import summarize_events
-from repro.harness.runner import Evaluation, default_hierarchy
-from repro.obs import MemorySink, Observability, Tracer, read_events
+from repro.harness.runner import (
+    Evaluation,
+    default_hierarchy,
+    make_prefetcher,
+    run_prefetcher,
+)
+from repro.obs import (
+    MemorySink,
+    Observability,
+    SeriesCollector,
+    Tracer,
+    read_events,
+)
 from repro.prefetchers import NextLinePrefetcher, generate_prefetches
+from repro.snn.ckernel import load_kernel
 
 
 def _evaluate_with_events(workload="cc-5", prefetcher="nextline",
@@ -74,6 +90,81 @@ def test_pathfinder_bridges_snn_telemetry():
     summaries = [e for e in events if e["event"] == "snn.summary"]
     assert len(summaries) == 1
     assert summaries[0]["queries"] == snap["counters"][f"snn.queries{scope}"]
+
+
+#: Observed bundles: enabled metrics only, an event tracer, a series.
+_BUNDLES = {
+    "enabled": Observability,
+    "tracer": lambda: Observability(tracer=Tracer(MemorySink())),
+    "series": lambda: Observability(series=SeriesCollector(window=512)),
+}
+
+
+@pytest.mark.skipif(load_kernel() is None,
+                    reason="no C compiler available for the kernel")
+@pytest.mark.parametrize("bundle", _BUNDLES)
+@pytest.mark.parametrize("spec", ("pathfinder", "pathfinder+nl+sisb"))
+@pytest.mark.filterwarnings("ignore::repro.errors.EngineFallbackWarning")
+def test_observed_pathfinder_keeps_the_compiled_loop(spec, bundle,
+                                                     monkeypatch):
+    """Observing a cell never moves PATHFINDER off its compiled loop,
+    and the observed cell measures what the unobserved one does."""
+    trace = make_trace("cc-5", 3000, seed=1)
+    hierarchy = default_hierarchy()
+    baseline = simulate(trace, config=hierarchy)
+    plain = run_prefetcher(trace, make_prefetcher(spec), baseline,
+                           hierarchy)
+    calls = []
+    process = PathfinderPrefetcher.process
+    monkeypatch.setattr(PathfinderPrefetcher, "process",
+                        lambda self, access: calls.append(1)
+                        or process(self, access))
+    observed = run_prefetcher(trace, make_prefetcher(spec), baseline,
+                              hierarchy, obs=_BUNDLES[bundle]())
+    assert not calls, "an observed run left the compiled loop"
+    # Timings are wall clock; extras name the replay loop, which event
+    # tracing does choose.
+    assert dataclasses.replace(observed, timings={}, extras={}) \
+        == dataclasses.replace(plain, timings={}, extras={})
+
+
+def _snn_telemetry(spec, trace):
+    """The ``snn.*`` registry entries and events of one traced cell."""
+    sink = MemorySink()
+    obs = Observability(tracer=Tracer(sink))
+    hierarchy = default_hierarchy()
+    run_prefetcher(trace, make_prefetcher(spec),
+                   simulate(trace, config=hierarchy), hierarchy, obs=obs)
+    entries = {kind: {key: value for key, value in values.items()
+                      if key.startswith("snn.")}
+               for kind, values in obs.registry.snapshot().items()}
+    return entries, [e for e in sink.events
+                     if e["event"].startswith("snn.")]
+
+
+@pytest.mark.parametrize("spec, loads", [
+    ("pathfinder", 2000),
+    ("pathfinder+nl+sisb", 2000),
+    (PathfinderConfig(one_tick=False, timesteps=8), 400),
+], ids=("default", "pathfinder+nl+sisb", "multi-tick"))
+@pytest.mark.filterwarnings("ignore::repro.errors.EngineFallbackWarning")
+def test_snn_telemetry_same_without_the_kernel(spec, loads):
+    """The telemetry reads counters both loops keep: a compiled-loop
+    cell publishes exactly what the ``process()`` loop publishes."""
+    trace = make_trace("cc-5", loads, seed=1)
+    compiled = _snn_telemetry(spec, trace)
+    with mock.patch.object(pathfinder_module, "load_kernel", lambda: None):
+        scalar = _snn_telemetry(spec, trace)
+    assert compiled == scalar
+    entries, events = compiled
+    scope = "{component=snn,prefetcher=pathfinder}"
+    queries = entries["counters"][f"snn.queries{scope}"]
+    histogram = entries["histograms"][f"snn.spikes_per_interval{scope}"]
+    assert queries > 0
+    assert histogram["count"] == queries
+    assert histogram["total"] == entries["counters"][f"snn.spikes{scope}"]
+    assert [e["intervals"] for e in events
+            if e["event"] == "snn.summary"] == [queries]
 
 
 def test_disabled_observability_matches_plain_result():

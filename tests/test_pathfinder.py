@@ -5,9 +5,11 @@ import math
 import pytest
 
 from repro.core import PathfinderConfig, PathfinderPrefetcher
+from repro.core import pathfinder as pathfinder_module
 from repro.errors import ConfigError
 from repro.prefetchers import generate_prefetches
 from repro.sim import simulate
+from repro.traces import make_trace
 from repro.types import MemoryAccess, compose_address
 
 from tests.helpers import build_trace
@@ -153,6 +155,20 @@ def test_reset_restores_initial_state():
     assert prefetcher.accesses_seen == 0
     second = [r.address for r in generate_prefetches(prefetcher, trace)]
     assert first == second  # fully deterministic after reset
+
+
+def test_prediction_counters_kept_without_a_series(monkeypatch):
+    """Both loops count prediction checks and hits on every run, not
+    only under ``--series``, and agree on them."""
+    trace = make_trace("cc-5", 3000, seed=1)
+    compiled = PathfinderPrefetcher()
+    generate_prefetches(compiled, trace)
+    monkeypatch.setattr(pathfinder_module, "load_kernel", lambda: None)
+    scalar = PathfinderPrefetcher()
+    generate_prefetches(scalar, trace)
+    assert compiled.pred_checked > 0
+    assert (compiled.pred_checked, compiled.pred_correct) \
+        == (scalar.pred_checked, scalar.pred_correct)
 
 
 def test_full_interval_mode_runs():

@@ -8,9 +8,7 @@ from repro.snn import (
     Connection,
     DiehlCookNetwork,
     NetworkConfig,
-    SpikeMonitor,
     STDPConfig,
-    VoltageMonitor,
 )
 from repro.snn.neurons import LIFConfig
 
@@ -212,28 +210,3 @@ def test_voltage_recording():
     assert record.voltage_trace is not None
     assert record.voltage_trace.shape[1] == 8
 
-
-# -- monitors ----------------------------------------------------------------
-
-def test_spike_monitor_accumulates():
-    net = _small_network()
-    monitor = SpikeMonitor()
-    for _ in range(3):
-        monitor.record(net.present(_pattern([1, 2, 3])))
-    assert monitor.intervals == 3
-    assert monitor.total_spikes().shape == (8,)
-
-
-def test_voltage_monitor_concatenates():
-    net = _small_network()
-    monitor = VoltageMonitor()
-    for _ in range(2):
-        monitor.record(net.present(_pattern([1, 2]), record_voltage=True))
-    trace = monitor.trace()
-    assert trace.shape[0] >= 32  # two 16-tick intervals
-    assert monitor.trace().shape[1] == 8
-
-
-def test_voltage_monitor_empty():
-    monitor = VoltageMonitor()
-    assert monitor.trace().shape == (0, 0)
