@@ -60,11 +60,6 @@ class SimResult:
             return 0.0
         return self.instructions / self.cycles
 
-    @property
-    def llc_demand_accesses(self) -> int:
-        """Demand accesses that reached the LLC."""
-        return self.llc_hits + self.llc_misses
-
     def accuracy(self) -> float:
         """Useful / issued prefetches (0 when none were issued)."""
         return accuracy(self.pf_useful, self.pf_issued)

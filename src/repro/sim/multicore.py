@@ -21,9 +21,11 @@ co-run serves loads exactly as the single-core reference loop does.
 
 Each core's prefetch file goes through the same replay plan as the
 single-core simulator (:func:`~repro.sim.fast_engine.planner.plan_replay`):
-negative addresses are dropped and counted in that core's
-``extra["pf_dropped"]``, and each trigger id keeps its first
-``max_prefetches_per_access`` records.
+negative addresses are dropped, and each trigger id keeps its first
+``max_prefetches_per_access`` records.  A core's
+``extra["pf_dropped"]`` counts what :meth:`Simulator.run` counts: those
+invalid records plus every prefetch whose block was resident in the
+shared LLC or already in flight.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ class MulticoreResult:
             total += result.ipc / solo
         return total
 
-    @property
-    def total_dram_requests(self) -> int:
-        """DRAM reads across all cores (shared channel)."""
-        return max((r.dram_requests for r in self.per_core), default=0)
-
 
 class _Core:
     """One core: a :class:`Simulator` over the co-run's shared uncore."""
@@ -101,8 +98,7 @@ class _Core:
                                 prefetcher_name="multicore",
                                 instructions=trace.instruction_count,
                                 loads=len(trace))
-        if len(plan.invalid):
-            self.result.extra["pf_dropped"] = float(len(plan.invalid))
+        self.sim._pf_dropped.inc(len(plan.invalid))
 
     def done(self) -> bool:
         return self.position >= len(self.trace)
@@ -193,6 +189,9 @@ class MulticoreSimulator:
             core.result.cycles = core.sim.core.finalize(
                 core.trace.instruction_count)
             core.result.dram_requests = self.dram.requests
+            if core.sim._pf_dropped.value:
+                core.result.extra["pf_dropped"] = float(
+                    core.sim._pf_dropped.value)
             result.per_core.append(core.result)
         # Shared-LLC useful-prefetch accounting cannot attribute hits to
         # cores exactly; apportion by issued share (documented estimate).

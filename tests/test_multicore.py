@@ -12,10 +12,11 @@ from repro.harness.runner import make_prefetcher
 from repro.prefetchers import NextLinePrefetcher, generate_prefetches
 from repro.sim import simulate
 from repro.sim.cache import CacheConfig
+from repro.sim.fast_engine.planner import plan_replay
 from repro.sim.multicore import MulticoreSimulator, simulate_multicore
 from repro.sim.simulator import HierarchyConfig
 from repro.traces import make_trace
-from repro.types import PrefetchRequest
+from repro.types import PrefetchFile, PrefetchRequest
 
 from tests.helpers import build_trace, seq_addresses
 
@@ -133,6 +134,27 @@ def test_negative_prefetch_address_dropped_like_single_core():
     assert "pf_dropped" not in co.per_core[1].extra
     assert co.per_core[0].dram_requests == simulate_multicore(
         [a, b], config=hierarchy).per_core[0].dram_requests
+
+
+def test_every_scheduled_prefetch_is_issued_or_dropped():
+    """Solo and in a co-run, each block a core's plan schedules is
+    either issued or counted in ``extra["pf_dropped"]``, as is each
+    invalid record."""
+    hierarchy = HierarchyConfig.scaled()
+    traces = [make_trace(w, 3000, seed=2)
+              for w in ("cc-5", "623-xalan-s1", "605-mcf-s1")]
+    files = [generate_prefetches(NextLinePrefetcher(degree=2), t)
+             for t in traces]
+    scheduled = []
+    for trace, pfile in zip(traces, files):
+        plan = plan_replay(trace.arrays(), PrefetchFile.for_trace(trace, pfile),
+                           hierarchy.max_prefetches_per_access)
+        scheduled.append(len(plan.pf_blocks) + len(plan.invalid))
+    solo = [simulate(t, f, config=hierarchy) for t, f in zip(traces, files)]
+    corun = simulate_multicore(traces, files, config=hierarchy).per_core
+    for results in (solo, corun):
+        assert [r.pf_issued + r.extra.get("pf_dropped", 0.0)
+                for r in results] == scheduled
 
 
 #: Co-runs of 3,000-load seed-2 traces on the scaled hierarchy as
