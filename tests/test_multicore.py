@@ -161,7 +161,9 @@ def test_every_scheduled_prefetch_is_issued_or_dropped():
 #: (workloads, per-core prefetchers or None, address isolation) ->
 #: (per-core (llc_hits, llc_misses, pf_issued, pf_useful), sha256 of
 #: the per-core SimResult dicts as sorted-key JSON).  Recorded while
-#: multicore kept its own copy of the demand, issue and fill path.
+#: multicore kept its own copy of the demand, issue and fill path; the
+#: SPP/BO/next-line hash again once each core published its dropped
+#: prefetches (``pf_dropped`` 1,002, 29 and 54).
 CORUN_PINNED = {
     (("cc-5", "623-xalan-s1"), None, True): (
         [(0, 2871, 0, 0), (25, 2962, 0, 0)],
@@ -170,7 +172,7 @@ CORUN_PINNED = {
      True): (
         [(940, 1931, 1513, 322), (315, 2672, 2971, 507),
          (98, 2902, 5946, 782)],
-        "e1c3cf6eb395c4ba3563bff43fc392ffb1cf22c9f2f827e64bcf2d30eaa296b6"),
+        "b827cf5ab836ee9668f7bd1f78311232834759a1093a445d0dcd494fa6d326d9"),
     (("cc-5", "cc-5"), None, False): (
         [(1433, 1438, 0, 0), (1438, 1433, 0, 0)],
         "ba032a6b635b2c310eaf814340eaaed626c373bddb3f7652251759c0c7e800fa"),
