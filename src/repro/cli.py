@@ -47,13 +47,14 @@ Six subcommands, installed as the ``repro`` console script::
         (ranking table with bootstrap-CI whiskers and significance
         groups).
 
-    repro compare RUN_A RUN_B [--max-regress 0.25] [--stats [--alpha A]]
+    repro compare RUN_A RUN_B [--max-regress 0.25] [--alpha A]
         Diff two run ledgers: per-cell metric deltas plus regression
-        flags.  The default gate is the fixed threshold; ``--stats``
-        switches sampled cells to a significance-tested gate
+        flags.  A (workload, prefetcher) group with enough per-seed
+        samples on both sides takes a significance-tested gate
         (one-sided Mann-Whitney U with Holm correction, seeded
         bootstrap CIs) that flags a slowdown only when it is both
-        statistically significant and larger than ``--max-regress``.
+        statistically significant and larger than ``--max-regress``;
+        any other timing takes the fixed ``--max-regress`` threshold.
         Exits 1 on a regression, 2 on usage errors.
 
     repro campaign run SPEC [--dir DIR] [--workers N] [--stop-after K]
@@ -685,7 +686,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         result = compare_artifacts(args.run_a, args.run_b,
                                    max_regress=args.max_regress,
-                                   use_stats=args.stats,
                                    alpha=args.alpha)
     except ConfigError as exc:
         print(f"error: {exc}")
@@ -877,16 +877,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fractional timing-regression threshold "
                             f"(default {DEFAULT_MAX_REGRESS} = "
                             f"+{round(DEFAULT_MAX_REGRESS * 100)}%%)")
-    p_cmp.add_argument("--stats", action="store_true",
-                       help="significance-tested gate: flag slowdowns "
-                            "only when both statistically significant "
-                            "(Mann-Whitney + Holm) and larger than "
-                            "--max-regress, where both runs carry "
-                            "enough samples; falls back to the "
-                            "threshold elsewhere")
     p_cmp.add_argument("--alpha", type=float, default=0.05,
-                       help="family-wise significance level for "
-                            "--stats (default 0.05)")
+                       help="family-wise significance level of the "
+                            "gate for groups both runs sample enough "
+                            "(default 0.05)")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser
 

@@ -5,14 +5,16 @@ Reads two run-ledger JSONL files (``repro run`` / ``experiment`` under
 per-cell metric deltas plus regression flags.  Anything that is not a
 run ledger raises :class:`~repro.errors.ConfigError`.
 
-Two regression gates share this module:
+Two regression gates share this module, and the samples pick one for
+each (workload, prefetcher) timing group:
 
-- **Threshold gate** (the default, and the only option when cells
-  carry single measurements): a timing regresses when it exceeds the
-  baseline's by more than ``max_regress`` (default
+- **Threshold gate** (for groups without enough samples, e.g. cells
+  that carry single measurements): a timing regresses when it exceeds
+  the baseline's by more than ``max_regress`` (default
   :data:`DEFAULT_MAX_REGRESS` = +25%), via :func:`timing_regression`.
-- **Significance gate** (``--stats``): when both sides carry samples —
-  per-seed cells in a multi-seed ledger — timings are tested with a
+- **Significance gate** (for groups with at least
+  :data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS` samples per side
+  — per-seed cells in a multi-seed ledger): timings are tested with a
   Holm-corrected one-sided Mann-Whitney family
   (:func:`repro.harness.stats.significant_slowdowns`), and a timing
   regresses only when the slowdown is *both* statistically
@@ -23,15 +25,14 @@ Two regression gates share this module:
   load shifts every repeat consistently, so it passes a pure
   significance test with flying colors).  Long-term creep detection
   belongs to the end-to-end benchmark (``benchmarks/e2e/``), not a
-  two-point compare.  Cells without enough samples
-  (:data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS` per side) fall
-  back to the threshold gate, so ``--stats`` is always safe to pass.
+  two-point compare.
 
 Rate metrics (accuracy/coverage/speedup) are reported as deltas and
 flagged as anomalies when they worsen by more than ``max_metric_drop``
 (absolute), since a correctness-shaped drift deserves eyes even if no
-wall-clock moved; under ``--stats`` they additionally get p-values,
-bootstrap CIs, and Cliff's-delta effect sizes in the stats table.
+wall-clock moved; groups with at least two samples per side
+additionally get p-values, bootstrap CIs, and Cliff's-delta effect
+sizes in the stats table.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class CompareResult:
     regressions: List[str] = field(default_factory=list)
     #: Non-timing drifts worth eyes (don't fail, do surface).
     anomalies: List[str] = field(default_factory=list)
-    #: Statistical rows (``--stats`` only): per cell-group × metric.
+    #: Statistical rows: per sampled cell-group × metric.
     stats: List[StatRow] = field(default_factory=list)
     #: "threshold", "significance", or "mixed" (some cells lacked the
     #: samples for the significance gate and fell back).
@@ -267,7 +268,6 @@ def _apply_significance_gate(result: CompareResult,
 def compare_ledgers(a: Dict, b: Dict,
                     max_regress: float = DEFAULT_MAX_REGRESS,
                     max_metric_drop: float = 0.05,
-                    use_stats: bool = False,
                     alpha: float = st.DEFAULT_ALPHA) -> CompareResult:
     """Diff two parsed ledgers cell-by-cell.
 
@@ -275,19 +275,17 @@ def compare_ledgers(a: Dict, b: Dict,
     loads, budget, hierarchy), so only like-for-like cells compare; cells
     present in only one run are reported as anomalies.
 
-    With ``use_stats``, cells sharing a (workload, prefetcher) are
-    additionally pooled across seeds into sample vectors and the
-    significance gate replaces the threshold rule wherever both sides
-    have at least :data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS`
-    samples (see module docstring).
+    Cells sharing a (workload, prefetcher) are also pooled across seeds
+    into sample vectors, and the significance gate replaces the
+    threshold rule wherever both sides have at least
+    :data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS` samples (see
+    module docstring).
     """
     result = CompareResult(kind="ledger")
-    covered: set = set()
-    if use_stats:
-        covered = _apply_significance_gate(
-            result, _group_samples(a), _group_samples(b), alpha,
-            max_regress)
-        result.gate = "significance" if covered else "threshold"
+    covered = _apply_significance_gate(
+        result, _group_samples(a), _group_samples(b), alpha, max_regress)
+    if covered:
+        result.gate = "significance"
     cells_a, cells_b = _cell_index(a), _cell_index(b)
     fell_back = False
     for key in sorted(set(cells_a) | set(cells_b)):
@@ -327,13 +325,13 @@ def compare_ledgers(a: Dict, b: Dict,
                                         max_regress)
             if message is not None:
                 result.regressions.append(message)
-            if use_stats and covered:
+            if covered:
                 fell_back = True
         if cell_b.get("outcome") != cell_a.get("outcome"):
             result.anomalies.append(
                 f"{label}.outcome: {cell_b.get('outcome')!r} vs "
                 f"{cell_a.get('outcome')!r}")
-    if use_stats and covered and fell_back:
+    if fell_back:
         result.gate = "mixed"
     return result
 
@@ -341,7 +339,6 @@ def compare_ledgers(a: Dict, b: Dict,
 def compare_artifacts(path_a, path_b,
                       max_regress: float = DEFAULT_MAX_REGRESS,
                       max_metric_drop: float = 0.05,
-                      use_stats: bool = False,
                       alpha: float = st.DEFAULT_ALPHA) -> CompareResult:
     """Load and diff two run ledgers (``repro compare``'s engine).
 
@@ -350,5 +347,4 @@ def compare_artifacts(path_a, path_b,
     """
     return compare_ledgers(load_artifact(path_a), load_artifact(path_b),
                            max_regress=max_regress,
-                           max_metric_drop=max_metric_drop,
-                           use_stats=use_stats, alpha=alpha)
+                           max_metric_drop=max_metric_drop, alpha=alpha)

@@ -2,8 +2,8 @@
 ranking — the observability surfaces wired to :mod:`repro.harness.stats`.
 
 The two pinned acceptance behaviours live here: identical-distribution
-runs must pass ``--stats`` even when individual cells differ by more
-than the 25% threshold (noise must not fail CI), and a genuinely
+runs must pass ``repro compare`` even when individual cells differ by
+more than the 25% threshold (noise must not fail CI), and a genuinely
 injected slowdown must exit 1.
 """
 
@@ -55,13 +55,12 @@ def _multi_seed_ledger(path, *, seeds=8, timing_scale=1.0, noise=0.0,
 # ------------------------------------------- ledger significance gate
 
 def test_noisy_but_identical_distributions_pass_stats_gate(tmp_path):
-    """The pinned behaviour: same distribution, raw deltas > 25%,
-    threshold gate fails, significance gate passes."""
+    """The pinned behaviour: same distribution, raw deltas > 25% (some
+    jittered cell pair exceeds the threshold), and the sampled groups
+    take the significance gate, which passes."""
     a = _multi_seed_ledger(tmp_path / "a.jsonl", noise=0.6, rng_seed=7)
     b = _multi_seed_ledger(tmp_path / "b.jsonl", noise=0.6, rng_seed=8)
-    threshold = compare_artifacts(a, b)
-    assert not threshold.ok  # some jittered cell pair exceeds +25%
-    stats = compare_artifacts(a, b, use_stats=True)
+    stats = compare_artifacts(a, b)
     assert stats.ok
     assert stats.gate == "significance"
     assert stats.regressions == []
@@ -70,7 +69,7 @@ def test_noisy_but_identical_distributions_pass_stats_gate(tmp_path):
 def test_injected_slowdown_fails_stats_gate(tmp_path):
     a = _multi_seed_ledger(tmp_path / "a.jsonl", timing_scale=1.0)
     b = _multi_seed_ledger(tmp_path / "b.jsonl", timing_scale=2.0)
-    result = compare_artifacts(a, b, use_stats=True)
+    result = compare_artifacts(a, b)
     assert not result.ok
     assert len(result.regressions) == 2  # prefetch_file_s and replay_s
     assert all("p=" in message for message in result.regressions)
@@ -79,10 +78,10 @@ def test_injected_slowdown_fails_stats_gate(tmp_path):
 def test_significant_drift_below_max_regress_passes(tmp_path):
     """A consistent +10% ambient drift is statistically significant
     (every repeat slower, perfect separation) but under the magnitude
-    floor, so the --stats gate must not call it a code regression."""
+    floor, so the significance gate must not call it a code regression."""
     a = _multi_seed_ledger(tmp_path / "a.jsonl", timing_scale=1.0)
     b = _multi_seed_ledger(tmp_path / "b.jsonl", timing_scale=1.10)
-    result = compare_artifacts(a, b, use_stats=True)
+    result = compare_artifacts(a, b)
     assert result.ok
     assert result.gate == "significance"
     # the drift still shows up as significant rows in the report...
@@ -98,13 +97,13 @@ def test_significant_drift_below_max_regress_passes(tmp_path):
 def test_speedup_gain_is_not_a_regression(tmp_path):
     a = _multi_seed_ledger(tmp_path / "a.jsonl", timing_scale=2.0)
     b = _multi_seed_ledger(tmp_path / "b.jsonl", timing_scale=1.0)
-    assert compare_artifacts(a, b, use_stats=True).ok
+    assert compare_artifacts(a, b).ok
 
 
 def test_stats_rows_cover_timings_and_rates(tmp_path):
     a = _multi_seed_ledger(tmp_path / "a.jsonl")
     b = _multi_seed_ledger(tmp_path / "b.jsonl")
-    result = compare_artifacts(a, b, use_stats=True)
+    result = compare_artifacts(a, b)
     by_metric = {row.metric for row in result.stats}
     assert {"prefetch_file_s", "replay_s", "speedup", "accuracy",
             "coverage"} <= by_metric
@@ -126,7 +125,7 @@ def test_under_sampled_cells_fall_back_to_threshold(tmp_path):
     a = _multi_seed_ledger(tmp_path / "a.jsonl", seeds=2)
     b = _multi_seed_ledger(tmp_path / "b.jsonl", seeds=2,
                            timing_scale=2.0)
-    result = compare_artifacts(a, b, use_stats=True)
+    result = compare_artifacts(a, b)
     # Two seeds is below MIN_SAMPLES_FOR_STATS: the threshold gate
     # still catches the 2x slowdown.
     assert result.gate == "threshold"
@@ -157,7 +156,7 @@ def test_under_sampled_group_takes_mixed_gate(tmp_path):
     seeds) fall back to the threshold rule instead of going ungated."""
     a = _two_group_ledger(tmp_path / "a.jsonl")
     b = _two_group_ledger(tmp_path / "b.jsonl", few_scale=10.0)
-    result = compare_artifacts(a, b, use_stats=True)
+    result = compare_artifacts(a, b)
     assert result.gate == "mixed"
     assert len(result.regressions) == 2
     assert all(m.startswith("cc-5:few:") and ".replay_s:" in m
@@ -172,7 +171,7 @@ def test_under_sampled_group_takes_mixed_gate(tmp_path):
 def test_stats_format_renders_the_table(tmp_path):
     a = _multi_seed_ledger(tmp_path / "a.jsonl")
     b = _multi_seed_ledger(tmp_path / "b.jsonl")
-    text = compare_artifacts(a, b, use_stats=True).format()
+    text = compare_artifacts(a, b).format()
     assert "Statistical comparison" in text
     assert "holm p" in text
     assert "No statistically significant timing regressions." in text
@@ -196,7 +195,7 @@ def test_compare_rejects_mixed_artifact_kinds(tmp_path, capsys):
     with pytest.raises(ConfigError):
         compare_artifacts(bench_path, ledger_path)
     for args in ([str(ledger_path), str(bench_path)],
-                 [str(ledger_path), str(bench_path), "--stats"]):
+                 [str(bench_path), str(ledger_path)]):
         assert main(["compare", *args]) == 2
         out = capsys.readouterr().out
         assert "error:" in out and "Traceback" not in out
@@ -210,30 +209,19 @@ def test_cli_compare_stats_exit_codes(tmp_path, capsys):
     a = _multi_seed_ledger(tmp_path / "a.jsonl", noise=0.6, rng_seed=7)
     b = _multi_seed_ledger(tmp_path / "b.jsonl", noise=0.6, rng_seed=8)
     slow = _multi_seed_ledger(tmp_path / "slow.jsonl", timing_scale=2.0)
-    assert main(["compare", str(a), str(b), "--stats"]) == 0
+    assert main(["compare", str(a), str(b)]) == 0
     assert "Statistical comparison" in capsys.readouterr().out
-    assert main(["compare", str(a), str(slow), "--stats"]) == 1
+    assert main(["compare", str(a), str(slow)]) == 1
     assert "REGRESSION" in capsys.readouterr().out
     missing = tmp_path / "nope.json"
-    assert main(["compare", str(a), str(missing), "--stats"]) == 2
+    assert main(["compare", str(a), str(missing)]) == 2
     assert "error:" in capsys.readouterr().out
     # A readable file that is not a run ledger is also a usage error
     # (exit 2), not a traceback.
     not_an_artifact = tmp_path / "notes.md"
     not_an_artifact.write_text("# not an artifact\n")
-    assert main(["compare", str(a), str(not_an_artifact),
-                 "--stats"]) == 2
+    assert main(["compare", str(a), str(not_an_artifact)]) == 2
     assert "error:" in capsys.readouterr().out
-
-
-def test_cli_compare_threshold_still_default(tmp_path, capsys):
-    from repro.cli import main
-
-    a = _multi_seed_ledger(tmp_path / "a.jsonl", noise=0.6, rng_seed=7)
-    b = _multi_seed_ledger(tmp_path / "b.jsonl", noise=0.6, rng_seed=8)
-    assert main(["compare", str(a), str(b)]) == 1  # noise trips 25%
-    out = capsys.readouterr().out
-    assert "Statistical comparison" not in out
 
 
 # -------------------------------------------------------- dashboard
