@@ -879,7 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"+{round(DEFAULT_MAX_REGRESS * 100)}%%)")
     p_cmp.add_argument("--alpha", type=float, default=0.05,
                        help="family-wise significance level of the "
-                            "gate for groups both runs sample enough "
+                            "significance gate, which groups with "
+                            "enough samples in both runs take "
                             "(default 0.05)")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser

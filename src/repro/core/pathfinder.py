@@ -346,10 +346,10 @@ class PathfinderPrefetcher(Prefetcher):
         compiled kernel (no C compiler, or ``REPRO_NO_CKERNEL=1``), the
         multi-tick SNN, or an armed fault plan (the per-query fault
         hooks must fire).  Observability never chooses the loop: the
-        telemetry reads counters both loops keep.  A due health scan that finds
-        non-finite state stops the loop after that access's SNN step;
-        the repair and the access's prediction run here, then the loop
-        resumes.
+        telemetry reads counters both loops keep.  A due health scan
+        that finds non-finite state stops the loop after that access's
+        SNN step; the repair and the access's prediction run here, then
+        the loop resumes.
         """
         from ..resilience import faults
 

@@ -147,7 +147,8 @@ def test_every_scheduled_prefetch_is_issued_or_dropped():
              for t in traces]
     scheduled = []
     for trace, pfile in zip(traces, files):
-        plan = plan_replay(trace.arrays(), PrefetchFile.for_trace(trace, pfile),
+        plan = plan_replay(trace.arrays(),
+                           PrefetchFile.for_trace(trace, pfile),
                            hierarchy.max_prefetches_per_access)
         scheduled.append(len(plan.pf_blocks) + len(plan.invalid))
     solo = [simulate(t, f, config=hierarchy) for t, f in zip(traces, files)]
