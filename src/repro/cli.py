@@ -49,12 +49,13 @@ Six subcommands, installed as the ``repro`` console script::
 
     repro compare RUN_A RUN_B [--max-regress 0.25] [--alpha A]
         Diff two run ledgers: per-cell metric deltas plus regression
-        flags.  A (workload, prefetcher) group with enough per-seed
-        samples on both sides takes a significance-tested gate
-        (one-sided Mann-Whitney U with Holm correction, seeded
-        bootstrap CIs) that flags a slowdown only when it is both
-        statistically significant and larger than ``--max-regress``;
-        any other timing takes the fixed ``--max-regress`` threshold.
+        flags.  Cells that differ by seed alone, with enough seeds on
+        both sides for the test to reach ``--alpha``, take a
+        significance-tested gate (one-sided Mann-Whitney U with Holm
+        correction, seeded bootstrap CIs) that flags a slowdown only
+        when it is both statistically significant and larger than
+        ``--max-regress``; any other timing takes the fixed
+        ``--max-regress`` threshold.
         Exits 1 on a regression, 2 on usage errors.
 
     repro campaign run SPEC [--dir DIR] [--workers N] [--stop-after K]
@@ -879,8 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"+{round(DEFAULT_MAX_REGRESS * 100)}%%)")
     p_cmp.add_argument("--alpha", type=float, default=0.05,
                        help="family-wise significance level of the "
-                            "significance gate, which groups with "
-                            "enough samples in both runs take "
+                            "significance gate, which seed replicates "
+                            "take where their samples can reach it "
                             "(default 0.05)")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser

@@ -6,16 +6,14 @@ per-cell metric deltas plus regression flags.  Anything that is not a
 run ledger raises :class:`~repro.errors.ConfigError`.
 
 Two regression gates share this module, and the samples pick one for
-each (workload, prefetcher) timing group:
+each timing of each replicate group — the cells whose canonical keys
+differ by seed alone:
 
-- **Threshold gate** (for groups without enough samples, e.g. cells
-  that carry single measurements): a timing regresses when it exceeds
-  the baseline's by more than ``max_regress`` (default
-  :data:`DEFAULT_MAX_REGRESS` = +25%), via :func:`timing_regression`.
 - **Significance gate** (for groups with at least
-  :data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS` samples per side
-  — per-seed cells in a multi-seed ledger): timings are tested with a
-  Holm-corrected one-sided Mann-Whitney family
+  :data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS` seeds per side,
+  and enough of them that each test of the family can reach ``alpha``
+  after Holm's correction — see :func:`_gate_family`): timings are
+  tested with a Holm-corrected one-sided Mann-Whitney family
   (:func:`repro.harness.stats.significant_slowdowns`), and a timing
   regresses only when the slowdown is *both* statistically
   significant *and* larger than ``max_regress`` in the means.
@@ -26,6 +24,10 @@ each (workload, prefetcher) timing group:
   significance test with flying colors).  Long-term creep detection
   belongs to the end-to-end benchmark (``benchmarks/e2e/``), not a
   two-point compare.
+- **Threshold gate** (for every other timing, e.g. single-seed cells):
+  a timing regresses when it exceeds the baseline's by more than
+  ``max_regress`` (default :data:`DEFAULT_MAX_REGRESS` = +25%), via
+  :func:`timing_regression`.
 
 Rate metrics (accuracy/coverage/speedup) are reported as deltas and
 flagged as anomalies when they worsen by more than ``max_metric_drop``
@@ -37,7 +39,9 @@ sizes in the stats table.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import hashlib
+import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -186,8 +190,26 @@ def _cell_index(parsed: Dict) -> Dict[str, Dict]:
             for cell in parsed.get("cells", [])}
 
 
+def _replicate_group(cell: Dict) -> Optional[str]:
+    """The cell's canonical key without its seed, or ``None``.
+
+    Cells sharing it differ by seed alone, so they are replicates of one
+    measurement.  Sharing a prefetcher name is not enough: a config
+    sweep records every ``PathfinderConfig`` as ``pathfinder``.  A key
+    that is not a canonical JSON cell key pools with nothing.
+    """
+    try:
+        payload = json.loads(str(cell.get("key")))
+    except ValueError:
+        return None
+    if not isinstance(payload, dict) or "seed" not in payload:
+        return None
+    del payload["seed"]
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _group_samples(parsed: Dict) -> Dict[str, Dict[str, List[float]]]:
-    """Per-(workload:prefetcher) sample vectors pooled across seeds.
+    """Per-replicate-group sample vectors, one sample per seed.
 
     Failed and quarantined cells are excluded — their zeroed
     placeholder metrics are resilience bookkeeping, not measurements.
@@ -195,18 +217,61 @@ def _group_samples(parsed: Dict) -> Dict[str, Dict[str, List[float]]]:
     groups: Dict[str, Dict[str, List[float]]] = defaultdict(
         lambda: defaultdict(list))
     for cell in parsed.get("cells", []):
-        if cell.get("outcome") in ("failed", "quarantined"):
+        group = _replicate_group(cell)
+        if group is None or cell.get("outcome") in ("failed",
+                                                    "quarantined"):
             continue
-        label = f"{cell.get('workload', '?')}:{cell.get('prefetcher', '?')}"
         metrics = cell.get("metrics") or {}
         timings = cell.get("timings") or {}
         for metric in LEDGER_RATE_METRICS:
             if metric in metrics:
-                groups[label][metric].append(float(metrics[metric]))
+                groups[group][metric].append(float(metrics[metric]))
         for timing in LEDGER_TIMING_KEYS:
             if timing in timings:
-                groups[label][timing].append(float(timings[timing]))
+                groups[group][timing].append(float(timings[timing]))
     return groups
+
+
+def _group_labels(*ledgers: Dict) -> Dict[str, str]:
+    """A display label per replicate group: ``workload:prefetcher``,
+    plus a hash of the group key where groups share it (a config
+    sweep)."""
+    names: Dict[str, str] = {}
+    for parsed in ledgers:
+        for cell in parsed.get("cells", []):
+            group = _replicate_group(cell)
+            if group is not None:
+                names[group] = (f"{cell.get('workload', '?')}:"
+                                f"{cell.get('prefetcher', '?')}")
+    shared = Counter(names.values())
+    return {group: name if shared[name] == 1 else
+            f"{name}#{hashlib.sha256(group.encode()).hexdigest()[:8]}"
+            for group, name in names.items()}
+
+
+#: One pooled timing: (replicate group, timing key, samples A, samples B).
+_Pooled = Tuple[str, str, List[float], List[float]]
+
+
+def _gate_family(candidates: List[_Pooled], alpha: float) -> List[_Pooled]:
+    """The candidate timings the significance gate takes.
+
+    In a Holm family of ``m`` tests a timing can be flagged only if
+    ``m`` times the smallest p-value its sample sizes allow
+    (:func:`~repro.harness.stats.min_p_value`; timings are continuous,
+    so tie-free) is at most ``alpha`` — and that floor is coarse at few
+    seeds (1/20 for 3 vs 3, 1/70 for 4 vs 4), so a family of such
+    timings could pass any slowdown.  The gate takes the largest family in which every member
+    can reach ``alpha`` (the members with the smallest floors); the
+    other candidates keep the threshold gate.
+    """
+    floors = [st.min_p_value(len(a), len(b)) for _, _, a, b in candidates]
+    limit = 0.0
+    for floor in sorted(set(floors)):
+        if sum(f <= floor for f in floors) * floor > alpha:
+            break
+        limit = floor
+    return [c for c, f in zip(candidates, floors) if f <= limit]
 
 
 def _stat_row(label: str, metric: str, a: Sequence[float],
@@ -223,38 +288,38 @@ def _stat_row(label: str, metric: str, a: Sequence[float],
 def _apply_significance_gate(result: CompareResult,
                              groups_a: Dict[str, Dict[str, List[float]]],
                              groups_b: Dict[str, Dict[str, List[float]]],
-                             alpha: float,
+                             labels: Dict[str, str], alpha: float,
                              max_regress: float) -> set:
-    """Run the stats layer over matched cell-groups.
+    """Run the stats layer over matched replicate groups.
 
-    Returns the set of ``(label, timing)`` pairs the significance gate
+    Returns the set of ``(group, timing)`` pairs the significance gate
     covered; the caller falls back to the threshold rule for the rest.
     Also fills ``result.stats`` with informational rate-metric rows.
     """
-    gate_pairs: List[Tuple[str, List[float], List[float]]] = []
-    covered: set = set()
-    for label in sorted(set(groups_a) & set(groups_b)):
+    candidates: List[_Pooled] = []
+    for group in sorted(set(groups_a) & set(groups_b),
+                        key=lambda g: (labels[g], g)):
         for timing in LEDGER_TIMING_KEYS:
-            a = groups_a[label].get(timing) or []
-            b = groups_b[label].get(timing) or []
+            a = groups_a[group].get(timing) or []
+            b = groups_b[group].get(timing) or []
             if (len(a) >= st.MIN_SAMPLES_FOR_STATS
                     and len(b) >= st.MIN_SAMPLES_FOR_STATS):
-                gate_pairs.append((f"{label}.{timing}", a, b))
-                covered.add((label, timing))
+                candidates.append((group, timing, a, b))
         for metric in LEDGER_RATE_METRICS:
-            a = groups_a[label].get(metric) or []
-            b = groups_b[label].get(metric) or []
+            a = groups_a[group].get(metric) or []
+            b = groups_b[group].get(metric) or []
             if len(a) >= 2 and len(b) >= 2:
-                result.stats.append(_stat_row(label, metric, a, b))
-    if gate_pairs:
+                result.stats.append(_stat_row(labels[group], metric, a, b))
+    family = _gate_family(candidates, alpha)
+    if family:
         verdicts = st.significant_slowdowns(
-            [(label, a, b) for label, a, b in gate_pairs], alpha=alpha,
+            [(f"{labels[group]}.{timing}", a, b)
+             for group, timing, a, b in family], alpha=alpha,
             min_ratio=1.0 + max_regress)
-        for (label, a, b), verdict in zip(gate_pairs, verdicts):
-            group, _, timing = label.rpartition(".")
+        for (group, timing, a, b), verdict in zip(family, verdicts):
             ci_lo, ci_hi = st.bootstrap_diff_ci(b, a)
             result.stats.append(StatRow(
-                label=group, metric=timing, n_a=verdict.n_a,
+                label=labels[group], metric=timing, n_a=verdict.n_a,
                 n_b=verdict.n_b, mean_a=verdict.mean_a,
                 mean_b=verdict.mean_b, p_value=verdict.p_value,
                 ci_low=ci_lo, ci_high=ci_hi, effect=verdict.effect,
@@ -262,7 +327,7 @@ def _apply_significance_gate(result: CompareResult,
                 significant=verdict.significant))
             if verdict.significant:
                 result.regressions.append(verdict.message())
-    return covered
+    return {(group, timing) for group, timing, _, _ in family}
 
 
 def compare_ledgers(a: Dict, b: Dict,
@@ -275,15 +340,15 @@ def compare_ledgers(a: Dict, b: Dict,
     loads, budget, hierarchy), so only like-for-like cells compare; cells
     present in only one run are reported as anomalies.
 
-    Cells sharing a (workload, prefetcher) are also pooled across seeds
-    into sample vectors, and the significance gate replaces the
-    threshold rule wherever both sides have at least
-    :data:`~repro.harness.stats.MIN_SAMPLES_FOR_STATS` samples (see
-    module docstring).
+    Cells whose keys differ by seed alone are also pooled into sample
+    vectors, and the significance gate replaces the threshold rule for
+    the timings whose samples let it reach ``alpha`` (see module
+    docstring).
     """
     result = CompareResult(kind="ledger")
     covered = _apply_significance_gate(
-        result, _group_samples(a), _group_samples(b), alpha, max_regress)
+        result, _group_samples(a), _group_samples(b), _group_labels(a, b),
+        alpha, max_regress)
     if covered:
         result.gate = "significance"
     cells_a, cells_b = _cell_index(a), _cell_index(b)
@@ -297,7 +362,7 @@ def compare_ledgers(a: Dict, b: Dict,
                 f"cell {missing} only present in run {which}")
             continue
         label = str(cell_b.get("cell", key))
-        group = f"{cell_b.get('workload', '?')}:{cell_b.get('prefetcher', '?')}"
+        group = _replicate_group(cell_b)
         metrics_a = cell_a.get("metrics") or {}
         metrics_b = cell_b.get("metrics") or {}
         for metric in LEDGER_RATE_METRICS:

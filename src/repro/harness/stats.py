@@ -193,6 +193,15 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float],
                              method="normal", n_a=n1, n_b=n2)
 
 
+def min_p_value(n_a: int, n_b: int) -> float:
+    """The smallest one-sided p-value :func:`mann_whitney_u` returns for
+    tie-free samples of sizes ``n_a`` and ``n_b``: that of perfectly
+    separated samples (``1 / C(n_a + n_b, n_a)`` in the exact regime,
+    e.g. 1/20 for 3 vs 3)."""
+    return mann_whitney_u(range(n_a, n_a + n_b), range(n_a),
+                          alternative="greater").p_value
+
+
 def bootstrap_ci(samples: Sequence[float],
                  confidence: float = 0.95,
                  resamples: int = DEFAULT_RESAMPLES,

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.core import PathfinderConfig
 from repro.errors import ConfigError
 from repro.harness.compare import (
     DEFAULT_MAX_REGRESS,
@@ -20,11 +21,18 @@ from repro.harness.compare import (
     compare_artifacts,
 )
 from repro.harness.dashboard import render_dashboard
+from repro.harness.runner import cell_key, default_hierarchy
 from repro.obs import read_ledger
 from repro.obs.ledger import RunLedger
 
 
 # ------------------------------------------------------------ fixtures
+
+def _key(spec, seed):
+    """The canonical ledger key of a cc-5 cell."""
+    return cell_key("cc-5", spec, seed=seed, n_accesses=1000, budget=2,
+                    hierarchy=default_hierarchy())
+
 
 def _multi_seed_ledger(path, *, seeds=8, timing_scale=1.0, noise=0.0,
                        speedup=1.05, prefetchers=("pf",), rng_seed=7):
@@ -42,7 +50,7 @@ def _multi_seed_ledger(path, *, seeds=8, timing_scale=1.0, noise=0.0,
         for name in prefetchers:
             jitter = 1.0 + noise * (2.0 * rng.random() - 1.0)
             ledger.record_cell(
-                cell=f"cc-5:{name}:{seed}", key=f"cc-5:{name}:{seed}",
+                cell=f"cc-5:{name}:{seed}", key=_key(name, seed),
                 seed=seed, workload="cc-5", prefetcher=name,
                 metrics={"speedup": speedup + 0.01 * rng.random(),
                          "accuracy": 0.7, "coverage": 0.3},
@@ -141,7 +149,7 @@ def _two_group_ledger(path, *, few_scale=1.0):
     for name, seeds, scale in (("pf", 8, 1.0), ("few", 2, few_scale)):
         for seed in range(seeds):
             ledger.record_cell(
-                cell=f"cc-5:{name}:{seed}", key=f"cc-5:{name}:{seed}",
+                cell=f"cc-5:{name}:{seed}", key=_key(name, seed),
                 seed=seed, workload="cc-5", prefetcher=name,
                 metrics={"speedup": 1.05, "accuracy": 0.7,
                          "coverage": 0.3},
@@ -166,6 +174,91 @@ def test_under_sampled_group_takes_mixed_gate(tmp_path):
              if row.p_adjusted is not None}
     assert gated == {("cc-5:pf", "prefetch_file_s"),
                      ("cc-5:pf", "replay_s")}
+
+
+@pytest.mark.parametrize("seeds, groups", [(3, 1), (4, 2), (5, 13)])
+def test_unreachable_family_keeps_the_threshold_gate(tmp_path, capsys,
+                                                     seeds, groups):
+    """A Holm family whose smallest p-values cannot reach alpha — 3
+    seeds (1/20 × 2 timings), 4 seeds in 2 groups (1/70 × 4), 5 seeds
+    in 13 groups (1/252 × 26) — could never flag a slowdown, so its
+    timings keep the threshold gate: a 10x slowdown fails and the CLI
+    exits 1."""
+    from repro.cli import main
+
+    names = tuple(f"pf{i}" for i in range(groups))
+    a = _multi_seed_ledger(tmp_path / "a.jsonl", seeds=seeds, noise=0.2,
+                           prefetchers=names)
+    b = _multi_seed_ledger(tmp_path / "b.jsonl", seeds=seeds, noise=0.2,
+                           prefetchers=names, timing_scale=10.0)
+    assert main(["compare", str(a), str(b)]) == 1
+    assert "REGRESSION" in capsys.readouterr().out
+    result = compare_artifacts(a, b)
+    assert len(result.regressions) == 2 * seeds * groups
+    assert result.gate == "threshold"
+
+
+def test_reachable_family_takes_the_significance_gate(tmp_path):
+    """Four seeds of one group reach alpha (1/70 × 2 timings)."""
+    a = _multi_seed_ledger(tmp_path / "a.jsonl", seeds=4, noise=0.2)
+    b = _multi_seed_ledger(tmp_path / "b.jsonl", seeds=4, noise=0.2,
+                           timing_scale=10.0)
+    result = compare_artifacts(a, b)
+    assert result.gate == "significance"
+    assert len(result.regressions) == 2
+    assert all("p=" in message for message in result.regressions)
+
+
+def _sweep_ledger(path, *, seeds, slow=None):
+    """A PATHFINDER config sweep: three configs per seed, each recorded
+    as prefetcher ``pathfinder``; config ``slow`` runs 10x slower."""
+    rng = random.Random(5)
+    configs = [PathfinderConfig(n_neurons=n) for n in (25, 50, 100)]
+    ledger = RunLedger(path, path.stem)
+    ledger.write_manifest("experiment", ["experiment"], {},
+                          seeds=list(range(seeds)))
+    for seed in range(seeds):
+        for index, config in enumerate(configs):
+            scale = (10.0 if index == slow else 1.0) * rng.uniform(0.9, 1.1)
+            ledger.record_cell(
+                cell=f"{seed * len(configs) + index:03d}:cc-5:pathfinder",
+                key=_key(config, seed), seed=seed, workload="cc-5",
+                prefetcher="pathfinder",
+                metrics={"speedup": 1.05, "accuracy": 0.7,
+                         "coverage": 0.3},
+                timings={"prefetch_file_s": 0.010 * scale,
+                         "replay_s": 0.004 * scale})
+    ledger.finish(1.0)
+    return path
+
+
+def test_sweep_configs_are_not_seed_replicates(tmp_path):
+    """Cells of different configs share the prefetcher name but are not
+    samples of one measurement: a one-seed sweep keeps the threshold
+    gate, so one config running 10x slower fails."""
+    a = _sweep_ledger(tmp_path / "a.jsonl", seeds=1)
+    b = _sweep_ledger(tmp_path / "b.jsonl", seeds=1, slow=1)
+    result = compare_artifacts(a, b)
+    assert len(result.regressions) == 2
+    assert all(m.startswith("001:cc-5:pathfinder.")
+               for m in result.regressions)
+    assert result.gate == "threshold"
+    assert result.stats == []
+
+
+def test_sweep_configs_pool_their_own_seeds(tmp_path):
+    """With five seeds, each config is its own replicate group, under a
+    label of its own."""
+    a = _sweep_ledger(tmp_path / "a.jsonl", seeds=5)
+    b = _sweep_ledger(tmp_path / "b.jsonl", seeds=5, slow=1)
+    result = compare_artifacts(a, b)
+    assert result.gate == "significance"
+    gated = [row for row in result.stats if row.p_adjusted is not None]
+    assert len(gated) == 6
+    assert len({row.label for row in gated}) == 3
+    assert all(row.label.startswith("cc-5:pathfinder#") for row in gated)
+    slow = {row.label for row in gated if row.significant}
+    assert len(slow) == 1 and len(result.regressions) == 2
 
 
 def test_stats_format_renders_the_table(tmp_path):
@@ -239,7 +332,7 @@ def test_dashboard_ranking_section(tmp_path):
     for seed in range(6):
         for name, speedup in (("fast", 1.4), ("slow", 1.05)):
             ledger.record_cell(
-                cell=f"cc-5:{name}:{seed}", key=f"cc-5:{name}:{seed}",
+                cell=f"cc-5:{name}:{seed}", key=_key(name, seed),
                 seed=seed, workload="cc-5", prefetcher=name,
                 metrics={"speedup": speedup + 0.02 * rng.random(),
                          "accuracy": 0.7, "coverage": 0.3},

@@ -23,12 +23,19 @@ from repro.harness.stats import (
     cliffs_delta,
     holm_bonferroni,
     mann_whitney_u,
+    min_p_value,
     rank_groups,
     significant_slowdowns,
 )
 
 
 # ---------------------------------------------------------------- MWU
+
+@pytest.mark.parametrize("n, floor", [(3, 1 / 20), (4, 1 / 70),
+                                      (5, 1 / 252)])
+def test_min_p_value_is_one_over_the_arrangements(n, floor):
+    assert min_p_value(n, n) == pytest.approx(floor, rel=1e-12)
+
 
 def test_mwu_full_separation_3v3_matches_table():
     # U=0 at n=m=3: exact one-sided p = 1/C(6,3) = 1/20.
