@@ -3,7 +3,7 @@
 A campaign spec is a small YAML or JSON document::
 
     name: nightly
-    workloads: [cc-5, bfs-24]
+    workloads: [cc-5, bfs-10]
     prefetchers: [pathfinder, nextline]
     seeds: [1, 2]
     loads: 4000
@@ -17,16 +17,16 @@ canonical :func:`~repro.harness.runner.cell_key` — the same key grid
 ledgers, ``--resume`` and ``repro compare`` use — so a campaign's
 ledger diffs cleanly against any other run of the same grid.
 
-YAML parsing uses PyYAML when importable and otherwise falls back to a
-tiny built-in subset parser (scalar mappings, flow/block lists,
-comments) so campaign specs never require a new dependency; JSON specs
-always work.
+YAML specs go through one small built-in subset parser (scalar
+mappings, flow/block lists, comments), so a spec reads the same on
+every machine and needs no dependency; JSON specs always work.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from ..errors import ConfigError
 
 #: Bump when the campaign.json layout changes incompatibly.
-CAMPAIGN_SCHEMA = 2
+CAMPAIGN_SCHEMA = 3
 
 _SPEC_FIELDS = ("name", "workloads", "prefetchers", "seeds", "loads",
                 "budget", "workers", "max_attempts", "lease_ttl_s",
@@ -193,13 +193,17 @@ class CampaignSpec:
             if fld.name in ("workloads", "prefetchers"):
                 value = tuple(str(v) for v in _as_list(value, fld.name))
             elif fld.name == "seeds":
-                value = tuple(int(v) for v in _as_list(value, fld.name))
+                value = tuple(_as_int(v, fld.name)
+                              for v in _as_list(value, fld.name))
             elif fld.name in ("loads", "budget", "workers", "max_attempts"):
-                value = int(value)
+                value = _as_int(value, fld.name)
             elif fld.name in ("lease_ttl_s", "backoff_s", "backoff_factor"):
-                value = float(value)
-            else:
+                value = _as_finite(value, fld.name)
+            elif isinstance(value, (str, int)) and not isinstance(value, bool):
                 value = str(value)
+            else:
+                raise ConfigError(f"campaign spec: {fld.name} must be a "
+                                  f"string, got {value!r}")
             kwargs[fld.name] = value
         for required in ("name", "workloads", "prefetchers"):
             if required not in kwargs:
@@ -214,6 +218,34 @@ def _as_list(value: object, name: str) -> Sequence:
     raise ConfigError(f"campaign spec: {name} must be a list")
 
 
+def _as_int(value: object, name: str) -> int:
+    """``value`` as an int when it is one exactly (an integral float
+    or an integer string passes; a bool or a fraction does not)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(
+        f"campaign spec: {name} must be an integer, got {value!r}")
+
+
+def _as_finite(value: object, name: str) -> float:
+    """``value`` as a finite float (never a bool, NaN or infinity)."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(
+        f"campaign spec: {name} must be a finite number, got {value!r}")
+
+
 def load_spec(path: Union[str, Path]) -> CampaignSpec:
     """Parse a campaign spec file (JSON or YAML) into a ``CampaignSpec``."""
     path = Path(path)
@@ -224,22 +256,8 @@ def load_spec(path: Union[str, Path]) -> CampaignSpec:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
-        payload = _parse_yaml(text, path)
+        payload = _parse_simple_yaml(text, path)
     return CampaignSpec.from_dict(payload)
-
-
-def _parse_yaml(text: str, path: Path) -> Dict[str, object]:
-    try:
-        import yaml
-    except ImportError:
-        return _parse_simple_yaml(text, path)
-    try:
-        payload = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid campaign spec ({exc})") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: campaign spec must be a mapping")
-    return payload
 
 
 def _parse_simple_yaml(text: str, path: Path) -> Dict[str, object]:
@@ -288,10 +306,19 @@ def _parse_simple_yaml(text: str, path: Path) -> Dict[str, object]:
 
 
 def _strip_comment(line: str) -> str:
-    # Good enough for specs: none of our values legitimately contain
-    # a '#' (names, workloads, numbers).
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+    """Cut a ``#`` comment, as YAML does: a ``#`` that starts the line
+    or follows whitespace, outside a quoted scalar."""
+    quote = ""
+    for i, char in enumerate(line):
+        starts_token = i == 0 or line[i - 1] in " \t[,"
+        if quote:
+            if char == quote:
+                quote = ""
+        elif char in "'\"" and starts_token:
+            quote = char
+        elif char == "#" and (i == 0 or line[i - 1].isspace()):
+            return line[:i]
+    return line
 
 
 def _scalar(token: str):

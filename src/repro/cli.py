@@ -41,7 +41,7 @@ Six subcommands, installed as the ``repro`` console script::
     repro report [events.jsonl] [--ledger RUN.jsonl] [--metrics m.json]
               [--series FILE] [--campaign DIR] [--html OUT.html]
         Aggregate a ``--events-out`` file into human-readable tables
-        (run summaries, prefetch lifecycle funnel, span timings), and/or
+        (run summaries, prefetch lifecycle funnel, SNN telemetry), and/or
         render a self-contained HTML dashboard from any combination of
         events, run ledger, metrics snapshot, series and campaign
         (ranking table with bootstrap-CI whiskers and significance
@@ -397,8 +397,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         with ambient_policy(policy) as stats, injected(plan):
             if obs is not None:
                 try:
-                    with obs.profiler.phase("experiment"), \
-                            obs.tracer.span(f"experiment:{args.experiment}"):
+                    with obs.profiler.phase("experiment"):
                         result = run_experiment(args.experiment, **kwargs)
                     for key, value in result.metrics.items():
                         obs.tracer.emit("experiment.metric",

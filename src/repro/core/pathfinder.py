@@ -171,7 +171,6 @@ class PathfinderPrefetcher(Prefetcher):
             total_spikes += spikes * intervals
         scope.counter("snn.spikes").inc(total_spikes)
         scope.gauge("snn.weight_saturation").set(self.weight_saturation)
-        scope.gauge("snn.intervals").set(self.snn_queries)
         if self.neuron_repairs:
             scope.counter("snn.neuron_repairs").inc(self.neuron_repairs)
             self._obs.tracer.emit(
@@ -180,7 +179,6 @@ class PathfinderPrefetcher(Prefetcher):
         self._obs.tracer.emit(
             "snn.summary", prefetcher=self.name, queries=self.snn_queries,
             stdp_updates=self.stdp_updates, spikes=total_spikes,
-            intervals=self.snn_queries,
             weight_saturation=self.weight_saturation)
 
     def series_arm(self) -> None:

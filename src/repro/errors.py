@@ -82,14 +82,13 @@ class SimulationError(ReproError):
 class EngineFallbackWarning(UserWarning):
     """A replay ran on the reference loop instead of the compiled kernel.
 
-    Emitted by :class:`repro.sim.simulator.Simulator` when the batch
-    kernel cannot serve the run — event tracing or non-LRU replacement
-    at construction; no compiled kernel, an ineligible plan, or
-    pre-populated state at run time.  A warning, not an error: results
-    are bit-identical across the two loops, only wall-clock changes —
-    but silent downgrades made benchmark numbers lie, so the downgrade
-    is visible and filterable.  ``Simulator.engine_used`` reports what
-    actually ran.
+    Emitted by :meth:`repro.sim.simulator.Simulator.run` when the batch
+    kernel cannot serve the run — event tracing, an ineligible plan,
+    pre-populated state, or no compiled kernel.  A warning, not an
+    error: results are bit-identical across the two loops, only
+    wall-clock changes — but silent downgrades made benchmark numbers
+    lie, so the downgrade is visible and filterable.
+    ``Simulator.engine_used`` reports what actually ran.
     """
 
 

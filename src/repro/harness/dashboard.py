@@ -11,8 +11,8 @@ dashboard renders whichever sections have data):
 - a run ledger parsed by :func:`repro.obs.read_ledger` — manifest
   provenance, per-cell metric/outcome tables, resilience summary;
 - an events list from :func:`repro.obs.read_events` — the prefetch
-  lifecycle funnel and span timings, via the same
-  :mod:`repro.harness.reporting` helpers the ASCII report uses;
+  lifecycle funnel, via the same :mod:`repro.harness.reporting`
+  helper the ASCII report uses;
 - a ``--metrics-out`` snapshot dict — phase-timing and DRAM queue-wait
   histograms.
 """
@@ -24,7 +24,7 @@ import math
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .reporting import lifecycle_counts, span_totals
+from .reporting import lifecycle_counts
 
 _STYLE = """
 body { font-family: system-ui, sans-serif; margin: 2em auto;
@@ -257,17 +257,6 @@ def _funnel_section(events: List[Dict]) -> str:
     return ("<h2>Prefetch lifecycle funnel</h2>"
             + _bar_svg(pairs)
             + _table(["stage", "events"], funnel.items()))
-
-
-def _spans_section(events: List[Dict]) -> str:
-    spans = span_totals(events)
-    if not spans:
-        return ""
-    pairs = [(name, stat["total_s"]) for name, stat in spans.items()]
-    rows = [[name, stat["calls"], stat["total_s"], stat["max_s"]]
-            for name, stat in spans.items()]
-    return ("<h2>Span timings</h2>" + _bar_svg(pairs, unit="s")
-            + _table(["span", "calls", "total s", "max s"], rows))
 
 
 def _histogram_sections(metrics: Dict) -> str:
@@ -633,7 +622,6 @@ def render_dashboard(ledger: Optional[Dict] = None,
         sections.append(_finish_section(ledger.get("finish")))
     if events:
         sections.append(_funnel_section(events))
-        sections.append(_spans_section(events))
     if metrics:
         sections.append(_profile_section(metrics))
         sections.append(_histogram_sections(metrics))

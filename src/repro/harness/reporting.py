@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter as TallyCounter
-from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Cell = Union[str, int, float]
@@ -83,17 +82,6 @@ def lifecycle_counts(events: Iterable[Dict]) -> Dict[str, int]:
     return {name: counts.get(name, 0) for name in PF_LIFECYCLE_EVENTS}
 
 
-def span_totals(events: Iterable[Dict]) -> Dict[str, Dict[str, float]]:
-    """Wall-clock totals per span name: ``{name: {calls, total_s, max_s}}``."""
-    spans: Dict[str, List[float]] = defaultdict(list)
-    for e in events:
-        if e.get("event") == "span":
-            spans[str(e.get("name", "?"))].append(float(e.get("wall_s", 0.0)))
-    return {name: {"calls": len(walls), "total_s": sum(walls),
-                   "max_s": max(walls)}
-            for name, walls in sorted(spans.items())}
-
-
 def summarize_events(events: Iterable[Dict]) -> List[EventTable]:
     """Aggregate a structured-event stream into report tables.
 
@@ -106,7 +94,6 @@ def summarize_events(events: Iterable[Dict]) -> List[EventTable]:
     - the prefetch lifecycle funnel (issued → fill → useful/late/
       dropped/evicted-unused), where "useful (total)" = ``pf.useful``
       + ``pf.late`` and matches ``SimResult.pf_useful``,
-    - span wall-clock totals,
     - SNN summaries, when present.
     """
     events = list(events)
@@ -135,13 +122,6 @@ def summarize_events(events: Iterable[Dict]) -> List[EventTable]:
         tables.append(("Prefetch lifecycle", ["stage", "events"],
                        lifecycle_rows))
 
-    spans = span_totals(events)
-    if spans:
-        rows = [[name, stat["calls"], stat["total_s"], stat["max_s"]]
-                for name, stat in spans.items()]
-        tables.append(("Span timings",
-                       ["span", "calls", "total s", "max s"], rows))
-
     snn = [e for e in events if e.get("event") == "snn.summary"]
     if snn:
         rows = [[e.get("prefetcher", "?"), int(e.get("queries", 0)),
@@ -154,7 +134,7 @@ def summarize_events(events: Iterable[Dict]) -> List[EventTable]:
 
     other = sorted((name, count) for name, count in type_counts.items()
                    if name not in PF_LIFECYCLE_EVENTS
-                   and name not in ("span", "snn.summary"))
+                   and name != "snn.summary")
     rows = [[name, count] for name, count in other]
     rows.append(["TOTAL (all events)", len(events)])
     tables.append(("Event counts", ["event", "count"], rows))

@@ -1,4 +1,4 @@
-"""Structured event/span tracing with pluggable sinks.
+"""Structured event tracing with pluggable sinks.
 
 A :class:`Tracer` turns ``emit("pf.issued", block=..., cycle=...)``
 calls into flat dict records and hands them to its sink.  The default
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
@@ -159,19 +158,6 @@ class Tracer:
             stamped = dict(record)
             stamped["gseq"] = self._seq
             self.sink.write(stamped)
-
-    @contextmanager
-    def span(self, name: str, **fields: object) -> Iterator[None]:
-        """Time a block; emits one ``span`` event with ``wall_s`` on exit."""
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.emit("span", name=name,
-                      wall_s=time.perf_counter() - start, **fields)
 
     def close(self) -> None:
         """Flush and close the sink."""

@@ -3,7 +3,7 @@
 Executes a :class:`~repro.sim.fast_engine.planner.ReplayPlan` on the
 compiled C kernel (:mod:`~repro.sim.fast_engine.ckernel`) and writes
 the kernel's counters back into the simulator's caches and DRAM model.
-Whatever the kernel cannot take — no C compiler (or
+Whatever the kernel cannot take — event tracing, no C compiler (or
 ``REPRO_NO_CKERNEL=1``), an ineligible plan (non-monotone instruction
 ids, negative blocks, oversized ids), or a simulator whose state is
 already populated — runs on the reference loop instead, over the same
@@ -65,15 +65,18 @@ def feed_kernel_series(recorder, series_rows: np.ndarray, n: int,
             gauges={REPLAY_QUEUE_GAUGE: row[len(REPLAY_SERIES_NAMES)]})
 
 
-def _fallback_reason(sim, plan, kernel):
+def _fallback_reason(sim, plan):
     """Why the kernel cannot run this replay, or ``None`` if it can."""
+    # The kernel has no per-event hooks.
+    if sim._trace_events:
+        return "event tracing is enabled"
     if not plan.kernel_eligible:
         return plan.fallback_reason
     # The kernel starts from empty caches, DRAM and prefetch state.
     if (sim.l1d.occupancy or sim.l2.occupancy or sim.llc.occupancy
             or sim.dram.requests or sim._pf_heap or sim._pf_inflight):
         return "simulator state is pre-populated"
-    if kernel is None:
+    if load_kernel() is None:
         return "replay kernel unavailable"
     return None
 
@@ -89,9 +92,7 @@ def replay_batch(sim, trace: Trace, plan: ReplayPlan,
     emits one cumulative-counter row per window — pure observation,
     results stay bit-identical.
     """
-    arrays = trace.arrays()
-    kernel = load_kernel()
-    reason = _fallback_reason(sim, plan, kernel)
+    reason = _fallback_reason(sim, plan)
     if reason is not None:
         sim.engine_used = "reference"
         warnings.warn(EngineFallbackWarning(
@@ -100,6 +101,8 @@ def replay_batch(sim, trace: Trace, plan: ReplayPlan,
         sim._run_reference(trace, plan, result, recorder)
         return
 
+    arrays = trace.arrays()
+    kernel = load_kernel()
     series_window = recorder.window if recorder is not None else 0
     out = kernel.replay(arrays.instr_ids, arrays.blocks,
                         plan.pf_starts, plan.pf_blocks, sim.config,

@@ -33,7 +33,7 @@ same order as the reference loop:
   which determines LRU state);
 - per-set LRU state is a block array in recency order, front =
   least recent — the victim :class:`repro.sim.cache.SetAssociativeCache`
-  picks under ``lru`` replacement;
+  picks;
 - compiled with ``-ffp-contract=off -fno-fast-math`` so no FMA
   contraction or reassociation can change results.
 

@@ -30,11 +30,10 @@ shared LLC or already in flight.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigError, EngineFallbackWarning, SimulationError
+from ..errors import ConfigError, SimulationError
 from ..types import PrefetchFile, Trace
 from .cache import SetAssociativeCache
 from .dram import DramModel
@@ -73,11 +72,7 @@ class _Core:
         config = uncore.config
         self.index = index
         self.trace = trace
-        with warnings.catch_warnings():
-            # The replay-loop choice belongs to Simulator.run, which a
-            # co-run never calls.
-            warnings.simplefilter("ignore", EngineFallbackWarning)
-            self.sim = Simulator(config)
+        self.sim = Simulator(config)
         self.sim.llc = uncore.llc
         self.sim.dram = uncore.dram
         self.sim._pf_heap = uncore._pf_heap

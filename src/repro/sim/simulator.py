@@ -11,11 +11,10 @@ the competition setting.
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..errors import EngineFallbackWarning, SimulationError
+from ..errors import SimulationError
 from ..obs import Counter, Observability
 from ..types import PrefetchFile, PrefetchRequest, Trace
 from .cache import CacheConfig, SetAssociativeCache
@@ -107,13 +106,15 @@ class Simulator:
     file's per-access trigger schedule in CSR form, after the invalid
     drop and the per-trigger budget trim.
 
-    The kernel covers LRU replacement and metrics-level observability
-    on a cold simulator.  Per-event tracing or an ``srrip`` level
-    selects the reference loop at construction; no C compiler (or
-    ``REPRO_NO_CKERNEL=1``), an ineligible plan, or pre-populated
-    state select it at run time.  Each of these emits a typed
-    :class:`~repro.errors.EngineFallbackWarning` and sets
-    :attr:`engine_used`, so a caller always sees which loop ran.
+    :meth:`run` always hands the replay to
+    :func:`~repro.sim.fast_engine.batch.replay_batch`, which picks the
+    loop: the kernel covers metrics-level observability on a cold
+    simulator, and per-event tracing, an ineligible plan,
+    pre-populated state or no C compiler (or ``REPRO_NO_CKERNEL=1``)
+    select the reference loop.  Each of these emits one typed
+    :class:`~repro.errors.EngineFallbackWarning` from :meth:`run` and
+    sets :attr:`engine_used`, so a caller always sees which loop ran;
+    construction never warns.
 
     The multicore co-run (:mod:`repro.sim.multicore`) steps each core
     through :meth:`_drain_completed_prefetches`, :meth:`_demand_access`
@@ -126,21 +127,10 @@ class Simulator:
         self.config = config or HierarchyConfig()
         self.obs = obs if obs is not None else Observability.disabled()
         self._trace_events = self.obs.tracer.enabled
-        #: The loop that ran (or will run): ``"batch"`` until a
-        #: condition the kernel cannot take selects ``"reference"``.
+        #: The loop that ran (or will run): ``"batch"`` until
+        #: :meth:`run` meets a condition the kernel cannot take and
+        #: selects ``"reference"``.
         self.engine_used = "batch"
-        # The kernel has no event-tracing hooks and only implements
-        # LRU, so those configurations run on the reference loop.
-        non_lru = (self.config.l1d.replacement != "lru"
-                   or self.config.l2.replacement != "lru"
-                   or self.config.llc.replacement != "lru")
-        if self._trace_events or non_lru:
-            reason = ("event tracing is enabled" if self._trace_events
-                      else "a non-LRU replacement policy is configured")
-            self.engine_used = "reference"
-            warnings.warn(EngineFallbackWarning(
-                f"replay engine downgraded to 'reference': {reason}"),
-                stacklevel=2)
         self.l1d = SetAssociativeCache(self.config.l1d)
         self.l2 = SetAssociativeCache(self.config.l2)
         self.llc = SetAssociativeCache(self.config.llc)
@@ -316,11 +306,8 @@ class Simulator:
                 component="replay", prefetcher=prefetcher_name,
                 trace=trace.name)
 
-        if self.engine_used == "batch":
-            batch_engine.replay_batch(self, trace, plan, result,
-                                      recorder=recorder)
-        else:
-            self._run_reference(trace, plan, result, recorder)
+        batch_engine.replay_batch(self, trace, plan, result,
+                                  recorder=recorder)
 
         # Account prefetched lines that were demanded after install.
         result.pf_useful += self.llc.useful_prefetches

@@ -105,23 +105,6 @@ def test_contains_does_not_mutate():
     assert cache.hits == 0 and cache.misses == 0
 
 
-def test_invalidate():
-    cache = small_cache()
-    cache.insert(4)
-    assert cache.invalidate(4)
-    assert not cache.invalidate(4)
-    assert not cache.contains(4)
-
-
-def test_reset_stats_keeps_contents():
-    cache = small_cache()
-    cache.insert(4)
-    cache.lookup(4)
-    cache.reset_stats()
-    assert cache.hits == 0
-    assert cache.contains(4)
-
-
 def test_occupancy():
     cache = small_cache(sets=4, ways=2)
     for block in range(6):

@@ -3,6 +3,7 @@ durable lease queue, retry backoff, serial campaigns, status snapshots,
 and ledger/queue reconciliation on resume."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,36 @@ def test_load_spec_yaml(tmp_path):
     assert spec.prefetchers == ("nextline", "bo")
     assert spec.seeds == (1, 2)
     assert spec.lease_ttl_s == 5.0
+
+
+def test_yaml_spec_reads_the_same_everywhere(tmp_path):
+    """One built-in parser reads every YAML spec, whatever else the
+    machine has installed: no octal seeds, exponent loads are numbers,
+    ``yes`` stays a string, and a quoted ``#`` is no comment."""
+    path = tmp_path / "spec.yaml"
+    path.write_text('name: yes\n'
+                    'workloads: ["cc-5"]  # quoted\n'
+                    'prefetchers: [nextline]\n'
+                    'seeds: [010, 2]\n'
+                    'loads: 2e4\n')
+    spec = load_spec(path)
+    assert spec.name == "yes"
+    assert spec.seeds == (10, 2)
+    assert spec.loads == 20000
+    path.write_text('name: "a # b"\nworkloads: [cc-5]\n'
+                    'prefetchers: [bo]  # c\n')
+    assert load_spec(path).name == "a # b"
+
+
+def test_readme_campaign_spec_loads(tmp_path):
+    """The ``nightly.yaml`` block in README.md is a valid spec."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("cat > nightly.yaml <<'SPEC'\n", 1)[1]
+    path = tmp_path / "nightly.yaml"
+    path.write_text(block.split("\nSPEC\n", 1)[0])
+    spec = load_spec(path)
+    assert spec.name == "nightly"
+    assert spec.workloads == ("cc-5", "bfs-10")
 
 
 def test_simple_yaml_subset_parser(tmp_path):

@@ -154,6 +154,54 @@ def test_campaign_resume_rejects_schema_1_directory(tmp_path, capsys):
     assert "campaign schema 1" in out and "engine" not in out
 
 
+def test_campaign_resume_rejects_schema_2_directory(tmp_path, capsys):
+    """A directory written while cache levels carried a replacement
+    policy holds cell keys no current cell matches, so it exits 2."""
+    import json
+
+    from repro.campaign import CAMPAIGN_FILE, Campaign, CampaignSpec
+
+    directory = tmp_path / "camp"
+    Campaign.create(directory, CampaignSpec(
+        name="old", workloads=("cc-5",), prefetchers=("nextline",),
+        loads=400, workers=0))
+    meta = json.loads((directory / CAMPAIGN_FILE).read_text())
+    meta["schema"] = 2
+    (directory / CAMPAIGN_FILE).write_text(json.dumps(meta))
+    assert main(["campaign", "resume", str(directory)]) == 2
+    assert "campaign schema 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("loads", "4k", id="loads-4k"),
+    pytest.param("loads", None, id="loads-null"),
+    pytest.param("loads", 4000.7, id="loads-fraction"),
+    pytest.param("seeds", [1, "two"], id="seeds-word"),
+    pytest.param("seeds", [1.9], id="seeds-fraction"),
+    pytest.param("workers", True, id="workers-bool"),
+    pytest.param("lease_ttl_s", "soon", id="lease_ttl_s-word"),
+    pytest.param("lease_ttl_s", "nan", id="lease_ttl_s-nan"),
+    pytest.param("backoff_s", "nan", id="backoff_s-nan"),
+    pytest.param("backoff_factor", "nan", id="backoff_factor-nan"),
+    pytest.param("name", None, id="name-null"),
+])
+def test_campaign_run_rejects_malformed_spec_values(tmp_path, capsys,
+                                                    field, value):
+    """A value that is not exactly its field's type exits 2 and names
+    the field; nothing is truncated, coerced from a bool, or NaN."""
+    import json
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "typed", "workloads": ["cc-5"], "prefetchers": ["nextline"],
+        "loads": 400, "workers": 0, field: value}))
+    assert main(["campaign", "run", str(spec),
+                 "--dir", str(tmp_path / "camp")]) == 2
+    out = capsys.readouterr().out
+    assert f"error: campaign spec: {field} must be" in out
+    assert not (tmp_path / "camp").exists()
+
+
 def test_campaign_run_rejects_existing_dir_and_bad_spec(tmp_path, capsys):
     import json
 

@@ -327,8 +327,7 @@ def test_dashboard_renders_well_formed_html(tmp_path):
     from html.parser import HTMLParser
 
     events = [{"event": "pf.issued", "seq": 1, "cell": "000"},
-              {"event": "pf.fill", "seq": 2, "cell": "000"},
-              {"event": "span", "name": "replay", "wall_s": 0.4, "seq": 3}]
+              {"event": "pf.fill", "seq": 2, "cell": "000"}]
     metrics = {"metrics": {"counters": {}, "gauges": {}, "histograms": {
         "dram.queue_wait_cycles{run=spp}": {
             "count": 3, "total": 30.0, "mean": 10.0, "min": 2.0,
@@ -353,7 +352,7 @@ def test_dashboard_renders_well_formed_html(tmp_path):
     auditor.feed(html_text)
     assert auditor.tags > 20
     assert html_text.startswith("<!DOCTYPE html>")
-    # All inputs surfaced: manifest, cells, funnel, spans, histograms.
+    # All inputs surfaced: manifest, cells, funnel, phases, histograms.
     for marker in ("r1", "000:cc-5:spp", "pf.issued", "replay",
                    "dram.queue_wait_cycles", "Run manifest",
                    "Prefetch lifecycle funnel", "<svg"):

@@ -11,7 +11,6 @@ from repro.errors import ConfigError, EngineFallbackWarning, SimulationError
 from repro.harness.runner import make_prefetcher
 from repro.prefetchers import NextLinePrefetcher, generate_prefetches
 from repro.sim import simulate
-from repro.sim.cache import CacheConfig
 from repro.sim.fast_engine.planner import plan_replay
 from repro.sim.multicore import MulticoreSimulator, simulate_multicore
 from repro.sim.simulator import HierarchyConfig
@@ -82,12 +81,11 @@ def test_corun_degrades_ipc_vs_solo():
 
 
 def test_non_lru_corun_warns_nothing():
-    """A co-run has one loop, so a non-LRU LLC is no fallback."""
-    config = HierarchyConfig(llc=CacheConfig(
-        name="LLC", sets=128, ways=16, latency=20, replacement="srrip"))
+    """A co-run has one loop and builds its cores' simulators without
+    a warning (every level is LRU, so no configuration is a fallback)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", EngineFallbackWarning)
-        result = simulate_multicore(list(_two_traces(100)), config=config)
+        result = simulate_multicore(list(_two_traces(100)))
     assert all(r.llc_misses == 100 for r in result.per_core)
 
 

@@ -163,8 +163,30 @@ def test_snn_telemetry_same_without_the_kernel(spec, loads):
     assert queries > 0
     assert histogram["count"] == queries
     assert histogram["total"] == entries["counters"][f"snn.spikes{scope}"]
-    assert [e["intervals"] for e in events
+    assert [e["queries"] for e in events
             if e["event"] == "snn.summary"] == [queries]
+
+
+@pytest.mark.filterwarnings("ignore::repro.errors.EngineFallbackWarning")
+def test_multi_cell_run_publishes_queries_not_intervals():
+    """Each query is one interval, so the SNN telemetry has one name
+    for the count: ``snn.queries``, summed over every cell."""
+    sink = MemorySink()
+    obs = Observability(tracer=Tracer(sink))
+    hierarchy = default_hierarchy()
+    for workload in ("cc-5", "623-xalan-s1"):
+        trace = make_trace(workload, 1500, seed=1)
+        run_prefetcher(trace, make_prefetcher("pathfinder"),
+                       simulate(trace, config=hierarchy), hierarchy, obs=obs)
+    snap = obs.registry.snapshot()
+    assert not [key for values in snap.values() for key in values
+                if key.startswith("snn.intervals")]
+    summaries = [e for e in sink.events if e["event"] == "snn.summary"]
+    assert len(summaries) == 2
+    assert not [e for e in summaries if "intervals" in e]
+    scope = "{component=snn,prefetcher=pathfinder}"
+    assert snap["counters"][f"snn.queries{scope}"] == sum(
+        e["queries"] for e in summaries)
 
 
 def test_disabled_observability_matches_plain_result():
@@ -277,8 +299,11 @@ def test_cli_experiment_obs_flags(tmp_path, capsys):
     events = read_events(events_path)
     kinds = {e["event"] for e in events}
     assert "experiment.metric" in kinds
-    assert "span" in kinds
+    assert "span" not in kinds
     snapshot = json.loads(metrics_path.read_text())
+    (phase,) = [child for child in snapshot["profile"]["children"]
+                if child["name"] == "experiment"]
+    assert phase["calls"] == 1 and phase["wall_s"] > 0.0
     assert any(k.startswith("experiment.metric")
                for k in snapshot["metrics"]["gauges"])
 

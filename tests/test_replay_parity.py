@@ -21,8 +21,7 @@ import pytest
 from repro.errors import EngineFallbackWarning
 from repro.obs import MemorySink, Observability, SeriesCollector, Tracer
 from repro.prefetchers.base import generate_prefetches
-from repro.sim.cache import CacheConfig
-from repro.sim.simulator import HierarchyConfig, Simulator, simulate
+from repro.sim.simulator import Simulator, simulate
 from repro.traces.workloads import make_trace
 from repro.harness.runner import PREFETCHER_FACTORIES, default_hierarchy
 
@@ -81,23 +80,24 @@ def test_batch_engine_is_the_default():
     assert sim.engine_used == "batch"
 
 
-def test_srrip_config_falls_back_to_reference():
-    config = HierarchyConfig(
-        llc=CacheConfig(name="LLC", sets=128, ways=16, latency=20,
-                        replacement="srrip"))
-    with pytest.warns(EngineFallbackWarning, match="non-LRU"):
-        sim = Simulator(config)
-    assert sim.engine_used == "reference"
-    # And the run still works end to end.
-    result = sim.run(_trace("cc-5"), (), "none")
-    assert result.llc_misses > 0
-
-
 def test_event_tracing_falls_back_to_reference():
+    """Building a traced simulator warns nothing; its run picks the
+    reference loop, with exactly one warning."""
     obs = Observability(tracer=Tracer(MemorySink()))
-    with pytest.warns(EngineFallbackWarning, match="event tracing"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
         sim = Simulator(default_hierarchy(), obs=obs)
+    assert sim.engine_used == "batch"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = sim.run(_trace("cc-5"), (), "none")
+    fallbacks = [w for w in caught
+                 if issubclass(w.category, EngineFallbackWarning)]
+    assert len(fallbacks) == 1
+    assert "event tracing" in str(fallbacks[0].message)
     assert sim.engine_used == "reference"
+    with reference_loop():
+        assert result == simulate(_trace("cc-5"), (), default_hierarchy())
 
 
 def test_armed_faults_keep_the_batch_engine():
