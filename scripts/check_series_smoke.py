@@ -12,10 +12,6 @@ Modes, matching the CI invocations:
       Single-file validation: schema-clean, non-empty, replay series
       present; with --expect-generation, PATHFINDER learning-dynamics
       series (gen.*, snn.*) must be present too.
-
-  check_series_smoke.py --campaign campaign_series.jsonl
-      The campaign series must parse (torn tail tolerated), start with
-      a `start` event, and carry monotone non-negative queue depths.
 """
 
 import argparse
@@ -24,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs import read_campaign_series, read_series  # noqa: E402
+from repro.obs import read_series  # noqa: E402
 
 
 def fail(message):
@@ -66,41 +62,21 @@ def check_parity(serial_path, parallel_path):
           f"({len(serial)} series, {len(a)} bytes)")
 
 
-def check_campaign(path):
-    samples = read_campaign_series(path)
-    if not samples:
-        fail(f"{path}: no campaign samples")
-    if samples[0].get("event") != "start":
-        fail(f"{path}: first sample is {samples[0].get('event')!r}, "
-             "expected 'start'")
-    for sample in samples:
-        if sample.get("schema") != 1 or sample.get("kind") != "campaign_sample":
-            fail(f"{path}: bad sample envelope: {sample}")
-        if sample.get("queue_depth", 0) < 0:
-            fail(f"{path}: negative queue depth: {sample}")
-    events = [sample.get("event") for sample in samples]
-    print(f"ok: {path}: {len(samples)} samples, events "
-          f"{events[0]}..{events[-1]}")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--serial")
     parser.add_argument("--parallel")
     parser.add_argument("--series")
     parser.add_argument("--expect-generation", action="store_true")
-    parser.add_argument("--campaign")
     args = parser.parse_args()
     if bool(args.serial) != bool(args.parallel):
         parser.error("--serial and --parallel go together")
-    if not (args.serial or args.series or args.campaign):
+    if not (args.serial or args.series):
         parser.error("nothing to check")
     if args.serial:
         check_parity(args.serial, args.parallel)
     if args.series:
         check_one(args.series, expect_generation=args.expect_generation)
-    if args.campaign:
-        check_campaign(args.campaign)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from ..errors import ConfigError
 
@@ -296,7 +296,7 @@ def _parse_simple_yaml(text: str, path: Path) -> Dict[str, object]:
             pending_key = key
         elif value.startswith("[") and value.endswith("]"):
             payload[key] = [_scalar(item.strip())
-                            for item in value[1:-1].split(",")
+                            for item in _split_flow_list(value[1:-1])
                             if item.strip()]
             pending_key = None
         else:
@@ -305,20 +305,34 @@ def _parse_simple_yaml(text: str, path: Path) -> Dict[str, object]:
     return payload
 
 
-def _strip_comment(line: str) -> str:
-    """Cut a ``#`` comment, as YAML does: a ``#`` that starts the line
-    or follows whitespace, outside a quoted scalar."""
+def _unquoted(line: str) -> Iterator[Tuple[int, str]]:
+    """``(index, char)`` for each character of ``line`` outside a quoted
+    scalar; as in YAML, a quote opens one only where a token starts."""
     quote = ""
     for i, char in enumerate(line):
-        starts_token = i == 0 or line[i - 1] in " \t[,"
         if quote:
             if char == quote:
                 quote = ""
-        elif char in "'\"" and starts_token:
+        elif char in "'\"" and (i == 0 or line[i - 1] in " \t[,"):
             quote = char
-        elif char == "#" and (i == 0 or line[i - 1].isspace()):
+        else:
+            yield i, char
+
+
+def _strip_comment(line: str) -> str:
+    """Cut a ``#`` comment, as YAML does: a ``#`` that starts the line
+    or follows whitespace, outside a quoted scalar."""
+    for i, char in _unquoted(line):
+        if char == "#" and (i == 0 or line[i - 1].isspace()):
             return line[:i]
     return line
+
+
+def _split_flow_list(body: str) -> List[str]:
+    """Split a flow list's ``[...]`` body on commas outside quotes."""
+    cuts = [-1] + [i for i, char in _unquoted(body) if char == ","]
+    cuts.append(len(body))
+    return [body[start + 1:end] for start, end in zip(cuts, cuts[1:])]
 
 
 def _scalar(token: str):

@@ -64,11 +64,6 @@ from .worker import execute_cell, worker_main
 CAMPAIGN_FILE = "campaign.json"
 QUEUE_FILE = "queue.jsonl"
 LEDGER_FILE = "ledger.jsonl"
-SERIES_FILE = "campaign_series.jsonl"
-
-#: Minimum seconds between idle campaign samples (state changes always
-#: sample immediately).
-SERIES_INTERVAL_S = 0.5
 
 #: Zeroed metrics recorded for quarantined (poison) cells.
 _ZERO_METRICS = {key: 0 for key in ("ipc", "speedup", "accuracy",
@@ -131,72 +126,6 @@ class CampaignStats:
         return ", ".join(parts)
 
 
-class CampaignSeriesSampler:
-    """Single-writer appender behind ``<dir>/campaign_series.jsonl``.
-
-    Only the supervisor writes here, in append mode with a flush per
-    record, so a SIGKILL tears at most the final line — which
-    :func:`repro.obs.timeseries.read_campaign_series` drops — and a
-    resumed supervisor simply keeps appending to the same log.  Every
-    record is ``kind: "campaign_sample"``; the ``event`` field marks
-    run boundaries (``start``/``sample``/``finish``).  Idle ticks are
-    throttled to :data:`SERIES_INTERVAL_S`; queue-state changes sample
-    immediately so short campaigns still land every transition.
-    """
-
-    def __init__(self, path: Union[str, Path],
-                 interval_s: float = SERIES_INTERVAL_S):
-        self.path = Path(path)
-        self.interval_s = interval_s
-        self._fh = self.path.open("a", encoding="utf-8")
-        self._t0 = time.time()
-        self._last_wall = float("-inf")
-        self._last_state: Optional[tuple] = None
-        self.per_worker: Dict[str, int] = {}
-
-    def note_done(self, worker_id: str) -> None:
-        """Count one completed cell against ``worker_id``."""
-        self.per_worker[worker_id] = self.per_worker.get(worker_id, 0) + 1
-
-    def sample(self, queue: WorkQueue, stats: CampaignStats,
-               event: str = "sample", force: bool = False) -> None:
-        """Append one sample unless idle and inside the throttle window."""
-        counts = queue.counts()
-        state = (tuple(sorted(counts.items())), stats.completed,
-                 stats.retries, stats.quarantined, stats.leases)
-        now = time.time()
-        if not force and state == self._last_state \
-                and now - self._last_wall < self.interval_s:
-            return
-        self._last_state = state
-        self._last_wall = now
-        record = {
-            "schema": 1,
-            "kind": "campaign_sample",
-            "event": event,
-            "t": round(now - self._t0, 3),
-            "counts": counts,
-            "queue_depth": counts.get(PENDING, 0) + counts.get(LEASED, 0),
-            "completed": stats.completed,
-            "retries": stats.retries,
-            "expirations": stats.expirations,
-            "worker_crashes": stats.worker_crashes,
-            "quarantined": stats.quarantined,
-            "per_worker": dict(sorted(self.per_worker.items())),
-        }
-        try:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()
-        except (OSError, ValueError):
-            pass  # telemetry must never take the campaign down
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-
-
 class _WorkerHandle:
     """Supervisor-side bookkeeping for one worker process."""
 
@@ -231,7 +160,6 @@ class Campaign:
         self.results: Dict[str, tuple] = {}
         self._deadlines: Dict[str, float] = {}
         self._cell_timeout_s: Optional[float] = None
-        self._series: Optional[CampaignSeriesSampler] = None
 
     # -- construction --------------------------------------------------------
 
@@ -345,7 +273,6 @@ class Campaign:
     def run(self, workers: Optional[int] = None,
             stop_after: Optional[int] = None,
             echo: Callable[[str], None] = print,
-            series: bool = False,
             cell_timeout_s: Optional[float] = None,
             context: Optional[Dict[str, object]] = None
             ) -> Dict[str, object]:
@@ -355,13 +282,11 @@ class Campaign:
         ``counts``, ``stats``).  Installs SIGINT/SIGTERM handlers for
         the duration: the first signal stops leasing, flushes the
         queue/ledger, and releases outstanding leases so ``repro
-        campaign resume`` continues bit-identically.  With ``series``
-        the supervisor appends queue-depth / throughput / retry samples
-        to ``<dir>/campaign_series.jsonl`` as it goes (pure telemetry:
-        results are unaffected).  With ``cell_timeout_s``, a cell that
-        has run that long is reclaimed like an expired lease and
-        charged an attempt.  ``context`` adds to what every worker
-        receives: a grid's ``evaluation`` and what its parent observes.
+        campaign resume`` continues bit-identically.  With
+        ``cell_timeout_s``, a cell that has run that long is reclaimed
+        like an expired lease and charged an attempt.  ``context`` adds
+        to what every worker receives: a grid's ``evaluation`` and what
+        its parent observes.
 
         The armed faults are the stored ``fault_spec``, or else the
         plan armed in this process; each cell gets a fresh copy.
@@ -376,11 +301,6 @@ class Campaign:
                        heartbeat_s=self.spec.heartbeat_s)
         start = time.perf_counter()
         stop_flag = {"stop": False}
-        if series:
-            self._series = CampaignSeriesSampler(
-                self.directory / SERIES_FILE)
-            self._series.sample(self.queue, self.stats, event="start",
-                                force=True)
 
         def _on_signal(signum, frame):  # noqa: ARG001
             stop_flag["stop"] = True
@@ -404,11 +324,6 @@ class Campaign:
         finally:
             for sig, handler in previous.items():
                 signal.signal(sig, handler)
-            if self._series is not None:
-                self._series.sample(self.queue, self.stats, event="finish",
-                                    force=True)
-                self._series.close()
-                self._series = None
         finished = self.queue.finished()
         wall_s = time.perf_counter() - start
         self.ledger.finish(wall_s, status="ok" if finished
@@ -513,6 +428,9 @@ class Campaign:
                     self._shutdown(handles, result_q, echo)
                     return self._run_serial(context, stop_flag,
                                             stop_after, echo)
+            # Stamp leases after this pass's failures, so the queue
+            # log's times never run backwards.
+            now = time.time()
             for handle in handles.values():
                 if handle.busy is not None:
                     continue
@@ -543,8 +461,6 @@ class Campaign:
                 drained_one = True
                 if self._handle_message(message, handles, echo):
                     completed_this_run += 1
-            if self._series is not None:
-                self._series.sample(self.queue, self.stats)
         self._shutdown(handles, result_q, echo)
         return interrupted
 
@@ -571,8 +487,6 @@ class Campaign:
             self._record_row(cell, message[3], worker_id)
             self.queue.complete(key, worker_id)
             self.stats.completed += 1
-            if self._series is not None:
-                self._series.note_done(worker_id)
             echo(f"[campaign] cell {cell.index} done "
                  f"({cell.workload}/{cell.prefetcher} seed {cell.seed}) "
                  f"on {worker_id}")
@@ -583,13 +497,15 @@ class Campaign:
 
     def _fail_cell(self, cell: CellState, error: str, now: float,
                    echo: Callable[[str], None]) -> None:
+        from ..harness.runner import cell_label
+
         worker = cell.worker
         attempts = cell.attempts + 1
         if attempts >= self.spec.max_attempts:
             self.queue.fail(cell.key, error, not_before=now)
             self.queue.quarantine(cell.key, error)
             self.ledger.record_cell(
-                cell=f"{cell.index:03d}:{cell.workload}:{cell.prefetcher}",
+                cell=cell_label(cell.index, cell.workload, cell.prefetcher),
                 key=cell.key, seed=cell.seed, workload=cell.workload,
                 prefetcher=cell.prefetcher, metrics=dict(_ZERO_METRICS),
                 outcome="quarantined", attempts=attempts,
@@ -608,12 +524,12 @@ class Campaign:
 
     def _record_row(self, cell: CellState, payload: tuple,
                     worker_id: str) -> None:
-        from ..harness.runner import eval_row_metrics, row_to_dict
+        from ..harness.runner import cell_label, eval_row_metrics, row_to_dict
 
         self.results[cell.key] = payload
         row = payload[0]
         self.ledger.record_cell(
-            cell=f"{cell.index:03d}:{cell.workload}:{cell.prefetcher}",
+            cell=cell_label(cell.index, cell.workload, cell.prefetcher),
             key=cell.key, seed=cell.seed, workload=cell.workload,
             prefetcher=cell.prefetcher,
             metrics=eval_row_metrics(row), timings=row.timings,
@@ -697,31 +613,39 @@ class Campaign:
             except Exception as exc:  # noqa: BLE001 - quarantine path
                 self._fail_cell(cell, f"{type(exc).__name__}: {exc}",
                                 time.time(), echo)
-                if self._series is not None:
-                    self._series.sample(self.queue, self.stats)
                 continue
             self._record_row(cell, payload, "serial")
             self.queue.complete(cell.key, "serial")
             self.stats.completed += 1
             completed_this_run += 1
-            if self._series is not None:
-                self._series.note_done("serial")
-                self._series.sample(self.queue, self.stats)
             echo(f"[campaign] cell {cell.index} done "
                  f"({cell.workload}/{cell.prefetcher} seed {cell.seed}) "
                  f"serially")
+
+
+#: Queue events that change a cell's state: one timeline point each.
+_TIMELINE_KINDS = ("lease", "done", "fail", "release", "quarantine")
 
 
 def campaign_summary(directory: Union[str, Path]) -> Dict[str, object]:
     """A read-only snapshot of a campaign directory for status/report.
 
     Safe to call mid-campaign: both JSONL readers tolerate in-flight
-    appends, and nothing here writes.
+    appends, and nothing here writes.  ``timeline`` replays
+    ``queue.jsonl`` through the queue's own state machine and holds one
+    point per state change (lease, done, fail, release, quarantine):
+    ``t`` (seconds since the log's first record), ``queue_depth``
+    (pending plus leased cells), ``done``, ``retries`` (fail events so
+    far) and ``quarantined``.  Queue times are wall-clock times, so the
+    timeline runs on across every resume.
     """
     directory = Path(directory)
     meta = Campaign.read_meta(directory)
     queue = WorkQueue.open(directory / QUEUE_FILE, meta["cells"])
     events = read_queue_events(directory / QUEUE_FILE)
+    replay = WorkQueue(directory / QUEUE_FILE, meta["cells"])
+    t0 = float(events[0].get("t", 0.0)) if events else 0.0
+    timeline: List[Dict[str, object]] = []
     per_worker: Dict[str, int] = {}
     retries = 0
     expirations = 0
@@ -735,6 +659,16 @@ def campaign_summary(directory: Union[str, Path]) -> Dict[str, object]:
             retries += 1
             if "lease expired" in str(event.get("error", "")):
                 expirations += 1
+        replay._apply(event)
+        if kind in _TIMELINE_KINDS:
+            counts = replay.counts()
+            timeline.append({
+                "t": round(float(event.get("t", t0)) - t0, 3),
+                "queue_depth": counts[PENDING] + counts[LEASED],
+                "done": counts[DONE],
+                "retries": retries,
+                "quarantined": counts[QUARANTINED],
+            })
     ledger_cells = 0
     finish = None
     ledger_path = directory / LEDGER_FILE
@@ -745,12 +679,6 @@ def campaign_summary(directory: Union[str, Path]) -> Dict[str, object]:
         ledger_cells = len({str(record.get("key"))
                             for record in parsed["cells"]})
         finish = parsed["finish"]
-    series_samples: List[Dict[str, object]] = []
-    series_path = directory / SERIES_FILE
-    if series_path.exists():
-        from ..obs.timeseries import read_campaign_series
-
-        series_samples = read_campaign_series(series_path)
     return {
         "name": meta["spec"].get("name", "?"),
         "run_id": meta.get("run_id"),
@@ -768,8 +696,7 @@ def campaign_summary(directory: Union[str, Path]) -> Dict[str, object]:
         "retries": retries,
         "expirations": expirations,
         "torn_events": queue.torn_events,
-        "events": events,
         "ledger_cells": ledger_cells,
         "finish": finish,
-        "series_samples": series_samples,
+        "timeline": timeline,
     }

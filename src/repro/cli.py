@@ -59,8 +59,8 @@ Six subcommands, installed as the ``repro`` console script::
         Exits 1 on a regression, 2 on usage errors.
 
     repro campaign run SPEC [--dir DIR] [--workers N] [--stop-after K]
-              [--inject-faults SPEC] [--series]
-    repro campaign resume DIR [--workers N] [--stop-after K] [--series]
+              [--inject-faults SPEC]
+    repro campaign resume DIR [--workers N] [--stop-after K]
     repro campaign status DIR [--watch [--interval S]]
         Durable experiment campaigns: ``run`` expands a YAML/JSON spec
         into a campaign directory (``campaign.json`` + append-only
@@ -69,9 +69,10 @@ Six subcommands, installed as the ``repro`` console script::
         failed cells retry with backoff, poison cells are quarantined,
         and SIGINT/SIGTERM flush so ``resume`` continues bit-identically
         (completed cells are never re-executed).  ``status`` prints a
-        read-only snapshot, safe mid-campaign.  Exits 0 when the
-        campaign completed or paused cleanly, 1 when any cell is
-        quarantined, 2 on configuration errors.
+        read-only snapshot, safe mid-campaign, with a queue-depth
+        sparkline and throughput derived from ``queue.jsonl``.  Exits
+        0 when the campaign completed or paused cleanly, 1 when any
+        cell is quarantined, 2 on configuration errors.
 
 Every ``run``/``experiment`` invocation also appends a run
 ledger — manifest (git SHA, config fingerprint, seeds, argv) plus
@@ -547,8 +548,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         return 2
     print(f"[campaign] {spec.name}: {len(campaign.queue.cells)} cell(s) "
           f"-> {directory}")
-    result = campaign.run(workers=args.workers, stop_after=args.stop_after,
-                          series=args.series)
+    result = campaign.run(workers=args.workers, stop_after=args.stop_after)
     if not result["finished"]:
         print(f"[campaign] resume with: repro campaign resume {directory}")
     return _print_campaign_result(result)
@@ -569,8 +569,7 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
     if campaign.fault_spec:
         print(f"[campaign] re-arming stored faults: {campaign.fault_spec}")
     campaign.ledger.record_resume(list(getattr(args, "_argv", None) or []))
-    result = campaign.run(workers=args.workers, stop_after=args.stop_after,
-                          series=args.series)
+    result = campaign.run(workers=args.workers, stop_after=args.stop_after)
     if not result["finished"]:
         print(f"[campaign] resume with: repro campaign resume {args.dir}")
     return _print_campaign_result(result)
@@ -617,19 +616,16 @@ def _print_campaign_status(directory: str) -> "tuple[int, bool]":
         ["ledger cells", summary["ledger_cells"]],
         ["state", "finished" if summary["finished"] else "running/paused"],
     ]
-    samples = summary.get("series_samples") or []
-    if samples:
-        last = samples[-1]
-        rows.append(["series samples", len(samples)])
+    timeline = summary["timeline"]
+    if timeline:
+        last = timeline[-1]
+        depths = [float(point["queue_depth"]) for point in timeline[-48:]]
         rows.append(["queue depth",
-                     f"{_spark([float(s.get('queue_depth', 0)) for s in samples[-48:]])} "
-                     f"now {last.get('queue_depth', 0)}"])
-        elapsed = float(last.get("t", 0.0) or 0.0)
-        done_now = int(last.get("completed", 0) or 0)
-        if elapsed > 0:
+                     f"{_spark(depths)} now {last['queue_depth']}"])
+        if last["t"] > 0:
             rows.append(["throughput",
-                         f"{done_now / elapsed:.2f} cells/s "
-                         f"({done_now} in {elapsed:.1f}s)"])
+                         f"{last['done'] / last['t']:.2f} cells/s "
+                         f"({last['done']} in {last['t']:.1f}s)"])
     print(format_table(["field", "value"], rows,
                        title=f"campaign status: {directory}"))
     if summary["per_worker"]:
@@ -836,11 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("--stop-after", type=int, default=None, metavar="K",
                         help="pause after K completed cells (for chaos "
                              "tests and smoke runs; resume continues)")
-    p_crun.add_argument("--series", action="store_true",
-                        help="append queue-depth/throughput/retry samples "
-                             "to campaign_series.jsonl while running "
-                             "(survives kill/resume; feeds status "
-                             "--watch and the dashboard timeline)")
     _add_fault_flag(p_crun)
     p_crun.set_defaults(func=_cmd_campaign_run)
     p_cres = camp_sub.add_parser(
@@ -851,9 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "0 = serial in-process)")
     p_cres.add_argument("--stop-after", type=int, default=None, metavar="K",
                         help="pause again after K completed cells")
-    p_cres.add_argument("--series", action="store_true",
-                        help="keep appending campaign telemetry samples "
-                             "to campaign_series.jsonl")
     p_cres.set_defaults(func=_cmd_campaign_resume)
     p_cstat = camp_sub.add_parser(
         "status", help="read-only campaign snapshot (safe mid-campaign)")

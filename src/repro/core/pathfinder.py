@@ -170,7 +170,12 @@ class PathfinderPrefetcher(Prefetcher):
                 spikes_per_interval.observe(spikes)
             total_spikes += spikes * intervals
         scope.counter("snn.spikes").inc(total_spikes)
-        scope.gauge("snn.weight_saturation").set(self.weight_saturation)
+        saturation = self.weight_saturation
+        # One sample per run, so a multi-cell run keeps every cell's.
+        scope.histogram(
+            "snn.weight_saturation",
+            bounds=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+        ).observe(saturation)
         if self.neuron_repairs:
             scope.counter("snn.neuron_repairs").inc(self.neuron_repairs)
             self._obs.tracer.emit(
@@ -179,7 +184,7 @@ class PathfinderPrefetcher(Prefetcher):
         self._obs.tracer.emit(
             "snn.summary", prefetcher=self.name, queries=self.snn_queries,
             stdp_updates=self.stdp_updates, spikes=total_spikes,
-            weight_saturation=self.weight_saturation)
+            weight_saturation=saturation)
 
     def series_arm(self) -> None:
         """Start windowed learning-dynamics bookkeeping (``--series``).

@@ -36,10 +36,8 @@ from .runner import (
 )
 from .reporting import format_table, geometric_mean, summarize_events
 from .experiments import (
-    CAMPAIGN_GRIDS,
     EXPERIMENTS,
     ExperimentResult,
-    campaign_spec_for,
     run_experiment,
 )
 from .stats import (
@@ -92,9 +90,7 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "summarize_events",
-    "CAMPAIGN_GRIDS",
     "EXPERIMENTS",
-    "campaign_spec_for",
     "ExperimentResult",
     "run_experiment",
 ]

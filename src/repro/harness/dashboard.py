@@ -472,12 +472,13 @@ def _series_sections(series: List[Dict]) -> str:
 
 
 def _campaign_section(campaign: Dict) -> str:
-    """Live campaign state: queue depth, per-worker throughput, faults.
+    """Live campaign state: timeline, per-worker throughput, faults.
 
     ``campaign`` is a :func:`repro.campaign.supervisor.campaign_summary`
     snapshot — built from the queue event log and ledger, both of which
     tolerate in-flight appends, so this section regenerates correctly
-    *mid-campaign*.
+    *mid-campaign*.  Its one chart is the campaign timeline that the
+    summary derives from ``queue.jsonl``.
     """
     counts = campaign.get("counts") or {}
     total = int(campaign.get("cells") or 0)
@@ -496,51 +497,22 @@ def _campaign_section(campaign: Dict) -> str:
         parts.append(f"<p>armed faults: "
                      f"<code>{_esc(campaign['fault_spec'])}</code></p>")
 
-    # Queue depth over time: outstanding cells after each completion.
-    done_times = sorted(
-        float(event.get("t", 0.0))
-        for event in (campaign.get("events") or [])
-        if event.get("kind") in ("done", "quarantine"))
-    if len(done_times) >= 2:
-        t0, t1 = done_times[0], done_times[-1]
-        span = (t1 - t0) or 1.0
-        width, height, pad = 640, 160, 30
-        depth = total
-        points = [(0.0, depth)]
-        for t in done_times:
-            depth -= 1
-            points.append(((t - t0) / span, depth))
-        polyline = " ".join(
-            f"{pad + (width - 2 * pad) * x:.1f},"
-            f"{height - pad - (height - 2 * pad) * y / max(1, total):.1f}"
-            for x, y in points)
-        parts.append(
-            f'<svg width="{width}" height="{height}" role="img">'
-            f'<polyline points="{polyline}" fill="none" stroke="#4361ee" '
-            'stroke-width="2"></polyline>'
-            f'<text x="{pad}" y="{height - 8}" font-size="11">'
-            f"queue depth over {_fmt(span)}s "
-            f"({total} &rarr; {depth} outstanding)</text></svg>")
-
-    samples = campaign.get("series_samples") or []
-    if len(samples) >= 2:
-        # Supervisor-sampled timeline (campaign_series.jsonl): queue
-        # depth and completions against wall time, plus retry /
-        # quarantine counters as they accumulated.
+    timeline = campaign.get("timeline") or []
+    if len(timeline) >= 2:
+        # Derived from queue.jsonl: one point per cell state change.
         def _points(field: str) -> List[Tuple[float, float]]:
-            return [(float(s.get("t", 0.0) or 0.0),
-                     float(s.get(field, 0) or 0))
-                    for s in samples]
+            return [(float(point["t"]), float(point[field]))
+                    for point in timeline]
 
         parts.append(
             "<h3>Campaign timeline</h3>"
             + _line_svg(
                 [("queue depth", _points("queue_depth")),
-                 ("completed", _points("completed")),
+                 ("done", _points("done")),
                  ("retries", _points("retries")),
                  ("quarantined", _points("quarantined"))],
-                caption=f"{len(samples)} supervisor sample(s) over "
-                        f"{float(samples[-1].get('t', 0.0) or 0.0):.1f}s"))
+                caption=f"{len(timeline)} queue state change(s) over "
+                        f"{float(timeline[-1]['t']):.1f}s"))
 
     per_worker = campaign.get("per_worker") or {}
     if per_worker:
@@ -594,10 +566,13 @@ def render_dashboard(ledger: Optional[Dict] = None,
     are simply omitted.  The output embeds its own CSS and SVG — no
     scripts, no external fetches.  ``campaign`` is a
     :func:`repro.campaign.supervisor.campaign_summary` snapshot, safe
-    to regenerate while the campaign is still running.  ``series`` is
-    a list of windowed time-series records from
-    :func:`repro.obs.read_series` (a ``--series`` run) — it renders
-    the learning-curve, phase-annotation, and adaptation-lag sections.
+    to regenerate while the campaign is still running; its timeline
+    (queue depth, done, retries and quarantined over wall time) comes
+    from ``queue.jsonl``.  ``series`` is a list of windowed time-series
+    records from :func:`repro.obs.read_series` (a ``--series`` run) —
+    it renders the learning-curve section, and the phase annotations
+    and adaptation lags, which are computed here from those records
+    and nowhere else.
     """
     sections: List[str] = []
     if campaign:

@@ -684,47 +684,6 @@ def experiment_noise(n_accesses: int = 16_000, seed: int = 1,
 # Registry
 # ---------------------------------------------------------------------------
 
-#: Grid-shaped experiments whose (workloads x prefetchers) sweep can be
-#: lifted into a durable campaign: cell for cell, a campaign built from
-#: one of these runs the same independent seeded evaluations the
-#: in-process experiment grid runs (structured experiments — table9's
-#: cost model, fig5's config sweeps — have no registry-prefetcher grid
-#: to lift).
-CAMPAIGN_GRIDS: Dict[str, Tuple[str, ...]] = {
-    "fig4": FIG4_PREFETCHERS,
-    "table6": ("spp", "pythia", "pathfinder"),
-}
-
-
-def campaign_spec_for(experiment_id: str, n_accesses: int = 20_000,
-                      seed: int = 1,
-                      workloads: Optional[Sequence[str]] = None,
-                      workers: int = 2) -> Dict[str, object]:
-    """A ``repro campaign run`` spec payload for a grid experiment.
-
-    Returns a plain dict (ready to ``json.dump`` or feed to
-    :meth:`repro.campaign.CampaignSpec.from_dict`) that expands to the
-    same cells ``repro experiment <id>`` evaluates in-process — the
-    escape hatch when a grid outgrows one process's lifetime and needs
-    leases, retries, and resume instead.
-    """
-    from ..errors import ConfigError
-
-    if experiment_id not in CAMPAIGN_GRIDS:
-        known = ", ".join(sorted(CAMPAIGN_GRIDS))
-        raise ConfigError(
-            f"experiment {experiment_id!r} is not grid-shaped; "
-            f"campaign specs can be derived from: {known}")
-    return {
-        "name": experiment_id,
-        "workloads": list(workloads or WORKLOAD_NAMES),
-        "prefetchers": list(CAMPAIGN_GRIDS[experiment_id]),
-        "seeds": [seed],
-        "loads": n_accesses,
-        "workers": workers,
-    }
-
-
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table1": experiment_table1,
     "table2_fig3": experiment_table2_fig3,

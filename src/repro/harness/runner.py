@@ -13,7 +13,6 @@ import json
 import statistics
 import tempfile
 import time
-from bisect import bisect_left
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -21,13 +20,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..core import PathfinderConfig, PathfinderPrefetcher
 from ..errors import ConfigError, WorkerCrashError
-from ..obs import (
-    Observability,
-    adaptation_lag,
-    default_observability,
-    detect_phases,
-    rate_points,
-)
+from ..obs import Observability, default_observability
 from ..obs.ledger import active_ledger, current_run_id
 from ..resilience import faults
 from ..resilience.guard import GuardedPrefetcher
@@ -236,68 +229,6 @@ class EvalRow:
     extras: Dict[str, object] = field(default_factory=dict)
 
 
-def _annotate_phases(obs: Observability, trace_name: str,
-                     prefetcher_name: str) -> List[Dict[str, object]]:
-    """Detect phase changes in this run's miss-rate series.
-
-    Runs the windowed mean-shift detector over the replay's per-window
-    demand miss rate and, for each boundary, measures the prefetcher's
-    adaptation lag on its prediction-accuracy series (windows until
-    accuracy recovers to its pre-boundary level).  Emits one
-    ``phase.change`` trace annotation per boundary when the tracer is
-    live, and returns the annotations for ``EvalRow.extras``.
-    """
-    series = obs.series
-    replay = {"component": "replay", "prefetcher": prefetcher_name,
-              "trace": trace_name}
-    misses = series.find("replay.llc_misses", **replay)
-    l1_hits = series.find("replay.l1_hits", **replay)
-    l1_misses = series.find("replay.l1_misses", **replay)
-    if misses is None or l1_hits is None or l1_misses is None:
-        return []
-    accesses: Dict[int, float] = {}
-    for source in (l1_hits, l1_misses):
-        for start, value in source.sorted_points():
-            accesses[start] = accesses.get(start, 0) + value
-    starts: List[int] = []
-    values: List[float] = []
-    for start, value in misses.sorted_points():
-        total = accesses.get(start)
-        if total:
-            starts.append(start)
-            values.append(value / total)
-    boundaries = detect_phases(values)
-    if not boundaries:
-        return []
-
-    gen = {"component": "generation", "prefetcher": prefetcher_name,
-           "trace": trace_name}
-    correct = series.find("gen.pred_correct", **gen)
-    checked = series.find("gen.pred_checked", **gen)
-    accuracy = (rate_points(correct.snapshot(), checked.snapshot())
-                if correct is not None and checked is not None else [])
-    acc_starts = [start for start, _ in accuracy]
-    acc_values = [value for _, value in accuracy]
-
-    annotations: List[Dict[str, object]] = []
-    for boundary in boundaries:
-        lag = None
-        if acc_values:
-            lag = adaptation_lag(acc_values,
-                                 bisect_left(acc_starts, starts[boundary]))
-        annotations.append({
-            "window_start": starts[boundary],
-            "miss_rate_before": values[boundary - 1],
-            "miss_rate_after": values[boundary],
-            "adaptation_lag": lag,
-        })
-    if obs.tracer.enabled:
-        for annotation in annotations:
-            obs.tracer.emit("phase.change", prefetcher=prefetcher_name,
-                            trace=trace_name, **annotation)
-    return annotations
-
-
 def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
                    baseline: SimResult,
                    hierarchy: Optional[HierarchyConfig] = None,
@@ -339,10 +270,6 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
         result = sim.run(trace, requests, prefetcher.name)
     timings["replay_s"] = time.perf_counter() - start
     extras: Dict[str, object] = {"engine_used": sim.engine_used}
-    if obs.series is not None:
-        phases = _annotate_phases(obs, trace.name, prefetcher.name)
-        if phases:
-            extras["phases"] = phases
     if prefetcher.errors:
         extras["prefetcher_errors"] = prefetcher.errors
         extras["quarantined"] = prefetcher.quarantined

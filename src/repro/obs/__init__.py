@@ -49,7 +49,6 @@ from .timeseries import (
     adaptation_lag,
     detect_phases,
     rate_points,
-    read_campaign_series,
     read_series,
 )
 from .tracing import JsonlSink, MemorySink, NullSink, Tracer, read_events
@@ -147,7 +146,6 @@ __all__ = [
     "finish_run",
     "metric_key",
     "rate_points",
-    "read_campaign_series",
     "read_events",
     "read_ledger",
     "read_series",

@@ -325,27 +325,13 @@ def _read_records(path: Path) -> List[Dict[str, object]]:
     tail truncated mid-UTF-8-sequence; corruption anywhere else raises
     ``ValueError``.
     """
-    from ..resilience.atomic import tolerant_read_text
+    from ..resilience.atomic import read_jsonl
 
-    lines = tolerant_read_text(path).splitlines()
-    last_payload_lineno = max(
-        (i for i, line in enumerate(lines, start=1) if line.strip()),
-        default=0)
-    records: List[Dict[str, object]] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == last_payload_lineno:
-                break  # torn tail: drop it, keep the parsed prefix
-            raise ValueError(
-                f"{path}:{lineno}: corrupt ledger line ({exc})") from None
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    def corrupt(lineno: int, exc: ValueError) -> ValueError:
+        return ValueError(f"{path}:{lineno}: corrupt ledger line ({exc})")
+
+    return [record for _, record in read_jsonl(path, corrupt)
+            if isinstance(record, dict)]
 
 
 def read_ledger(path: Union[str, Path]) -> Dict[str, object]:

@@ -237,9 +237,9 @@ class SeriesCollector:
     def find(self, name: str, **labels: object) -> Optional[Series]:
         """The series for (name, context + labels), or ``None``.
 
-        Unlike :meth:`series` this never creates — readers (phase
-        annotation, dashboards) use it so probing for an absent series
-        does not pollute the snapshot with empty records.
+        Unlike :meth:`series` this never creates, so probing for an
+        absent series does not pollute the snapshot with empty
+        records.
         """
         merged = dict(self._context)
         merged.update(labels)
@@ -405,65 +405,17 @@ def read_series(path, tolerate_torn_tail: bool = True
     mid-write); any other malformation — JSON or schema — raises
     :class:`ConfigError`, which the CLI maps to exit 2.
     """
-    from ..resilience.atomic import tolerant_read_text
+    from ..resilience.atomic import read_jsonl
+
+    def malformed(lineno: int, exc: ValueError) -> ConfigError:
+        return ConfigError(f"{path}:{lineno}: malformed series line: {exc}")
 
     records: List[Dict[str, object]] = []
-    lines = tolerant_read_text(path).splitlines()
-    last_payload_lineno = max(
-        (i for i, line in enumerate(lines, start=1) if line.strip()),
-        default=0)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if tolerate_torn_tail and lineno == last_payload_lineno:
-                break  # torn trailing record: drop it, keep the rest
-            raise ConfigError(
-                f"{path}:{lineno}: malformed series line: {exc}") from None
+    for lineno, record in read_jsonl(path, malformed, tolerate_torn_tail):
         try:
             validate_series_record(record)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        records.append(record)
-    return records
-
-
-def read_campaign_series(path, tolerate_torn_tail: bool = True
-                         ) -> List[Dict[str, object]]:
-    """Parse a ``campaign_series.jsonl`` sample log.
-
-    The campaign supervisor appends one ``campaign_sample`` object per
-    sampling tick (see :mod:`repro.campaign.supervisor`); appends can
-    be torn by SIGKILL, so the reader drops a malformed final line and
-    raises :class:`ConfigError` for anything else.
-    """
-    from ..resilience.atomic import tolerant_read_text
-
-    records: List[Dict[str, object]] = []
-    lines = tolerant_read_text(path).splitlines()
-    last_payload_lineno = max(
-        (i for i, line in enumerate(lines, start=1) if line.strip()),
-        default=0)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if tolerate_torn_tail and lineno == last_payload_lineno:
-                break
-            raise ConfigError(
-                f"{path}:{lineno}: malformed campaign sample: "
-                f"{exc}") from None
-        if (not isinstance(record, dict)
-                or record.get("schema") != SERIES_SCHEMA
-                or record.get("kind") != "campaign_sample"):
-            raise ConfigError(
-                f"{path}:{lineno}: not a campaign_sample record")
         records.append(record)
     return records
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 
 def _coerce(value):
@@ -169,26 +169,16 @@ def read_events(path, tolerate_torn_tail: bool = True
     """Parse a JSONL event file back into a list of dicts.
 
     Blank lines are skipped.  A malformed *final* line is dropped (a
-    torn tail from a crash mid-write — the same tolerance the run
-    ledger applies); malformed lines anywhere else raise
-    ``ValueError`` with the offending line number.  Pass
-    ``tolerate_torn_tail=False`` to make a torn tail raise too.
+    torn tail from a crash mid-write, even one cut inside a UTF-8
+    sequence — the same tolerance the run ledger applies); malformed
+    lines anywhere else raise ``ValueError`` with the offending line
+    number.  Pass ``tolerate_torn_tail=False`` to make a torn tail
+    raise too.
     """
-    events: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    last_payload_lineno = max(
-        (i for i, line in enumerate(lines, start=1) if line.strip()),
-        default=0)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if tolerate_torn_tail and lineno == last_payload_lineno:
-                break  # torn trailing record: drop it, keep the rest
-            raise ValueError(
-                f"{path}:{lineno}: malformed event line: {exc}") from None
-    return events
+    from ..resilience.atomic import read_jsonl
+
+    def malformed(lineno: int, exc: ValueError) -> ValueError:
+        return ValueError(f"{path}:{lineno}: malformed event line: {exc}")
+
+    return [event for _, event in read_jsonl(path, malformed,
+                                             tolerate_torn_tail)]

@@ -8,7 +8,9 @@ truncated file at the final path: readers either see the complete old
 content or the complete new content.  The two append-only JSONL logs —
 run ledgers and campaign queues — go through :func:`append_line`
 instead: one fsynced write per record, so a crash tears at most the
-final line, which their readers drop.
+final line, which their readers drop.  The JSONL readers that keep
+that torn-tail rule (events, series, ledgers) share
+:func:`read_jsonl`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Callable, List, Tuple, Union
 
 PathLike = Union[str, Path]
 
@@ -113,3 +115,31 @@ def tolerant_read_text(path: PathLike) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError:
         return data.decode("utf-8", errors="replace")
+
+
+def read_jsonl(path: PathLike,
+               malformed: Callable[[int, json.JSONDecodeError], Exception],
+               tolerate_torn_tail: bool = True) -> List[Tuple[int, object]]:
+    """Parse a JSONL file into ``(line number, value)`` pairs.
+
+    Blank lines are skipped.  A malformed final line is a torn tail (a
+    crash mid-append, possibly mid-UTF-8 sequence) and is dropped; any
+    other malformed line raises ``malformed(line number, error)``, so
+    each reader keeps its own exception type and message.
+    ``tolerate_torn_tail=False`` makes a torn tail raise too.
+    """
+    lines = tolerant_read_text(path).splitlines()
+    last = max((i for i, line in enumerate(lines, start=1) if line.strip()),
+               default=0)
+    values: List[Tuple[int, object]] = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append((lineno, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            if tolerate_torn_tail and lineno == last:
+                break  # torn trailing record: drop it, keep the rest
+            raise malformed(lineno, exc) from None
+    return values

@@ -135,6 +135,19 @@ def test_yaml_spec_reads_the_same_everywhere(tmp_path):
     assert load_spec(path).name == "a # b"
 
 
+def test_yaml_flow_list_keeps_a_quoted_comma(tmp_path):
+    """A comma inside a quoted flow-list item is part of the item, as
+    in YAML: the one string is then an unknown workload."""
+    path = tmp_path / "spec.yaml"
+    path.write_text('name: q\nworkloads: ["cc-5, bfs-10"]\n'
+                    'prefetchers: [nextline]\n')
+    with pytest.raises(ConfigError, match="unknown workload 'cc-5, bfs-10'"):
+        load_spec(path)
+    path.write_text('name: q\nworkloads: [cc-5, "bfs-10"]\n'
+                    'prefetchers: [nextline]\n')
+    assert load_spec(path).workloads == ("cc-5", "bfs-10")
+
+
 def test_readme_campaign_spec_loads(tmp_path):
     """The ``nightly.yaml`` block in README.md is a valid spec."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -357,19 +370,6 @@ def test_reconcile_requarantines_poison_cells(tmp_path):
     resumed = Campaign.open(directory)
     resumed.reconcile()
     assert resumed.queue.cells[poison.key].state == QUARANTINED
-
-
-def test_campaign_spec_for_grid_experiments():
-    from repro.harness import CAMPAIGN_GRIDS, campaign_spec_for
-
-    payload = campaign_spec_for("fig4", n_accesses=1000,
-                                workloads=["cc-5"])
-    spec = CampaignSpec.from_dict(payload)
-    assert spec.name == "fig4" and spec.loads == 1000
-    assert spec.prefetchers == CAMPAIGN_GRIDS["fig4"]
-    assert len(spec.expand()) == len(CAMPAIGN_GRIDS["fig4"])
-    with pytest.raises(ConfigError, match="not grid-shaped"):
-        campaign_spec_for("table9")
 
 
 def test_campaign_summary_mid_campaign(tmp_path):

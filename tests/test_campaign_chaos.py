@@ -189,6 +189,16 @@ def test_poison_cell_is_quarantined_not_fatal(tmp_path):
     assert len(quarantined) == 1
     assert quarantined[0]["attempts"] == 2
     assert quarantined[0]["metrics"]["ipc"] == 0  # placeholder, not data
+    # A lease granted in the pass that recorded a crash is stamped
+    # after it, so the queue log's times, and the timeline, run forward.
+    from repro.campaign import QUEUE_FILE, campaign_summary
+    from repro.campaign.queue import read_queue_events
+
+    times = [event["t"] for event in read_queue_events(directory / QUEUE_FILE)]
+    assert times == sorted(times)
+    last = campaign_summary(directory)["timeline"][-1]
+    assert (last["done"], last["retries"], last["quarantined"]) == (1, 2, 1)
+    assert last["queue_depth"] == 0
     # Resume treats the poison list as settled: nothing left to run.
     resumed = Campaign.open(directory)
     resumed.reconcile()
@@ -256,53 +266,31 @@ def test_stored_fault_spec_rearms_on_resume(tmp_path):
 
 
 def test_campaign_series_survives_interrupt_and_resume(tmp_path):
-    # campaign_series.jsonl is an append-only single-writer file with a
-    # flush per record: an interrupt tears at most the final line, and a
-    # resumed campaign keeps appending to the same file.
-    from repro.campaign.supervisor import SERIES_FILE
-    from repro.obs import read_campaign_series
+    # The campaign timeline is derived from queue.jsonl, whose records
+    # carry wall-clock times: a resumed campaign's points continue the
+    # paused run's, and no second file records the same observation.
+    from repro.campaign import campaign_summary
 
     spec = chaos_spec(seeds=(1, 2), workers=1)
     directory = tmp_path / "series"
     campaign = Campaign.create(directory, spec)
-    first = campaign.run(stop_after=1, series=True, echo=lambda _line: None)
+    first = campaign.run(stop_after=1, echo=lambda _line: None)
     assert first["interrupted"] and not first["finished"]
-
-    series_path = directory / SERIES_FILE
-    assert series_path.exists()
-    samples = read_campaign_series(series_path)  # parseable mid-campaign
-    assert samples and samples[0]["event"] == "start"
-    n_before = len(samples)
+    paused = campaign_summary(directory)["timeline"]  # readable mid-run
+    assert paused and paused[-1]["done"] >= 1
 
     resumed = Campaign.open(directory)
     resumed.reconcile()
-    second = resumed.run(series=True, echo=lambda _line: None)
+    second = resumed.run(echo=lambda _line: None)
     assert second["finished"]
 
-    samples = read_campaign_series(series_path)
-    assert len(samples) > n_before, "resume must append, not truncate"
-    assert samples[-1]["event"] == "finish"
-    for sample in samples:
-        assert sample["schema"] == 1
-        assert sample["kind"] == "campaign_sample"
-        assert sample["queue_depth"] >= 0
-    # `completed` counts cells finished in the current run segment; the
-    # queue counts in the finish sample account for every cell.
-    assert samples[-1]["counts"].get(DONE) == 4
-    assert samples[-1]["queue_depth"] == 0
-    # The summary surfaces the series for `campaign status`.
-    from repro.campaign.supervisor import campaign_summary
-    summary = campaign_summary(directory)
-    assert summary["series_samples"]
-    assert summary["series_samples"][-1]["event"] == "finish"
-
-
-def test_campaign_series_off_by_default(tmp_path):
-    from repro.campaign.supervisor import SERIES_FILE
-
-    spec = chaos_spec(workers=0)
-    directory = tmp_path / "noseries"
-    campaign = Campaign.create(directory, spec)
-    result = campaign.run(workers=0, echo=lambda _line: None)
-    assert result["finished"]
-    assert not (directory / SERIES_FILE).exists()
+    timeline = campaign_summary(directory)["timeline"]
+    assert len(timeline) > len(paused), "resume must extend the timeline"
+    assert timeline[:len(paused)] == paused
+    for before, after in zip(timeline, timeline[1:]):
+        assert after["t"] >= before["t"]
+        assert after["done"] >= before["done"]
+    assert timeline[-1]["done"] == 4
+    assert timeline[-1]["queue_depth"] == 0
+    assert timeline[-1]["retries"] == timeline[-1]["quarantined"] == 0
+    assert not list(directory.glob("*series*"))

@@ -123,15 +123,40 @@ def test_campaign_run_status_resume_report(tmp_path, capsys):
     assert main(["campaign", "status", str(directory)]) == 0
     out = capsys.readouterr().out
     assert "campaign status" in out and "running/paused" in out
+    # Every campaign has a timeline: it comes from queue.jsonl.
+    assert "queue depth" in out and "throughput" in out
     assert main(["campaign", "resume", str(directory)]) == 0
     out = capsys.readouterr().out
     assert "finished: 2 done" in out
     assert main(["campaign", "status", str(directory)]) == 0
-    assert "finished" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "finished" in out and "queue depth" in out
     html = tmp_path / "dash.html"
     assert main(["report", "--campaign", str(directory),
                  "--html", str(html)]) == 0
-    assert "Campaign" in html.read_text()
+    text = html.read_text()
+    assert "Campaign" in text
+    assert text.count("Campaign timeline") == 1
+
+
+@pytest.mark.parametrize("verb", ["run", "resume"])
+def test_campaign_series_flag_is_gone(tmp_path, verb):
+    """The timeline needs no flag, so ``--series`` is unknown here."""
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", verb, str(tmp_path / "x"), "--series"])
+    assert exc.value.code == 2
+
+
+def test_campaign_run_rejects_quoted_comma_workload(tmp_path, capsys):
+    """A quoted flow-list item keeps its comma, as in YAML, so the one
+    string is an unknown workload (exit 2), not two workloads."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text('name: q\nworkloads: ["cc-5, bfs-10"]\n'
+                    'prefetchers: [nextline]\nloads: 400\nworkers: 0\n')
+    assert main(["campaign", "run", str(spec),
+                 "--dir", str(tmp_path / "camp")]) == 2
+    assert "unknown workload 'cc-5, bfs-10'" in capsys.readouterr().out
+    assert not (tmp_path / "camp").exists()
 
 
 def test_campaign_resume_rejects_schema_1_directory(tmp_path, capsys):

@@ -445,6 +445,12 @@ def test_dashboard_series_sections_render(tmp_path):
                    "<svg"):
         assert marker in html_text
     assert "NaN" not in html_text
+    # The one miss-rate shift (0.15 -> 0.03 at access 600) is the one
+    # Adaptation-lag row; accuracy never dips below its lead, so lag 0.
+    assert html_text.count("<td>000:cc-5:pathfinder</td>") == 1
+    assert ("<tr><td>000:cc-5:pathfinder</td><td>pathfinder</td>"
+            "<td>cc-5</td><td>600</td><td>0.15</td><td>0.03</td>"
+            "<td>0</td></tr>") in html_text
 
 
 def test_cli_report_html(tmp_path, capsys):

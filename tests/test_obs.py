@@ -267,6 +267,15 @@ def test_read_events_torn_tail_ignores_trailing_blank_lines(tmp_path):
     assert read_events(path) == [{"event": "ok"}]
 
 
+def test_read_events_tolerates_torn_tail_mid_utf8(tmp_path):
+    # A crash can cut the last record inside a multibyte character; the
+    # decode must not fail before the torn-tail rule drops that line.
+    path = tmp_path / "torn.jsonl"
+    tail = '{"event": "é"}'.encode("utf-8")
+    path.write_bytes(b'{"event": "ok"}\n' + tail[:tail.index(b"\xa9")])
+    assert read_events(path) == [{"event": "ok"}]
+
+
 # -- profiler ----------------------------------------------------------------
 
 def test_profiler_phase_nesting_and_accumulation():

@@ -83,8 +83,9 @@ def test_pathfinder_bridges_snn_telemetry():
     scope = "{component=snn,prefetcher=pathfinder}"
     assert snap["counters"][f"snn.queries{scope}"] > 0
     assert snap["counters"][f"snn.stdp_updates{scope}"] > 0
-    saturation = snap["gauges"][f"snn.weight_saturation{scope}"]
-    assert 0.0 <= saturation <= 1.0
+    saturation = snap["histograms"][f"snn.weight_saturation{scope}"]
+    assert saturation["count"] == 1
+    assert 0.0 <= saturation["min"] == saturation["max"] <= 1.0
     intervals = snap["histograms"][f"snn.spikes_per_interval{scope}"]
     assert intervals["count"] == snap["counters"][f"snn.queries{scope}"]
     summaries = [e for e in events if e["event"] == "snn.summary"]
@@ -187,6 +188,33 @@ def test_multi_cell_run_publishes_queries_not_intervals():
     scope = "{component=snn,prefetcher=pathfinder}"
     assert snap["counters"][f"snn.queries{scope}"] == sum(
         e["queries"] for e in summaries)
+
+
+@pytest.mark.filterwarnings("ignore::repro.errors.EngineFallbackWarning")
+def test_weight_saturation_keeps_every_cell(tmp_path, capsys):
+    """``snn.weight_saturation`` is observed once per PATHFINDER run, so
+    a two-cell grid keeps both cells' values, serial or ``--jobs 2``."""
+    snapshots = []
+    for jobs in ("1", "2"):
+        metrics = tmp_path / f"m{jobs}.json"
+        events = tmp_path / f"e{jobs}.jsonl"
+        assert main(["experiment", "table6", "--loads", "4000",
+                     "--workloads", "cc-5,623-xalan-s1", "--jobs", jobs,
+                     "--metrics-out", str(metrics),
+                     "--events-out", str(events), "--no-ledger"]) == 0
+        capsys.readouterr()
+        snapshots.append(json.loads(metrics.read_text())["metrics"])
+        values = sorted(e["weight_saturation"] for e in read_events(events)
+                        if e["event"] == "snn.summary")
+        assert len(values) == 2
+        scope = "{component=snn,prefetcher=pathfinder}"
+        saturation = snapshots[-1]["histograms"][
+            f"snn.weight_saturation{scope}"]
+        assert saturation["count"] == 2
+        assert [saturation["min"], saturation["max"]] == values
+        assert not [key for key in snapshots[-1]["gauges"]
+                    if key.startswith("snn.")]
+    assert snapshots[0] == snapshots[1]
 
 
 def test_disabled_observability_matches_plain_result():

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import EngineFallbackWarning
 from repro.obs import MemorySink, Observability, SeriesCollector, Tracer
 from repro.prefetchers.base import generate_prefetches
+from repro.sim.fast_engine.ckernel import load_kernel
 from repro.sim.simulator import Simulator, simulate
 from repro.traces.workloads import make_trace
 from repro.harness.runner import PREFETCHER_FACTORIES, default_hierarchy
@@ -32,6 +33,11 @@ from tests.helpers import reference_loop
 PARITY_WORKLOADS = ("cc-5", "471-omnetpp-s1", "605-mcf-s1")
 N_ACCESSES = 2500
 SEED = 11
+
+#: For the cases that assert the compiled loop ran: a host without the
+#: replay kernel has only the reference loop.
+needs_kernel = pytest.mark.skipif(
+    load_kernel() is None, reason="the replay kernel is unavailable")
 
 _trace_cache = {}
 _request_cache = {}
@@ -51,6 +57,7 @@ def _requests(workload: str, prefetcher: str):
     return _request_cache[key]
 
 
+@needs_kernel
 @pytest.mark.parametrize("engine", ("batch",))
 @pytest.mark.parametrize("workload", PARITY_WORKLOADS)
 @pytest.mark.parametrize("prefetcher", sorted(PREFETCHER_FACTORIES))
@@ -65,6 +72,7 @@ def test_engines_bit_identical(workload, prefetcher, engine):
     assert sim.engine_used == engine
 
 
+@needs_kernel
 @pytest.mark.parametrize("engine", ("batch",))
 def test_engines_bit_identical_without_prefetches(engine):
     trace = _trace("cc-5")
@@ -100,6 +108,7 @@ def test_event_tracing_falls_back_to_reference():
         assert result == simulate(_trace("cc-5"), (), default_hierarchy())
 
 
+@needs_kernel
 def test_armed_faults_keep_the_batch_engine():
     """No fault point fires inside the replay, so chaos runs exercise
     the same kernel production runs do — silently, bit-identically."""
@@ -118,6 +127,7 @@ def test_armed_faults_keep_the_batch_engine():
     assert sim.engine_used == "batch"
 
 
+@needs_kernel
 def test_compatible_requests_warn_nothing():
     """A cold LRU simulator with no event tracing runs the kernel
     without a warning."""
@@ -128,6 +138,7 @@ def test_compatible_requests_warn_nothing():
     assert sim.engine_used == "batch"
 
 
+@needs_kernel
 def test_metrics_observability_parity():
     """Metrics-only observability stays on the kernel and mirrors the
     same counters and DRAM wait histogram as the reference."""

@@ -28,7 +28,6 @@ from repro.obs import (
     adaptation_lag,
     detect_phases,
     rate_points,
-    read_campaign_series,
     read_series,
 )
 from repro.obs.timeseries import Series, WindowRecorder
@@ -212,18 +211,6 @@ def test_cli_report_maps_series_schema_errors_to_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
-def test_read_campaign_series_tolerates_torn_tail_only(tmp_path):
-    path = tmp_path / "campaign_series.jsonl"
-    sample = {"schema": 1, "kind": "campaign_sample", "t": 0.5,
-              "queue_depth": 3}
-    path.write_text(json.dumps(sample) + "\n" + '{"torn', encoding="utf-8")
-    assert read_campaign_series(path) == [sample]
-    path.write_text('{"schema": 1, "kind": "series"}\n'
-                    + json.dumps(sample) + "\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="campaign_sample"):
-        read_campaign_series(path)
-
-
 # -- phase detection and adaptation lag --------------------------------------
 
 
@@ -386,18 +373,6 @@ def test_grid_rows_bit_identical_with_and_without_series():
         obs=Observability(series=SeriesCollector(window=512)),
     ).run_cells(cells, jobs=1)
     assert values(with_series) == values(plain)
-
-
-def test_phase_annotations_attach_to_grid_rows():
-    obs = Observability(series=SeriesCollector(window=256))
-    rows = Evaluation(n_accesses=2000, obs=obs).run_cells(
-        [("cassandra-phase0-core0", "nextline")], jobs=1)
-    # Phase annotations are data-dependent; the contract is shape, not
-    # presence: when attached they carry the documented fields.
-    for row in rows:
-        for phase in row.extras.get("phases", ()):
-            assert set(phase) == {"window_start", "miss_rate_before",
-                                  "miss_rate_after", "adaptation_lag"}
 
 
 def test_default_window_is_sane():
