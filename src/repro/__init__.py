@@ -19,17 +19,23 @@ Quickstart::
     print(result.ipc, result.accuracy())
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-paper-vs-measured results.
+paper-vs-measured results.  Public names are imported on first use
+(see :mod:`repro._lazy`), so ``import repro`` alone loads no numpy.
 """
 
-from .core import PathfinderConfig, PathfinderPrefetcher
-from .obs import Observability
-from .sim import SimResult, simulate
-from .sim.simulator import HierarchyConfig
-from .traces import WORKLOAD_NAMES, make_trace
-from .types import MemoryAccess, PrefetchFile, PrefetchRequest, Trace
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.config": ["PathfinderConfig"],
+    ".core.pathfinder": ["PathfinderPrefetcher"],
+    ".obs": ["Observability"],
+    ".sim.metrics": ["SimResult"],
+    ".sim.simulator": ["HierarchyConfig", "simulate"],
+    ".traces.workloads": ["WORKLOAD_NAMES", "make_trace"],
+    ".types": ["MemoryAccess", "PrefetchFile", "PrefetchRequest", "Trace"],
+})
 
 __all__ = [
     "Observability",

@@ -64,12 +64,12 @@ def _cell_observability(context: Dict[str, object], label: str):
     label, the same tags the serial loop binds, so a parallel merge is
     bit-identical to a serial run.
     """
-    from ..obs import MemorySink, Observability, SeriesCollector, Tracer
-
     observe = bool(context.get("observe"))
     window = int(context.get("series_window") or 0)
     if not (observe or window):
         return None
+    from ..obs import MemorySink, Observability, SeriesCollector, Tracer
+
     capture = bool(context.get("capture"))
     series = SeriesCollector(window=window) if window else None
     if series is not None:

@@ -79,6 +79,12 @@ ledger — manifest (git SHA, config fingerprint, seeds, argv) plus
 per-cell provenance — under ``--results-dir`` (default ``results/``,
 overridable via the ``REPRO_RESULTS_DIR`` environment variable), or at
 ``--resume PATH``; ``--no-ledger`` disables the results-dir one.
+
+Exit codes, for every subcommand: 0 on success; 1 on a regression
+(``compare``), a failed grid cell (``experiment``) or a quarantined
+cell (``campaign``); 2 on usage and configuration errors; 141
+(128 + SIGPIPE), with no traceback, when the reader of stdout closes
+the pipe early (``repro report events.jsonl | head``).
 """
 
 from __future__ import annotations
@@ -90,6 +96,8 @@ import sys
 import time
 from typing import List, Optional
 
+# The dashboard, compare, campaign and series code is imported inside
+# the handlers that use it, so each command loads only what it runs.
 from .errors import ConfigError, WorkerCrashError
 from .harness import (
     DEFAULT_MAX_REGRESS,
@@ -101,7 +109,6 @@ from .harness import (
     format_table,
     run_experiment,
     summarize_events,
-    write_dashboard,
 )
 from .obs import (
     DEFAULT_WINDOW,
@@ -109,12 +116,10 @@ from .obs import (
     Observability,
     Profiler,
     RunLedger,
-    SeriesCollector,
     Tracer,
     finish_run,
     read_events,
     read_ledger,
-    read_series,
     resume_run,
     set_default_observability,
     start_run,
@@ -174,6 +179,8 @@ def _make_obs(args: argparse.Namespace) -> Optional[Observability]:
     sink = JsonlSink(args.events_out) if args.events_out else None
     series = None
     if series_on:
+        from .obs.timeseries import SeriesCollector
+
         window = getattr(args, "series_window", None) or DEFAULT_WINDOW
         series = SeriesCollector(window=window)
     return Observability(tracer=Tracer(sink),
@@ -443,6 +450,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .obs.timeseries import read_series
+
     events = ledger = metrics = campaign = series = None
     try:
         if args.events:
@@ -486,6 +495,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
               "--ledger/--metrics/--campaign/--series)")
         return 2
     if args.html:
+        from .harness.dashboard import write_dashboard
+
         run_id = (ledger.get("manifest") or {}).get("run_id") if ledger \
             else None
         title = (f"repro campaign {campaign['name']}" if campaign
@@ -880,7 +891,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # The raw argv lands in the run-ledger manifest for provenance.
     args._argv = list(argv) if argv is not None else list(sys.argv[1:])
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flushed here, so a closed pipe fails inside this try and not
+        # in the interpreter's flush at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Whoever read stdout has gone (``repro report ... | head``).
+        # Point stdout at devnull so the exit-time flush stays quiet,
+        # and exit as a shell reports a process killed by SIGPIPE
+        # (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

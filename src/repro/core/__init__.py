@@ -12,11 +12,15 @@
 - :mod:`repro.core.pathfinder` — the prefetcher tying it all together.
 """
 
-from .config import PathfinderConfig
-from .pixel import PixelMatrixEncoder
-from .training_table import TrainingTable, TrainingEntry
-from .inference_table import InferenceTable
-from .pathfinder import PathfinderPrefetcher
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ["PathfinderConfig"],
+    ".pixel": ["PixelMatrixEncoder"],
+    ".training_table": ["TrainingTable", "TrainingEntry"],
+    ".inference_table": ["InferenceTable"],
+    ".pathfinder": ["PathfinderPrefetcher"],
+})
 
 __all__ = [
     "PathfinderConfig",

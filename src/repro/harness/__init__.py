@@ -14,47 +14,31 @@
   bootstrap CIs, Cliff's delta, Holm correction, rank grouping).
 """
 
-from .compare import (
-    DEFAULT_MAX_REGRESS,
-    CompareResult,
-    StatRow,
-    compare_artifacts,
-    load_artifact,
-)
-from .dashboard import render_dashboard, write_dashboard
-from .runner import (
-    PREFETCHER_FACTORIES,
-    EvalRow,
-    Evaluation,
-    ResiliencePolicy,
-    SeedAggregate,
-    ambient_policy,
-    default_hierarchy,
-    make_prefetcher,
-    multi_seed_grid,
-    run_prefetcher,
-)
-from .reporting import format_table, geometric_mean, summarize_events
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    run_experiment,
-)
-from .stats import (
-    DEFAULT_ALPHA,
-    MannWhitneyResult,
-    RankEntry,
-    SlowdownVerdict,
-    a12,
-    bootstrap_ci,
-    bootstrap_diff_ci,
-    bootstrap_ratio_ci,
-    cliffs_delta,
-    holm_bonferroni,
-    mann_whitney_u,
-    rank_groups,
-    significant_slowdowns,
-)
+from .._lazy import lazy_exports
+
+#: The single fractional timing-regression threshold (+25%) shared by
+#: ``repro compare`` (:mod:`repro.harness.compare`) and its
+#: ``--max-regress`` default.  With enough per-seed samples, the
+#: significance gate in :mod:`repro.harness.stats` additionally requires
+#: the slowdown to be significant.  Defined here so the CLI's parser can
+#: print it without importing the statistics layer.
+DEFAULT_MAX_REGRESS = 0.25
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".compare": ["CompareResult", "StatRow", "compare_artifacts",
+                 "load_artifact"],
+    ".dashboard": ["render_dashboard", "write_dashboard"],
+    ".runner": ["PREFETCHER_FACTORIES", "EvalRow", "Evaluation",
+                "ResiliencePolicy", "SeedAggregate", "ambient_policy",
+                "default_hierarchy", "make_prefetcher", "multi_seed_grid",
+                "run_prefetcher"],
+    ".reporting": ["format_table", "geometric_mean", "summarize_events"],
+    ".experiments": ["EXPERIMENTS", "ExperimentResult", "run_experiment"],
+    ".stats": ["DEFAULT_ALPHA", "MannWhitneyResult", "RankEntry",
+               "SlowdownVerdict", "a12", "bootstrap_ci", "bootstrap_diff_ci",
+               "bootstrap_ratio_ci", "cliffs_delta", "holm_bonferroni",
+               "mann_whitney_u", "rank_groups", "significant_slowdowns"],
+})
 
 __all__ = [
     "CompareResult",

@@ -26,7 +26,8 @@ differ by seed alone:
   two-point compare.
 - **Threshold gate** (for every other timing, e.g. single-seed cells):
   a timing regresses when it exceeds the baseline's by more than
-  ``max_regress`` (default :data:`DEFAULT_MAX_REGRESS` = +25%), via
+  ``max_regress`` (default
+  :data:`~repro.harness.DEFAULT_MAX_REGRESS` = +25%), via
   :func:`timing_regression`.
 
 Rate metrics (accuracy/coverage/speedup) are reported as deltas and
@@ -47,14 +48,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from . import DEFAULT_MAX_REGRESS
 from . import stats as st
 from .reporting import format_table
-
-#: The single fractional timing-regression threshold (+25%) shared by
-#: ``repro compare`` and its ``--max-regress`` default.  With enough
-#: per-seed samples, the significance gate in :mod:`repro.harness.stats`
-#: additionally requires the slowdown to be significant.
-DEFAULT_MAX_REGRESS = 0.25
 
 #: Per-cell rate metrics diffed between two ledgers, and the timing
 #: keys checked with the regression gates.

@@ -25,8 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import PathfinderConfig, PathfinderPrefetcher
-from ..hw import PAPER_TABLE9, pathfinder_cost, snn_cost
+from ..core import PathfinderConfig
 from ..prefetchers import generate_prefetches
 from ..sim import simulate
 from ..traces import WORKLOAD_NAMES, make_trace
@@ -95,6 +94,8 @@ def experiment_table1(n_accesses: int = 3000, seed: int = 1,
                       workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
     """% of queries where the highest-potential neuron after tick 1 is
     the interval's most-firing neuron (paper Table 1: 82.8–93.6%)."""
+    from ..core.pathfinder import PathfinderPrefetcher
+
     workloads = list(workloads or WORKLOAD_NAMES)
     rows: TableRows = []
     result = ExperimentResult("table1",
@@ -125,9 +126,11 @@ def experiment_table2_fig3(seed: int = 3) -> ExperimentResult:
     reports the firing neuron, firing tick, and next-best potential,
     plus the Figure 3 voltage series for the first three intervals.
     """
+    from ..core.pathfinder import PathfinderPrefetcher
+    from ..core.pixel import PixelMatrixEncoder
+
     config = PathfinderConfig(one_tick=False, seed=seed)
     encoder_cfg = config
-    from ..core.pixel import PixelMatrixEncoder
 
     encoder = PixelMatrixEncoder(encoder_cfg)
     prefetcher = PathfinderPrefetcher(config)
@@ -491,6 +494,8 @@ def experiment_fig9(n_accesses: int = 4000, seed: int = 1,
 
 def experiment_table9() -> ExperimentResult:
     """Area/power of the SNN across PE counts and delta ranges."""
+    from ..hw import PAPER_TABLE9, pathfinder_cost, snn_cost
+
     rows: TableRows = []
     result = ExperimentResult("table9", "Hardware area & power")
     for (n_pe, delta_range), (paper_area, paper_power) in PAPER_TABLE9.items():

@@ -18,26 +18,14 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from ..core import PathfinderConfig, PathfinderPrefetcher
+from .. import core, prefetchers
+from ..core import PathfinderConfig
 from ..errors import ConfigError, WorkerCrashError
 from ..obs import Observability, default_observability
 from ..obs.ledger import active_ledger, current_run_id
 from ..resilience import faults
 from ..resilience.guard import GuardedPrefetcher
-from ..prefetchers import (
-    AdaptiveEnsemblePrefetcher,
-    BestOffsetPrefetcher,
-    ColdPagePredictor,
-    DeltaLSTMPrefetcher,
-    EnsemblePrefetcher,
-    NextLinePrefetcher,
-    PythiaPrefetcher,
-    SISBPrefetcher,
-    SPPPrefetcher,
-    VoyagerPrefetcher,
-    generate_prefetches,
-)
-from ..prefetchers.base import Prefetcher
+from ..prefetchers.base import Prefetcher, generate_prefetches
 from ..sim import SimResult, simulate
 from ..sim.simulator import HierarchyConfig, Simulator
 from ..traces import make_trace
@@ -55,37 +43,43 @@ def default_hierarchy() -> HierarchyConfig:
 
 
 def _pathfinder_nl_sisb() -> Prefetcher:
-    return EnsemblePrefetcher(
-        [PathfinderPrefetcher(), NextLinePrefetcher(degree=1),
-         SISBPrefetcher()])
+    return prefetchers.EnsemblePrefetcher(
+        [core.PathfinderPrefetcher(),
+         prefetchers.NextLinePrefetcher(degree=1),
+         prefetchers.SISBPrefetcher()])
 
 
 def _pathfinder_nl() -> Prefetcher:
-    return EnsemblePrefetcher(
-        [PathfinderPrefetcher(), NextLinePrefetcher(degree=1)])
+    return prefetchers.EnsemblePrefetcher(
+        [core.PathfinderPrefetcher(),
+         prefetchers.NextLinePrefetcher(degree=1)])
 
 
 def _adaptive_pf_nl_sisb() -> Prefetcher:
-    return AdaptiveEnsemblePrefetcher(
-        [PathfinderPrefetcher(), NextLinePrefetcher(degree=1),
-         SISBPrefetcher()])
+    return prefetchers.AdaptiveEnsemblePrefetcher(
+        [core.PathfinderPrefetcher(),
+         prefetchers.NextLinePrefetcher(degree=1),
+         prefetchers.SISBPrefetcher()])
 
 
 def _pathfinder_coldpage() -> Prefetcher:
-    return EnsemblePrefetcher(
-        [PathfinderPrefetcher(), ColdPagePredictor()])
+    return prefetchers.EnsemblePrefetcher(
+        [core.PathfinderPrefetcher(), prefetchers.ColdPagePredictor()])
 
 
 #: Factory per prefetcher name, matching the paper's Figure 4 lineup.
+#: Each factory reaches its class through the lazy ``prefetchers`` and
+#: ``core`` packages, so a prefetcher's module (and, for the neural
+#: baselines, :mod:`repro.ml`) is imported only when it is built.
 PREFETCHER_FACTORIES: Dict[str, Callable[[], Prefetcher]] = {
-    "nextline": lambda: NextLinePrefetcher(degree=2),
-    "bo": BestOffsetPrefetcher,
-    "spp": SPPPrefetcher,
-    "sisb": SISBPrefetcher,
-    "pythia": PythiaPrefetcher,
-    "delta-lstm": DeltaLSTMPrefetcher,
-    "voyager": VoyagerPrefetcher,
-    "pathfinder": PathfinderPrefetcher,
+    "nextline": lambda: prefetchers.NextLinePrefetcher(degree=2),
+    "bo": lambda: prefetchers.BestOffsetPrefetcher(),
+    "spp": lambda: prefetchers.SPPPrefetcher(),
+    "sisb": lambda: prefetchers.SISBPrefetcher(),
+    "pythia": lambda: prefetchers.PythiaPrefetcher(),
+    "delta-lstm": lambda: prefetchers.DeltaLSTMPrefetcher(),
+    "voyager": lambda: prefetchers.VoyagerPrefetcher(),
+    "pathfinder": lambda: core.PathfinderPrefetcher(),
     "pathfinder+nl": _pathfinder_nl,
     "pathfinder+nl+sisb": _pathfinder_nl_sisb,
     # Future-work extensions (paper §3.4 / §5):
@@ -102,7 +96,7 @@ CellSpec = Union[str, PathfinderConfig]
 def make_prefetcher(spec: CellSpec) -> Prefetcher:
     """Instantiate a fresh prefetcher by registry name or from a config."""
     if not isinstance(spec, str):
-        return PathfinderPrefetcher(spec)
+        return core.PathfinderPrefetcher(spec)
     try:
         return PREFETCHER_FACTORIES[spec]()
     except KeyError:

@@ -18,8 +18,9 @@ count) stay live so their values remain available without opting in.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
+from .._lazy import lazy_exports
 from .ledger import (
     RunLedger,
     active_ledger,
@@ -39,19 +40,22 @@ from .telemetry import (
     MetricsScope,
     metric_key,
 )
-from .timeseries import (
-    DEFAULT_POINT_CAP,
-    DEFAULT_WINDOW,
-    SERIES_SCHEMA,
-    Series,
-    SeriesCollector,
-    WindowRecorder,
-    adaptation_lag,
-    detect_phases,
-    rate_points,
-    read_series,
-)
 from .tracing import JsonlSink, MemorySink, NullSink, Tracer, read_events
+
+if TYPE_CHECKING:
+    from .timeseries import SeriesCollector
+
+#: Default access-index window of a series (one sample per 2048
+#: accesses).  Defined here so the CLI's parser can print it without
+#: importing the time-series layer, which only ``--series`` runs and
+#: the dashboard use.
+DEFAULT_WINDOW = 2048
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".timeseries": ["DEFAULT_POINT_CAP", "SERIES_SCHEMA", "Series",
+                    "SeriesCollector", "WindowRecorder", "adaptation_lag",
+                    "detect_phases", "rate_points", "read_series"],
+})
 
 
 class Observability:

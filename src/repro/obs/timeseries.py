@@ -49,13 +49,11 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from . import DEFAULT_WINDOW
 from .telemetry import metric_key
 
 #: Schema version stamped on every series record.
 SERIES_SCHEMA = 1
-
-#: Default access-index window size (one sample per 2048 accesses).
-DEFAULT_WINDOW = 2048
 
 #: Default per-series point cap; exceeding it triggers 2x decimation.
 DEFAULT_POINT_CAP = 512

@@ -22,17 +22,21 @@
 PATHFINDER itself lives in :mod:`repro.core`.
 """
 
-from .base import Prefetcher, generate_prefetches
-from .adaptive_ensemble import AdaptiveEnsemblePrefetcher
-from .cold_page import ColdPageConfig, ColdPagePredictor
-from .nextline import NextLinePrefetcher
-from .best_offset import BestOffsetConfig, BestOffsetPrefetcher
-from .spp import SPPConfig, SPPPrefetcher
-from .sisb import SISBConfig, SISBPrefetcher
-from .pythia import PythiaConfig, PythiaPrefetcher
-from .delta_lstm import DeltaLSTMConfig, DeltaLSTMPrefetcher
-from .voyager import VoyagerConfig, VoyagerPrefetcher
-from .ensemble import EnsemblePrefetcher
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ["Prefetcher", "generate_prefetches"],
+    ".adaptive_ensemble": ["AdaptiveEnsemblePrefetcher"],
+    ".cold_page": ["ColdPageConfig", "ColdPagePredictor"],
+    ".nextline": ["NextLinePrefetcher"],
+    ".best_offset": ["BestOffsetConfig", "BestOffsetPrefetcher"],
+    ".spp": ["SPPConfig", "SPPPrefetcher"],
+    ".sisb": ["SISBConfig", "SISBPrefetcher"],
+    ".pythia": ["PythiaConfig", "PythiaPrefetcher"],
+    ".delta_lstm": ["DeltaLSTMConfig", "DeltaLSTMPrefetcher"],
+    ".voyager": ["VoyagerConfig", "VoyagerPrefetcher"],
+    ".ensemble": ["EnsemblePrefetcher"],
+})
 
 __all__ = [
     "Prefetcher",

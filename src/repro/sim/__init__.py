@@ -18,12 +18,18 @@ Components:
 - :mod:`repro.sim.metrics` — result container and derived metrics.
 """
 
+from .._lazy import lazy_exports
 from .cache import CacheConfig, SetAssociativeCache
-from .multicore import MulticoreResult, MulticoreSimulator, simulate_multicore
 from .dram import DramConfig, DramModel
 from .cpu import CoreConfig
 from .metrics import SimResult, accuracy, coverage
 from .simulator import HierarchyConfig, Simulator, simulate
+
+# The co-run mode is imported on first use: single-core runs never need it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".multicore": ["MulticoreResult", "MulticoreSimulator",
+                   "simulate_multicore"],
+})
 
 __all__ = [
     "CacheConfig",

@@ -17,11 +17,15 @@ Network parameters default to the paper's Table 4 (``exc=20.5``,
 ``inh=17.5``, ``norm=38.4``, ``theta_plus=0.05``, 32 ticks).
 """
 
-from .encoding import poisson_spike_train
-from .neurons import AdaptiveLIFGroup, LIFConfig, LIFGroup
-from .stdp import STDPConfig
-from .synapses import Connection
-from .network import DiehlCookNetwork, NetworkConfig, RunRecord
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".encoding": ["poisson_spike_train"],
+    ".neurons": ["AdaptiveLIFGroup", "LIFConfig", "LIFGroup"],
+    ".stdp": ["STDPConfig"],
+    ".synapses": ["Connection"],
+    ".network": ["DiehlCookNetwork", "NetworkConfig", "RunRecord"],
+})
 
 __all__ = [
     "poisson_spike_train",

@@ -1,11 +1,14 @@
 """Shared helpers for building small traces and reading state in tests."""
 
 import contextlib
+import os
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
+import repro
 from repro.errors import EngineFallbackWarning
 from repro.sim.fast_engine import batch
 from repro.types import Trace
@@ -24,6 +27,17 @@ def reference_loop():
             warnings.catch_warnings():
         warnings.simplefilter("ignore", EngineFallbackWarning)
         yield
+
+
+def child_env(**overrides):
+    """The environment of a child Python that imports this checkout's
+    ``repro``: ``os.environ`` with ``overrides`` applied and the
+    package's source directory first on ``PYTHONPATH``."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def build_trace(addresses, pc=0x400, gap=10, name="t"):

@@ -5,12 +5,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.snn.ckernel import _find_compiler
+from tests.helpers import child_env
 
 #: Loads both kernels and calls into each, the one-tick library's
 #: Pythia and SPP loops included; prints "ok".
@@ -40,11 +39,8 @@ def test_concurrent_cold_compiles_all_get_working_kernels(tmp_path):
     """Processes compiling into one empty cache at once each build from
     a private copy of the source, so none installs a truncated object."""
     cache = tmp_path / "cache"
-    env = dict(os.environ, REPRO_CKERNEL_CACHE=str(cache))
+    env = child_env(REPRO_CKERNEL_CACHE=str(cache))
     env.pop("REPRO_NO_CKERNEL", None)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH"))))
     workers = [subprocess.Popen([sys.executable, "-c", PROBE], env=env,
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)

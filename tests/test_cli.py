@@ -1,9 +1,14 @@
 """Tests for the `repro` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs.ledger import read_ledger
+from tests.helpers import child_env
 
 
 def test_parser_requires_command():
@@ -37,6 +42,29 @@ def test_run_command(capsys):
     out = capsys.readouterr().out
     assert "speedup" in out
     assert "coverage" in out
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""),
+                         ids=("unbuffered", "buffered"))
+def test_closed_stdout_pipe_exits_141_without_traceback(tmp_path,
+                                                        unbuffered):
+    """A reader that closed the pipe early ends the command with the
+    shell's SIGPIPE status and no traceback, whether stdout is
+    buffered (the error surfaces at the final flush) or not (at the
+    first print)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "cc-5", "nextline",
+             "--loads", "500", "--no-ledger"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=child_env(PYTHONUNBUFFERED=unbuffered),
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_rejects_unknown_prefetcher():
