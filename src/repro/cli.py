@@ -101,13 +101,11 @@ from typing import List, Optional
 from .errors import ConfigError, WorkerCrashError
 from .harness import (
     DEFAULT_MAX_REGRESS,
-    EXPERIMENTS,
     Evaluation,
     PREFETCHER_FACTORIES,
     ResiliencePolicy,
     ambient_policy,
     format_table,
-    run_experiment,
     summarize_events,
 )
 from .obs import (
@@ -349,6 +347,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .harness.experiments import EXPERIMENTS, run_experiment
+
     if args.inject_faults in ("help", "list"):
         _print_fault_points()
         return 0
@@ -743,6 +743,23 @@ def _add_fault_flag(parser: argparse.ArgumentParser) -> None:
              "(pass 'help' to list fault points)")
 
 
+class _ExperimentIds:
+    """The experiment registry's ids, sorted, read from it on first use:
+    when ``repro experiment`` checks its argument or prints its help or
+    an ``invalid choice`` error.  Other commands never load the
+    registry."""
+
+    def __iter__(self):
+        from .harness.experiments import EXPERIMENTS
+
+        return iter(sorted(EXPERIMENTS))
+
+    def __contains__(self, experiment) -> bool:
+        from .harness.experiments import EXPERIMENTS
+
+        return experiment in EXPERIMENTS
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -779,7 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment",
                            help="regenerate a paper table/figure")
-    p_exp.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    # The metavar spares add_argument's format check from reading the
+    # ids; cleared, the help lists them as it lists any choices.
+    p_exp.add_argument("experiment", choices=_ExperimentIds(),
+                       metavar="ID").metavar = None
     p_exp.add_argument("--loads", type=int, default=None)
     p_exp.add_argument("--workloads",
                        help="comma-separated workload subset")

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..prefetchers.base import Prefetcher
+from ..prefetchers.base import Prefetcher, Rows
 from ..snn.ckernel import PathfinderArgs, load_kernel, pointer
 from ..snn.network import DiehlCookNetwork, NetworkConfig, RunRecord
 from ..snn.neurons import LIFConfig
@@ -333,7 +333,7 @@ class PathfinderPrefetcher(Prefetcher):
         self.prefetches_emitted += len(addresses)
         return addresses
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Columnar form of :meth:`process` over a trace chunk.
 
         One call into the compiled PATHFINDER loop
@@ -344,6 +344,7 @@ class PathfinderPrefetcher(Prefetcher):
         table and SNN arrays that :meth:`process` uses, so results are
         bit-identical and either path can take over from the other
         mid-trace (docs/architecture.md, "Batched columnar pipeline").
+        Its ``degree``-wide output rows become :class:`Rows` by one mask.
 
         :meth:`process` runs instead whenever the loop cannot: no
         compiled kernel (no C compiler, or ``REPRO_NO_CKERNEL=1``), the
@@ -367,9 +368,8 @@ class PathfinderPrefetcher(Prefetcher):
         n = len(addresses)
         if len(pcs) != n:
             raise ValueError(f"{len(pcs)} pcs for {n} addresses")
-        degree = self.config.degree
         counts = np.zeros(n, dtype=np.int64)
-        targets = np.empty(n * degree, dtype=np.int64)
+        targets = np.empty((n, self.config.degree), dtype=np.int64)
         winners = np.full(n, NO_NEURON, dtype=np.int64)
         start = 0
         while start < n:
@@ -389,11 +389,9 @@ class PathfinderPrefetcher(Prefetcher):
                 address >> PAGE_BITS,
                 (address >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1))
             counts[stop] = len(predicted)
-            targets[stop * degree:stop * degree + len(predicted)] = predicted
+            targets[stop, :len(predicted)] = predicted
             start = stop + 1
-        flat = targets.tolist()
-        return [flat[k:k + count] if count else [] for k, count in
-                zip(range(0, n * degree, degree), counts.tolist())]
+        return Rows.from_padded(counts, targets)
 
     def _run_loop(self, kernel, addresses, pcs, start, counts, targets,
                   winners) -> Tuple[int, int]:

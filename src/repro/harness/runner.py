@@ -15,11 +15,10 @@ import tempfile
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from .. import core, prefetchers
-from ..core import PathfinderConfig
 from ..errors import ConfigError, WorkerCrashError
 from ..obs import Observability, default_observability
 from ..obs.ledger import active_ledger, current_run_id
@@ -30,6 +29,9 @@ from ..sim import SimResult, simulate
 from ..sim.simulator import HierarchyConfig, Simulator
 from ..traces import make_trace
 from ..types import Trace
+
+if TYPE_CHECKING:
+    from ..core import PathfinderConfig
 
 
 def default_hierarchy() -> HierarchyConfig:
@@ -90,7 +92,7 @@ PREFETCHER_FACTORIES: Dict[str, Callable[[], Prefetcher]] = {
 
 #: A grid cell's prefetcher: a registry name or an explicit PATHFINDER
 #: configuration (the sensitivity experiments sweep configs directly).
-CellSpec = Union[str, PathfinderConfig]
+CellSpec = Union[str, "PathfinderConfig"]
 
 
 def make_prefetcher(spec: CellSpec) -> Prefetcher:

@@ -25,7 +25,7 @@ PATHFINDER itself lives in :mod:`repro.core`.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".base": ["Prefetcher", "generate_prefetches"],
+    ".base": ["Prefetcher", "Rows", "generate_prefetches"],
     ".adaptive_ensemble": ["AdaptiveEnsemblePrefetcher"],
     ".cold_page": ["ColdPageConfig", "ColdPagePredictor"],
     ".nextline": ["NextLinePrefetcher"],
@@ -40,6 +40,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 __all__ = [
     "Prefetcher",
+    "Rows",
     "generate_prefetches",
     "NextLinePrefetcher",
     "BestOffsetConfig",

@@ -12,12 +12,73 @@ most two prefetches per triggering access.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, PrefetchFileError, ReproError
 from ..types import BLOCK_BITS, MemoryAccess, PrefetchFile, Trace
+
+
+class Rows(NamedTuple):
+    """One chunk's prefetches in CSR form, as
+    :meth:`Prefetcher.process_batch` returns them: access ``i`` of the
+    chunk has ``counts[i]`` addresses, stored back to back in
+    ``addresses`` in priority order (first = highest).  Both columns are
+    1-D ``int64`` arrays."""
+
+    counts: np.ndarray
+    addresses: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int) -> "Rows":
+        """``n`` accesses without prefetches."""
+        return cls(np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    @classmethod
+    def from_lists(cls, per_access: Sequence[Sequence[int]]) -> "Rows":
+        """One address list per access (:meth:`Prefetcher.process`'s
+        shape), flattened once."""
+        counts = np.fromiter(map(len, per_access), dtype=np.int64,
+                             count=len(per_access))
+        return cls(counts, np.fromiter(chain.from_iterable(per_access),
+                                       dtype=np.int64,
+                                       count=int(counts.sum())))
+
+    @classmethod
+    def from_padded(cls, counts: np.ndarray, targets: np.ndarray) -> "Rows":
+        """A compiled loop's output: row ``i`` of the 2-D ``targets``
+        starts with access ``i``'s ``counts[i]`` addresses, and one mask
+        drops the padding after them."""
+        width = targets.shape[1]
+        return cls(counts, targets[np.arange(width) < counts[:, None]])
+
+
+def check_rows(rows, n: int) -> Rows:
+    """``rows`` as :class:`Rows`, if it is one chunk's rows for ``n``
+    accesses.
+
+    Raises:
+        ValueError: ``rows`` is not two 1-D ``int64`` columns, ``counts``
+            has another length or a negative entry, or the counts do not
+            add up to the addresses.
+    """
+    counts, addresses = rows
+    for name, column in (("counts", counts), ("addresses", addresses)):
+        if not (isinstance(column, np.ndarray) and column.ndim == 1
+                and column.dtype == np.int64):
+            raise ValueError(f"process_batch {name} are not a 1-D int64 "
+                             f"array")
+    if len(counts) != n:
+        raise ValueError(f"process_batch returned {len(counts)} counts "
+                         f"for {n} accesses")
+    if n and int(counts.min()) < 0:
+        raise ValueError("process_batch returned a negative count")
+    if int(counts.sum()) != len(addresses):
+        raise ValueError(f"process_batch counts add up to "
+                         f"{int(counts.sum())}, not to its "
+                         f"{len(addresses)} addresses")
+    return Rows(counts, addresses)
 
 
 class Prefetcher:
@@ -79,14 +140,15 @@ class Prefetcher:
         """
         raise NotImplementedError
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
-        """Observe a chunk of demand loads; one address list per load.
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
+        """Observe a chunk of demand loads; their prefetches as
+        :class:`Rows`.
 
         The batch protocol of the columnar driver: ``addresses``,
         ``pcs``, and ``instr_ids`` are aligned ``int64`` column slices
-        straight out of :meth:`repro.types.Trace.arrays`.  The result
-        must be exactly ``[self.process(a) for a in chunk]`` — the
-        parity suite drives both paths and asserts bit-identical
+        straight out of :meth:`repro.types.Trace.arrays`.  Row ``i``
+        must be exactly ``self.process(a)`` for the chunk's access ``i``
+        — the parity suite drives both paths and asserts bit-identical
         prefetch files.  The one BLAS-backed tier is the frozen neural
         models (Voyager, Delta-LSTM), which run a chunk's contexts as
         row blocks: BLAS sums rows in a batch-size-dependent order, so
@@ -94,19 +156,20 @@ class Prefetcher:
         1e-12 rather than bitwise, while prefetch files and the state
         :meth:`process` reads next stay identical.
 
-        This default adapts any scalar prefetcher by looping; batched
-        implementations (NextLine's vectorized page math, the hoisted
-        state walks of BO and SISB, the compiled loops PATHFINDER,
-        Pythia and SPP run over the arrays :meth:`process` also uses,
-        the neural models' row-blocked inference, the fixed-priority
-        ensemble's per-member batches) override it for throughput,
-        never for behaviour.
+        This default adapts any scalar prefetcher by looping and
+        flattening the lists once; batched implementations (NextLine's
+        vectorized page math, the hoisted state walks of BO and SISB,
+        the compiled loops PATHFINDER, Pythia and SPP run over the
+        arrays :meth:`process` also uses, the neural models' row-blocked
+        inference, the fixed-priority ensemble's per-member batches)
+        override it for throughput, never for behaviour.
         """
         process = self.process
-        return [process(MemoryAccess(instr_id=i, pc=p, address=a))
-                for a, p, i in zip(np.asarray(addresses).tolist(),
-                                   np.asarray(pcs).tolist(),
-                                   np.asarray(instr_ids).tolist())]
+        return Rows.from_lists([
+            process(MemoryAccess(instr_id=i, pc=p, address=a))
+            for a, p, i in zip(np.asarray(addresses).tolist(),
+                               np.asarray(pcs).tolist(),
+                               np.asarray(instr_ids).tolist())])
 
     def reset(self) -> None:
         """Clear all run-time state (tables, histories); keep config."""
@@ -123,33 +186,31 @@ DEFAULT_CHUNK = 4096
 GEN_PREFETCHES = "gen.prefetches"
 
 
-def _budget_rows(lengths: np.ndarray, addresses: np.ndarray,
+def _budget_rows(counts: np.ndarray, addresses: np.ndarray,
                  budget: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply the per-access budget to one chunk's flattened lists.
+    """Apply the per-access budget to one chunk's rows.
 
-    ``addresses`` holds the chunk's lists back to back, ``lengths[i]``
-    of them for access ``i``.  Each access keeps the first occurrence
-    of each block, in priority order, and only the first ``budget`` of
-    those.  Returns the kept counts per access and the kept addresses.
+    Each access keeps the first occurrence of each block, in priority
+    order, and only the first ``budget`` of those.  Returns the kept
+    counts per access and the indices of the kept records.
     """
-    if not len(addresses) or int(lengths.max()) <= 1:
-        return lengths, addresses
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    column = np.arange(len(addresses)) - (np.cumsum(lengths) - lengths)[rows]
+    if not len(addresses) or int(counts.max()) <= 1:
+        return counts, np.arange(len(addresses))
+    rows = np.repeat(np.arange(len(counts)), counts)
+    column = np.arange(len(addresses)) - (np.cumsum(counts) - counts)[rows]
     blocks = addresses >> BLOCK_BITS
     # A record repeats a block if any earlier record of its row does;
     # rows are short, so compare each with its predecessors by distance.
     repeat = np.zeros(len(addresses), dtype=bool)
     later = np.flatnonzero(column)
-    for distance in range(1, int(lengths.max())):
+    for distance in range(1, int(counts.max())):
         later = later[column[later] >= distance]
         repeat[later] |= blocks[later] == blocks[later - distance]
-    first = ~repeat
+    first = np.flatnonzero(~repeat)
     kept_rows = rows[first]
-    counts = np.bincount(kept_rows, minlength=len(lengths))
-    rank = np.arange(len(kept_rows)) - (np.cumsum(counts) - counts)[kept_rows]
-    return (np.minimum(counts, budget),
-            addresses[first][rank < budget])
+    kept = np.bincount(kept_rows, minlength=len(counts))
+    rank = np.arange(len(first)) - (np.cumsum(kept) - kept)[kept_rows]
+    return np.minimum(kept, budget), first[rank < budget]
 
 
 def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
@@ -162,12 +223,12 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
     The driver is columnar: the trace's struct-of-arrays view is
     sliced into ``chunk``-sized column windows and handed to
     :meth:`Prefetcher.process_batch` (scalar prefetchers transparently
-    loop via the base implementation).  Each chunk's per-access lists
-    are flattened once into ``int64`` columns, and one vectorised pass
-    applies the budget: each access keeps the first occurrence of each
-    block, in priority order (the first address seen for a block wins),
-    and only the first ``budget`` of those.  Any chunk size produces
-    the identical prefetch file.
+    loop via the base implementation).  Each chunk's :class:`Rows` are
+    checked (:func:`check_rows`), and one vectorised pass applies the
+    budget: each access keeps the first occurrence of each block, in
+    priority order (the first address seen for a block wins), and only
+    the first ``budget`` of those.  Any chunk size produces the
+    identical prefetch file.
 
     Args:
         prefetcher: The prefetcher to drive.
@@ -192,9 +253,9 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
         order).
 
     Raises:
-        PrefetchFileError: An unguarded prefetcher raised mid-trace, or
-            a chunk's result is malformed (not one list per access, or
-            an address that does not fit in ``int64``); the original
+        PrefetchFileError: An unguarded prefetcher raised mid-trace
+            (an address that does not fit in ``int64`` included), or a
+            chunk's result is not its :class:`Rows`; the original
             exception is chained, with the offending chunk in the
             message.  Already-typed :class:`ReproError` exceptions pass
             through unchanged.  (The harness wraps prefetchers in a
@@ -225,18 +286,10 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
             # land exactly on multiples of the recorder's window.
             end = min(end, (start // window + 1) * window)
         try:
-            per_access = prefetcher.process_batch(
+            rows = check_rows(prefetcher.process_batch(
                 arrays.addresses[start:end],
                 arrays.pcs[start:end],
-                instr_ids[start:end])
-            if len(per_access) != end - start:
-                raise ValueError(
-                    f"process_batch returned {len(per_access)} address "
-                    f"lists for {end - start} accesses")
-            lengths = np.fromiter(map(len, per_access), dtype=np.int64,
-                                  count=end - start)
-            flat = np.fromiter(chain.from_iterable(per_access),
-                               dtype=np.int64, count=int(lengths.sum()))
+                instr_ids[start:end]), end - start)
         except ReproError:
             raise
         except Exception as exc:
@@ -245,10 +298,10 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
                 f"[{start}, {end}) (instr_ids {instr_ids[start]}.."
                 f"{instr_ids[end - 1]}): "
                 f"{type(exc).__name__}: {exc}") from exc
-        row_counts, addresses = _budget_rows(lengths, flat, budget)
+        row_counts, records = _budget_rows(*rows, budget)
         counts.append(row_counts)
-        kept.append(addresses)
-        emitted += len(addresses)
+        kept.append(rows.addresses[records])
+        emitted += len(records)
         if window and (end % window == 0 or end == n):
             cumulative = {GEN_PREFETCHES: emitted}
             gauges: dict = {}

@@ -19,9 +19,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..types import MemoryAccess
-from .base import Prefetcher
+from .base import Prefetcher, Rows
 
 
 def _default_offsets() -> Tuple[int, ...]:
@@ -120,25 +122,25 @@ class BestOffsetPrefetcher(Prefetcher):
                 addresses.append(target << 6)
         return addresses
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
-        """Chunked form: columnar block math, then a hoisted-local walk.
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
+        """Chunked form: columnar block math, a hoisted-local walk, then
+        columnar prefetch math.
 
         The learning automaton is inherently sequential (each access
-        can flip ``best_offset`` for the next one), so the chunk win
-        comes from one vectorized block extraction and keeping the
-        tables/counters in locals instead of attribute lookups.
+        can flip ``best_offset`` for the next one), so the walk keeps
+        the tables/counters in locals instead of attribute lookups and
+        records only the offset each access prefetches with.  Its
+        targets ``block + best * i`` for ``i`` in ``1..degree``, the
+        positive ones in order, are then one broadcast and one mask.
         Mirrors :meth:`process` exactly, including the phase-finish
         ordering of :meth:`_test_candidate`.
         """
-        import numpy as np
-
         cfg = self.config
         offsets = cfg.offsets
         last_index = len(offsets) - 1
         score_max = cfg.score_max
         max_rounds = cfg.max_rounds
         rr_size = cfg.recent_requests_size
-        degree = cfg.degree
         recent = self._recent
         recent_move = recent.move_to_end
         recent_pop = recent.popitem
@@ -146,9 +148,10 @@ class BestOffsetPrefetcher(Prefetcher):
         index = self._candidate_index
         rnd = self._round
         best = self.best_offset
-        results: List[List[int]] = []
-        append = results.append
-        for block in (np.asarray(addresses) >> 6).tolist():
+        blocks = np.asarray(addresses, dtype=np.int64) >> 6
+        bests: List[int] = []
+        append = bests.append
+        for block in blocks.tolist():
             offset = offsets[index]
             finished = False
             if (block - offset) in recent:
@@ -173,17 +176,15 @@ class BestOffsetPrefetcher(Prefetcher):
             recent_move(block)
             if len(recent) > rr_size:
                 recent_pop(last=False)
-            addrs: List[int] = []
-            for i in range(1, degree + 1):
-                target = block + best * i
-                if target > 0:
-                    addrs.append(target << 6)
-            append(addrs)
+            append(best)
         self._scores = scores
         self._candidate_index = index
         self._round = rnd
         self.best_offset = best
-        return results
+        targets = blocks[:, None] + (np.asarray(bests, dtype=np.int64)[:, None]
+                                     * np.arange(1, cfg.degree + 1))
+        positive = targets > 0
+        return Rows(positive.sum(axis=1), targets[positive] << 6)
 
     def reset(self) -> None:
         self.best_offset = 1

@@ -24,7 +24,7 @@ from ..ml.cluster import assign_1d, kmeans_1d
 from ..ml.lstm import RowBlockQueue, row_blocks
 from ..ml.model import NextTokenLSTM
 from ..types import BLOCK_BITS, MemoryAccess, Trace
-from .base import Prefetcher
+from .base import Prefetcher, Rows
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ class DeltaLSTMPrefetcher(Prefetcher):
                 break
         return addresses
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Columnar form of :meth:`process`: a context pass feeding
         row-blocked model passes, one queue per cluster.
 
@@ -191,14 +191,15 @@ class DeltaLSTMPrefetcher(Prefetcher):
            block's next tokens (:meth:`NextTokenLSTM.topk`) and the
            block is decoded before the next one starts.
 
-        Parity is as for :meth:`VoyagerPrefetcher.process_batch`:
-        identical prefetch files and cluster state, logits equal to
+        The decoded lists are flattened into :class:`Rows` once.  Parity
+        is as for :meth:`VoyagerPrefetcher.process_batch`: identical
+        prefetch files and cluster state, logits equal to
         :meth:`process`'s batch-1 pass to rounding.
         """
         n = len(addresses)
-        results: List[List[int]] = [[] for _ in range(n)]
         if self.centroids is None or n == 0:
-            return results
+            return Rows.empty(n)
+        results: List[List[int]] = [[] for _ in range(n)]
         window = self.config.window
         blocks = np.asarray(addresses) >> BLOCK_BITS
         labels = np.concatenate([assign_1d(blocks[rows], self.centroids)
@@ -227,7 +228,7 @@ class DeltaLSTMPrefetcher(Prefetcher):
                 queue.add(i, tuple(cluster.context))
         for queue in queues.values():
             queue.flush()
-        return results
+        return Rows.from_lists(results)
 
     def _predict_block(self, cluster: _ClusterModel, blocks: List[int],
                        results: List[List[int]], at: List[int],

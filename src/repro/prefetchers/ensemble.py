@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..types import MemoryAccess, Trace
-from .base import Prefetcher
+from .base import Prefetcher, Rows, _budget_rows, check_rows
 
 
 class EnsemblePrefetcher(Prefetcher):
@@ -56,23 +58,44 @@ class EnsemblePrefetcher(Prefetcher):
         return self._merge([member.process(access)
                             for member in self.members])
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Columnar form of :meth:`process` over a trace chunk.
 
         A member sees every access and never the ensemble's choice, so
         each member runs its own :meth:`Prefetcher.process_batch` over
-        the whole chunk, then each access's lists go through the merge
-        :meth:`process` uses.  Members share no state, so the prefetch
-        file and ``slots_used`` are bit-identical.  With a fault plan
-        armed, the PATHFINDER member takes its own scalar path.
+        the whole chunk.  Their rows are interleaved by access, members
+        in priority order, and the driver's budget pass
+        (:func:`~repro.prefetchers.base._budget_rows`) keeps what
+        :meth:`_merge` keeps: the first address per block, at most
+        ``budget``.  ``slots_used`` counts each member's kept records.
+        Members share no state, so the prefetch file and ``slots_used``
+        are bit-identical.  With a fault plan armed, the PATHFINDER
+        member takes its own scalar path.
         """
-        per_member = [member.process_batch(addresses, pcs, instr_ids)
+        n = len(addresses)
+        per_member = [check_rows(member.process_batch(addresses, pcs,
+                                                      instr_ids), n)
                       for member in self.members]
-        return [self._merge(candidates) for candidates in zip(*per_member)]
+        # Stable, so each access's records stay in member order.
+        order = np.argsort(np.concatenate([
+            np.repeat(np.arange(n), rows.counts) for rows in per_member]),
+            kind="stable")
+        merged = np.concatenate([rows.addresses
+                                 for rows in per_member])[order]
+        member = np.repeat(np.arange(len(per_member)),
+                           [len(rows.addresses)
+                            for rows in per_member])[order]
+        counts, kept = _budget_rows(sum(rows.counts for rows in per_member),
+                                    merged, self.budget)
+        used = np.bincount(member[kept], minlength=len(self.members))
+        for index, slots in enumerate(used.tolist()):
+            self.slots_used[index] += slots
+        return Rows(counts, merged[kept])
 
     def _merge(self, candidates: Sequence[List[int]]) -> List[int]:
         """One access's prefetches from each member's list, in priority
-        order: the first address per block, at most ``budget``."""
+        order: the first address per block, at most ``budget``.  The
+        oracle :meth:`process_batch` reproduces."""
         chosen: List[int] = []
         seen_blocks = set()
         for index, addresses in enumerate(candidates):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..types import BLOCK_SIZE, MemoryAccess, block_address
-from .base import Prefetcher
+from .base import Prefetcher, Rows
 
 
 class NextLinePrefetcher(Prefetcher):
@@ -25,9 +25,10 @@ class NextLinePrefetcher(Prefetcher):
         base = block_address(access.address)
         return [base + BLOCK_SIZE * i for i in range(1, self.degree + 1)]
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         # Stateless, so the whole chunk is one broadcast: an
-        # (n, degree) matrix of block-aligned successors.
-        bases = (np.asarray(addresses) >> 6) << 6
-        steps = np.arange(1, self.degree + 1, dtype=bases.dtype) * BLOCK_SIZE
-        return (bases[:, None] + steps[None, :]).tolist()
+        # (n, degree) matrix of block-aligned successors, row by row.
+        bases = (np.asarray(addresses, dtype=np.int64) >> 6) << 6
+        steps = np.arange(1, self.degree + 1, dtype=np.int64) * BLOCK_SIZE
+        return Rows(np.full(len(bases), self.degree, dtype=np.int64),
+                    (bases[:, None] + steps[None, :]).ravel())

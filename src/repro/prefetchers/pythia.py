@@ -37,11 +37,15 @@ import numpy as np
 from ..errors import ConfigError
 from ..snn.ckernel import KeyedArgs, PythiaArgs, load_kernel, pointer
 from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, MemoryAccess, compose_address
-from .base import Prefetcher
+from .base import Prefetcher, Rows
 
 #: Largest evaluation queue (256 times the default): the ring is
 #: allocated up front.
 MAX_EQ_SIZE = 65536
+
+#: Longest action list.  The compiled exploration draws follow NumPy's
+#: ``choice(..., replace=False)`` for populations of at most this many.
+MAX_ACTIONS = 10_000
 
 
 def _default_actions() -> Tuple[int, ...]:
@@ -55,7 +59,8 @@ class PythiaConfig:
 
     Attributes:
         actions: Candidate prefetch deltas; 0 = no prefetch.  Distinct,
-            since a Q row holds one value per position.
+            since a Q row holds one value per position, and at most
+            :data:`MAX_ACTIONS` of them.
         alpha: SARSA learning rate.  [Pythia's hardware default is
             0.0065 over billions of accesses; scaled up for the
             shorter traces used here — the paper itself tuned
@@ -95,6 +100,9 @@ class PythiaConfig:
             raise ConfigError("action list must include 0 (no prefetch)")
         if len(set(self.actions)) != len(self.actions):
             raise ConfigError(f"duplicate actions in {self.actions}")
+        if len(self.actions) > MAX_ACTIONS:
+            raise ConfigError(f"{len(self.actions)} actions; at most "
+                              f"{MAX_ACTIONS}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must be in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -351,21 +359,23 @@ class PythiaPrefetcher(Prefetcher):
             addresses.append(address)
         return addresses
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Columnar form of :meth:`process` over a trace chunk.
 
-        The chunk's exploration is drawn first, in program order: one
+        The chunk's exploration is drawn first, in program order, by one
+        compiled call on the generator's own bit generator: one
         ``random()`` per access and ``choice`` only when it falls under
-        epsilon.  No draw depends on the trace, so this is the stream
-        :meth:`process` draws.  Then the compiled Pythia loop
-        (:mod:`repro.snn.ckernel`) runs :meth:`process`'s step access by
-        access on the same arrays, with the same floating-point
-        operations in the same order, so results are bit-identical and
-        either path can take over from the other mid-trace.  Before an
-        access that could outgrow a store the loop stops; the store
-        grows here and the loop resumes.  :meth:`process` runs instead
-        when there is no compiled kernel (no C compiler, or
-        ``REPRO_NO_CKERNEL=1``).
+        epsilon, each as NumPy draws it.  No draw depends on the trace,
+        so this is the stream :meth:`process` draws.  Then the compiled
+        Pythia loop (:mod:`repro.snn.ckernel`) runs :meth:`process`'s
+        step access by access on the same arrays, with the same
+        floating-point operations in the same order, so results are
+        bit-identical and either path can take over from the other
+        mid-trace.  Before an access that could outgrow a store the loop
+        stops; the store grows here and the loop resumes.  Its
+        ``degree``-wide output rows become :class:`Rows` by one mask.
+        :meth:`process` runs instead when there is no compiled kernel
+        (no C compiler, or ``REPRO_NO_CKERNEL=1``).
         """
         kernel = load_kernel()
         if kernel is None:
@@ -376,15 +386,12 @@ class PythiaPrefetcher(Prefetcher):
         n, degree = len(addresses), cfg.degree
         if len(pcs) != n:
             raise ValueError(f"{len(pcs)} pcs for {n} addresses")
-        random, choice = self._rng.random, self._rng.choice
-        n_actions, epsilon = len(cfg.actions), cfg.epsilon
         # Row i: access i's explored actions, or -1s for a greedy pick.
-        explored = np.full((n, degree), -1, dtype=np.int64)
-        for i in range(n):
-            if random() < epsilon:
-                explored[i] = choice(n_actions, size=degree, replace=False)
+        explored = np.empty((n, degree), dtype=np.int64)
+        kernel.pythia_explore(self._rng, cfg.epsilon, len(cfg.actions),
+                              explored)
         counts = np.zeros(n, dtype=np.int64)
-        targets = np.empty(n * degree, dtype=np.int64)
+        targets = np.empty((n, degree), dtype=np.int64)
         start = 0
         while start < n:
             # An access adds at most one page and, per vault, a row for
@@ -394,9 +401,7 @@ class PythiaPrefetcher(Prefetcher):
                 vault.reserve(cfg.eq_size + 2 * degree)
             start = self._run_loop(kernel, addresses, pcs, explored, start,
                                    counts, targets)
-        flat = targets.tolist()
-        return [flat[k:k + count] if count else [] for k, count in
-                zip(range(0, n * degree, degree), counts.tolist())]
+        return Rows.from_padded(counts, targets)
 
     def _run_loop(self, kernel, addresses, pcs, explored, start, counts,
                   targets) -> int:

@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..types import MemoryAccess
-from .base import Prefetcher
+from .base import Prefetcher, Rows
 
 
 @dataclass(frozen=True)
@@ -74,17 +76,16 @@ class SISBPrefetcher(Prefetcher):
             cursor = nxt
         return addresses
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Chunked form: columnar block/stream extraction, hoisted walk.
 
         Successor-chain updates are order-dependent (an access can
         record the link the very next access replays), so the loop
         stays sequential; the chunk converts per-access ``MemoryAccess``
         construction and attribute chasing into two array casts and
-        local dictionary handles.
+        local dictionary handles, and appends every access's addresses
+        to one flat list.
         """
-        import numpy as np
-
         degree = self.config.degree
         successor = self._successor
         succ_get = successor.get
@@ -95,23 +96,24 @@ class SISBPrefetcher(Prefetcher):
             streams = np.asarray(pcs).tolist()
         else:
             streams = [0] * len(blocks)
-        results: List[List[int]] = []
-        append = results.append
+        flat: List[int] = []
+        append = flat.append
+        ends: List[int] = []
         for stream, block in zip(streams, blocks):
             previous = last_get(stream)
             if previous is not None and previous != block:
                 successor[(stream, previous)] = block
             last_block[stream] = block
-            addrs: List[int] = []
             cursor = block
             for _ in range(degree):
                 nxt = succ_get((stream, cursor))
                 if nxt is None:
                     break
-                addrs.append(nxt << 6)
+                append(nxt << 6)
                 cursor = nxt
-            append(addrs)
-        return results
+            ends.append(len(flat))
+        return Rows(np.diff(np.asarray(ends, dtype=np.int64), prepend=0),
+                    np.asarray(flat, dtype=np.int64))
 
     def reset(self) -> None:
         self._successor.clear()

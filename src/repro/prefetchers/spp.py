@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..snn.ckernel import SPP_ARRAYS, SPPArgs, load_kernel, pointer
 from ..types import BLOCKS_PER_PAGE, MemoryAccess, compose_address
-from .base import Prefetcher
+from .base import Prefetcher, Rows
 
 _SIGNATURE_BITS = 12
 _SIGNATURE_MASK = (1 << _SIGNATURE_BITS) - 1
@@ -203,13 +203,14 @@ class SPPPrefetcher(Prefetcher):
             signature = advance_signature(signature, best_delta)
         return addresses
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Columnar form of :meth:`process` over a trace chunk.
 
         The compiled SPP loop (:mod:`repro.snn.ckernel`) runs
         :meth:`process`'s step access by access on the same tables, with
         the same confidence arithmetic, so results are bit-identical
-        and either path can take over from the other mid-trace.
+        and either path can take over from the other mid-trace.  Its
+        padded output rows become :class:`Rows` by one mask.
         :meth:`process` runs instead when there is no compiled kernel
         (no C compiler, or ``REPRO_NO_CKERNEL=1``).
         """
@@ -222,7 +223,7 @@ class SPPPrefetcher(Prefetcher):
         steps = min(cfg.lookahead_depth, cfg.max_degree)
         n = len(addresses)
         counts = np.zeros(n, dtype=np.int64)
-        targets = np.empty(n * steps, dtype=np.int64)
+        targets = np.empty((n, steps), dtype=np.int64)
         args = SPPArgs(
             **{name: pointer(getattr(self, "_" + name))
                for name in SPP_ARRAYS},
@@ -235,6 +236,4 @@ class SPPPrefetcher(Prefetcher):
         kernel.spp_chunk(args, addresses, counts, targets)
         self._st_rows, self._st_clock = args.st_rows, args.st_clock
         self._pt_rows, self._pt_clock = args.pt_rows, args.pt_clock
-        flat = targets.tolist()
-        return [flat[k:k + count] if count else [] for k, count in
-                zip(range(0, n * steps, steps), counts.tolist())]
+        return Rows.from_padded(counts, targets)

@@ -31,7 +31,7 @@ from ..ml.lstm import LSTM, RowBlockQueue, final_hidden
 from ..ml.optim import Adam
 from ..types import (BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS, MemoryAccess,
                      Trace, compose_address)
-from .base import Prefetcher
+from .base import Prefetcher, Rows
 
 #: Page-delta token reserved for out-of-range jumps.
 _OOV = 0
@@ -286,7 +286,7 @@ class VoyagerPrefetcher(Prefetcher):
         return [compose_address(page, int(o))
                 for o in offset_order[:cfg.degree]]
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Columnar form of :meth:`process`: a context pass feeding a
         row-blocked model pass.
 
@@ -304,12 +304,13 @@ class VoyagerPrefetcher(Prefetcher):
         the passes can be split.  BLAS sums a block's rows in a
         batch-size-dependent order: logits agree with :meth:`process`'s
         batch-1 pass to rounding, not bitwise (the parity suite bounds
-        them and pins identical prefetch files and history state).
+        them and pins identical prefetch files and history state).  The
+        decoded lists are flattened into :class:`Rows` once.
         """
         n = len(addresses)
-        results: List[List[int]] = [[] for _ in range(n)]
         if not self.trained:
-            return results
+            return Rows.empty(n)
+        results: List[List[int]] = [[] for _ in range(n)]
         window = self.config.window
         addresses = np.asarray(addresses)
         pages = (addresses >> PAGE_BITS).tolist()
@@ -340,7 +341,7 @@ class VoyagerPrefetcher(Prefetcher):
         for pc, history in histories.items():
             self._history[pc] = [np.asarray(row, dtype=int)
                                  for row in history]
-        return results
+        return Rows.from_lists(results)
 
     def _predict_block(self, pages: List[int], results: List[List[int]],
                        at: List[int], contexts: List[Tuple]) -> None:

@@ -1,7 +1,8 @@
 """Runtime guard that keeps a misbehaving prefetcher from killing a run.
 
 :class:`GuardedPrefetcher` wraps any :class:`~repro.prefetchers.base.Prefetcher`
-and catches exceptions its ``train``/``process`` raise.  A healthy
+and catches exceptions its ``train``/``process`` raise, and chunk
+results that are not rows.  A healthy
 prefetcher passes through bit-identically (the parity suites assert
 this); a prefetcher that keeps throwing is *quarantined* after
 ``quarantine_after`` consecutive per-access failures — it degrades to
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import FaultInjectionError
-from ..prefetchers.base import Prefetcher
+from ..prefetchers.base import Prefetcher, Rows, check_rows
 from ..types import MemoryAccess, Trace
 from . import faults
 
@@ -118,7 +119,7 @@ class GuardedPrefetcher(Prefetcher):
         self.consecutive_errors = 0
         return addresses
 
-    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+    def process_batch(self, addresses, pcs, instr_ids) -> Rows:
         """Guarded chunk path.
 
         Healthy and fault-free, the chunk passes straight through to
@@ -127,26 +128,30 @@ class GuardedPrefetcher(Prefetcher):
         fault plan armed — or once any chunk has failed — the guard
         drops to the per-access base loop so fault points and the
         consecutive-failure quarantine counter keep their
-        access-granular semantics.  A chunk-level exception means the
-        wrapped prefetcher's state can no longer be trusted to be
-        aligned with the batch protocol, so the failing chunk degrades
-        to no-prefetch and all later chunks take the scalar path.
+        access-granular semantics.  A chunk-level exception, or a
+        result that is not the chunk's :class:`Rows`
+        (:func:`~repro.prefetchers.base.check_rows`), means the wrapped
+        prefetcher's state can no longer be trusted to be aligned with
+        the batch protocol, so the failing chunk degrades to no-prefetch
+        and all later chunks take the scalar path.
         """
         if self.quarantined:
-            return [[] for _ in range(len(addresses))]
+            return Rows.empty(len(addresses))
         if faults.ACTIVE is not None or self._scalar_only:
             return Prefetcher.process_batch(self, addresses, pcs, instr_ids)
         try:
-            per_access = self.inner.process_batch(addresses, pcs, instr_ids)
+            rows = check_rows(
+                self.inner.process_batch(addresses, pcs, instr_ids),
+                len(addresses))
         except Exception as exc:  # noqa: BLE001 - the guard's entire job
             self._record_failure(exc)
             self.consecutive_errors += 1
             if self.consecutive_errors >= self.quarantine_after:
                 self.quarantined = True
             self._scalar_only = True
-            return [[] for _ in range(len(addresses))]
+            return Rows.empty(len(addresses))
         self.consecutive_errors = 0
-        return per_access
+        return rows
 
     def _record_failure(self, exc: Exception) -> None:
         self.errors += 1

@@ -8,9 +8,10 @@ three layers:
   multicore simulator) read: the invalid-record drop, the per-trigger
   budget trim, the CSR trigger schedule, and the eligibility checks
   that decide whether the compiled kernel may run.
-- :mod:`.ckernel` — the on-demand compiled C replay kernel (same
-  build machinery as :mod:`repro.snn.ckernel`), a transcription of the
-  reference loop with identical IEEE-754 operation order.
+- :mod:`.ckernel` — the on-demand compiled C replay kernel (built by
+  :mod:`repro._cbuild`, as :mod:`repro.snn.ckernel` is), a
+  transcription of the reference loop with identical IEEE-754
+  operation order.
 - :mod:`.batch` — the ``replay_batch`` driver tying the two together
   and falling back to the reference loop whenever the kernel cannot
   run.

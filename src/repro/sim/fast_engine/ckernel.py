@@ -7,8 +7,8 @@ changing results.  What *can* change is the cost per step: the
 reference loop pays Python interpreter dispatch on every probe and
 heap operation.  This module compiles a C transcription of
 :meth:`repro.sim.simulator.Simulator._run_reference` and binds it
-through :mod:`ctypes`, following the :mod:`repro.snn.ckernel` build
-machinery.
+through :mod:`ctypes`; :func:`repro._cbuild.compile_library` builds it,
+as it builds the one-tick library (:mod:`repro.snn.ckernel`).
 
 Bit-identity contract
 ---------------------
@@ -39,9 +39,9 @@ same order as the reference loop:
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set, which
 also disables :mod:`repro.snn.ckernel`) the simulator runs the
-reference loop — slower, never wrong.  Compiled objects share the snn
-kernel's cache directory (``$REPRO_CKERNEL_CACHE``), keyed by a hash
-of source and compiler.
+reference loop — slower, never wrong.  Compiled objects share the
+one-tick library's cache directory (``$REPRO_CKERNEL_CACHE``), keyed by
+a hash of source and compiler.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from ...snn.ckernel import compile_library
+from ..._cbuild import compile_library
 
 C_SOURCE = r"""
 #include <stdint.h>

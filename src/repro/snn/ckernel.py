@@ -1,6 +1,6 @@
 """On-demand compiled C kernels: the one-tick library.
 
-Three entry points share one library:
+One library holds the compiled loops of three prefetchers:
 
 - ``pf_pathfinder_chunk`` runs
   :meth:`~repro.core.pathfinder.PathfinderPrefetcher.process` access by
@@ -14,7 +14,11 @@ Three entry points share one library:
   access over a trace chunk on the prefetcher's keyed row stores and
   evaluation-queue ring, with the Python code's floating-point
   operations in its order and its stable greedy pick (ties in
-  action-list order).
+  action-list order).  ``pf_pythia_explore`` makes the chunk's
+  epsilon-greedy draws first, from the prefetcher's own NumPy bit
+  generator: the ``random()`` and ``choice(..., replace=False)`` calls
+  of :meth:`~repro.prefetchers.pythia.PythiaPrefetcher.process`, step
+  for step as NumPy makes them.
 - ``pf_spp_chunk`` runs
   :meth:`~repro.prefetchers.spp.SPPPrefetcher.process` the same way on
   SPP's Signature and Pattern Tables: LRU by lowest stamp, the first
@@ -50,24 +54,19 @@ tests.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set) the
 callers fall back to the scalar Python path — slower, never wrong.
-Compiled objects are cached under ``$REPRO_CKERNEL_CACHE`` (default: a
-``repro-ckernel`` directory in the system temp dir) keyed by a hash of
-the source and compiler, so each environment compiles once.
+:func:`repro._cbuild.compile_library` builds the library once per
+environment into ``$REPRO_CKERNEL_CACHE``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import sys
-import tempfile
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .._cbuild import compile_library
 from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS
 
 #: C translation of the one-tick step and the PATHFINDER, Pythia and
@@ -775,9 +774,77 @@ static void top_actions(const pf_pythia *p)
     }
 }
 
+/* numpy's bitgen_t (numpy/random/bitgen.h): a bit generator's state
+ * and its draw functions, which Generator.bit_generator.ctypes
+ * .bit_generator points to. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} pf_bitgen;
+
+/* numpy's random_bounded_uint64(g, 0, rng, 0, 0) for rng < 2^32 - 1:
+ * a value in [0, rng] by Lemire's multiply-and-reject over next_uint32
+ * draws, and no draw at all when rng is 0. */
+static uint64_t bounded(pf_bitgen *g, uint32_t rng)
+{
+    if (rng == 0) {
+        return 0;
+    }
+    uint32_t excl = rng + 1;
+    uint64_t m = (uint64_t)g->next_uint32(g->state) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)g->next_uint32(g->state) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return m >> 32;
+}
+
+/* The exploration draws of PythiaPrefetcher.process for n accesses, in
+ * its order: access i explores when random() (next_double) falls under
+ * epsilon, and its row explored[i * degree ...] then holds
+ * choice(n_actions, degree, replace=False); a greedy access's row is
+ * -1s.  choice takes numpy's branch for populations of at most 10,000:
+ * Floyd's algorithm (each j in [n_actions - degree, n_actions) draws v
+ * in [0, j] and takes v, or j when an earlier step took v), then a
+ * Fisher-Yates pass over the row from its end. */
+void pf_pythia_explore(pf_bitgen *g, int64_t n, double epsilon,
+                       int64_t n_actions, int64_t degree, int64_t *explored)
+{
+    int64_t i, j, k, t;
+    for (i = 0; i < n; i++) {
+        int64_t *row = explored + i * degree;
+        if (!(g->next_double(g->state) < epsilon)) {
+            for (k = 0; k < degree; k++) {
+                row[k] = -1;
+            }
+            continue;
+        }
+        for (k = 0, j = n_actions - degree; j < n_actions; k++, j++) {
+            int64_t v = (int64_t)bounded(g, (uint32_t)j);
+            for (t = 0; t < k && row[t] != v; t++) {
+            }
+            row[k] = t < k ? j : v;
+        }
+        for (k = degree - 1; k > 0; k--) {
+            j = (int64_t)bounded(g, (uint32_t)k);
+            t = row[j];
+            row[j] = row[k];
+            row[k] = t;
+        }
+    }
+}
+
 /* PythiaPrefetcher.process over accesses [start, n) of a chunk, with
- * the exploration draws made beforehand: explored[i * degree ...]
- * holds access i's drawn actions, or -1 when it picks greedily.
+ * the exploration draws made beforehand (pf_pythia_explore):
+ * explored[i * degree ...] holds access i's drawn actions, or -1s when
+ * it picks greedily.
  * Access i's prefetch addresses land in out_addr[i * degree ...] with
  * their count in out_count[i].  Returns n, or the index of an access
  * that could outgrow the page table or a vault's row store: it has not
@@ -1035,11 +1102,6 @@ void pf_spp_chunk(pf_spp *p, const int64_t *addresses, int64_t n,
 }
 """
 
-#: Compiler flags: IEEE-strict.  ``-ffp-contract=off`` forbids FMA
-#: contraction, ``-fno-fast-math`` forbids reassociation — both would
-#: break bit-identity with the NumPy scalar path.
-CFLAGS = ["-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
-
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
@@ -1162,6 +1224,11 @@ class TickKernel:
             ctypes.c_int64, ctypes.c_int64, _INT64_P, _INT64_P,
         ]
         self._pythia = pythia
+        explore = lib.pf_pythia_explore
+        explore.restype = None
+        explore.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
+                            ctypes.c_int64, ctypes.c_int64, _INT64_P]
+        self._explore = explore
         spp = lib.pf_spp_chunk
         spp.restype = None
         spp.argtypes = [ctypes.POINTER(SPPArgs), _INT64_P, ctypes.c_int64,
@@ -1193,6 +1260,23 @@ class TickKernel:
             winners.ctypes.data_as(_INT64_P))
 
 
+    def pythia_explore(self, rng: np.random.Generator, epsilon: float,
+                       n_actions: int, explored: np.ndarray) -> None:
+        """Fill ``explored``, one row per access, with the exploration
+        draws :meth:`PythiaPrefetcher.process` would make from ``rng``
+        (see ``pf_pythia_explore``), advancing ``rng`` as it would."""
+        if not (explored.dtype == np.int64 and explored.ndim == 2
+                and explored.flags.c_contiguous
+                and 1 <= explored.shape[1] <= n_actions):
+            raise ValueError("explored must be a C-contiguous int64 "
+                             "(accesses, degree) array, degree in "
+                             "[1, n_actions]")
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            self._explore(bit_generator.ctypes.bit_generator, len(explored),
+                          epsilon, n_actions, explored.shape[1],
+                          explored.ctypes.data_as(_INT64_P))
+
     def pythia_chunk(self, pythia: PythiaArgs, addresses: np.ndarray,
                      pcs: np.ndarray, explored: np.ndarray, start: int,
                      counts: np.ndarray, targets: np.ndarray) -> int:
@@ -1211,69 +1295,6 @@ class TickKernel:
         self._spp(ctypes.byref(spp), addresses.ctypes.data_as(_INT64_P),
                   len(addresses), counts.ctypes.data_as(_INT64_P),
                   targets.ctypes.data_as(_INT64_P))
-
-
-def _find_compiler() -> Optional[str]:
-    cc = os.environ.get("CC")
-    if cc:
-        return shutil.which(cc)
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _cache_dir() -> str:
-    configured = os.environ.get("REPRO_CKERNEL_CACHE")
-    if configured:
-        return configured
-    return os.path.join(tempfile.gettempdir(),
-                        f"repro-ckernel-{os.getuid() if hasattr(os, 'getuid') else 'u'}")
-
-
-def compile_library(prefix: str, source: str,
-                    libs: Sequence[str] = ()) -> Optional[str]:
-    """Build ``source`` into the kernel cache; return the ``.so`` path.
-
-    The object is named ``<prefix>_<tag>.so``, with ``tag`` a hash of
-    the source, compiler, flags and Python version, so an existing one
-    is reused.  Each process compiles its own temporary copy of the
-    source and installs the result with an atomic rename, so concurrent
-    cold compiles never read a half-written file.  Returns ``None`` when
-    there is no compiler or the build fails.
-    """
-    cc = _find_compiler()
-    if cc is None:
-        return None
-    tag = hashlib.sha256(
-        (source + "\0" + cc + "\0" + " ".join(CFLAGS)
-         + "\0" + sys.version).encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"{prefix}_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache, exist_ok=True)
-        fd, src_path = tempfile.mkstemp(prefix=f"{prefix}_{tag}.",
-                                        suffix=".c", dir=cache)
-        tmp_so = src_path[:-2] + ".tmp.so"
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(source)
-            proc = subprocess.run(
-                [cc, *CFLAGS, src_path, "-o", tmp_so, *libs],
-                capture_output=True, timeout=120)
-            if proc.returncode != 0:
-                return None
-            os.replace(tmp_so, so_path)
-        finally:
-            for path in (src_path, tmp_so):
-                if os.path.exists(path):
-                    os.unlink(path)
-        return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
 
 
 def load_kernel() -> Optional[TickKernel]:

@@ -10,6 +10,7 @@ import numpy as np
 
 import repro
 from repro.errors import EngineFallbackWarning
+from repro.prefetchers.base import check_rows
 from repro.sim.fast_engine import batch
 from repro.types import Trace
 
@@ -38,6 +39,29 @@ def child_env(**overrides):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+def drive_rows(process_batch, addresses, pcs, bounds):
+    """Run ``process_batch`` over the chunks between consecutive
+    ``bounds``; each chunk's rows, checked, joined as (counts,
+    addresses) lists."""
+    instr_ids = np.arange(len(addresses), dtype=np.int64)
+    counts, flat = [], []
+    for start, end in zip(bounds, bounds[1:]):
+        rows = check_rows(process_batch(addresses[start:end], pcs[start:end],
+                                        instr_ids[start:end]), end - start)
+        counts.extend(rows.counts.tolist())
+        flat.extend(rows.addresses.tolist())
+    return counts, flat
+
+
+def row_lists(rows):
+    """:class:`~repro.prefetchers.base.Rows` as one address list per
+    access, :meth:`~repro.prefetchers.base.Prefetcher.process`'s shape."""
+    flat = rows.addresses.tolist()
+    ends = np.cumsum(rows.counts).tolist()
+    return [flat[end - count:end]
+            for end, count in zip(ends, rows.counts.tolist())]
 
 
 def build_trace(addresses, pc=0x400, gap=10, name="t"):

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from repro.snn.ckernel import _find_compiler
+from repro._cbuild import _find_compiler
 from tests.helpers import child_env
 
 #: Loads both kernels and calls into each, the one-tick library's
-#: Pythia and SPP loops included; prints "ok".
+#: Pythia draws and loop and its SPP loop included; prints "ok".
 PROBE = """\
 import numpy as np
 from repro.prefetchers import PythiaPrefetcher, SPPPrefetcher
@@ -21,15 +21,23 @@ from repro.snn.ckernel import load_kernel as tick_kernel
 tick, replay = tick_kernel(), replay_kernel()
 assert tick is not None and replay is not None
 assert tick.pairwise_sum(np.arange(10.0)) == 45.0
+explored = np.empty((3, 2), dtype=np.int64)
+tick.pythia_explore(np.random.default_rng(0), 1.0, 16, explored)
+rng = np.random.default_rng(0)
+for row in explored.tolist():
+    assert rng.random() < 1.0
+    assert row == rng.choice(16, size=2, replace=False).tolist()
 pythia = PythiaPrefetcher()
 pythia.process = None  # the compiled loop must run, not process()
 blocks = np.arange(64, dtype=np.int64)
-lists = pythia.process_batch(blocks << 6, np.full(64, 0x400), blocks)
-assert len(lists) == 64 and pythia.rewards_assigned > 0
+counts, addresses = pythia.process_batch(blocks << 6, np.full(64, 0x400),
+                                         blocks)
+assert len(counts) == 64 and counts.sum() == len(addresses)
+assert pythia.rewards_assigned > 0
 spp = SPPPrefetcher()
 spp.process = None
-lists = spp.process_batch(blocks << 6, np.full(64, 0x400), blocks)
-assert len(lists) == 64 and any(lists)
+counts, addresses = spp.process_batch(blocks << 6, np.full(64, 0x400), blocks)
+assert len(counts) == 64 and len(addresses) > 0
 print("ok")
 """
 

@@ -29,7 +29,7 @@ from repro.prefetchers import (PythiaConfig, PythiaPrefetcher, SPPConfig,
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.traces import make_trace
 from tests.helpers import (build_accesses, pathfinder_state, pythia_state,
-                           spp_state)
+                           row_lists, spp_state)
 
 #: The §3.4 refinement toggles the ablation ladder sweeps.
 ENCODER_VARIANTS = [
@@ -262,7 +262,7 @@ def test_full_interval_present_matches_reference(monkeypatch):
 from repro.harness.runner import PREFETCHER_FACTORIES, make_prefetcher  # noqa: E402
 from repro.ml import lstm as lstm_module  # noqa: E402
 from repro.ml.model import NextTokenLSTM  # noqa: E402
-from repro.prefetchers.base import Prefetcher  # noqa: E402
+from repro.prefetchers.base import Prefetcher, Rows  # noqa: E402
 from repro.snn import ckernel  # noqa: E402
 from repro.types import MemoryAccess  # noqa: E402
 
@@ -271,7 +271,7 @@ from repro.types import MemoryAccess  # noqa: E402
 NEURAL_PREFETCHERS = ("voyager", "delta-lstm")
 
 #: The fixed-priority ensembles: their batch path merges the members'
-#: batched lists per access, and must count ``slots_used`` like
+#: batched rows, and must count ``slots_used`` like
 #: :meth:`EnsemblePrefetcher.process` does.
 ENSEMBLE_PREFETCHERS = ("pathfinder+nl", "pathfinder+nl+sisb",
                         "pathfinder+coldpage")
@@ -489,6 +489,29 @@ def _edge_chunk(prefetcher, contexts):
             for j in range(n)]
 
 
+@pytest.mark.parametrize("name", sorted(PREFETCHER_FACTORIES))
+def test_rows_contract(name):
+    """Every registry prefetcher's chunks come back as rows: ``int64``
+    counts, one per access, adding up to the ``int64`` addresses, and
+    row ``i`` is :meth:`process`'s list for access ``i``."""
+    trace = _batch_trace("cc-5")
+    accesses = list(trace)
+    arrays = trace.arrays()
+    scalar = _fresh_prefetcher("cc-5", name)
+    batched = _fresh_prefetcher("cc-5", name)
+    for start in range(0, len(trace), 1000):
+        end = min(start + 1000, len(trace))
+        rows = batched.process_batch(arrays.addresses[start:end],
+                                     arrays.pcs[start:end],
+                                     arrays.instr_ids[start:end])
+        assert isinstance(rows, Rows)
+        assert rows.counts.dtype == rows.addresses.dtype == np.int64
+        assert rows.counts.shape == (end - start,)
+        assert rows.addresses.shape == (rows.counts.sum(),)
+        assert row_lists(rows) == [scalar.process(access)
+                                   for access in accesses[start:end]]
+
+
 @pytest.mark.parametrize("name", NEURAL_PREFETCHERS)
 @pytest.mark.parametrize("offset", (-1, 0, 1))
 def test_neural_row_block_edges(name, offset, monkeypatch):
@@ -512,7 +535,7 @@ def test_neural_row_block_edges(name, offset, monkeypatch):
 
     monkeypatch.setattr(owner, attr, counted)
     batched = _fresh_prefetcher("cc-5", name)
-    assert batched.process_batch(*_columns(chunk)) == expected
+    assert row_lists(batched.process_batch(*_columns(chunk))) == expected
     assert blocks == {-1: [block - 1], 0: [block], 1: [block, 1]}[offset]
     assert _neural_state(batched) == _neural_state(scalar)
 

@@ -11,7 +11,7 @@ mixes learning and frozen queries, chunks that cross the
 ``HEALTH_CHECK_INTERVAL`` scan, and a weight set to NaN between chunks
 so a later scan stops the loop for the repair hand-off.  Every example runs both paths over the same
 chunks, with the series bookkeeping off and on, and compares the
-prefetch lists, the tables, the SNN state and every counter.  Without
+prefetch rows, the tables, the SNN state and every counter.  Without
 a compiled kernel both sides run :meth:`process`.
 """
 
@@ -26,7 +26,7 @@ from repro.core import PathfinderConfig, PathfinderPrefetcher
 from repro.prefetchers.base import Prefetcher
 from repro.snn.ckernel import load_kernel
 from repro.snn.network import HEALTH_CHECK_INTERVAL
-from tests.helpers import pathfinder_state
+from tests.helpers import drive_rows, pathfinder_state
 
 _KERNEL = load_kernel() is not None
 
@@ -100,27 +100,25 @@ def _build(config, levels, weight_seed):
 
 def _drive(prefetcher, batched, columns, chunk, poison, series):
     """Feed ``columns`` in chunks (split at ``poison``'s access, where a
-    weight turns NaN); per-access lists and the series after each."""
+    weight turns NaN); the rows, joined (``drive_rows``), and the
+    series after each chunk."""
     addresses, pcs = columns
     n = len(addresses)
-    instr_ids = np.arange(n, dtype=np.int64)
     bounds = set(range(0, n, chunk)) | {n}
     if poison is not None:
         bounds.add(min(poison[0], n))
     bounds = sorted(bounds)
     if series:
         prefetcher.series_arm()
-    lists, samples = [], []
-    for start, end in zip(bounds, bounds[1:]):
-        if poison is not None and start == poison[0]:
+    starts, samples = iter(bounds), []
+
+    def process_batch(*chunk_columns):
+        if poison is not None and next(starts) == poison[0]:
             row, column = poison[1:]
             weights = prefetcher.network.weights
             weights[row % weights.shape[0], column % weights.shape[1]] = np.nan
-        process_batch = (prefetcher.process_batch if batched
-                         else lambda *c: Prefetcher.process_batch(
-                             prefetcher, *c))
-        lists.extend(process_batch(addresses[start:end], pcs[start:end],
-                                   instr_ids[start:end]))
+        rows = (prefetcher.process_batch(*chunk_columns) if batched
+                else Prefetcher.process_batch(prefetcher, *chunk_columns))
         if series:
             cumulative, gauges = {}, {}
             prefetcher.series_sample(cumulative, gauges)
@@ -128,7 +126,9 @@ def _drive(prefetcher, batched, columns, chunk, poison, series):
             samples.append((cumulative,
                             {name: repr(v) for name, v in gauges.items()},
                             list(prefetcher._series_winner_counts.items())))
-    return lists, samples
+        return rows
+
+    return drive_rows(process_batch, addresses, pcs, bounds), samples
 
 
 def _poisoned_queries():
@@ -161,9 +161,9 @@ def test_compiled_loop_matches_process(series, config, columns, levels,
     scalar_calls = []
     process = batched.process
     batched.process = lambda access: scalar_calls.append(1) or process(access)
-    lists, samples = _drive(batched, True, columns, chunk, poison, series)
+    rows, samples = _drive(batched, True, columns, chunk, poison, series)
 
-    assert lists == expected
+    assert rows == expected
     assert pathfinder_state(batched) == pathfinder_state(scalar)
     assert samples == expected_series
     if _KERNEL:

@@ -21,6 +21,7 @@ import contextlib
 import warnings
 from typing import List
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,15 +29,15 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, EngineFallbackWarning, PrefetchFileError
 from repro.obs import MemorySink, Observability, SeriesCollector, Tracer
 from repro.prefetchers import NextLinePrefetcher
-from repro.prefetchers.base import (GEN_PREFETCHES, Prefetcher,
-                                    generate_prefetches)
+from repro.prefetchers.base import (GEN_PREFETCHES, Prefetcher, Rows,
+                                    check_rows, generate_prefetches)
 from repro.sim.cache import CacheConfig
 from repro.sim.dram import DramConfig
 from repro.sim.fast_engine.planner import plan_replay
 from repro.sim.simulator import HierarchyConfig, simulate
 from repro.types import MemoryAccess, PrefetchFile, PrefetchRequest, Trace
 
-from tests.helpers import reference_loop
+from tests.helpers import reference_loop, row_lists
 
 #: The simulator's two replay loops; see :func:`_on`.
 LOOPS = ("reference", "batch")
@@ -67,10 +68,10 @@ def _oracle_generate(prefetcher, trace, budget, chunk,
         end = min(start + chunk, n)
         if window:
             end = min(end, (start // window + 1) * window)
-        per_access = prefetcher.process_batch(
+        rows = prefetcher.process_batch(
             arrays.addresses[start:end], arrays.pcs[start:end],
             arrays.instr_ids[start:end])
-        for offset, addresses in enumerate(per_access):
+        for offset, addresses in enumerate(row_lists(rows)):
             if not addresses:
                 continue
             trigger = instr_ids[start + offset]
@@ -358,12 +359,37 @@ class _Short(Prefetcher):
     name = "short"
 
     def process_batch(self, addresses, pcs, instr_ids):
-        return [[] for _ in range(len(addresses) - 1)]
+        return Rows.empty(len(addresses) - 1)
 
 
 def test_malformed_batch_result_raises_with_chunk_context():
     with pytest.raises(PrefetchFileError, match=r"short .*\[0, 5\).*4 "):
         generate_prefetches(_Short(), _seq_trace(), chunk=5)
+
+
+_NONE = np.empty(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (Rows(np.zeros(4, dtype=np.int64), _NONE), "4 counts for 5 accesses"),
+    (Rows(np.array([1, -1, 0, 0, 0]), _NONE), "negative count"),
+    (Rows(np.ones(5, dtype=np.int64), np.arange(4)),
+     "add up to 5, not to its 4"),
+    (Rows(np.ones(5, dtype=np.int32), np.arange(5)), "counts are not"),
+    (Rows(np.ones(5, dtype=np.int64), np.arange(5.0)), "addresses are not"),
+    (Rows(np.ones((5, 1), dtype=np.int64), np.arange(5)), "counts are not"),
+    ([[64]] * 5, "unpack"),
+], ids=["length", "negative", "sum", "int32", "float", "2-d", "lists"])
+def test_rows_check_rejects_what_is_not_a_chunks_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        check_rows(rows, 5)
+
+
+def test_rows_check_passes_a_chunks_rows_through():
+    counts, addresses = np.array([2, 0, 1, 0, 0]), np.arange(3)
+    rows = check_rows((counts, addresses), 5)
+    assert isinstance(rows, Rows)
+    assert rows.counts is counts and rows.addresses is addresses
 
 
 def test_bad_budget_rejected():

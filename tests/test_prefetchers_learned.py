@@ -50,6 +50,10 @@ def test_pythia_config_validation():
     with pytest.raises(ConfigError):
         PythiaConfig(actions=(0, 1, 1, 2))
     PythiaConfig(actions=(0, 1), degree=2)
+    # The compiled draws follow NumPy's choice for at most 10,000.
+    PythiaConfig(actions=tuple(range(10_000)))
+    with pytest.raises(ConfigError, match="at most 10000"):
+        PythiaConfig(actions=tuple(range(10_001)))
     # A non-finite reward would spread through every Q row it touches.
     for name in ("reward_accurate", "reward_inaccurate",
                  "reward_no_prefetch"):

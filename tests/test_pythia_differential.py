@@ -11,20 +11,23 @@ a few hot blocks (many pending prefetches rewarded by one access),
 scatter over far-apart pages under many PCs (so the page table and the
 row stores grow mid-chunk), and step by negative and wrapping deltas.
 Every example runs both paths over the same chunks and compares the
-prefetch lists and the whole state.  Without a compiled kernel both
-sides run :meth:`process`.
+prefetch rows and the whole state.  Without a compiled kernel both
+sides run :meth:`process`.  The compiled exploration draws are held to
+the Python draw loop they replaced, kept here as the reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.prefetchers import PythiaConfig, PythiaPrefetcher
 from repro.prefetchers.base import Prefetcher
+from repro.prefetchers.pythia import MAX_ACTIONS
 from repro.snn.ckernel import load_kernel
-from tests.helpers import pythia_state
+from tests.helpers import drive_rows, pythia_state
 
 _KERNEL = load_kernel() is not None
 
@@ -85,18 +88,13 @@ def traces(draw):
 
 
 def _drive(prefetcher, batched, columns, chunk):
-    """Feed ``columns`` in chunks; the per-access prefetch lists."""
+    """Feed ``columns`` in chunks; the rows, joined (``drive_rows``)."""
     addresses, pcs = columns
     n = len(addresses)
-    instr_ids = np.arange(n, dtype=np.int64)
     process_batch = (prefetcher.process_batch if batched
                      else lambda *c: Prefetcher.process_batch(prefetcher, *c))
-    lists = []
-    for start in range(0, n, chunk):
-        end = min(start + chunk, n)
-        lists.extend(process_batch(addresses[start:end], pcs[start:end],
-                                   instr_ids[start:end]))
-    return lists
+    return drive_rows(process_batch, addresses, pcs,
+                      [*range(0, n, chunk), n])
 
 
 def _growing_chunk():
@@ -126,3 +124,39 @@ def test_compiled_loop_matches_process(config, columns, chunk):
     assert pythia_state(batched) == pythia_state(scalar)
     if _KERNEL:
         assert not scalar_calls, "the compiled loop did not run"
+
+
+def _explore_reference(rng, n, epsilon, n_actions, degree):
+    """The Python draw loop the compiled draws replaced: per access, one
+    ``random()``, and ``choice`` when it falls under epsilon; row ``i``
+    holds access ``i``'s explored actions, or -1s for a greedy pick."""
+    explored = np.full((n, degree), -1, dtype=np.int64)
+    for i in range(n):
+        if rng.random() < epsilon:
+            explored[i] = rng.choice(n_actions, size=degree, replace=False)
+    return explored
+
+
+@pytest.mark.skipif(not _KERNEL, reason="no compiled kernel")
+@pytest.mark.parametrize("n_actions", (16, MAX_ACTIONS))
+@pytest.mark.parametrize("epsilon", (0.0, 0.05, 0.5, 1.0))
+def test_compiled_draws_match_numpy(epsilon, n_actions):
+    """The compiled draws fill the table the Python loop draws and leave
+    the bit generator in the same state, for every degree and chunking:
+    a NumPy release that changes ``random`` or ``choice`` fails here."""
+    kernel = load_kernel()
+    n = 200
+    for seed in range(4):
+        for degree in range(1, 17):
+            for chunk in (1, 7, n):
+                compiled = np.random.default_rng(seed)
+                reference = np.random.default_rng(seed)
+                for start in range(0, n, chunk):
+                    size = min(chunk, n - start)
+                    explored = np.empty((size, degree), dtype=np.int64)
+                    kernel.pythia_explore(compiled, epsilon, n_actions,
+                                          explored)
+                    assert explored.tolist() == _explore_reference(
+                        reference, size, epsilon, n_actions, degree).tolist()
+                assert compiled.bit_generator.state \
+                    == reference.bit_generator.state

@@ -190,6 +190,39 @@ def test_guard_quarantines_on_train_failure():
     assert not guard.quarantined and guard.errors == 0
 
 
+class _MalformedOnce(_Flaky):
+    """Next-line whose first chunk returns one address list too few,
+    which is not the chunk's rows; later chunks run :meth:`process`."""
+
+    name = "malformed"
+
+    def __init__(self):
+        super().__init__()
+        self.batches = 0
+
+    def process_batch(self, addresses, pcs, instr_ids):
+        self.batches += 1
+        if self.batches == 1:
+            return [[] for _ in range(len(addresses) - 1)]
+        return Prefetcher.process_batch(self, addresses, pcs, instr_ids)
+
+
+def test_guard_degrades_on_a_malformed_chunk():
+    """A chunk result that is not rows costs that chunk's prefetches
+    and counts as an error, as an exception would; later chunks take
+    the scalar path.  Unguarded, the same result fails the file."""
+    trace = build_trace(seq_addresses(20))
+    inner = _MalformedOnce()
+    guard = GuardedPrefetcher(inner)
+    pfile = generate_prefetches(guard, trace, budget=2, chunk=5)
+    assert pfile.offsets.tolist() == [0] * 6 + list(range(1, 16))
+    assert guard.errors == 1 and not guard.quarantined
+    assert "ValueError" in guard.last_error
+    assert inner.batches == 1 and inner.calls == 15
+    with pytest.raises(PrefetchFileError, match=r"malformed .*\[0, 5\)"):
+        generate_prefetches(_MalformedOnce(), trace, budget=2, chunk=5)
+
+
 # -- atomic writes ------------------------------------------------------------
 
 def test_atomic_write_text_leaves_no_temp_files(tmp_path):

@@ -9,7 +9,7 @@ that saturate at 1 to 15 so hot signatures halve and then tie, deltas
 of ±63, walks that step off either page edge, repeated offsets, and
 thresholds that a path's confidence can equal exactly.  Every example
 runs both paths over the same chunks, or hands over between them chunk
-by chunk, and compares the prefetch lists and both tables: rows,
+by chunk, and compares the prefetch rows and both tables: rows,
 stamps, clocks and slot order.  Without a compiled kernel both sides
 run :meth:`process`.
 """
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.prefetchers import SPPConfig, SPPPrefetcher
 from repro.prefetchers.base import Prefetcher
 from repro.snn.ckernel import load_kernel
-from tests.helpers import spp_state
+from tests.helpers import drive_rows, spp_state
 
 _KERNEL = load_kernel() is not None
 
@@ -74,24 +74,25 @@ def traces(draw):
 
 def _drive(prefetcher, paths, addresses, chunk):
     """Feed ``addresses`` in chunks, chunk ``k`` through
-    ``paths[k % len(paths)]`` ("batched" or "scalar"); the per-access
-    prefetch lists."""
+    ``paths[k % len(paths)]`` ("batched" or "scalar"); the rows, joined
+    (``drive_rows``)."""
     n = len(addresses)
-    pcs = np.full(n, 0x400, dtype=np.int64)
-    instr_ids = np.arange(n, dtype=np.int64)
-    lists = []
-    for k, start in enumerate(range(0, n, chunk)):
-        path = paths[k % len(paths)]
-        process_batch = (prefetcher.process_batch if path == "batched" else
-                         lambda *c: Prefetcher.process_batch(prefetcher, *c))
-        end = min(start + chunk, n)
-        lists.extend(process_batch(addresses[start:end], pcs[start:end],
-                                   instr_ids[start:end]))
-    return lists
+    chunks = []
+
+    def process_batch(*columns):
+        path = paths[len(chunks) % len(paths)]
+        chunks.append(path)
+        if path == "batched":
+            return prefetcher.process_batch(*columns)
+        return Prefetcher.process_batch(prefetcher, *columns)
+
+    return drive_rows(process_batch, addresses,
+                      np.full(n, 0x400, dtype=np.int64),
+                      [*range(0, n, chunk), n])
 
 
 def _run(config, addresses, chunk, paths):
-    """Both sides over the same chunks; asserts equal lists and state."""
+    """Both sides over the same chunks; asserts equal rows and state."""
     scalar = SPPPrefetcher(config)
     expected = _drive(scalar, ["scalar"], addresses, chunk)
 
@@ -154,8 +155,9 @@ def test_walks_leave_the_page_at_both_edges():
     bottom stop at the edge; the tables still match."""
     up = list(range(3, 64, 5)) * 4
     down = list(range(60, -1, -5)) * 4
-    lists, _ = _run(SPPConfig(lookahead_depth=8, max_degree=8),
-                    np.concatenate([_walk(up), _walk(down, page=0x999)]),
-                    7, ["batched"])
-    offsets = [(address >> 6) & 63 for row in lists for address in row]
+    (_, addresses), _ = _run(
+        SPPConfig(lookahead_depth=8, max_degree=8),
+        np.concatenate([_walk(up), _walk(down, page=0x999)]), 7,
+        ["batched"])
+    offsets = [(address >> 6) & 63 for address in addresses]
     assert max(offsets) == 63 and min(offsets) == 0

@@ -22,22 +22,21 @@ LAZY_PACKAGES = ("repro", "repro.core", "repro.prefetchers",
                  "repro.harness", "repro.snn", "repro.sim", "repro.obs")
 
 #: Modules, and whole packages, that a next-line ``repro run`` has no
-#: use for: other prefetchers and PATHFINDER's SNN, the neural
-#: baselines' LSTM stack, the co-run simulator, the series, dashboard
-#: and statistics layers, the cost model, campaigns and trace analysis.
+#: use for: other prefetchers, PATHFINDER's configuration and its SNN
+#: (with the one-tick library), the neural baselines' LSTM stack, the
+#: co-run simulator, the experiment registry, the series, dashboard and
+#: statistics layers, the cost model, campaigns and trace analysis.
 NOT_LOADED_BY_RUN = (
-    "repro.ml",
-    "repro.snn.network", "repro.snn.neurons", "repro.snn.stdp",
-    "repro.snn.synapses", "repro.snn.encoding",
-    "repro.core.pathfinder", "repro.core.pixel",
+    "repro.ml", "repro.snn",
+    "repro.core.config", "repro.core.pathfinder", "repro.core.pixel",
     "repro.core.training_table", "repro.core.inference_table",
     "repro.prefetchers.best_offset", "repro.prefetchers.spp",
     "repro.prefetchers.sisb", "repro.prefetchers.pythia",
     "repro.prefetchers.voyager", "repro.prefetchers.delta_lstm",
     "repro.prefetchers.ensemble", "repro.prefetchers.adaptive_ensemble",
     "repro.prefetchers.cold_page",
-    "repro.harness.dashboard", "repro.harness.compare",
-    "repro.harness.stats",
+    "repro.harness.experiments", "repro.harness.dashboard",
+    "repro.harness.compare", "repro.harness.stats",
     "repro.sim.multicore", "repro.obs.timeseries", "repro.hw",
     "repro.campaign", "repro.analysis",
 )
@@ -117,3 +116,12 @@ def test_parser_choices_are_the_registries():
 
     assert choices("run", "prefetcher") == sorted(PREFETCHER_FACTORIES)
     assert choices("experiment", "experiment") == sorted(EXPERIMENTS)
+
+
+def test_unknown_experiment_exits_2_listing_the_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["experiment", "nope"])
+    assert exc.value.code == 2
+    listed = ", ".join(map(repr, sorted(EXPERIMENTS)))
+    assert f"invalid choice: 'nope' (choose from {listed})" \
+        in capsys.readouterr().err
