@@ -13,11 +13,10 @@ noted on the field and in ``DESIGN.md``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -132,12 +131,9 @@ class PathfinderConfig:
             raise ConfigError("stdp_on_accesses must be >= 0")
         if self.enlarge_radius < 0:
             raise ConfigError("enlarge_radius must be >= 0")
-        for name in ("nu_post", "x_target", "w_max", "norm", "theta_plus",
-                     "theta_max", "tc_theta_decay", "init_density",
-                     "inhibition_scale"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite (got {value})")
+        require_finite(self, "nu_post", "x_target", "w_max", "norm",
+                       "theta_plus", "theta_max", "tc_theta_decay",
+                       "init_density", "inhibition_scale")
 
     @property
     def max_delta(self) -> int:

@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..prefetchers.base import Prefetcher, Rows
-from ..snn.ckernel import PathfinderArgs, load_kernel, pointer
+from ..snn.ckernel import (PathfinderArgs, index_slots, load_kernel,
+                           pointer, scratch)
 from ..snn.network import DiehlCookNetwork, NetworkConfig, RunRecord
 from ..snn.neurons import LIFConfig
 from ..snn.stdp import STDPConfig
@@ -403,11 +404,12 @@ class PathfinderPrefetcher(Prefetcher):
         tt = self.training_table
         it = self.inference_table
         encoder = self.encoder
-        # The loop's (pc, page) -> row hash index: a power of two over
-        # twice the capacity, so probe runs stay short.
-        index_size = 1 << (2 * tt.capacity).bit_length()
-        scratch = np.empty(index_size + cfg.n_input + cfg.labels_per_neuron,
-                           dtype=np.int64)
+        # The loop's scratch: the (pc, page) -> row hash index, the LRU
+        # links, the active pixels and the label ranking.
+        index_size = index_slots(tt.capacity)
+        index, lru_prev, lru_next, active, rank = scratch(
+            index_size, tt.capacity, tt.capacity, cfg.n_input,
+            cfg.labels_per_neuron)
         args = PathfinderArgs(
             tt_pc=pointer(tt.pc), tt_page=pointer(tt.page),
             tt_last_offset=pointer(tt.last_offset),
@@ -420,9 +422,9 @@ class PathfinderPrefetcher(Prefetcher):
             it_count=pointer(it.slot_count), it_pending=pointer(it.pending),
             lit_starts=pointer(encoder.lit_starts),
             lit_flat=pointer(encoder.lit_flat),
-            index=pointer(scratch[:index_size]),
-            active=pointer(scratch[index_size:index_size + cfg.n_input]),
-            rank=pointer(scratch[index_size + cfg.n_input:]),
+            index=pointer(index), lru_prev=pointer(lru_prev),
+            lru_next=pointer(lru_next), active=pointer(active),
+            rank=pointer(rank),
             index_size=index_size, capacity=tt.capacity,
             history=tt.history, degree=cfg.degree,
             width=cfg.delta_range, max_delta=cfg.max_delta,

@@ -10,6 +10,7 @@ subclasses to decide what is retryable: a :class:`WorkerCrashError` or
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 
@@ -19,6 +20,17 @@ class ReproError(Exception):
 
 class ConfigError(ReproError):
     """An invalid or inconsistent configuration value was supplied."""
+
+
+def require_finite(config: object, *names: str) -> None:
+    """Raise :class:`ConfigError` naming the first of ``config``'s
+    attributes ``names`` that is NaN or infinite (``None`` passes).
+    Range checks alone let NaN through: every comparison with it is
+    false."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite (got {value})")
 
 
 class TraceError(ReproError):

@@ -35,7 +35,8 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from ..snn.ckernel import KeyedArgs, PythiaArgs, load_kernel, pointer
+from ..snn.ckernel import (KeyedArgs, PythiaArgs, index_slots, load_kernel,
+                           pointer, scratch)
 from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, MemoryAccess, compose_address
 from .base import Prefetcher, Rows
 
@@ -411,6 +412,11 @@ class PythiaPrefetcher(Prefetcher):
         cfg = self.config
         q = np.empty(len(cfg.actions))
         chosen = np.empty(cfg.degree, dtype=np.int64)
+        # The loop's pending slots by block: a hash index and the FIFO
+        # links.
+        index_size = index_slots(cfg.eq_size)
+        index, eq_next, eq_last = scratch(index_size, cfg.eq_size,
+                                          cfg.eq_size)
         args = PythiaArgs(
             pages=self._pages.kernel_args(),
             vaults=(KeyedArgs * 2)(*(v.kernel_args() for v in self._vaults)),
@@ -419,7 +425,9 @@ class PythiaPrefetcher(Prefetcher):
             eq_block=pointer(self._eq_block),
             eq_pending=pointer(self._eq_pending),
             actions=pointer(self._actions), q=pointer(q),
-            chosen=pointer(chosen), n_actions=len(cfg.actions),
+            chosen=pointer(chosen), eq_index=pointer(index),
+            eq_next=pointer(eq_next), eq_last=pointer(eq_last),
+            eq_index_size=index_size, n_actions=len(cfg.actions),
             n_vaults=len(self._vaults), eq_tail=self._eq_tail,
             rewards=self.rewards_assigned,
             **{name: getattr(cfg, name) for name in (

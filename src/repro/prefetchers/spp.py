@@ -16,7 +16,9 @@ Both tables are flat arrays with an LRU stamp per row, and each touch
 takes a fresh clock value, so the least recently used row is the one
 with the lowest stamp.  :meth:`SPPPrefetcher.process` and the compiled
 SPP loop (:mod:`repro.snn.ckernel`) share them, so either can take over
-from the other mid-trace.
+from the other mid-trace.  ``process()`` scans the Signature Table and
+takes ``np.argmin`` of the stamps; the loop finds the same rows through
+a page index and LRU lists of its own.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..snn.ckernel import SPP_ARRAYS, SPPArgs, load_kernel, pointer
+from ..snn.ckernel import (SPP_ARRAYS, SPPArgs, index_slots, load_kernel,
+                           pointer, scratch)
 from ..types import BLOCKS_PER_PAGE, MemoryAccess, compose_address
 from .base import Prefetcher, Rows
 
@@ -37,7 +40,8 @@ _SIGNATURE_MASK = (1 << _SIGNATURE_BITS) - 1
 #: slots a Pattern Table row can fill.
 DELTA_SLOTS = 2 * (BLOCKS_PER_PAGE - 1)
 #: Largest Signature Table (256 times the default): its rows are
-#: allocated up front and scanned on every access.
+#: allocated up front, and :meth:`SPPPrefetcher.process` scans them on
+#: every access.
 MAX_SIGNATURE_TABLE_SIZE = 65536
 
 
@@ -224,10 +228,19 @@ class SPPPrefetcher(Prefetcher):
         n = len(addresses)
         counts = np.zeros(n, dtype=np.int64)
         targets = np.empty((n, steps), dtype=np.int64)
+        # The loop's scratch: the Signature Table's page -> row hash
+        # index and both tables' LRU links.
+        st_size, pt_size = len(self._st_page), len(self._pt_stamp)
+        index_size = index_slots(st_size)
+        index, st_prev, st_next, pt_prev, pt_next = scratch(
+            index_size, st_size, st_size, pt_size, pt_size)
         args = SPPArgs(
             **{name: pointer(getattr(self, "_" + name))
                for name in SPP_ARRAYS},
-            st_size=len(self._st_page), pt_size=len(self._pt_stamp),
+            st_index=pointer(index), st_prev=pointer(st_prev),
+            st_next=pointer(st_next), pt_prev=pointer(pt_prev),
+            pt_next=pointer(pt_next), st_index_size=index_size,
+            st_size=st_size, pt_size=pt_size,
             # Counts never reach 2**63 - 1, so larger limits act alike.
             max_counter=min(cfg.max_counter, np.iinfo(np.int64).max),
             steps=steps, threshold=cfg.prefetch_threshold,

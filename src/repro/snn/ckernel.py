@@ -21,14 +21,41 @@ One library holds the compiled loops of three prefetchers:
   for step as NumPy makes them.
 - ``pf_spp_chunk`` runs
   :meth:`~repro.prefetchers.spp.SPPPrefetcher.process` the same way on
-  SPP's Signature and Pattern Tables: LRU by lowest stamp, the first
-  maximal count in slot order as the best delta, and the path
-  confidence as one division and one multiply per step.
+  SPP's Signature and Pattern Tables, with the first maximal count in
+  slot order as the best delta and the path confidence as one division
+  and one multiply per step.
 
 A NumPy expression of the same step bottoms out at ~10 us/query
 because the arithmetic is tiny (~4 KFLOP) and every ufunc call costs
 ~1 us of dispatch.  The library is compiled with the system C compiler
 and bound through :mod:`ctypes`.
+
+Table operations
+----------------
+The tables are associative with LRU replacement, as in hardware, and
+every lookup and eviction in the loops is O(1).  The Python
+``process()`` methods keep the readable oracle forms over the same
+arrays: a scan for the lookup and ``np.argmin`` of the stamps for the
+victim.  The loops build loop-local scratch from those arrays at each
+call, sized by the Python caller, so either path can take over from the
+other mid-trace:
+
+- PATHFINDER's Training Table and SPP's Signature Table are found
+  through a hash index from the row key ((pc, page), or the page) to
+  the row: linear probing, removal by backward shift.
+- The Training Table and SPP's Signature and Pattern Tables keep their
+  rows in use as an LRU list (prev/next links), built by sorting the
+  rows by stamp.  A use stamps the row with the next clock value and
+  moves it to the tail.  Stamps are distinct clock values, so the head
+  is the row ``np.argmin`` of the stamps picks, and it is the victim.
+- Pythia's demand hits come from an index from each block to a FIFO
+  of its pending evaluation-queue slots, oldest first, which is the
+  order the ring from its tail gives.  The slot an enqueue overwrites
+  is the ring's oldest entry, so it heads its block's FIFO and is
+  popped from there.
+- PATHFINDER's health scan reads a count of non-finite weights per
+  column.  One full scan at loop entry makes it, and ``tick_one``
+  recounts each column it writes.
 
 Bit-identity contract
 ---------------------
@@ -40,17 +67,18 @@ the same order as ``present_one_tick``:
 - the column total matches NumPy's 1-D ``add.reduce`` by porting its
   pairwise summation (8-accumulator unrolled blocks of <= 128, halved
   recursively above that);
-- clip uses NaN-propagating compares identical to
-  ``np.maximum``/``np.minimum``;
+- clip is a compare-select equal to ``np.maximum``/``np.minimum``
+  (NaN passes through, a tie takes the bound) for bounds that are not
+  NaN, which the SNN configs guarantee;
 - it is compiled with ``-ffp-contract=off -fno-fast-math`` so no FMA
   contraction or reassociation can change results.
 
 The winner is the first index attaining the maximal score (NaN scores
 never win), which is what the stable
 ``np.negative(scores).argsort(kind="stable")[0]`` of
-``present_one_tick`` picks.  The table operations are integer-exact transcriptions of the
-Python ones.  ``pf_pairwise_sum`` exposes the summation to the parity
-tests.
+``present_one_tick`` picks.  The table operations are integer-exact:
+they leave the same rows, stamps and clocks as the Python ones.
+``pf_pairwise_sum`` exposes the summation to the parity tests.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set) the
 callers fall back to the scalar Python path — slower, never wrong.
@@ -62,7 +90,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -122,6 +150,189 @@ double pf_pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n);
 }
 
+/* ---- Loop-local table scratch ------------------------------------- */
+
+/* The compiled loops find and evict rows of the prefetchers' tables in
+ * O(1) through two kinds of scratch, rebuilt from the shared arrays at
+ * each loop call: a hash index from a row's key to the row, and an LRU
+ * list of the rows. */
+
+static uint64_t key_hash(int64_t a, int64_t b)
+{
+    uint64_t h = (uint64_t)a * 0x9E3779B97F4A7C15ULL
+                 ^ (uint64_t)b * 0xC2B2AE3D27D4EB4FULL;
+    return h ^ (h >> 31);
+}
+
+/* A hash index over a table's rows: mask + 1 slots (a power of two
+ * above twice the rows), each a row or -1, probed linearly from the
+ * key's hash.  Row r's key is (a[r], b[r]); a table keyed by one value
+ * passes it as both. */
+typedef struct {
+    int64_t *slots;
+    uint64_t mask;
+    const int64_t *a, *b;
+} pf_index;
+
+/* The slot holding key (a, b), or the empty slot where it would go. */
+static uint64_t index_find(const pf_index *x, int64_t a, int64_t b)
+{
+    uint64_t i = key_hash(a, b) & x->mask;
+    for (;;) {
+        int64_t row = x->slots[i];
+        if (row < 0 || (x->a[row] == a && x->b[row] == b)) {
+            return i;
+        }
+        i = (i + 1) & x->mask;
+    }
+}
+
+/* Empty slot i and shift later entries of its probe run back, so every
+ * key stays reachable from its home slot without tombstones. */
+static void index_remove(pf_index *x, uint64_t i)
+{
+    uint64_t j = i;
+    for (;;) {
+        j = (j + 1) & x->mask;
+        int64_t row = x->slots[j];
+        if (row < 0) {
+            break;
+        }
+        uint64_t home = key_hash(x->a[row], x->b[row]) & x->mask;
+        /* The entry stays put iff home lies cyclically in (i, j]. */
+        if (i <= j ? (i < home && home <= j) : (i < home || home <= j)) {
+            continue;
+        }
+        x->slots[i] = row;
+        i = j;
+    }
+    x->slots[i] = -1;
+}
+
+/* Index rows [0, rows), whose keys are distinct. */
+static void index_build(pf_index *x, int64_t rows)
+{
+    uint64_t k;
+    int64_t r;
+    for (k = 0; k <= x->mask; k++) {
+        x->slots[k] = -1;
+    }
+    for (r = 0; r < rows; r++) {
+        x->slots[index_find(x, x->a[r], x->b[r])] = r;
+    }
+}
+
+/* A table's rows in use as an LRU list: prev/next links (-1 ends the
+ * list) from head, the least recently used row, to tail.  A row's use
+ * stamps it with the next value of *clock and moves it to the tail, so
+ * the list stays in stamp order and its head is the row np.argmin of
+ * the stamps picks. */
+typedef struct {
+    int64_t *prev, *next, *stamp, *clock;
+    int64_t head, tail;
+} pf_lru;
+
+static void lru_push(pf_lru *l, int64_t row)
+{
+    l->prev[row] = l->tail;
+    l->next[row] = -1;
+    if (l->tail >= 0) {
+        l->next[l->tail] = row;
+    }
+    else {
+        l->head = row;
+    }
+    l->tail = row;
+}
+
+/* Use a row already in the list. */
+static void lru_use(pf_lru *l, int64_t row)
+{
+    l->stamp[row] = ++*l->clock;
+    if (row == l->tail) {
+        return;
+    }
+    int64_t prev = l->prev[row], next = l->next[row];
+    if (prev >= 0) {
+        l->next[prev] = next;
+    }
+    else {
+        l->head = next;
+    }
+    l->prev[next] = prev;
+    lru_push(l, row);
+}
+
+/* Use a row new to the list. */
+static void lru_add(pf_lru *l, int64_t row)
+{
+    l->stamp[row] = ++*l->clock;
+    lru_push(l, row);
+}
+
+/* Row x was used before row y: a lower stamp, or on a tie (which a
+ * clock never makes) the lower row, as np.argmin picks. */
+static int used_before(const int64_t *stamp, int64_t x, int64_t y)
+{
+    return stamp[x] < stamp[y] || (stamp[x] == stamp[y] && x < y);
+}
+
+static void sift_down(const int64_t *stamp, int64_t *heap, int64_t k,
+                      int64_t n)
+{
+    int64_t row = heap[k];
+    for (;;) {
+        int64_t child = 2 * k + 1;
+        if (child >= n) {
+            break;
+        }
+        if (child + 1 < n
+                && used_before(stamp, heap[child], heap[child + 1])) {
+            child++;
+        }
+        if (!used_before(stamp, row, heap[child])) {
+            break;
+        }
+        heap[k] = heap[child];
+        k = child;
+    }
+    heap[k] = row;
+}
+
+/* Link rows [0, rows) in stamp order: a heap sort of the row numbers
+ * in next[], then each row's predecessor, then the successors. */
+static void lru_build(pf_lru *l, int64_t rows)
+{
+    int64_t *order = l->next, k;
+    for (k = 0; k < rows; k++) {
+        order[k] = k;
+    }
+    for (k = rows / 2; k-- > 0;) {
+        sift_down(l->stamp, order, k, rows);
+    }
+    for (k = rows - 1; k > 0; k--) {
+        int64_t top = order[0];
+        order[0] = order[k];
+        order[k] = top;
+        sift_down(l->stamp, order, 0, k);
+    }
+    l->head = rows ? order[0] : -1;
+    l->tail = rows ? order[rows - 1] : -1;
+    for (k = 0; k < rows; k++) {
+        l->prev[order[k]] = k ? order[k - 1] : -1;
+    }
+    for (k = 0; k < rows; k++) {
+        if (l->prev[k] >= 0) {
+            l->next[l->prev[k]] = k;
+        }
+    }
+    if (rows) {
+        l->next[l->tail] = -1;
+    }
+}
+
+/* ---- The one-tick step -------------------------------------------- */
+
 /* The network's state and one-tick constants (DiehlCookNetwork.
  * kernel_args; NetArgs below mirrors this layout). */
 typedef struct {
@@ -130,26 +341,53 @@ typedef struct {
     const double *v;        /* (n_neurons,) membranes (health scan only) */
     double *drive_buf;      /* (n_neurons,) scratch */
     double *column_buf;     /* (n_input,) scratch */
+    int64_t *nonfinite;     /* (n_neurons,) scratch: bad weights per column */
     int64_t n_input, n_neurons, health_interval;
     double threshold_gap, max_probability, stdp_d0, stdp_d1;
     double w_min, w_max, norm, theta_plus, theta_max, theta_decay;
     int32_t clamp_gap, do_stdp, has_norm, has_theta_max;
 } pf_net;
 
-/* The scan of DiehlCookNetwork.check_weight_health: any non-finite
- * weight, theta, or membrane value.  Runs on the same cadence as the
- * scalar path; a hit makes the PATHFINDER loop return early so Python
- * can run the (seeded, stateful) repair. */
-static int any_nonfinite(const pf_net *s)
+/* Count each weight column's non-finite values into nonfinite[]: the
+ * weight scan of DiehlCookNetwork.check_weight_health, made once per
+ * loop call.  tick_one recounts each column it writes. */
+static void count_nonfinite(const pf_net *s)
 {
-    int64_t i;
-    for (i = 0; i < s->n_input * s->n_neurons; i++) {
-        if (!isfinite(s->w[i])) return 1;
+    int64_t c, i;
+    for (c = 0; c < s->n_neurons; c++) {
+        s->nonfinite[c] = 0;
     }
-    for (i = 0; i < s->n_neurons; i++) {
-        if (!isfinite(s->theta[i]) || !isfinite(s->v[i])) return 1;
+    for (i = 0; i < s->n_input; i++) {
+        const double *row = s->w + i * s->n_neurons;
+        for (c = 0; c < s->n_neurons; c++) {
+            s->nonfinite[c] += !isfinite(row[c]);
+        }
+    }
+}
+
+/* The scan of DiehlCookNetwork.check_weight_health: a column with a
+ * non-finite weight, or a non-finite theta or membrane value.  Runs on
+ * the same cadence as the scalar path; a hit makes the PATHFINDER loop
+ * return early so Python can run the (seeded, stateful) repair. */
+static int unhealthy(const pf_net *s)
+{
+    int64_t c;
+    for (c = 0; c < s->n_neurons; c++) {
+        if (s->nonfinite[c] || !isfinite(s->theta[c])
+                || !isfinite(s->v[c])) {
+            return 1;
+        }
     }
     return 0;
+}
+
+/* np.minimum(np.maximum(v, lo), hi) for bounds that are not NaN (the
+ * configs reject them): a NaN v passes through, and a tie (incl. -0.0
+ * vs 0.0) takes the bound, the second operand. */
+static double clip(double v, double lo, double hi)
+{
+    v = v <= lo ? lo : v;
+    return v >= hi ? hi : v;
 }
 
 /* One one-tick presentation of the sorted active pixels act[0..n_active).
@@ -167,25 +405,20 @@ static int64_t tick_one(const pf_net *s, const int64_t *act,
     const int clamp_gap = s->clamp_gap;
     int64_t c, i, k;
 
-    /* drive = add.reduce(w.take(active, axis=0), axis=0) * P */
-    if (n_active > 0) {
+    /* drive = add.reduce(w.take(active, axis=0), axis=0) * P, rows
+     * added in order onto the first: all but the last into drive_buf
+     * here, the last in the score pass. */
+    const double *last = n_active ? w + act[n_active - 1] * n_neurons : w;
+    if (n_active > 1) {
         const double *row = w + act[0] * n_neurons;
         for (c = 0; c < n_neurons; c++) {
             drive_buf[c] = row[c];
         }
-        for (k = 1; k < n_active; k++) {
+        for (k = 1; k < n_active - 1; k++) {
             row = w + act[k] * n_neurons;
             for (c = 0; c < n_neurons; c++) {
                 drive_buf[c] += row[c];
             }
-        }
-        for (c = 0; c < n_neurons; c++) {
-            drive_buf[c] *= max_probability;
-        }
-    }
-    else {
-        for (c = 0; c < n_neurons; c++) {
-            drive_buf[c] = 0.0;
         }
     }
 
@@ -193,11 +426,13 @@ static int64_t tick_one(const pf_net *s, const int64_t *act,
     int64_t winner = 0;
     double best = -INFINITY;
     for (c = 0; c < n_neurons; c++) {
+        double drive = n_active > 1 ? drive_buf[c] + last[c]
+                       : n_active ? last[c] : 0.0;
         double gap = theta[c] + threshold_gap;
         if (clamp_gap && gap < 1e-9) {
             gap = 1e-9;
         }
-        double score = drive_buf[c] / gap;
+        double score = drive * max_probability / gap;
         if (score > best) {
             best = score;
             winner = c;
@@ -206,37 +441,39 @@ static int64_t tick_one(const pf_net *s, const int64_t *act,
 
     if (learn) {
         if (s->do_stdp) {
+            /* The winner column in two strided passes: read it with
+             * the STDP step and clip, then write it back renormalised,
+             * recounting its non-finite weights. */
             double *wcol = w + winner;
             const double d0 = s->stdp_d0, d1 = s->stdp_d1;
             const double w_min = s->w_min, w_max = s->w_max;
+            int64_t bad = 0;
             for (i = 0; i < n_input; i++) {
-                column_buf[i] = wcol[i * n_neurons] + d0;
+                column_buf[i] = clip(wcol[i * n_neurons] + d0, w_min, w_max);
             }
             for (k = 0; k < n_active; k++) {
                 int64_t a = act[k];
-                column_buf[a] = wcol[a * n_neurons] + d1;
-            }
-            /* np.maximum / np.minimum: NaN-propagating, and ties
-             * (incl. -0.0 vs 0.0) resolve to the second operand. */
-            for (i = 0; i < n_input; i++) {
-                double v = column_buf[i];
-                v = (v > w_min || isnan(v)) ? v : w_min;
-                v = (v < w_max || isnan(v)) ? v : w_max;
-                column_buf[i] = v;
+                column_buf[a] = clip(wcol[a * n_neurons] + d1, w_min, w_max);
             }
             if (s->has_norm) {
                 double total = pairwise_sum(column_buf, n_input);
                 if (total == 0.0) {
                     total = 1.0;
                 }
-                double scale = s->norm / total;
+                const double scale = s->norm / total;
                 for (i = 0; i < n_input; i++) {
-                    column_buf[i] *= scale;
+                    double x = column_buf[i] * scale;
+                    wcol[i * n_neurons] = x;
+                    bad += !isfinite(x);
                 }
             }
-            for (i = 0; i < n_input; i++) {
-                wcol[i * n_neurons] = column_buf[i];
+            else {
+                for (i = 0; i < n_input; i++) {
+                    wcol[i * n_neurons] = column_buf[i];
+                    bad += !isfinite(column_buf[i]);
+                }
             }
+            s->nonfinite[winner] = bad;
         }
         if (s->theta_plus != 0.0) {
             double tw = theta[winner];
@@ -279,10 +516,10 @@ typedef struct {
     /* Encoder: entry row * width + delta + max_delta lights
      * lit_flat[lit_starts[entry]:lit_starts[entry + 1]]. */
     const int64_t *lit_starts, *lit_flat;
-    /* Scratch: the (pc, page) -> row hash index (index_size slots, a
-     * power of two >= 2 * capacity), the active-pixel buffer
-     * (n_input) and the slot ranking buffer (labels_per_neuron). */
-    int64_t *index, *active, *rank;
+    /* Scratch: the (pc, page) -> row hash index (index_size slots),
+     * the LRU links (capacity each), the active-pixel buffer (n_input)
+     * and the slot ranking buffer (labels_per_neuron). */
+    int64_t *index, *lru_prev, *lru_next, *active, *rank;
     int64_t index_size;
     /* Configuration. */
     int64_t capacity, history, degree, width, max_delta;
@@ -299,82 +536,25 @@ typedef struct {
     int64_t stop_row;
 } pf_tables;
 
-static uint64_t key_hash(int64_t pc, int64_t page)
-{
-    uint64_t h = (uint64_t)pc * 0x9E3779B97F4A7C15ULL
-                 ^ (uint64_t)page * 0xC2B2AE3D27D4EB4FULL;
-    return h ^ (h >> 31);
-}
-
-/* Linear probing: the index slot holding (pc, page), or the empty slot
- * where it would go. */
-static uint64_t index_slot(const pf_tables *t, int64_t pc, int64_t page)
-{
-    uint64_t mask = (uint64_t)t->index_size - 1;
-    uint64_t i = key_hash(pc, page) & mask;
-    for (;;) {
-        int64_t row = t->index[i];
-        if (row < 0 || (t->tt_pc[row] == pc && t->tt_page[row] == page)) {
-            return i;
-        }
-        i = (i + 1) & mask;
-    }
-}
-
-/* Empty slot i and shift later entries of its probe run back, so every
- * key stays reachable from its home slot without tombstones. */
-static void index_remove(pf_tables *t, uint64_t i)
-{
-    uint64_t mask = (uint64_t)t->index_size - 1, j = i;
-    for (;;) {
-        j = (j + 1) & mask;
-        int64_t row = t->index[j];
-        if (row < 0) {
-            break;
-        }
-        uint64_t home = key_hash(t->tt_pc[row], t->tt_page[row]) & mask;
-        /* The entry stays put iff home lies cyclically in (i, j]. */
-        if (i <= j ? (i < home && home <= j) : (i < home || home <= j)) {
-            continue;
-        }
-        t->index[i] = row;
-        i = j;
-    }
-    t->index[i] = -1;
-}
-
-/* np.argmin(stamp): the first least recently used of `size` rows. */
-static int64_t lru_row(const int64_t *stamp, int64_t size)
-{
-    int64_t row = 0, k;
-    for (k = 1; k < size; k++) {
-        if (stamp[k] < stamp[row]) {
-            row = k;
-        }
-    }
-    return row;
-}
-
-static void touch(pf_tables *t, int64_t row)
-{
-    t->tt_stamp[row] = ++t->tt_clock;
-}
-
-/* TrainingTable.insert after a lookup miss at index slot `slot`. */
-static int64_t tt_insert(pf_tables *t, int64_t pc, int64_t page,
-                         int64_t offset, uint64_t slot)
+/* TrainingTable.insert after a lookup miss at index slot `slot`: a
+ * free row, or the least recently used one. */
+static int64_t tt_insert(pf_tables *t, pf_index *index, pf_lru *lru,
+                         int64_t pc, int64_t page, int64_t offset,
+                         uint64_t slot)
 {
     int64_t row, k;
     if (t->tt_rows < t->capacity) {
         row = t->tt_rows++;
+        lru_add(lru, row);
     }
     else {
-        row = lru_row(t->tt_stamp, t->capacity);
+        row = lru->head;
         t->tt_evictions++;
-        index_remove(t, index_slot(t, t->tt_pc[row], t->tt_page[row]));
-        slot = index_slot(t, pc, page);
+        index_remove(index, index_find(index, t->tt_pc[row], t->tt_page[row]));
+        slot = index_find(index, pc, page);
+        lru_use(lru, row);
     }
-    t->index[slot] = row;
+    index->slots[slot] = row;
     t->tt_pc[row] = pc;
     t->tt_page[row] = page;
     t->tt_last_offset[row] = offset;
@@ -384,7 +564,6 @@ static int64_t tt_insert(pf_tables *t, int64_t pc, int64_t page,
     t->tt_n_deltas[row] = 0;
     t->tt_fired[row] = NO_NEURON;
     t->tt_n_predicted[row] = 0;
-    touch(t, row);
     return row;
 }
 
@@ -508,32 +687,33 @@ int64_t pf_pathfinder_chunk(const pf_net *s, pf_tables *t,
                             int64_t *out_addr, int64_t *out_winner)
 {
     const int64_t history = t->history, max_delta = t->max_delta;
+    pf_index index = {t->index, (uint64_t)t->index_size - 1, t->tt_pc,
+                      t->tt_page};
+    pf_lru lru = {t->lru_prev, t->lru_next, t->tt_stamp, &t->tt_clock,
+                  -1, -1};
     int64_t i, k, r;
 
-    for (k = 0; k < t->index_size; k++) {
-        t->index[k] = -1;
-    }
-    for (r = 0; r < t->tt_rows; r++) {
-        t->index[index_slot(t, t->tt_pc[r], t->tt_page[r])] = r;
-    }
+    index_build(&index, t->tt_rows);
+    lru_build(&lru, t->tt_rows);
+    count_nonfinite(s);
 
     for (i = start; i < n; i++) {
         int64_t seen = ++t->accesses_seen;
         int64_t pc = pcs[i];
         int64_t page = addresses[i] >> PAGE_BITS;
         int64_t offset = (addresses[i] >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1);
-        uint64_t slot = index_slot(t, pc, page);
-        int64_t row = t->index[slot];
+        uint64_t slot = index_find(&index, pc, page);
+        int64_t row = index.slots[slot];
         int first = row < 0;
 
         if (first) {
-            row = tt_insert(t, pc, page, offset, slot);
+            row = tt_insert(t, &index, &lru, pc, page, offset, slot);
             if (!t->cold_pages) {
                 continue;
             }
         }
         else {
-            touch(t, row);
+            lru_use(&lru, row);
             int64_t delta = offset - t->tt_last_offset[row];
             t->tt_last_offset[row] = offset;
             if (delta == 0) {
@@ -588,7 +768,7 @@ int64_t pf_pathfinder_chunk(const pf_net *s, pf_tables *t,
         t->stdp_updates += learn;
         out_winner[i] = winner;
         t->intervals++;
-        if (t->intervals % s->health_interval == 0 && any_nonfinite(s)) {
+        if (t->intervals % s->health_interval == 0 && unhealthy(s)) {
             t->stop_row = row;
             return i;
         }
@@ -622,9 +802,14 @@ typedef struct {
      * next entry. */
     int64_t *eq_features, *eq_action, *eq_block, *eq_pending;
     const int64_t *actions;
-    /* Scratch: one Q-value per action, and the greedy pick. */
+    /* Scratch: one Q-value per action, the greedy pick, and each
+     * block's pending slots as a FIFO, oldest first: a hash index
+     * (eq_index_size slots) from the block to its oldest slot, and per
+     * slot the next younger one (eq_next) and, at an oldest slot, the
+     * youngest (eq_last). */
     double *q;
-    int64_t *chosen;
+    int64_t *chosen, *eq_index, *eq_next, *eq_last;
+    int64_t eq_index_size;
     /* Configuration. */
     int64_t n_actions, degree, n_vaults, eq_size;
     double alpha, gamma, reward_accurate, reward_inaccurate;
@@ -728,14 +913,40 @@ static void sarsa_update(pf_pythia *p, const int64_t *state,
     p->rewards++;
 }
 
+/* Append ring slot k, just made pending, to its block's FIFO. */
+static void pending_push(pf_pythia *p, pf_index *pending, int64_t k)
+{
+    uint64_t i = index_find(pending, p->eq_block[k], p->eq_block[k]);
+    int64_t oldest = pending->slots[i];
+    p->eq_next[k] = -1;
+    if (oldest < 0) {
+        pending->slots[i] = k;
+        p->eq_last[k] = k;
+    }
+    else {
+        p->eq_next[p->eq_last[oldest]] = k;
+        p->eq_last[oldest] = k;
+    }
+}
+
 /* PythiaPrefetcher._enqueue: an unresolved entry in the tail slot is
- * the full ring's oldest, evicted with the inaccurate reward. */
-static void enqueue(pf_pythia *p, const int64_t *state, int64_t action,
-                    int64_t block)
+ * the full ring's oldest, so its block's oldest too, and is evicted
+ * with the inaccurate reward. */
+static void enqueue(pf_pythia *p, pf_index *pending, const int64_t *state,
+                    int64_t action, int64_t block)
 {
     int64_t k = p->eq_tail, v;
     int64_t *features = p->eq_features + k * p->n_vaults;
     if (p->eq_pending[k]) {
+        uint64_t i = index_find(pending, p->eq_block[k], p->eq_block[k]);
+        int64_t next = p->eq_next[k];
+        if (next < 0) {
+            index_remove(pending, i);
+        }
+        else {
+            pending->slots[i] = next;
+            p->eq_last[next] = p->eq_last[k];
+        }
         sarsa_update(p, features, p->eq_action[k], p->reward_inaccurate,
                      0.0);
     }
@@ -745,6 +956,7 @@ static void enqueue(pf_pythia *p, const int64_t *state, int64_t action,
     p->eq_action[k] = action;
     p->eq_block[k] = block;
     p->eq_pending[k] = 1;
+    pending_push(p, pending, k);
     p->eq_tail = k + 1 < p->eq_size ? k + 1 : 0;
 }
 
@@ -858,7 +1070,19 @@ int64_t pf_pythia_chunk(pf_pythia *p, const int64_t *addresses,
     /* Rows one access can add to a vault: one per hit, the no-prefetch
      * update and one per eviction. */
     const int64_t headroom = eq_size + 2 * degree;
+    pf_index pending = {p->eq_index, (uint64_t)p->eq_index_size - 1,
+                        p->eq_block, p->eq_block};
     int64_t state[2], i, j, k, v;
+
+    /* An empty index, then the pending slots oldest first: the ring
+     * from the tail slot round to it. */
+    index_build(&pending, 0);
+    for (j = 0; j < eq_size; j++) {
+        k = (p->eq_tail + j) % eq_size;
+        if (p->eq_pending[k]) {
+            pending_push(p, &pending, k);
+        }
+    }
 
     for (i = start; i < n; i++) {
         if (p->pages.n == p->pages.capacity) {
@@ -897,17 +1121,16 @@ int64_t pf_pythia_chunk(pf_pythia *p, const int64_t *addresses,
         state[0] = ((pcs[i] & 0xFFF) << 7) ^ (feature_delta & 0x7F);
         state[1] = ((feature_delta & 0x7F) << 7) ^ (prev & 0x7F);
 
-        /* Demand hits, oldest first: the ring from the tail slot to its
-         * end, then from its start up to the tail. */
-        for (j = 0; j < 2; j++) {
-            int64_t lo = j ? 0 : p->eq_tail, hi = j ? p->eq_tail : eq_size;
-            for (k = lo; k < hi; k++) {
-                if (p->eq_block[k] == block && p->eq_pending[k]) {
-                    p->eq_pending[k] = 0;
-                    sarsa_update(p, p->eq_features + k * p->n_vaults,
-                                 p->eq_action[k], p->reward_accurate,
-                                 p->gamma * best_q(p, state));
-                }
+        /* Demand hits: the block's pending FIFO, oldest first. */
+        uint64_t hits = index_find(&pending, block, block);
+        k = pending.slots[hits];
+        if (k >= 0) {
+            index_remove(&pending, hits);
+            for (; k >= 0; k = p->eq_next[k]) {
+                p->eq_pending[k] = 0;
+                sarsa_update(p, p->eq_features + k * p->n_vaults,
+                             p->eq_action[k], p->reward_accurate,
+                             p->gamma * best_q(p, state));
             }
         }
 
@@ -935,7 +1158,7 @@ int64_t pf_pythia_chunk(pf_pythia *p, const int64_t *addresses,
                 continue;
             }
             int64_t address = (page << PAGE_BITS) | (target << BLOCK_BITS);
-            enqueue(p, state, action, address >> BLOCK_BITS);
+            enqueue(p, &pending, state, action, address >> BLOCK_BITS);
             out_addr[i * degree + n_out++] = address;
         }
         out_count[i] = n_out;
@@ -960,6 +1183,11 @@ typedef struct {
     int64_t *pt_row, *pt_signature, *pt_slots, *pt_total, *pt_stamp;
     int8_t *pt_delta;
     int64_t *pt_count;
+    /* Scratch: the page -> row hash index of the Signature Table
+     * (st_index_size slots), and both tables' LRU links (st_size and
+     * pt_size each). */
+    int64_t *st_index, *st_prev, *st_next, *pt_prev, *pt_next;
+    int64_t st_index_size;
     /* Configuration: steps is min(lookahead_depth, max_degree). */
     int64_t st_size, pt_size, max_counter, steps;
     double threshold;
@@ -973,34 +1201,40 @@ static int64_t advance_signature(int64_t signature, int64_t delta)
 }
 
 /* SPPPrefetcher._pattern_row: the signature's row, refreshed; if
- * absent, -1, or with `create` a new empty row. */
-static int64_t pattern_row(pf_spp *p, int64_t signature, int create)
+ * absent, -1, or with `create` a new empty row: a free one, or the
+ * least recently used. */
+static int64_t pattern_row(pf_spp *p, pf_lru *lru, int64_t signature,
+                           int create)
 {
     int64_t row = p->pt_row[signature];
-    if (row < 0) {
-        if (!create) {
-            return -1;
-        }
-        if (p->pt_rows < p->pt_size) {
-            row = p->pt_rows++;
-        }
-        else {
-            row = lru_row(p->pt_stamp, p->pt_size);
-            p->pt_row[p->pt_signature[row]] = -1;
-        }
-        p->pt_row[signature] = row;
-        p->pt_signature[row] = signature;
-        p->pt_slots[row] = 0;
-        p->pt_total[row] = 0;
+    if (row >= 0) {
+        lru_use(lru, row);
+        return row;
     }
-    p->pt_stamp[row] = ++p->pt_clock;
+    if (!create) {
+        return -1;
+    }
+    if (p->pt_rows < p->pt_size) {
+        row = p->pt_rows++;
+        lru_add(lru, row);
+    }
+    else {
+        row = lru->head;
+        p->pt_row[p->pt_signature[row]] = -1;
+        lru_use(lru, row);
+    }
+    p->pt_row[signature] = row;
+    p->pt_signature[row] = signature;
+    p->pt_slots[row] = 0;
+    p->pt_total[row] = 0;
     return row;
 }
 
 /* SPPPrefetcher._record. */
-static void spp_record(pf_spp *p, int64_t signature, int64_t delta)
+static void spp_record(pf_spp *p, pf_lru *lru, int64_t signature,
+                       int64_t delta)
 {
-    int64_t row = pattern_row(p, signature, 1);
+    int64_t row = pattern_row(p, lru, signature, 1);
     int8_t *deltas = p->pt_delta + row * DELTA_SLOTS;
     int64_t *counts = p->pt_count + row * DELTA_SLOTS;
     int64_t n = p->pt_slots[row], slot, k;
@@ -1034,36 +1268,50 @@ static void spp_record(pf_spp *p, int64_t signature, int64_t delta)
 void pf_spp_chunk(pf_spp *p, const int64_t *addresses, int64_t n,
                   int64_t *out_count, int64_t *out_addr)
 {
+    pf_index index = {p->st_index, (uint64_t)p->st_index_size - 1,
+                      p->st_page, p->st_page};
+    pf_lru st_lru = {p->st_prev, p->st_next, p->st_stamp, &p->st_clock,
+                     -1, -1};
+    pf_lru pt_lru = {p->pt_prev, p->pt_next, p->pt_stamp, &p->pt_clock,
+                     -1, -1};
     int64_t i, k, s;
+
+    index_build(&index, p->st_rows);
+    lru_build(&st_lru, p->st_rows);
+    lru_build(&pt_lru, p->pt_rows);
 
     for (i = 0; i < n; i++) {
         int64_t page = addresses[i] >> PAGE_BITS;
         int64_t offset = (addresses[i] >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1);
-        int64_t row;
+        uint64_t slot = index_find(&index, page, page);
+        int64_t row = index.slots[slot];
         out_count[i] = 0;
-        for (row = 0; row < p->st_rows && p->st_page[row] != page; row++) {
-        }
-        if (row == p->st_rows) {
+        if (row < 0) {
             /* The page's first access: a free row or the least
              * recently used one, and no delta yet. */
             if (p->st_rows < p->st_size) {
-                p->st_rows++;
+                row = p->st_rows++;
+                lru_add(&st_lru, row);
             }
             else {
-                row = lru_row(p->st_stamp, p->st_size);
+                row = st_lru.head;
+                index_remove(&index, index_find(&index, p->st_page[row],
+                                                p->st_page[row]));
+                slot = index_find(&index, page, page);
+                lru_use(&st_lru, row);
             }
+            index.slots[slot] = row;
             p->st_page[row] = page;
             p->st_signature[row] = 0;
             p->st_offset[row] = offset;
-            p->st_stamp[row] = ++p->st_clock;
             continue;
         }
-        p->st_stamp[row] = ++p->st_clock;
+        lru_use(&st_lru, row);
         int64_t delta = offset - p->st_offset[row];
         if (delta == 0) {
             continue;
         }
-        spp_record(p, p->st_signature[row], delta);
+        spp_record(p, &pt_lru, p->st_signature[row], delta);
         int64_t signature = advance_signature(p->st_signature[row], delta);
         p->st_signature[row] = signature;
         p->st_offset[row] = offset;
@@ -1073,7 +1321,7 @@ void pf_spp_chunk(pf_spp *p, const int64_t *addresses, int64_t n,
          * exactly, so it is Python's int / int. */
         double confidence = 1.0;
         for (k = 0; k < p->steps; k++) {
-            int64_t pattern = pattern_row(p, signature, 0);
+            int64_t pattern = pattern_row(p, &pt_lru, signature, 0);
             if (pattern < 0) {
                 break;
             }
@@ -1114,7 +1362,7 @@ class NetArgs(ctypes.Structure):
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
-            "w", "theta", "v", "drive_buf", "column_buf")),
+            "w", "theta", "v", "drive_buf", "column_buf", "nonfinite")),
         *((name, ctypes.c_int64) for name in (
             "n_input", "n_neurons", "health_interval")),
         *((name, ctypes.c_double) for name in (
@@ -1134,8 +1382,8 @@ class PathfinderArgs(ctypes.Structure):
             "tt_pc", "tt_page", "tt_last_offset", "tt_deltas",
             "tt_n_deltas", "tt_fired", "tt_predicted", "tt_n_predicted",
             "tt_stamp", "it_label", "it_confidence", "it_count",
-            "it_pending", "lit_starts", "lit_flat", "index", "active",
-            "rank")),
+            "it_pending", "lit_starts", "lit_flat", "index", "lru_prev",
+            "lru_next", "active", "rank")),
         *((name, ctypes.c_int64) for name in (
             "index_size", "capacity", "history", "degree", "width",
             "max_delta", "labels_per_neuron", "confidence_max",
@@ -1167,9 +1415,9 @@ class PythiaArgs(ctypes.Structure):
         ("vaults", KeyedArgs * 2),
         *((name, ctypes.c_void_p) for name in (
             "eq_features", "eq_action", "eq_block", "eq_pending", "actions",
-            "q", "chosen")),
+            "q", "chosen", "eq_index", "eq_next", "eq_last")),
         *((name, ctypes.c_int64) for name in (
-            "n_actions", "degree", "n_vaults", "eq_size")),
+            "eq_index_size", "n_actions", "degree", "n_vaults", "eq_size")),
         *((name, ctypes.c_double) for name in (
             "alpha", "gamma", "reward_accurate", "reward_inaccurate",
             "reward_no_prefetch")),
@@ -1188,13 +1436,28 @@ class SPPArgs(ctypes.Structure):
     """The C ``pf_spp``: SPP's arrays, config and counters."""
 
     _fields_ = [
-        *((name, ctypes.c_void_p) for name in SPP_ARRAYS),
+        *((name, ctypes.c_void_p) for name in (
+            *SPP_ARRAYS, "st_index", "st_prev", "st_next", "pt_prev",
+            "pt_next")),
         *((name, ctypes.c_int64) for name in (
-            "st_size", "pt_size", "max_counter", "steps")),
+            "st_index_size", "st_size", "pt_size", "max_counter", "steps")),
         ("threshold", ctypes.c_double),
         *((name, ctypes.c_int64) for name in (
             "st_rows", "st_clock", "pt_rows", "pt_clock")),
     ]
+
+
+def index_slots(rows: int) -> int:
+    """Slots of a compiled loop's hash index over ``rows`` rows: a power
+    of two above twice the rows, so probe runs stay short."""
+    return 1 << (2 * rows).bit_length()
+
+
+def scratch(*sizes: int) -> List[np.ndarray]:
+    """A compiled loop's int64 scratch arrays of these sizes, carved
+    from one allocation (the loop fills them)."""
+    return np.split(np.empty(sum(sizes), dtype=np.int64),
+                    np.cumsum(sizes[:-1]))
 
 
 def pointer(array: np.ndarray) -> int:

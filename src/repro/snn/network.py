@@ -177,6 +177,8 @@ class DiehlCookNetwork:
         self._score_buf = np.empty(config.n_neurons, dtype=float)
         self._neg_score_buf = np.empty(config.n_neurons, dtype=float)
         self._column_buf = np.empty(config.n_input, dtype=float)
+        # The compiled loop's count of non-finite weights per column.
+        self._nonfinite_buf = np.empty(config.n_neurons, dtype=np.int64)
         # theta decays by decay**timesteps per presented interval.
         self._theta_interval_decay = self.exc._theta_decay ** config.timesteps
         self._threshold_gap = self.exc.config.threshold_gap
@@ -401,6 +403,7 @@ class DiehlCookNetwork:
             w=pointer(self.input_to_exc.w), theta=pointer(self.exc.theta),
             v=pointer(self.exc.v), drive_buf=pointer(self._drive_buf),
             column_buf=pointer(self._column_buf),
+            nonfinite=pointer(self._nonfinite_buf),
             n_input=self.config.n_input, n_neurons=self.config.n_neurons,
             health_interval=HEALTH_CHECK_INTERVAL,
             threshold_gap=self._threshold_gap,

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class LIFConfig:
     theta_max: Optional[float] = None
 
     def __post_init__(self) -> None:
+        require_finite(self, "rest", "reset", "threshold", "tc_decay",
+                       "theta_plus", "tc_theta_decay", "theta_max")
         if self.tc_decay <= 0 or self.tc_theta_decay <= 0:
             raise ConfigError("time constants must be positive")
         if self.refractory < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class STDPConfig:
     x_target: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "nu_pre", "nu_post", "tc_pre", "tc_post",
+                       "w_min", "w_max", "norm", "x_target")
         if self.tc_pre <= 0 or self.tc_post <= 0:
             raise ConfigError("trace time constants must be positive")
         if self.w_min >= self.w_max:

@@ -8,11 +8,12 @@ enough that most deltas fall out of range, repeat-block accesses,
 networks of two to fifty neurons whose weights take a few values (so
 one-tick scores tie, exactly or to the last bit), periodic STDP that
 mixes learning and frozen queries, chunks that cross the
-``HEALTH_CHECK_INTERVAL`` scan, and a weight set to NaN between chunks
-so a later scan stops the loop for the repair hand-off.  Every example runs both paths over the same
-chunks, with the series bookkeeping off and on, and compares the
-prefetch rows, the tables, the SNN state and every counter.  Without
-a compiled kernel both sides run :meth:`process`.
+``HEALTH_CHECK_INTERVAL`` scan, a weight set to NaN between chunks so
+a later scan stops the loop for the repair hand-off, and weights that
+the loop's own STDP step turns NaN.  Every example runs both paths
+over the same chunks, with the series bookkeeping off and on, and
+compares the prefetch rows, the tables, the SNN state and every
+counter.  Without a compiled kernel both sides run :meth:`process`.
 """
 
 from __future__ import annotations
@@ -142,7 +143,22 @@ def _poisoned_queries():
             "poison": (10, 0, 0)}
 
 
+def _self_poisoned_queries():
+    """The same 150 queries, unpoisoned, with weights of 0 and 5e-324:
+    a column's renormalisation overflows (``norm / total`` is inf), so
+    the loop's own STDP writes NaN and inf columns, which only the
+    counts it keeps while writing can show the scans at 64 and 128.
+    ``nu_post = 0`` makes d0 = -0.0 and d1 = 0.0, so the clip meets
+    its signed-zero tie too."""
+    case = _poisoned_queries()
+    case.update(config=PathfinderConfig(n_neurons=5, nu_post=0.0),
+                levels=(0.0, 5e-324), poison=None)
+    return case
+
+
 @pytest.mark.parametrize("series", (False, True))
+# The self-poisoning example overflows on the NumPy path by design.
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(config=configs(), columns=traces(),
        levels=st.sampled_from(WEIGHT_LEVELS), weight_seed=st.integers(0, 9),
@@ -151,6 +167,7 @@ def _poisoned_queries():
                                              st.integers(0, 10 ** 6),
                                              st.integers(0, 49))))
 @example(**_poisoned_queries())
+@example(**_self_poisoned_queries())
 def test_compiled_loop_matches_process(series, config, columns, levels,
                                        weight_seed, chunk, poison):
     scalar = _build(config, levels, weight_seed)

@@ -1,5 +1,7 @@
 """Tests for STDP connections and the Diehl & Cook network."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,19 @@ def test_stdp_config_validation():
         STDPConfig(w_min=1.0, w_max=0.5)
     with pytest.raises(ConfigError):
         STDPConfig(norm=-1.0)
+
+
+@pytest.mark.parametrize("config, name, value", [
+    (STDPConfig, "w_min", math.nan), (STDPConfig, "w_max", math.inf),
+    (STDPConfig, "norm", math.nan), (STDPConfig, "nu_post", math.nan),
+    (LIFConfig, "theta_plus", math.nan),
+    (LIFConfig, "tc_theta_decay", math.inf)])
+def test_snn_configs_reject_non_finite_floats(config, name, value):
+    """NaN passes every range check (its comparisons are false), and the
+    compiled loop's clip equals NumPy's only for bounds that are not
+    NaN."""
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        config(**{name: value})
 
 
 # -- network -----------------------------------------------------------------
