@@ -1,8 +1,9 @@
 """Build C sources into shared objects, once per environment.
 
 Both compiled kernels, the one-tick library (:mod:`repro.snn.ckernel`)
-and the replay kernel (:mod:`repro.sim.fast_engine.ckernel`), compile
-through :func:`compile_library`.  Objects are cached under
+and the replay kernel (:mod:`repro.sim.fast_engine.ckernel`), load
+through :func:`load_library`, which builds them with
+:func:`compile_library`.  Objects are cached under
 ``$REPRO_CKERNEL_CACHE`` (default: a ``repro-ckernel-<uid>`` directory
 in the system temp dir) keyed by a hash of the source, compiler, flags
 and Python version, so each environment compiles each kernel once.
@@ -10,13 +11,17 @@ and Python version, so each environment compiles each kernel once.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
+
+T = TypeVar("T")
 
 #: Compiler flags: IEEE-strict.  ``-ffp-contract=off`` forbids FMA
 #: contraction, ``-fno-fast-math`` forbids reassociation — both would
@@ -84,4 +89,26 @@ def compile_library(prefix: str, source: str,
                     os.unlink(path)
         return so_path
     except (OSError, subprocess.SubprocessError):
+        return None
+
+
+@functools.cache
+def load_library(prefix: str, source: str, bind: Callable[[ctypes.CDLL], T],
+                 libs: Sequence[str] = ()) -> Optional[T]:
+    """The process-wide binding of ``source``, or ``None`` if unavailable.
+
+    The first call builds ``source`` (:func:`compile_library`, cached on
+    disk afterwards), loads it and wraps it with ``bind``; every later
+    call returns that same object.  Returns ``None`` when
+    ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or compiling or
+    loading fails for any reason.
+    """
+    if os.environ.get("REPRO_NO_CKERNEL") == "1":
+        return None
+    so_path = compile_library(prefix, source, libs)
+    if so_path is None:
+        return None
+    try:
+        return bind(ctypes.CDLL(so_path))
+    except OSError:
         return None

@@ -78,7 +78,7 @@ def reuse_fraction(trace: Trace) -> float:
     """Fraction of accesses whose block was accessed before."""
     if not len(trace):
         raise ConfigError("cannot profile an empty trace")
-    distinct = len(np.unique(trace.arrays().blocks))
+    distinct = len(np.unique(trace.blocks))
     return (len(trace) - distinct) / len(trace)
 
 
@@ -110,9 +110,8 @@ def profile_trace(trace: Trace, window: int = 1000) -> TraceProfile:
     if not len(trace):
         raise ConfigError("cannot profile an empty trace")
     deltas = trace.deltas_within_page()
-    arrays = trace.arrays()
-    blocks = np.unique(arrays.blocks)
-    pages = np.unique(arrays.addresses >> PAGE_BITS)
+    blocks = np.unique(trace.blocks)
+    pages = np.unique(trace.addresses >> PAGE_BITS)
     return TraceProfile(
         name=trace.name,
         loads=len(trace),

@@ -98,6 +98,8 @@ class CampaignSpec:
             raise ConfigError("campaign spec: prefetchers must be non-empty")
         if not self.seeds:
             raise ConfigError("campaign spec: seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError("campaign spec: seeds must be >= 0")
         # A repeated value would expand into two cells with one key.
         for name in ("workloads", "prefetchers", "seeds"):
             seen = set()

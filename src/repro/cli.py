@@ -385,7 +385,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config["jobs"] = args.jobs
     try:
         ledger = _start_ledger(args, "experiment", config)
-    except (ConfigError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}")
         return 2
     restorable = ledger.restorable_rows() if ledger is not None else {}
@@ -485,7 +485,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 ledger_path = os.path.join(args.campaign, LEDGER_FILE)
                 if os.path.exists(ledger_path):
                     ledger = read_ledger(ledger_path)
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
     if events is None and ledger is None and metrics is None \
@@ -548,15 +548,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.inject_faults in ("help", "list"):
         _print_fault_points()
         return 0
-    try:
-        spec = load_spec(args.spec)
-        directory = args.dir or os.path.join("campaigns", spec.name)
-        campaign = Campaign.create(
-            directory, spec, argv=getattr(args, "_argv", None),
-            fault_spec=args.inject_faults or None)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
+    spec = load_spec(args.spec)
+    directory = args.dir or os.path.join("campaigns", spec.name)
+    campaign = Campaign.create(
+        directory, spec, argv=getattr(args, "_argv", None),
+        fault_spec=args.inject_faults or None)
     print(f"[campaign] {spec.name}: {len(campaign.queue.cells)} cell(s) "
           f"-> {directory}")
     result = campaign.run(workers=args.workers, stop_after=args.stop_after)
@@ -568,11 +564,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
     from .campaign import Campaign
 
-    try:
-        campaign = Campaign.open(args.dir)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
+    campaign = Campaign.open(args.dir)
     campaign.reconcile()
     if campaign.stats.reconciled:
         print(f"[campaign] reconciled {campaign.stats.reconciled} "
@@ -660,22 +652,14 @@ def _print_campaign_status(directory: str) -> "tuple[int, bool]":
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     if not getattr(args, "watch", False):
-        try:
-            code, _ = _print_campaign_status(args.dir)
-        except ConfigError as exc:
-            print(f"error: {exc}")
-            return 2
+        code, _ = _print_campaign_status(args.dir)
         return code
     interval = max(0.1, args.interval)
     try:
         while True:
             # Clear screen + home: a cheap full-redraw live view.
             print("\x1b[2J\x1b[H", end="")
-            try:
-                code, finished = _print_campaign_status(args.dir)
-            except ConfigError as exc:
-                print(f"error: {exc}")
-                return 2
+            code, finished = _print_campaign_status(args.dir)
             if finished:
                 print("\n[watch] campaign finished")
                 return code
@@ -690,13 +674,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .harness import compare_artifacts
 
-    try:
-        result = compare_artifacts(args.run_a, args.run_b,
-                                   max_regress=args.max_regress,
-                                   alpha=args.alpha)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
+    result = compare_artifacts(args.run_a, args.run_b,
+                               max_regress=args.max_regress,
+                               alpha=args.alpha)
     print(result.format())
     return 0 if result.ok else 1
 
@@ -916,6 +896,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Flushed here, so a closed pipe fails inside this try and not
         # in the interpreter's flush at exit.
         sys.stdout.flush()
+    except ConfigError as exc:
+        print(f"error: {exc}")
+        return 2
     except BrokenPipeError:
         # Whoever read stdout has gone (``repro report ... | head``).
         # Point stdout at devnull so the exit-time flush stays quiet,

@@ -95,8 +95,8 @@ class EngineFallbackWarning(UserWarning):
     """A replay ran on the reference loop instead of the compiled kernel.
 
     Emitted by :meth:`repro.sim.simulator.Simulator.run` when the batch
-    kernel cannot serve the run — event tracing, an ineligible plan,
-    pre-populated state, or no compiled kernel.  A warning, not an
+    kernel cannot serve the run — event tracing, a trace the kernel
+    cannot replay exactly, pre-populated state, or no compiled kernel.  A warning, not an
     error: results are bit-identical across the two loops, only
     wall-clock changes — but silent downgrades made benchmark numbers
     lie, so the downgrade is visible and filterable.

@@ -68,6 +68,14 @@ class AdaptiveEnsemblePrefetcher(Prefetcher):
         for member in self.members:
             member.publish_telemetry()
 
+    def series_arm(self) -> None:
+        for member in self.members:
+            member.series_arm()
+
+    def series_sample(self, cumulative, gauges) -> None:
+        for member in self.members:
+            member.series_sample(cumulative, gauges)
+
     def train(self, trace: Trace) -> None:
         for member in self.members:
             member.train(trace)

@@ -272,9 +272,8 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
     if recorder is not None:
         prefetcher.series_arm()
     window = recorder.window if recorder is not None else 0
-    arrays = trace.arrays()
-    instr_ids = arrays.instr_ids
-    n = len(arrays)
+    instr_ids = trace.instr_ids
+    n = len(trace)
     counts: List[np.ndarray] = []
     kept: List[np.ndarray] = []
     emitted = 0
@@ -287,8 +286,8 @@ def generate_prefetches(prefetcher: Prefetcher, trace: Trace,
             end = min(end, (start // window + 1) * window)
         try:
             rows = check_rows(prefetcher.process_batch(
-                arrays.addresses[start:end],
-                arrays.pcs[start:end],
+                trace.addresses[start:end],
+                trace.pcs[start:end],
                 instr_ids[start:end]), end - start)
         except ReproError:
             raise

@@ -98,7 +98,7 @@ class DeltaLSTMPrefetcher(Prefetcher):
 
     def train(self, trace: Trace) -> None:
         cfg = self.config
-        blocks = trace.arrays().blocks
+        blocks = trace.blocks
         self.centroids, labels = kmeans_1d(blocks, cfg.clusters,
                                            seed=cfg.seed)
         self._clusters = [_ClusterModel()

@@ -140,7 +140,7 @@ class VoyagerPrefetcher(Prefetcher):
     def _build_abs_vocab(self, trace: Trace) -> None:
         if self.config.abs_page_vocab <= 0:
             return
-        pages, counts = np.unique(trace.arrays().addresses >> PAGE_BITS,
+        pages, counts = np.unique(trace.addresses >> PAGE_BITS,
                                   return_counts=True)
         # Only pages visited repeatedly earn an absolute token.
         recurring = pages[counts >= 2]
@@ -201,8 +201,7 @@ class VoyagerPrefetcher(Prefetcher):
         """Per-PC token sequences: rows of (page_tok, offset, pc_tok)."""
         streams: Dict[int, List[List[int]]] = {}
         last_page: Dict[int, int] = {}
-        arrays = trace.arrays()
-        for pc, block in zip(arrays.pcs.tolist(), arrays.blocks.tolist()):
+        for pc, block in zip(trace.pcs.tolist(), trace.blocks.tolist()):
             page = block >> (PAGE_BITS - BLOCK_BITS)
             rows = streams.setdefault(pc, [])
             prev = last_page.get(pc)

@@ -254,12 +254,11 @@ def corrupt_trace(trace):
     from ..types import Trace
 
     rng = random.Random(f"{site._rng.random()}:trace.corrupt")
-    arrays = trace.arrays()
-    n = len(arrays)
+    n = len(trace)
     n_corrupt = max(1, int(n * site.frac))
     indices = rng.sample(range(n), min(n_corrupt, n))
-    addresses = arrays.addresses.copy()
+    addresses = trace.addresses.copy()
     addresses[indices] = ((addresses[indices] ^ (0x5DEADBEEF << 12))
                           & ((1 << 48) - 1))
-    return Trace(trace.name, arrays.instr_ids, arrays.pcs, addresses,
+    return Trace(trace.name, trace.instr_ids, trace.pcs, addresses,
                  total_instructions=trace.instruction_count)

@@ -6,15 +6,14 @@ three layers:
 
 - :mod:`.planner` — the columnar replay plan both loops (and the
   multicore simulator) read: the invalid-record drop, the per-trigger
-  budget trim, the CSR trigger schedule, and the eligibility checks
-  that decide whether the compiled kernel may run.
+  budget trim and the CSR trigger schedule.
 - :mod:`.ckernel` — the on-demand compiled C replay kernel (built by
   :mod:`repro._cbuild`, as :mod:`repro.snn.ckernel` is), a
   transcription of the reference loop with identical IEEE-754
   operation order.
-- :mod:`.batch` — the ``replay_batch`` driver tying the two together
-  and falling back to the reference loop whenever the kernel cannot
-  run.
+- :mod:`.batch` — the ``replay_batch`` driver tying the two together;
+  it alone decides whether the kernel may run, and falls back to the
+  reference loop whenever it cannot.
 """
 
 from .batch import replay_batch

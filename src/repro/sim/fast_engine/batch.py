@@ -3,11 +3,12 @@
 Executes a :class:`~repro.sim.fast_engine.planner.ReplayPlan` on the
 compiled C kernel (:mod:`~repro.sim.fast_engine.ckernel`) and writes
 the kernel's counters back into the simulator's caches and DRAM model.
-Whatever the kernel cannot take — event tracing, no C compiler (or
-``REPRO_NO_CKERNEL=1``), an ineligible plan (non-monotone instruction
-ids, negative blocks, oversized ids), or a simulator whose state is
-already populated — runs on the reference loop instead, over the same
-plan, with an :class:`~repro.errors.EngineFallbackWarning` and
+:func:`_fallback_reason` alone picks the loop: whatever the kernel
+cannot take — event tracing, a trace it cannot replay exactly
+(non-monotone or oversized instruction ids, negative blocks), a
+simulator whose state is already populated, or no C compiler (or
+``REPRO_NO_CKERNEL=1``) — runs on the reference loop instead, over the
+same plan, with an :class:`~repro.errors.EngineFallbackWarning` and
 ``sim.engine_used = "reference"``.  Both paths produce bit-identical
 :class:`~repro.sim.metrics.SimResult`\\ s; the parity and differential
 suites run them against each other.
@@ -15,10 +16,9 @@ suites run them against each other.
 :meth:`~repro.sim.simulator.Simulator.run` builds every replay's plan
 through this module's :func:`plan_replay` (re-exported from
 :mod:`.planner`), so the plan and the kernel are reached through one
-module.  The cross-lineup amortization lives one level down: the
-planner reads the monotone flag cached on
-:class:`repro.types.TraceArrays`, so a grid/bench lineup (baseline + N
-prefetchers × repeats over one trace) derives it once.
+module.  The monotone flag is cached on the :class:`~repro.types.Trace`,
+so a grid/bench lineup (baseline + N prefetchers × repeats over one
+trace) derives it once.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ from ...types import Trace
 from ..metrics import SimResult
 from .ckernel import load_kernel
 from .planner import ReplayPlan, plan_replay  # noqa: F401 (re-exported)
+
+#: Instruction ids above this bound fall back to the reference loop:
+#: the kernel mixes cycle integers into ``double`` arithmetic, and
+#: keeping ids (and therefore every derived dispatch/completion value
+#: for any realistic trace) far below 2^53 makes that mixing exact.
+MAX_KERNEL_INSTR_ID = 1 << 44
 
 #: Recorder series names for the kernel's per-window row columns, in
 #: :data:`~repro.sim.fast_engine.ckernel.SERIES_FIELDS` order (the last
@@ -65,13 +71,19 @@ def feed_kernel_series(recorder, series_rows: np.ndarray, n: int,
             gauges={REPLAY_QUEUE_GAUGE: row[len(REPLAY_SERIES_NAMES)]})
 
 
-def _fallback_reason(sim, plan):
+def _fallback_reason(sim, trace: Trace):
     """Why the kernel cannot run this replay, or ``None`` if it can."""
     # The kernel has no per-event hooks.
     if sim._trace_events:
         return "event tracing is enabled"
-    if not plan.kernel_eligible:
-        return plan.fallback_reason
+    # Its ROB is a ring buffer over strictly increasing ids.
+    if not trace.monotone():
+        return "non-monotone instruction ids"
+    if len(trace) and int(trace.instr_ids[-1]) > MAX_KERNEL_INSTR_ID:
+        return "instruction ids exceed kernel bound"
+    # C ``%`` differs from Python's on negatives.
+    if trace.blocks.min(initial=0) < 0:
+        return "negative block numbers"
     # The kernel starts from empty caches, DRAM and prefetch state.
     if (sim.l1d.occupancy or sim.l2.occupancy or sim.llc.occupancy
             or sim.dram.requests or sim._pf_heap or sim._pf_inflight):
@@ -92,7 +104,7 @@ def replay_batch(sim, trace: Trace, plan: ReplayPlan,
     emits one cumulative-counter row per window — pure observation,
     results stay bit-identical.
     """
-    reason = _fallback_reason(sim, plan)
+    reason = _fallback_reason(sim, trace)
     if reason is not None:
         sim.engine_used = "reference"
         warnings.warn(EngineFallbackWarning(
@@ -101,14 +113,13 @@ def replay_batch(sim, trace: Trace, plan: ReplayPlan,
         sim._run_reference(trace, plan, result, recorder)
         return
 
-    arrays = trace.arrays()
     kernel = load_kernel()
     series_window = recorder.window if recorder is not None else 0
-    out = kernel.replay(arrays.instr_ids, arrays.blocks,
+    out = kernel.replay(trace.instr_ids, trace.blocks,
                         plan.pf_starts, plan.pf_blocks, sim.config,
                         series_window=series_window)
     if recorder is not None:
-        feed_kernel_series(recorder, out["series"], len(arrays),
+        feed_kernel_series(recorder, out["series"], len(trace),
                            series_window)
 
     # -- write the kernel's counters back (same targets as the

@@ -7,8 +7,8 @@ changing results.  What *can* change is the cost per step: the
 reference loop pays Python interpreter dispatch on every probe and
 heap operation.  This module compiles a C transcription of
 :meth:`repro.sim.simulator.Simulator._run_reference` and binds it
-through :mod:`ctypes`; :func:`repro._cbuild.compile_library` builds it,
-as it builds the one-tick library (:mod:`repro.snn.ckernel`).
+through :mod:`ctypes`; :func:`repro._cbuild.load_library` builds and
+loads it, as it does the one-tick library (:mod:`repro.snn.ckernel`).
 
 Bit-identity contract
 ---------------------
@@ -19,9 +19,10 @@ same order as the reference loop:
   division, like Python's int/int true division;
 - cycle integers (DRAM completions, MSHR entries, instruction ids)
   stay ``int64_t`` and are converted to double only where the Python
-  loop mixes them into float arithmetic — exact, because the planner
-  rejects traces whose ids could push any derived cycle value toward
-  2^53 (:data:`repro.sim.fast_engine.planner.MAX_KERNEL_INSTR_ID`);
+  loop mixes them into float arithmetic — exact, because the batch
+  driver sends traces whose ids could push any derived cycle value
+  toward 2^53 to the reference loop
+  (:data:`repro.sim.fast_engine.batch.MAX_KERNEL_INSTR_ID`);
 - ``int(issue)`` becomes a C cast (both truncate toward zero;
   ``issue`` is never negative);
 - the ``done = dispatch + (completion - dispatch)`` float round trip
@@ -47,12 +48,11 @@ a hash of source and compiler.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional
 
 import numpy as np
 
-from ..._cbuild import compile_library
+from ..._cbuild import load_library
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -679,9 +679,6 @@ SERIES_FIELDS = (
     "dram_requests", "dram_wait", "dram_queue_len",
 )
 
-_kernel: Optional["ReplayKernel"] = None
-_kernel_tried = False
-
 
 class ReplayKernel:
     """ctypes binding of the compiled replay kernel."""
@@ -803,17 +800,4 @@ def load_kernel() -> Optional[ReplayKernel]:
     ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or
     compilation/loading fails for any reason.
     """
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    _kernel_tried = True
-    if os.environ.get("REPRO_NO_CKERNEL") == "1":
-        return None
-    so_path = compile_library("replay", C_SOURCE)
-    if so_path is None:
-        return None
-    try:
-        _kernel = ReplayKernel(ctypes.CDLL(so_path))
-    except OSError:
-        _kernel = None
-    return _kernel
+    return load_library("replay", C_SOURCE, ReplayKernel)

@@ -3,23 +3,16 @@
 Each replay splits into a *plan* (derived once from the trace columns
 and the prefetch file, no simulator state involved) and an *execution*
 (the compiled kernel, or the reference loop when the kernel cannot
-run).  The plan captures three things:
+run; :func:`repro.sim.fast_engine.batch._fallback_reason` decides
+which).  The plan captures two things:
 
-1. **Eligibility** — whether the compiled kernel's preconditions hold.
-   The kernel assumes strictly increasing instruction ids (its ROB is
-   a ring buffer), non-negative block numbers (C ``%`` differs from
-   Python's on negatives), and ids small enough that every derived
-   cycle count stays well inside the 2^53 window where ``double``
-   holds integers exactly.  Ineligible plans run on the reference
-   loop — slower, never wrong.
-
-2. **Invalid records** — prefetch records with a negative address
+1. **Invalid records** — prefetch records with a negative address
    (a corrupt file, or a buggy prefetcher slipping past the guard).
    They are dropped before anything else and counted as
    ``pf_dropped``; the plan lists them in file order so the simulator
    can account for them (and trace ``pf.dropped reason=invalid``).
 
-3. **Trigger schedule** — the blocks each trace position issues, in
+2. **Trigger schedule** — the blocks each trace position issues, in
    CSR form (``pf_starts``/``pf_blocks``), which both the C kernel
    and the reference loop walk.  The schedule is keyed by instruction
    id, as the ML-DPC format is: each trigger id keeps its first
@@ -30,27 +23,17 @@ run).  The plan captures three things:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from ...errors import PrefetchFileError
-from ...types import BLOCK_BITS, PrefetchFile, TraceArrays
-
-#: Instruction ids above this bound fall back to the reference loop:
-#: the kernel mixes cycle integers into ``double`` arithmetic, and
-#: keeping ids (and therefore every derived dispatch/completion value
-#: for any realistic trace) far below 2^53 makes that mixing exact.
-MAX_KERNEL_INSTR_ID = 1 << 44
+from ...types import BLOCK_BITS, PrefetchFile, Trace
 
 
 class ReplayPlan(NamedTuple):
     """Everything either engine needs to execute one replay."""
 
-    #: Whether the compiled kernel may run this plan.
-    kernel_eligible: bool
-    #: Human-readable reason when ``kernel_eligible`` is false.
-    fallback_reason: Optional[str]
     #: CSR trigger schedule: ``pf_blocks[pf_starts[i]:pf_starts[i+1]]``
     #: are the blocks access ``i`` issues, in issue order.
     pf_starts: np.ndarray
@@ -59,26 +42,13 @@ class ReplayPlan(NamedTuple):
     invalid: np.ndarray
 
 
-def _kernel_fallback_reason(arrays: TraceArrays) -> Optional[str]:
-    n = len(arrays)
-    if n == 0:
-        return None
-    if not arrays.monotone():
-        return "non-monotone instruction ids"
-    if int(arrays.instr_ids[-1]) > MAX_KERNEL_INSTR_ID:
-        return "instruction ids exceed kernel bound"
-    if int(arrays.blocks.min()) < 0:
-        return "negative block numbers"
-    return None
-
-
-def _schedule(arrays: TraceArrays, pfile: PrefetchFile,
+def _schedule(trace: Trace, pfile: PrefetchFile,
               max_per_access: int) -> Tuple[np.ndarray, np.ndarray]:
     """The CSR trigger schedule of the file's valid records."""
     valid = pfile.addresses >= 0
     triggers = pfile.triggers()[valid]
     addresses = pfile.addresses[valid]
-    n = len(arrays)
+    n = len(trace)
     pf_starts = np.zeros(n + 1, dtype=np.int64)
     if not len(addresses):
         return pf_starts, np.empty(0, dtype=np.int64)
@@ -93,8 +63,8 @@ def _schedule(arrays: TraceArrays, pfile: PrefetchFile,
     counts = np.minimum(counts, max_per_access)
     first = np.cumsum(counts) - counts
     # Every access issues its id's list.
-    k = np.minimum(np.searchsorted(ids, arrays.instr_ids), len(ids) - 1)
-    hit = ids[k] == arrays.instr_ids
+    k = np.minimum(np.searchsorted(ids, trace.instr_ids), len(ids) - 1)
+    hit = ids[k] == trace.instr_ids
     row_counts = np.where(hit, counts[k], 0)
     np.cumsum(row_counts, out=pf_starts[1:])
     src = np.where(hit, first[k], 0)
@@ -103,7 +73,7 @@ def _schedule(arrays: TraceArrays, pfile: PrefetchFile,
     return pf_starts, addresses[gather] >> BLOCK_BITS
 
 
-def plan_replay(arrays: TraceArrays, pfile: PrefetchFile,
+def plan_replay(trace: Trace, pfile: PrefetchFile,
                 max_per_access: int) -> ReplayPlan:
     """Build the :class:`ReplayPlan` for replaying ``pfile`` on a trace.
 
@@ -114,24 +84,23 @@ def plan_replay(arrays: TraceArrays, pfile: PrefetchFile,
     out per access.  A file generated on a trace with strictly
     increasing ids and within the budget is already its own schedule:
     its offsets pass straight through.  Pure function of the trace
-    columns and the file; the warm-state and kernel-availability
-    checks stay with the batch driver, which can see the simulator.
+    columns and the file; which loop runs it is the batch driver's
+    choice.
 
     Raises:
         PrefetchFileError: the file's rows do not match the trace's
             access count.
     """
-    n = len(arrays)
+    n = len(trace)
     if len(pfile.offsets) != n + 1:
         raise PrefetchFileError(
             f"prefetch file covers {len(pfile.offsets) - 1} accesses; "
             f"the trace has {n}")
-    reason = _kernel_fallback_reason(arrays)
     invalid = np.flatnonzero(pfile.addresses < 0)
-    if (not len(invalid) and arrays.monotone()
+    if (not len(invalid) and trace.monotone()
             and np.diff(pfile.offsets).max(initial=0) <= max_per_access):
         pf_starts = pfile.offsets
         pf_blocks = pfile.addresses >> BLOCK_BITS
     else:
-        pf_starts, pf_blocks = _schedule(arrays, pfile, max_per_access)
-    return ReplayPlan(reason is None, reason, pf_starts, pf_blocks, invalid)
+        pf_starts, pf_blocks = _schedule(trace, pfile, max_per_access)
+    return ReplayPlan(pf_starts, pf_blocks, invalid)

@@ -78,11 +78,10 @@ class _Core:
         self.sim._pf_heap = uncore._pf_heap
         self.sim._pf_inflight = uncore._pf_inflight
         self.position = 0
-        arrays = trace.arrays()
         #: The trace's id and block columns, as lists for the loop.
-        self.instr_ids = arrays.instr_ids.tolist()
-        self.blocks = arrays.blocks.tolist()
-        plan = plan_replay(arrays,
+        self.instr_ids = trace.instr_ids.tolist()
+        self.blocks = trace.blocks.tolist()
+        plan = plan_replay(trace,
                            PrefetchFile.for_trace(trace, prefetches),
                            config.max_prefetches_per_access)
         #: CSR trigger schedule: position ``i`` issues

@@ -109,12 +109,12 @@ class Simulator:
     :meth:`run` always hands the replay to
     :func:`~repro.sim.fast_engine.batch.replay_batch`, which picks the
     loop: the kernel covers metrics-level observability on a cold
-    simulator, and per-event tracing, an ineligible plan,
-    pre-populated state or no C compiler (or ``REPRO_NO_CKERNEL=1``)
-    select the reference loop.  Each of these emits one typed
-    :class:`~repro.errors.EngineFallbackWarning` from :meth:`run` and
-    sets :attr:`engine_used`, so a caller always sees which loop ran;
-    construction never warns.
+    simulator, and per-event tracing, a trace the kernel cannot replay
+    exactly, pre-populated state or no C compiler (or
+    ``REPRO_NO_CKERNEL=1``) select the reference loop.  Each of these
+    emits one typed :class:`~repro.errors.EngineFallbackWarning` from
+    :meth:`run` and sets :attr:`engine_used`, so a caller always sees
+    which loop ran; construction never warns.
 
     The multicore co-run (:mod:`repro.sim.multicore`) steps each core
     through :meth:`_drain_completed_prefetches`, :meth:`_demand_access`
@@ -269,7 +269,7 @@ class Simulator:
 
         pfile = PrefetchFile.for_trace(trace, prefetches)
         plan = batch_engine.plan_replay(
-            trace.arrays(), pfile, self.config.max_prefetches_per_access)
+            trace, pfile, self.config.max_prefetches_per_access)
         if len(plan.invalid):
             # A corrupt prefetch file (or a buggy prefetcher slipping
             # past the guard) must degrade to dropped prefetches, not
@@ -336,11 +336,10 @@ class Simulator:
         n = len(trace)
         window = recorder.window if recorder is not None else 0
         next_boundary = min(window, n) if recorder is not None else -1
-        arrays = trace.arrays()
         starts = plan.pf_starts.tolist()
         pf_blocks = plan.pf_blocks.tolist()
         for i, (instr_id, demand_block) in enumerate(
-                zip(arrays.instr_ids.tolist(), arrays.blocks.tolist()), 1):
+                zip(trace.instr_ids.tolist(), trace.blocks.tolist()), 1):
             dispatch = self.core.dispatch_load(instr_id)
             self._drain_completed_prefetches(dispatch)
             latency = self._demand_access(demand_block, dispatch, result)

@@ -82,19 +82,18 @@ they leave the same rows, stamps and clocks as the Python ones.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set) the
 callers fall back to the scalar Python path — slower, never wrong.
-:func:`repro._cbuild.compile_library` builds the library once per
-environment into ``$REPRO_CKERNEL_CACHE``.
+:func:`repro._cbuild.load_library` builds the library once per
+environment into ``$REPRO_CKERNEL_CACHE`` and loads it once per process.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import List, Optional
 
 import numpy as np
 
-from .._cbuild import compile_library
+from .._cbuild import load_library
 from ..types import BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS
 
 #: C translation of the one-tick step and the PATHFINDER, Pythia and
@@ -1353,9 +1352,6 @@ void pf_spp_chunk(pf_spp *p, const int64_t *addresses, int64_t n,
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
-_kernel: Optional["TickKernel"] = None
-_kernel_tried = False
-
 
 class NetArgs(ctypes.Structure):
     """The C ``pf_net``: a network's state and one-tick constants."""
@@ -1568,17 +1564,4 @@ def load_kernel() -> Optional[TickKernel]:
     Python paths — when ``REPRO_NO_CKERNEL=1``, no C compiler is on
     PATH, or compilation/loading fails for any reason.
     """
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    _kernel_tried = True
-    if os.environ.get("REPRO_NO_CKERNEL") == "1":
-        return None
-    so_path = compile_library("tick", C_SOURCE, libs=("-lm",))
-    if so_path is None:
-        return None
-    try:
-        _kernel = TickKernel(ctypes.CDLL(so_path))
-    except OSError:
-        _kernel = None
-    return _kernel
+    return load_library("tick", C_SOURCE, TickKernel, ("-lm",))

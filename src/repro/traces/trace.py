@@ -40,12 +40,11 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     with _open_text(path, "w") as fh:
         fh.write(f"# trace: {trace.name}\n")
         fh.write(f"# total_instructions: {trace.instruction_count}\n")
-        arrays = trace.arrays()
         fh.writelines(
             f"{instr_id}, {pc:#x}, {address:#x}\n"
-            for instr_id, pc, address in zip(arrays.instr_ids.tolist(),
-                                             arrays.pcs.tolist(),
-                                             arrays.addresses.tolist()))
+            for instr_id, pc, address in zip(trace.instr_ids.tolist(),
+                                             trace.pcs.tolist(),
+                                             trace.addresses.tolist()))
 
 
 def load_trace(path: Union[str, Path], name: str = "") -> Trace:

@@ -41,17 +41,16 @@ def reorder_accesses(trace: Trace, window: int, seed: int = 0,
     if window < 1:
         raise ConfigError("reorder window must be >= 1")
     rng = np.random.default_rng(seed)
-    arrays = trace.arrays()
-    n = len(arrays)
+    n = len(trace)
     instr_ids = np.empty(n, dtype=np.int64)
     source = np.empty(n, dtype=np.int64)
     for start in range(0, n, window):
         stop = min(start + window, n)
         # The window's sorted ids, handed to its loads in drawn order.
-        instr_ids[start:stop] = np.sort(arrays.instr_ids[start:stop])
+        instr_ids[start:stop] = np.sort(trace.instr_ids[start:stop])
         source[start:stop] = start + rng.permutation(stop - start)
     return Trace(name or f"{trace.name}+reorder{window}", instr_ids,
-                 arrays.pcs[source], arrays.addresses[source],
+                 trace.pcs[source], trace.addresses[source],
                  total_instructions=trace.instruction_count)
 
 
@@ -72,12 +71,11 @@ def interleave_traces(traces: Sequence[Trace], seed: int = 0,
     if len(traces) < 2:
         raise ConfigError("interleaving needs at least two traces")
     rng = np.random.default_rng(seed)
-    columns = [trace.arrays() for trace in traces]
-    instr_ids = np.concatenate([arrays.instr_ids for arrays in columns])
-    pcs = np.concatenate([arrays.pcs | (core << 32)
-                          for core, arrays in enumerate(columns)])
-    addresses = np.concatenate([arrays.addresses | (core << 44)
-                                for core, arrays in enumerate(columns)])
+    instr_ids = np.concatenate([trace.instr_ids for trace in traces])
+    pcs = np.concatenate([trace.pcs | (core << 32)
+                          for core, trace in enumerate(traces)])
+    addresses = np.concatenate([trace.addresses | (core << 44)
+                                for core, trace in enumerate(traces)])
     # Stable merge by instruction id with random tie-breaks, then
     # re-stamp strictly increasing ids.
     tie = rng.random(len(instr_ids))
@@ -97,8 +95,7 @@ def drop_accesses(trace: Trace, fraction: float, seed: int = 0,
     keep = rng.random(len(trace)) >= fraction
     if not keep.any():
         raise ConfigError("drop fraction removed every access")
-    arrays = trace.arrays()
     return Trace(name or f"{trace.name}-thin{fraction:.2f}",
-                 arrays.instr_ids[keep], arrays.pcs[keep],
-                 arrays.addresses[keep],
+                 trace.instr_ids[keep], trace.pcs[keep],
+                 trace.addresses[keep],
                  total_instructions=trace.instruction_count)

@@ -347,7 +347,15 @@ def make_trace(name: str, n_accesses: int = 20_000, seed: int = 0,
 
     Returns:
         A :class:`~repro.types.Trace` in program order.
+
+    Raises:
+        ConfigError: an unknown workload, or a negative load count or
+            seed, or fewer than one phase.
     """
+    if n_accesses < 0:
+        raise ConfigError(f"load count must be >= 0 (got {n_accesses})")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0 (got {seed})")
     if phases < 1:
         raise ConfigError("phases must be >= 1")
     spec = get_workload_spec(name)

@@ -129,7 +129,7 @@ class PrefetchFile:
             non-decreasing, ends at ``len(addresses)``.
         addresses: ``int64`` byte addresses, row after row.
         instr_ids: The trace's instruction-id column (shared with its
-            :class:`TraceArrays`, not copied): row ``i``'s records name
+            :class:`Trace`, not copied): row ``i``'s records name
             ``instr_ids[i]`` as their trigger.
 
     Record order — row by row, in priority order within a row — is the
@@ -164,7 +164,6 @@ class PrefetchFile:
             PrefetchFileError: an address or trigger does not fit in
                 ``int64``.
         """
-        arrays = trace.arrays()
         rows = rows if isinstance(rows, (list, tuple)) else list(rows)
         try:
             triggers = np.fromiter((r.trigger_instr_id for r in rows),
@@ -177,14 +176,14 @@ class PrefetchFile:
             raise PrefetchFileError(
                 f"prefetch record outside int64 for trace "
                 f"{trace.name!r}: {exc}") from exc
-        pos = arrays.positions_of(triggers)
+        pos = trace.positions_of(triggers)
         placed = pos >= 0
         pos = pos[placed]
         order = np.argsort(pos, kind="stable")
-        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pos, minlength=len(arrays)),
+        offsets = np.zeros(len(trace) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pos, minlength=len(trace)),
                   out=offsets[1:])
-        return cls(offsets, addresses[placed][order], arrays.instr_ids)
+        return cls(offsets, addresses[placed][order], trace.instr_ids)
 
     @classmethod
     def for_trace(cls, trace: "Trace",
@@ -196,7 +195,7 @@ class PrefetchFile:
         :meth:`from_requests` (its records are keyed by trigger id).
         """
         if isinstance(prefetches, cls):
-            ids = trace.arrays().instr_ids
+            ids = trace.instr_ids
             if prefetches.instr_ids is ids or np.array_equal(
                     prefetches.instr_ids, ids):
                 return prefetches
@@ -228,28 +227,37 @@ class PrefetchFile:
                 f"{len(self.offsets) - 1} accesses)")
 
 
-class TraceArrays:
-    """The columns of a trace: one ``int64`` numpy array per field.
+class Trace:
+    """An ordered sequence of demand loads, held as ``int64`` columns.
 
-    A :class:`Trace` is these columns.  Synthesis, the trace file
-    reader and the transforms build them directly; prefetch-file
-    generation, the replay plan and kernel, and the trace statistics
-    read them.  No default path builds a per-load object, and handing a
-    trace to a worker process pickles flat arrays.
+    The columns are the trace; they are built once, at construction.
+    Synthesis, the trace file reader and the transforms build them
+    directly; prefetch-file generation, the replay plan and kernel, and
+    the trace statistics read them.  No default path builds a per-load
+    object, and handing a trace to a worker process pickles flat
+    arrays.  Iterating or indexing yields :class:`MemoryAccess` rows
+    built on demand, as iterating a :class:`PrefetchFile` yields
+    :class:`PrefetchRequest` records, and :meth:`from_accesses` builds
+    a trace from such rows.  Two traces compare equal when their names,
+    ``total_instructions`` and column values are equal.
 
     Attributes:
+        name: Human-readable trace name (e.g. ``"605-mcf-s1"``).
+        total_instructions: Total retired instructions represented by the
+            trace (used by the timing model for IPC); ``None`` means the
+            last instruction id + 1.
         instr_ids / pcs / addresses: The loads' fields, one column each,
             all the same length, in program order.
         blocks: ``addresses >> BLOCK_BITS``, derived once.
-
-    The view also caches the monotonicity flag the replay kernel's
-    planner checks, so a lineup run (baseline + N prefetchers, repeated
-    per seed) derives it once per trace rather than once per replay.
     """
 
-    __slots__ = ("instr_ids", "pcs", "addresses", "blocks", "_monotone")
+    __slots__ = ("name", "total_instructions", "instr_ids", "pcs",
+                 "addresses", "blocks", "_monotone")
 
-    def __init__(self, instr_ids, pcs, addresses):
+    def __init__(self, name: str, instr_ids=(), pcs=(), addresses=(),
+                 total_instructions: Optional[int] = None):
+        self.name = name
+        self.total_instructions = total_instructions
         self.instr_ids = np.ascontiguousarray(instr_ids, dtype=np.int64)
         self.pcs = np.ascontiguousarray(pcs, dtype=np.int64)
         self.addresses = np.ascontiguousarray(addresses, dtype=np.int64)
@@ -258,16 +266,51 @@ class TraceArrays:
         self.blocks = self.addresses >> BLOCK_BITS
         self._monotone: Optional[bool] = None
 
+    @classmethod
+    def from_accesses(cls, name: str, rows: Iterable[MemoryAccess],
+                      total_instructions: Optional[int] = None) -> "Trace":
+        """A trace of ``rows``, given in program order."""
+        table = np.array([(a.instr_id, a.pc, a.address) for a in rows],
+                         dtype=np.int64).reshape(-1, 3)
+        return cls(name, table[:, 0], table[:, 1], table[:, 2],
+                   total_instructions)
+
     def __len__(self) -> int:
         return len(self.instr_ids)
 
-    # -- derived replay flag (computed once, reused lineup-wide) ---------
+    def __iter__(self) -> Iterator[MemoryAccess]:
+        return map(MemoryAccess, self.instr_ids.tolist(),
+                   self.pcs.tolist(), self.addresses.tolist())
+
+    def __getitem__(self, index: int) -> MemoryAccess:
+        index = operator.index(index)
+        return MemoryAccess(int(self.instr_ids[index]),
+                            int(self.pcs[index]),
+                            int(self.addresses[index]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.name == other.name
+                and self.total_instructions == other.total_instructions
+                and np.array_equal(self.instr_ids, other.instr_ids)
+                and np.array_equal(self.pcs, other.pcs)
+                and np.array_equal(self.addresses, other.addresses))
+
+    __hash__ = None  # mutable name; equality is by content
+
+    def __repr__(self) -> str:
+        return (f"Trace({self.name!r}, {len(self)} loads, "
+                f"total_instructions={self.total_instructions})")
 
     def monotone(self) -> bool:
         """Whether instruction ids are strictly increasing.
 
-        Gates the compiled batch kernel and its searchsorted trigger
+        Gates the compiled replay kernel and the searchsorted trigger
         alignment; non-monotone traces replay on the reference loop.
+        Computed once, so a lineup run (baseline + N prefetchers,
+        repeated per seed) derives it once per trace rather than once
+        per replay.
         """
         if self._monotone is None:
             ids = self.instr_ids
@@ -290,91 +333,20 @@ class TraceArrays:
         pos = k if order is None else order[k]
         return np.where(sorted_ids[k] == ids, pos, -1)
 
-
-class Trace:
-    """An ordered sequence of demand loads, held as ``int64`` columns.
-
-    The columns (:meth:`arrays`) are the trace; they are built once, at
-    construction.  Iterating or indexing yields :class:`MemoryAccess`
-    rows built on demand, as iterating a :class:`PrefetchFile` yields
-    :class:`PrefetchRequest` records, and :meth:`from_accesses` builds
-    a trace from such rows.  Two traces compare equal when their names,
-    ``total_instructions`` and column values are equal.
-
-    Attributes:
-        name: Human-readable trace name (e.g. ``"605-mcf-s1"``).
-        total_instructions: Total retired instructions represented by the
-            trace (used by the timing model for IPC); ``None`` means the
-            last instruction id + 1.
-    """
-
-    __slots__ = ("name", "total_instructions", "_arrays")
-
-    def __init__(self, name: str, instr_ids=(), pcs=(), addresses=(),
-                 total_instructions: Optional[int] = None):
-        self.name = name
-        self.total_instructions = total_instructions
-        self._arrays = TraceArrays(instr_ids, pcs, addresses)
-
-    @classmethod
-    def from_accesses(cls, name: str, rows: Iterable[MemoryAccess],
-                      total_instructions: Optional[int] = None) -> "Trace":
-        """A trace of ``rows``, given in program order."""
-        table = np.array([(a.instr_id, a.pc, a.address) for a in rows],
-                         dtype=np.int64).reshape(-1, 3)
-        return cls(name, table[:, 0], table[:, 1], table[:, 2],
-                   total_instructions)
-
-    def __len__(self) -> int:
-        return len(self._arrays)
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        arrays = self._arrays
-        return map(MemoryAccess, arrays.instr_ids.tolist(),
-                   arrays.pcs.tolist(), arrays.addresses.tolist())
-
-    def __getitem__(self, index: int) -> MemoryAccess:
-        arrays = self._arrays
-        index = operator.index(index)
-        return MemoryAccess(int(arrays.instr_ids[index]),
-                            int(arrays.pcs[index]),
-                            int(arrays.addresses[index]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        mine, theirs = self._arrays, other._arrays
-        return (self.name == other.name
-                and self.total_instructions == other.total_instructions
-                and np.array_equal(mine.instr_ids, theirs.instr_ids)
-                and np.array_equal(mine.pcs, theirs.pcs)
-                and np.array_equal(mine.addresses, theirs.addresses))
-
-    __hash__ = None  # mutable name; equality is by content
-
-    def __repr__(self) -> str:
-        return (f"Trace({self.name!r}, {len(self)} loads, "
-                f"total_instructions={self.total_instructions})")
-
-    def arrays(self) -> TraceArrays:
-        """The trace's columns."""
-        return self._arrays
-
     @property
     def instruction_count(self) -> int:
         """Total instructions covered by the trace."""
         if self.total_instructions is not None:
             return self.total_instructions
-        ids = self._arrays.instr_ids
+        ids = self.instr_ids
         return int(ids[-1]) + 1 if len(ids) else 0
 
     def head(self, n: int, name: Optional[str] = None) -> "Trace":
         """Return a new trace containing only the first ``n`` accesses."""
-        arrays = self._arrays
-        ids = arrays.instr_ids[:n]
+        ids = self.instr_ids[:n]
         total = int(ids[-1]) + 1 if len(ids) else 0
-        return Trace(name or f"{self.name}[:{n}]", ids, arrays.pcs[:n],
-                     arrays.addresses[:n], total)
+        return Trace(name or f"{self.name}[:{n}]", ids, self.pcs[:n],
+                     self.addresses[:n], total)
 
     def stream_deltas(self) -> np.ndarray:
         """Each access's block delta within its (pc, page) stream.
@@ -385,12 +357,11 @@ class Trace:
         the representable range; a nonzero entry is one delta of the
         paper's Tables 7 and 8.
         """
-        arrays = self._arrays
-        pages = arrays.addresses >> PAGE_BITS
-        offsets = arrays.blocks & (BLOCKS_PER_PAGE - 1)
+        pages = self.addresses >> PAGE_BITS
+        offsets = self.blocks & (BLOCKS_PER_PAGE - 1)
         # A stable sort by (pc, page) keeps each stream in program order.
-        order = np.lexsort((pages, arrays.pcs))
-        pcs, pages, offsets = arrays.pcs[order], pages[order], offsets[order]
+        order = np.lexsort((pages, self.pcs))
+        pcs, pages, offsets = self.pcs[order], pages[order], offsets[order]
         same = (pcs[1:] == pcs[:-1]) & (pages[1:] == pages[:-1])
         deltas = np.zeros(len(order), dtype=np.int64)
         deltas[order[1:]] = np.where(same, offsets[1:] - offsets[:-1], 0)
@@ -417,9 +388,8 @@ def validate_trace(trace: Trace) -> None:
 
     if not len(trace):
         raise TraceError(f"trace {trace.name!r} is empty")
-    arrays = trace.arrays()
-    if not arrays.monotone():
-        ids = arrays.instr_ids
+    if not trace.monotone():
+        ids = trace.instr_ids
         i = int(np.argmax(ids[1:] <= ids[:-1])) + 1
         raise TraceError(
             f"trace {trace.name!r}: instr_id not strictly increasing "

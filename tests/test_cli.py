@@ -283,3 +283,57 @@ def test_campaign_run_rejects_existing_dir_and_bad_spec(tmp_path, capsys):
     assert "prefetchers repeats 'nextline'" in capsys.readouterr().out
     assert not (tmp_path / "repeated").exists()
     assert main(["campaign", "status", str(tmp_path / "nowhere")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "cc-5", "nextline", "--loads", "500",
+                  "--budget", "0"], id="run-budget-0"),
+    pytest.param(["run", "cc-5", "nextline", "--loads", "500",
+                  "--inject-faults", "bogus"], id="run-inject-faults-bogus"),
+    pytest.param(["run", "cc-5", "nextline", "--loads", "500",
+                  "--series-window", "-4"], id="run-series-window-negative"),
+    pytest.param(["run", "cc-5", "nextline", "--loads", "-5"],
+                 id="run-loads-negative"),
+    pytest.param(["run", "cc-5", "nextline", "--loads", "500",
+                  "--seed", "-1"], id="run-seed-negative"),
+    pytest.param(["trace", "cc-5", "--profile", "--loads", "0"],
+                 id="trace-profile-loads-0"),
+    pytest.param(["trace", "cc-5", "--profile", "--loads", "-3"],
+                 id="trace-profile-loads-negative"),
+    pytest.param(["experiment", "table6", "--loads", "500",
+                  "--retries", "-1"], id="experiment-retries-negative"),
+    pytest.param(["experiment", "table6", "--loads", "500",
+                  "--cell-timeout", "0"], id="experiment-cell-timeout-0"),
+    pytest.param(["experiment", "table6", "--loads", "500",
+                  "--workloads", "nosuch"], id="experiment-unknown-workload"),
+])
+def test_configuration_errors_exit_2(argv, capsys):
+    """Every subcommand reports a configuration error as one ``error:``
+    line and exit 2, never a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.out.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_campaign_run_rejects_negative_seed_before_any_cell(tmp_path,
+                                                            capsys):
+    """A negative seed is a configuration error of the spec, not three
+    failed attempts per cell."""
+    import json
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "negative", "workloads": ["cc-5"],
+        "prefetchers": ["nextline"], "seeds": [-1], "loads": 400,
+        "workers": 0}))
+    assert main(["campaign", "run", str(spec),
+                 "--dir", str(tmp_path / "camp")]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.out.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: campaign spec: seeds must be >= 0"]
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "camp").exists()

@@ -496,14 +496,13 @@ def test_rows_contract(name):
     row ``i`` is :meth:`process`'s list for access ``i``."""
     trace = _batch_trace("cc-5")
     accesses = list(trace)
-    arrays = trace.arrays()
     scalar = _fresh_prefetcher("cc-5", name)
     batched = _fresh_prefetcher("cc-5", name)
     for start in range(0, len(trace), 1000):
         end = min(start + 1000, len(trace))
-        rows = batched.process_batch(arrays.addresses[start:end],
-                                     arrays.pcs[start:end],
-                                     arrays.instr_ids[start:end])
+        rows = batched.process_batch(trace.addresses[start:end],
+                                     trace.pcs[start:end],
+                                     trace.instr_ids[start:end])
         assert isinstance(rows, Rows)
         assert rows.counts.dtype == rows.addresses.dtype == np.int64
         assert rows.counts.shape == (end - start,)

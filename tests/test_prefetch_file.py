@@ -59,8 +59,7 @@ def _oracle_generate(prefetcher, trace, budget, chunk,
     if recorder is not None:
         prefetcher.series_arm()
     window = recorder.window if recorder is not None else 0
-    arrays = trace.arrays()
-    instr_ids = arrays.instr_ids.tolist()
+    instr_ids = trace.instr_ids.tolist()
     n = len(instr_ids)
     requests: List[PrefetchRequest] = []
     start = 0
@@ -69,8 +68,8 @@ def _oracle_generate(prefetcher, trace, budget, chunk,
         if window:
             end = min(end, (start // window + 1) * window)
         rows = prefetcher.process_batch(
-            arrays.addresses[start:end], arrays.pcs[start:end],
-            arrays.instr_ids[start:end])
+            trace.addresses[start:end], trace.pcs[start:end],
+            trace.instr_ids[start:end])
         for offset, addresses in enumerate(row_lists(rows)):
             if not addresses:
                 continue
@@ -197,7 +196,7 @@ def test_replay_from_requests_round_trip(run, config, budget):
     trace, rows = run
     pfile = generate_prefetches(_Scripted(rows), trace, budget=budget)
     rebuilt = PrefetchFile.from_requests(trace, list(pfile))
-    if trace.arrays().monotone():
+    if trace.monotone():
         assert rebuilt == pfile
     results = {loop: _simulate_quietly(trace, pfile, config, loop)
                for loop in LOOPS}
@@ -231,7 +230,7 @@ def test_replay_plan_matches_by_trigger_oracle(run, budget, max_per_access,
     requests = list(pfile)[::-1] + [PrefetchRequest(stray, 7 << 6)]
     for prefetches in (pfile, requests):
         converted = PrefetchFile.for_trace(trace, prefetches)
-        plan = plan_replay(trace.arrays(), converted, max_per_access)
+        plan = plan_replay(trace, converted, max_per_access)
         starts, blocks = plan.pf_starts.tolist(), plan.pf_blocks.tolist()
         assert [blocks[starts[i]:starts[i + 1]] for i in range(len(trace))] \
             == _by_trigger_schedule(trace, prefetches, max_per_access)
@@ -407,7 +406,7 @@ def test_from_requests_layout():
         PrefetchRequest(25, 9 << 6),          # names no trace instruction
         PrefetchRequest(40, 3 << 6), PrefetchRequest(20, -64)])
     assert pfile.offsets.tolist() == [0, 0, 2, 2, 4, 4, 4]
-    assert pfile.instr_ids is trace.arrays().instr_ids
+    assert pfile.instr_ids is trace.instr_ids
     assert list(pfile) == [
         PrefetchRequest(20, 5 << 6), PrefetchRequest(20, -64),
         PrefetchRequest(40, 7 << 6), PrefetchRequest(40, 3 << 6)]
@@ -426,7 +425,7 @@ def test_generated_file_is_its_own_schedule():
     """Within budget on monotone ids, the plan reuses the offsets."""
     trace = _seq_trace()
     pfile = generate_prefetches(NextLinePrefetcher(degree=2), trace)
-    plan = plan_replay(trace.arrays(), pfile, 2)
+    plan = plan_replay(trace, pfile, 2)
     assert plan.pf_starts is pfile.offsets
     assert plan.pf_blocks.tolist() == (pfile.addresses >> 6).tolist()
 
@@ -435,4 +434,4 @@ def test_plan_rejects_a_file_of_another_length():
     trace = _seq_trace()
     pfile = generate_prefetches(NextLinePrefetcher(), _seq_trace(8))
     with pytest.raises(PrefetchFileError, match="covers 8 accesses"):
-        plan_replay(trace.arrays(), pfile, 2)
+        plan_replay(trace, pfile, 2)

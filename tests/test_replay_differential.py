@@ -23,8 +23,8 @@ from repro.obs import Observability, SeriesCollector
 from repro.sim.cache import CacheConfig
 from repro.sim.cpu import CoreConfig
 from repro.sim.dram import DramConfig
+from repro.sim.fast_engine.batch import MAX_KERNEL_INSTR_ID
 from repro.sim.fast_engine.ckernel import load_kernel
-from repro.sim.fast_engine.planner import MAX_KERNEL_INSTR_ID
 from repro.sim.simulator import HierarchyConfig, Simulator
 from repro.types import MemoryAccess, PrefetchRequest, Trace
 

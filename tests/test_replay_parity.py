@@ -248,16 +248,15 @@ def test_assured_miss_blocks_that_are_prefetch_targets_stay_scalar():
 # -- replay planner and batch fallbacks ---------------------------------------
 #
 # The replay planner lays a prefetch file's triggers out over trace
-# positions (CSR) and decides whether the kernel may run.  These tests
-# pin its edge cases and the driver's fallback to the reference loop.
+# positions (CSR); the batch driver decides whether the kernel may run.
+# These tests pin the planner's edge cases and the driver's fallback to
+# the reference loop.
 
 import numpy as np  # noqa: E402
 
 from repro.sim.fast_engine import batch as batch_module  # noqa: E402
-from repro.sim.fast_engine.planner import (  # noqa: E402
-    MAX_KERNEL_INSTR_ID,
-    plan_replay,
-)
+from repro.sim.fast_engine.batch import MAX_KERNEL_INSTR_ID  # noqa: E402
+from repro.sim.fast_engine.planner import plan_replay  # noqa: E402
 from repro.types import PrefetchFile  # noqa: E402
 
 
@@ -286,8 +285,7 @@ def _falls_back(trace, requests, match):
 
 def test_planner_empty_trace():
     trace = Trace.from_accesses("t", [], total_instructions=0)
-    plan = plan_replay(trace.arrays(), _file(trace), 2)
-    assert plan.kernel_eligible
+    plan = plan_replay(trace, _file(trace), 2)
     assert plan.pf_starts.tolist() == [0] and len(plan.pf_blocks) == 0
     batch, reference = _both_engines(trace, ())
     assert batch == reference
@@ -295,10 +293,10 @@ def test_planner_empty_trace():
 
 def test_planner_single_access_trace():
     trace = _mini_trace([(10, 1 << 20)])
-    plan = plan_replay(trace.arrays(), _file(trace), 2)
+    plan = plan_replay(trace, _file(trace), 2)
     assert plan.pf_starts.tolist() == [0, 0] and len(plan.pf_blocks) == 0
     # Triggered on its only access: one CSR row holding the block.
-    plan = plan_replay(trace.arrays(), _file(trace, (10, 1 << 21)), 2)
+    plan = plan_replay(trace, _file(trace, (10, 1 << 21)), 2)
     assert plan.pf_starts.tolist() == [0, 1]
     assert plan.pf_blocks.tolist() == [1 << 21]
     batch, reference = _both_engines(
@@ -313,7 +311,7 @@ def test_planner_csr_alignment_tiles_exactly():
     pfile = _file(trace, (200, (1 << 21) + 2), (50, 1 << 21),
                   (120, (1 << 21) + 1), (120, (1 << 21) + 3),
                   (125, (1 << 21) + 9))  # names no trace instruction
-    plan = plan_replay(trace.arrays(), pfile, 2)
+    plan = plan_replay(trace, pfile, 2)
     starts = plan.pf_starts
     # Rows tile pf_blocks exactly, in trace order, without overlap.
     assert starts[0] == 0 and starts[-1] == len(plan.pf_blocks)
@@ -345,9 +343,6 @@ def test_fill_on_window_boundary_is_bit_identical():
 def test_planner_rejects_non_monotone_ids():
     trace = _mini_trace([(10, 1 << 20), (30, (1 << 20) + 1),
                          (20, (1 << 20) + 2)])
-    plan = plan_replay(trace.arrays(), _file(trace), 2)
-    assert not plan.kernel_eligible
-    assert "monotone" in plan.fallback_reason
     # The replay still runs (reference fallback) and stays bit-identical.
     with reference_loop():
         expected = simulate(trace, (), default_hierarchy(), "t")
@@ -357,12 +352,28 @@ def test_planner_rejects_non_monotone_ids():
 def test_planner_rejects_oversized_instruction_ids():
     trace = _mini_trace([(10, 1 << 20),
                          (MAX_KERNEL_INSTR_ID + 7, (1 << 20) + 1)])
-    plan = plan_replay(trace.arrays(), _file(trace), 2)
-    assert not plan.kernel_eligible
-    assert "bound" in plan.fallback_reason
     with reference_loop():
         expected = simulate(trace, (), default_hierarchy(), "t")
     assert _falls_back(trace, (), "bound") == expected
+
+
+def test_negative_blocks_fall_back_bit_identically():
+    """C ``%`` differs from Python's on negatives, so a trace with a
+    negative address replays on the reference loop, visibly."""
+    trace = _mini_trace([(10, 1 << 20), (20, -5), (30, (1 << 20) + 1)])
+    requests = [PrefetchRequest(trigger_instr_id=10, address=-5 << 6)]
+    with reference_loop():
+        expected = simulate(trace, requests, default_hierarchy(), "t")
+    sim = Simulator(default_hierarchy())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = sim.run(trace, requests, "t")
+    fallbacks = [w for w in caught
+                 if issubclass(w.category, EngineFallbackWarning)]
+    assert len(fallbacks) == 1
+    assert "negative block numbers" in str(fallbacks[0].message)
+    assert sim.engine_used == "reference"
+    assert result == expected
 
 
 def test_first_touch_prefetch_targets_stay_coupled():
@@ -371,7 +382,7 @@ def test_first_touch_prefetch_targets_stay_coupled():
     ids_blocks = [((k + 1) * 10, (1 << 20) + k) for k in range(10)]
     target = (1 << 20) + 5  # first-touched at position 5, prefetched at 0
     trace = _mini_trace(ids_blocks)
-    plan = plan_replay(trace.arrays(), _file(trace, (10, target)), 2)
+    plan = plan_replay(trace, _file(trace, (10, target)), 2)
     assert plan.pf_starts[1] == 1 and plan.pf_blocks.tolist() == [target]
     batch, reference = _both_engines(
         trace, [PrefetchRequest(trigger_instr_id=10, address=target << 6)])
@@ -436,7 +447,7 @@ def test_prepopulated_state_falls_back_bit_identically():
     reference loop on that state instead."""
     trace = _trace("cc-5")
     requests = _requests("cc-5", "nextline")
-    warm_block = trace.arrays().blocks[7].item()
+    warm_block = trace.blocks[7].item()
 
     reference = Simulator(default_hierarchy())
     reference.llc.insert(warm_block, prefetched=True)

@@ -312,6 +312,27 @@ def test_prefetch_file_bit_identical_with_series_recorder():
     assert drift is not None and drift.agg == "last"
 
 
+@pytest.mark.parametrize("name", ["pathfinder+nl+sisb", "adaptive-ensemble"])
+def test_ensembles_forward_generation_series(name):
+    """An ensemble records its PATHFINDER member's learning-dynamics
+    series, as PATHFINDER alone does, and its prefetch file stays
+    bit-identical with the recorder armed."""
+    factory = PREFETCHER_FACTORIES[name]
+
+    def generate(prefetcher):
+        """The prefetch file and the names of the series recorded."""
+        collector = SeriesCollector(window=256)
+        recorder = collector.recorder(component="generation")
+        requests = generate_prefetches(prefetcher, _PARITY_TRACE,
+                                       recorder=recorder)
+        return requests, {record["name"] for record in collector.snapshot()}
+
+    requests, names = generate(factory())
+    assert requests == generate_prefetches(factory(), _PARITY_TRACE)
+    assert names == generate(PREFETCHER_FACTORIES["pathfinder"]())[1]
+    assert "snn.weight_drift" in names
+
+
 def test_generation_series_scalar_and_batch_paths_agree():
     """PATHFINDER's chunked pipeline must count accuracy like scalar."""
     factory = PREFETCHER_FACTORIES["pathfinder"]

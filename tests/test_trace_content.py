@@ -154,9 +154,8 @@ COLUMN_DIGESTS = {
 
 
 def column_digest(trace):
-    arrays = trace.arrays()
     digest = hashlib.sha256()
-    for column in (arrays.instr_ids, arrays.pcs, arrays.addresses):
+    for column in (trace.instr_ids, trace.pcs, trace.addresses):
         digest.update(np.ascontiguousarray(column, dtype="<i8").tobytes())
     return digest.hexdigest()
 
@@ -172,7 +171,7 @@ def test_make_trace_columns_pinned(loads, seed):
     for name in WORKLOAD_NAMES:
         trace = make_trace(name, loads, seed=seed)
         assert len(trace) == loads
-        assert trace.instruction_count == int(trace.arrays().instr_ids[-1]) + 1
+        assert trace.instruction_count == int(trace.instr_ids[-1]) + 1
         assert column_digest(trace) == COLUMN_DIGESTS[(name, loads, seed)], (
             name, loads, seed)
 
@@ -189,9 +188,8 @@ def test_trace_holds_its_columns_and_nothing_more():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    arrays = trace.arrays()
     held = sum(column.nbytes for column in (
-        arrays.instr_ids, arrays.pcs, arrays.addresses, arrays.blocks))
+        trace.instr_ids, trace.pcs, trace.addresses, trace.blocks))
     assert retained <= 1.25 * held, (retained, held)
     pickled = len(pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL))
     assert pickled <= 1.1 * held + 4096, (pickled, held)

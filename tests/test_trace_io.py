@@ -94,7 +94,7 @@ def test_load_accepts_largest_int64_fields(tmp_path):
                     "0x7fffffffffffffff\n")
     trace = load_trace(path)
     assert trace[1].address == trace[1].pc == (1 << 63) - 1
-    assert trace.arrays().blocks[1] == ((1 << 63) - 1) >> 6
+    assert trace.blocks[1] == ((1 << 63) - 1) >> 6
 
 
 @pytest.mark.parametrize("total", [-50, 0, 2])

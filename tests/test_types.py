@@ -71,9 +71,8 @@ def test_trace_len_iter_getitem():
 
 def test_trace_is_its_columns():
     trace = Trace("t", [1, 5, 9], [0x4, 0x8, 0x4], [64, 128, 4096])
-    arrays = trace.arrays()
-    assert arrays.instr_ids.dtype == np.int64
-    assert arrays.blocks.tolist() == [1, 2, 64]
+    assert trace.instr_ids.dtype == np.int64
+    assert trace.blocks.tolist() == [1, 2, 64]
     assert trace[1] == MemoryAccess(5, 0x8, 128)
     assert trace == Trace.from_accesses("t", list(trace))
     with pytest.raises(IndexError):
@@ -101,7 +100,7 @@ def test_trace_pickle_round_trip():
                   np.arange(1000) * 64, total_instructions=2000)
     copy = pickle.loads(pickle.dumps(trace))
     assert copy == trace
-    assert copy.arrays().blocks.tolist() == trace.arrays().blocks.tolist()
+    assert copy.blocks.tolist() == trace.blocks.tolist()
 
 
 def test_trace_explicit_instruction_count():
