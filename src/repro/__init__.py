@@ -27,7 +27,7 @@ from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".core.config": ["PathfinderConfig"],
     ".core.pathfinder": ["PathfinderPrefetcher"],
     ".obs": ["Observability"],
@@ -37,18 +37,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".types": ["MemoryAccess", "PrefetchFile", "PrefetchRequest", "Trace"],
 })
 
-__all__ = [
-    "Observability",
-    "PathfinderConfig",
-    "PathfinderPrefetcher",
-    "SimResult",
-    "simulate",
-    "HierarchyConfig",
-    "WORKLOAD_NAMES",
-    "make_trace",
-    "MemoryAccess",
-    "PrefetchFile",
-    "PrefetchRequest",
-    "Trace",
-    "__version__",
-]
+__all__ += ["__version__"]

@@ -6,7 +6,10 @@ declares which submodule defines each name and passes that table to
 imports a submodule only when one of its names is first read, so
 ``import repro`` loads no numpy and a command loads only the modules it
 runs, while ``from repro.X import Name``, ``__all__`` and ``dir()``
-work as if the package had imported everything.
+work as if the package had imported everything.  The table is the one
+list of a package's lazy names: :func:`lazy_exports` also returns them,
+and the package's ``__all__`` is those plus the names it defines or
+imports eagerly.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 def lazy_exports(namespace: Dict[str, object],
                  exports: Dict[str, Sequence[str]]
-                 ) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """The module ``__getattr__`` and ``__dir__`` of a lazy package.
+                 ) -> Tuple[Callable[[str], object], Callable[[], List[str]],
+                            List[str]]:
+    """The module ``__getattr__`` and ``__dir__`` of a lazy package, and
+    the table's names in table order (the start of its ``__all__``).
 
     Args:
         namespace: The package's ``globals()``.  A resolved name is
@@ -46,4 +51,4 @@ def lazy_exports(namespace: Dict[str, object],
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(origin))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(origin)

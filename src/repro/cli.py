@@ -163,7 +163,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _series_requested(args: argparse.Namespace) -> bool:
     """``--series`` explicitly, or implied by a series tuning flag."""
     return bool(getattr(args, "series", False)
-                or getattr(args, "series_window", None)
+                or getattr(args, "series_window", None) is not None
                 or getattr(args, "series_out", None))
 
 
@@ -179,7 +179,9 @@ def _make_obs(args: argparse.Namespace) -> Optional[Observability]:
     if series_on:
         from .obs.timeseries import SeriesCollector
 
-        window = getattr(args, "series_window", None) or DEFAULT_WINDOW
+        window = getattr(args, "series_window", None)
+        if window is None:
+            window = DEFAULT_WINDOW
         series = SeriesCollector(window=window)
     return Observability(tracer=Tracer(sink),
                          profiler=Profiler(capture_memory=peak_memory),

@@ -14,19 +14,10 @@
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".config": ["PathfinderConfig"],
     ".pixel": ["PixelMatrixEncoder"],
     ".training_table": ["TrainingTable", "TrainingEntry"],
     ".inference_table": ["InferenceTable"],
     ".pathfinder": ["PathfinderPrefetcher"],
 })
-
-__all__ = [
-    "PathfinderConfig",
-    "PixelMatrixEncoder",
-    "TrainingTable",
-    "TrainingEntry",
-    "InferenceTable",
-    "PathfinderPrefetcher",
-]

@@ -147,8 +147,3 @@ class InferenceTable:
         self.labels_erased += int(self.slot_count[neuron])
         self.slot_count[neuron] = 0
         self.pending[neuron] = NO_PENDING
-
-    def reset(self) -> None:
-        """Erase every label (keeps configuration and statistics)."""
-        self.slot_count[:] = 0
-        self.pending[:] = NO_PENDING

@@ -69,7 +69,9 @@ class PathfinderPrefetcher(Prefetcher):
         self.config = config or PathfinderConfig()
         self.encoder = PixelMatrixEncoder(self.config)
         self.network = self._build_network()
-        self.training_table = self._build_training_table()
+        self.training_table = TrainingTable(
+            capacity=self.config.training_table_size,
+            history=self.config.history, degree=self.config.degree)
         self.inference_table = InferenceTable(
             n_neurons=self.config.n_neurons,
             labels_per_neuron=self.config.labels_per_neuron,
@@ -95,7 +97,6 @@ class PathfinderPrefetcher(Prefetcher):
         # Multi-tick only: spikes in an interval -> intervals with that
         # many (a one-tick query fires exactly its winner).
         self._spike_totals: Dict[int, int] = {}
-        self._obs = None
         # Armed by series_arm() (``--series``): the winner tally and the
         # weight/theta snapshots behind the series gauges.
         self._series_armed = False
@@ -123,21 +124,7 @@ class PathfinderPrefetcher(Prefetcher):
             tc_theta_decay=cfg.tc_theta_decay)
         return DiehlCookNetwork(net_cfg, stdp=stdp, exc_lif=lif)
 
-    def _build_training_table(self) -> TrainingTable:
-        cfg = self.config
-        return TrainingTable(capacity=cfg.training_table_size,
-                             history=cfg.history, degree=cfg.degree)
-
     # -- observability -------------------------------------------------------
-
-    def attach_observability(self, obs) -> None:
-        """Publish SNN telemetry into ``obs`` when it is enabled.
-
-        Nothing is recorded per query: :meth:`publish_telemetry` reads
-        the counters that :meth:`process` and the compiled loop keep
-        anyway, so observing a run never changes which loop runs it.
-        """
-        self._obs = obs if obs is not None and obs.enabled else None
 
     @property
     def weight_saturation(self) -> float:
@@ -147,16 +134,16 @@ class PathfinderPrefetcher(Prefetcher):
             return 0.0
         return float(np.mean(w >= 0.99 * self.config.w_max))
 
-    def publish_telemetry(self) -> None:
-        """Summarise the run's SNN counters into the metrics registry.
+    def publish_telemetry(self, obs) -> None:
+        """Summarise the run's SNN counters into ``obs``'s registry.
 
-        Each query is one interval.  A one-tick query fires exactly its
-        winner; multi-tick intervals are tallied by spike total.
+        Nothing is recorded per query: this reads the counters that
+        :meth:`process` and the compiled loop keep anyway, so observing
+        a run never changes which loop runs it.  Each query is one
+        interval.  A one-tick query fires exactly its winner; multi-tick
+        intervals are tallied by spike total.
         """
-        if self._obs is None:
-            return
-        scope = self._obs.registry.scope(component="snn",
-                                         prefetcher=self.name)
+        scope = obs.registry.scope(component="snn", prefetcher=self.name)
         scope.counter("snn.queries").inc(self.snn_queries)
         scope.counter("snn.stdp_updates").inc(self.stdp_updates)
         spikes_per_interval = scope.histogram(
@@ -179,10 +166,10 @@ class PathfinderPrefetcher(Prefetcher):
         ).observe(saturation)
         if self.neuron_repairs:
             scope.counter("snn.neuron_repairs").inc(self.neuron_repairs)
-            self._obs.tracer.emit(
+            obs.tracer.emit(
                 "snn.neuron_repaired", prefetcher=self.name,
                 repairs=self.neuron_repairs)
-        self._obs.tracer.emit(
+        obs.tracer.emit(
             "snn.summary", prefetcher=self.name, queries=self.snn_queries,
             stdp_updates=self.stdp_updates, spikes=total_spikes,
             weight_saturation=saturation)
@@ -496,23 +483,3 @@ class PathfinderPrefetcher(Prefetcher):
             if record.spike_counts[first_tick_winner] == best_count:
                 self.first_tick_matches += 1
         return record
-
-    def reset(self) -> None:
-        """Clear all run-time state, re-seeding the SNN identically."""
-        self.network = self._build_network()
-        self.training_table = self._build_training_table()
-        self.inference_table.reset()
-        self.accesses_seen = 0
-        self.snn_queries = 0
-        self.stdp_updates = 0
-        self.prefetches_emitted = 0
-        self.pred_checked = 0
-        self.pred_correct = 0
-        self.neuron_repairs = 0
-        self.first_tick_matches = 0
-        self.first_tick_total = 0
-        self._spike_totals = {}
-        self._series_armed = False
-        self._series_winner_counts = {}
-        self._series_prev_weights = None
-        self._series_prev_theta = None

@@ -24,7 +24,7 @@ from .._lazy import lazy_exports
 #: print it without importing the statistics layer.
 DEFAULT_MAX_REGRESS = 0.25
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".compare": ["CompareResult", "StatRow", "compare_artifacts",
                  "load_artifact"],
     ".dashboard": ["render_dashboard", "write_dashboard"],
@@ -40,41 +40,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                "mann_whitney_u", "rank_groups", "significant_slowdowns"],
 })
 
-__all__ = [
-    "CompareResult",
-    "StatRow",
-    "compare_artifacts",
-    "load_artifact",
-    "render_dashboard",
-    "write_dashboard",
-    "DEFAULT_MAX_REGRESS",
-    "DEFAULT_ALPHA",
-    "MannWhitneyResult",
-    "RankEntry",
-    "SlowdownVerdict",
-    "a12",
-    "bootstrap_ci",
-    "bootstrap_diff_ci",
-    "bootstrap_ratio_ci",
-    "cliffs_delta",
-    "holm_bonferroni",
-    "mann_whitney_u",
-    "rank_groups",
-    "significant_slowdowns",
-    "PREFETCHER_FACTORIES",
-    "EvalRow",
-    "Evaluation",
-    "ResiliencePolicy",
-    "SeedAggregate",
-    "ambient_policy",
-    "default_hierarchy",
-    "make_prefetcher",
-    "multi_seed_grid",
-    "run_prefetcher",
-    "format_table",
-    "geometric_mean",
-    "summarize_events",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "run_experiment",
-]
+__all__ += ["DEFAULT_MAX_REGRESS"]

@@ -340,7 +340,14 @@ def compare_ledgers(a: Dict, b: Dict,
     vectors, and the significance gate replaces the threshold rule for
     the timings whose samples let it reach ``alpha`` (see module
     docstring).
+
+    Raises :class:`~repro.errors.ConfigError` for a negative
+    ``max_regress`` or an ``alpha`` outside (0, 1).
     """
+    if max_regress < 0:
+        raise ConfigError(f"max_regress must be >= 0 (got {max_regress})")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1) (got {alpha})")
     result = CompareResult(kind="ledger")
     covered = _apply_significance_gate(
         result, _group_samples(a), _group_samples(b), _group_labels(a, b),

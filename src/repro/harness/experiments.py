@@ -722,6 +722,9 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(
             f"unknown experiment {experiment_id!r}; known: {known}") from None
+    if kwargs.get("n_accesses", 1) < 1:
+        raise ConfigError(
+            f"load count must be >= 1 (got {kwargs['n_accesses']})")
     result = fn(**kwargs)
     ledger = active_ledger()
     if ledger is not None:

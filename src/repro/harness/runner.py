@@ -247,7 +247,6 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
     hierarchy = hierarchy or default_hierarchy()
     if not isinstance(prefetcher, GuardedPrefetcher):
         prefetcher = GuardedPrefetcher(prefetcher)
-    prefetcher.attach_observability(obs)
     gen_recorder = None
     if obs.series is not None:
         gen_recorder = obs.series.recorder(
@@ -259,7 +258,8 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
         requests = generate_prefetches(prefetcher, trace, budget=budget,
                                        recorder=gen_recorder)
     timings["prefetch_file_s"] = time.perf_counter() - start
-    prefetcher.publish_telemetry()
+    if obs.enabled:
+        prefetcher.publish_telemetry(obs)
     start = time.perf_counter()
     with obs.profiler.phase("replay"):
         sim = Simulator(hierarchy, obs=obs)
@@ -355,7 +355,12 @@ class Evaluation:
     _traces: Dict[str, Trace] = field(default_factory=dict)
     _baselines: Dict[str, SimResult] = field(default_factory=dict)
 
-    def _obs(self) -> Observability:
+    def __post_init__(self) -> None:
+        if self.n_accesses < 1:
+            raise ConfigError(
+                f"load count must be >= 1 (got {self.n_accesses})")
+
+    def _active_obs(self) -> Observability:
         if self.obs is None:
             # Fall back to the CLI-installed ambient bundle so code that
             # builds its own Evaluation (the experiment registry) still
@@ -366,7 +371,7 @@ class Evaluation:
     def trace(self, workload: str) -> Trace:
         """The cached trace for a workload (generated on first use)."""
         if workload not in self._traces:
-            with self._obs().profiler.phase("trace_gen"):
+            with self._active_obs().profiler.phase("trace_gen"):
                 trace = make_trace(workload, self.n_accesses,
                                    seed=self.seed)
             # Inert unless the trace.corrupt fault point is armed.
@@ -376,7 +381,7 @@ class Evaluation:
     def baseline(self, workload: str) -> SimResult:
         """The cached no-prefetch run for a workload."""
         if workload not in self._baselines:
-            obs = self._obs()
+            obs = self._active_obs()
             with obs.profiler.phase("baseline_replay"):
                 self._baselines[workload] = simulate(
                     self.trace(workload), config=self.hierarchy,
@@ -388,7 +393,7 @@ class Evaluation:
         return run_prefetcher(self.trace(workload), make_prefetcher(spec),
                               self.baseline(workload),
                               hierarchy=self.hierarchy, budget=self.budget,
-                              obs=self._obs())
+                              obs=self._active_obs())
 
     def _cell_key(self, workload: str, spec: CellSpec) -> str:
         return cell_key(workload, spec, seed=self.seed,
@@ -478,7 +483,7 @@ class Evaluation:
             # context carrying the same run-id + cell tags the campaign
             # workers stamp, so serial and parallel event logs line up
             # record-for-record.
-            obs = self._obs()
+            obs = self._active_obs()
             run_id = current_run_id()
             for i in pending:
                 workload, spec = cells[i]
@@ -520,7 +525,7 @@ class Evaluation:
         from ..campaign import Campaign, CampaignCell, CampaignSpec
         from ..campaign.queue import QUARANTINED
 
-        obs = self._obs()
+        obs = self._active_obs()
         for i in pending:
             self.baseline(cells[i][0])
         # A cell listed twice runs once; both positions get its row.

@@ -51,7 +51,7 @@ if TYPE_CHECKING:
 #: the dashboard use.
 DEFAULT_WINDOW = 2048
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".timeseries": ["DEFAULT_POINT_CAP", "SERIES_SCHEMA", "Series",
                     "SeriesCollector", "WindowRecorder", "adaptation_lag",
                     "detect_phases", "rate_points", "read_series"],
@@ -122,39 +122,10 @@ def default_observability() -> Optional[Observability]:
     return _DEFAULT_OBS
 
 
-__all__ = [
-    "Counter",
-    "DEFAULT_POINT_CAP",
-    "DEFAULT_WINDOW",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "MemorySink",
-    "MetricsRegistry",
-    "MetricsScope",
-    "NullSink",
-    "Observability",
-    "PhaseStats",
-    "Profiler",
-    "RunLedger",
-    "SERIES_SCHEMA",
-    "Series",
-    "SeriesCollector",
-    "Tracer",
-    "WindowRecorder",
-    "active_ledger",
-    "adaptation_lag",
-    "current_run_id",
-    "default_observability",
-    "detect_phases",
-    "finish_run",
-    "metric_key",
-    "rate_points",
-    "read_events",
-    "read_ledger",
-    "read_series",
-    "resume_run",
-    "set_active_ledger",
-    "set_default_observability",
-    "start_run",
-]
+__all__ += ["Counter", "DEFAULT_WINDOW", "Gauge", "Histogram", "JsonlSink",
+            "MemorySink", "MetricsRegistry", "MetricsScope", "NullSink",
+            "Observability", "PhaseStats", "Profiler", "RunLedger", "Tracer",
+            "active_ledger", "current_run_id", "default_observability",
+            "finish_run", "metric_key", "read_events", "read_ledger",
+            "resume_run", "set_active_ledger", "set_default_observability",
+            "start_run"]

@@ -24,7 +24,7 @@ PATHFINDER itself lives in :mod:`repro.core`.
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".base": ["Prefetcher", "Rows", "generate_prefetches"],
     ".adaptive_ensemble": ["AdaptiveEnsemblePrefetcher"],
     ".cold_page": ["ColdPageConfig", "ColdPagePredictor"],
@@ -37,26 +37,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".voyager": ["VoyagerConfig", "VoyagerPrefetcher"],
     ".ensemble": ["EnsemblePrefetcher"],
 })
-
-__all__ = [
-    "Prefetcher",
-    "Rows",
-    "generate_prefetches",
-    "NextLinePrefetcher",
-    "BestOffsetConfig",
-    "BestOffsetPrefetcher",
-    "SPPConfig",
-    "SPPPrefetcher",
-    "SISBConfig",
-    "SISBPrefetcher",
-    "PythiaConfig",
-    "PythiaPrefetcher",
-    "DeltaLSTMConfig",
-    "DeltaLSTMPrefetcher",
-    "VoyagerConfig",
-    "VoyagerPrefetcher",
-    "EnsemblePrefetcher",
-    "AdaptiveEnsemblePrefetcher",
-    "ColdPageConfig",
-    "ColdPagePredictor",
-]

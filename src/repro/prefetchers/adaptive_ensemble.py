@@ -60,13 +60,9 @@ class AdaptiveEnsemblePrefetcher(Prefetcher):
         self.slots_used = [0] * len(self.members)
         self.credits = [0] * len(self.members)
 
-    def attach_observability(self, obs) -> None:
+    def publish_telemetry(self, obs) -> None:
         for member in self.members:
-            member.attach_observability(obs)
-
-    def publish_telemetry(self) -> None:
-        for member in self.members:
-            member.publish_telemetry()
+            member.publish_telemetry(obs)
 
     def series_arm(self) -> None:
         for member in self.members:
@@ -118,11 +114,3 @@ class AdaptiveEnsemblePrefetcher(Prefetcher):
                     self.slots_used[index] += 1
                     self._remember(block, index)
         return chosen
-
-    def reset(self) -> None:
-        for member in self.members:
-            member.reset()
-        self.scores = [0.0] * len(self.members)
-        self._pending.clear()
-        self.slots_used = [0] * len(self.members)
-        self.credits = [0] * len(self.members)

@@ -84,6 +84,9 @@ def check_rows(rows, n: int) -> Rows:
 class Prefetcher:
     """Base class for all prefetchers.
 
+    An instance serves one trace: the harness builds a fresh one per
+    cell (:func:`repro.harness.make_prefetcher`), and
+    :func:`generate_prefetches` drives it once over the trace.
     Subclasses implement :meth:`process`; stateful prefetchers keep
     their tables/models as instance attributes.  Offline-trained
     prefetchers (Delta-LSTM, Voyager) additionally override
@@ -93,19 +96,14 @@ class Prefetcher:
     #: Human-readable name used in reports.
     name = "base"
 
-    def attach_observability(self, obs) -> None:
-        """Accept an :class:`repro.obs.Observability` bundle.
+    def publish_telemetry(self, obs) -> None:
+        """Push accumulated internals into ``obs``, an enabled
+        :class:`repro.obs.Observability` bundle.
 
-        The base implementation ignores it; prefetchers with internal
-        state worth exporting (PATHFINDER's SNN, ensembles) override
-        this and :meth:`publish_telemetry`.
-        """
-
-    def publish_telemetry(self) -> None:
-        """Push accumulated internals into the attached registry.
-
-        Called by the harness after the prefetch file is generated;
-        a no-op unless :meth:`attach_observability` armed something.
+        Called by the harness once, after the prefetch file is
+        generated.  The base implementation records nothing;
+        prefetchers with internal state worth exporting (PATHFINDER's
+        SNN, the guard's degradation) override it.
         """
 
     def train(self, trace: Trace) -> None:
@@ -146,7 +144,7 @@ class Prefetcher:
 
         The batch protocol of the columnar driver: ``addresses``,
         ``pcs``, and ``instr_ids`` are aligned ``int64`` column slices
-        straight out of :meth:`repro.types.Trace.arrays`.  Row ``i``
+        straight off the :class:`~repro.types.Trace`.  Row ``i``
         must be exactly ``self.process(a)`` for the chunk's access ``i``
         — the parity suite drives both paths and asserts bit-identical
         prefetch files.  The one BLAS-backed tier is the frozen neural
@@ -170,9 +168,6 @@ class Prefetcher:
             for a, p, i in zip(np.asarray(addresses).tolist(),
                                np.asarray(pcs).tolist(),
                                np.asarray(instr_ids).tolist())])
-
-    def reset(self) -> None:
-        """Clear all run-time state (tables, histories); keep config."""
 
 
 #: Accesses handed to :meth:`Prefetcher.process_batch` per driver

@@ -185,10 +185,3 @@ class BestOffsetPrefetcher(Prefetcher):
                                      * np.arange(1, cfg.degree + 1))
         positive = targets > 0
         return Rows(positive.sum(axis=1), targets[positive] << 6)
-
-    def reset(self) -> None:
-        self.best_offset = 1
-        self._scores = {o: 0 for o in self.config.offsets}
-        self._candidate_index = 0
-        self._round = 0
-        self._recent.clear()

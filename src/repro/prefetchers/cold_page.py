@@ -118,8 +118,3 @@ class ColdPagePredictor(Prefetcher):
             if offset < 64:
                 addresses.append(compose_address(next_page, offset))
         return addresses
-
-    def reset(self) -> None:
-        self._current.clear()
-        self._transitions.clear()
-        self.predictions = 0

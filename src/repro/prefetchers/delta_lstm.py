@@ -248,8 +248,3 @@ class DeltaLSTMPrefetcher(Prefetcher):
                     out.append(target << BLOCK_BITS)
                 if len(out) >= degree:
                     break
-
-    def reset(self) -> None:
-        for cluster in self._clusters:
-            cluster.context = []
-            cluster.last_block = None

@@ -40,13 +40,9 @@ class EnsemblePrefetcher(Prefetcher):
         #: Per-member count of prefetch slots actually used.
         self.slots_used = [0] * len(self.members)
 
-    def attach_observability(self, obs) -> None:
+    def publish_telemetry(self, obs) -> None:
         for member in self.members:
-            member.attach_observability(obs)
-
-    def publish_telemetry(self) -> None:
-        for member in self.members:
-            member.publish_telemetry()
+            member.publish_telemetry(obs)
 
     def series_arm(self) -> None:
         for member in self.members:
@@ -116,8 +112,3 @@ class EnsemblePrefetcher(Prefetcher):
                     seen_blocks.add(block)
                     self.slots_used[index] += 1
         return chosen
-
-    def reset(self) -> None:
-        for member in self.members:
-            member.reset()
-        self.slots_used = [0] * len(self.members)

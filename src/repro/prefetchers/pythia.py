@@ -221,12 +221,8 @@ class PythiaPrefetcher(Prefetcher):
     name = "pythia"
 
     def __init__(self, config: Optional[PythiaConfig] = None):
-        self.config = config or PythiaConfig()
-        self._actions = np.asarray(self.config.actions, dtype=np.int64)
-        self.reset()
-
-    def reset(self) -> None:
-        cfg = self.config
+        self.config = cfg = config or PythiaConfig()
+        self._actions = np.asarray(cfg.actions, dtype=np.int64)
         self._rng = np.random.default_rng(cfg.seed)
         # One Q-table ("vault") per program feature, mapping a hashed
         # feature to its Q row; action values are the rows summed

@@ -114,7 +114,3 @@ class SISBPrefetcher(Prefetcher):
             ends.append(len(flat))
         return Rows(np.diff(np.asarray(ends, dtype=np.int64), prepend=0),
                     np.asarray(flat, dtype=np.int64))
-
-    def reset(self) -> None:
-        self._successor.clear()
-        self._last_block.clear()

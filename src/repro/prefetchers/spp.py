@@ -91,11 +91,7 @@ class SPPPrefetcher(Prefetcher):
     name = "spp"
 
     def __init__(self, config: Optional[SPPConfig] = None):
-        self.config = config or SPPConfig()
-        self.reset()
-
-    def reset(self) -> None:
-        cfg = self.config
+        self.config = cfg = config or SPPConfig()
         # Signature Table: row r tracks page _st_page[r]; rows
         # [0, _st_rows) are in use.
         (self._st_page, self._st_signature, self._st_offset,

@@ -355,7 +355,3 @@ class VoyagerPrefetcher(Prefetcher):
             page = self._decode_page(token, pages[i])
             if page is not None and page >= 0:
                 results[i] = [compose_address(page, o) for o in top]
-
-    def reset(self) -> None:
-        self._history.clear()
-        self._last_page.clear()

@@ -5,10 +5,10 @@ and catches exceptions its ``train``/``process`` raise, and chunk
 results that are not rows.  A healthy
 prefetcher passes through bit-identically (the parity suites assert
 this); a prefetcher that keeps throwing is *quarantined* after
-``quarantine_after`` consecutive per-access failures — it degrades to
-no-prefetch for the rest of the trace instead of aborting the replay,
-with the degradation recorded in telemetry and surfaced in the
-harness's ``EvalRow.extras``.
+:data:`DEFAULT_QUARANTINE_AFTER` consecutive per-access failures — it
+degrades to no-prefetch for the rest of the trace instead of aborting
+the replay, with the degradation recorded in telemetry and surfaced in
+the harness's ``EvalRow.extras``.
 
 The ``prefetcher.access`` fault point fires here, upstream of the
 catch, so chaos tests exercise exactly the guard path production
@@ -42,15 +42,12 @@ class GuardedPrefetcher(Prefetcher):
         last_error: Message of the most recent swallowed exception.
     """
 
-    def __init__(self, prefetcher: Prefetcher,
-                 quarantine_after: int = DEFAULT_QUARANTINE_AFTER):
+    def __init__(self, prefetcher: Prefetcher):
         self.inner = prefetcher
-        self.quarantine_after = quarantine_after
         self.errors = 0
         self.consecutive_errors = 0
         self.quarantined = False
         self.last_error: Optional[str] = None
-        self._obs = None
         self._scalar_only = False
 
     @property
@@ -60,20 +57,14 @@ class GuardedPrefetcher(Prefetcher):
 
     # -- delegation ----------------------------------------------------------
 
-    def attach_observability(self, obs) -> None:
-        self._obs = obs if (obs is not None and obs.enabled) else None
-        self.inner.attach_observability(obs)
-
-    def publish_telemetry(self) -> None:
-        self.inner.publish_telemetry()
-        if self._obs is None:
-            return
-        scope = self._obs.registry.scope(component="resilience",
-                                         prefetcher=self.name)
+    def publish_telemetry(self, obs) -> None:
+        self.inner.publish_telemetry(obs)
+        scope = obs.registry.scope(component="resilience",
+                                   prefetcher=self.name)
         scope.counter("guard.errors").inc(self.errors)
         scope.counter("guard.quarantined").inc(int(self.quarantined))
         if self.errors:
-            self._obs.tracer.emit(
+            obs.tracer.emit(
                 "guard.degraded", prefetcher=self.name, errors=self.errors,
                 quarantined=self.quarantined, last_error=self.last_error)
 
@@ -91,14 +82,6 @@ class GuardedPrefetcher(Prefetcher):
             self._record_failure(exc)
             self.quarantined = True
 
-    def reset(self) -> None:
-        self.inner.reset()
-        self.errors = 0
-        self.consecutive_errors = 0
-        self.quarantined = False
-        self.last_error = None
-        self._scalar_only = False
-
     # -- guarded per-access path ---------------------------------------------
 
     def process(self, access: MemoryAccess) -> List[int]:
@@ -113,7 +96,7 @@ class GuardedPrefetcher(Prefetcher):
         except Exception as exc:  # noqa: BLE001 - the guard's entire job
             self._record_failure(exc)
             self.consecutive_errors += 1
-            if self.consecutive_errors >= self.quarantine_after:
+            if self.consecutive_errors >= DEFAULT_QUARANTINE_AFTER:
                 self.quarantined = True
             return []
         self.consecutive_errors = 0
@@ -146,7 +129,7 @@ class GuardedPrefetcher(Prefetcher):
         except Exception as exc:  # noqa: BLE001 - the guard's entire job
             self._record_failure(exc)
             self.consecutive_errors += 1
-            if self.consecutive_errors >= self.quarantine_after:
+            if self.consecutive_errors >= DEFAULT_QUARANTINE_AFTER:
                 self.quarantined = True
             self._scalar_only = True
             return Rows.empty(len(addresses))

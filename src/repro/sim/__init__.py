@@ -26,24 +26,11 @@ from .metrics import SimResult, accuracy, coverage
 from .simulator import HierarchyConfig, Simulator, simulate
 
 # The co-run mode is imported on first use: single-core runs never need it.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".multicore": ["MulticoreResult", "MulticoreSimulator",
                    "simulate_multicore"],
 })
 
-__all__ = [
-    "CacheConfig",
-    "SetAssociativeCache",
-    "MulticoreResult",
-    "MulticoreSimulator",
-    "simulate_multicore",
-    "DramConfig",
-    "DramModel",
-    "CoreConfig",
-    "SimResult",
-    "accuracy",
-    "coverage",
-    "HierarchyConfig",
-    "Simulator",
-    "simulate",
-]
+__all__ += ["CacheConfig", "SetAssociativeCache", "DramConfig", "DramModel",
+            "CoreConfig", "SimResult", "accuracy", "coverage",
+            "HierarchyConfig", "Simulator", "simulate"]

@@ -19,22 +19,10 @@ Network parameters default to the paper's Table 4 (``exc=20.5``,
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".encoding": ["poisson_spike_train"],
     ".neurons": ["AdaptiveLIFGroup", "LIFConfig", "LIFGroup"],
     ".stdp": ["STDPConfig"],
     ".synapses": ["Connection"],
     ".network": ["DiehlCookNetwork", "NetworkConfig", "RunRecord"],
 })
-
-__all__ = [
-    "poisson_spike_train",
-    "AdaptiveLIFGroup",
-    "LIFConfig",
-    "LIFGroup",
-    "STDPConfig",
-    "Connection",
-    "DiehlCookNetwork",
-    "NetworkConfig",
-    "RunRecord",
-]

@@ -285,6 +285,15 @@ def test_campaign_run_rejects_existing_dir_and_bad_spec(tmp_path, capsys):
     assert main(["campaign", "status", str(tmp_path / "nowhere")]) == 2
 
 
+def _assert_exits_2_with_one_error(argv, capsys) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.out.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["run", "cc-5", "nextline", "--loads", "500",
                   "--budget", "0"], id="run-budget-0"),
@@ -292,8 +301,12 @@ def test_campaign_run_rejects_existing_dir_and_bad_spec(tmp_path, capsys):
                   "--inject-faults", "bogus"], id="run-inject-faults-bogus"),
     pytest.param(["run", "cc-5", "nextline", "--loads", "500",
                   "--series-window", "-4"], id="run-series-window-negative"),
+    pytest.param(["run", "cc-5", "nextline", "--loads", "500",
+                  "--series-window", "0"], id="run-series-window-0"),
     pytest.param(["run", "cc-5", "nextline", "--loads", "-5"],
                  id="run-loads-negative"),
+    pytest.param(["run", "cc-5", "nextline", "--loads", "0"],
+                 id="run-loads-0"),
     pytest.param(["run", "cc-5", "nextline", "--loads", "500",
                   "--seed", "-1"], id="run-seed-negative"),
     pytest.param(["trace", "cc-5", "--profile", "--loads", "0"],
@@ -306,16 +319,31 @@ def test_campaign_run_rejects_existing_dir_and_bad_spec(tmp_path, capsys):
                   "--cell-timeout", "0"], id="experiment-cell-timeout-0"),
     pytest.param(["experiment", "table6", "--loads", "500",
                   "--workloads", "nosuch"], id="experiment-unknown-workload"),
+    pytest.param(["experiment", "fig4", "--loads", "0",
+                  "--workloads", "cc-5"], id="experiment-fig4-loads-0"),
+    pytest.param(["experiment", "fig7", "--loads", "0",
+                  "--workloads", "cc-5"], id="experiment-fig7-loads-0"),
 ])
 def test_configuration_errors_exit_2(argv, capsys):
     """Every subcommand reports a configuration error as one ``error:``
     line and exit 2, never a traceback."""
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    errors = [line for line in captured.out.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1, captured.out
-    assert "Traceback" not in captured.out + captured.err
+    _assert_exits_2_with_one_error(argv, capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--max-regress", "-1"], id="max-regress-negative"),
+    pytest.param(["--alpha", "0"], id="alpha-0"),
+    pytest.param(["--alpha", "2"], id="alpha-2"),
+])
+def test_compare_gate_out_of_range_exits_2(flags, tmp_path, capsys):
+    """A regression gate outside its range is a configuration error, not
+    a comparison that flags or passes every timing."""
+    assert main(["run", "cc-5", "nextline", "--loads", "500",
+                 "--results-dir", str(tmp_path)]) == 0
+    (ledger,) = tmp_path.glob("*.jsonl")
+    capsys.readouterr()
+    _assert_exits_2_with_one_error(
+        ["compare", str(ledger), str(ledger), *flags], capsys)
 
 
 def test_campaign_run_rejects_negative_seed_before_any_cell(tmp_path,

@@ -4,14 +4,17 @@ prediction."""
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs import Observability
 from repro.prefetchers import (
     AdaptiveEnsemblePrefetcher,
     ColdPageConfig,
     ColdPagePredictor,
+    EnsemblePrefetcher,
     NextLinePrefetcher,
     SISBPrefetcher,
     generate_prefetches,
 )
+from repro.resilience import GuardedPrefetcher
 from repro.types import MemoryAccess, compose_address
 
 from tests.helpers import build_trace, seq_addresses
@@ -27,6 +30,48 @@ class Fixed(NextLinePrefetcher):
 
     def process(self, access):
         return list(self._fixed)
+
+
+class Recording(NextLinePrefetcher):
+    """Test double that records every non-access hook called on it."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+        self.calls = []
+
+    def train(self, trace):
+        self.calls.append(("train", trace))
+
+    def series_arm(self):
+        self.calls.append(("series_arm",))
+
+    def series_sample(self, cumulative, gauges):
+        self.calls.append(("series_sample", cumulative, gauges))
+
+    def publish_telemetry(self, obs):
+        self.calls.append(("publish_telemetry", obs))
+
+
+@pytest.mark.parametrize("wrap, n_members", [
+    pytest.param(lambda members: GuardedPrefetcher(*members), 1,
+                 id="guard"),
+    pytest.param(EnsemblePrefetcher, 2, id="ensemble"),
+    pytest.param(AdaptiveEnsemblePrefetcher, 2, id="adaptive-ensemble"),
+])
+def test_wrappers_forward_every_hook_to_every_member(wrap, n_members):
+    members = [Recording(f"m{i}") for i in range(n_members)]
+    wrapper = wrap(members)
+    trace = build_trace(seq_addresses(4))
+    cumulative, gauges, obs = {}, {}, Observability()
+    wrapper.train(trace)
+    wrapper.series_arm()
+    wrapper.series_sample(cumulative, gauges)
+    wrapper.publish_telemetry(obs)
+    for member in members:
+        assert member.calls == [("train", trace), ("series_arm",),
+                                ("series_sample", cumulative, gauges),
+                                ("publish_telemetry", obs)], member.name
 
 
 # -- adaptive ensemble -----------------------------------------------------
@@ -95,15 +140,6 @@ def test_adaptive_ensemble_budget_and_dedup():
         budget=2)
     out = ensemble.process(MemoryAccess(1, 0x4, 0x0))
     assert out == [0x1000, 0x2000]
-
-
-def test_adaptive_ensemble_reset():
-    ensemble = AdaptiveEnsemblePrefetcher([Fixed([0x2000], "a")])
-    ensemble.process(MemoryAccess(1, 0x4, 0x0))
-    ensemble.process(MemoryAccess(2, 0x4, 0x2000))
-    ensemble.reset()
-    assert ensemble.scores == [0.0]
-    assert ensemble.credits == [0]
 
 
 def test_adaptive_ensemble_end_to_end():
@@ -200,12 +236,3 @@ def test_cold_page_complements_pathfinder_in_ensemble():
     cov_combo = simulate(trace, generate_prefetches(combo, trace),
                          config=hierarchy).coverage(baseline.llc_misses)
     assert cov_combo > cov_pf
-
-
-def test_cold_page_reset():
-    predictor = ColdPagePredictor()
-    trace = build_trace(_page_walk(range(100, 120)))
-    generate_prefetches(predictor, trace)
-    predictor.reset()
-    assert predictor.predictions == 0
-    assert not predictor._transitions

@@ -147,16 +147,6 @@ def test_cold_page_encoding_queries_on_first_touch():
     assert with_cold.snn_queries > without.snn_queries
 
 
-def test_reset_restores_initial_state():
-    trace = build_trace(pattern_addresses((2,), range(100, 120)))
-    prefetcher = PathfinderPrefetcher(PathfinderConfig(one_tick=True))
-    first = [r.address for r in generate_prefetches(prefetcher, trace)]
-    prefetcher.reset()
-    assert prefetcher.accesses_seen == 0
-    second = [r.address for r in generate_prefetches(prefetcher, trace)]
-    assert first == second  # fully deterministic after reset
-
-
 def test_prediction_counters_kept_without_a_series(monkeypatch):
     """Both loops count prediction checks and hits on every run, not
     only under ``--series``, and agree on them."""

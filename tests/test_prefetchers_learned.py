@@ -101,15 +101,6 @@ def test_pythia_deterministic_by_seed():
     assert a == b
 
 
-def test_pythia_reset():
-    trace = stride_trace(n=500)
-    pf = PythiaPrefetcher()
-    first = generate_prefetches(pf, trace)
-    pf.reset()
-    second = generate_prefetches(pf, trace)
-    assert first == second
-
-
 def test_pythia_prefetches_stay_in_page():
     trace = stride_trace(n=1000, stride=9)
     for r in generate_prefetches(PythiaPrefetcher(), trace):
@@ -164,14 +155,6 @@ def test_delta_lstm_unseen_deltas_counted():
 def test_delta_lstm_without_training_is_silent():
     pf = DeltaLSTMPrefetcher(_small_dlstm_config())
     assert pf.process(MemoryAccess(1, 0x4, 0x1000)) == []
-
-
-def test_delta_lstm_reset_keeps_model():
-    trace = stride_trace(n=1500)
-    pf = DeltaLSTMPrefetcher(_small_dlstm_config())
-    generate_prefetches(pf, trace)
-    pf.reset()
-    assert pf.centroids is not None  # clustering/model survive reset
 
 
 # -- Voyager -----------------------------------------------------------------

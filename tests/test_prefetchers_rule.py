@@ -90,13 +90,6 @@ def test_bo_offsets_are_smooth_numbers():
         assert n == 1
 
 
-def test_bo_reset():
-    pf = BestOffsetPrefetcher()
-    pf.best_offset = 9
-    pf.reset()
-    assert pf.best_offset == 1
-
-
 def test_bo_config_validation():
     with pytest.raises(ConfigError):
         BestOffsetConfig(offsets=())
@@ -242,14 +235,6 @@ def test_sisb_nothing_on_fresh_addresses():
     # blocks already seen; each block is seen once.
     requests = generate_prefetches(SISBPrefetcher(), trace)
     assert len(requests) == 0
-
-
-def test_sisb_reset():
-    pf = SISBPrefetcher()
-    pf.process(MemoryAccess(1, 0x4, 1 << 6))
-    pf.process(MemoryAccess(2, 0x4, 2 << 6))
-    pf.reset()
-    assert pf.process(MemoryAccess(3, 0x4, 1 << 6)) == []
 
 
 def test_sisb_config_validation():

@@ -14,9 +14,9 @@ from repro.harness.runner import (EvalRow, Evaluation, ResiliencePolicy,
                                   row_from_dict, row_to_dict)
 from repro.obs.ledger import resume_run, set_active_ledger
 from repro.prefetchers.base import Prefetcher, generate_prefetches
-from repro.resilience import (FaultPlan, GuardedPrefetcher,
-                              atomic_write_json, atomic_write_text,
-                              corrupt_trace, injected)
+from repro.resilience import (DEFAULT_QUARANTINE_AFTER, FaultPlan,
+                              GuardedPrefetcher, atomic_write_json,
+                              atomic_write_text, corrupt_trace, injected)
 from repro.resilience import faults
 from repro.sim.metrics import SimResult
 from repro.sim.simulator import HierarchyConfig
@@ -144,9 +144,6 @@ class _Flaky(Prefetcher):
             raise RuntimeError(f"boom on call {self.calls}")
         return [access.address + 64]
 
-    def reset(self):
-        self.calls = 0
-
 
 def test_guard_passes_healthy_prefetcher_through():
     trace = build_trace(seq_addresses(64))
@@ -157,23 +154,27 @@ def test_guard_passes_healthy_prefetcher_through():
 
 
 def test_guard_quarantines_after_consecutive_failures():
-    guard = GuardedPrefetcher(_Flaky(fail_on={"all"}), quarantine_after=4)
+    guard = GuardedPrefetcher(_Flaky(fail_on={"all"}))
     access = MemoryAccess(instr_id=1, pc=0x400, address=1 << 20)
-    for _ in range(10):
+    for _ in range(DEFAULT_QUARANTINE_AFTER + 6):
         assert guard.process(access) == []
     assert guard.quarantined
-    assert guard.errors == 4  # short-circuits once quarantined
+    # Short-circuits once quarantined.
+    assert guard.errors == DEFAULT_QUARANTINE_AFTER
     assert "boom" in guard.last_error
 
 
 def test_guard_resets_consecutive_count_on_success():
-    guard = GuardedPrefetcher(_Flaky(fail_on={2, 4, 6, 8, 10, 12}),
-                              quarantine_after=3)
+    # Two runs of one failure short of quarantine, each ended by a
+    # success: twice the threshold in total, never in a row.
+    run = DEFAULT_QUARANTINE_AFTER - 1
+    failing = set(range(1, run + 1)) | set(range(run + 2, 2 * run + 2))
+    guard = GuardedPrefetcher(_Flaky(fail_on=failing))
     access = MemoryAccess(instr_id=1, pc=0x400, address=1 << 20)
-    for _ in range(12):
+    for _ in range(2 * run + 2):
         guard.process(access)
     assert not guard.quarantined
-    assert guard.errors == 6
+    assert guard.errors == 2 * run
 
 
 def test_guard_quarantines_on_train_failure():
@@ -186,8 +187,6 @@ def test_guard_quarantines_on_train_failure():
     assert guard.quarantined
     access = MemoryAccess(instr_id=1, pc=0x400, address=1 << 20)
     assert guard.process(access) == []
-    guard.reset()
-    assert not guard.quarantined and guard.errors == 0
 
 
 class _MalformedOnce(_Flaky):

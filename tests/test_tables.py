@@ -146,13 +146,11 @@ def test_matching_also_decrements_others():
     assert table.labels(0) == [12]
 
 
-def test_occupancy_and_reset():
+def test_occupancy():
     table = InferenceTable(n_neurons=4, labels_per_neuron=2, require_confirmation=False)
     table.observe(0, 1)
     table.observe(1, 2)
     assert table.occupancy() == 2
-    table.reset()
-    assert table.occupancy() == 0
 
 
 def test_neuron_index_validation():
